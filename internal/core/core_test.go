@@ -199,6 +199,33 @@ func TestExactMIPOnCtrl(t *testing.T) {
 		res.Labeling.Optimal, res.SynthTime)
 }
 
+// TestExactMIPWarmNodes pins the branch & bound fast path on the Eq. 4
+// models the exact benchmark solves: every node LP of ctrl and cavlc is
+// reoptimized warm from its parent's basis (no cold node solves) and the
+// sparse simplex never falls back to the dense tableau.
+func TestExactMIPWarmNodes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exact MIP on cavlc takes a few seconds")
+	}
+	for _, name := range []string{"ctrl", "cavlc"} {
+		res, err := Synthesize(bench.MustBuild(name), Options{Method: labeling.MethodMIP})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		lab := res.Labeling
+		if !lab.Optimal || lab.Method != "mip" || len(lab.Trace) == 0 {
+			t.Fatalf("%s: method %q optimal=%v, %d trace events", name, lab.Method, lab.Optimal, len(lab.Trace))
+		}
+		if nodes := lab.Trace[len(lab.Trace)-1].Nodes; nodes == 0 {
+			t.Fatalf("%s: no branch & bound node expanded", name)
+		}
+		if lab.ColdNodes != 0 || lab.DenseFallbacks != 0 {
+			t.Errorf("%s: %d cold node LPs, %d dense fallbacks; want 0 and 0",
+				name, lab.ColdNodes, lab.DenseFallbacks)
+		}
+	}
+}
+
 func randomNetwork(rng *rand.Rand, nIn, nGates int) *logic.Network {
 	b := logic.NewBuilder("rand")
 	var pool []int

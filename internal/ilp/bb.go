@@ -46,7 +46,8 @@ type boundFix struct {
 
 type bbNode struct {
 	fixes []boundFix
-	bound float64 // LP bound inherited from the parent
+	basis basisSnap // the parent's optimal basis, shared by both children; nil = solve cold
+	bound float64   // LP bound inherited from the parent
 	depth int
 	seq   int
 }
@@ -84,10 +85,13 @@ func (h *nodeHeap) Pop() interface{} {
 // worker the search is exactly the serial algorithm; with N workers the
 // result is deterministic modulo incumbent ties (equal-objective optima
 // may differ, as may node counts when a time or node budget intervenes).
+// Node LPs are reoptimized from the parent's basis by the dual simplex on
+// a shared read-only lowering of the model (tmpl; see dual.go).
 type bbSearch struct {
 	mod            *Model
 	opts           Options
 	rootLB, rootUB []float64
+	tmpl           *rsLP // root lowering shared by every warm node solve; nil = all cold
 	deadline       time.Time
 	ctx            context.Context
 	start          time.Time
@@ -100,6 +104,8 @@ type bbSearch struct {
 	seq         int
 	nodes       int
 	iters       int
+	coldNodes   int // node LPs solved without a usable parent basis
+	denseLPs    int // LP solves that fell back to the dense tableau
 	incumbent   float64
 	incumbentX  []float64
 	prunedFloor float64
@@ -218,11 +224,17 @@ func (s *bbSearch) worker(id int) {
 		s.inFlight[id] = node.bound
 		lbs, ubs := s.applyFixes(node.fixes)
 		s.mu.Unlock()
-		res, lpErr := solveLP(s.ctx, s.mod, lbs, ubs, s.deadline)
+		res, cold, lpErr := s.solveNode(node, lbs, ubs)
 		s.mu.Lock()
 		delete(s.inFlight, id)
 		s.cond.Broadcast()
 		s.iters += res.iters
+		if cold {
+			s.coldNodes++
+		}
+		if res.dense {
+			s.denseLPs++
+		}
 		if lpErr != nil {
 			// Time limit or numerical trouble on one node: put it back so
 			// the reported global bound stays honest, then stop.
@@ -282,11 +294,31 @@ func (s *bbSearch) worker(id int) {
 		up := append(append([]boundFix(nil), node.fixes...),
 			boundFix{v: branchVar, isUB: false, val: math.Ceil(res.x[branchVar])})
 		s.seq++
-		heap.Push(&s.h, &bbNode{fixes: down, bound: obj, depth: node.depth + 1, seq: s.seq})
+		heap.Push(&s.h, &bbNode{fixes: down, basis: res.basis, bound: obj, depth: node.depth + 1, seq: s.seq})
 		s.seq++
-		heap.Push(&s.h, &bbNode{fixes: up, bound: obj, depth: node.depth + 1, seq: s.seq})
+		heap.Push(&s.h, &bbNode{fixes: up, basis: res.basis, bound: obj, depth: node.depth + 1, seq: s.seq})
 		s.cond.Broadcast()
 	}
+}
+
+// solveNode solves a node's LP relaxation: warm from the parent's basis
+// when the node carries one, otherwise — or when the warm path fails
+// numerically — cold with solveLP (which in turn falls back to the dense
+// oracle). cold reports that the cold path produced the result. A time
+// limit inside the warm path is returned as is: the caller puts the node
+// back and stops, exactly as for a cold solve.
+func (s *bbSearch) solveNode(node *bbNode, lbs, ubs []float64) (res lpResult, cold bool, err error) {
+	warmIters := 0
+	if node.basis != nil && s.tmpl != nil {
+		res, err = s.tmpl.solveWarm(s.ctx, lbs, ubs, node.basis, s.deadline)
+		if err == nil || errors.Is(err, errTimeLimit) {
+			return res, false, err
+		}
+		warmIters = res.iters
+	}
+	res, err = solveLP(s.ctx, s.mod, lbs, ubs, s.deadline)
+	res.iters += warmIters
+	return res, true, err
 }
 
 // Solve minimizes the model by LP-based best-first branch & bound. It never
@@ -363,6 +395,9 @@ func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, err
 	}
 	res.obj = snap(res.obj)
 	sol.Iters += res.iters
+	if res.dense {
+		sol.DenseFallbacks++
+	}
 	switch res.status {
 	case StatusInfeasible:
 		if incumbentX != nil {
@@ -383,9 +418,15 @@ func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, err
 		return sol, nil
 	}
 
+	// Lower once: the root's sparse form is the read-only template every
+	// node reoptimizes on. Its layout matches the cold lowering's, so the
+	// root's optimal basis (res.basis) warm-starts the first node. The
+	// root solve already lowered these bounds, so this cannot fail; a nil
+	// template would only mean every node solves cold.
+	tmpl, _ := lowerSparse(mod, rootLB, rootUB)
 	s := &bbSearch{
 		mod: mod, opts: opts,
-		rootLB: rootLB, rootUB: rootUB,
+		rootLB: rootLB, rootUB: rootUB, tmpl: tmpl,
 		deadline: deadline, ctx: ctx, start: start, snap: snap,
 		inFlight:    make(map[int]float64),
 		incumbent:   incumbent,
@@ -395,7 +436,7 @@ func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, err
 	}
 	s.cond = sync.NewCond(&s.mu)
 	heap.Init(&s.h)
-	heap.Push(&s.h, &bbNode{bound: res.obj, seq: 0})
+	heap.Push(&s.h, &bbNode{basis: res.basis, bound: res.obj, seq: 0})
 	s.traceLocked()
 
 	workers := opts.Workers
@@ -416,6 +457,8 @@ func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, err
 	// with the exact bound bookkeeping of the serial algorithm.
 	incumbent, incumbentX = s.incumbent, s.incumbentX
 	globalBound := s.globalBound
+	sol.ColdNodes = s.coldNodes
+	sol.DenseFallbacks += s.denseLPs
 	if s.unbounded {
 		sol.Status = StatusUnbounded
 		sol.Nodes = s.nodes

@@ -1,9 +1,11 @@
 // Package ilp is a self-contained 0-1/mixed-integer linear program solver,
-// standing in for CPLEX in the COMPACT reproduction. It combines a dense
-// bounded-variable two-phase primal simplex for LP relaxations with
-// best-first branch & bound, and reports the anytime convergence data
-// (best integer, best bound, relative gap over time) that the paper's
-// Figures 10 and 11 plot.
+// standing in for CPLEX in the COMPACT reproduction. It combines a sparse
+// bounded-variable revised simplex for LP relaxations with best-first
+// branch & bound that reoptimizes every node from its parent's optimal
+// basis with a dual simplex (the dense two-phase tableau stays as test
+// oracle and numerical fallback), and reports the anytime convergence
+// data (best integer, best bound, relative gap over time) that the
+// paper's Figures 10 and 11 plot.
 //
 // The solver is exact but not industrial: it targets the model sizes used
 // by this repository's benchmark suite (thousands of variables). Larger
@@ -224,6 +226,14 @@ type Solution struct {
 	Iters   int // total simplex iterations
 	Elapsed time.Duration
 	Trace   []TraceEvent
+
+	// ColdNodes counts branch & bound node LPs solved from scratch rather
+	// than reoptimized from the parent's basis: nodes without a basis, and
+	// nodes whose warm dual simplex failed numerically.
+	ColdNodes int
+	// DenseFallbacks counts LP solves (root included) where the sparse
+	// revised simplex failed numerically and the dense tableau took over.
+	DenseFallbacks int
 }
 
 // Options tunes Solve.

@@ -427,6 +427,29 @@ func (p *rsLP) ratioTest(q int, dir float64, w []float64) (flip bool, r int, hit
 	return flip, r, hitUpper, t, nil
 }
 
+// tick counts one simplex iteration against the iteration limit and
+// checks the deadline and context. Same per-iteration budget discipline
+// as the dense code: one revised pivot is O(nnz + eta file), so a strided
+// check could still overshoot on big models while time.Now() costs
+// nanoseconds.
+func (p *rsLP) tick() error {
+	p.iters++
+	if p.iters > p.maxIters {
+		return errIterLimit
+	}
+	if !p.deadline.IsZero() && time.Now().After(p.deadline) {
+		return errTimeLimit
+	}
+	if p.ctx != nil {
+		select {
+		case <-p.ctx.Done():
+			return errTimeLimit
+		default:
+		}
+	}
+	return nil
+}
+
 // optimize runs the revised bounded-variable primal simplex for cost
 // vector c until optimality, with the dense implementation's stall-window
 // Bland's-rule fallback as the anti-cycling guard: after blandThreshold
@@ -436,22 +459,8 @@ func (p *rsLP) optimize(c []float64) error {
 	noImprove := 0
 	blandThreshold := 4 * (p.m + 64)
 	for {
-		p.iters++
-		if p.iters > p.maxIters {
-			return errIterLimit
-		}
-		// Same per-iteration budget discipline as the dense code: one
-		// revised pivot is O(nnz + eta file), so a strided check could
-		// still overshoot on big models while time.Now() costs nanoseconds.
-		if !p.deadline.IsZero() && time.Now().After(p.deadline) {
-			return errTimeLimit
-		}
-		if p.ctx != nil {
-			select {
-			case <-p.ctx.Done():
-				return errTimeLimit
-			default:
-			}
+		if err := p.tick(); err != nil {
+			return err
 		}
 		// Pricing: y = B⁻ᵀ c_B, then reduced costs column by column.
 		y := p.y
@@ -568,7 +577,8 @@ func solveLP(ctx context.Context, mod *Model, lbs, ubs []float64, deadline time.
 	res, err := solveLPRevised(ctx, mod, lbs, ubs, deadline)
 	var ivErr *invariant.Error
 	if err != nil && (errors.Is(err, errSingularBasis) || errors.As(err, &ivErr)) {
-		return solveLPDense(ctx, mod, lbs, ubs, deadline)
+		res, err = solveLPDense(ctx, mod, lbs, ubs, deadline)
+		res.dense = true
 	}
 	return res, err
 }
@@ -619,10 +629,15 @@ func solveLPRevised(ctx context.Context, mod *Model, lbs, ubs []float64, deadlin
 		}
 		return lpResult{iters: p.iters}, err
 	}
-	// Final reinversion wipes the eta drift accumulated since the last
-	// refactorization before the solution is extracted; failure here means
-	// the optimal basis itself is numerically singular — report it and let
-	// solveLP fall back to the dense oracle.
+	return p.finish(lbs, ubs)
+}
+
+// finish extracts an optimal solution. The final reinversion wipes the eta
+// drift accumulated since the last refactorization; failure there means
+// the optimal basis itself is numerically singular — reported so solveLP
+// can fall back to the dense oracle. The result carries the optimal basis
+// so branch & bound can warm-start the node's children from it.
+func (p *rsLP) finish(lbs, ubs []float64) (lpResult, error) {
 	if err := p.refactorize(); err != nil {
 		return lpResult{iters: p.iters}, err
 	}
@@ -632,5 +647,9 @@ func solveLPRevised(ctx context.Context, mod *Model, lbs, ubs []float64, deadlin
 	if err := invariant.BoundedValues("ilp.lp-solution", x, lbs, ubs, 10*feasTol); err != nil {
 		return lpResult{iters: p.iters}, err
 	}
-	return lpResult{status: StatusOptimal, x: x, obj: mod.Objective(x), iters: p.iters}, nil
+	obj := 0.0
+	for j, v := range x {
+		obj += p.cost[j] * v
+	}
+	return lpResult{status: StatusOptimal, x: x, obj: obj, iters: p.iters, basis: p.snapshot()}, nil
 }

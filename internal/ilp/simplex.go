@@ -401,6 +401,12 @@ type lpResult struct {
 	x      []float64
 	obj    float64
 	iters  int
+	// basis is the optimal basis in the sparse lowering's column layout
+	// (nil unless the revised simplex solved the LP to optimality).
+	basis basisSnap
+	// dense reports that the revised simplex failed numerically and the
+	// dense tableau oracle produced this result.
+	dense bool
 }
 
 // solveLPDense solves the LP relaxation of mod with the given bound

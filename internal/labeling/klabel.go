@@ -591,26 +591,19 @@ func solveKMIP(ctx context.Context, p Problem, k int, opts Options, primer *KSol
 		inc[dVar] = float64(primer.Stats.D)
 	}
 
-	fallback := func(method string, trace []ilp.TraceEvent) *KSolution {
+	// fallback returns the fold incumbent, still carrying a bound: every
+	// early exit closes its trace on at least the analytic floor.
+	fallback := func(method string, trace []ilp.TraceEvent, nodes int) *KSolution {
 		lo := append([]int(nil), primer.Lo...)
 		hi := append([]int(nil), primer.Hi...)
-		return &KSolution{K: k, Lo: lo, Hi: hi, Stats: primer.Stats, Method: method, Trace: trace}
+		trace, gap := anytimeTrace(trace, primer.Stats.Objective(gamma), analytic, nodes)
+		return &KSolution{K: k, Lo: lo, Hi: hi, Stats: primer.Stats, Optimal: gap <= 1e-9, Method: method, Trace: trace}
 	}
 	// Memory guard: same dense-tableau worst case as the 2D model.
 	rows := int64(mod.NumConstrs())
 	cols := int64(mod.NumVars()) + 2*rows
 	if rows*cols*8 > maxTableauBytes {
-		obj := primer.Stats.Objective(gamma)
-		gap := 0.0
-		if obj > 0 {
-			gap = (obj - analytic) / obj
-			if gap < 0 {
-				gap = 0
-			}
-		}
-		sol := fallback("kmip-bounded", []ilp.TraceEvent{{Incumbent: obj, Bound: analytic, Gap: gap}})
-		sol.Optimal = gap <= 1e-9
-		return sol, nil
+		return fallback("kmip-bounded", nil, 0), nil
 	}
 
 	sol, err := ilp.SolveContext(ctx, mod, ilp.Options{
@@ -618,7 +611,7 @@ func solveKMIP(ctx context.Context, p Problem, k int, opts Options, primer *KSol
 	})
 	if err != nil {
 		if ctx.Err() != nil {
-			return fallback("kmip-fallback", nil), nil
+			return fallback("kmip-fallback", nil, 0), nil
 		}
 		return nil, fmt.Errorf("labeling: K-MIP solve: %w", err)
 	}
@@ -630,7 +623,7 @@ func solveKMIP(ctx context.Context, p Problem, k int, opts Options, primer *KSol
 			k, opts.MaxRows, opts.MaxCols)
 	}
 	if sol.X == nil {
-		return fallback("kmip-fallback", sol.Trace), nil
+		return fallback("kmip-fallback", sol.Trace, sol.Nodes), nil
 	}
 	lo := make([]int, n)
 	hi := make([]int, n)
@@ -647,28 +640,11 @@ func solveKMIP(ctx context.Context, p Problem, k int, opts Options, primer *KSol
 	}
 	shrinkIntervals(p, k, lo, hi)
 	st := ComputeKStats(k, lo, hi)
-	obj := st.Objective(gamma)
-	bound := analytic
-	if len(sol.Trace) > 0 && sol.Trace[len(sol.Trace)-1].Bound > bound {
-		bound = sol.Trace[len(sol.Trace)-1].Bound
-	}
-	gap := 0.0
-	if obj > bound && obj > 0 {
-		gap = (obj - bound) / obj
-	}
-	optimal := sol.Status == ilp.StatusOptimal || gap <= 1e-9
-	trace := sol.Trace
-	if len(trace) == 0 || trace[len(trace)-1].Bound < bound-1e-9 {
-		last := ilp.TraceEvent{Incumbent: obj, Bound: bound, Gap: gap, Nodes: sol.Nodes}
-		if len(trace) > 0 {
-			last.Elapsed = trace[len(trace)-1].Elapsed
-		}
-		trace = append(trace, last)
-	}
+	trace, gap := anytimeTrace(sol.Trace, st.Objective(gamma), analytic, sol.Nodes)
 	return &KSolution{
 		K: k, Lo: lo, Hi: hi,
 		Stats:   st,
-		Optimal: optimal,
+		Optimal: sol.Status == ilp.StatusOptimal || gap <= 1e-9,
 		Method:  "kmip",
 		Trace:   trace,
 	}, nil

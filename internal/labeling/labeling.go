@@ -211,6 +211,11 @@ type Solution struct {
 	// empty for non-MIP methods. For MethodPortfolio it is the winning
 	// engine's trace.
 	Trace []ilp.TraceEvent
+	// ColdNodes and DenseFallbacks carry the MIP branch & bound's
+	// ilp.Solution counters of the same names (zero when no MIP ran): node
+	// LPs solved from scratch instead of warm from the parent's basis, and
+	// LP solves where the sparse simplex fell back to the dense tableau.
+	ColdNodes, DenseFallbacks int
 	// Engines reports the per-engine outcome of a MethodPortfolio race
 	// (which engine won, each engine's objective and elapsed time); nil for
 	// the single-engine methods.
@@ -646,13 +651,15 @@ func solveMIP(ctx context.Context, p Problem, opts Options, primer *Solution, be
 	}
 	octCtx, octCancel := context.WithTimeout(ctx, octBudget)
 	octRes, err := oct.FindContext(octCtx, p.G, oct.Options{Backend: opts.OCTBackend})
+	octExpired := octCtx.Err() != nil
 	octCancel()
 	if err != nil {
-		if ctx.Err() == nil {
+		if !octExpired {
 			return nil, err
 		}
-		// Shared budget already exhausted: degrade to the greedy OCT (its
-		// labels still serve as incumbent material below).
+		// The OCT's share of the budget (or the shared budget itself) is
+		// already exhausted: degrade to the greedy OCT (its labels still
+		// serve as incumbent material below).
 		octRes = oct.Heuristic(p.G)
 	}
 	if octRes.Optimal && len(octRes.OCT) > kLB {
@@ -684,37 +691,31 @@ func solveMIP(ctx context.Context, p Problem, opts Options, primer *Solution, be
 	}
 	inc := incumbentFromLabels(mod.NumVars(), p, best.Labels, xV, xH, xE, dVar, edges)
 
+	// The OCT-based analytic bound γ(n+kLB) + (1−γ)·⌈(n+kLB)/2⌉ — valid
+	// because S >= n+kLB and D >= S/2 — backstops the branch & bound's
+	// proven bound on every exit, crucial when the budget expires before
+	// even the root LP finishes (the bound would otherwise read −∞, or the
+	// trace be empty).
+	analytic := gamma*float64(n+kLB) + (1-gamma)*math.Ceil(float64(n+kLB)/2)
+	// fallback returns the incumbent when the MIP produced no labeling of
+	// its own, still carrying a bound (DESIGN §5b). A fresh Solution: best
+	// may alias the portfolio's shared primer.
+	fallback := func(method string, trace []ilp.TraceEvent, nodes int) *Solution {
+		trace, gap := anytimeTrace(trace, best.Stats.Objective(gamma), analytic, nodes)
+		return &Solution{Labels: best.Labels, Stats: best.Stats, Optimal: gap <= 1e-9, Method: method, Trace: trace}
+	}
+
 	// Memory guard: the production LP core is the sparse revised simplex,
 	// but it falls back to the dense oracle on numerical trouble, and the
 	// dense tableau takes roughly rows x (vars + 2*rows) float64 cells — so
 	// the guard stays sized for the worst case. Graphs beyond that budget get
-	// the analytic bound instead — objective >= γ(n+k) + (1−γ)·⌈(n+k)/2⌉,
-	// valid because S >= n+kLB and D >= S/2 — reported with the heuristic
-	// incumbent, exactly the anytime data Figure 11 plots for circuits the
-	// paper's CPLEX could not close either.
+	// the analytic bound instead, reported with the heuristic incumbent,
+	// exactly the anytime data Figure 11 plots for circuits the paper's
+	// CPLEX could not close either.
 	rows := int64(mod.NumConstrs())
 	cols := int64(mod.NumVars()) + 2*rows
 	if rows*cols*8 > maxTableauBytes {
-		obj := best.Stats.Objective(gamma)
-		bound := gamma*float64(n+kLB) + (1-gamma)*math.Ceil(float64(n+kLB)/2)
-		gap := 0.0
-		if obj > 0 {
-			gap = (obj - bound) / obj
-			if gap < 0 {
-				gap = 0
-			}
-		}
-		return &Solution{
-			Labels:  best.Labels,
-			Stats:   best.Stats,
-			Optimal: gap <= 1e-9,
-			Method:  "mip-bounded",
-			Trace: []ilp.TraceEvent{{
-				Incumbent: obj,
-				Bound:     bound,
-				Gap:       gap,
-			}},
-		}, nil
+		return fallback("mip-bounded", nil, 0), nil
 	}
 
 	sol, err := ilp.SolveContext(ctx, mod, ilp.Options{
@@ -723,9 +724,8 @@ func solveMIP(ctx context.Context, p Problem, opts Options, primer *Solution, be
 	if err != nil {
 		if ctx.Err() != nil {
 			// Budget expired between model build and solve: anytime
-			// contract — return the incumbent rather than an error. (A
-			// fresh Solution: best may alias the portfolio's shared primer.)
-			return &Solution{Labels: best.Labels, Stats: best.Stats, Method: "mip-fallback"}, nil
+			// contract — return the incumbent rather than an error.
+			return fallback("mip-fallback", nil, 0), nil
 		}
 		return nil, fmt.Errorf("labeling: MIP solve: %w", err)
 	}
@@ -741,7 +741,7 @@ func solveMIP(ctx context.Context, p Problem, opts Options, primer *Solution, be
 	if sol.X == nil {
 		// No incumbent at all (should not happen: all-VH is feasible and
 		// the heuristic always yields one); fall back to the primer.
-		return &Solution{Labels: best.Labels, Stats: best.Stats, Method: "mip-fallback", Trace: sol.Trace}, nil
+		return fallback("mip-fallback", sol.Trace, sol.Nodes), nil
 	}
 	labels := make([]Label, n)
 	for i := 0; i < n; i++ {
@@ -757,36 +757,42 @@ func solveMIP(ctx context.Context, p Problem, opts Options, primer *Solution, be
 		}
 	}
 	st := ComputeStats(labels)
-	// The OCT-based analytic bound γ(n+kLB) + (1−γ)·⌈(n+kLB)/2⌉ backstops
-	// the branch & bound's proven bound — crucial when the time limit
-	// expires before even the root LP finishes (the bound would otherwise
-	// read −∞ and the gap a meaningless 1.0).
-	analytic := gamma*float64(n+kLB) + (1-gamma)*math.Ceil(float64(n+kLB)/2)
-	obj := st.Objective(gamma)
+	trace, gap := anytimeTrace(sol.Trace, st.Objective(gamma), analytic, sol.Nodes)
+	return &Solution{
+		Labels:  labels,
+		Stats:   st,
+		Optimal: sol.Status == ilp.StatusOptimal || gap <= 1e-9,
+		Method:  "mip",
+		Trace:   trace,
+
+		ColdNodes:      sol.ColdNodes,
+		DenseFallbacks: sol.DenseFallbacks,
+	}, nil
+}
+
+// anytimeTrace closes a MIP convergence trace for an incumbent of
+// objective obj. The reported bound is the better of the solver's last
+// sample and the analytic floor; when the trace does not already end on it
+// — or is empty because the budget ran out before the root LP — a closing
+// sample is appended, so every exit reports an incumbent and a bound
+// (DESIGN §5b). It also returns the closing relative gap.
+func anytimeTrace(trace []ilp.TraceEvent, obj, analytic float64, nodes int) ([]ilp.TraceEvent, float64) {
 	bound := analytic
-	if len(sol.Trace) > 0 && sol.Trace[len(sol.Trace)-1].Bound > bound {
-		bound = sol.Trace[len(sol.Trace)-1].Bound
+	if len(trace) > 0 && trace[len(trace)-1].Bound > bound {
+		bound = trace[len(trace)-1].Bound
 	}
 	gap := 0.0
 	if obj > bound && obj > 0 {
 		gap = (obj - bound) / obj
 	}
-	optimal := sol.Status == ilp.StatusOptimal || gap <= 1e-9
-	trace := sol.Trace
 	if len(trace) == 0 || trace[len(trace)-1].Bound < bound-1e-9 {
-		last := ilp.TraceEvent{Incumbent: obj, Bound: bound, Gap: gap, Nodes: sol.Nodes}
+		last := ilp.TraceEvent{Incumbent: obj, Bound: bound, Gap: gap, Nodes: nodes}
 		if len(trace) > 0 {
 			last.Elapsed = trace[len(trace)-1].Elapsed
 		}
 		trace = append(trace, last)
 	}
-	return &Solution{
-		Labels:  labels,
-		Stats:   st,
-		Optimal: optimal,
-		Method:  "mip",
-		Trace:   trace,
-	}, nil
+	return trace, gap
 }
 
 // incumbentFromLabels encodes a valid labeling as a MIP solution vector.

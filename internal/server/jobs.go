@@ -413,7 +413,8 @@ func (s *Server) runJob(ctx context.Context, j *job, nw *logic.Network, opts cor
 }
 
 // finishJob records the terminal transition (done when code is empty,
-// failed otherwise), updates gauges and persists the final record.
+// failed otherwise), updates gauges and persists the final record unless
+// shutdown cut the job short.
 func (s *Server) finishJob(j *job, code, message string) {
 	j.mu.Lock()
 	if code == "" {
@@ -429,6 +430,13 @@ func (s *Server) finishJob(j *job, code, message string) {
 		s.metrics.jobsDone.Add(1)
 	} else {
 		s.metrics.jobsFailed.Add(1)
+	}
+	if code != "" && s.base.Err() != nil {
+		// Cut short by shutdown: keep the last on-disk record (queued or
+		// running) so the next process reports the job as interrupted,
+		// exactly as after a crash — and write nothing into a store
+		// directory that is being drained or removed.
+		return
 	}
 	s.jobs.persist(j.snapshot())
 }
