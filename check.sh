@@ -88,6 +88,7 @@ if [ "$short" -eq 0 ]; then
     go test -fuzz=FuzzDesign3DJSON -fuzztime=5s -run='^$' ./internal/xbar3d/
     go test -fuzz=FuzzEval64VsScalar -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzWarmVsColdLP -fuzztime=5s -run='^$' ./internal/ilp/
+    go test -fuzz=FuzzOCTVsLemma1 -fuzztime=5s -run='^$' ./internal/oct/
     go test -fuzz=FuzzPlanJSON -fuzztime=5s -run='^$' ./internal/partition/
     go test -fuzz=FuzzStoreEntry -fuzztime=5s -run='^$' ./internal/store/
     go test -fuzz=FuzzDenseVsCG -fuzztime=5s -run='^$' ./internal/spice/

@@ -78,7 +78,10 @@ type Options struct {
 	Sift bool
 	// NodeLimit bounds BDD construction (default 4,000,000 nodes).
 	NodeLimit int
-	// OCTBackend selects the vertex-cover engine for MethodOCT.
+	// OCTBackend selects the exact OCT engine, both for MethodOCT and for
+	// the OCT warm start (incumbent and S >= n+k* cut) of MethodMIP: the
+	// default odd-cycle branch & bound on G, or Lemma 1's vertex cover of
+	// G □ K2 as an ILP.
 	OCTBackend oct.Backend
 	// AutoExactLimit overrides the auto-method node threshold.
 	AutoExactLimit int

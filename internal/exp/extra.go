@@ -151,7 +151,8 @@ func Ablations(cfg Config) (*Table, error) {
 			f2(sol.Stats.Objective(0.5)), time.Since(start))
 	}
 
-	// 3. Nemhauser–Trotter kernel on/off for the OCT vertex cover.
+	// 3. Nemhauser–Trotter kernel on/off for Lemma 1's vertex cover of
+	// G □ K2 (the OCT formulation of the ILP backend).
 	p := bg.G.CartesianK2()
 	for _, disable := range []bool{false, true} {
 		variant := "kernel-on"

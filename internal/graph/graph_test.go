@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -310,7 +311,7 @@ func TestMinVertexCoverExact(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 4 + rng.Intn(10)
 		g := randomGraph(rng, n, 0.25+0.3*rng.Float64())
-		res := MinVertexCover(g, VCOptions{})
+		res := MinVertexCoverContext(context.Background(), g, VCOptions{})
 		if !res.Optimal {
 			t.Fatalf("trial %d: not optimal without time limit", trial)
 		}
@@ -321,7 +322,7 @@ func TestMinVertexCoverExact(t *testing.T) {
 			t.Fatalf("trial %d: got %d, want %d", trial, len(res.Cover), want)
 		}
 		// Kernel-disabled variant must agree.
-		res2 := MinVertexCover(g, VCOptions{DisableKernel: true})
+		res2 := MinVertexCoverContext(context.Background(), g, VCOptions{DisableKernel: true})
 		if len(res2.Cover) != len(res.Cover) {
 			t.Fatalf("trial %d: kernel on/off disagree: %d vs %d", trial, len(res.Cover), len(res2.Cover))
 		}
@@ -341,7 +342,7 @@ func TestMinVertexCoverKnownGraphs(t *testing.T) {
 		{"K1", New(1), 0},
 	}
 	for _, c := range cases {
-		res := MinVertexCover(c.g, VCOptions{})
+		res := MinVertexCoverContext(context.Background(), c.g, VCOptions{})
 		if len(res.Cover) != c.want || !res.Optimal {
 			t.Errorf("%s: got %d (optimal=%v), want %d", c.name, len(res.Cover), res.Optimal, c.want)
 		}
@@ -352,7 +353,7 @@ func TestMinVertexCoverTimeLimit(t *testing.T) {
 	// A big random graph with a 1ns budget must still return a valid cover.
 	rng := rand.New(rand.NewSource(5))
 	g := randomGraph(rng, 120, 0.2)
-	res := MinVertexCover(g, VCOptions{TimeLimit: time.Nanosecond})
+	res := MinVertexCoverContext(context.Background(), g, VCOptions{TimeLimit: time.Nanosecond})
 	if !g.VerifyVertexCover(res.Cover) {
 		t.Fatal("timeout cover invalid")
 	}

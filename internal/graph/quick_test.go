@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -44,12 +45,13 @@ func TestQuickBipartiteConsistency(t *testing.T) {
 	}
 }
 
-// Property: every cover returned by MinVertexCover and GreedyVertexCover
-// covers all edges, and the exact cover is never larger than the greedy.
+// Property: every cover returned by MinVertexCoverContext and
+// GreedyVertexCover covers all edges, and the exact cover is never larger
+// than the greedy.
 func TestQuickCoversAlwaysCover(t *testing.T) {
 	prop := func(seed int64) bool {
 		g := graphFromSeed(seed, 11, 0.3)
-		exact := MinVertexCover(g, VCOptions{})
+		exact := MinVertexCoverContext(context.Background(), g, VCOptions{})
 		greedy := GreedyVertexCover(g)
 		if !g.VerifyVertexCover(exact.Cover) || !g.VerifyVertexCover(greedy) {
 			return false
@@ -78,7 +80,7 @@ func TestQuickLPBoundAndRounding(t *testing.T) {
 		if !g.VerifyVertexCover(rounded) {
 			return false
 		}
-		exact := MinVertexCover(g, VCOptions{})
+		exact := MinVertexCoverContext(context.Background(), g, VCOptions{})
 		// sum is doubled units: LP value = sum/2 <= |exact|.
 		return sum <= 2*len(exact.Cover)
 	}

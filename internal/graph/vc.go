@@ -12,7 +12,7 @@ type VCResult struct {
 	Optimal bool // true if proven minimum
 }
 
-// VCOptions tunes MinVertexCover.
+// VCOptions tunes MinVertexCoverContext.
 type VCOptions struct {
 	// TimeLimit bounds the branch & bound search; zero means no limit.
 	TimeLimit time.Duration
@@ -21,20 +21,14 @@ type VCOptions struct {
 	DisableKernel bool
 }
 
-// MinVertexCover computes a minimum vertex cover of an arbitrary graph by
-// Nemhauser–Trotter kernelization followed by branch & bound with degree
-// reductions and a matching lower bound. If the time limit expires, the
-// best cover found so far is returned with Optimal=false (it is always a
-// valid cover).
-func MinVertexCover(g *Graph, opts VCOptions) VCResult {
-	return MinVertexCoverContext(context.Background(), g, opts)
-}
-
-// MinVertexCoverContext is MinVertexCover with cooperative cancellation:
-// the effective deadline is the earlier of ctx's deadline and
-// now+opts.TimeLimit, and a cancelled ctx stops the branch & bound at the
-// next step check, returning the best (always valid) cover found so far
-// with Optimal=false.
+// MinVertexCoverContext computes a minimum vertex cover of an arbitrary
+// graph by Nemhauser–Trotter kernelization followed by branch & bound with
+// degree reductions and a matching lower bound. The effective deadline is
+// the earlier of ctx's deadline and now+opts.TimeLimit; on expiry, or when
+// ctx is cancelled, the search stops at the next step check and returns
+// the best (always valid) cover found so far with Optimal=false. It serves
+// the kernel ablation and, as Lemma 1's vertex cover of G □ K2, is the
+// oracle package oct's odd-cycle search is tested against.
 func MinVertexCoverContext(ctx context.Context, g *Graph, opts VCOptions) VCResult {
 	if ctx == nil {
 		ctx = context.Background()

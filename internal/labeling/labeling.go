@@ -173,7 +173,10 @@ type Options struct {
 	// limits degrade to the best feasible labeling found (never to an
 	// invalid one).
 	TimeLimit time.Duration
-	// OCTBackend selects the vertex-cover engine for MethodOCT.
+	// OCTBackend selects the exact OCT engine, both for MethodOCT and for
+	// the OCT warm start (incumbent and S >= n+k* cut) of MethodMIP: the
+	// default odd-cycle branch & bound on G, or Lemma 1's vertex cover of
+	// G □ K2 as an ILP.
 	OCTBackend oct.Backend
 	// AutoExactLimit is the maximum node count for which MethodAuto picks
 	// an exact solver (default 600).

@@ -1,14 +1,15 @@
 // Package oct computes odd cycle transversals (OCTs): vertex sets whose
-// removal makes a graph bipartite. Following Lemma 1 of the COMPACT paper,
-// a minimum OCT of G is obtained from a minimum vertex cover of the
-// Cartesian product G □ K2: a vertex belongs to the OCT iff both of its
-// product copies are in the cover. The residual 2-coloring also falls out
-// of the cover for free.
+// removal makes a graph bipartite. The residual 2-coloring comes with
+// every transversal.
 //
-// Two exact backends are provided — the specialized combinatorial
-// branch & bound from package graph, and the general ILP formulation solved
-// by package ilp (the route the paper takes with CPLEX) — plus a greedy
-// heuristic for graphs beyond exact reach.
+// Two exact backends are provided. The default is a branch and bound on
+// the graph itself (search.go): it bounds with packings of vertex-disjoint
+// shortest odd cycles and branches on the vertices of one such cycle. The
+// other follows Lemma 1 of the COMPACT paper — a vertex belongs to a
+// minimum OCT of G iff both of its copies are in a minimum vertex cover of
+// the Cartesian product G □ K2 — and solves that cover as a 0-1 program
+// with package ilp (the route the paper takes with CPLEX). A greedy
+// heuristic covers graphs beyond exact reach.
 package oct
 
 import (
@@ -20,16 +21,16 @@ import (
 	"compact/internal/invariant"
 )
 
-// Backend selects the minimum-vertex-cover engine.
+// Backend selects the exact OCT engine.
 type Backend uint8
 
 // Backends.
 const (
-	BackendBB  Backend = iota // combinatorial branch & bound (default)
-	BackendILP                // 0-1 ILP via package ilp
+	BackendBB  Backend = iota // odd-cycle branch & bound on G (default)
+	BackendILP                // Lemma 1: vertex cover of G □ K2 as a 0-1 ILP
 )
 
-// Options tunes Find.
+// Options tunes FindContext.
 type Options struct {
 	Backend   Backend
 	TimeLimit time.Duration // zero = unlimited
@@ -44,20 +45,19 @@ type Result struct {
 	Side []int
 	// Optimal reports whether minimality was proven.
 	Optimal bool
+	// Nodes counts the nodes the default branch & bound explored (zero
+	// for the ILP backend and for bipartite graphs).
+	Nodes int
 }
 
-// Find computes an odd cycle transversal of g. Without a time limit the
-// result is a minimum OCT; with one, it is a valid OCT that may be larger.
-// The residual-bipartiteness postcondition is re-verified on every exit; a
-// violation (an invariant.Error) means a solver bug, not bad input.
-func Find(g *graph.Graph, opts Options) (Result, error) {
-	return FindContext(context.Background(), g, opts)
-}
-
-// FindContext is Find with cooperative cancellation: the vertex-cover
-// search honors the earlier of ctx's deadline and opts.TimeLimit, and a
-// cancelled ctx degrades to the best valid OCT found so far. A context that
-// is already dead on entry returns (Result{}, ctx.Err()).
+// FindContext computes an odd cycle transversal of g. Without a time
+// limit the result is a minimum OCT; with one, it is a valid OCT that may
+// be larger. The search honors the earlier of ctx's deadline and
+// opts.TimeLimit, and a cancelled ctx degrades to the best valid OCT found
+// so far with Optimal=false. A context that is already dead on entry
+// returns (Result{}, ctx.Err()). The residual-bipartiteness postcondition
+// is re-verified on every exit; a violation (an invariant.Error) means a
+// solver bug, not bad input.
 func FindContext(ctx context.Context, g *graph.Graph, opts Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -66,21 +66,15 @@ func FindContext(ctx context.Context, g *graph.Graph, opts Options) (Result, err
 		return Result{}, err
 	}
 	var res Result
-	if g.IsBipartite() {
+	switch {
+	case g.IsBipartite():
 		color, _ := g.TwoColor()
 		res = Result{OCT: map[int]bool{}, Side: color, Optimal: true}
-	} else {
-		p := g.CartesianK2()
-		var cover map[int]bool
-		var optimal bool
-		switch opts.Backend {
-		case BackendILP:
-			cover, optimal = coverILP(ctx, p, opts.TimeLimit)
-		default:
-			r := graph.MinVertexCoverContext(ctx, p, graph.VCOptions{TimeLimit: opts.TimeLimit})
-			cover, optimal = r.Cover, r.Optimal
-		}
+	case opts.Backend == BackendILP:
+		cover, optimal := coverILP(ctx, g.CartesianK2(), opts.TimeLimit)
 		res = fromCover(g, cover, optimal)
+	default:
+		res = findBB(ctx, g, opts.TimeLimit)
 	}
 	if err := invariant.ResidualBipartite(g, res.OCT, res.Side); err != nil {
 		return Result{}, err

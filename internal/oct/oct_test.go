@@ -1,9 +1,11 @@
 package oct
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"compact/internal/graph"
 )
@@ -62,7 +64,7 @@ func tryK(g *graph.Graph, k, from int, removed map[int]bool) bool {
 }
 
 func TestBipartiteGraphEmptyOCT(t *testing.T) {
-	res, err := Find(cycle(8), Options{})
+	res, err := FindContext(context.Background(), cycle(8), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestBipartiteGraphEmptyOCT(t *testing.T) {
 func TestOddCycleOCT(t *testing.T) {
 	for _, n := range []int{3, 5, 7, 9} {
 		g := cycle(n)
-		res, err := Find(g, Options{})
+		res, err := FindContext(context.Background(), g, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +100,7 @@ func TestCompleteGraphOCT(t *testing.T) {
 			g.AddEdge(i, j)
 		}
 	}
-	res, err := Find(g, Options{})
+	res, err := FindContext(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,22 +109,18 @@ func TestCompleteGraphOCT(t *testing.T) {
 	}
 }
 
+// TestFindMatchesBruteForce checks the default engine's proven k against
+// brute force and against Lemma 1 on random graphs of up to 14 vertices.
 func TestFindMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 30; trial++ {
-		g := randomGraph(rng, 9, 0.3)
-		res, err := Find(g, Options{})
-		if err != nil {
-			t.Fatal(err)
+	for trial := 0; trial < 90; trial++ {
+		n, p := 9, 0.3
+		if trial >= 30 {
+			n, p = 4+rng.Intn(11), 0.2+0.4*rng.Float64()
 		}
-		if !res.Optimal {
-			t.Fatalf("trial %d: not optimal", trial)
-		}
-		if !Verify(g, res) {
-			t.Fatalf("trial %d: invalid OCT", trial)
-		}
-		if want := bruteMinOCT(g); len(res.OCT) != want {
-			t.Fatalf("trial %d: OCT size %d, want %d", trial, len(res.OCT), want)
+		g := randomGraph(rng, n, p)
+		if k, want := checkAgainstLemma1(t, g), bruteMinOCT(g); k != want {
+			t.Fatalf("trial %d: OCT size %d, want %d", trial, k, want)
 		}
 	}
 }
@@ -131,8 +129,8 @@ func TestILPBackendAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(rng, 8, 0.35)
-		a, errA := Find(g, Options{Backend: BackendBB})
-		b, errB := Find(g, Options{Backend: BackendILP})
+		a, errA := FindContext(context.Background(), g, Options{Backend: BackendBB})
+		b, errB := FindContext(context.Background(), g, Options{Backend: BackendILP})
 		if errA != nil || errB != nil {
 			t.Fatalf("trial %d: Find errors: %v / %v", trial, errA, errB)
 		}
@@ -171,16 +169,102 @@ func TestHeuristicOnOddCycle(t *testing.T) {
 	}
 }
 
+// countdownCtx is a context whose Err flips to Canceled after left calls,
+// so anytime exits are exercised at a fixed amount of work instead of a
+// wall-clock budget.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newCountdownCtx(calls int) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.left.Store(int64(calls))
+	return c
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 func TestTimeLimitStillValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	g := randomGraph(rng, 60, 0.2)
-	res, err := Find(g, Options{TimeLimit: time.Millisecond})
+	for _, calls := range []int{1, 2, 10} {
+		res, err := FindContext(newCountdownCtx(calls), g, Options{})
+		if err != nil {
+			t.Fatalf("ctx dies after %d Err calls: %v", calls, err)
+		}
+		if res.Optimal {
+			t.Errorf("ctx dies after %d Err calls: result claims optimality", calls)
+		}
+		if !Verify(g, res) {
+			t.Fatalf("ctx dies after %d Err calls: OCT invalid", calls)
+		}
+	}
+}
+
+func TestDeadContextOnEntry(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, backend := range []Backend{BackendBB, BackendILP} {
+		res, err := FindContext(ctx, cycle(5), Options{Backend: backend})
+		if !errors.Is(err, context.Canceled) || res.OCT != nil {
+			t.Errorf("backend %d: got (%v, %v), want (Result{}, context.Canceled)", backend, res.OCT, err)
+		}
+	}
+}
+
+// lemma1OCT is the size of a minimum OCT of g by Lemma 1: a minimum vertex
+// cover of G □ K2 has n + k* vertices.
+func lemma1OCT(t testing.TB, g *graph.Graph) int {
+	t.Helper()
+	vc := graph.MinVertexCoverContext(context.Background(), g.CartesianK2(), graph.VCOptions{})
+	if !vc.Optimal {
+		t.Fatal("vertex cover oracle not optimal without a time limit")
+	}
+	return len(vc.Cover) - g.N()
+}
+
+// checkAgainstLemma1 runs the default engine on g and compares it with the
+// vertex-cover oracle.
+func checkAgainstLemma1(t *testing.T, g *graph.Graph) int {
+	t.Helper()
+	res, err := FindContext(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Verify(g, res) {
-		t.Fatal("time-limited OCT invalid")
+	if !res.Optimal || !Verify(g, res) {
+		t.Fatalf("optimal=%v verify=%v on edges %v", res.Optimal, Verify(g, res), g.Edges())
 	}
+	if want := lemma1OCT(t, g); len(res.OCT) != want {
+		t.Fatalf("k=%d, Lemma 1 vertex cover gives %d on edges %v", len(res.OCT), want, g.Edges())
+	}
+	return len(res.OCT)
+}
+
+// FuzzOCTVsLemma1 builds a graph on at most 14 vertices from (n, edge
+// bytes; two per edge) and checks the default engine's proven k against
+// the minimum vertex cover of G □ K2.
+func FuzzOCTVsLemma1(f *testing.F) {
+	f.Add(uint8(3), []byte{0, 1, 1, 2, 2, 0})
+	f.Add(uint8(6), []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 1, 2, 2, 3, 3, 4, 4, 5, 5, 1})
+	f.Add(uint8(9), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 5, 6, 6, 7, 7, 5, 2, 6, 8, 0, 8, 4})
+	f.Fuzz(func(t *testing.T, n uint8, edges []byte) {
+		nn := 1 + int(n)%14
+		g := graph.New(nn)
+		for i := 0; i+1 < len(edges) && i < 2*nn*nn; i += 2 {
+			if u, v := int(edges[i])%nn, int(edges[i+1])%nn; u != v {
+				if err := g.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		checkAgainstLemma1(t, g)
+	})
 }
 
 func TestVerifyCatchesBadColoring(t *testing.T) {
