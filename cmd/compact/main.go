@@ -281,7 +281,10 @@ func run(ctx context.Context, inPath string, cfg cliConfig) error {
 			// placement has no electrical model).
 			rep, err = spice.Margin3DContext(ctx, res.Design3D, nw.Eval, nw.NumInputs(), 10, 200, model, 1)
 		} else {
-			rep, err = spice.Margin(res.Design, nw.Eval, nw.NumInputs(), 10, 200, model, 1)
+			// A defect-placed design is simulated on its physical array:
+			// stuck devices and spare-line bridges move the read voltages.
+			env := spice.Env{Model: model, Defects: res.Defects, Placement: res.Placement}
+			rep, err = spice.MarginContext(ctx, res.Design, nw.Eval, nw.NumInputs(), 10, 200, env, 1)
 		}
 		if err != nil {
 			return err

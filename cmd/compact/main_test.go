@@ -2,13 +2,21 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"compact/internal/core"
+	"compact/internal/defect"
+	"compact/internal/labeling"
+	"compact/internal/parse"
+	"compact/internal/spice"
 	"compact/internal/xbar"
 )
 
@@ -136,5 +144,112 @@ func TestRunErrors(t *testing.T) {
 	cfg.dotPath = filepath.Join(t.TempDir(), "x.dot")
 	if err := run(context.Background(), blif, cfg); err == nil {
 		t.Error("-dot with -robdds accepted")
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	type result struct {
+		out []byte
+		err error
+	}
+	read := make(chan result)
+	go func() {
+		out, err := io.ReadAll(r)
+		read <- result{out, err}
+	}()
+	ferr := f()
+	os.Stdout = stdout
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := <-read
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	return string(got.out), ferr
+}
+
+// TestRunSpicePlaced pins that -spice on a defect-placed design simulates
+// the physical array the design was placed on, not a clean one: stuck-ON
+// devices down a spare bitline tie every used wordline to it, a sneak
+// path the clean array does not have.
+func TestRunSpicePlaced(t *testing.T) {
+	blif := writeTemp(t, "fig2.blif", `
+.model fig2
+.inputs a b c
+.outputs f
+.names a b t
+11 1
+.names t c f
+1- 1
+-1 1
+.end
+`)
+	dm, err := defect.New(5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 5; r++ {
+		if err := dm.Set(r, 3, defect.StuckOn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf, err := json.Marshal(dm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cliConfig{
+		gamma: 0.5, method: "heuristic", timeLimit: 10 * time.Second,
+		defectsMap: writeTemp(t, "spare.json", string(buf)), runSpice: true,
+	}
+	out, err := captureStdout(t, func() error { return run(context.Background(), blif, cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "spice-lite:") {
+			got = line
+		}
+	}
+
+	// The same synthesis, simulated on the placed array and on a clean one.
+	nw, err := parse.ParseFile(blif)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.SynthesizeContext(context.Background(), nw, core.Options{
+		Gamma: 0.5, GammaSet: true, Method: labeling.MethodHeuristic, TimeLimit: cfg.timeLimit, Defects: dm,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Placement == nil {
+		t.Fatal("no placement on the defect map")
+	}
+	line := func(env spice.Env) string {
+		rep, err := spice.MarginContext(context.Background(), res.Design, nw.Eval, nw.NumInputs(), 10, 200, env, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("spice-lite: minOn=%.4gV maxOff=%.4gV separable=%v (%d vectors)",
+			rep.MinOn, rep.MaxOff, rep.Separable, rep.Checked)
+	}
+	placed := line(spice.Env{Model: spice.Default(), Defects: res.Defects, Placement: res.Placement})
+	clean := line(spice.Env{Model: spice.Default()})
+	if placed == clean {
+		t.Fatalf("the spare-line bridges do not move the margin (%s); the test has lost its power", clean)
+	}
+	if got != placed {
+		t.Errorf("-spice reported\n  %s\nwant the placed array's\n  %s\n(clean array: %s)", got, placed, clean)
 	}
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -55,7 +56,8 @@ func main() {
 		{"default (Roff/Ron = 10^3)", spice.Default()},
 		{"high-contrast (Roff/Ron = 10^5)", spice.HighContrast()},
 	} {
-		rep, err := spice.Margin(res.Design, nw.Eval, nw.NumInputs(), 7, 0, m.model, 1)
+		rep, err := spice.MarginContext(context.Background(), res.Design, nw.Eval, nw.NumInputs(), 7, 0,
+			spice.Env{Model: m.model}, 1)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -5,12 +5,14 @@ import (
 	"testing"
 
 	"compact/internal/xbar"
+	"compact/internal/xbar3d"
 )
 
 // FuzzDenseVsCG is the solver cross-check property: on any valid randomly
 // programmed crossbar, the direct dense solve and the Jacobi-preconditioned
 // conjugate-gradient solve must agree on every node voltage to within a
-// relative tolerance. The design, the assignment and the per-device
+// relative tolerance. On nominal devices it also checks that the design
+// and its lifted 2-layer stack assemble the same nodal system. The design, the assignment and the per-device
 // resistance spread are all derived deterministically from the fuzz inputs
 // via splitmix64, so every corpus entry replays bit-identically.
 func FuzzDenseVsCG(f *testing.F) {
@@ -70,17 +72,34 @@ func FuzzDenseVsCG(f *testing.F) {
 			env.Res = res
 		}
 
-		na, err := compile(d, env)
+		nw, err := compile(d, env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g1, b1, err := na.system(assign, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g2, b2, err := na.system(assign, nil)
-		if err != nil {
-			t.Fatal(err)
+		g1, b1 := nw.system(assign, nil)
+		g2, b2 := nw.system(assign, nil)
+		if env.Res == nil {
+			// The lifted 2-layer stack is the same network: its assembly
+			// must match the 2D one bit for bit.
+			d3, err := xbar3d.Lift3D(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw3, err := compile3(d3, env.Model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g3, b3 := nw3.system(assign, nil)
+			for i := range g1 {
+				if math.Float64bits(b1[i]) != math.Float64bits(b3[i]) {
+					t.Fatalf("node %d: 2D current %v vs lifted %v", i, b1[i], b3[i])
+				}
+				for j := range g1[i] {
+					if math.Float64bits(g1[i][j]) != math.Float64bits(g3[i][j]) {
+						t.Fatalf("G[%d][%d]: 2D %v vs lifted %v", i, j, g1[i][j], g3[i][j])
+					}
+				}
+			}
 		}
 		x1, err := solveDense(g1, b1)
 		if err != nil {

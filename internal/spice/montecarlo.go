@@ -131,21 +131,19 @@ type MonteCarloReport struct {
 	Critical []CriticalCell `json:"critical_cells,omitempty"`
 }
 
-// MonteCarlo is MonteCarloContext without cancellation, against a plain
-// device model. The seed is a uint64 following the internal/defect
-// convention (formerly int64 + math/rand; same-seed runs are now
-// byte-identical across platforms and worker counts).
-func MonteCarlo(d *xbar.Design, ref func([]bool) []bool, nVars, vectors, trials int,
-	base DeviceModel, v Variation, seed uint64) (MonteCarloReport, error) {
-	return MonteCarloContext(context.Background(), d, ref, nVars, Env{Model: base}, v,
-		MonteCarloOptions{Trials: trials, Vectors: vectors, Seed: seed})
-}
-
 // MonteCarloContext runs the per-device variation analysis described in
 // the package comment above, in parallel on a bounded worker pool, under
 // the shared-deadline contract.
 func MonteCarloContext(ctx context.Context, d *xbar.Design, ref func([]bool) []bool, nVars int,
 	env Env, v Variation, opts MonteCarloOptions) (MonteCarloReport, error) {
+	return monteCarlo(ctx, func() (*network, error) { return compile(d, env) }, ref, nVars, v, opts)
+}
+
+// monteCarlo is the trial pool behind MonteCarloContext and
+// MonteCarlo3DContext; build compiles the network once the options have
+// been checked.
+func monteCarlo(ctx context.Context, build func() (*network, error), ref func([]bool) []bool, nVars int,
+	v Variation, opts MonteCarloOptions) (MonteCarloReport, error) {
 
 	if ctx == nil {
 		ctx = context.Background()
@@ -164,7 +162,7 @@ func MonteCarloContext(ctx context.Context, d *xbar.Design, ref func([]bool) []b
 		return MonteCarloReport{}, err
 	}
 	opts = opts.withDefaults()
-	na, err := compile(d, env)
+	nw, err := build()
 	if err != nil {
 		return MonteCarloReport{}, err
 	}
@@ -193,9 +191,9 @@ func MonteCarloContext(ctx context.Context, d *xbar.Design, ref func([]bool) []b
 		}
 		vecs[s] = in
 		wants[s] = append([]bool(nil), ref(in)...)
-		if len(wants[s]) != len(d.OutputRows) {
+		if len(wants[s]) != len(nw.outputs) {
 			return MonteCarloReport{}, fmt.Errorf("spice: ref yields %d outputs but the design has %d",
-				len(wants[s]), len(d.OutputRows))
+				len(wants[s]), len(nw.outputs))
 		}
 	}
 
@@ -226,8 +224,7 @@ func MonteCarloContext(ctx context.Context, d *xbar.Design, ref func([]bool) []b
 				if t >= opts.Trials || runCtx.Err() != nil {
 					return
 				}
-				res, err := SampleResistances(na.physRows, na.physCols, na.model, v,
-					opts.Seed+uint64(t+1)*mcSeedStride)
+				res, err := nw.sample(v, opts.Seed+uint64(t+1)*mcSeedStride)
 				if err != nil {
 					errOnce.Do(func() { simErr = err; cancel() })
 					return
@@ -239,7 +236,7 @@ func MonteCarloContext(ctx context.Context, d *xbar.Design, ref func([]bool) []b
 						aborted = true // deadline mid-trial: drop the partial trial
 						break
 					}
-					volts, err := na.simulate(in, res)
+					volts, err := nw.simulate(in, res)
 					if err != nil {
 						errOnce.Do(func() { simErr = fmt.Errorf("trial %d: %w", t, err); cancel() })
 						return
@@ -275,7 +272,7 @@ func MonteCarloContext(ctx context.Context, d *xbar.Design, ref func([]bool) []b
 		WorstMinOn:      math.Inf(1),
 		WorstMaxOff:     math.Inf(-1),
 	}
-	blame := map[[2]int]int{}
+	blame := map[[3]int]int{}
 	for t := range out {
 		tr := &out[t]
 		if !tr.done {
@@ -291,7 +288,7 @@ func MonteCarloContext(ctx context.Context, d *xbar.Design, ref func([]bool) []b
 		if tr.fail {
 			rep.FailTrials++
 			if opts.TopCells > 0 {
-				blameTrial(na, vecs, tr.onVec, tr.offVec, blame)
+				nw.blameTrial(vecs, tr.onVec, tr.offVec, blame)
 			}
 		}
 	}
@@ -301,7 +298,7 @@ func MonteCarloContext(ctx context.Context, d *xbar.Design, ref func([]bool) []b
 	rep.Truncated = rep.Trials < rep.RequestedTrials
 	rep.Yield = float64(rep.Trials-rep.FailTrials) / float64(rep.Trials)
 	if math.IsInf(rep.WorstMinOn, 1) {
-		rep.WorstMinOn = na.model.Vin // no logic-1 observations: ideal rail
+		rep.WorstMinOn = nw.model.Vin // no logic-1 observations: ideal rail
 	}
 	if math.IsInf(rep.WorstMaxOff, -1) {
 		rep.WorstMaxOff = 0 // no logic-0 observations: ideal rail
@@ -314,40 +311,44 @@ func MonteCarloContext(ctx context.Context, d *xbar.Design, ref func([]bool) []b
 // blameTrial charges the devices most plausibly responsible for a failing
 // trial, from sneak-path membership under the trial's two worst reads:
 // for the worst logic-1 read, every conducting cell in the driven
-// component (the path members whose raised resistance starves the read);
-// for the worst logic-0 read, every off-state cell bordering the driven
-// component (the leakage devices feeding the false read). Attribution is
-// over logical design cells; bridge devices on spare lines are a
-// placement-level hazard reported through the margin-aware placement
-// objective instead.
-func blameTrial(na *nodal, vecs [][]bool, onVec, offVec int, blame map[[2]int]int) {
-	d := na.d
+// component (the path members whose raised resistance starves the read;
+// in a stack that includes the via stitches — a starved stitch severs the
+// folded wordline); for the worst logic-0 read, every off-state cell
+// bordering the driven component (the leakage devices feeding the false
+// read). Attribution is over logical design cells keyed (plane, row, col);
+// bridge devices on spare lines are a placement-level hazard reported
+// through the margin-aware placement objective instead.
+func (nw *network) blameTrial(vecs [][]bool, onVec, offVec int, blame map[[3]int]int) {
 	charge := func(vec int, conducting bool) {
 		if vec < 0 {
 			return
 		}
 		in := vecs[vec]
-		uf := newUnionFind(d.Rows + d.Cols)
-		for r, row := range d.Cells {
-			for c, e := range row {
-				if e.Conducts(in) {
-					uf.union(r, d.Rows+c)
+		uf := newUnionFind(nw.n)
+		for _, pl := range nw.planes {
+			for r, row := range pl.cells {
+				for c, e := range row {
+					if e.Conducts(in) {
+						uf.union(pl.rowBase+r, pl.colBase+c)
+					}
 				}
 			}
 		}
-		driven := uf.find(d.InputRow)
-		for r, row := range d.Cells {
-			for c, e := range row {
-				on := e.Conducts(in)
-				if on != conducting {
-					continue
-				}
-				if on {
-					if uf.find(r) == driven {
-						blame[[2]int{r, c}]++
+		driven := uf.find(nw.input)
+		for p, pl := range nw.planes {
+			for r, row := range pl.cells {
+				for c, e := range row {
+					on := e.Conducts(in)
+					if on != conducting {
+						continue
 					}
-				} else if uf.find(r) == driven || uf.find(d.Rows+c) == driven {
-					blame[[2]int{r, c}]++
+					if on {
+						if uf.find(pl.rowBase+r) == driven {
+							blame[[3]int{p, r, c}]++
+						}
+					} else if uf.find(pl.rowBase+r) == driven || uf.find(pl.colBase+c) == driven {
+						blame[[3]int{p, r, c}]++
+					}
 				}
 			}
 		}
@@ -356,19 +357,22 @@ func blameTrial(na *nodal, vecs [][]bool, onVec, offVec int, blame map[[2]int]in
 	charge(offVec, false)
 }
 
-// topCells ranks the blame counts: most flips first, then row-major
-// position — a total deterministic order.
-func topCells(blame map[[2]int]int, k int) []CriticalCell {
+// topCells ranks the blame counts: most flips first, then (plane, row,
+// col) position — a total deterministic order.
+func topCells(blame map[[3]int]int, k int) []CriticalCell {
 	if len(blame) == 0 || k <= 0 {
 		return nil
 	}
 	cells := make([]CriticalCell, 0, len(blame))
 	for pos, n := range blame {
-		cells = append(cells, CriticalCell{Row: pos[0], Col: pos[1], Flips: n})
+		cells = append(cells, CriticalCell{Layer: pos[0], Row: pos[1], Col: pos[2], Flips: n})
 	}
 	sort.Slice(cells, func(i, j int) bool {
 		if cells[i].Flips != cells[j].Flips {
 			return cells[i].Flips > cells[j].Flips
+		}
+		if cells[i].Layer != cells[j].Layer {
+			return cells[i].Layer < cells[j].Layer
 		}
 		if cells[i].Row != cells[j].Row {
 			return cells[i].Row < cells[j].Row

@@ -3,12 +3,7 @@ package spice
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
 
-	"compact/internal/faultinject"
 	"compact/internal/xbar3d"
 )
 
@@ -32,21 +27,11 @@ import (
 // typed refusal. Service layers map the layered-with-defects case to a
 // typed unsupported error instead (DESIGN §15).
 
-// nodal3 is a compiled 3D simulation of one (design, model) pair: the
-// global wire node space and the sense/drive attachment points. simulate
-// is re-entrant; concurrent Monte Carlo trials share one nodal3.
-type nodal3 struct {
-	d       *xbar3d.Design3D
-	model   DeviceModel
-	offsets []int // global wire id of each layer's wire 0
-	n       int   // total nodes = total wires
-	inputID int
-	outIDs  []int // global wire id per output (parallel to d.Outputs)
-}
-
-// compile3 validates the design's shape against the model and precomputes
-// the node numbering.
-func compile3(d *xbar3d.Design3D, model DeviceModel) (*nodal3, error) {
+// compile3 validates the design's shape against the model and compiles
+// one plane per device plane over the global wire numbering
+// (xbar3d.Design3D.WireID): plane d joins the wires of layer d (rows) to
+// those of layer d+1 (columns).
+func compile3(d *xbar3d.Design3D, model DeviceModel) (*network, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
@@ -79,132 +64,25 @@ func compile3(d *xbar3d.Design3D, model DeviceModel) (*nodal3, error) {
 	if err := checkRef("input", d.Input); err != nil {
 		return nil, err
 	}
-	na := &nodal3{d: d, model: model, n: d.NumWires()}
-	na.offsets = make([]int, k)
-	for l := 1; l < k; l++ {
-		na.offsets[l] = na.offsets[l-1] + d.Widths[l-1]
-	}
-	na.inputID = d.WireID(d.Input)
-	na.outIDs = make([]int, len(d.Outputs))
+	nw := &network{model: model, n: d.NumWires(), input: d.WireID(d.Input), outputs: make([]int, len(d.Outputs))}
 	for i, o := range d.Outputs {
 		if err := checkRef(fmt.Sprintf("output #%d", i), o); err != nil {
 			return nil, err
 		}
-		na.outIDs[i] = d.WireID(o)
+		nw.outputs[i] = d.WireID(o)
 	}
-	if na.n > maxNodes {
-		return nil, fmt.Errorf("spice: %d nanowire nodes exceed the %d-node cap: %w", na.n, maxNodes, ErrTooLarge)
+	if nw.n > maxNodes {
+		return nil, fmt.Errorf("spice: %d nanowire nodes exceed the %d-node cap: %w", nw.n, maxNodes, ErrTooLarge)
 	}
-	return na, nil
-}
-
-// checkPlaneRes validates a per-plane resistance stack against the design:
-// one map per device plane, each matching its plane's extent. Planes with
-// a zero extent may carry a nil entry (there is no device to look up).
-func (na *nodal3) checkPlaneRes(res []*ResistanceMap) error {
-	if len(res) != len(na.d.Cells) {
-		return fmt.Errorf("spice: %d resistance maps for %d device planes", len(res), len(na.d.Cells))
+	base := 0
+	for dl, cells := range d.Cells {
+		nw.planes = append(nw.planes, plane{cells: cells, rowBase: base, colBase: base + d.Widths[dl]})
+		base += d.Widths[dl]
 	}
-	for dl, m := range res {
-		rows, cols := na.d.Widths[dl], na.d.Widths[dl+1]
-		if m == nil {
-			if rows > 0 && cols > 0 {
-				return fmt.Errorf("spice: nil resistance map for non-empty plane %d", dl)
-			}
-			continue
-		}
-		if err := m.Validate(); err != nil {
-			return err
-		}
-		if m.Rows != rows || m.Cols != cols {
-			return fmt.Errorf("spice: plane %d resistance map %dx%d does not match the %dx%d plane",
-				dl, m.Rows, m.Cols, rows, cols)
-		}
+	nw.sample = func(v Variation, seed uint64) ([]*ResistanceMap, error) {
+		return samplePlaneRes(d, model, v, seed)
 	}
-	return nil
-}
-
-// system3 assembles the conductance matrix and current vector for one
-// assignment. res carries one ResistanceMap per device plane (nil = every
-// device nominal).
-func (na *nodal3) system3(assignment []bool, res []*ResistanceMap) ([][]float64, []float64, error) {
-	if res != nil {
-		if err := na.checkPlaneRes(res); err != nil {
-			return nil, nil, err
-		}
-	}
-	d := na.d
-	n := na.n
-	g := make([][]float64, n)
-	backing := make([]float64, n*n)
-	for i := range g {
-		g[i], backing = backing[:n:n], backing[n:]
-	}
-	b := make([]float64, n)
-
-	gOnNom, gOffNom := 1/na.model.ROn, 1/na.model.ROff
-	for dl, plane := range d.Cells {
-		var m *ResistanceMap
-		if res != nil {
-			m = res[dl]
-		}
-		for r, row := range plane {
-			i := na.offsets[dl] + r
-			for c, e := range row {
-				j := na.offsets[dl+1] + c
-				gOn, gOff := gOnNom, gOffNom
-				if m != nil {
-					gOn, gOff = 1/m.OnAt(r, c), 1/m.OffAt(r, c)
-				}
-				gc := gOff
-				if e.Conducts(assignment) {
-					gc = gOn
-				}
-				g[i][i] += gc
-				g[j][j] += gc
-				g[i][j] -= gc
-				g[j][i] -= gc
-			}
-		}
-	}
-	// Driver on the input wire.
-	gd := 1 / na.model.RDriver
-	g[na.inputID][na.inputID] += gd
-	b[na.inputID] += na.model.Vin * gd
-	// Sense resistors on output wires (one per distinct wire; the input
-	// wire doubles as the const-1 output and is not additionally loaded).
-	seen := make(map[int]bool)
-	for _, w := range na.outIDs {
-		if w == na.inputID || seen[w] {
-			continue
-		}
-		seen[w] = true
-		g[w][w] += 1 / na.model.RSense
-	}
-	return g, b, nil
-}
-
-// simulate solves the 3D nodal system for one assignment and returns the
-// output wire voltages (parallel to d.Outputs).
-func (na *nodal3) simulate(assignment []bool, res []*ResistanceMap) ([]float64, error) {
-	g, b, err := na.system3(assignment, res)
-	if err != nil {
-		return nil, err
-	}
-	var v []float64
-	if na.n <= 500 {
-		v, err = solveDense(g, b)
-	} else {
-		v, err = solveCG(g, b)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(na.outIDs))
-	for i, w := range na.outIDs {
-		out[i] = v[w]
-	}
-	return out, nil
+	return nw, nil
 }
 
 // Simulate3D computes the voltage on every output wire of the programmed
@@ -212,78 +90,21 @@ func (na *nodal3) simulate(assignment []bool, res []*ResistanceMap) ([]float64, 
 // returned slice parallels d.Outputs. A 2-layer stack lifted from a 2D
 // design (xbar3d.Lift3D) yields exactly the 2D Simulate voltages.
 func Simulate3D(d *xbar3d.Design3D, assignment []bool, model DeviceModel) ([]float64, error) {
-	na, err := compile3(d, model)
+	nw, err := compile3(d, model)
 	if err != nil {
 		return nil, err
 	}
-	return na.simulate(assignment, nil)
+	return nw.simulate(assignment, nil)
 }
 
 // Margin3DContext is MarginContext for clean K-layer stacks: exhaustive or
 // sampled assignments, worst-case on/off voltages, anytime on expiry.
 func Margin3DContext(ctx context.Context, d *xbar3d.Design3D, ref func([]bool) []bool, nVars, exhaustiveLimit, samples int, model DeviceModel, seed uint64) (MarginReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rep := MarginReport{MinOn: math.Inf(1), MaxOff: math.Inf(-1)}
-	na, err := compile3(d, model)
+	nw, err := compile3(d, model)
 	if err != nil {
 		return MarginReport{}, err
 	}
-	run := func(in []bool) error {
-		want := ref(in)
-		volts, err := na.simulate(in, nil)
-		if err != nil {
-			return err
-		}
-		for o, w := range want {
-			if w {
-				if volts[o] < rep.MinOn {
-					rep.MinOn = volts[o]
-				}
-			} else if volts[o] > rep.MaxOff {
-				rep.MaxOff = volts[o]
-			}
-		}
-		rep.Checked++
-		return nil
-	}
-	fail := func(err error) (MarginReport, error) {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			rep.Separable = rep.MinOn > rep.MaxOff
-			return rep, ctxErr
-		}
-		return MarginReport{}, err
-	}
-	in := make([]bool, nVars)
-	if nVars <= exhaustiveLimit {
-		for a := 0; a < 1<<uint(nVars); a++ {
-			if err := ctx.Err(); err != nil {
-				return fail(err)
-			}
-			for i := range in {
-				in[i] = a&(1<<uint(i)) != 0
-			}
-			if err := run(in); err != nil {
-				return fail(err)
-			}
-		}
-	} else {
-		state := seed ^ variationSalt ^ 0x5bf0_3635
-		for s := 0; s < samples; s++ {
-			if err := ctx.Err(); err != nil {
-				return fail(err)
-			}
-			for i := range in {
-				in[i] = splitmix64(&state)&1 != 0
-			}
-			if err := run(in); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	rep.Separable = rep.MinOn > rep.MaxOff
-	return rep, nil
+	return nw.margin(ctx, ref, nVars, exhaustiveLimit, samples, seed)
 }
 
 // samplePlaneRes draws one concrete stack: an independent log-normal
@@ -309,13 +130,6 @@ func samplePlaneRes(d *xbar3d.Design3D, base DeviceModel, v Variation, trialSeed
 	return res, nil
 }
 
-// MonteCarlo3D is MonteCarlo3DContext without cancellation.
-func MonteCarlo3D(d *xbar3d.Design3D, ref func([]bool) []bool, nVars, vectors, trials int,
-	base DeviceModel, v Variation, seed uint64) (MonteCarloReport, error) {
-	return MonteCarlo3DContext(context.Background(), d, ref, nVars, base, v,
-		MonteCarloOptions{Trials: trials, Vectors: vectors, Seed: seed})
-}
-
 // MonteCarlo3DContext runs the per-device variation analysis of
 // MonteCarloContext on a clean K-layer stack: every trial samples a full
 // per-plane resistance draw, every trial checks the same shared vector
@@ -323,237 +137,5 @@ func MonteCarlo3D(d *xbar3d.Design3D, ref func([]bool) []bool, nVars, vectors, t
 // deadline contracts. Critical cells carry their device plane in Layer.
 func MonteCarlo3DContext(ctx context.Context, d *xbar3d.Design3D, ref func([]bool) []bool, nVars int,
 	base DeviceModel, v Variation, opts MonteCarloOptions) (MonteCarloReport, error) {
-
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := faultinject.Err(faultinject.StageSpice); err != nil {
-		return MonteCarloReport{}, fmt.Errorf("spice: monte carlo: %w", err)
-	}
-	if opts.Trials < 0 || opts.Vectors < 0 || opts.Workers < 0 {
-		return MonteCarloReport{}, fmt.Errorf("spice: negative trials/vectors/workers (%d/%d/%d)",
-			opts.Trials, opts.Vectors, opts.Workers)
-	}
-	if nVars < 0 {
-		return MonteCarloReport{}, fmt.Errorf("spice: negative nVars %d", nVars)
-	}
-	if err := v.Validate(); err != nil {
-		return MonteCarloReport{}, err
-	}
-	opts = opts.withDefaults()
-	na, err := compile3(d, base)
-	if err != nil {
-		return MonteCarloReport{}, err
-	}
-
-	exhaustive := false
-	if nVars < 31 && opts.Vectors >= 1<<nVars {
-		opts.Vectors = 1 << nVars
-		exhaustive = true
-	}
-	vecs := make([][]bool, opts.Vectors)
-	wants := make([][]bool, opts.Vectors)
-	state := opts.Seed ^ variationSalt ^ 0x7ec70_95f
-	for s := range vecs {
-		in := make([]bool, nVars)
-		if exhaustive {
-			for i := range in {
-				in[i] = s&(1<<uint(i)) != 0
-			}
-		} else {
-			for i := range in {
-				in[i] = splitmix64(&state)&1 != 0
-			}
-		}
-		vecs[s] = in
-		wants[s] = append([]bool(nil), ref(in)...)
-		if len(wants[s]) != len(d.Outputs) {
-			return MonteCarloReport{}, fmt.Errorf("spice: ref yields %d outputs but the design has %d",
-				len(wants[s]), len(d.Outputs))
-		}
-	}
-
-	type trial struct {
-		done   bool
-		fail   bool
-		minOn  float64
-		maxOff float64
-		onVec  int
-		offVec int
-	}
-	out := make([]trial, opts.Trials)
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next    atomic.Int64
-		errOnce sync.Once
-		simErr  error
-		wg      sync.WaitGroup
-	)
-	workers := min(opts.Workers, opts.Trials)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= opts.Trials || runCtx.Err() != nil {
-					return
-				}
-				res, err := samplePlaneRes(d, base, v, opts.Seed+uint64(t+1)*mcSeedStride)
-				if err != nil {
-					errOnce.Do(func() { simErr = err; cancel() })
-					return
-				}
-				tr := trial{minOn: math.Inf(1), maxOff: math.Inf(-1), onVec: -1, offVec: -1}
-				aborted := false
-				for s, in := range vecs {
-					if runCtx.Err() != nil {
-						aborted = true // deadline mid-trial: drop the partial trial
-						break
-					}
-					volts, err := na.simulate(in, res)
-					if err != nil {
-						errOnce.Do(func() { simErr = fmt.Errorf("trial %d: %w", t, err); cancel() })
-						return
-					}
-					for o, w := range wants[s] {
-						if w {
-							if volts[o] < tr.minOn {
-								tr.minOn, tr.onVec = volts[o], s
-							}
-						} else if volts[o] > tr.maxOff {
-							tr.maxOff, tr.offVec = volts[o], s
-						}
-					}
-				}
-				if aborted {
-					continue
-				}
-				tr.fail = !(tr.minOn > tr.maxOff)
-				tr.done = true
-				out[t] = tr
-			}
-		}()
-	}
-	wg.Wait()
-	if simErr != nil {
-		return MonteCarloReport{}, fmt.Errorf("spice: monte carlo: %w", simErr)
-	}
-
-	rep := MonteCarloReport{
-		RequestedTrials: opts.Trials,
-		Vectors:         opts.Vectors,
-		Exhaustive:      exhaustive,
-		WorstMinOn:      math.Inf(1),
-		WorstMaxOff:     math.Inf(-1),
-	}
-	blame := map[[3]int]int{}
-	for t := range out {
-		tr := &out[t]
-		if !tr.done {
-			continue
-		}
-		rep.Trials++
-		if tr.minOn < rep.WorstMinOn {
-			rep.WorstMinOn = tr.minOn
-		}
-		if tr.maxOff > rep.WorstMaxOff {
-			rep.WorstMaxOff = tr.maxOff
-		}
-		if tr.fail {
-			rep.FailTrials++
-			if opts.TopCells > 0 {
-				blameTrial3(na, vecs, tr.onVec, tr.offVec, blame)
-			}
-		}
-	}
-	if rep.Trials == 0 {
-		return MonteCarloReport{}, fmt.Errorf("spice: monte carlo: %w", ctx.Err())
-	}
-	rep.Truncated = rep.Trials < rep.RequestedTrials
-	rep.Yield = float64(rep.Trials-rep.FailTrials) / float64(rep.Trials)
-	if math.IsInf(rep.WorstMinOn, 1) {
-		rep.WorstMinOn = base.Vin
-	}
-	if math.IsInf(rep.WorstMaxOff, -1) {
-		rep.WorstMaxOff = 0
-	}
-	rep.WorstMargin = rep.WorstMinOn - rep.WorstMaxOff
-	rep.Critical = topCells3(blame, opts.TopCells)
-	return rep, nil
-}
-
-// blameTrial3 is blameTrial over the global wire numbering: for the worst
-// logic-1 read, every conducting device (via stitches included — a starved
-// stitch severs the folded wordline) in the driven component; for the
-// worst logic-0 read, every off-state device bordering the driven
-// component. Keys are (plane, row, col).
-func blameTrial3(na *nodal3, vecs [][]bool, onVec, offVec int, blame map[[3]int]int) {
-	d := na.d
-	charge := func(vec int, conducting bool) {
-		if vec < 0 {
-			return
-		}
-		in := vecs[vec]
-		uf := newUnionFind(na.n)
-		for dl, plane := range d.Cells {
-			for r, row := range plane {
-				for c, e := range row {
-					if e.Conducts(in) {
-						uf.union(na.offsets[dl]+r, na.offsets[dl+1]+c)
-					}
-				}
-			}
-		}
-		driven := uf.find(na.inputID)
-		for dl, plane := range d.Cells {
-			for r, row := range plane {
-				for c, e := range row {
-					on := e.Conducts(in)
-					if on != conducting {
-						continue
-					}
-					i, j := na.offsets[dl]+r, na.offsets[dl+1]+c
-					if on {
-						if uf.find(i) == driven {
-							blame[[3]int{dl, r, c}]++
-						}
-					} else if uf.find(i) == driven || uf.find(j) == driven {
-						blame[[3]int{dl, r, c}]++
-					}
-				}
-			}
-		}
-	}
-	charge(onVec, true)
-	charge(offVec, false)
-}
-
-// topCells3 ranks 3D blame counts: most flips first, then (plane, row,
-// col) position — a total deterministic order.
-func topCells3(blame map[[3]int]int, k int) []CriticalCell {
-	if len(blame) == 0 || k <= 0 {
-		return nil
-	}
-	cells := make([]CriticalCell, 0, len(blame))
-	for pos, n := range blame {
-		cells = append(cells, CriticalCell{Layer: pos[0], Row: pos[1], Col: pos[2], Flips: n})
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].Flips != cells[j].Flips {
-			return cells[i].Flips > cells[j].Flips
-		}
-		if cells[i].Layer != cells[j].Layer {
-			return cells[i].Layer < cells[j].Layer
-		}
-		if cells[i].Row != cells[j].Row {
-			return cells[i].Row < cells[j].Row
-		}
-		return cells[i].Col < cells[j].Col
-	})
-	if len(cells) > k {
-		cells = cells[:k]
-	}
-	return cells
+	return monteCarlo(ctx, func() (*network, error) { return compile3(d, base) }, ref, nVars, v, opts)
 }

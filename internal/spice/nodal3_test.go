@@ -40,8 +40,8 @@ func synth3(t *testing.T, nw *logic.Network, k int) *xbar3d.Design3D {
 }
 
 // TestSimulate3DLiftMatches2D pins the 2D/3D consistency: lifting a 2D
-// design to a 2-layer stack must reproduce the 2D nodal voltages exactly —
-// same nodes, same stamps, same solve.
+// design to a 2-layer stack must reproduce the 2D nodal voltages and the
+// 2D margin report bit for bit — both compile to the same network.
 func TestSimulate3DLiftMatches2D(t *testing.T) {
 	nw := fig2()
 	d2 := synth(t, nw)
@@ -65,9 +65,26 @@ func TestSimulate3DLiftMatches2D(t *testing.T) {
 			t.Fatalf("output counts differ: %d vs %d", len(v2), len(v3))
 		}
 		for o := range v2 {
-			if math.Abs(v2[o]-v3[o]) > 1e-9 {
+			if math.Float64bits(v2[o]) != math.Float64bits(v3[o]) {
 				t.Errorf("assignment %03b output %d: 2D %v vs 3D %v", a, o, v2[o], v3[o])
 			}
+		}
+	}
+
+	ctx := context.Background()
+	for _, limit := range []int{3, 0} { // exhaustive, then sampled
+		m2, err := MarginContext(ctx, d2, d2.Eval, 3, limit, 16, Env{Model: model}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m3, err := Margin3DContext(ctx, d3, d3.Eval, 3, limit, 16, model, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m2.Checked != m3.Checked || m2.Separable != m3.Separable ||
+			math.Float64bits(m2.MinOn) != math.Float64bits(m3.MinOn) ||
+			math.Float64bits(m2.MaxOff) != math.Float64bits(m3.MaxOff) {
+			t.Errorf("exhaustive limit %d: 2D margin %+v vs lifted %+v", limit, m2, m3)
 		}
 	}
 }
@@ -119,7 +136,8 @@ func TestMonteCarlo3DCriticalLayers(t *testing.T) {
 	model := Default()
 	model.ROff = model.ROn * 4 // almost no contrast: variation flips reads
 	v := Variation{SigmaOn: 1.5, SigmaOff: 1.5}
-	rep, err := MonteCarlo3D(d, nw.Eval, 3, 8, 16, model, v, 7)
+	rep, err := MonteCarlo3DContext(context.Background(), d, nw.Eval, 3, model, v,
+		MonteCarloOptions{Trials: 16, Vectors: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

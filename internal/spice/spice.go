@@ -96,20 +96,34 @@ type Env struct {
 	Placement *xbar.Placement
 }
 
-// nodal is a compiled simulation of one (design, Env) pair: the node
-// space (used wordlines, used bitlines, plus any spare lines tied in by
-// stuck-ON bridges), the stuck-state overrides, and the bridge edges —
-// everything that does not change between assignments or Monte Carlo
-// trials. simulate is re-entrant: concurrent trials share one nodal.
-type nodal struct {
-	d                  *xbar.Design
-	model              DeviceModel
-	res                *ResistanceMap
-	physRows, physCols int
-	rowPhys, colPhys   []int  // logical line -> physical line
-	override           []int8 // per logical cell: 0 none, +1 stuck-ON, -1 stuck-OFF
-	n                  int    // total nodes incl. bridge-tied spares
-	bridges            []bridgeEdge
+// network is a compiled simulation — everything that does not change
+// between assignments or Monte Carlo trials: the node space, the driven
+// and sensed nodes, and the device planes that join the nodes. Both design
+// kinds compile to it: a 2D design (compile) is one plane over its placed
+// physical array, a K-layer stack (compile3) is one plane per adjacent
+// wire-layer pair. simulate is re-entrant: concurrent trials share one
+// network.
+type network struct {
+	model   DeviceModel
+	n       int   // total nodes incl. bridge-tied spares
+	input   int   // node driven through RDriver
+	outputs []int // sensed node per design output
+	planes  []plane
+	// res pins per-plane device resistances (nil = every device nominal).
+	res []*ResistanceMap
+	// sample draws one Monte Carlo trial's per-plane resistance maps.
+	sample func(v Variation, seed uint64) ([]*ResistanceMap, error)
+}
+
+// plane is one device plane: cell (r, c) of the grid is a conductance
+// between node rowBase+r and node colBase+c. The grid is the design's own
+// — referenced, never copied, so compiling costs no memory per device.
+type plane struct {
+	cells            [][]xbar.Entry
+	rowBase, colBase int
+	rowPhys, colPhys []int  // logical line -> physical device line (nil = identity)
+	override         []int8 // per cell, row-major: 0 none, +1 stuck-ON, -1 stuck-OFF
+	bridges          []bridgeEdge
 }
 
 // bridgeEdge is one stuck-ON device tying a spare line into the array: a
@@ -144,75 +158,83 @@ func checkLinePerm(what string, perm []int, bound int) error {
 }
 
 // compile validates the Env against the design and precomputes the placed
-// node space, stuck overrides and bridge topology.
-func compile(d *xbar.Design, env Env) (*nodal, error) {
+// node space, stuck overrides and bridge topology: one plane whose rows
+// are nodes 0..Rows-1 and whose columns follow them.
+func compile(d *xbar.Design, env Env) (*network, error) {
 	if err := env.Model.Validate(); err != nil {
 		return nil, err
 	}
-	na := &nodal{d: d, model: env.Model, res: env.Res, physRows: d.Rows, physCols: d.Cols}
+	physRows, physCols := d.Rows, d.Cols
 	if env.Defects != nil {
-		na.physRows, na.physCols = env.Defects.Rows(), env.Defects.Cols()
+		physRows, physCols = env.Defects.Rows(), env.Defects.Cols()
 	}
-	if pl := env.Placement; pl != nil {
-		if len(pl.RowPerm) != d.Rows || len(pl.ColPerm) != d.Cols {
+	pl := plane{cells: d.Cells, colBase: d.Rows}
+	if p := env.Placement; p != nil {
+		if len(p.RowPerm) != d.Rows || len(p.ColPerm) != d.Cols {
 			return nil, fmt.Errorf("spice: placement shape %dx%d does not match the %dx%d design",
-				len(pl.RowPerm), len(pl.ColPerm), d.Rows, d.Cols)
+				len(p.RowPerm), len(p.ColPerm), d.Rows, d.Cols)
 		}
-		na.rowPhys, na.colPhys = pl.RowPerm, pl.ColPerm
+		pl.rowPhys, pl.colPhys = p.RowPerm, p.ColPerm
 	} else {
-		if na.physRows < d.Rows || na.physCols < d.Cols {
+		if physRows < d.Rows || physCols < d.Cols {
 			return nil, fmt.Errorf("spice: %dx%d design does not fit the %dx%d physical array",
-				d.Rows, d.Cols, na.physRows, na.physCols)
+				d.Rows, d.Cols, physRows, physCols)
 		}
-		na.rowPhys, na.colPhys = identityPerm(d.Rows), identityPerm(d.Cols)
+		pl.rowPhys, pl.colPhys = identityPerm(d.Rows), identityPerm(d.Cols)
 	}
-	if err := checkLinePerm("wordline", na.rowPhys, na.physRows); err != nil {
+	if err := checkLinePerm("wordline", pl.rowPhys, physRows); err != nil {
 		return nil, err
 	}
-	if err := checkLinePerm("bitline", na.colPhys, na.physCols); err != nil {
+	if err := checkLinePerm("bitline", pl.colPhys, physCols); err != nil {
 		return nil, err
 	}
+	nw := &network{model: env.Model, n: d.Rows + d.Cols, input: d.InputRow, outputs: d.OutputRows}
 	if env.Res != nil {
 		if err := env.Res.Validate(); err != nil {
 			return nil, err
 		}
-		if env.Res.Rows != na.physRows || env.Res.Cols != na.physCols {
+		if env.Res.Rows != physRows || env.Res.Cols != physCols {
 			return nil, fmt.Errorf("spice: resistance map %dx%d does not match the %dx%d physical array",
-				env.Res.Rows, env.Res.Cols, na.physRows, na.physCols)
+				env.Res.Rows, env.Res.Cols, physRows, physCols)
 		}
+		nw.res = []*ResistanceMap{env.Res}
 	}
-	na.n = d.Rows + d.Cols
 	if env.Defects.Len() > 0 {
-		na.compileDefects(env.Defects)
+		nw.n = pl.compileDefects(env.Defects, d.Rows, d.Cols)
 	}
-	if na.n > maxNodes {
-		return nil, fmt.Errorf("spice: %d nanowire nodes exceed the %d-node cap: %w", na.n, maxNodes, ErrTooLarge)
+	if nw.n > maxNodes {
+		return nil, fmt.Errorf("spice: %d nanowire nodes exceed the %d-node cap: %w", nw.n, maxNodes, ErrTooLarge)
 	}
-	return na, nil
+	nw.planes = []plane{pl}
+	nw.sample = func(v Variation, seed uint64) ([]*ResistanceMap, error) {
+		m, err := SampleResistances(physRows, physCols, env.Model, v, seed)
+		return []*ResistanceMap{m}, err
+	}
+	return nw, nil
 }
 
 // compileDefects records stuck-state overrides for cells placed on faulty
 // devices and ties in spare lines reachable from the used array through
-// chains of stuck-ON devices. Spare lines not so reachable stay floating
-// (they carry no current and would make the system singular); stuck-OFF
-// faults on spare crossings are ignored, as are the healthy off-state
-// devices on spare crossings — their leakage onto a floating line is
-// second-order next to a stuck-ON short (documented approximation,
-// DESIGN §14).
-func (na *nodal) compileDefects(dm *defect.Map) {
-	d := na.d
-	invRow := make([]int, na.physRows)
-	invCol := make([]int, na.physCols)
+// chains of stuck-ON devices, returning the extended node count. Spare
+// lines not so reachable stay floating (they carry no current and would
+// make the system singular); stuck-OFF faults on spare crossings are
+// ignored, as are the healthy off-state devices on spare crossings — their
+// leakage onto a floating line is second-order next to a stuck-ON short
+// (documented approximation, DESIGN §14).
+func (pl *plane) compileDefects(dm *defect.Map, rows, cols int) int {
+	physRows, physCols := dm.Rows(), dm.Cols()
+	invRow := make([]int, physRows)
+	invCol := make([]int, physCols)
 	for i := range invRow {
 		invRow[i] = -1
 	}
 	for i := range invCol {
 		invCol[i] = -1
 	}
-	for r, pr := range na.rowPhys {
+	for r, pr := range pl.rowPhys {
 		invRow[pr] = r
 	}
-	for c, pc := range na.colPhys {
+	for c, pc := range pl.colPhys {
 		invCol[pc] = c
 	}
 
@@ -223,13 +245,13 @@ func (na *nodal) compileDefects(dm *defect.Map) {
 		if r >= 0 && c >= 0 {
 			// Used×used crossing: the fabricated device pins the cell's
 			// conductance regardless of what the design programs there.
-			if na.override == nil {
-				na.override = make([]int8, d.Rows*d.Cols)
+			if pl.override == nil {
+				pl.override = make([]int8, rows*cols)
 			}
 			if fc.Kind == defect.StuckOn {
-				na.override[r*d.Cols+c] = 1
+				pl.override[r*cols+c] = 1
 			} else {
-				na.override[r*d.Cols+c] = -1
+				pl.override[r*cols+c] = -1
 			}
 			continue
 		}
@@ -238,18 +260,18 @@ func (na *nodal) compileDefects(dm *defect.Map) {
 		}
 	}
 	if len(stuckOn) == 0 {
-		return
+		return rows + cols
 	}
 
 	// Phase 1: BFS from the used lines over stuck-ON adjacency to find the
 	// spare lines that are electrically tied in (possibly through chains of
 	// spares bridged to each other).
-	rowReach := make([]bool, na.physRows)
-	colReach := make([]bool, na.physCols)
-	for _, pr := range na.rowPhys {
+	rowReach := make([]bool, physRows)
+	colReach := make([]bool, physCols)
+	for _, pr := range pl.rowPhys {
 		rowReach[pr] = true
 	}
-	for _, pc := range na.colPhys {
+	for _, pc := range pl.colPhys {
 		colReach[pc] = true
 	}
 	for changed := true; changed; {
@@ -269,34 +291,33 @@ func (na *nodal) compileDefects(dm *defect.Map) {
 	// Phase 2: assign extended node ids to the reached spares (deterministic
 	// line order) and emit one bridge edge per stuck-ON device whose both
 	// endpoints are present and at least one is a spare.
-	rowNode := make([]int, na.physRows)
-	colNode := make([]int, na.physCols)
+	rowNode := make([]int, physRows)
+	colNode := make([]int, physCols)
 	for i := range rowNode {
 		rowNode[i] = -1
 	}
 	for i := range colNode {
 		colNode[i] = -1
 	}
-	for r, pr := range na.rowPhys {
+	for r, pr := range pl.rowPhys {
 		rowNode[pr] = r
 	}
-	for c, pc := range na.colPhys {
-		colNode[pc] = d.Rows + c
+	for c, pc := range pl.colPhys {
+		colNode[pc] = rows + c
 	}
-	next := d.Rows + d.Cols
-	for pr := 0; pr < na.physRows; pr++ {
+	next := rows + cols
+	for pr := 0; pr < physRows; pr++ {
 		if rowReach[pr] && rowNode[pr] < 0 {
 			rowNode[pr] = next
 			next++
 		}
 	}
-	for pc := 0; pc < na.physCols; pc++ {
+	for pc := 0; pc < physCols; pc++ {
 		if colReach[pc] && colNode[pc] < 0 {
 			colNode[pc] = next
 			next++
 		}
 	}
-	na.n = next
 	for _, f := range stuckOn {
 		if !rowReach[f.pr] || !colReach[f.pc] {
 			continue // floating island: no used line feeds it
@@ -304,32 +325,28 @@ func (na *nodal) compileDefects(dm *defect.Map) {
 		if invRow[f.pr] >= 0 && invCol[f.pc] >= 0 {
 			continue // used×used: handled by the override above
 		}
-		na.bridges = append(na.bridges, bridgeEdge{a: rowNode[f.pr], b: colNode[f.pc], pr: f.pr, pc: f.pc})
+		pl.bridges = append(pl.bridges, bridgeEdge{a: rowNode[f.pr], b: colNode[f.pc], pr: f.pr, pc: f.pc})
 	}
+	return next
 }
 
-// conductances returns the on/off conductance of the device at physical
-// (pr, pc) under res (nil = nominal model values).
-func (na *nodal) conductances(pr, pc int, res *ResistanceMap) (gOn, gOff float64) {
-	if res == nil {
-		return 1 / na.model.ROn, 1 / na.model.ROff
-	}
-	return 1 / res.OnAt(pr, pc), 1 / res.OffAt(pr, pc)
+// stamp adds conductance gc between nodes i and j.
+func stamp(g [][]float64, i, j int, gc float64) {
+	g[i][i] += gc
+	g[j][j] += gc
+	g[i][j] -= gc
+	g[j][i] -= gc
 }
 
 // system assembles the conductance matrix and current vector for one
-// assignment. res overrides the compiled Env's resistance map when non-nil
-// (the Monte Carlo per-trial path); dimensions must match the physical
-// array.
-func (na *nodal) system(assignment []bool, res *ResistanceMap) ([][]float64, []float64, error) {
+// assignment. res overrides the compiled per-plane resistance maps when
+// non-nil (the Monte Carlo per-trial path). Every device of a plane reads
+// its map at its physical position.
+func (nw *network) system(assignment []bool, res []*ResistanceMap) ([][]float64, []float64) {
 	if res == nil {
-		res = na.res
-	} else if res.Rows != na.physRows || res.Cols != na.physCols {
-		return nil, nil, fmt.Errorf("spice: resistance map %dx%d does not match the %dx%d physical array",
-			res.Rows, res.Cols, na.physRows, na.physCols)
+		res = nw.res
 	}
-	d := na.d
-	n := na.n
+	n := nw.n
 	g := make([][]float64, n)
 	backing := make([]float64, n*n)
 	for i := range g {
@@ -337,64 +354,74 @@ func (na *nodal) system(assignment []bool, res *ResistanceMap) ([][]float64, []f
 	}
 	b := make([]float64, n)
 
-	for r, row := range d.Cells {
-		pr := na.rowPhys[r]
-		for c, e := range row {
-			pc := na.colPhys[c]
-			on := e.Conducts(assignment)
-			if na.override != nil {
-				switch na.override[r*d.Cols+c] {
-				case 1:
-					on = true
-				case -1:
-					on = false
+	gOnNom, gOffNom := 1/nw.model.ROn, 1/nw.model.ROff
+	for p, pl := range nw.planes {
+		var m *ResistanceMap
+		if res != nil {
+			m = res[p]
+		}
+		for r, row := range pl.cells {
+			for c, e := range row {
+				on := e.Conducts(assignment)
+				if pl.override != nil {
+					switch pl.override[r*len(row)+c] {
+					case 1:
+						on = true
+					case -1:
+						on = false
+					}
 				}
+				gc := gOffNom
+				if on {
+					gc = gOnNom
+				}
+				if m != nil {
+					pr, pc := r, c
+					if pl.rowPhys != nil {
+						pr, pc = pl.rowPhys[r], pl.colPhys[c]
+					}
+					gc = 1 / m.OffAt(pr, pc)
+					if on {
+						gc = 1 / m.OnAt(pr, pc)
+					}
+				}
+				stamp(g, pl.rowBase+r, pl.colBase+c, gc)
 			}
-			gOn, gOff := na.conductances(pr, pc, res)
-			gc := gOff
-			if on {
-				gc = gOn
+		}
+		for _, br := range pl.bridges {
+			gc := gOnNom
+			if m != nil {
+				gc = 1 / m.OnAt(br.pr, br.pc)
 			}
-			i, j := r, d.Rows+c
-			g[i][i] += gc
-			g[j][j] += gc
-			g[i][j] -= gc
-			g[j][i] -= gc
+			stamp(g, br.a, br.b, gc)
 		}
 	}
-	for _, br := range na.bridges {
-		gOn, _ := na.conductances(br.pr, br.pc, res)
-		g[br.a][br.a] += gOn
-		g[br.b][br.b] += gOn
-		g[br.a][br.b] -= gOn
-		g[br.b][br.a] -= gOn
-	}
-	// Driver on the input wordline.
-	gd := 1 / na.model.RDriver
-	g[d.InputRow][d.InputRow] += gd
-	b[d.InputRow] += na.model.Vin * gd
-	// Sense resistors on output wordlines (one per distinct row; the input
-	// row doubles as the const-1 output row and is not additionally loaded).
+	// Driver on the input node.
+	gd := 1 / nw.model.RDriver
+	g[nw.input][nw.input] += gd
+	b[nw.input] += nw.model.Vin * gd
+	// Sense resistors on output nodes (one per distinct node; the input
+	// node doubles as the const-1 output and is not additionally loaded).
 	seen := make(map[int]bool)
-	for _, r := range d.OutputRows {
-		if r == d.InputRow || seen[r] {
+	for _, w := range nw.outputs {
+		if w == nw.input || seen[w] {
 			continue
 		}
-		seen[r] = true
-		g[r][r] += 1 / na.model.RSense
+		seen[w] = true
+		g[w][w] += 1 / nw.model.RSense
 	}
-	return g, b, nil
+	return g, b
 }
 
 // simulate solves the nodal system for one assignment and returns the
-// output wordline voltages (parallel to d.OutputRows).
-func (na *nodal) simulate(assignment []bool, res *ResistanceMap) ([]float64, error) {
-	g, b, err := na.system(assignment, res)
-	if err != nil {
-		return nil, err
-	}
-	var v []float64
-	if na.n <= 500 {
+// output node voltages (parallel to nw.outputs).
+func (nw *network) simulate(assignment []bool, res []*ResistanceMap) ([]float64, error) {
+	g, b := nw.system(assignment, res)
+	var (
+		v   []float64
+		err error
+	)
+	if nw.n <= 500 {
 		v, err = solveDense(g, b)
 	} else {
 		v, err = solveCG(g, b)
@@ -402,9 +429,9 @@ func (na *nodal) simulate(assignment []bool, res *ResistanceMap) ([]float64, err
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(na.d.OutputRows))
-	for i, r := range na.d.OutputRows {
-		out[i] = v[r]
+	out := make([]float64, len(nw.outputs))
+	for i, w := range nw.outputs {
+		out[i] = v[w]
 	}
 	return out, nil
 }
@@ -423,11 +450,11 @@ func Simulate(d *xbar.Design, assignment []bool, model DeviceModel) ([]float64, 
 // one context should prefer MarginContext / MonteCarloContext, which
 // compile the context once.
 func SimulateEnv(d *xbar.Design, assignment []bool, env Env) ([]float64, error) {
-	na, err := compile(d, env)
+	nw, err := compile(d, env)
 	if err != nil {
 		return nil, err
 	}
-	return na.simulate(assignment, nil)
+	return nw.simulate(assignment, nil)
 }
 
 // solveDense is Gaussian elimination with partial pivoting (destroys g, b).
@@ -560,12 +587,6 @@ type MarginReport struct {
 	Separable bool    // MinOn > MaxOff (a sensing threshold exists)
 }
 
-// Margin is MarginContext without cancellation, against the nominal
-// fault-free context.
-func Margin(d *xbar.Design, ref func([]bool) []bool, nVars, exhaustiveLimit, samples int, model DeviceModel, seed uint64) (MarginReport, error) {
-	return MarginContext(context.Background(), d, ref, nVars, exhaustiveLimit, samples, Env{Model: model}, seed)
-}
-
 // MarginContext simulates the design across assignments (exhaustive when
 // nVars <= exhaustiveLimit, else `samples` splitmix64-seeded vectors)
 // under the electrical context env, using ref for the expected logic
@@ -574,17 +595,22 @@ func Margin(d *xbar.Design, ref func([]bool) []bool, nVars, exhaustiveLimit, sam
 // the context error; a simulation failure returns a zero report and the
 // error — never a half-trusted mixture.
 func MarginContext(ctx context.Context, d *xbar.Design, ref func([]bool) []bool, nVars, exhaustiveLimit, samples int, env Env, seed uint64) (MarginReport, error) {
+	nw, err := compile(d, env)
+	if err != nil {
+		return MarginReport{}, err
+	}
+	return nw.margin(ctx, ref, nVars, exhaustiveLimit, samples, seed)
+}
+
+// margin is the sweep behind MarginContext and Margin3DContext.
+func (nw *network) margin(ctx context.Context, ref func([]bool) []bool, nVars, exhaustiveLimit, samples int, seed uint64) (MarginReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	rep := MarginReport{MinOn: math.Inf(1), MaxOff: math.Inf(-1)}
-	na, err := compile(d, env)
-	if err != nil {
-		return MarginReport{}, err
-	}
 	run := func(in []bool) error {
 		want := ref(in)
-		volts, err := na.simulate(in, nil)
+		volts, err := nw.simulate(in, nil)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -92,7 +93,7 @@ func levelAssign(d *xbar.Design, nw *logic.Network, in []bool) []bool {
 func TestMarginSeparable(t *testing.T) {
 	nw := fig2()
 	d := synth(t, nw)
-	rep, err := Margin(d, nw.Eval, 3, 8, 0, Default(), 1)
+	rep, err := MarginContext(context.Background(), d, nw.Eval, 3, 8, 0, Env{Model: Default()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestMarginDegradedDevices(t *testing.T) {
 	d := synth(t, nw)
 	model := Default()
 	model.ROff = model.ROn * 1.01
-	rep, err := Margin(d, nw.Eval, 3, 8, 0, model, 1)
+	rep, err := MarginContext(context.Background(), d, nw.Eval, 3, 8, 0, Env{Model: model}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestMultiOutputLoading(t *testing.T) {
 	b.Output("h", b.Xor(x, z))
 	nw := b.Build()
 	d := synth(t, nw)
-	rep, err := Margin(d, nw.Eval, 3, 8, 0, Default(), 1)
+	rep, err := MarginContext(context.Background(), d, nw.Eval, 3, 8, 0, Env{Model: Default()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,18 +151,12 @@ func TestDenseVsCGAgree(t *testing.T) {
 	assign := levelAssign(d, nw, []bool{true, false, true})
 	// Build the same system twice via the shared assembler and solve with
 	// both backends directly (Simulate picks one by size).
-	na, err := compile(d, Env{Model: model})
+	net, err := compile(d, Env{Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, b1, err := na.system(assign, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, b2, err := na.system(assign, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g1, b1 := net.system(assign, nil)
+	g2, b2 := net.system(assign, nil)
 	x1, err := solveDense(g1, b1)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +193,7 @@ func TestSimulateAgreesWithLogicalEval(t *testing.T) {
 	b.Output("maj", b.Or(b.And(x, y), b.And(x, z), b.And(y, z)))
 	nw := b.Build()
 	d := synth(t, nw)
-	rep, err := Margin(d, nw.Eval, 3, 8, 0, Default(), 1)
+	rep, err := MarginContext(context.Background(), d, nw.Eval, 3, 8, 0, Env{Model: Default()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +219,8 @@ func TestSimulateAgreesWithLogicalEval(t *testing.T) {
 func TestMonteCarloHealthyDevices(t *testing.T) {
 	nw := fig2()
 	d := synth(t, nw)
-	rep, err := MonteCarlo(d, nw.Eval, 3, 8, 30, HighContrast(), Variation{SigmaOn: 0.1, SigmaOff: 0.1}, 1)
+	rep, err := MonteCarloContext(context.Background(), d, nw.Eval, 3, Env{Model: HighContrast()},
+		Variation{SigmaOn: 0.1, SigmaOff: 0.1}, MonteCarloOptions{Trials: 30, Vectors: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +237,8 @@ func TestMonteCarloHugeVariationKillsYield(t *testing.T) {
 	d := synth(t, nw)
 	base := Default()
 	base.ROff = base.ROn * 3 // almost no contrast to begin with
-	rep, err := MonteCarlo(d, nw.Eval, 3, 8, 40, base, Variation{SigmaOn: 1.5, SigmaOff: 1.5}, 2)
+	rep, err := MonteCarloContext(context.Background(), d, nw.Eval, 3, Env{Model: base},
+		Variation{SigmaOn: 1.5, SigmaOff: 1.5}, MonteCarloOptions{Trials: 40, Vectors: 8, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,13 +250,17 @@ func TestMonteCarloHugeVariationKillsYield(t *testing.T) {
 func TestMonteCarloErrors(t *testing.T) {
 	nw := fig2()
 	d := synth(t, nw)
-	if _, err := MonteCarlo(d, nw.Eval, 3, -1, 10, Default(), Variation{}, 1); err == nil {
+	run := func(v Variation, opts MonteCarloOptions) error {
+		_, err := MonteCarloContext(context.Background(), d, nw.Eval, 3, Env{Model: Default()}, v, opts)
+		return err
+	}
+	if err := run(Variation{}, MonteCarloOptions{Trials: 10, Vectors: -1, Seed: 1}); err == nil {
 		t.Error("negative vectors accepted")
 	}
-	if _, err := MonteCarlo(d, nw.Eval, 3, 8, -1, Default(), Variation{}, 1); err == nil {
+	if err := run(Variation{}, MonteCarloOptions{Trials: -1, Vectors: 8, Seed: 1}); err == nil {
 		t.Error("negative trials accepted")
 	}
-	if _, err := MonteCarlo(d, nw.Eval, 3, 8, 10, Default(), Variation{SigmaOn: -0.5}, 1); err == nil {
+	if err := run(Variation{SigmaOn: -0.5}, MonteCarloOptions{Trials: 10, Vectors: 8, Seed: 1}); err == nil {
 		t.Error("negative sigma accepted")
 	}
 }

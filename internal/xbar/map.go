@@ -153,8 +153,3 @@ func Map(bg *BDDGraph, labels []labeling.Label) (*Design, error) {
 	}
 	return d, nil
 }
-
-// EvalLevels evaluates the design given an assignment indexed by BDD level
-// (the Entry.Var space). It is a convenience alias of Design.Eval with a
-// clarifying name for BDD-mapped designs.
-func EvalLevels(d *Design, levelAssignment []bool) []bool { return d.Eval(levelAssignment) }
