@@ -92,7 +92,7 @@ func BenchmarkAblationOCTvsMIPGamma1(b *testing.B) {
 	for _, m := range []labeling.Method{labeling.MethodOCT, labeling.MethodMIP} {
 		b.Run(m.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := labeling.Solve(bg.Problem(false), labeling.Options{
+				if _, err := labeling.SolveContext(context.Background(), bg.Problem(false), labeling.Options{
 					Method: m, Gamma: 1, TimeLimit: 10 * time.Second,
 				}); err != nil {
 					b.Fatal(err)
@@ -113,7 +113,7 @@ func BenchmarkAblationEdgeHelpers(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := labeling.Solve(bg.Problem(true), labeling.Options{
+				if _, err := labeling.SolveContext(context.Background(), bg.Problem(true), labeling.Options{
 					Method: labeling.MethodMIP, Gamma: 0.5,
 					TimeLimit:      5 * time.Second,
 					UseEdgeHelpers: helpers,
@@ -200,7 +200,7 @@ func BenchmarkAblationAlignment(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := labeling.Solve(bg.Problem(align), labeling.Options{
+				if _, err := labeling.SolveContext(context.Background(), bg.Problem(align), labeling.Options{
 					Method: labeling.MethodMIP, Gamma: 0.5, TimeLimit: 5 * time.Second,
 				}); err != nil {
 					b.Fatal(err)

@@ -4,7 +4,9 @@
 # Runs, in order:
 #   1. gofmt       — no unformatted files
 #   2. go vet      — stdlib static checks
-#   3. build+test  — tier-1: every package compiles and its tests pass
+#   3. build+test  — tier-1: every package compiles and its tests pass,
+#                    then vet and test the nested perfbench module, which
+#                    `go test ./...` does not reach
 #   4. selfcheck   — boot compactd on a loopback port and smoke-test the
 #                    health/benchmark/synthesize endpoints + cache contract
 #   5. -race       — internal packages under the race detector (includes
@@ -22,37 +24,18 @@
 #                    finding fails the gate, and so does blowing the 60s
 #                    wall-clock budget the suite promises CI
 #
-# Usage: ./check.sh [-short] [-bench]
+# Usage: ./check.sh [-short]
 #   -short skips the -race pass (the slowest step) for quick local loops.
-#   -bench additionally runs the labeling/ILP hot-path benchmarks
-#          (results/BENCH_portfolio.json via cmd/benchjson), the
-#          word-parallel-verify / revised-simplex / parallel-B&B kernels
-#          (results/BENCH_ilp.json, soft-compared against the committed
-#          baseline via benchjson -compare — warn-only) and the
-#          partitioned-synthesis benchmark (results/BENCH_partition.json
-#          via cmd/partitionbench), the FLOW-3D S-vs-K sweep
-#          (results/BENCH_3d.json via cmd/flow3dbench; soft-compared
-#          against the committed baseline, warn-only), the
-#          variation-robustness yield curves
-#          (results/BENCH_margin.json via cmd/marginbench — yield and
-#          worst-case margin vs sigma vs crossbar size, plus the
-#          margin-aware placement delta; soft-compared against the
-#          committed baseline, warn-only) and the service-level load
-#          harness (results/BENCH_service.json via cmd/compactload —
-#          p50/p99, cache hit ratio including the disk tier, achieved
-#          RPS; soft-compared against the committed baseline, warn-only).
 set -eu
 
 cd "$(dirname "$0")"
 
 short=0
-bench=0
 for arg in "$@"; do
     case "$arg" in
     -short) short=1 ;;
-    -bench) bench=1 ;;
     *)
-        echo "usage: ./check.sh [-short] [-bench]" >&2
+        echo "usage: ./check.sh [-short]" >&2
         exit 2
         ;;
     esac
@@ -72,6 +55,8 @@ go vet ./...
 echo "== build + test =="
 go build ./...
 go test ./...
+go -C perfbench vet ./...
+go -C perfbench test ./...
 
 echo "== compactd selfcheck =="
 go run ./cmd/compactd -selfcheck
@@ -96,50 +81,5 @@ fi
 
 echo "== compactlint =="
 go run ./cmd/compactlint -budget 60s ./...
-
-if [ "$bench" -eq 1 ]; then
-    echo "== benchmarks (labeling/ILP hot paths) =="
-    mkdir -p results
-    go test -run='^$' -bench=. -benchmem -benchtime=1x \
-        ./internal/labeling ./internal/ilp |
-        tee /dev/stderr |
-        go run ./cmd/benchjson >results/BENCH_portfolio.json
-    echo "wrote results/BENCH_portfolio.json"
-
-    echo "== benchmarks (word-parallel verify + revised simplex + parallel B&B) =="
-    go test -run='^$' -bench='VerifyExhaustive|LPVertexCover|BBVertexCover' \
-        -benchmem -benchtime=1x ./internal/xbar ./internal/ilp |
-        tee /dev/stderr |
-        go run ./cmd/benchjson -compare results/BENCH_ilp.json \
-            >results/BENCH_ilp.json.new
-    mv results/BENCH_ilp.json.new results/BENCH_ilp.json
-    echo "wrote results/BENCH_ilp.json"
-
-    echo "== benchmarks (partitioned multi-crossbar synthesis) =="
-    go run ./cmd/partitionbench -timelimit 10s -out results/BENCH_partition.json
-
-    echo "== benchmarks (FLOW-3D: semiperimeter vs wire-layer count K) =="
-    go run ./cmd/flow3dbench -timelimit 10s \
-        -compare results/BENCH_3d.json \
-        -out results/BENCH_3d.json.new
-    mv results/BENCH_3d.json.new results/BENCH_3d.json
-    echo "wrote results/BENCH_3d.json"
-
-    echo "== benchmarks (variation robustness: yield curves + margin-aware placement) =="
-    go run ./cmd/marginbench -timelimit 10s \
-        -compare results/BENCH_margin.json \
-        -out results/BENCH_margin.json.new
-    mv results/BENCH_margin.json.new results/BENCH_margin.json
-    echo "wrote results/BENCH_margin.json"
-
-    echo "== service load (compactd: sync + async, both cache tiers) =="
-    loadstore=$(mktemp -d)
-    go run ./cmd/compactload -duration 5s -rps 100 -store-dir "$loadstore" \
-        -compare results/BENCH_service.json \
-        -out results/BENCH_service.json.new
-    rm -rf "$loadstore"
-    mv results/BENCH_service.json.new results/BENCH_service.json
-    echo "wrote results/BENCH_service.json"
-fi
 
 echo "OK"

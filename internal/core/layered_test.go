@@ -16,7 +16,7 @@ import (
 )
 
 // epflTrio is the K-equivalence regression set: the three EPFL control
-// benchmarks the paper's Table I reports and flow3dbench sweeps.
+// benchmarks the paper's Table I reports and the flow3d experiment sweeps.
 var epflTrio = []string{"ctrl", "cavlc", "int2float"}
 
 // TestLayeredK2Equivalence pins the K <= 2 reduction on the EPFL trio:
@@ -36,7 +36,7 @@ func TestLayeredK2Equivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		lopts := labeling.Options{Method: labeling.MethodHeuristic, Gamma: 0.5}
-		sol2, err := labeling.Solve(bg.Problem(true), lopts)
+		sol2, err := labeling.SolveContext(context.Background(), bg.Problem(true), lopts)
 		if err != nil {
 			t.Fatalf("%s: 2D solve: %v", name, err)
 		}

@@ -1,6 +1,7 @@
 package dnf
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -104,7 +105,7 @@ func TestDNFMuchLargerThanCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := labeling.Solve(bg.Problem(true), labeling.Options{Method: labeling.MethodMIP, Gamma: 1})
+	sol, err := labeling.SolveContext(context.Background(), bg.Problem(true), labeling.Options{Method: labeling.MethodMIP, Gamma: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

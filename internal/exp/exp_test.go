@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -226,6 +228,67 @@ func TestScalingQuick(t *testing.T) {
 		}
 		if rc >= rs {
 			t.Errorf("%s: compact ratio %s not below staircase %s", r[0], rc, rs)
+		}
+	}
+}
+
+func TestFlow3DQuick(t *testing.T) {
+	tab, err := Flow3D(quickCfg(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != len(flow3dLayers) {
+		t.Fatalf("expected one row per K, got %d rows", len(tab.Rows))
+	}
+	for _, r := range tab.Rows {
+		if r[7] != "true" {
+			t.Errorf("%s K=%s: design not verified", r[0], r[1])
+		}
+	}
+	// K=1 canonicalizes to the classic K=2 pipeline: identical rows apart
+	// from the K column.
+	k1, k2 := tab.Rows[0], tab.Rows[1]
+	if k1[1] != "1" || k2[1] != "2" || strings.Join(k1[2:], ",") != strings.Join(k2[2:], ",") {
+		t.Errorf("K=1 row %v differs from K=2 row %v", k1, k2)
+	}
+}
+
+func TestYieldQuick(t *testing.T) {
+	tab, err := Yield(quickCfg(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != len(yieldSigmas) {
+		t.Fatalf("expected one row per sigma, got %d rows", len(tab.Rows))
+	}
+	for _, r := range tab.Rows {
+		y, err := strconv.ParseFloat(r[5], 64)
+		if err != nil || y < 0 || y > 1 {
+			t.Errorf("%s sigma=%s: yield %q outside [0,1]", r[0], r[4], r[5])
+		}
+		for _, cell := range r[7:] {
+			m, err := strconv.ParseFloat(cell, 64)
+			if err != nil || math.IsNaN(m) || math.IsInf(m, 0) {
+				t.Errorf("%s sigma=%s: margin %q not finite", r[0], r[4], cell)
+			}
+		}
+	}
+}
+
+func TestPartitionQuick(t *testing.T) {
+	tab, err := Partition(quickCfg(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) == 0 {
+		t.Fatal("no rows")
+	}
+	for _, r := range tab.Rows {
+		if atoiOr(r[2], 0) < 1 {
+			t.Errorf("%s: %s tiles", r[0], r[2])
+		}
+		if atoiOr(r[4], 0) <= 0 {
+			t.Errorf("%s: total S %s not positive", r[0], r[4])
 		}
 	}
 }

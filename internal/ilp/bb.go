@@ -321,14 +321,9 @@ func (s *bbSearch) solveNode(node *bbNode, lbs, ubs []float64) (res lpResult, co
 	return res, true, err
 }
 
-// Solve minimizes the model by LP-based best-first branch & bound. It never
-// returns an invalid incumbent: Solution.X (when Status is Optimal or
-// Feasible) satisfies all constraints and integrality.
-func Solve(mod *Model, opts Options) (*Solution, error) {
-	return SolveContext(context.Background(), mod, opts)
-}
-
-// SolveContext is Solve with cooperative cancellation: the effective
+// SolveContext minimizes the model by LP-based best-first branch & bound.
+// It never returns an invalid incumbent: Solution.X (when Status is Optimal
+// or Feasible) satisfies all constraints and integrality. The effective
 // deadline is the earlier of ctx's deadline and start+opts.TimeLimit, and a
 // cancelled ctx aborts the search at the next simplex iteration or node
 // expansion, returning the best incumbent found so far. A context that is

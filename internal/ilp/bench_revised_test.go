@@ -51,7 +51,7 @@ func BenchmarkBBVertexCoverSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := Solve(mod, Options{Workers: 1})
+		sol, err := SolveContext(context.Background(), mod, Options{Workers: 1})
 		if err != nil || sol.Status != StatusOptimal {
 			b.Fatalf("serial: %v / %v", err, sol.Status)
 		}
@@ -66,7 +66,7 @@ func BenchmarkBBVertexCoverParallel4(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := Solve(mod, Options{Workers: 4})
+		sol, err := SolveContext(context.Background(), mod, Options{Workers: 4})
 		if err != nil || sol.Status != StatusOptimal {
 			b.Fatalf("parallel: %v / %v", err, sol.Status)
 		}

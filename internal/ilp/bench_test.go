@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -47,7 +48,7 @@ func BenchmarkSimplexDense(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := Solve(m, Options{})
+		sol, err := SolveContext(context.Background(), m, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func BenchmarkBranchAndBoundKnapsack(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := Solve(m, Options{})
+		sol, err := SolveContext(context.Background(), m, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func BenchmarkBranchAndBoundKnapsack(b *testing.B) {
 // optimum up front, so the tree is pruned against it from node one.
 func BenchmarkBranchAndBoundWarmStart(b *testing.B) {
 	m := benchKnapsack(22, 2)
-	ref, err := Solve(m, Options{})
+	ref, err := SolveContext(context.Background(), m, Options{})
 	if err != nil || ref.Status != StatusOptimal {
 		b.Fatalf("reference solve: %v %v", ref, err)
 	}
@@ -85,7 +86,7 @@ func BenchmarkBranchAndBoundWarmStart(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := Solve(m, Options{BestKnown: func() float64 { return opt + 1e-6 }})
+		sol, err := SolveContext(context.Background(), m, Options{BestKnown: func() float64 { return opt + 1e-6 }})
 		if err != nil {
 			b.Fatal(err)
 		}

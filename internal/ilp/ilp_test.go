@@ -134,7 +134,7 @@ func TestMIPKnapsack(t *testing.T) {
 		terms = append(terms, Term{x, wts[i]})
 	}
 	m.AddConstr("w", terms, LE, 7)
-	sol, err := Solve(m, Options{})
+	sol, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestMIPIntegerRoundingMatters(t *testing.T) {
 	x := m.AddVar("x", 0, 1, Binary, -1)
 	y := m.AddVar("y", 0, 1, Binary, -1)
 	m.AddConstr("c", []Term{{x, 2}, {y, 2}}, LE, 3)
-	sol, err := Solve(m, Options{})
+	sol, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestMIPInfeasible(t *testing.T) {
 	x := m.AddVar("x", 0, 1, Binary, 1)
 	y := m.AddVar("y", 0, 1, Binary, 1)
 	m.AddConstr("c1", []Term{{x, 1}, {y, 1}}, GE, 3)
-	sol, err := Solve(m, Options{})
+	sol, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestMIPGeneralInteger(t *testing.T) {
 	x := m.AddVar("x", 0, 10, Integer, -3)
 	y := m.AddVar("y", 0, 10, Integer, -4)
 	m.AddConstr("c", []Term{{x, 5}, {y, 8}}, LE, 24)
-	sol, err := Solve(m, Options{})
+	sol, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestMIPRandomBinaryVsBrute(t *testing.T) {
 			sense := []Sense{LE, GE}[rng.Intn(2)]
 			m.AddConstr("c", terms, sense, float64(rng.Intn(9)-4))
 		}
-		sol, err := Solve(m, Options{})
+		sol, err := SolveContext(context.Background(), m, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -263,7 +263,7 @@ func TestMIPIncumbentPriming(t *testing.T) {
 	x := m.AddVar("x", 0, 1, Binary, -5)
 	y := m.AddVar("y", 0, 1, Binary, -4)
 	m.AddConstr("c", []Term{{x, 1}, {y, 1}}, LE, 1)
-	sol, err := Solve(m, Options{Incumbent: []float64{0, 1}})
+	sol, err := SolveContext(context.Background(), m, Options{Incumbent: []float64{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestMIPTimeLimitReturnsIncumbent(t *testing.T) {
 		terms = append(terms, Term{j, float64(1 + rng.Intn(20))})
 	}
 	m.AddConstr("cap", terms, LE, 60)
-	sol, err := Solve(m, Options{TimeLimit: time.Nanosecond, Incumbent: inc})
+	sol, err := SolveContext(context.Background(), m, Options{TimeLimit: time.Nanosecond, Incumbent: inc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestTraceMonotone(t *testing.T) {
 			m.AddConstr("side", ts, LE, float64(len(ts)-1))
 		}
 	}
-	sol, err := Solve(m, Options{})
+	sol, err := SolveContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestGapLimitStopsEarly(t *testing.T) {
 		terms = append(terms, Term{j, float64(1 + rng.Intn(12))})
 	}
 	m.AddConstr("cap", terms, LE, 30)
-	sol, err := Solve(m, Options{GapLimit: 0.5})
+	sol, err := SolveContext(context.Background(), m, Options{GapLimit: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestMaxNodesRespected(t *testing.T) {
 	}
 	m.AddConstr("cap", terms, LE, 40)
 	inc := make([]float64, n)
-	sol, err := Solve(m, Options{MaxNodes: 3, Incumbent: inc})
+	sol, err := SolveContext(context.Background(), m, Options{MaxNodes: 3, Incumbent: inc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,7 +180,7 @@ func (m *Model) Feasible(x []float64, tol float64, relaxed bool) error {
 // Status describes the outcome of a solve.
 type Status uint8
 
-// Solve outcomes.
+// SolveContext outcomes.
 const (
 	StatusOptimal    Status = iota // proven optimal
 	StatusFeasible                 // stopped early with an incumbent
@@ -215,7 +215,7 @@ type TraceEvent struct {
 	Nodes     int
 }
 
-// Solution is the result of Solve.
+// Solution is the result of SolveContext.
 type Solution struct {
 	Status  Status
 	X       []float64
@@ -236,7 +236,7 @@ type Solution struct {
 	DenseFallbacks int
 }
 
-// Options tunes Solve.
+// Options tunes SolveContext.
 type Options struct {
 	TimeLimit time.Duration // zero = unlimited
 	GapLimit  float64       // stop when relative gap <= this (0 = prove optimality)

@@ -178,11 +178,11 @@ func TestParallelBBMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		g := graph.Random(10+rng.Intn(10), 0.35, uint64(trial)*13+2)
 		mod := vcModel(g, rng)
-		serial, err := Solve(mod, Options{Workers: 1})
+		serial, err := SolveContext(context.Background(), mod, Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("trial %d: serial: %v", trial, err)
 		}
-		par, err := Solve(mod, Options{Workers: 4})
+		par, err := SolveContext(context.Background(), mod, Options{Workers: 4})
 		if err != nil {
 			t.Fatalf("trial %d: parallel: %v", trial, err)
 		}
@@ -204,11 +204,11 @@ func TestParallelBBMatchesSerial(t *testing.T) {
 func TestParallelBBSharedBestKnown(t *testing.T) {
 	g := graph.Random(16, 0.4, 42)
 	mod := vcModel(g, rand.New(rand.NewSource(1)))
-	ref, err := Solve(mod, Options{Workers: 1})
+	ref, err := SolveContext(context.Background(), mod, Options{Workers: 1})
 	if err != nil || ref.Status != StatusOptimal {
 		t.Fatalf("reference solve: %v / %v", err, ref.Status)
 	}
-	sol, err := Solve(mod, Options{
+	sol, err := SolveContext(context.Background(), mod, Options{
 		Workers:   4,
 		BestKnown: func() float64 { return ref.Obj },
 	})
@@ -230,7 +230,7 @@ func TestParallelBBSharedBestKnown(t *testing.T) {
 // lock, so N workers cannot overshoot MaxNodes.
 func TestParallelBBMaxNodes(t *testing.T) {
 	mod := benchKnapsack(25, 3)
-	sol, err := Solve(mod, Options{Workers: 4, MaxNodes: 5})
+	sol, err := SolveContext(context.Background(), mod, Options{Workers: 4, MaxNodes: 5})
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}

@@ -1,6 +1,7 @@
 package labeling
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func benchSolve(b *testing.B, m Method) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := Solve(p, opts)
+		sol, err := SolveContext(context.Background(), p, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

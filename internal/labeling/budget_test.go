@@ -1,6 +1,7 @@
 package labeling
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -13,11 +14,11 @@ func TestBudgetFeasible(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		g := randomGraph(rng, 8, 0.3)
 		// First solve unconstrained to learn a feasible shape.
-		free, err := Solve(Problem{G: g}, Options{Method: MethodMIP, Gamma: 0.5})
+		free, err := SolveContext(context.Background(), Problem{G: g}, Options{Method: MethodMIP, Gamma: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := Solve(Problem{G: g}, Options{
+		sol, err := SolveContext(context.Background(), Problem{G: g}, Options{
 			Method: MethodMIP, Gamma: 0.5,
 			MaxRows: free.Stats.Rows + 2, MaxCols: free.Stats.Cols + 2,
 		})
@@ -34,7 +35,7 @@ func TestBudgetFeasible(t *testing.T) {
 // labeling (every node needs a row or a column, and rows+cols >= n).
 func TestBudgetInfeasible(t *testing.T) {
 	g := cycle(9) // n=9, S >= 10 (odd cycle needs one VH)
-	_, err := Solve(Problem{G: g}, Options{
+	_, err := SolveContext(context.Background(), Problem{G: g}, Options{
 		Method: MethodMIP, Gamma: 1,
 		MaxRows: 4, MaxCols: 4, // rows+cols <= 8 < 10
 	})
@@ -47,11 +48,11 @@ func TestBudgetInfeasible(t *testing.T) {
 // a budget.
 func TestBudgetTightFeasible(t *testing.T) {
 	g := cycle(9)
-	free, err := Solve(Problem{G: g}, Options{Method: MethodMIP, Gamma: 0})
+	free, err := SolveContext(context.Background(), Problem{G: g}, Options{Method: MethodMIP, Gamma: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Solve(Problem{G: g}, Options{
+	sol, err := SolveContext(context.Background(), Problem{G: g}, Options{
 		Method: MethodMIP, Gamma: 0,
 		MaxRows: free.Stats.Rows, MaxCols: free.Stats.Cols,
 	})
@@ -67,7 +68,7 @@ func TestBudgetTightFeasible(t *testing.T) {
 // rejected rather than silently returned.
 func TestBudgetNonMIPMethodsChecked(t *testing.T) {
 	g := cycle(9)
-	_, err := Solve(Problem{G: g}, Options{
+	_, err := SolveContext(context.Background(), Problem{G: g}, Options{
 		Method: MethodHeuristic, MaxRows: 1, MaxCols: 1,
 	})
 	if !errors.Is(err, ErrInfeasible) {

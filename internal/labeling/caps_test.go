@@ -1,6 +1,7 @@
 package labeling
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -22,7 +23,7 @@ func TestCapBoundaryBipartite(t *testing.T) {
 	for _, m := range capMethods() {
 		t.Run(m.String(), func(t *testing.T) {
 			p := Problem{G: cycle(8)}
-			sol, err := Solve(p, Options{Method: m, Gamma: 0.5, MaxRows: 4, MaxCols: 4})
+			sol, err := SolveContext(context.Background(), p, Options{Method: m, Gamma: 0.5, MaxRows: 4, MaxCols: 4})
 			if err != nil {
 				t.Fatalf("caps 4x4 fit exactly, got error: %v", err)
 			}
@@ -33,7 +34,7 @@ func TestCapBoundaryBipartite(t *testing.T) {
 				t.Fatalf("invalid labeling: %v", err)
 			}
 			for _, caps := range [][2]int{{4, 3}, {3, 4}} {
-				_, err := Solve(p, Options{Method: m, Gamma: 0.5, MaxRows: caps[0], MaxCols: caps[1]})
+				_, err := SolveContext(context.Background(), p, Options{Method: m, Gamma: 0.5, MaxRows: caps[0], MaxCols: caps[1]})
 				if !errors.Is(err, ErrInfeasible) {
 					t.Fatalf("caps %dx%d (sum < n): want ErrInfeasible, got %v", caps[0], caps[1], err)
 				}
@@ -50,7 +51,7 @@ func TestCapBoundaryOddCycle(t *testing.T) {
 	for _, m := range capMethods() {
 		t.Run(m.String(), func(t *testing.T) {
 			p := Problem{G: cycle(7)}
-			sol, err := Solve(p, Options{Method: m, Gamma: 0.5, MaxRows: 4, MaxCols: 4})
+			sol, err := SolveContext(context.Background(), p, Options{Method: m, Gamma: 0.5, MaxRows: 4, MaxCols: 4})
 			if err != nil {
 				t.Fatalf("caps 4x4 fit the odd-cycle optimum, got error: %v", err)
 			}
@@ -60,7 +61,7 @@ func TestCapBoundaryOddCycle(t *testing.T) {
 			if sol.Stats.S < 8 {
 				t.Fatalf("odd cycle needs S >= 8, got %d (invalid solution?)", sol.Stats.S)
 			}
-			_, err = Solve(p, Options{Method: m, Gamma: 0.5, MaxRows: 4, MaxCols: 3})
+			_, err = SolveContext(context.Background(), p, Options{Method: m, Gamma: 0.5, MaxRows: 4, MaxCols: 3})
 			if !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("caps 4x3 (sum = n < n+1): want ErrInfeasible, got %v", err)
 			}
@@ -71,13 +72,13 @@ func TestCapBoundaryOddCycle(t *testing.T) {
 // The O(1) node-count pre-check must fire without running any solver:
 // both caps set and n > MaxRows + MaxCols is a proof.
 func TestCapPrecheckProvesInfeasible(t *testing.T) {
-	_, err := Solve(Problem{G: path(100)}, Options{Method: MethodHeuristic, MaxRows: 10, MaxCols: 10})
+	_, err := SolveContext(context.Background(), Problem{G: path(100)}, Options{Method: MethodHeuristic, MaxRows: 10, MaxCols: 10})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("100 nodes under 10x10 caps: want ErrInfeasible, got %v", err)
 	}
 	// One-sided caps never trigger the pre-check (the other axis absorbs
 	// the rest).
-	if _, err := Solve(Problem{G: path(30)}, Options{Method: MethodHeuristic, MaxRows: 16}); err != nil {
+	if _, err := SolveContext(context.Background(), Problem{G: path(30)}, Options{Method: MethodHeuristic, MaxRows: 16}); err != nil {
 		t.Fatalf("one-sided cap should be satisfiable: %v", err)
 	}
 }

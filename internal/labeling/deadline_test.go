@@ -27,7 +27,7 @@ func TestTimeLimitAdherenceMIP(t *testing.T) {
 	p := slowProblem(7)
 	budget := 1200 * time.Millisecond
 	start := time.Now()
-	sol, err := Solve(p, Options{Method: MethodMIP, Gamma: 0.5, TimeLimit: budget})
+	sol, err := SolveContext(context.Background(), p, Options{Method: MethodMIP, Gamma: 0.5, TimeLimit: budget})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("budgeted solve failed instead of degrading: %v", err)
@@ -50,7 +50,7 @@ func TestTimeLimitAdherencePortfolio(t *testing.T) {
 	p := slowProblem(11)
 	budget := 1200 * time.Millisecond
 	start := time.Now()
-	sol, err := Solve(p, Options{Method: MethodPortfolio, Gamma: 0.5, TimeLimit: budget})
+	sol, err := SolveContext(context.Background(), p, Options{Method: MethodPortfolio, Gamma: 0.5, TimeLimit: budget})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("budgeted portfolio failed instead of degrading: %v", err)
@@ -121,14 +121,14 @@ func TestPortfolioNeverWorseThanSingles(t *testing.T) {
 
 		popts := opts
 		popts.Method = MethodPortfolio
-		port, err := Solve(p, popts)
+		port, err := SolveContext(context.Background(), p, popts)
 		if err != nil {
 			t.Fatalf("trial %d: portfolio: %v", trial, err)
 		}
 		for _, m := range []Method{MethodOCT, MethodMIP, MethodHeuristic} {
 			sopts := opts
 			sopts.Method = m
-			single, err := Solve(p, sopts)
+			single, err := SolveContext(context.Background(), p, sopts)
 			if err != nil {
 				t.Fatalf("trial %d: %v: %v", trial, m, err)
 			}
@@ -143,7 +143,7 @@ func TestPortfolioNeverWorseThanSingles(t *testing.T) {
 // TestPortfolioEngineReports: the winning engine is flagged, and elapsed
 // times are populated.
 func TestPortfolioEngineReports(t *testing.T) {
-	sol, err := Solve(Problem{G: cycle(9)}, Options{Method: MethodPortfolio, Gamma: 0.5})
+	sol, err := SolveContext(context.Background(), Problem{G: cycle(9)}, Options{Method: MethodPortfolio, Gamma: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

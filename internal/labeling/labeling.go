@@ -159,7 +159,7 @@ func (m Method) String() string {
 	}
 }
 
-// Options tunes Solve.
+// Options tunes SolveContext.
 type Options struct {
 	// Gamma weighs semiperimeter vs maximum dimension in [0,1]; the
 	// paper's default (and this package's, when unset via UseGamma) is 1
@@ -189,7 +189,7 @@ type Options struct {
 	// smaller and solves much faster — kept as an ablation knob.
 	UseEdgeHelpers bool
 	// MaxRows/MaxCols cap the crossbar dimensions (0 = unconstrained),
-	// the Section III extension: Solve returns ErrInfeasible when no
+	// the Section III extension: SolveContext returns ErrInfeasible when no
 	// valid labeling fits the budget. Only MethodMIP enforces these
 	// exactly; the other methods reject their result if it violates them.
 	MaxRows, MaxCols int
@@ -225,12 +225,7 @@ type Solution struct {
 	Engines []EngineReport
 }
 
-// Solve computes a VH-labeling of p.
-func Solve(p Problem, opts Options) (*Solution, error) {
-	return SolveContext(context.Background(), p, opts)
-}
-
-// SolveContext is Solve with cooperative cancellation. Options.TimeLimit
+// SolveContext computes a VH-labeling of p. Options.TimeLimit
 // becomes a deadline on one context shared by every sub-solver — the OCT
 // warm start, the MIP branch & bound (checked inside simplex pivots) and
 // the portfolio engines all spend from the same budget, so the total wall

@@ -1,6 +1,7 @@
 package labeling
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -108,7 +109,7 @@ func TestBipartiteNoVH(t *testing.T) {
 	// An even cycle needs no VH labels: S = n.
 	p := Problem{G: cycle(8)}
 	for _, m := range []Method{MethodOCT, MethodMIP, MethodHeuristic} {
-		sol, err := Solve(p, Options{Method: m, Gamma: 1})
+		sol, err := SolveContext(context.Background(), p, Options{Method: m, Gamma: 1})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -121,7 +122,7 @@ func TestBipartiteNoVH(t *testing.T) {
 func TestOddCycleOneVH(t *testing.T) {
 	// An odd cycle needs exactly one VH: S = n + 1.
 	p := Problem{G: cycle(7)}
-	sol, err := Solve(p, Options{Method: MethodOCT})
+	sol, err := SolveContext(context.Background(), p, Options{Method: MethodOCT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestMIPMatchesBruteForce(t *testing.T) {
 		g := randomGraph(rng, 6, 0.4)
 		p := Problem{G: g}
 		for _, gamma := range []float64{0, 0.5, 1} {
-			sol, err := Solve(p, Options{Method: MethodMIP, Gamma: gamma})
+			sol, err := SolveContext(context.Background(), p, Options{Method: MethodMIP, Gamma: gamma})
 			if err != nil {
 				t.Fatalf("trial %d γ=%v: %v", trial, gamma, err)
 			}
@@ -165,7 +166,7 @@ func TestMIPWithAlignmentMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(rng, 6, 0.35)
 		p := Problem{G: g, AlignH: []int{0, g.N() - 1}}
-		sol, err := Solve(p, Options{Method: MethodMIP, Gamma: 0.5})
+		sol, err := SolveContext(context.Background(), p, Options{Method: MethodMIP, Gamma: 0.5})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -181,11 +182,11 @@ func TestOCTMatchesMIPAtGammaOne(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		g := randomGraph(rng, 8, 0.3)
 		p := Problem{G: g}
-		a, err := Solve(p, Options{Method: MethodOCT, Gamma: 1})
+		a, err := SolveContext(context.Background(), p, Options{Method: MethodOCT, Gamma: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Solve(p, Options{Method: MethodMIP, Gamma: 1})
+		b, err := SolveContext(context.Background(), p, Options{Method: MethodMIP, Gamma: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +209,7 @@ func TestBalancingReducesMaxDimension(t *testing.T) {
 		g.AddEdge(6, leaf)
 	}
 	p := Problem{G: g}
-	sol, err := Solve(p, Options{Method: MethodOCT, Gamma: 0.5})
+	sol, err := SolveContext(context.Background(), p, Options{Method: MethodOCT, Gamma: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestBalancingReducesMaxDimension(t *testing.T) {
 		t.Errorf("D = %d; balancing failed (want <= 6)", sol.Stats.D)
 	}
 	// MIP at γ=0 must reach the optimum D too.
-	mip, err := Solve(p, Options{Method: MethodMIP, Gamma: 0})
+	mip, err := SolveContext(context.Background(), p, Options{Method: MethodMIP, Gamma: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +239,11 @@ func TestGammaTradeoff(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		g := randomGraph(rng, 7, 0.4)
 		p := Problem{G: g}
-		s1, err := Solve(p, Options{Method: MethodMIP, Gamma: 1})
+		s1, err := SolveContext(context.Background(), p, Options{Method: MethodMIP, Gamma: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s0, err := Solve(p, Options{Method: MethodMIP, Gamma: 0})
+		s0, err := SolveContext(context.Background(), p, Options{Method: MethodMIP, Gamma: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +264,7 @@ func TestAlignmentForcesH(t *testing.T) {
 	// least two nodes must be VH (H-H edges forbidden).
 	g := cycle(3)
 	p := Problem{G: g, AlignH: []int{0, 1, 2}}
-	sol, err := Solve(p, Options{Method: MethodMIP, Gamma: 1})
+	sol, err := SolveContext(context.Background(), p, Options{Method: MethodMIP, Gamma: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestAlignmentForcesH(t *testing.T) {
 		t.Errorf("objective %v, want %v", sol.Stats.Objective(1), want)
 	}
 	// OCT method with alignment patching must also validate (Solve checks).
-	if _, err := Solve(p, Options{Method: MethodOCT}); err != nil {
+	if _, err := SolveContext(context.Background(), p, Options{Method: MethodOCT}); err != nil {
 		t.Errorf("OCT with alignment: %v", err)
 	}
 }
@@ -285,7 +286,7 @@ func TestHeuristicLargeGraphValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	g := randomGraph(rng, 300, 0.01)
 	p := Problem{G: g, AlignH: []int{0, 1, 2, 3}}
-	sol, err := Solve(p, Options{Method: MethodHeuristic})
+	sol, err := SolveContext(context.Background(), p, Options{Method: MethodHeuristic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestHeuristicLargeGraphValid(t *testing.T) {
 func TestAutoMethodSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	small := Problem{G: randomGraph(rng, 10, 0.3)}
-	sol, err := Solve(small, Options{Gamma: 0.5})
+	sol, err := SolveContext(context.Background(), small, Options{Gamma: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestAutoMethodSelection(t *testing.T) {
 		t.Errorf("small graph method = %s, want mip", sol.Method)
 	}
 	big := Problem{G: randomGraph(rng, 50, 0.1)}
-	sol2, err := Solve(big, Options{Gamma: 0.5, AutoExactLimit: 20})
+	sol2, err := SolveContext(context.Background(), big, Options{Gamma: 0.5, AutoExactLimit: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestMIPTimeLimitFallsBackFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	g := randomGraph(rng, 40, 0.15)
 	p := Problem{G: g}
-	sol, err := Solve(p, Options{Method: MethodMIP, Gamma: 0.5, TimeLimit: time.Millisecond})
+	sol, err := SolveContext(context.Background(), p, Options{Method: MethodMIP, Gamma: 0.5, TimeLimit: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestMIPTimeLimitFallsBackFeasible(t *testing.T) {
 func TestTraceOnMIP(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	g := randomGraph(rng, 12, 0.35)
-	sol, err := Solve(Problem{G: g}, Options{Method: MethodMIP, Gamma: 0.5})
+	sol, err := SolveContext(context.Background(), Problem{G: g}, Options{Method: MethodMIP, Gamma: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package labeling
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -29,7 +30,7 @@ func TestQuickAllMethodsValidate(t *testing.T) {
 		g := graphFromSeed(seed, 10, 0.3)
 		p := Problem{G: g}
 		for _, m := range []Method{MethodOCT, MethodHeuristic} {
-			sol, err := Solve(p, Options{Method: m, Gamma: 1})
+			sol, err := SolveContext(context.Background(), p, Options{Method: m, Gamma: 1})
 			if err != nil {
 				return false
 			}
@@ -54,11 +55,11 @@ func TestQuickOCTSemiperimeterIsOptimal(t *testing.T) {
 	prop := func(seed int64) bool {
 		g := graphFromSeed(seed, 9, 0.35)
 		p := Problem{G: g}
-		octSol, err := Solve(p, Options{Method: MethodOCT, Gamma: 1})
+		octSol, err := SolveContext(context.Background(), p, Options{Method: MethodOCT, Gamma: 1})
 		if err != nil || !octSol.Optimal {
 			return err == nil // non-proven runs are skipped, not failures
 		}
-		heur, err := Solve(p, Options{Method: MethodHeuristic, Gamma: 1})
+		heur, err := SolveContext(context.Background(), p, Options{Method: MethodHeuristic, Gamma: 1})
 		if err != nil {
 			return false
 		}
@@ -75,7 +76,7 @@ func TestQuickVHUpgradeKeepsValidity(t *testing.T) {
 	prop := func(seed int64, pick uint8) bool {
 		g := graphFromSeed(seed, 10, 0.3)
 		p := Problem{G: g}
-		sol, err := Solve(p, Options{Method: MethodHeuristic})
+		sol, err := SolveContext(context.Background(), p, Options{Method: MethodHeuristic})
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package labeling
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -27,7 +28,7 @@ func TestStressMIPAllConfigs(t *testing.T) {
 		gamma := []float64{0, 0.25, 0.5, 0.75, 1}[rng.Intn(5)]
 		want := bruteBest(p, gamma)
 		for _, helpers := range []bool{false, true} {
-			sol, err := Solve(p, Options{
+			sol, err := SolveContext(context.Background(), p, Options{
 				Method: MethodMIP, Gamma: gamma, UseEdgeHelpers: helpers,
 			})
 			if err != nil {

@@ -8,7 +8,7 @@ import (
 
 // Ctxbound checks that exported solver entry points carry an explicit
 // resource bound, the pattern xbar.FormalVerify(..., nodeLimit) and
-// ilp.Solve(..., Options{TimeLimit}) already follow. COMPACT's exact
+// ilp.SolveContext(ctx, ..., Options{TimeLimit}) already follow. COMPACT's exact
 // solvers (vertex cover, branch & bound, BDD construction) are worst-case
 // exponential; an entry point without a node/iteration/time budget is an
 // unbounded computation handed to whoever wires the package into a service.

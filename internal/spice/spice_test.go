@@ -21,7 +21,7 @@ func synth(t *testing.T, nw *logic.Network) *xbar.Design {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := labeling.Solve(bg.Problem(true), labeling.Options{Method: labeling.MethodMIP, Gamma: 0.5})
+	sol, err := labeling.SolveContext(context.Background(), bg.Problem(true), labeling.Options{Method: labeling.MethodMIP, Gamma: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

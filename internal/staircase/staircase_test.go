@@ -1,6 +1,7 @@
 package staircase
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -79,7 +80,7 @@ func TestStaircaseAlwaysLargerThanCompact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := labeling.Solve(bg.Problem(true), labeling.Options{Method: labeling.MethodMIP, Gamma: 1})
+		sol, err := labeling.SolveContext(context.Background(), bg.Problem(true), labeling.Options{Method: labeling.MethodMIP, Gamma: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

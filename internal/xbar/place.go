@@ -12,7 +12,7 @@ import (
 
 // Defect-aware placement
 //
-// Place searches for row and column permutations of a logical design onto
+// PlaceContext searches for row and column permutations of a logical design onto
 // a defective physical array such that every crossing is compatible with
 // the device fabricated there:
 //
@@ -55,7 +55,7 @@ func (e PlaceEngine) String() string {
 	return "auto"
 }
 
-// PlaceOptions tunes Place. The zero value is the production default.
+// PlaceOptions tunes PlaceContext. The zero value is the production default.
 type PlaceOptions struct {
 	// Engine picks the search strategy (default PlaceAuto).
 	Engine PlaceEngine
@@ -281,11 +281,6 @@ func (p *placer) provenInfeasible() *Unplaceable {
 		Candidates: candidates,
 		Proven:     true,
 	}
-}
-
-// Place is PlaceContext without cancellation.
-func Place(d *Design, dm *defect.Map, opts PlaceOptions) (*Placement, error) {
-	return PlaceContext(context.Background(), d, dm, opts)
 }
 
 // PlaceContext searches for a placement of d onto the defective array dm.

@@ -24,7 +24,7 @@ func synthDesign(t *testing.T, seed int64) (*Design, func([]bool) []bool, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := labeling.Solve(bg.Problem(true), labeling.Options{Method: labeling.MethodHeuristic})
+	sol, err := labeling.SolveContext(context.Background(), bg.Problem(true), labeling.Options{Method: labeling.MethodHeuristic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestPlaceIdentityOnCleanArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := Place(d, dm, PlaceOptions{})
+	pl, err := PlaceContext(context.Background(), d, dm, PlaceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestPlaceIdentityOnCleanArray(t *testing.T) {
 
 func TestPlaceNilMapIsIdentity(t *testing.T) {
 	d, ref, n := synthDesign(t, 2)
-	pl, err := Place(d, nil, PlaceOptions{})
+	pl, err := PlaceContext(context.Background(), d, nil, PlaceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestPlaceAvoidsStuckOffUnderLiteral(t *testing.T) {
 	if err := dm.Set(r, c, defect.StuckOff); err != nil {
 		t.Fatal(err)
 	}
-	pl, err := Place(d, dm, PlaceOptions{Seed: 5})
+	pl, err := PlaceContext(context.Background(), d, dm, PlaceOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestPlaceUnplaceableProvenWithWitness(t *testing.T) {
 			}
 		}
 	}
-	_, err = Place(d, dm, PlaceOptions{})
+	_, err = PlaceContext(context.Background(), d, dm, PlaceOptions{})
 	var up *Unplaceable
 	if !errors.As(err, &up) {
 		t.Fatalf("error %v is not *Unplaceable", err)
@@ -154,7 +154,7 @@ func TestPlaceDimsTooSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Place(d, dm, PlaceOptions{})
+	_, err = PlaceContext(context.Background(), d, dm, PlaceOptions{})
 	var up *Unplaceable
 	if !errors.As(err, &up) || up.Stage != "dims" || !up.Proven {
 		t.Fatalf("want proven dims-stage Unplaceable, got %v", err)
@@ -214,14 +214,14 @@ func TestPlaceForcedILPSkipsIdentityShortcut(t *testing.T) {
 	if err := dm.Set(r, c, defect.StuckOff); err != nil {
 		t.Fatal(err)
 	}
-	pl, err := Place(d, dm, PlaceOptions{})
+	pl, err := PlaceContext(context.Background(), d, dm, PlaceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pl.Engine != "identity" {
 		t.Fatalf("default engine %q, want the identity shortcut", pl.Engine)
 	}
-	pl, err = Place(d, dm, PlaceOptions{Engine: PlaceILP})
+	pl, err = PlaceContext(context.Background(), d, dm, PlaceOptions{Engine: PlaceILP})
 	if err != nil {
 		t.Fatal(err)
 	}

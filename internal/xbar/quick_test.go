@@ -1,6 +1,7 @@
 package xbar
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -23,7 +24,7 @@ func TestQuickDesignMatchesNetwork(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sol, err := labeling.Solve(bg.Problem(true), labeling.Options{Method: labeling.MethodHeuristic})
+		sol, err := labeling.SolveContext(context.Background(), bg.Problem(true), labeling.Options{Method: labeling.MethodHeuristic})
 		if err != nil {
 			return false
 		}
@@ -64,7 +65,7 @@ func TestFailureInjectionCaughtByVerify(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := labeling.Solve(bg.Problem(true), labeling.Options{Method: labeling.MethodHeuristic})
+		sol, err := labeling.SolveContext(context.Background(), bg.Problem(true), labeling.Options{Method: labeling.MethodHeuristic})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +116,7 @@ func TestStuckOnFaultCaught(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := labeling.Solve(bg.Problem(true), labeling.Options{Method: labeling.MethodHeuristic})
+		sol, err := labeling.SolveContext(context.Background(), bg.Problem(true), labeling.Options{Method: labeling.MethodHeuristic})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package xbar
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func synth(t *testing.T, nw *logic.Network, method labeling.Method, gamma float6
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := labeling.Solve(bg.Problem(align), labeling.Options{Method: method, Gamma: gamma})
+	sol, err := labeling.SolveContext(context.Background(), bg.Problem(align), labeling.Options{Method: method, Gamma: gamma})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestSemiperimeterIsNPlusK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := labeling.Solve(bg.Problem(true), labeling.Options{Method: labeling.MethodMIP, Gamma: 1})
+		sol, err := labeling.SolveContext(context.Background(), bg.Problem(true), labeling.Options{Method: labeling.MethodMIP, Gamma: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -96,7 +96,7 @@ func TestMap3DAtK2MatchesLifted2D(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol2, err := labeling.Solve(bg.Problem(true), labeling.Options{Method: labeling.MethodHeuristic, Gamma: 0.5})
+		sol2, err := labeling.SolveContext(context.Background(), bg.Problem(true), labeling.Options{Method: labeling.MethodHeuristic, Gamma: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
