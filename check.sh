@@ -16,8 +16,11 @@
 #                    parser front ends, the design wire decoder, the
 #                    layered (FLOW-3D) design wire decoder, the partition
 #                    plan decoder, the persistent store's on-disk entry
-#                    codec, the spice dense-vs-CG solver cross-check and
-#                    the warm-vs-cold branch & bound LP cross-check)
+#                    codec, the sneak-path kernel's word-parallel and
+#                    permuted-order symbolic cross-checks against the
+#                    scalar Eval, the exact-OCT cross-check, the spice
+#                    dense-vs-CG solver cross-check and the warm-vs-cold
+#                    branch & bound LP cross-check)
 #   7. compactlint — the project's own analyzers, including the compactflow
 #                    dataflow suite (allocbound, ctxflow, gospawn) and the
 #                    staleignore check on //lint:ignore directives; any
@@ -72,6 +75,7 @@ if [ "$short" -eq 0 ]; then
     go test -fuzz=FuzzDesignJSON -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzDesign3DJSON -fuzztime=5s -run='^$' ./internal/xbar3d/
     go test -fuzz=FuzzEval64VsScalar -fuzztime=5s -run='^$' ./internal/xbar/
+    go test -fuzz=FuzzClosureVsEval -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzWarmVsColdLP -fuzztime=5s -run='^$' ./internal/ilp/
     go test -fuzz=FuzzOCTVsLemma1 -fuzztime=5s -run='^$' ./internal/oct/
     go test -fuzz=FuzzPlanJSON -fuzztime=5s -run='^$' ./internal/partition/

@@ -79,9 +79,9 @@ func TestSynthesizeConcurrentMethods(t *testing.T) {
 
 // TestDesignEvalConcurrentFirstUse evaluates a freshly synthesized design
 // from many goroutines with no prior warm-up call: the very first Eval
-// builds the design's sparse-cell cache lazily, and that build must be safe
-// when several Evals race to trigger it (sync.Once in Design.sparseCells;
-// the race detector enforces it).
+// compiles the design's wire graph lazily, and that build must be safe
+// when several Evals race to trigger it (the atomic pointer in
+// xbar.Design.Wires; the race detector enforces it).
 func TestDesignEvalConcurrentFirstUse(t *testing.T) {
 	t.Parallel()
 	nw := buildParity(5)

@@ -236,141 +236,60 @@ func (p *Plan) Verify(ref func([]bool) []bool, exhaustiveLimit, samples int, see
 
 // FormalVerify proves, for every one of the 2^n input assignments, that
 // the cascade computes exactly the same functions as the network, by
-// symbolic composition: every tile's sneak-path closure is run in one
-// shared BDD manager over the primary inputs, with each literal
-// substituted by the BDD function of the net driving it. The composed
-// output functions are compared (by canonical-node identity) against the
-// network's own BDDs. nodeLimit bounds the verifier's BDD (0 = 4M);
-// cascades whose closure blows past it return bdd.ErrNodeLimit.
-func (p *Plan) FormalVerify(nw *logic.Network, nodeLimit int) (err error) {
-	if nodeLimit <= 0 {
-		nodeLimit = 4_000_000
-	}
+// symbolic composition inside xbar.Prove's manager: every tile's
+// sneak-path closure (xbar.Closure) runs over the primary inputs,
+// with each literal substituted by the function of the net driving it.
+// The composed output functions are compared (by canonical-node identity)
+// against the network's own BDDs. nodeLimit bounds the verifier's BDD
+// (0 = 4M); cascades whose closure blows past it return bdd.ErrNodeLimit.
+func (p *Plan) FormalVerify(nw *logic.Network, nodeLimit int) error {
 	if got, want := len(p.Inputs), nw.NumInputs(); got != want {
 		return fmt.Errorf("partition: plan has %d inputs, network %d", got, want)
 	}
 	if got, want := len(p.Outputs), nw.NumOutputs(); got != want {
 		return fmt.Errorf("partition: plan has %d outputs, network %d", got, want)
 	}
-	m := bdd.New(p.Inputs)
-	m.SetNodeLimit(nodeLimit)
-	defer func() {
-		if r := recover(); r != nil {
-			err = bdd.BoundaryError(r)
-		}
-	}()
+	if err := xbar.Prove(nw, nodeLimit, p.symbolicOutputs); err != nil {
+		return fmt.Errorf("partition: %w", err)
+	}
+	return nil
+}
 
+// symbolicOutputs composes the cascade's output functions in m, given
+// the function of each primary input.
+func (p *Plan) symbolicOutputs(m *bdd.Manager, inputs []bdd.Node) ([]bdd.Node, error) {
 	// nets maps every available net to its function over primary inputs.
 	nets := make(map[string]bdd.Node, len(p.Inputs)+2*len(p.Tiles))
 	for i, name := range p.Inputs {
-		nets[name] = m.Var(i)
+		nets[name] = inputs[i]
 	}
 	for ti := range p.Tiles {
 		t := &p.Tiles[ti]
-		outs, terr := symbolicCascadeOutputs(m, t, nets)
-		if terr != nil {
-			return fmt.Errorf("partition: tile %d (%s): %w", ti, t.Name, terr)
+		vars := make([]bdd.Node, len(t.Inputs))
+		for vi, net := range t.Inputs {
+			f, ok := nets[net]
+			if !ok {
+				return nil, fmt.Errorf("tile %d (%s) reads undriven net %q", ti, t.Name, net)
+			}
+			vars[vi] = f
+		}
+		outs, err := xbar.Closure(t.Design.Wires(), m, vars)
+		if err != nil {
+			return nil, fmt.Errorf("tile %d (%s): %w", ti, t.Name, err)
 		}
 		for oi, net := range t.Outputs {
 			nets[net] = outs[oi]
 		}
 	}
-	refOuts, terr := m.BuildRoots(nw, nil)
-	if terr != nil {
-		return terr
-	}
-	for o, ref := range refOuts {
-		f, ok := nets[p.Outputs[o].Net]
+	outs := make([]bdd.Node, len(p.Outputs))
+	for o, ref := range p.Outputs {
+		f, ok := nets[ref.Net]
 		if !ok {
-			return fmt.Errorf("partition: output %s reads undriven net %q", p.Outputs[o].Name, p.Outputs[o].Net)
+			return nil, fmt.Errorf("output %s reads undriven net %q", ref.Name, ref.Net)
 		}
-		if f == ref {
-			continue
-		}
-		witness := m.AnySat(m.Xor(f, ref))
-		return fmt.Errorf("partition: output %q differs from the network, e.g. on input %v",
-			nw.OutputNames[o], witness[:nw.NumInputs()])
-	}
-	return nil
-}
-
-// symbolicCascadeOutputs runs one tile's symbolic sneak-path fixpoint in
-// the shared manager m, with literal cells substituted by the net
-// functions feeding the tile — the composition step that makes the whole
-// cascade's functions canonical BDDs over the primary inputs.
-func symbolicCascadeOutputs(m *bdd.Manager, t *Tile, nets map[string]bdd.Node) ([]bdd.Node, error) {
-	d := t.Design
-	// fns[v] is the function driving design variable v.
-	fns := make([]bdd.Node, len(t.Inputs))
-	for vi, net := range t.Inputs {
-		f, ok := nets[net]
-		if !ok {
-			return nil, fmt.Errorf("reads undriven net %q", net)
-		}
-		fns[vi] = f
-	}
-	lit := func(e xbar.Entry) bdd.Node {
-		switch e.Kind {
-		case xbar.On:
-			return bdd.One
-		case xbar.Lit:
-			f := fns[e.Var]
-			if e.Neg {
-				return m.Not(f)
-			}
-			return f
-		}
-		return bdd.Zero
-	}
-	nWires := d.Rows + d.Cols
-	conn := make([]bdd.Node, nWires)
-	for i := range conn {
-		conn[i] = bdd.Zero
-	}
-	conn[d.InputRow] = bdd.One
-	cells := sparseNonOff(d)
-	for {
-		changed := false
-		for _, sc := range cells {
-			l := lit(sc.e)
-			r, c := sc.row, d.Rows+sc.col
-			if nr := m.Or(conn[r], m.And(l, conn[c])); nr != conn[r] {
-				conn[r] = nr
-				changed = true
-			}
-			if nc := m.Or(conn[c], m.And(l, conn[r])); nc != conn[c] {
-				conn[c] = nc
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	outs := make([]bdd.Node, len(d.OutputRows))
-	for i, r := range d.OutputRows {
-		outs[i] = conn[r]
+		outs[o] = f
 	}
 	return outs, nil
-}
-
-type planCell struct {
-	row, col int
-	e        xbar.Entry
-}
-
-// sparseNonOff lists a design's non-Off cells in row-major order (the
-// deterministic order the fixpoint iterates in).
-func sparseNonOff(d *xbar.Design) []planCell {
-	var cells []planCell
-	for r, row := range d.Cells {
-		for c, e := range row {
-			if e.Kind != xbar.Off {
-				cells = append(cells, planCell{r, c, e})
-			}
-		}
-	}
-	return cells
 }
 
 // Digest returns a stable content hash of the plan in "sha256:<hex>"

@@ -2,7 +2,6 @@ package partition
 
 import (
 	"fmt"
-	"math/bits"
 
 	"compact/internal/xbar"
 )
@@ -66,152 +65,40 @@ func (p *Plan) Verify64(ref64 func([]uint64) []uint64, exhaustiveLimit, samples 
 	return p.verify(nil, ref64, exhaustiveLimit, samples, seed)
 }
 
-// verify is the shared enumeration engine behind Verify and Verify64: it
-// walks assignments in 64-wide batches, evaluating the cascade through
-// Eval64, and compares against whichever reference was supplied (the
-// scalar ref is called once per assignment, ref64 once per batch).
+// verify runs xbar.VerifyEquiv — the one enumeration and sampling
+// driver — with the cascade's Eval64 as the evaluator, then explains its
+// first mismatching assignment: the first disagreeing output, or the
+// cascade's evaluation error.
 func (p *Plan) verify(ref func([]bool) []bool, ref64 func([]uint64) []uint64, exhaustiveLimit, samples int, seed uint64) error {
-	n := len(p.Inputs)
-	if n <= exhaustiveLimit {
-		if n <= xbar.MaxExhaustiveBits {
-			return p.verifyExhaustive(ref, ref64, n)
-		}
-		// Exhaustive mode was requested but 2^n is unrepresentable; sample
-		// instead, and never with zero vectors. Before this clamp the loop
-		// bound 1<<n overflowed for n >= 63 and exhaustive verification of
-		// wide cascades silently degenerated to an empty (vacuously passing)
-		// check.
-		if samples <= 0 {
-			samples = clampedDefaultSamples
-		}
-	}
-	return p.verifySampled(ref, ref64, n, samples, seed)
-}
-
-// clampedDefaultSamples mirrors xbar's: when the exhaustive→sampling
-// clamp fires but the caller asked for zero samples, verification must
-// never silently become vacuous.
-const clampedDefaultSamples = 4096
-
-func (p *Plan) verifyExhaustive(ref func([]bool) []bool, ref64 func([]uint64) []uint64, n int) error {
-	total := 1 << uint(n)
-	words := make([]uint64, n)
-	basis := [6]uint64{
-		0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
-		0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
-	}
-	for base := 0; base < total; base += 64 {
-		cnt := total - base
-		if cnt > 64 {
-			cnt = 64
-		}
-		for i := 0; i < n; i++ {
-			switch {
-			case i < 6:
-				words[i] = basis[i]
-			case base&(1<<uint(i)) != 0:
-				words[i] = ^uint64(0)
-			default:
-				words[i] = 0
-			}
-		}
-		mk := func(b int) []bool {
-			in := make([]bool, n)
-			for i := range in {
-				in[i] = (base+b)&(1<<uint(i)) != 0
-			}
-			return in
-		}
-		if err := p.verifyBatch(ref, ref64, words, cnt, mk); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (p *Plan) verifySampled(ref func([]bool) []bool, ref64 func([]uint64) []uint64, n, samples int, seed uint64) error {
-	state := seed | 1
-	next := func() uint64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return state
-	}
-	words := make([]uint64, n)
-	batch := make([][]bool, 0, 64)
-	for s := 0; s < samples; s += 64 {
-		cnt := samples - s
-		if cnt > 64 {
-			cnt = 64
-		}
-		for i := range words {
-			words[i] = 0
-		}
-		batch = batch[:0]
-		// Sample-major, variable-minor LCG order: the exact assignment
-		// sequence (and therefore witness) of the scalar Verify loop.
-		for b := 0; b < cnt; b++ {
-			in := make([]bool, n)
-			for i := 0; i < n; i++ {
-				if next()>>33&1 != 0 {
-					in[i] = true
-					words[i] |= 1 << uint(b)
-				}
-			}
-			batch = append(batch, in)
-		}
-		if err := p.verifyBatch(ref, ref64, words, cnt, func(b int) []bool { return batch[b] }); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// verifyBatch compares the cascade against the reference on assignments
-// 0..cnt-1 of words, reporting the lowest-index mismatch with its
-// materialized assignment as witness.
-func (p *Plan) verifyBatch(ref func([]bool) []bool, ref64 func([]uint64) []uint64, words []uint64, cnt int, mk func(b int) []bool) error {
-	got, err := p.Eval64(words)
-	if err != nil {
-		return fmt.Errorf("partition: cascade evaluation on %v: %w", mk(0), err)
-	}
-	if ref64 != nil {
-		want := ref64(words)
-		if len(got) != len(want) {
-			return fmt.Errorf("partition: cascade yields %d outputs, reference %d", len(got), len(want))
-		}
-		mask := ^uint64(0)
-		if cnt < 64 {
-			mask = 1<<uint(cnt) - 1
-		}
-		var mismatch uint64
-		for o := range want {
-			mismatch |= (want[o] ^ got[o]) & mask
-		}
-		if mismatch == 0 {
-			return nil
-		}
-		// Report the overall first mismatching assignment and, within it,
-		// the first disagreeing output — the scalar loop's witness order.
-		b := bits.TrailingZeros64(mismatch)
-		for o := range want {
-			if (want[o]^got[o])>>uint(b)&1 == 1 {
-				return fmt.Errorf("partition: output %s disagrees with the reference on %v",
-					p.Outputs[o].Name, mk(b))
-			}
-		}
+	in := xbar.VerifyEquiv(p.Eval64, ref, ref64, len(p.Inputs), exhaustiveLimit, samples, seed)
+	if in == nil {
 		return nil
 	}
-	for b := 0; b < cnt; b++ {
-		in := mk(b)
-		want := ref(in)
-		if len(got) != len(want) {
-			return fmt.Errorf("partition: cascade yields %d outputs, reference %d", len(got), len(want))
-		}
-		for o := range want {
-			if want[o] != (got[o]>>uint(b)&1 == 1) {
-				return fmt.Errorf("partition: output %s disagrees with the reference on %v",
-					p.Outputs[o].Name, in)
+	got, err := p.Eval(in)
+	if err != nil {
+		return fmt.Errorf("partition: cascade evaluation on %v: %w", in, err)
+	}
+	var want []bool
+	if ref != nil {
+		want = ref(in)
+	} else {
+		words := make([]uint64, len(in))
+		for i, v := range in {
+			if v {
+				words[i] = 1
 			}
 		}
+		for _, w := range ref64(words) {
+			want = append(want, w&1 == 1)
+		}
 	}
-	return nil
+	if len(got) != len(want) {
+		return fmt.Errorf("partition: cascade yields %d outputs, reference %d", len(got), len(want))
+	}
+	for o := range want {
+		if got[o] != want[o] {
+			return fmt.Errorf("partition: output %s disagrees with the reference on %v", p.Outputs[o].Name, in)
+		}
+	}
+	return fmt.Errorf("partition: cascade disagrees with the reference on %v", in)
 }

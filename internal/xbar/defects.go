@@ -118,54 +118,3 @@ func inversePerm(perm []int, bound int) []int {
 	}
 	return inv
 }
-
-// EvalDefects evaluates the design under a defect map and placement: the
-// outputs the physical array actually produces for the assignment. It
-// materializes the effective design on every call — callers evaluating
-// many assignments should build it once with UnderDefects.
-func (d *Design) EvalDefects(assignment []bool, dm *defect.Map, pl *Placement) ([]bool, error) {
-	eff, err := d.UnderDefects(dm, pl)
-	if err != nil {
-		return nil, err
-	}
-	return eff.EvalChecked(assignment)
-}
-
-// ProgramDefects computes the programming plan for an assignment on a
-// defective array: RowPatterns reflects the conductance state each device
-// actually takes (stuck devices keep their stuck state regardless of the
-// intended program), and Switched counts state changes on programmable
-// devices only — stuck devices cannot switch, so they never cost write
-// energy. prev follows the same convention as Program.
-func (d *Design) ProgramDefects(assignment []bool, dm *defect.Map, pl *Placement, prev *Programming) (*Programming, error) {
-	eff, err := d.UnderDefects(dm, pl)
-	if err != nil {
-		return nil, err
-	}
-	rowPerm, colPerm, err := resolvePerms(d, dm, pl)
-	if err != nil {
-		return nil, err
-	}
-	p := &Programming{
-		RowPatterns: make([][]bool, d.Rows),
-		Steps:       d.Rows + 1,
-	}
-	for r := range p.RowPatterns {
-		p.RowPatterns[r] = make([]bool, d.Cols)
-	}
-	for _, sc := range eff.sparseCells() {
-		on := sc.e.Conducts(assignment)
-		p.RowPatterns[sc.row][sc.col] = on
-		if _, stuck := dm.At(rowPerm[sc.row], colPerm[sc.col]); stuck {
-			continue // stuck devices hold their state for free
-		}
-		if prev == nil {
-			if on {
-				p.Switched++
-			}
-		} else if prev.RowPatterns[sc.row][sc.col] != on {
-			p.Switched++
-		}
-	}
-	return p, nil
-}

@@ -7,7 +7,8 @@
 // programmed per evaluation to conduct iff its assigned literal is true
 // (Off cells never conduct, On cells always conduct). Applying Vin to the
 // input wordline, an output reads 1 iff a conducting path reaches its
-// output wordline — computed here with union-find over nanowires.
+// output wordline — computed on the design's compiled wire graph (Wires),
+// the sneak-path kernel every crossbar shape shares.
 package xbar
 
 import (
@@ -18,6 +19,7 @@ import (
 
 	"compact/internal/errio"
 	"compact/internal/invariant"
+	"compact/internal/logic"
 )
 
 // EntryKind classifies a crossbar cell.
@@ -76,70 +78,61 @@ type Design struct {
 	// VarNames names the literal variables (indexed by Entry.Var).
 	VarNames []string
 
-	// sparse caches the non-Off cells (plus the largest literal variable
-	// index) for fast repeated evaluation; it is built lazily on first Eval
-	// (published through an atomic pointer so concurrent first Evals are
-	// safe — they may build the index twice, but the result is identical),
-	// so Cells must not be mutated after the first Eval. UnmarshalJSON
-	// resets it when re-decoding in place.
-	sparse atomic.Pointer[sparseIndex]
+	// wires caches the compiled wire graph (see Wires), built on first
+	// use and published through an atomic pointer so concurrent first
+	// Evals are safe — they may compile twice, but identically. Cells,
+	// InputRow and OutputRows must not be mutated after the first Eval;
+	// RemapVars and UnmarshalJSON reset the cache.
+	wires atomic.Pointer[Wires]
 }
 
-type sparseCell struct {
-	row, col int
-	e        Entry
-}
-
-// sparseIndex is the lazily-built evaluation index: the non-Off cells and
-// the largest Entry.Var among Lit cells (-1 when there are none), which is
-// what EvalChecked validates assignments against. err records the first
-// corrupted cell found while indexing — a Lit cell with a negative variable
-// index or a cell whose Kind is none of Off/On/Lit. Entry.Conducts treats
-// both as "never conducts", so without this check a corrupted in-memory
-// design would silently evaluate (and even verify, on lucky samples) as a
-// constant; the checked evaluators refuse to evaluate such designs at all.
-type sparseIndex struct {
-	cells  []sparseCell
-	maxVar int32
-	err    error
-}
-
-func (d *Design) sparseIdx() *sparseIndex {
-	if p := d.sparse.Load(); p != nil {
-		return p
+// Wires returns the design's compiled wire graph: rows are wires
+// 0..Rows-1 and columns Rows..Rows+Cols-1, with one edge per non-Off cell
+// in row-major order. Corrupted cells and out-of-range input or output
+// rows set its Err.
+func (d *Design) Wires() *Wires {
+	if w := d.wires.Load(); w != nil {
+		return w
 	}
-	idx := &sparseIndex{cells: []sparseCell{}, maxVar: -1}
+	w := NewWires(d.Rows+d.Cols, d.InputRow, append([]int(nil), d.OutputRows...))
 	for r, row := range d.Cells {
 		for c, e := range row {
 			if e.Kind != Off {
-				idx.cells = append(idx.cells, sparseCell{r, c, e})
-			}
-			if e.Kind > Lit && idx.err == nil {
-				idx.err = invariant.Violationf("xbar.cell-kind",
-					"cell (%d,%d) has unknown kind %d", r, c, e.Kind)
-			}
-			if e.Kind == Lit {
-				if e.Var < 0 && idx.err == nil {
-					idx.err = invariant.Violationf("xbar.cell-var",
-						"cell (%d,%d) references negative variable %d", r, c, e.Var)
-				}
-				if e.Var > idx.maxVar {
-					idx.maxVar = e.Var
-				}
+				w.Add(r, d.Rows+c, e, func() string { return fmt.Sprintf("(%d,%d)", r, c) })
 			}
 		}
 	}
-	d.sparse.Store(idx)
-	return idx
+	if w.Err == nil {
+		w.Err = d.checkRows()
+	}
+	d.wires.Store(w)
+	return w
 }
 
-func (d *Design) sparseCells() []sparseCell { return d.sparseIdx().cells }
+// checkRows validates the driven and sensed wordlines. An empty design
+// (no rows, no outputs) has nothing to read and nothing to drive.
+func (d *Design) checkRows() error {
+	if len(d.OutputRows) == 0 && d.Rows == 0 {
+		return nil
+	}
+	if d.InputRow < 0 || d.InputRow >= d.Rows {
+		return invariant.Violationf("xbar.eval-input-row",
+			"input row %d outside 0..%d", d.InputRow, d.Rows-1)
+	}
+	for i, r := range d.OutputRows {
+		if r < 0 || r >= d.Rows {
+			return invariant.Violationf("xbar.eval-output-row",
+				"output row %d (#%d) outside 0..%d", r, i, d.Rows-1)
+		}
+	}
+	return nil
+}
 
 // NumVars returns the number of assignment entries the design requires:
 // enough to cover every literal cell and every named variable. Eval
 // assignments must be at least this long.
 func (d *Design) NumVars() int {
-	n := int(d.sparseIdx().maxVar) + 1
+	n := int(d.Wires().MaxVar) + 1
 	if len(d.VarNames) > n {
 		n = len(d.VarNames)
 	}
@@ -241,9 +234,8 @@ func (d *Design) Render(w io.Writer) error {
 // Conducts reports whether cell e conducts under the assignment (indexed
 // by Entry.Var). A literal the assignment does not cover (including a
 // negative index) and an unknown Kind never conduct — the defensive
-// backstop for corrupted entries; EvalChecked and Eval64Checked report
-// both as a structured *invariant.Error (via the sparse-index validation)
-// instead of relying on it.
+// backstop for corrupted entries; the checked evaluators report both as
+// a structured *invariant.Error (see Wires.Add) instead of relying on it.
 func (e Entry) Conducts(assignment []bool) bool {
 	switch e.Kind {
 	case On:
@@ -273,58 +265,48 @@ func (d *Design) Eval(assignment []bool) []bool {
 	return out
 }
 
-// EvalChecked is Eval with the assignment-length precondition checked once
-// up front: an assignment shorter than the largest literal index returns
-// an *invariant.Error instead of an index-out-of-range panic.
+// EvalChecked is Eval with its preconditions checked: corrupted cells,
+// out-of-range rows and an assignment shorter than the largest literal
+// index return an *invariant.Error instead of panicking or
+// mis-evaluating.
 func (d *Design) EvalChecked(assignment []bool) ([]bool, error) {
-	idx := d.sparseIdx()
-	if idx.err != nil {
-		return nil, idx.err
+	return d.Wires().Eval(assignment)
+}
+
+// Eval64 evaluates all outputs under 64 assignments at once. words[i] is
+// the 64-assignment value word of variable i (len(words) >= NumVars());
+// the result holds one word per output row, bit b giving the output under
+// assignment b. Like Eval it panics with the structured invariant error on
+// precondition violations; Eval64Checked is the error-returning form.
+func (d *Design) Eval64(words []uint64) []uint64 {
+	out, err := d.Eval64Checked(words)
+	if err != nil {
+		//lint:ignore panicfree documented Eval64 precondition on programmer-supplied assignments; Eval64Checked is the error-returning form for wire-decoded designs
+		panic(err)
 	}
-	if int(idx.maxVar) >= len(assignment) {
-		return nil, invariant.Violationf("xbar.eval-assignment",
-			"assignment has %d entries but the design references variable %d", len(assignment), idx.maxVar)
+	return out
+}
+
+// Eval64Checked is Eval64 with the preconditions checked: corrupted cells
+// (negative Var, unknown Kind), short assignment words and out-of-range
+// input/output rows return an *invariant.Error instead of silently
+// mis-evaluating.
+func (d *Design) Eval64Checked(words []uint64) ([]uint64, error) {
+	return d.Wires().Eval64(words)
+}
+
+// FormalVerify proves (for every one of the 2^n input assignments) that
+// the design computes exactly the same functions as the network, by
+// comparing canonical BDDs (Wires.FormalVerify). The design's variables
+// must be in network-input order (which core.Synthesize guarantees). On
+// disagreement the returned error names the first mismatching output and
+// a witness assignment.
+func FormalVerify(d *Design, nw *logic.Network, nodeLimit int) error {
+	if len(d.VarNames) != nw.NumInputs() {
+		return fmt.Errorf("xbar: design has %d variables, network %d inputs", len(d.VarNames), nw.NumInputs())
 	}
-	if len(d.OutputRows) == 0 && d.Rows == 0 {
-		return []bool{}, nil // empty design: nothing to read, nothing to drive
+	if err := d.Wires().FormalVerify(nw, nodeLimit); err != nil {
+		return fmt.Errorf("xbar: %w", err)
 	}
-	if d.InputRow < 0 || d.InputRow >= d.Rows {
-		return nil, invariant.Violationf("xbar.eval-input-row",
-			"input row %d outside 0..%d", d.InputRow, d.Rows-1)
-	}
-	for i, r := range d.OutputRows {
-		if r < 0 || r >= d.Rows {
-			return nil, invariant.Violationf("xbar.eval-output-row",
-				"output row %d (#%d) outside 0..%d", r, i, d.Rows-1)
-		}
-	}
-	parent := make([]int, d.Rows+d.Cols)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(x int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for _, sc := range idx.cells {
-		if sc.e.Conducts(assignment) {
-			union(sc.row, d.Rows+sc.col)
-		}
-	}
-	in := find(d.InputRow)
-	out := make([]bool, len(d.OutputRows))
-	for i, r := range d.OutputRows {
-		out[i] = find(r) == in
-	}
-	return out, nil
+	return nil
 }

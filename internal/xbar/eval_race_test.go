@@ -20,9 +20,9 @@ func andDesign() *Design {
 }
 
 // TestEvalConcurrentFirstCall races the very first Eval calls on a fresh
-// Design: the sparse-cell cache is built lazily on first use and must be
-// constructed exactly once even when several goroutines trigger it
-// simultaneously (sync.Once in sparseCells; run under -race).
+// Design: the compiled wire graph is built lazily on first use and must be
+// published safely even when several goroutines trigger it simultaneously
+// (the atomic pointer in Design.Wires; run under -race).
 func TestEvalConcurrentFirstCall(t *testing.T) {
 	d := andDesign()
 	var wg sync.WaitGroup
@@ -42,7 +42,7 @@ func TestEvalConcurrentFirstCall(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := len(d.sparseCells()); n != 4 {
-		t.Errorf("sparse cache has %d cells, want 4", n)
+	if n := len(d.Wires().Edges); n != 4 {
+		t.Errorf("wire graph has %d edges, want 4", n)
 	}
 }

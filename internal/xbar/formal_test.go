@@ -3,6 +3,7 @@ package xbar
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"compact/internal/bdd"
@@ -86,7 +87,7 @@ outer:
 				continue
 			}
 			d.Cells[r][c].Neg = !d.Cells[r][c].Neg
-			d.sparse.Store(nil)
+			d.wires.Store(nil)
 			sampledBad := d.VerifyAgainst(nw.Eval, 5, 10, 0, 1) != nil
 			formalErr := FormalVerify(d, nw, 0)
 			if sampledBad && formalErr == nil {
@@ -106,7 +107,7 @@ func TestFormalVerifyWitnessIsReal(t *testing.T) {
 		for c := 0; c < d.Cols; c++ {
 			if d.Cells[r][c].Kind == Lit {
 				d.Cells[r][c].Neg = !d.Cells[r][c].Neg
-				d.sparse.Store(nil)
+				d.wires.Store(nil)
 				err := FormalVerify(d, nw, 0)
 				if err == nil {
 					t.Skip("flip was logically masked")
@@ -121,7 +122,12 @@ func TestSymbolicOutputsMatchEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	nw := randomNetwork(rng, 5, 18)
 	d := synthRemapped(t, nw, labeling.MethodHeuristic)
-	m, outs, err := SymbolicOutputs(d, 0)
+	m := bdd.New(d.VarNames)
+	vars := make([]bdd.Node, len(d.VarNames))
+	for v := range vars {
+		vars[v] = m.Var(v)
+	}
+	outs, err := Closure(d.Wires(), m, vars)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,5 +151,26 @@ func TestFormalVerifyNodeLimit(t *testing.T) {
 	err := FormalVerify(d, nw, 3) // absurdly small arena
 	if err == nil || !errors.Is(err, bdd.ErrNodeLimit) {
 		t.Errorf("expected node-limit error, got %v", err)
+	}
+}
+
+// TestFormalVerifyWitnessInInputOrder pins the witness mapping: the proof
+// builds its BDD in DFS order, here b before a, but reports the witness in
+// network-input order.
+func TestFormalVerifyWitnessInInputOrder(t *testing.T) {
+	b := logic.NewBuilder("w")
+	x, y := b.Input("a"), b.Input("b")
+	b.Output("f", b.And(y, b.Or(y, x))) // f = b, reached before a
+	nw := b.Build()
+	if got := bdd.DFSOrder(nw); got[0] != 1 {
+		t.Fatalf("DFS order %v does not put b first", got)
+	}
+	d := NewDesign(2, 1) // no devices: the output reads constant 0
+	d.InputRow = 1
+	d.OutputRows = []int{0}
+	d.VarNames = nw.InputNames()
+	err := FormalVerify(d, nw, 0)
+	if err == nil || !strings.Contains(err.Error(), "on input [false true]") {
+		t.Fatalf("want the witness a=0 b=1, got %v", err)
 	}
 }

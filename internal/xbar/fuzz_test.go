@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 
+	"compact/internal/bdd"
 	"compact/internal/invariant"
 )
 
@@ -126,4 +128,90 @@ func TestEntryConductsShortAssignment(t *testing.T) {
 	if neg.Conducts(nil) {
 		t.Fatal("uncovered negated literal conducts")
 	}
+}
+
+// bytesDesign decodes a small design from fuzz bytes: a header of rows,
+// columns, variable count and input row (each up to 6), then one byte per
+// cell in row-major order — b%3 picks Off, On or Lit; a literal reads
+// variable (b/3)%nVars, complemented when b >= 128. Every row is sensed.
+func bytesDesign(data []byte) (*Design, int) {
+	if len(data) < 4 {
+		return nil, 0
+	}
+	rows, cols, nVars := 1+int(data[0]%6), 1+int(data[1]%6), 1+int(data[2]%6)
+	d := NewDesign(rows, cols)
+	d.InputRow = int(data[3]) % rows
+	for r := 0; r < rows; r++ {
+		d.OutputRows = append(d.OutputRows, r)
+	}
+	for i, b := range data[4:] {
+		if i >= rows*cols {
+			break
+		}
+		switch b % 3 {
+		case 1:
+			d.Cells[i/cols][i%cols] = Entry{Kind: On}
+		case 2:
+			d.Cells[i/cols][i%cols] = Entry{Kind: Lit, Var: int32(int(b/3) % nVars), Neg: b >= 128}
+		}
+	}
+	return d, nVars
+}
+
+// FuzzClosureVsEval is the differential target for the symbolic closure
+// in a permuted variable order, the way Prove builds it: on a design of
+// at most 6 variables and a seeded level permutation, every output
+// function the closure computes must agree with the scalar Eval on all
+// 2^n assignments.
+func FuzzClosureVsEval(f *testing.F) {
+	f.Add([]byte{2, 1, 1, 2, 2, 5, 1, 0, 1, 1}, uint64(1))                      // 3x2 AND-style chain
+	f.Add([]byte{3, 3, 5, 0, 2, 5, 8, 11, 14, 130, 133, 1, 4, 7, 0}, uint64(7)) // 4x4, 6 variables
+	f.Add([]byte{5, 5, 2, 5, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, uint64(99))   // dense 6x6 literals
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		d, n := bytesDesign(data)
+		if d == nil {
+			return
+		}
+		// perm[level] is the variable at that level; pos inverts it.
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		state := seed | 1
+		for i := n - 1; i > 0; i-- {
+			state = state*6364136223846793005 + 1442695040888963407
+			j := int(state>>33) % (i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		names := make([]string, n)
+		for level, v := range perm {
+			names[level] = fmt.Sprintf("x%d", v)
+		}
+		m := bdd.New(names)
+		vars := make([]bdd.Node, n)
+		for level, v := range perm {
+			vars[v] = m.Var(level)
+		}
+		outs, err := Closure(d.Wires(), m, vars)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := make([]bool, n)
+		levels := make([]bool, n)
+		for a := 0; a < 1<<uint(n); a++ {
+			for v := range in {
+				in[v] = a>>uint(v)&1 == 1
+			}
+			for level, v := range perm {
+				levels[level] = in[v]
+			}
+			want := d.Eval(in)
+			for o, f := range outs {
+				if m.Eval(f, levels) != want[o] {
+					t.Fatalf("perm %v, assignment %v, output %d: closure %v, Eval %v",
+						perm, in, o, !want[o], want[o])
+				}
+			}
+		}
+	})
 }

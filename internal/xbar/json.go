@@ -153,6 +153,6 @@ func (d *Design) UnmarshalJSON(data []byte) error {
 	d.OutputRows = nd.OutputRows
 	d.OutputNames = nd.OutputNames
 	d.VarNames = nd.VarNames
-	d.sparse.Store(nil) // drop any stale sparse cache from a prior decode
+	d.wires.Store(nil) // drop any stale wire graph from a prior decode
 	return nil
 }

@@ -23,7 +23,7 @@ func (d *Design) RemapVars(remap []int, names []string) error {
 		}
 	}
 	d.VarNames = names
-	d.sparse.Store(nil) // invalidate the cached cell list
+	d.wires.Store(nil) // invalidate the compiled wire graph
 	return nil
 }
 

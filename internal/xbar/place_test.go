@@ -294,64 +294,6 @@ func TestUnderDefectsOverrides(t *testing.T) {
 	}
 }
 
-func TestEvalDefectsMatchesUnderDefects(t *testing.T) {
-	d, _, n := synthDesign(t, 8)
-	dm, err := defect.Generate(d.Rows, d.Cols, 0.1, 0.5, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eff, err := d.UnderDefects(dm, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for a := 0; a < 1<<n; a++ {
-		in := make([]bool, n)
-		for i := range in {
-			in[i] = a&(1<<i) != 0
-		}
-		direct, err := d.EvalDefects(in, dm, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		via := eff.Eval(in)
-		for o := range via {
-			if direct[o] != via[o] {
-				t.Fatalf("EvalDefects disagrees with UnderDefects.Eval on %v", in)
-			}
-		}
-	}
-}
-
-func TestProgramDefectsStuckCellsNeverSwitch(t *testing.T) {
-	d, _, n := synthDesign(t, 9)
-	r, c := findLitCell(t, d)
-	dm, err := defect.New(d.Rows, d.Cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dm.Set(r, c, defect.StuckOn); err != nil {
-		t.Fatal(err)
-	}
-	var prev *Programming
-	for a := 0; a < 1<<n; a++ {
-		in := make([]bool, n)
-		for i := range in {
-			in[i] = a&(1<<i) != 0
-		}
-		p, err := d.ProgramDefects(in, dm, nil, prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !p.RowPatterns[r][c] {
-			t.Fatalf("stuck-ON device reported non-conducting at assignment %v", in)
-		}
-		if prev != nil && p.RowPatterns[r][c] != prev.RowPatterns[r][c] {
-			t.Fatal("stuck device switched state")
-		}
-		prev = p
-	}
-}
-
 func TestPlacementValidation(t *testing.T) {
 	d, _, _ := synthDesign(t, 10)
 	dm, err := defect.New(d.Rows, d.Cols)

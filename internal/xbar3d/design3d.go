@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 
 	"compact/internal/invariant"
+	"compact/internal/logic"
 	"compact/internal/wirelimit"
 	"compact/internal/xbar"
 )
@@ -51,10 +52,10 @@ type Design3D struct {
 	// VarNames names the literal variables (indexed by Entry.Var).
 	VarNames []string
 
-	// sparse caches the non-Off cells plus the largest literal variable
-	// index, built lazily on first Eval exactly like xbar.Design's index;
-	// Cells must not be mutated after the first Eval.
-	sparse atomic.Pointer[sparseIndex3]
+	// wires caches the compiled wire graph, built lazily on first Eval
+	// exactly like xbar.Design's; Cells, Input and Outputs must not be
+	// mutated after the first Eval.
+	wires atomic.Pointer[xbar.Wires]
 }
 
 // K returns the number of wire layers.
@@ -112,52 +113,34 @@ func NewDesign3D(widths []int) (*Design3D, error) {
 	return d, nil
 }
 
-type sparseCell3 struct {
-	d, row, col int
-	e           xbar.Entry
-}
-
-// sparseIndex3 mirrors xbar's sparseIndex: the non-Off cells in
-// (plane, row)-major order, the largest literal variable (-1 when none)
-// and the first structural corruption found while indexing.
-type sparseIndex3 struct {
-	cells  []sparseCell3
-	maxVar int32
-	err    error
-}
-
-func (d *Design3D) sparseIdx() *sparseIndex3 {
-	if p := d.sparse.Load(); p != nil {
-		return p
+// Wires returns the stack's compiled wire graph in the global numbering
+// of WireID, with one edge per non-Off device in (plane, row, col) order.
+// A malformed shape or a corrupted cell sets its Err.
+func (d *Design3D) Wires() *xbar.Wires {
+	if w := d.wires.Load(); w != nil {
+		return w
 	}
-	idx := &sparseIndex3{cells: []sparseCell3{}, maxVar: -1}
-	if idx.err == nil {
-		idx.err = d.checkShape()
-	}
-	for dl, plane := range d.Cells {
-		for r, row := range plane {
-			for c, e := range row {
-				if e.Kind != xbar.Off {
-					idx.cells = append(idx.cells, sparseCell3{dl, r, c, e})
-				}
-				if e.Kind > xbar.Lit && idx.err == nil {
-					idx.err = invariant.Violationf("xbar3d.cell-kind",
-						"cell (%d,%d,%d) has unknown kind %d", dl, r, c, e.Kind)
-				}
-				if e.Kind == xbar.Lit {
-					if e.Var < 0 && idx.err == nil {
-						idx.err = invariant.Violationf("xbar3d.cell-var",
-							"cell (%d,%d,%d) references negative variable %d", dl, r, c, e.Var)
-					}
-					if e.Var > idx.maxVar {
-						idx.maxVar = e.Var
+	w := xbar.NewWires(d.NumWires(), 0, nil)
+	if w.Err = d.checkShape(); w.Err == nil {
+		w.Input = d.WireID(d.Input)
+		for _, o := range d.Outputs {
+			w.Outputs = append(w.Outputs, d.WireID(o))
+		}
+		base := 0
+		for dl, plane := range d.Cells {
+			next := base + d.Widths[dl]
+			for r, row := range plane {
+				for c, e := range row {
+					if e.Kind != xbar.Off {
+						w.Add(base+r, next+c, e, func() string { return fmt.Sprintf("(%d,%d,%d)", dl, r, c) })
 					}
 				}
 			}
+			base = next
 		}
 	}
-	d.sparse.Store(idx)
-	return idx
+	d.wires.Store(w)
+	return w
 }
 
 // checkShape validates the structural invariants Eval relies on: layer
@@ -207,7 +190,7 @@ func (d *Design3D) checkRef(what string, ref WireRef) error {
 
 // NumVars returns the number of assignment entries the design requires.
 func (d *Design3D) NumVars() int {
-	n := int(d.sparseIdx().maxVar) + 1
+	n := int(d.Wires().MaxVar) + 1
 	if len(d.VarNames) > n {
 		n = len(d.VarNames)
 	}
@@ -288,50 +271,52 @@ func (d *Design3D) Eval(assignment []bool) []bool {
 // malformed shapes, out-of-range wire references and short assignments
 // return an *invariant.Error instead of mis-evaluating.
 func (d *Design3D) EvalChecked(assignment []bool) ([]bool, error) {
-	idx := d.sparseIdx()
-	if idx.err != nil {
-		return nil, idx.err
-	}
-	if int(idx.maxVar) >= len(assignment) {
-		return nil, invariant.Violationf("xbar3d.eval-assignment",
-			"assignment has %d entries but the design references variable %d", len(assignment), idx.maxVar)
-	}
-	offsets := d.layerOffsets()
-	parent := make([]int, d.NumWires())
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(x int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, sc := range idx.cells {
-		if sc.e.Conducts(assignment) {
-			a, b := find(offsets[sc.d]+sc.row), find(offsets[sc.d+1]+sc.col)
-			if a != b {
-				parent[a] = b
-			}
-		}
-	}
-	in := find(d.WireID(d.Input))
-	out := make([]bool, len(d.Outputs))
-	for i, o := range d.Outputs {
-		out[i] = find(d.WireID(o)) == in
-	}
-	return out, nil
+	return d.Wires().Eval(assignment)
 }
 
-// layerOffsets returns the global wire id of each layer's wire 0.
-func (d *Design3D) layerOffsets() []int {
-	offsets := make([]int, len(d.Widths))
-	for l := 1; l < len(d.Widths); l++ {
-		offsets[l] = offsets[l-1] + d.Widths[l-1]
+// Eval64 evaluates all outputs under 64 assignments at once; see
+// xbar.Design.Eval64 for the word convention. Precondition violations
+// panic; Eval64Checked is the error-returning form.
+func (d *Design3D) Eval64(words []uint64) []uint64 {
+	out, err := d.Eval64Checked(words)
+	if err != nil {
+		//lint:ignore panicfree documented Eval64 precondition on programmer-supplied assignments; Eval64Checked is the error-returning form for wire-decoded designs
+		panic(err)
 	}
-	return offsets
+	return out
+}
+
+// Eval64Checked is Eval64 with the preconditions checked, mirroring
+// EvalChecked's validation.
+func (d *Design3D) Eval64Checked(words []uint64) ([]uint64, error) {
+	return d.Wires().Eval64(words)
+}
+
+// VerifyAgainst checks the design against a scalar reference evaluator;
+// the enumeration, sampling and witness semantics are exactly
+// xbar.VerifyEquiv's (shared driver).
+func (d *Design3D) VerifyAgainst(ref func([]bool) []bool, nVars, exhaustiveLimit, samples int, seed uint64) []bool {
+	return xbar.VerifyEquiv(d.Eval64Checked, ref, nil, nVars, exhaustiveLimit, samples, seed)
+}
+
+// VerifyAgainst64 is VerifyAgainst with a word-parallel reference
+// (logic.Network.Eval64 has the required shape).
+func (d *Design3D) VerifyAgainst64(ref64 func([]uint64) []uint64, nVars, exhaustiveLimit, samples int, seed uint64) []bool {
+	return xbar.VerifyEquiv(d.Eval64Checked, nil, ref64, nVars, exhaustiveLimit, samples, seed)
+}
+
+// FormalVerify3D proves, for every input assignment, that the layered
+// design computes exactly the network's functions by comparing canonical
+// BDDs (xbar.Wires.FormalVerify). The design's variables must be in
+// network-input order (which core.Synthesize guarantees).
+func FormalVerify3D(d *Design3D, nw *logic.Network, nodeLimit int) error {
+	if len(d.VarNames) != nw.NumInputs() {
+		return fmt.Errorf("xbar3d: design has %d variables, network %d inputs", len(d.VarNames), nw.NumInputs())
+	}
+	if err := d.Wires().FormalVerify(nw, nodeLimit); err != nil {
+		return fmt.Errorf("xbar3d: %w", err)
+	}
+	return nil
 }
 
 // RemapVars rewrites every literal cell's variable through remap and
@@ -352,11 +337,11 @@ func (d *Design3D) RemapVars(remap []int, names []string) error {
 		}
 	}
 	d.VarNames = names
-	d.sparse.Store(nil) // invalidate the cached cell list
+	d.wires.Store(nil) // invalidate the compiled wire graph
 	return nil
 }
 
-// Clone deep-copies the design (the sparse cache is not shared).
+// Clone deep-copies the design (the compiled wire graph is not shared).
 func (d *Design3D) Clone() *Design3D {
 	nd, err := NewDesign3D(d.Widths)
 	if err != nil {

@@ -196,6 +196,6 @@ func (d *Design3D) UnmarshalJSON(data []byte) error {
 	d.Outputs = nd.Outputs
 	d.OutputNames = nd.OutputNames
 	d.VarNames = nd.VarNames
-	d.sparse.Store(nil) // drop any stale sparse cache from a prior decode
+	d.wires.Store(nil) // drop any stale wire graph from a prior decode
 	return nil
 }

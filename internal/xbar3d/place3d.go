@@ -224,8 +224,8 @@ func Place3D(ctx context.Context, d *Design3D, maps []*defect.Map, opts xbar.Pla
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if idx := d.sparseIdx(); idx.err != nil {
-		return nil, idx.err
+	if err := d.Wires().Err; err != nil {
+		return nil, err
 	}
 	rounds := opts.Rounds
 	if rounds <= 0 {

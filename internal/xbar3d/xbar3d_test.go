@@ -183,7 +183,7 @@ func TestFormalVerify3DCatchesFaults(t *testing.T) {
 	if !flipped {
 		t.Fatal("no literal cell to corrupt")
 	}
-	d.sparse.Store(nil)
+	d.wires.Store(nil)
 	if err := FormalVerify3D(d, nw, 0); err == nil {
 		t.Fatal("corrupted design passed formal verification")
 	}
@@ -408,12 +408,12 @@ func TestPhysWidthsRejectsInconsistentStack(t *testing.T) {
 func TestEvalCheckedRejectsCorruption(t *testing.T) {
 	d := tiny2Layer(t)
 	d.Cells[0][0][0] = xbar.Entry{Kind: xbar.Lit, Var: -2}
-	d.sparse.Store(nil)
+	d.wires.Store(nil)
 	if _, err := d.EvalChecked([]bool{true}); err == nil {
 		t.Fatal("negative-var cell evaluated")
 	}
 	d.Cells[0][0][0] = xbar.Entry{Kind: 7}
-	d.sparse.Store(nil)
+	d.wires.Store(nil)
 	if _, err := d.Eval64Checked([]uint64{0}); err == nil {
 		t.Fatal("unknown-kind cell evaluated")
 	}
