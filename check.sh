@@ -18,7 +18,8 @@
 #                    plan decoder, the persistent store's on-disk entry
 #                    codec, the sneak-path kernel's word-parallel and
 #                    permuted-order symbolic cross-checks against the
-#                    scalar Eval, the exact-OCT cross-check, the spice
+#                    scalar Eval, the placement engine's brute-force
+#                    exactness oracle, the exact-OCT cross-check, the spice
 #                    dense-vs-CG solver cross-check and the warm-vs-cold
 #                    branch & bound LP cross-check)
 #   7. compactlint — the project's own analyzers, including the compactflow
@@ -76,6 +77,7 @@ if [ "$short" -eq 0 ]; then
     go test -fuzz=FuzzDesign3DJSON -fuzztime=5s -run='^$' ./internal/xbar3d/
     go test -fuzz=FuzzEval64VsScalar -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzClosureVsEval -fuzztime=5s -run='^$' ./internal/xbar/
+    go test -fuzz=FuzzPlaceVsBruteForce -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzWarmVsColdLP -fuzztime=5s -run='^$' ./internal/ilp/
     go test -fuzz=FuzzOCTVsLemma1 -fuzztime=5s -run='^$' ./internal/oct/
     go test -fuzz=FuzzPlanJSON -fuzztime=5s -run='^$' ./internal/partition/

@@ -20,11 +20,9 @@ import (
 // BDD graph is K-colored onto a layer stack (labeling.SolveK — each node
 // occupies a contiguous layer interval, each edge a crossing between
 // adjacent layers), mapped to a K-layer design (xbar3d.Map3D), and
-// verified through the layered sneak-path evaluators. Defect handling
-// mirrors the 2D verified-repair loop with one generated map per device
-// plane and the greedy sequential matcher (there is no 3D ILP escalation:
-// per-plane assignments couple through shared wire layers, so the 2D
-// assignment-polytope formulation does not transfer).
+// verified through the layered sneak-path evaluators. Defect handling is
+// the 2D verified-repair loop (place.go) with one generated map per device
+// plane: the same placement engine, retry policy and verification.
 
 // synthesizeLayered runs the K-layer back half on an already-built BDD
 // graph; opts must be canonical with Layers >= 3.
@@ -75,9 +73,22 @@ func synthesizeLayered(ctx context.Context, nw *logic.Network, opts Options, bg 
 		return nil, fmt.Errorf("core: defect map: %w", err)
 	}
 	if maps != nil {
-		if err := res.place3DWithRepair(ctx, maps, opts); err != nil {
+		if err := faultinject.Err(faultinject.StagePlace); err != nil {
+			return nil, fmt.Errorf("core: placement: %w", err)
+		}
+		perms, engine, eff, err := repair(ctx, res, design.Stack(maps), opts, func(perms [][]int) (*xbar3d.Design3D, [][][]xbar.Entry, error) {
+			eff, err := design.UnderDefects3D(maps, &xbar3d.Placement3D{Perms: perms})
+			if err != nil {
+				return nil, nil, err
+			}
+			return eff, eff.Cells, nil
+		})
+		if err != nil {
 			return nil, err
 		}
+		res.Placement3D = &xbar3d.Placement3D{Perms: perms, Engine: engine}
+		res.Effective3D = eff
+		res.DefectMaps3D = maps
 	}
 	return res, nil
 }
@@ -100,105 +111,4 @@ func (o Options) defectMaps3D(d *xbar3d.Design3D) ([]*defect.Map, error) {
 		maps[dl] = m
 	}
 	return maps, nil
-}
-
-// place3DWithRepair is the layered verified-repair loop: place the stack
-// (xbar3d.Place3D), materialize the effective design the faulty planes
-// compute, verify it against the source network, and retry with a fresh
-// seed on any mismatch — the same untrusted-search contract as the 2D
-// loop. A proven *xbar3d.Unplaceable3D aborts immediately, and a repeated
-// rejected binding aborts too: every engine is deterministic in (design,
-// maps, seed) and the identity shortcut ignores the seed, so a repeat
-// proves the search has nothing new to offer.
-func (r *Result) place3DWithRepair(ctx context.Context, maps []*defect.Map, opts Options) error {
-	attempts := opts.MaxRepairAttempts
-	if attempts <= 0 {
-		attempts = DefaultRepairAttempts
-	}
-	if err := faultinject.Err(faultinject.StagePlace); err != nil {
-		return fmt.Errorf("core: placement: %w", err)
-	}
-	var lastErr error
-	rejected := make(map[string]bool)
-	for attempt := 0; attempt < attempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if fn := progressFrom(ctx).RepairAttempt; fn != nil {
-			fn(attempt + 1)
-		}
-		popts := xbar.PlaceOptions{
-			Seed: opts.DefectSeed + uint64(attempt)*0x9e3779b97f4a7c15,
-		}
-		pl, err := xbar3d.Place3D(ctx, r.Design3D, maps, popts)
-		if err != nil {
-			var up *xbar3d.Unplaceable3D
-			if errors.As(err, &up) && up.Proven {
-				return fmt.Errorf("core: placement: %w", err)
-			}
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return fmt.Errorf("core: placement: %w", ctxErr)
-			}
-			lastErr = err
-			continue
-		}
-		fp := fmt.Sprint(pl.Perms)
-		if rejected[fp] {
-			return fmt.Errorf("core: layered placement failed after %d attempts: the search reproduces a placement that already failed verification: %w", attempt+1, lastErr)
-		}
-		eff, err := r.Design3D.UnderDefects3D(maps, pl)
-		if err != nil {
-			// Structural rejection of a search-produced placement is a bug,
-			// not a retryable condition.
-			return fmt.Errorf("core: placement: %w", err)
-		}
-		injected := false
-		if mode, _ := faultinject.Mode(faultinject.StagePlace); mode == "corrupt" && attempt == 0 {
-			corruptDesign3D(eff)
-			injected = true
-		}
-		if err := r.verifyEffective3D(eff); err != nil {
-			lastErr = err
-			if !injected {
-				rejected[fp] = true
-			}
-			continue
-		}
-		r.Placement3D = pl
-		r.Effective3D = eff
-		r.DefectMaps3D = maps
-		r.RepairAttempts = attempt + 1
-		return nil
-	}
-	return fmt.Errorf("core: layered placement failed after %d attempts: %w", attempts, lastErr)
-}
-
-// verifyEffective3D checks the effective layered design against the source
-// network: a formal sneak-path equivalence proof when the shared BDD is
-// available (SBDD mode), exhaustive-or-sampled word-parallel simulation
-// otherwise — the same tiers as verifyEffective.
-func (r *Result) verifyEffective3D(eff *xbar3d.Design3D) error {
-	if r.mgr != nil {
-		return xbar3d.FormalVerify3D(eff, r.network, 0)
-	}
-	if bad := eff.VerifyAgainst64(r.network.Eval64, r.network.NumInputs(), 14, 512, 1); bad != nil {
-		return fmt.Errorf("core: effective layered design disagrees with the network on %v", bad)
-	}
-	return nil
-}
-
-// corruptDesign3D flips the polarity of the first literal cell — the
-// layered counterpart of corruptDesign for the place=corrupt injection
-// mode.
-func corruptDesign3D(d *xbar3d.Design3D) {
-	for dl := range d.Cells {
-		for r := range d.Cells[dl] {
-			for c := range d.Cells[dl][r] {
-				if d.Cells[dl][r][c].Kind == xbar.Lit {
-					d.Cells[dl][r][c].Neg = !d.Cells[dl][r][c].Neg
-					return
-				}
-			}
-		}
-	}
 }

@@ -183,6 +183,39 @@ func TestSynthesizeLayeredWithDefects(t *testing.T) {
 	}
 }
 
+// TestLayeredPlacementRegression runs the layered verified-repair loop on
+// the exact-size maps (rate 0.5%) the former per-plane backtracking search
+// placed: ctrl at K=3 and K=4 with seeds 6 and 10, cavlc at K=3 and K=4
+// with seed 10. The shared engine must place every one, and each effective
+// stack must prove equivalent to the network.
+func TestLayeredPlacementRegression(t *testing.T) {
+	cases := []struct {
+		circuit string
+		seeds   []uint64
+	}{{"ctrl", []uint64{6, 10}}, {"cavlc", []uint64{10}}}
+	for _, tc := range cases {
+		nw := bench.MustBuild(tc.circuit)
+		for _, k := range []int{3, 4} {
+			for _, seed := range tc.seeds {
+				res, err := Synthesize(nw, Options{
+					Layers: k, Method: labeling.MethodHeuristic,
+					DefectRate: 0.005, DefectSeed: seed,
+				})
+				if err != nil {
+					t.Errorf("%s K=%d seed %d: %v", tc.circuit, k, seed, err)
+					continue
+				}
+				if res.Placement3D == nil {
+					t.Fatalf("%s K=%d seed %d: no placement", tc.circuit, k, seed)
+				}
+				if err := xbar3d.FormalVerify3D(res.Effective3D, nw, 0); err != nil {
+					t.Errorf("%s K=%d seed %d: effective stack: %v", tc.circuit, k, seed, err)
+				}
+			}
+		}
+	}
+}
+
 func TestLayeredOptionsValidation(t *testing.T) {
 	dm, err := defect.New(4, 4)
 	if err != nil {

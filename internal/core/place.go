@@ -14,18 +14,20 @@ import (
 
 // The verified-repair loop
 //
-// A placement search (xbar.Place) only reasons about the compatibility
-// table; the loop below treats it as untrusted and re-verifies the
-// *effective* design — the function the defective array actually computes
-// under the chosen binding — against the source network before a result is
-// ever returned:
+// The placement engine (xbar.Stack.Place) only reasons about the
+// compatibility table; the loop below treats it as untrusted and
+// re-verifies the *effective* design — the function the defective array
+// actually computes under the chosen binding — against the source network
+// before a result is ever returned. One loop serves 2D designs and K-layer
+// stacks alike:
 //
-//  1. place the design (greedy first; the final attempt forces the exact
+//  1. place the stack (greedy first; the final attempt forces the exact
 //     ILP engine so the loop never gives up while a placement provably
 //     exists within budget);
-//  2. materialize the effective design with xbar.UnderDefects;
-//  3. verify it — a formal sneak-path equivalence proof for SBDD-mode
-//     results, exhaustive-or-sampled simulation otherwise;
+//  2. materialize the effective design (xbar.Stack.UnderDefects);
+//  3. verify its compiled wire graph — a formal sneak-path equivalence
+//     proof for SBDD-mode results, exhaustive-or-sampled simulation
+//     otherwise;
 //  4. on any mismatch, retry with a fresh placement seed.
 //
 // A proven *xbar.Unplaceable aborts immediately (retrying cannot help),
@@ -47,14 +49,11 @@ func (o Options) defectMap(d *xbar.Design) (*defect.Map, error) {
 	return defect.Generate(d.Rows, d.Cols, o.DefectRate, o.DefectOnFraction, o.DefectSeed)
 }
 
-// placeWithRepair runs the verified-repair loop described above and, on
-// success, records Placement, Effective, Defects and RepairAttempts on the
-// result. opts must be canonical (MaxRepairAttempts resolved).
+// placeWithRepair places the 2D design onto dm — the margin-aware
+// candidate search first when Options.MarginAware asks for it, then the
+// verified-repair loop — and, on success, records Placement, Effective,
+// Defects and RepairAttempts on the result. opts must be canonical.
 func (r *Result) placeWithRepair(ctx context.Context, dm *defect.Map, opts Options) error {
-	attempts := opts.MaxRepairAttempts
-	if attempts <= 0 {
-		attempts = DefaultRepairAttempts
-	}
 	if err := faultinject.Err(faultinject.StagePlace); err != nil {
 		return fmt.Errorf("core: placement: %w", err)
 	}
@@ -69,9 +68,38 @@ func (r *Result) placeWithRepair(ctx context.Context, dm *defect.Map, opts Optio
 		// Margin-aware search found nothing it could both verify and keep;
 		// the plain loop below is the unconditional fallback.
 	}
+	d := r.Design
+	perms, engine, eff, err := repair(ctx, r, d.Stack(dm), opts, func(perms [][]int) (*xbar.Design, [][][]xbar.Entry, error) {
+		eff, err := d.UnderDefects(dm, &xbar.Placement{RowPerm: perms[0], ColPerm: perms[1]})
+		if err != nil {
+			return nil, nil, err
+		}
+		return eff, [][][]xbar.Entry{eff.Cells}, nil
+	})
+	if err != nil {
+		return err
+	}
+	r.Placement = &xbar.Placement{RowPerm: perms[0], ColPerm: perms[1], Engine: engine}
+	r.Effective = eff
+	r.Defects = dm
+	return nil
+}
+
+// repair runs the verified-repair loop described above on the stack s.
+// under materializes a binding's effective design, returning it with its
+// planes (the place=corrupt injection mode flips a literal there). On
+// success it records RepairAttempts and returns the binding, the engine
+// that found it and the verified effective design. opts must be canonical.
+func repair[D interface{ Wires() *xbar.Wires }](ctx context.Context, r *Result, s xbar.Stack, opts Options,
+	under func(perms [][]int) (D, [][][]xbar.Entry, error)) ([][]int, string, D, error) {
+	var none D
+	attempts := opts.MaxRepairAttempts
+	if attempts <= 0 {
+		attempts = DefaultRepairAttempts
+	}
 	var lastErr error
 	// rejected fingerprints placements that already failed verification.
-	// Every search engine is deterministic in (design, map, seed) — and the
+	// Every search engine is deterministic in (stack, maps, seed) — and the
 	// identity shortcut and the ILP's near-identity objective ignore the
 	// seed entirely — so a fresh attempt can reproduce a rejected binding
 	// exactly. Re-verifying it would fail identically; instead the loop
@@ -82,7 +110,7 @@ func (r *Result) placeWithRepair(ctx context.Context, dm *defect.Map, opts Optio
 	forceILP := false
 	for attempt := 0; attempt < attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, "", none, err
 		}
 		if fn := progressFrom(ctx).RepairAttempt; fn != nil {
 			fn(attempt + 1)
@@ -95,40 +123,40 @@ func (r *Result) placeWithRepair(ctx context.Context, dm *defect.Map, opts Optio
 		if forceILP || attempt == attempts-1 {
 			popts.Engine = xbar.PlaceILP
 		}
-		pl, err := xbar.PlaceContext(ctx, r.Design, dm, popts)
+		perms, engine, err := s.Place(ctx, popts)
 		if err != nil {
 			var up *xbar.Unplaceable
 			if errors.As(err, &up) && up.Proven {
-				return fmt.Errorf("core: placement: %w", err)
+				return nil, "", none, fmt.Errorf("core: placement: %w", err)
 			}
 			if ctxErr := ctx.Err(); ctxErr != nil {
-				return fmt.Errorf("core: placement: %w", ctxErr)
+				return nil, "", none, fmt.Errorf("core: placement: %w", ctxErr)
 			}
 			lastErr = err
 			continue
 		}
-		fp := fmt.Sprint(pl.RowPerm, pl.ColPerm)
+		fp := fmt.Sprint(perms)
 		if rejected[fp] {
 			if popts.Engine == xbar.PlaceILP {
-				return fmt.Errorf("core: defect-aware placement failed after %d attempts: the exact engine reproduces a placement that already failed verification: %w", attempt+1, lastErr)
+				return nil, "", none, fmt.Errorf("core: defect-aware placement failed after %d attempts: the exact engine reproduces a placement that already failed verification: %w", attempt+1, lastErr)
 			}
 			forceILP = true
 			continue
 		}
-		eff, err := r.Design.UnderDefects(dm, pl)
+		eff, planes, err := under(perms)
 		if err != nil {
 			// Structural rejection of a search-produced placement is a bug,
 			// not a retryable condition.
-			return fmt.Errorf("core: placement: %w", err)
+			return nil, "", none, fmt.Errorf("core: placement: %w", err)
 		}
 		injected := false
 		if mode, _ := faultinject.Mode(faultinject.StagePlace); mode == "corrupt" && attempt == 0 {
 			// Deterministically hand verification a wrong effective design
 			// on the first attempt, so tests can drive the repair path.
-			corruptDesign(eff)
+			corruptPlanes(planes)
 			injected = true
 		}
-		if err := r.verifyEffective(eff); err != nil {
+		if err := r.verifyEffective(eff.Wires()); err != nil {
 			lastErr = err
 			if !injected {
 				// An injected corruption says nothing about the placement
@@ -137,13 +165,10 @@ func (r *Result) placeWithRepair(ctx context.Context, dm *defect.Map, opts Optio
 			}
 			continue
 		}
-		r.Placement = pl
-		r.Effective = eff
-		r.Defects = dm
 		r.RepairAttempts = attempt + 1
-		return nil
+		return perms, engine, eff, nil
 	}
-	return fmt.Errorf("core: defect-aware placement failed after %d attempts: %w", attempts, lastErr)
+	return nil, "", none, fmt.Errorf("core: defect-aware placement failed after %d attempts: %w", attempts, lastErr)
 }
 
 // Margin-aware candidate search tuning: how many distinct placements to
@@ -195,7 +220,7 @@ func (r *Result) placeMarginAware(ctx context.Context, dm *defect.Map, opts Opti
 			return false, fmt.Errorf("core: placement: %w", err)
 		}
 		attempts++
-		if err := r.verifyEffective(eff); err != nil {
+		if err := r.verifyEffective(eff.Wires()); err != nil {
 			continue
 		}
 		score := math.Inf(-1)
@@ -222,28 +247,30 @@ func (r *Result) placeMarginAware(ctx context.Context, dm *defect.Map, opts Opti
 	return true, nil
 }
 
-// verifyEffective checks the effective design against the source network:
-// a formal sneak-path equivalence proof when the shared BDD is available
-// (SBDD mode), exhaustive simulation up to 14 inputs and 512 seeded random
-// vectors beyond that otherwise.
-func (r *Result) verifyEffective(eff *xbar.Design) error {
+// verifyEffective checks an effective design's compiled wire graph
+// against the source network: a formal sneak-path equivalence proof when
+// the shared BDD is available (SBDD mode), exhaustive simulation up to 14
+// inputs and 512 seeded random vectors beyond that otherwise.
+func (r *Result) verifyEffective(w *xbar.Wires) error {
 	if r.mgr != nil {
-		return xbar.FormalVerify(eff, r.network, 0)
+		return w.FormalVerify(r.network, 0)
 	}
-	if bad := eff.VerifyAgainst64(r.network.Eval64, r.network.NumInputs(), 14, 512, 1); bad != nil {
+	if bad := xbar.VerifyEquiv(w.Eval64, nil, r.network.Eval64, r.network.NumInputs(), 14, 512, 1); bad != nil {
 		return fmt.Errorf("core: effective design disagrees with the network on %v", bad)
 	}
 	return nil
 }
 
-// corruptDesign flips the polarity of the first literal cell — the
-// deterministic wrong-design used by the place=corrupt injection mode.
-func corruptDesign(d *xbar.Design) {
-	for r := range d.Cells {
-		for c := range d.Cells[r] {
-			if d.Cells[r][c].Kind == xbar.Lit {
-				d.Cells[r][c].Neg = !d.Cells[r][c].Neg
-				return
+// corruptPlanes flips the polarity of the first literal cell — the
+// deterministic wrong design used by the place=corrupt injection mode.
+func corruptPlanes(planes [][][]xbar.Entry) {
+	for _, plane := range planes {
+		for _, row := range plane {
+			for c := range row {
+				if row[c].Kind == xbar.Lit {
+					row[c].Neg = !row[c].Neg
+					return
+				}
 			}
 		}
 	}

@@ -92,6 +92,45 @@ func TestUnplaceableReturns422(t *testing.T) {
 	}
 }
 
+// TestLayeredPlacementVerdicts drives K=3 defect-aware requests: one the
+// stack admits no placement for must answer 422 with the typed verdict's
+// detail, like a 2D request (layered placement shares 2D's engine and its
+// *xbar.Unplaceable), and a placeable one must move the placement metrics.
+func TestLayeredPlacementVerdicts(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	status, _, body := post(t, ts.URL, circuitRequest(`{"method": "heuristic", "layers": 3, "defect_rate": 0.5, "defect_seed": 1}`))
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422 (body %s)", status, body)
+	}
+	var env struct {
+		Error struct {
+			Code   string            `json:"code"`
+			Detail unplaceableDetail `json:"detail"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("decoding 422 body: %v", err)
+	}
+	if env.Error.Code != codeUnplaceable || env.Error.Detail.Stage == "" {
+		t.Fatalf("422 body lacks the unplaceable verdict and its detail: %s", body)
+	}
+
+	status, _, body = post(t, ts.URL, circuitRequest(`{"method": "heuristic", "layers": 3, "defect_rate": 0.01, "defect_seed": 1}`))
+	if status != http.StatusOK {
+		t.Fatalf("placeable layered request: status %d (body %s)", status, body)
+	}
+	var doc struct {
+		Compactd struct {
+			Placements     int64 `json:"placements_total"`
+			RepairAttempts int64 `json:"repair_attempts_total"`
+		} `json:"compactd"`
+	}
+	getJSON(t, ts.URL+"/debug/vars", &doc)
+	if doc.Compactd.Placements != 1 || doc.Compactd.RepairAttempts < 1 {
+		t.Fatalf("layered placement metrics off: %+v", doc.Compactd)
+	}
+}
+
 // TestOversizedDefectMapRejected posts the few-byte sparse body that
 // declares a multi-terabyte defect map. The decode must reject it as a
 // client error before any placement machinery allocates per-line state —

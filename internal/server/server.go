@@ -489,7 +489,7 @@ func (s *Server) solve(ctx context.Context, key string, nw *logic.Network, opts 
 		}
 		return nil, err
 	}
-	if res.Placement != nil {
+	if res.Placement != nil || res.Placement3D != nil {
 		s.metrics.placements.Add(1)
 		s.metrics.repairAttempts.Add(int64(res.RepairAttempts))
 	}

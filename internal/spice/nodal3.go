@@ -22,7 +22,7 @@ import (
 // The 3D path simulates clean stacks only — no defect maps, no placement.
 // That restriction is deliberate: the layered placement story (per-plane
 // fault maps, spare-line bridges that can span planes) has a logical model
-// in xbar3d.Place3D but no electrical one yet, and a margin number that
+// in xbar.Stack.Place but no electrical one yet, and a margin number that
 // silently ignored the faults it was asked about would be worse than a
 // typed refusal. Service layers map the layered-with-defects case to a
 // typed unsupported error instead (DESIGN §15).

@@ -8,106 +8,34 @@ import (
 
 // Defect-aware evaluation
 //
-// A defect.Map describes the physical array a logical design is placed
-// onto: stuck-ON devices always conduct, stuck-OFF devices never do. A
-// Placement (see place.go) chooses which physical wordline/bitline each
-// logical row/column occupies; physical lines left unused are assumed
+// A defect.Map describes the physical plane a logical device plane is
+// placed onto: stuck-ON devices always conduct, stuck-OFF devices never
+// do. A placement (see place.go) chooses which physical wire each logical
+// wire of each layer occupies; physical wires left unused are assumed
 // electrically disconnected (floating spares), so faults on them cannot
-// create sneak paths. Under those semantics the placed crossbar computes
+// create sneak paths. Under those semantics the placed stack computes
 // exactly the function of the logical design with each defective crossing
 // overridden by its stuck behavior — which is what UnderDefects
-// materializes, making every existing evaluator (Eval, VerifyAgainst,
+// materializes, making every existing evaluator (Eval, VerifyEquiv,
 // FormalVerify) defect-aware for free.
 
-// resolvePerms validates pl against d and dm and returns the effective
-// row/column permutations (identity when pl is nil).
-func resolvePerms(d *Design, dm *defect.Map, pl *Placement) (rowPerm, colPerm []int, err error) {
-	physRows, physCols := dm.Rows(), dm.Cols()
-	if dm == nil {
-		physRows, physCols = d.Rows, d.Cols
-	}
-	if pl == nil {
-		if physRows < d.Rows || physCols < d.Cols {
-			return nil, nil, fmt.Errorf("xbar: %dx%d design does not fit the %dx%d physical array", d.Rows, d.Cols, physRows, physCols)
-		}
-		rowPerm = make([]int, d.Rows)
-		colPerm = make([]int, d.Cols)
-		for i := range rowPerm {
-			rowPerm[i] = i
-		}
-		for i := range colPerm {
-			colPerm[i] = i
-		}
-		return rowPerm, colPerm, nil
-	}
-	if len(pl.RowPerm) != d.Rows || len(pl.ColPerm) != d.Cols {
-		return nil, nil, fmt.Errorf("xbar: placement shape %dx%d does not match the %dx%d design",
-			len(pl.RowPerm), len(pl.ColPerm), d.Rows, d.Cols)
-	}
-	if err := checkInjective(pl.RowPerm, physRows, "row"); err != nil {
-		return nil, nil, err
-	}
-	if err := checkInjective(pl.ColPerm, physCols, "column"); err != nil {
-		return nil, nil, err
-	}
-	return pl.RowPerm, pl.ColPerm, nil
-}
-
-// checkInjective verifies that perm maps injectively into 0..bound-1.
-func checkInjective(perm []int, bound int, what string) error {
+// checkInjective verifies that layer l's perm maps injectively into
+// 0..bound-1.
+func checkInjective(perm []int, bound, l int) error {
 	seen := make(map[int]bool, len(perm))
 	for i, p := range perm {
 		if p < 0 || p >= bound {
-			return fmt.Errorf("xbar: %s placement maps %d to %d, outside 0..%d", what, i, p, bound-1)
+			return fmt.Errorf("xbar: layer %d placement maps wire %d to %d, outside 0..%d", l, i, p, bound-1)
 		}
 		if seen[p] {
-			return fmt.Errorf("xbar: %s placement maps two lines to physical %s %d", what, what, p)
+			return fmt.Errorf("xbar: layer %d placement maps two wires to physical wire %d", l, p)
 		}
 		seen[p] = true
 	}
 	return nil
 }
 
-// UnderDefects returns the effective design the physical array computes:
-// the logical design, placed by pl (identity when nil) onto the array
-// described by dm, with every cell that lands on a stuck device overridden
-// by the stuck behavior (stuck-ON → On, stuck-OFF → Off). Faults on
-// physical lines the placement leaves unused are ignored — unused spares
-// are disconnected. The result is a deep copy; the receiver is unchanged.
-func (d *Design) UnderDefects(dm *defect.Map, pl *Placement) (*Design, error) {
-	rowPerm, colPerm, err := resolvePerms(d, dm, pl)
-	if err != nil {
-		return nil, err
-	}
-	nd := NewDesign(d.Rows, d.Cols)
-	for r := range d.Cells {
-		copy(nd.Cells[r], d.Cells[r])
-	}
-	nd.InputRow = d.InputRow
-	nd.OutputRows = append([]int(nil), d.OutputRows...)
-	nd.OutputNames = append([]string(nil), d.OutputNames...)
-	nd.VarNames = append([]string(nil), d.VarNames...)
-	if dm.Len() == 0 {
-		return nd, nil
-	}
-	invRow := inversePerm(rowPerm, dm.Rows())
-	invCol := inversePerm(colPerm, dm.Cols())
-	for _, fc := range dm.Cells() {
-		r, c := invRow[fc.Row], invCol[fc.Col]
-		if r < 0 || c < 0 {
-			continue // crossing on an unused (disconnected) physical line
-		}
-		switch fc.Kind {
-		case defect.StuckOn:
-			nd.Cells[r][c] = Entry{Kind: On}
-		case defect.StuckOff:
-			nd.Cells[r][c] = Entry{Kind: Off}
-		}
-	}
-	return nd, nil
-}
-
-// inversePerm maps physical line -> logical line (-1 where unused).
+// inversePerm maps physical wire -> logical wire (-1 where unused).
 func inversePerm(perm []int, bound int) []int {
 	inv := make([]int, bound)
 	for i := range inv {
@@ -117,4 +45,76 @@ func inversePerm(perm []int, bound int) []int {
 		inv[physical] = logical
 	}
 	return inv
+}
+
+// UnderDefects returns the effective planes the physical stack computes:
+// a deep copy of the stack's planes, placed by perms (one permutation per
+// layer; identity when nil), with every cell that lands on a stuck device
+// overridden by the stuck behavior (stuck-ON → On, stuck-OFF → Off).
+// Faults on physical wires the placement leaves unused are ignored —
+// unused spares are disconnected.
+func (s Stack) UnderDefects(perms [][]int) ([][][]Entry, error) {
+	p, err := newPlacer(s)
+	if err != nil {
+		return nil, err
+	}
+	if perms == nil {
+		perms = p.identity()
+	}
+	if len(perms) != len(s.Widths) {
+		return nil, fmt.Errorf("xbar: placement has %d layer permutations for %d layers", len(perms), len(s.Widths))
+	}
+	for l, perm := range perms {
+		if len(perm) != s.Widths[l] {
+			return nil, fmt.Errorf("xbar: layer %d placement maps %d wires, design has %d", l, len(perm), s.Widths[l])
+		}
+		if err := checkInjective(perm, p.phys[l], l); err != nil {
+			return nil, err
+		}
+	}
+	planes := make([][][]Entry, len(s.Planes))
+	for pl, plane := range s.Planes {
+		planes[pl] = make([][]Entry, len(plane))
+		for r, row := range plane {
+			planes[pl][r] = append([]Entry(nil), row...)
+		}
+		if len(p.faults[pl]) == 0 {
+			continue
+		}
+		invRow := inversePerm(perms[pl], p.phys[pl])
+		invCol := inversePerm(perms[pl+1], p.phys[pl+1])
+		for _, fc := range p.faults[pl] {
+			r, c := invRow[fc.Row], invCol[fc.Col]
+			if r < 0 || c < 0 {
+				continue // crossing on an unused (disconnected) physical wire
+			}
+			switch fc.Kind {
+			case defect.StuckOn:
+				planes[pl][r][c] = Entry{Kind: On}
+			case defect.StuckOff:
+				planes[pl][r][c] = Entry{Kind: Off}
+			}
+		}
+	}
+	return planes, nil
+}
+
+// UnderDefects returns the effective design the physical array computes:
+// d placed by pl (identity when nil) onto dm, as Stack.UnderDefects. The
+// result is a deep copy; the receiver is unchanged.
+func (d *Design) UnderDefects(dm *defect.Map, pl *Placement) (*Design, error) {
+	var perms [][]int
+	if pl != nil {
+		perms = [][]int{pl.RowPerm, pl.ColPerm}
+	}
+	planes, err := d.Stack(dm).UnderDefects(perms)
+	if err != nil {
+		return nil, err
+	}
+	return &Design{
+		Rows: d.Rows, Cols: d.Cols, Cells: planes[0], InputRow: d.InputRow,
+		OutputRows:  append([]int(nil), d.OutputRows...),
+		OutputNames: append([]string(nil), d.OutputNames...),
+		VarNames:    append([]string(nil), d.VarNames...),
+	}, nil
 }

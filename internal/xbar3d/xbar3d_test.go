@@ -316,14 +316,14 @@ func TestPlace3DAroundStuckDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	maps := []*defect.Map{dm}
-	pl, err := Place3D(context.Background(), d, maps, xbar.PlaceOptions{Seed: 1})
+	perms, engine, err := d.Stack(maps).Place(context.Background(), xbar.PlaceOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Engine != "greedy" {
-		t.Fatalf("engine %q, want greedy (identity is incompatible)", pl.Engine)
+	if engine != "greedy" {
+		t.Fatalf("engine %q, want greedy (identity is incompatible)", engine)
 	}
-	eff, err := d.UnderDefects3D(maps, pl)
+	eff, err := d.UnderDefects3D(maps, &Placement3D{Perms: perms, Engine: engine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,12 +348,12 @@ func TestPlace3DIdentityWhenClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := Place3D(context.Background(), d, []*defect.Map{dm}, xbar.PlaceOptions{})
+	_, engine, err := d.Stack([]*defect.Map{dm}).Place(context.Background(), xbar.PlaceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Engine != "identity" {
-		t.Fatalf("engine %q, want identity", pl.Engine)
+	if engine != "identity" {
+		t.Fatalf("engine %q, want identity", engine)
 	}
 }
 
@@ -370,19 +370,10 @@ func TestPlace3DUnplaceableIsTyped(t *testing.T) {
 			}
 		}
 	}
-	_, err = Place3D(context.Background(), d, []*defect.Map{dm}, xbar.PlaceOptions{})
-	var up *Unplaceable3D
-	if !asUnplaceable3D(err, &up) {
-		t.Fatalf("error %v is not *Unplaceable3D", err)
+	_, _, err = d.Stack([]*defect.Map{dm}).Place(context.Background(), xbar.PlaceOptions{})
+	if up, ok := err.(*Unplaceable3D); !ok || !up.Proven {
+		t.Fatalf("error %v is not a proven *Unplaceable3D", err)
 	}
-}
-
-func asUnplaceable3D(err error, target **Unplaceable3D) bool {
-	u, ok := err.(*Unplaceable3D)
-	if ok {
-		*target = u
-	}
-	return ok
 }
 
 func TestPhysWidthsRejectsInconsistentStack(t *testing.T) {
@@ -397,7 +388,7 @@ func TestPhysWidthsRejectsInconsistentStack(t *testing.T) {
 	if maps[1], err = defect.New(d.Widths[1]+3, d.Widths[2]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Place3D(context.Background(), d, maps, xbar.PlaceOptions{}); err == nil {
+	if _, _, err := d.Stack(maps).Place(context.Background(), xbar.PlaceOptions{}); err == nil {
 		t.Fatal("inconsistent stack accepted")
 	}
 	if _, err := d.UnderDefects3D(maps, nil); err == nil {
