@@ -207,9 +207,6 @@ func run(ctx context.Context, inPath string, cfg cliConfig) error {
 	fmt.Printf("synthesis time: %v\n", res.SynthTime.Round(time.Millisecond))
 
 	if cfg.formal {
-		if cfg.robdds && res.Plan == nil {
-			return fmt.Errorf("-formal requires the SBDD mode (design variables must follow network input order)")
-		}
 		if err := res.FormalVerify(0); err != nil {
 			return fmt.Errorf("formal verification FAILED: %w", err)
 		}

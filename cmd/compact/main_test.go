@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"compact/internal/bench"
+	"compact/internal/blif"
 	"compact/internal/core"
 	"compact/internal/defect"
 	"compact/internal/labeling"
@@ -144,6 +146,24 @@ func TestRunErrors(t *testing.T) {
 	cfg.dotPath = filepath.Join(t.TempDir(), "x.dot")
 	if err := run(context.Background(), blif, cfg); err == nil {
 		t.Error("-dot with -robdds accepted")
+	}
+}
+
+// TestRunFormalROBDDs pins that -formal proves per-output ROBDD designs
+// too: their literals index network inputs, as SBDD designs' do.
+func TestRunFormalROBDDs(t *testing.T) {
+	var buf strings.Builder
+	if err := blif.Write(&buf, bench.MustBuild("ctrl")); err != nil {
+		t.Fatal(err)
+	}
+	path := writeTemp(t, "ctrl.blif", buf.String())
+	cfg := cliConfig{gamma: 0.5, method: "heuristic", robdds: true, timeLimit: 10 * time.Second, formal: true}
+	out, err := captureStdout(t, func() error { return run(context.Background(), path, cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "formal verification: PROVEN") {
+		t.Errorf("-robdds -formal did not prove:\n%s", out)
 	}
 }
 

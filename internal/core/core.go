@@ -393,10 +393,9 @@ func (r *Result) Verify(exhaustiveLimit, samples int, seed uint64) error {
 
 // FormalVerify proves the design equivalent to the source network for all
 // input assignments via the symbolic sneak-path closure (xbar.FormalVerify);
-// nodeLimit bounds the verifier's BDD (0 = default). Only available for
-// SBDD-mode results, whose designs carry network-input variable order.
-// Partitioned results are proven by symbolic cascade composition
-// (partition.Plan.FormalVerify) instead.
+// nodeLimit bounds the verifier's BDD (0 = default). Designs of both BDD
+// kinds carry network-input variable order. Partitioned results are proven
+// by symbolic cascade composition (partition.Plan.FormalVerify) instead.
 func (r *Result) FormalVerify(nodeLimit int) error {
 	if r.Plan != nil {
 		return r.Plan.FormalVerify(r.network, nodeLimit)

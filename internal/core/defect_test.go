@@ -140,6 +140,63 @@ func TestDefectRepairLoopRecoversFromCorruption(t *testing.T) {
 	}
 }
 
+// TestRepairLoopProvesROBDDs pins that the repair loop proves per-output
+// ROBDD designs as it does SBDD ones. On a fault-free map every engine
+// returns the identity binding, so with one attempt the injected
+// corruption fails with the proof's witness, and with the default budget
+// the second attempt verifies.
+func TestRepairLoopProvesROBDDs(t *testing.T) {
+	nw := bench.MustBuild("ctrl")
+	opts := Options{Method: labeling.MethodHeuristic, BDDKind: SeparateROBDDs}
+	clean, err := Synthesize(nw, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Defects, err = defect.New(clean.Design.Rows, clean.Design.Cols); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv(faultinject.EnvVar, "place=corrupt")
+	one := opts
+	one.MaxRepairAttempts = 1
+	if _, err := Synthesize(nw, one); err == nil || !strings.Contains(err.Error(), "differs from the network") {
+		t.Fatalf("corrupted ROBDD design not caught by the proof: %v", err)
+	}
+	res, err := Synthesize(nw, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RepairAttempts != 2 {
+		t.Fatalf("RepairAttempts = %d, want 2", res.RepairAttempts)
+	}
+	if err := xbar.FormalVerify(res.Effective, nw, 0); err != nil {
+		t.Fatalf("repaired design fails formal verification: %v", err)
+	}
+}
+
+// TestVerifyWiresSampledFallback pins verifyWires' node-limit fallback:
+// under a one-node limit the proof gives up and sampling decides, passing
+// a correct design and catching a corrupted one.
+func TestVerifyWiresSampledFallback(t *testing.T) {
+	nw := bench.MustBuild("ctrl")
+	res, err := Synthesize(nw, Options{Method: labeling.MethodHeuristic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.verifyWires(res.Design.Wires(), 1); err != nil {
+		t.Fatalf("correct design rejected by the sampled fallback: %v", err)
+	}
+	bad := xbar.NewDesign(res.Design.Rows, res.Design.Cols)
+	for r, row := range res.Design.Cells {
+		copy(bad.Cells[r], row)
+	}
+	bad.InputRow, bad.OutputRows = res.Design.InputRow, res.Design.OutputRows
+	corruptPlanes([][][]xbar.Entry{bad.Cells})
+	err = res.verifyWires(bad.Wires(), 1)
+	if err == nil || !strings.Contains(err.Error(), "disagrees with the network") {
+		t.Fatalf("corrupted design passed the sampled fallback: %v", err)
+	}
+}
+
 // TestRepairLoopBailsOnRepeatedPlacement pins the repair loop's
 // termination behavior when verification genuinely fails: every placement
 // engine is deterministic, so once the exact engine reproduces a binding
@@ -175,7 +232,7 @@ func TestRepairLoopBailsOnRepeatedPlacement(t *testing.T) {
 	}
 }
 
-func TestDefectROBDDModeUsesSimulationVerify(t *testing.T) {
+func TestDefectROBDDModeProvesEffective(t *testing.T) {
 	nw := smallNetwork()
 	res, err := Synthesize(nw, Options{
 		Method: labeling.MethodHeuristic, BDDKind: SeparateROBDDs,
@@ -190,6 +247,9 @@ func TestDefectROBDDModeUsesSimulationVerify(t *testing.T) {
 	}
 	if bad := res.Effective.VerifyAgainst(nw.Eval, nw.NumInputs(), nw.NumInputs(), 0, 1); bad != nil {
 		t.Fatalf("effective ROBDD-mode design disagrees on %v", bad)
+	}
+	if err := xbar.FormalVerify(res.Effective, nw, 0); err != nil {
+		t.Fatalf("effective ROBDD-mode design fails the proof: %v", err)
 	}
 }
 

@@ -63,8 +63,10 @@ func synthesizePartitioned(ctx context.Context, nw *logic.Network, opts Options)
 		if err != nil {
 			return nil, err
 		}
-		if err := res.verifyTileResult(); err != nil {
-			return nil, err
+		// The logical tile is proven here; the repair loop has already
+		// proven the effective one when a defect map was in play.
+		if err := res.verifyWires(res.Design.Wires(), o.NodeLimit); err != nil {
+			return nil, fmt.Errorf("core: tile failed verification: %w", err)
 		}
 		if fn := progressFrom(ctx).TileDone; fn != nil {
 			fn(int(tilesDone.Add(1)))
@@ -92,26 +94,4 @@ func synthesizePartitioned(ctx context.Context, nw *logic.Network, opts Options)
 		return nil, fmt.Errorf("core: partitioned plan failed the cascade proof: %w", err)
 	}
 	return plan, nil
-}
-
-// verifyTileResult checks a freshly synthesized tile against its
-// sub-network: formal sneak-path proof when the shared BDD manager is
-// retained (SBDD mode), with exhaustive-or-sampled simulation as the
-// node-limit fallback. Note this verifies the *logical* design; the
-// defect-aware placement loop has already verified the effective design
-// under the defect map when one was in play.
-func (r *Result) verifyTileResult() error {
-	if r.mgr != nil {
-		err := r.FormalVerify(0)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, bdd.ErrNodeLimit) {
-			return fmt.Errorf("core: tile failed formal verification: %w", err)
-		}
-	}
-	if err := r.Verify(14, 512, 1); err != nil {
-		return fmt.Errorf("core: tile failed verification: %w", err)
-	}
-	return nil
 }

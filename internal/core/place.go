@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"compact/internal/bdd"
 	"compact/internal/defect"
 	"compact/internal/faultinject"
 	"compact/internal/spice"
@@ -25,9 +26,8 @@ import (
 //     ILP engine so the loop never gives up while a placement provably
 //     exists within budget);
 //  2. materialize the effective design (xbar.Stack.UnderDefects);
-//  3. verify its compiled wire graph — a formal sneak-path equivalence
-//     proof for SBDD-mode results, exhaustive-or-sampled simulation
-//     otherwise;
+//  3. verify its compiled wire graph (verifyWires: a formal sneak-path
+//     equivalence proof, sampled simulation only past the node limit);
 //  4. on any mismatch, retry with a fresh placement seed.
 //
 // A proven *xbar.Unplaceable aborts immediately (retrying cannot help),
@@ -156,7 +156,7 @@ func repair[D interface{ Wires() *xbar.Wires }](ctx context.Context, r *Result, 
 			corruptPlanes(planes)
 			injected = true
 		}
-		if err := r.verifyEffective(eff.Wires()); err != nil {
+		if err := r.verifyWires(eff.Wires(), opts.NodeLimit); err != nil {
 			lastErr = err
 			if !injected {
 				// An injected corruption says nothing about the placement
@@ -220,7 +220,7 @@ func (r *Result) placeMarginAware(ctx context.Context, dm *defect.Map, opts Opti
 			return false, fmt.Errorf("core: placement: %w", err)
 		}
 		attempts++
-		if err := r.verifyEffective(eff.Wires()); err != nil {
+		if err := r.verifyWires(eff.Wires(), opts.NodeLimit); err != nil {
 			continue
 		}
 		score := math.Inf(-1)
@@ -247,16 +247,18 @@ func (r *Result) placeMarginAware(ctx context.Context, dm *defect.Map, opts Opti
 	return true, nil
 }
 
-// verifyEffective checks an effective design's compiled wire graph
-// against the source network: a formal sneak-path equivalence proof when
-// the shared BDD is available (SBDD mode), exhaustive simulation up to 14
-// inputs and 512 seeded random vectors beyond that otherwise.
-func (r *Result) verifyEffective(w *xbar.Wires) error {
-	if r.mgr != nil {
-		return w.FormalVerify(r.network, 0)
+// verifyWires checks a compiled wire graph against the source network
+// for both BDD kinds (every design's literals index network inputs): the
+// symbolic sneak-path proof under the BDD node limit nodeLimit, and only
+// when that proof hits the limit, exhaustive simulation up to 14 inputs
+// and 512 seeded random vectors beyond.
+func (r *Result) verifyWires(w *xbar.Wires, nodeLimit int) error {
+	err := w.FormalVerify(r.network, nodeLimit)
+	if !errors.Is(err, bdd.ErrNodeLimit) {
+		return err
 	}
 	if bad := xbar.VerifyEquiv(w.Eval64, nil, r.network.Eval64, r.network.NumInputs(), 14, 512, 1); bad != nil {
-		return fmt.Errorf("core: effective design disagrees with the network on %v", bad)
+		return fmt.Errorf("core: design disagrees with the network on %v", bad)
 	}
 	return nil
 }

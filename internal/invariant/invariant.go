@@ -13,6 +13,7 @@ package invariant
 
 import (
 	"fmt"
+	"slices"
 
 	"compact/internal/graph"
 )
@@ -86,21 +87,23 @@ func Semiperimeter(n, vhCount, s int) error {
 	return nil
 }
 
-// GridDims checks that a crossbar's dimensions match the ones its labeling
-// implies.
-func GridDims(gotRows, gotCols, wantRows, wantCols int) error {
-	if gotRows != wantRows || gotCols != wantCols {
-		return Violationf("xbar.grid-dims", "design is %dx%d, labeling implies %dx%d", gotRows, gotCols, wantRows, wantCols)
+// GridDims checks that a layer stack's widths match the ones its
+// labeling implies, layer by layer (a 2D crossbar is the stack
+// [rows, cols]).
+func GridDims(got, want []int) error {
+	if !slices.Equal(got, want) {
+		return Violationf("xbar.grid-dims", "design layer widths are %v, labeling implies %v", got, want)
 	}
 	return nil
 }
 
 // ProgrammedCells checks that a mapped crossbar holds exactly one
-// memristor per graph edge plus one stitch per VH node: every device lands
-// on its own wordline×bitline crossing, none lost, none invented.
-func ProgrammedCells(programmed, edges, vhCount int) error {
-	if programmed != edges+vhCount {
-		return Violationf("xbar.programmed-cells", "%d programmed cells for %d edges + %d VH stitches", programmed, edges, vhCount)
+// memristor per graph edge plus one stitch per spanned layer pair (at
+// K=2, one per VH node): every device lands on its own crossing, none
+// lost, none invented.
+func ProgrammedCells(programmed, edges, stitches int) error {
+	if programmed != edges+stitches {
+		return Violationf("xbar.programmed-cells", "%d programmed cells for %d edges + %d stitches", programmed, edges, stitches)
 	}
 	return nil
 }

@@ -93,11 +93,14 @@ func TestSemiperimeter(t *testing.T) {
 }
 
 func TestGridDims(t *testing.T) {
-	if err := GridDims(3, 4, 3, 4); err != nil {
+	if err := GridDims([]int{3, 4}, []int{3, 4}); err != nil {
 		t.Errorf("matching dims rejected: %v", err)
 	}
-	if err := GridDims(3, 4, 4, 3); err == nil {
+	if err := GridDims([]int{3, 4}, []int{4, 3}); err == nil {
 		t.Error("swapped dims passed")
+	}
+	if err := GridDims([]int{3, 4}, []int{3, 4, 1}); err == nil {
+		t.Error("missing layer passed")
 	}
 }
 

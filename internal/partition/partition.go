@@ -35,7 +35,8 @@ type TileResult struct {
 // pipeline as the TileSynth when it falls back to partitioned synthesis.
 type TileSynth func(ctx context.Context, sub *logic.Network, salt uint64) (*TileResult, error)
 
-// DefaultMaxTiles bounds a plan's tile count when Options.MaxTiles is 0.
+// DefaultMaxTiles bounds a plan's tile count: Build aborts runaway
+// decompositions past it.
 const DefaultMaxTiles = 512
 
 // Options configures Build.
@@ -43,55 +44,19 @@ type Options struct {
 	// MaxRows/MaxCols are the per-tile dimension caps. Both must be set
 	// (MaxRows >= 2, MaxCols >= 1): partitioning exists to satisfy them.
 	MaxRows, MaxCols int
-	// MaxFanin bounds gate fanin after normalization; 0 derives a value
-	// from the caps (a gate's BDD needs roughly fanin+2 nodes even when
-	// perfectly balanced, so the default keeps atomic gates well under
-	// the semiperimeter budget MaxRows+MaxCols).
-	MaxFanin int
-	// MaxTileOutputs caps how many outputs a piece may carry into one
-	// synthesis attempt (0 = MaxRows-1: each distinct root needs its own
-	// wordline plus one for the 1-terminal/input row).
-	MaxTileOutputs int
-	// MaxTiles aborts runaway decompositions (0 = DefaultMaxTiles).
-	MaxTiles int
 	// Synth synthesizes one piece; required.
 	Synth TileSynth
-	// ExhaustiveLimit / Samples / Seed tune the end-to-end parity check
-	// of the assembled plan against the source network: exhaustive for
-	// networks with at most ExhaustiveLimit inputs (0 = 14), `samples`
-	// seeded random vectors beyond (0 = 512).
-	ExhaustiveLimit int
-	Samples         int
-	Seed            uint64
+	// Seed seeds the end-to-end parity check of the assembled plan
+	// against the source network: exhaustive for networks with at most 14
+	// inputs, 512 seeded random vectors beyond.
+	Seed uint64
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxFanin <= 0 {
-		f := (o.MaxRows + o.MaxCols - 2) / 3
-		if f < 2 {
-			f = 2
-		}
-		if f > 8 {
-			f = 8
-		}
-		o.MaxFanin = f
-	}
-	if o.MaxTileOutputs <= 0 {
-		o.MaxTileOutputs = o.MaxRows - 1
-	}
-	if o.MaxTileOutputs < 1 {
-		o.MaxTileOutputs = 1
-	}
-	if o.MaxTiles <= 0 {
-		o.MaxTiles = DefaultMaxTiles
-	}
-	if o.ExhaustiveLimit <= 0 {
-		o.ExhaustiveLimit = 14
-	}
-	if o.Samples <= 0 {
-		o.Samples = 512
-	}
-	return o
+// maxFanin bounds gate fanin after normalization. A gate's BDD needs
+// roughly fanin+2 nodes even when perfectly balanced, so the bound keeps
+// atomic gates well under the semiperimeter budget MaxRows+MaxCols.
+func (o Options) maxFanin() int {
+	return min(max((o.MaxRows+o.MaxCols-2)/3, 2), 8)
 }
 
 // splitWorthy reports whether a synthesis failure means "the piece is too
@@ -128,9 +93,7 @@ func Build(ctx context.Context, nw *logic.Network, opts Options) (*Plan, error) 
 	if opts.MaxRows < 2 || opts.MaxCols < 1 {
 		return nil, fmt.Errorf("partition: per-tile caps %dx%d too small (need MaxRows >= 2, MaxCols >= 1)", opts.MaxRows, opts.MaxCols)
 	}
-	opts = opts.withDefaults()
-
-	norm, err := normalize(nw, opts.MaxFanin)
+	norm, err := normalize(nw, opts.maxFanin())
 	if err != nil {
 		return nil, err
 	}
@@ -175,9 +138,9 @@ func Build(ctx context.Context, nw *logic.Network, opts Options) (*Plan, error) 
 		pc := queue[0]
 		queue = queue[1:]
 		// Forced pre-synthesis split: a crossbar needs one wordline per
-		// distinct root plus the input wordline, so a piece with too many
-		// outputs can never fit MaxRows — don't waste a BDD build on it.
-		if len(pc.outs) > opts.MaxTileOutputs {
+		// distinct root plus the input wordline, so a piece with more than
+		// MaxRows-1 outputs can never fit — don't waste a BDD build on it.
+		if len(pc.outs) > opts.MaxRows-1 {
 			a, b := outputSplit(pc)
 			queue = append(queue, a, b)
 			continue
@@ -195,9 +158,9 @@ func Build(ctx context.Context, nw *logic.Network, opts Options) (*Plan, error) 
 				return nil, terr
 			}
 			tiles = append(tiles, tile)
-			if len(tiles)+len(queue) > opts.MaxTiles {
+			if len(tiles)+len(queue) > DefaultMaxTiles {
 				return nil, fmt.Errorf("partition: decomposition exceeds %d tiles (caps %dx%d too tight for %s)",
-					opts.MaxTiles, opts.MaxRows, opts.MaxCols, nw.Name)
+					DefaultMaxTiles, opts.MaxRows, opts.MaxCols, nw.Name)
 			}
 			continue
 		}
@@ -218,9 +181,9 @@ func Build(ctx context.Context, nw *logic.Network, opts Options) (*Plan, error) 
 				sub.Name, opts.MaxRows, opts.MaxCols, err)
 		}
 		queue = append(queue, up, down)
-		if len(tiles)+len(queue) > opts.MaxTiles {
+		if len(tiles)+len(queue) > DefaultMaxTiles {
 			return nil, fmt.Errorf("partition: decomposition exceeds %d tiles (caps %dx%d too tight for %s)",
-				opts.MaxTiles, opts.MaxRows, opts.MaxCols, nw.Name)
+				DefaultMaxTiles, opts.MaxRows, opts.MaxCols, nw.Name)
 		}
 	}
 
@@ -241,7 +204,7 @@ func Build(ctx context.Context, nw *logic.Network, opts Options) (*Plan, error) 
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("partition: assembled plan invalid: %w", err)
 	}
-	if err := plan.Verify64(nw.Eval64, opts.ExhaustiveLimit, opts.Samples, opts.Seed|1); err != nil {
+	if err := plan.Verify64(nw.Eval64, 14, 512, opts.Seed|1); err != nil {
 		return nil, fmt.Errorf("partition: plan fails parity against the source network: %w", err)
 	}
 	return plan, nil

@@ -245,84 +245,61 @@ func (s *Server) handleMargin(w http.ResponseWriter, r *http.Request) {
 }
 
 // solveMargin runs one deduplicated margin analysis: synthesize the design
-// on the shared worker pool, then run the Monte Carlo under the request's
-// remaining budget and cache the marshaled report through both tiers.
+// on the shared worker pool (synth), then run the Monte Carlo under the
+// request's remaining budget and cache the marshaled report through both
+// tiers.
 func (s *Server) solveMargin(ctx context.Context, key string, nw *logic.Network,
 	opts core.Options, modelName string, model spice.DeviceModel, v spice.Variation, mcopts spice.MonteCarloOptions) ([]byte, error) {
-	s.metrics.inflight.Add(1)
-	defer s.metrics.inflight.Add(-1)
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		if s.base.Err() != nil {
-			return nil, errShuttingDown
+	return s.synth(ctx, nw, opts, func(res *core.Result) ([]byte, error) {
+		if res.Plan != nil || (res.Design == nil && res.Design3D == nil) {
+			return nil, fmt.Errorf("%w: partitioned multi-tile plans have no single-array electrical model", errMarginUnsupported)
 		}
-		return nil, ctx.Err()
-	}
-	defer func() { <-s.sem }()
-	if s.base.Err() != nil {
-		return nil, errShuttingDown
-	}
-
-	res, err := s.cfg.Synth(ctx, nw, opts)
-	s.metrics.solves.Add(1)
-	if err != nil {
-		s.metrics.solveErrors.Add(1)
-		if s.base.Err() != nil {
-			return nil, errShuttingDown
+		if res.Design3D != nil && res.Placement3D != nil {
+			// The 3D nodal solver simulates pristine stacks only: layered
+			// defect placement has no electrical model (DESIGN.md §15), so a
+			// defect-placed layered result is a typed refusal, not a 500.
+			return nil, fmt.Errorf("%w: defect-placed layered stacks have no electrical model; rerun without defect options", errMarginUnsupported)
 		}
-		return nil, err
-	}
-	if res.Plan != nil || (res.Design == nil && res.Design3D == nil) {
-		return nil, fmt.Errorf("%w: partitioned multi-tile plans have no single-array electrical model", errMarginUnsupported)
-	}
-	if res.Design3D != nil && res.Placement3D != nil {
-		// The 3D nodal solver simulates pristine stacks only: layered
-		// defect placement has no electrical model (DESIGN.md §15), so a
-		// defect-placed layered result is a typed refusal, not a 500.
-		return nil, fmt.Errorf("%w: defect-placed layered stacks have no electrical model; rerun without defect options", errMarginUnsupported)
-	}
 
-	// The Monte Carlo runs under the same per-request budget policy as the
-	// solve; expiry degrades to the anytime best-so-far report.
-	mcCtx, cancel := context.WithTimeout(ctx, opts.TimeLimit)
-	defer cancel()
-	mcopts.Workers = s.cfg.Workers
-	resp := marginResponse{
-		Key:      key,
-		Model:    modelName,
-		SigmaOn:  v.SigmaOn,
-		SigmaOff: v.SigmaOff,
-	}
-	t0 := time.Now()
-	var rep spice.MonteCarloReport
-	if res.Design3D != nil {
-		st := res.Design3D.Stats()
-		resp.Rows, resp.Cols, resp.Layers = st.R, st.C, st.K
-		rep, err = spice.MonteCarlo3DContext(mcCtx, res.Design3D, res.Design3D.Eval,
-			res.Design3D.NumVars(), model, v, mcopts)
-	} else {
-		resp.Rows, resp.Cols = res.Design.Rows, res.Design.Cols
-		resp.Placed = res.Placement != nil
-		env := spice.Env{Model: model, Defects: res.Defects, Placement: res.Placement}
-		rep, err = spice.MonteCarloContext(mcCtx, res.Design, res.Design.Eval, len(res.Design.VarNames), env, v, mcopts)
-	}
-	s.metrics.marginMillis.Add(float64(time.Since(t0)) / float64(time.Millisecond))
-	if err != nil {
+		// The Monte Carlo runs under the same per-request budget policy as
+		// the solve; expiry degrades to the anytime best-so-far report.
+		mcCtx, cancel := context.WithTimeout(ctx, opts.TimeLimit)
+		defer cancel()
+		mcopts.Workers = s.cfg.Workers
+		resp := marginResponse{
+			Key:      key,
+			Model:    modelName,
+			SigmaOn:  v.SigmaOn,
+			SigmaOff: v.SigmaOff,
+		}
+		t0 := time.Now()
+		var rep spice.MonteCarloReport
+		var err error
+		if res.Design3D != nil {
+			st := res.Design3D.Stats()
+			resp.Rows, resp.Cols, resp.Layers = st.R, st.C, st.K
+			rep, err = spice.MonteCarlo3DContext(mcCtx, res.Design3D, res.Design3D.Eval,
+				res.Design3D.NumVars(), model, v, mcopts)
+		} else {
+			resp.Rows, resp.Cols = res.Design.Rows, res.Design.Cols
+			resp.Placed = res.Placement != nil
+			env := spice.Env{Model: model, Defects: res.Defects, Placement: res.Placement}
+			rep, err = spice.MonteCarloContext(mcCtx, res.Design, res.Design.Eval, len(res.Design.VarNames), env, v, mcopts)
+		}
+		s.metrics.marginMillis.Add(float64(time.Since(t0)) / float64(time.Millisecond))
 		if errors.Is(err, spice.ErrTooLarge) {
 			return nil, fmt.Errorf("%w: %v", errMarginUnsupported, err)
 		}
-		if s.base.Err() != nil {
-			return nil, errShuttingDown
+		if err != nil {
+			return nil, err
 		}
-		return nil, err
-	}
-	s.metrics.margins.Add(1)
-	resp.Report = rep
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return nil, fmt.Errorf("encoding result: %w", err)
-	}
-	s.cache.put(key, body)
-	return body, nil
+		s.metrics.margins.Add(1)
+		resp.Report = rep
+		body, err := json.Marshal(resp)
+		if err != nil {
+			return nil, fmt.Errorf("encoding result: %w", err)
+		}
+		s.cache.put(key, body)
+		return body, nil
+	})
 }

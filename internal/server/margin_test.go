@@ -308,3 +308,39 @@ func mustNetwork(t *testing.T) *logic.Network {
 	b.Output("f", b.Input("a"))
 	return b.Build()
 }
+
+// TestMarginSolveMetrics pins that a margin request's synthesis moves the
+// same solve metrics as /v1/synthesize: a defect-placed ctrl design moves
+// placements_total and solve_ms_total, and an unplaceable layered one
+// answers 422 and moves unplaceable_total.
+func TestMarginSolveMetrics(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	type vars struct {
+		Compactd struct {
+			Placements  int64   `json:"placements_total"`
+			Unplaceable int64   `json:"unplaceable_total"`
+			SolveMillis float64 `json:"solve_ms_total"`
+		} `json:"compactd"`
+	}
+	status, _, body := postMargin(t, ts.URL,
+		`{"benchmark": "ctrl", "options": {"method": "heuristic", "defect_rate": 0.001, "defect_seed": 1}, "margin": {"sigma": 0.02, "trials": 2, "vectors": 4}}`)
+	if status != http.StatusOK {
+		t.Fatalf("defect-placed margin request: status %d, body %s", status, body)
+	}
+	var doc vars
+	getJSON(t, ts.URL+"/debug/vars", &doc)
+	if doc.Compactd.Placements != 1 || doc.Compactd.SolveMillis <= 0 {
+		t.Fatalf("margin solve metrics off: %+v", doc.Compactd)
+	}
+
+	status, _, body = postMargin(t, ts.URL,
+		`{"benchmark": "ctrl", "options": {"method": "heuristic", "layers": 3, "defect_rate": 0.5, "defect_seed": 1}, "margin": {"sigma": 0.02}}`)
+	var env errorEnvelope
+	if err := json.Unmarshal(body, &env); err != nil || status != http.StatusUnprocessableEntity || env.Error.Code != codeUnplaceable {
+		t.Fatalf("unplaceable margin request: status %d, body %s", status, body)
+	}
+	getJSON(t, ts.URL+"/debug/vars", &doc)
+	if doc.Compactd.Unplaceable != 1 {
+		t.Fatalf("unplaceable_total = %d, want 1", doc.Compactd.Unplaceable)
+	}
+}

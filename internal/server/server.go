@@ -453,12 +453,26 @@ func (s *Server) resolveNetwork(req *synthesizeRequest) (*logic.Network, string,
 	}
 }
 
-// solve runs one deduplicated synthesis: acquire a worker slot, run the
-// pipeline under ctx (the server's lifetime for synchronous requests, a
-// job's cancelable context for async ones; the per-request budget travels
-// inside opts.TimeLimit), marshal the response and cache it through both
-// tiers.
+// solve runs one deduplicated synthesis on a worker slot (synth), then
+// marshals the response and caches it through both tiers.
 func (s *Server) solve(ctx context.Context, key string, nw *logic.Network, opts core.Options) ([]byte, error) {
+	return s.synth(ctx, nw, opts, func(res *core.Result) ([]byte, error) {
+		body, err := json.Marshal(synthesizeResponse{Key: key, Result: res.View()})
+		if err != nil {
+			return nil, fmt.Errorf("encoding result: %w", err)
+		}
+		s.cache.put(key, body)
+		return body, nil
+	})
+}
+
+// synth is the one pipeline step behind every route: acquire a worker
+// slot, run cfg.Synth under ctx (the server's lifetime for synchronous
+// requests, a job's cancelable context for async ones; the per-request
+// budget travels inside opts.TimeLimit), record the solve metrics, and
+// hand the result to finish while the slot is still held. Any failure
+// while the server shuts down reports errShuttingDown.
+func (s *Server) synth(ctx context.Context, nw *logic.Network, opts core.Options, finish func(*core.Result) ([]byte, error)) ([]byte, error) {
 	s.metrics.inflight.Add(1)
 	defer s.metrics.inflight.Add(-1)
 	select {
@@ -508,12 +522,11 @@ func (s *Server) solve(ctx context.Context, key string, nw *logic.Network, opts 
 			s.metrics.recordEngine(er.Method, float64(er.Elapsed)/float64(time.Millisecond))
 		}
 	}
-	body, err := json.Marshal(synthesizeResponse{Key: key, Result: res.View()})
-	if err != nil {
-		return nil, fmt.Errorf("encoding result: %w", err)
+	body, err := finish(res)
+	if err != nil && s.base.Err() != nil {
+		return nil, errShuttingDown
 	}
-	s.cache.put(key, body)
-	return body, nil
+	return body, err
 }
 
 // writeResult sends a cached or fresh 200 body with its cache disposition.

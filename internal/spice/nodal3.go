@@ -27,53 +27,24 @@ import (
 // typed refusal. Service layers map the layered-with-defects case to a
 // typed unsupported error instead (DESIGN §15).
 
-// compile3 validates the design's shape against the model and compiles
-// one plane per device plane over the global wire numbering
+// compile3 validates the model and the design (its compiled wire graph's
+// Err covers the plane shapes, the wire references and corrupted cells)
+// and compiles one plane per device plane over the global wire numbering
 // (xbar3d.Design3D.WireID): plane d joins the wires of layer d (rows) to
 // those of layer d+1 (columns).
 func compile3(d *xbar3d.Design3D, model DeviceModel) (*network, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	k := d.K()
-	if k < 2 {
-		return nil, fmt.Errorf("spice: %d wire layers (need >= 2)", k)
-	}
-	if len(d.Cells) != k-1 {
-		return nil, fmt.Errorf("spice: %d device planes for %d wire layers", len(d.Cells), k)
-	}
-	for dl, plane := range d.Cells {
-		if len(plane) != d.Widths[dl] {
-			return nil, fmt.Errorf("spice: plane %d has %d rows, layer width is %d", dl, len(plane), d.Widths[dl])
-		}
-		for r, row := range plane {
-			if len(row) != d.Widths[dl+1] {
-				return nil, fmt.Errorf("spice: plane %d row %d has %d cols, layer width is %d", dl, r, len(row), d.Widths[dl+1])
-			}
-		}
-	}
-	checkRef := func(what string, ref xbar3d.WireRef) error {
-		if ref.Layer < 0 || ref.Layer >= k {
-			return fmt.Errorf("spice: %s wire layer %d outside 0..%d", what, ref.Layer, k-1)
-		}
-		if ref.Index < 0 || ref.Index >= d.Widths[ref.Layer] {
-			return fmt.Errorf("spice: %s wire %d outside layer %d width %d", what, ref.Index, ref.Layer, d.Widths[ref.Layer])
-		}
-		return nil
-	}
-	if err := checkRef("input", d.Input); err != nil {
-		return nil, err
-	}
-	nw := &network{model: model, n: d.NumWires(), input: d.WireID(d.Input), outputs: make([]int, len(d.Outputs))}
-	for i, o := range d.Outputs {
-		if err := checkRef(fmt.Sprintf("output #%d", i), o); err != nil {
-			return nil, err
-		}
-		nw.outputs[i] = d.WireID(o)
-	}
+	nw := &network{model: model, n: d.NumWires()}
 	if nw.n > maxNodes {
 		return nil, fmt.Errorf("spice: %d nanowire nodes exceed the %d-node cap: %w", nw.n, maxNodes, ErrTooLarge)
 	}
+	w := d.Wires()
+	if w.Err != nil {
+		return nil, fmt.Errorf("spice: %w", w.Err)
+	}
+	nw.input, nw.outputs = w.Input, w.Outputs
 	base := 0
 	for dl, cells := range d.Cells {
 		nw.planes = append(nw.planes, plane{cells: cells, rowBase: base, colBase: base + d.Widths[dl]})

@@ -141,12 +141,18 @@ func (d *Design) NumVars() int {
 
 // NewDesign allocates an all-Off crossbar.
 func NewDesign(rows, cols int) *Design {
+	return &Design{Rows: rows, Cols: cols, Cells: NewGrid(rows, cols)}
+}
+
+// NewGrid allocates an all-Off rows x cols cell matrix on one backing
+// array.
+func NewGrid(rows, cols int) [][]Entry {
 	cells := make([][]Entry, rows)
 	backing := make([]Entry, rows*cols)
 	for r := range cells {
 		cells[r], backing = backing[:cols:cols], backing[cols:]
 	}
-	return &Design{Rows: rows, Cols: cols, Cells: cells}
+	return cells
 }
 
 // Stats summarizes hardware utilization and the paper's cost models.

@@ -7,10 +7,31 @@ import (
 	"compact/internal/labeling"
 )
 
-// Map performs the paper's crossbar mapping step (Section V-C): nodes are
-// bound to wordlines/bitlines according to their labels, VH nodes get a
-// statically-on memristor stitching their wordline to their bitline, and
-// every graph edge becomes a memristor programmed with its literal.
+// WireRef addresses one nanowire of a layer stack: wire Index of wire
+// layer Layer. A 2D design's wordline r is {0, r} and its bitline c is
+// {1, c}.
+type WireRef struct {
+	Layer int `json:"l"`
+	Index int `json:"i"`
+}
+
+// Mapping is a mapped layer stack: Widths[l] wires on wire layer l,
+// Planes[p] the Widths[p] x Widths[p+1] device plane between layers p and
+// p+1, the wire driven with Vin and one sensed wire per output, in
+// BDDGraph.Roots order.
+type Mapping struct {
+	Widths      []int
+	Planes      [][][]Entry
+	Input       WireRef
+	Outputs     []WireRef
+	OutputNames []string
+}
+
+// Map performs the paper's crossbar mapping step (Section V-C) on a
+// VH-labeling; it is MapStack's K=2 case. H-labeled nodes are bound to
+// wordlines, V-labeled nodes to bitlines, VH nodes to both with a
+// statically-on memristor stitching the two, and every graph edge becomes
+// a memristor programmed with its literal.
 //
 // Wordline order follows the alignment convention: output roots top-most,
 // interior wordlines in between, and the 1-terminal (input port) as the
@@ -22,134 +43,178 @@ func Map(bg *BDDGraph, labels []labeling.Label) (*Design, error) {
 	if err := labeling.Validate(labeling.Problem{G: bg.G}, labels); err != nil {
 		return nil, fmt.Errorf("xbar: %w", err)
 	}
-	n := bg.G.N()
-	for _, r := range bg.Roots {
-		if r.Kind == RootNode && !labels[r.NodeID].HasH() {
-			return nil, fmt.Errorf("xbar: output %q root labeled %s; outputs must lie on wordlines", r.Name, labels[r.NodeID])
-		}
+	lo, hi := labeling.LiftLabels(labels)
+	m, err := MapStack(bg, 2, lo, hi)
+	if err != nil {
+		return nil, err
 	}
-	if !labels[bg.TerminalID].HasH() {
-		return nil, fmt.Errorf("xbar: 1-terminal labeled %s; the input port must lie on a wordline", labels[bg.TerminalID])
+	d := &Design{Rows: m.Widths[0], Cols: m.Widths[1], Cells: m.Planes[0], InputRow: m.Input.Index,
+		OutputNames: m.OutputNames, VarNames: bg.VarNames}
+	for _, o := range m.Outputs {
+		d.OutputRows = append(d.OutputRows, o.Index)
 	}
+	return d, nil
+}
 
-	// Row order: const-0 row (if needed), root rows in output order,
-	// interior wordlines, terminal row last (bottom).
-	rowOf := make([]int, n)
-	colOf := make([]int, n)
-	for i := range rowOf {
-		rowOf[i], colOf[i] = -1, -1
+// MapStack is the one crossbar mapping implementation: node v is bound to
+// one wire on each layer of its interval [lo[v], hi[v]], a node spanning
+// layers l and l+1 gets a statically-on via stitch on plane l, and every
+// graph edge becomes a memristor on the lowest device plane where its
+// endpoints sit on adjacent layers.
+//
+// On each even (wordline) layer the wire order is a const-0 wire (layer 0
+// only, when a constant-false output exists), then the output roots whose
+// lowest even layer is this one in output order, then the remaining
+// occupants in node order, with the 1-terminal (input port) last on its
+// lowest even layer; odd (bitline) layers order occupants by node id. A
+// layer nothing occupies is padded to one wire. Output roots and the
+// 1-terminal must reach an even layer, where the periphery can sense and
+// drive them.
+func MapStack(bg *BDDGraph, k int, lo, hi []int) (*Mapping, error) {
+	if err := labeling.ValidateK(bg.Problem(false), k, lo, hi); err != nil {
+		return nil, fmt.Errorf("xbar: %w", err)
 	}
-	nextRow := 0
+	n := bg.G.N()
+	lowestEven := func(v int) int {
+		for l := lo[v]; l <= hi[v]; l++ {
+			if l%2 == 0 {
+				return l
+			}
+		}
+		return -1
+	}
 	needConst0 := false
 	for _, r := range bg.Roots {
-		if r.Kind == RootConst0 {
+		switch {
+		case r.Kind == RootConst0:
 			needConst0 = true
+		case r.Kind == RootNode && lowestEven(r.NodeID) < 0:
+			return nil, fmt.Errorf("xbar: output %q root occupies no wordline layer (interval [%d,%d]); outputs must lie on wordlines",
+				r.Name, lo[r.NodeID], hi[r.NodeID])
 		}
 	}
-	const0Row := -1
-	if needConst0 {
-		const0Row = nextRow
-		nextRow++
-	}
-	for _, r := range bg.Roots {
-		if r.Kind == RootNode && r.NodeID != bg.TerminalID && rowOf[r.NodeID] < 0 {
-			rowOf[r.NodeID] = nextRow
-			nextRow++
-		}
-	}
-	for v := 0; v < n; v++ {
-		if v == bg.TerminalID || rowOf[v] >= 0 || !labels[v].HasH() {
-			continue
-		}
-		rowOf[v] = nextRow
-		nextRow++
-	}
-	rowOf[bg.TerminalID] = nextRow
-	nextRow++
-
-	nextCol := 0
-	for v := 0; v < n; v++ {
-		if labels[v].HasV() {
-			colOf[v] = nextCol
-			nextCol++
-		}
-	}
-	if nextCol == 0 {
-		// Degenerate single-node graphs (e.g. f ≡ 1 only) still need one
-		// bitline for a well-formed crossbar.
-		nextCol = 1
+	inputLayer := lowestEven(bg.TerminalID)
+	if inputLayer < 0 {
+		return nil, fmt.Errorf("xbar: 1-terminal occupies no wordline layer (interval [%d,%d]); the input port must lie on a wordline",
+			lo[bg.TerminalID], hi[bg.TerminalID])
 	}
 
-	d := NewDesign(nextRow, nextCol)
-	d.VarNames = bg.VarNames
-	d.InputRow = rowOf[bg.TerminalID]
+	// idx[l][v] is node v's wire index on layer l (-1 when absent).
+	idx := make([][]int, k)
+	m := &Mapping{Widths: make([]int, k)}
+	const0Index := -1
+	for l := range idx {
+		idx[l] = make([]int, n)
+		for v := range idx[l] {
+			idx[l][v] = -1
+		}
+		next := 0
+		if l%2 == 0 {
+			if l == 0 && needConst0 {
+				const0Index = next
+				next++
+			}
+			for _, r := range bg.Roots {
+				if r.Kind == RootNode && r.NodeID != bg.TerminalID &&
+					lowestEven(r.NodeID) == l && idx[l][r.NodeID] < 0 {
+					idx[l][r.NodeID] = next
+					next++
+				}
+			}
+		}
+		for v := 0; v < n; v++ {
+			if idx[l][v] < 0 && labeling.Occupies(lo[v], hi[v], l) && !(v == bg.TerminalID && l == inputLayer) {
+				idx[l][v] = next
+				next++
+			}
+		}
+		if l == inputLayer {
+			idx[l][bg.TerminalID] = next
+			next++
+		}
+		m.Widths[l] = max(next, 1)
+	}
+
+	m.Planes = make([][][]Entry, k-1)
+	for p := range m.Planes {
+		m.Planes[p] = NewGrid(m.Widths[p], m.Widths[p+1])
+	}
+	m.Input = WireRef{Layer: inputLayer, Index: idx[inputLayer][bg.TerminalID]}
 	for _, r := range bg.Roots {
-		d.OutputNames = append(d.OutputNames, r.Name)
+		m.OutputNames = append(m.OutputNames, r.Name)
 		switch r.Kind {
 		case RootConst0:
-			d.OutputRows = append(d.OutputRows, const0Row)
+			m.Outputs = append(m.Outputs, WireRef{Layer: 0, Index: const0Index})
 		case RootConst1:
-			d.OutputRows = append(d.OutputRows, d.InputRow)
+			m.Outputs = append(m.Outputs, m.Input)
 		default:
-			d.OutputRows = append(d.OutputRows, rowOf[r.NodeID])
+			l := lowestEven(r.NodeID)
+			m.Outputs = append(m.Outputs, WireRef{Layer: l, Index: idx[l][r.NodeID]})
 		}
 	}
 
-	// VH stitches.
+	// Via stitches: a node spanning layers l and l+1 joins its two wires
+	// with a statically-on device on plane l (at K=2, the VH stitch).
+	stitches := 0
 	for v := 0; v < n; v++ {
-		if labels[v] == labeling.VH {
-			d.Cells[rowOf[v]][colOf[v]] = Entry{Kind: On}
+		for l := lo[v]; l < hi[v]; l++ {
+			m.Planes[l][idx[l][v]][idx[l+1][v]] = Entry{Kind: On}
+			stitches++
 		}
 	}
-	// Edge assignment.
+	// Edge assignment: lowest device plane first, preferring the
+	// (e[0] on layer p, e[1] on layer p+1) orientation — at K=2, "u on the
+	// wordline, v on the bitline".
 	for _, e := range bg.G.Edges() {
 		u, v := e[0], e[1]
-		lit := bg.EdgeLit[edgeKey(u, v)]
-		var r, c int
-		if labels[u].HasH() && labels[v].HasV() {
-			r, c = rowOf[u], colOf[v]
-		} else {
-			r, c = rowOf[v], colOf[u]
+		placed := false
+		for p := 0; p < k-1 && !placed; p++ {
+			var r, c int
+			switch {
+			case idx[p][u] >= 0 && idx[p+1][v] >= 0:
+				r, c = idx[p][u], idx[p+1][v]
+			case idx[p][v] >= 0 && idx[p+1][u] >= 0:
+				r, c = idx[p][v], idx[p+1][u]
+			default:
+				continue
+			}
+			if m.Planes[p][r][c].Kind != Off {
+				return nil, fmt.Errorf("xbar: cell (%d,%d,%d) assigned twice", p, r, c)
+			}
+			m.Planes[p][r][c] = bg.EdgeLit[edgeKey(u, v)]
+			placed = true
 		}
-		if d.Cells[r][c].Kind != Off {
-			return nil, fmt.Errorf("xbar: cell (%d,%d) assigned twice", r, c)
-		}
-		d.Cells[r][c] = lit
-	}
-	// Postconditions: the grid is exactly the one the labeling implies,
-	// and every device (one per edge, one stitch per VH node) landed on
-	// its own wordline×bitline crossing.
-	wantRows, wantCols, vh := 0, 0, 0
-	for v := 0; v < n; v++ {
-		if labels[v].HasH() {
-			wantRows++
-		}
-		if labels[v].HasV() {
-			wantCols++
-		}
-		if labels[v] == labeling.VH {
-			vh++
+		if !placed {
+			return nil, fmt.Errorf("xbar: edge (%d,%d) has no free adjacent-layer crossing", u, v)
 		}
 	}
+
+	// Postconditions: every layer is exactly as wide as the labeling
+	// implies (its occupancy, plus the const-0 wire on layer 0 and the
+	// padding of an empty layer), and every device (one per edge, one
+	// stitch per spanned layer pair) landed on its own crossing.
+	want := labeling.ComputeKStats(k, lo, hi).Widths
 	if needConst0 {
-		wantRows++
+		want[0]++
 	}
-	if wantCols == 0 {
-		wantCols = 1
+	for l := range want {
+		want[l] = max(want[l], 1)
 	}
-	if err := invariant.GridDims(d.Rows, d.Cols, wantRows, wantCols); err != nil {
+	if err := invariant.GridDims(m.Widths, want); err != nil {
 		return nil, fmt.Errorf("xbar: %w", err)
 	}
 	programmed := 0
-	for _, row := range d.Cells {
-		for _, e := range row {
-			if e.Kind != Off {
-				programmed++
+	for _, plane := range m.Planes {
+		for _, row := range plane {
+			for _, e := range row {
+				if e.Kind != Off {
+					programmed++
+				}
 			}
 		}
 	}
-	if err := invariant.ProgrammedCells(programmed, bg.G.M(), vh); err != nil {
+	if err := invariant.ProgrammedCells(programmed, bg.G.M(), stitches); err != nil {
 		return nil, fmt.Errorf("xbar: %w", err)
 	}
-	return d, nil
+	return m, nil
 }

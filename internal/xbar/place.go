@@ -72,8 +72,11 @@ type PlaceOptions struct {
 const (
 	// placeModelCap caps the exact stage's size — binary variables plus
 	// constraints. Larger models skip the exact stage with a non-proven
-	// Unplaceable rather than stall: the dense-tableau simplex behind
-	// internal/ilp is only effective on small assignment models.
+	// Unplaceable rather than stall. The per-node LP (sparse revised and
+	// dual simplex) is not the limit: the pairwise conflict rows have a
+	// weak relaxation (x = 1/2 satisfies every one), so branch and bound
+	// prunes little, and past a few thousand rows and columns its node
+	// count outgrows placeILPBudget.
 	placeModelCap = 4000
 	// placeILPBudget bounds one exact solve (the shared ctx deadline still
 	// applies and wins when earlier). Exhausting it yields a non-proven

@@ -28,10 +28,7 @@ import (
 const MaxWireLayers = 8
 
 // WireRef addresses one nanowire in the stack: wire Index of layer Layer.
-type WireRef struct {
-	Layer int `json:"l"`
-	Index int `json:"i"`
-}
+type WireRef = xbar.WireRef
 
 // Design3D is a complete K-layer crossbar representation of a Boolean
 // function. Layer widths are per-layer wire counts; device plane d sits
@@ -103,12 +100,7 @@ func NewDesign3D(widths []int) (*Design3D, error) {
 		if err := wirelimit.CheckCells(fmt.Sprintf("plane %d", dl), rows, cols, maxWireCells3D); err != nil {
 			return nil, fmt.Errorf("xbar3d: %v", err)
 		}
-		plane := make([][]xbar.Entry, rows)
-		backing := make([]xbar.Entry, rows*cols)
-		for r := range plane {
-			plane[r], backing = backing[:cols:cols], backing[cols:]
-		}
-		d.Cells[dl] = plane
+		d.Cells[dl] = xbar.NewGrid(rows, cols)
 	}
 	return d, nil
 }

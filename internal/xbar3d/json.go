@@ -140,28 +140,14 @@ func (d *Design3D) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	checkRef := func(what string, ref WireRef) error {
-		if ref.Layer < 0 || ref.Layer >= len(dj.Widths) {
-			return fmt.Errorf("xbar3d: %s wire layer %d outside 0..%d", what, ref.Layer, len(dj.Widths)-1)
-		}
-		if ref.Index < 0 || ref.Index >= dj.Widths[ref.Layer] {
-			return fmt.Errorf("xbar3d: %s wire %d outside layer %d width %d", what, ref.Index, ref.Layer, dj.Widths[ref.Layer])
-		}
-		return nil
-	}
-	if err := checkRef("input", dj.Input); err != nil {
+	nd.Input = dj.Input
+	nd.Outputs = append([]WireRef(nil), dj.Outputs...)
+	if err := nd.checkShape(); err != nil {
 		return err
-	}
-	for i, o := range dj.Outputs {
-		if err := checkRef(fmt.Sprintf("output #%d", i), o); err != nil {
-			return err
-		}
 	}
 	if len(dj.OutputNames) > 0 && len(dj.OutputNames) != len(dj.Outputs) {
 		return fmt.Errorf("xbar3d: %d output names for %d outputs", len(dj.OutputNames), len(dj.Outputs))
 	}
-	nd.Input = dj.Input
-	nd.Outputs = append([]WireRef(nil), dj.Outputs...)
 	nd.OutputNames = append([]string(nil), dj.OutputNames...)
 	nd.VarNames = append([]string(nil), dj.VarNames...)
 	for i, c := range dj.Cells {
