@@ -21,9 +21,10 @@
 #                    scalar Eval, the placement engine's brute-force
 #                    exactness oracle, the crossbar mapper's postcondition
 #                    and evaluation check on fuzzed layer intervals, the
-#                    exact-OCT cross-check, the spice
-#                    dense-vs-CG solver cross-check and the warm-vs-cold
-#                    branch & bound LP cross-check)
+#                    exact-OCT cross-check against Lemma 1's ILP and
+#                    brute force, the spice dense-vs-CG solver
+#                    cross-check and the warm-vs-cold branch & bound LP
+#                    cross-check)
 #   7. compactlint — the project's own analyzers, including the compactflow
 #                    dataflow suite (allocbound, ctxflow, gospawn) and the
 #                    staleignore check on //lint:ignore directives; any

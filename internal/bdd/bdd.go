@@ -503,7 +503,7 @@ func (m *Manager) WriteDOT(w io.Writer, roots ...Node) error {
 // output) for the network, using the given variable order (a permutation of
 // input indices; nil means natural declaration order). limit > 0 bounds the
 // node count.
-func BuildNetwork(nw *logic.Network, order []int, limit int) (m *Manager, roots []Node, err error) {
+func BuildNetwork(nw *logic.Network, order []int, limit int) (*Manager, []Node, error) {
 	if order == nil {
 		order = make([]int, nw.NumInputs())
 		for i := range order {
@@ -514,74 +514,18 @@ func BuildNetwork(nw *logic.Network, order []int, limit int) (m *Manager, roots 
 		return nil, nil, fmt.Errorf("bdd: order has %d entries, want %d", len(order), nw.NumInputs())
 	}
 	names := make([]string, len(order))
-	inputLevel := make([]int, nw.NumInputs()) // input index -> level
 	inNames := nw.InputNames()
 	for level, inIdx := range order {
 		if inIdx < 0 || inIdx >= nw.NumInputs() {
 			return nil, nil, fmt.Errorf("bdd: order entry %d out of range", inIdx)
 		}
 		names[level] = inNames[inIdx]
-		inputLevel[inIdx] = level
 	}
-	m = New(names)
+	m := New(names)
 	m.SetNodeLimit(limit)
-	defer func() {
-		if r := recover(); r != nil {
-			m, roots, err = nil, nil, BoundaryError(r)
-		}
-	}()
-
-	vals := make([]Node, nw.NumGates())
-	for i, id := range nw.Inputs {
-		vals[id] = m.Var(inputLevel[i])
-	}
-	for gi, g := range nw.Gates {
-		var v Node
-		switch g.Type {
-		case logic.Input:
-			continue
-		case logic.Const0:
-			v = Zero
-		case logic.Const1:
-			v = One
-		case logic.Buf:
-			v = vals[g.Fanin[0]]
-		case logic.Not:
-			v = m.Not(vals[g.Fanin[0]])
-		case logic.And, logic.Nand:
-			v = One
-			for _, f := range g.Fanin {
-				v = m.And(v, vals[f])
-			}
-			if g.Type == logic.Nand {
-				v = m.Not(v)
-			}
-		case logic.Or, logic.Nor:
-			v = Zero
-			for _, f := range g.Fanin {
-				v = m.Or(v, vals[f])
-			}
-			if g.Type == logic.Nor {
-				v = m.Not(v)
-			}
-		case logic.Xor, logic.Xnor:
-			v = Zero
-			for _, f := range g.Fanin {
-				v = m.Xor(v, vals[f])
-			}
-			if g.Type == logic.Xnor {
-				v = m.Not(v)
-			}
-		case logic.Mux:
-			v = m.ITE(vals[g.Fanin[0]], vals[g.Fanin[2]], vals[g.Fanin[1]])
-		default:
-			return nil, nil, fmt.Errorf("bdd: unsupported gate type %v", g.Type)
-		}
-		vals[gi] = v
-	}
-	roots = make([]Node, nw.NumOutputs())
-	for i, id := range nw.Outputs {
-		roots[i] = vals[id]
+	roots, err := m.BuildRoots(nw, order)
+	if err != nil {
+		return nil, nil, err
 	}
 	return m, roots, nil
 }

@@ -107,9 +107,9 @@ func Equivalent(a, b *logic.Network, nodeLimit int) (equal bool, witness []bool,
 // BuildRoots constructs the network's output functions inside this
 // manager. order maps manager levels to network input indices (nil means
 // level i = input i); the manager must declare at least NumInputs
-// variables. Used by the symbolic crossbar verifier to compare a design's
-// sneak-path function against its source network inside one canonical
-// node space.
+// variables. BuildNetwork builds every shared BDD through it, and the
+// symbolic crossbar verifier uses it to compare a design's sneak-path
+// function against its source network inside one canonical node space.
 //
 //lint:ignore ctxbound bounded by the receiving Manager's node limit (SetNodeLimit)
 func (m *Manager) BuildRoots(nw *logic.Network, order []int) (roots []Node, err error) {

@@ -9,7 +9,6 @@ import (
 	"compact/internal/core"
 	"compact/internal/dnf"
 	"compact/internal/espresso"
-	"compact/internal/graph"
 	"compact/internal/labeling"
 	"compact/internal/oct"
 	"compact/internal/pla"
@@ -151,21 +150,7 @@ func Ablations(cfg Config) (*Table, error) {
 			f2(sol.Stats.Objective(0.5)), time.Since(start))
 	}
 
-	// 3. Nemhauser–Trotter kernel on/off for Lemma 1's vertex cover of
-	// G □ K2 (the OCT formulation of the ILP backend).
-	p := bg.G.CartesianK2()
-	for _, disable := range []bool{false, true} {
-		variant := "kernel-on"
-		if disable {
-			variant = "kernel-off"
-		}
-		start := time.Now()
-		res := graph.MinVertexCoverContext(cfg.context(), p, graph.VCOptions{TimeLimit: cfg.timeLimit(), DisableKernel: disable})
-		add("NT kernelization", variant, fmt.Sprintf("|VC| (opt=%v)", res.Optimal),
-			itoa(len(res.Cover)), time.Since(start))
-	}
-
-	// 4. OCT backends.
+	// 3. OCT backends.
 	for _, backend := range []oct.Backend{oct.BackendBB, oct.BackendILP} {
 		variant := "branch-and-bound"
 		if backend == oct.BackendILP {
@@ -180,7 +165,7 @@ func Ablations(cfg Config) (*Table, error) {
 			itoa(len(res.OCT)), time.Since(start))
 	}
 
-	// 5. SBDD vs per-output ROBDDs through the whole pipeline.
+	// 4. SBDD vs per-output ROBDDs through the whole pipeline.
 	for _, kind := range []core.BDDKind{core.SBDD, core.SeparateROBDDs} {
 		start := time.Now()
 		res, err := cfg.synthesize(nw, core.Options{BDDKind: kind, Method: labeling.MethodHeuristic})
@@ -190,7 +175,7 @@ func Ablations(cfg Config) (*Table, error) {
 		add("BDD kind", kind.String(), "S", itoa(res.Stats().S), time.Since(start))
 	}
 
-	// 6. Alignment constraints on/off (labeling quality only).
+	// 5. Alignment constraints on/off (labeling quality only).
 	for _, align := range []bool{true, false} {
 		variant := "aligned"
 		if !align {

@@ -1,9 +1,8 @@
 // Package graph provides the undirected-graph machinery behind COMPACT's
 // VH-labeling: bipartiteness testing and 2-coloring, connected components,
 // the Cartesian product with K2 used by the odd-cycle-transversal reduction
-// (Lemma 1 of the paper), maximum bipartite matching (Hopcroft–Karp), König
-// vertex covers, Nemhauser–Trotter LP-based kernelization, and minimum
-// vertex cover solvers (exact branch & bound and greedy/local-search).
+// (Lemma 1 of the paper), odd-cycle detection, and the greedy vertex cover
+// that package oct uses as an incumbent for its exact OCT engines.
 package graph
 
 import (
@@ -61,8 +60,9 @@ func (g *Graph) AddEdge(u, v int) error {
 }
 
 // addEdge inserts an already-validated edge. Internal transforms (Clone,
-// InducedSubgraph, CartesianK2, the matching double cover) derive their
-// edges from a graph that passed AddEdge validation, so they skip it.
+// InducedSubgraph, CartesianK2) derive their edges from a graph that
+// passed AddEdge validation, and Random generates only in-range pairs
+// u < v, so they skip it.
 func (g *Graph) addEdge(u, v int) {
 	k := edgeKey(u, v)
 	if g.seen[k] {

@@ -1,10 +1,8 @@
 package graph
 
 import (
-	"context"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 func cycle(n int) *Graph {
@@ -217,119 +215,9 @@ func bruteMinVC(g *Graph) int {
 	return best
 }
 
-func TestMaxMatchingKonig(t *testing.T) {
-	// Bipartite random graphs: |max matching| == |min VC| (König).
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 50; trial++ {
-		nl, nr := 2+rng.Intn(5), 2+rng.Intn(5)
-		g := New(nl + nr)
-		for u := 0; u < nl; u++ {
-			for v := 0; v < nr; v++ {
-				if rng.Float64() < 0.4 {
-					g.AddEdge(u, nl+v)
-				}
-			}
-		}
-		color, ok := g.TwoColor()
-		if !ok {
-			t.Fatal("bipartite construction not bipartite")
-		}
-		mate := MaxMatching(g, color)
-		ms := MatchingSize(mate)
-		cover := KonigCover(g, color, mate)
-		if !g.VerifyVertexCover(cover) {
-			t.Fatalf("trial %d: König cover invalid", trial)
-		}
-		if len(cover) != ms {
-			t.Fatalf("trial %d: |cover|=%d != |matching|=%d", trial, len(cover), ms)
-		}
-		if want := bruteMinVC(g); len(cover) != want {
-			t.Fatalf("trial %d: cover %d, brute %d", trial, len(cover), want)
-		}
-		// Matching must be consistent.
-		for v, m := range mate {
-			if m >= 0 && mate[m] != v {
-				t.Fatalf("trial %d: inconsistent mate array", trial)
-			}
-		}
-	}
-}
-
-func TestMinVertexCoverBipartiteHelper(t *testing.T) {
-	g := cycle(8)
-	cover := MinVertexCoverBipartite(g)
-	if len(cover) != 4 || !g.VerifyVertexCover(cover) {
-		t.Errorf("C8 cover = %v", cover)
-	}
-}
-
-func TestLPRelaxVC(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 40; trial++ {
-		g := randomGraph(rng, 10, 0.3)
-		x := LPRelaxVC(g)
-		// Feasibility: every edge has x_u + x_v >= 2 (doubled units).
-		for _, e := range g.Edges() {
-			if x[e[0]]+x[e[1]] < 2 {
-				t.Fatalf("trial %d: LP infeasible on edge %v: %d+%d", trial, e, x[e[0]], x[e[1]])
-			}
-		}
-		// LP bound: sum(x)/2 <= min VC.
-		sum := 0
-		for _, v := range x {
-			sum += v
-		}
-		if opt := bruteMinVC(g); sum > 2*opt {
-			t.Fatalf("trial %d: LP value %v exceeds 2*opt %d", trial, sum, 2*opt)
-		}
-	}
-	// On an odd cycle the LP is all-halves.
-	x := LPRelaxVC(cycle(5))
-	for v, xi := range x {
-		if xi != 1 {
-			t.Errorf("C5 LP x[%d] = %d/2, want 1/2", v, xi)
-		}
-	}
-	// On a star the center is 1, leaves 0.
-	star := New(5)
-	for i := 1; i < 5; i++ {
-		star.AddEdge(0, i)
-	}
-	xs := LPRelaxVC(star)
-	if xs[0] != 2 {
-		t.Errorf("star center x = %d/2, want 1", xs[0])
-	}
-	for i := 1; i < 5; i++ {
-		if xs[i] != 0 {
-			t.Errorf("star leaf %d x = %d/2, want 0", i, xs[i])
-		}
-	}
-}
-
-func TestMinVertexCoverExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 60; trial++ {
-		n := 4 + rng.Intn(10)
-		g := randomGraph(rng, n, 0.25+0.3*rng.Float64())
-		res := MinVertexCoverContext(context.Background(), g, VCOptions{})
-		if !res.Optimal {
-			t.Fatalf("trial %d: not optimal without time limit", trial)
-		}
-		if !g.VerifyVertexCover(res.Cover) {
-			t.Fatalf("trial %d: invalid cover", trial)
-		}
-		if want := bruteMinVC(g); len(res.Cover) != want {
-			t.Fatalf("trial %d: got %d, want %d", trial, len(res.Cover), want)
-		}
-		// Kernel-disabled variant must agree.
-		res2 := MinVertexCoverContext(context.Background(), g, VCOptions{DisableKernel: true})
-		if len(res2.Cover) != len(res.Cover) {
-			t.Fatalf("trial %d: kernel on/off disagree: %d vs %d", trial, len(res.Cover), len(res2.Cover))
-		}
-	}
-}
-
-func TestMinVertexCoverKnownGraphs(t *testing.T) {
+// TestGreedyVertexCoverKnownGraphs pins the greedy cover on graphs where
+// max-degree picks plus pruning reach the minimum.
+func TestGreedyVertexCoverKnownGraphs(t *testing.T) {
 	cases := []struct {
 		name string
 		g    *Graph
@@ -342,20 +230,13 @@ func TestMinVertexCoverKnownGraphs(t *testing.T) {
 		{"K1", New(1), 0},
 	}
 	for _, c := range cases {
-		res := MinVertexCoverContext(context.Background(), c.g, VCOptions{})
-		if len(res.Cover) != c.want || !res.Optimal {
-			t.Errorf("%s: got %d (optimal=%v), want %d", c.name, len(res.Cover), res.Optimal, c.want)
+		cover := GreedyVertexCover(c.g)
+		if len(cover) != c.want || !c.g.VerifyVertexCover(cover) {
+			t.Errorf("%s: got %v, want a cover of size %d", c.name, cover, c.want)
 		}
-	}
-}
-
-func TestMinVertexCoverTimeLimit(t *testing.T) {
-	// A big random graph with a 1ns budget must still return a valid cover.
-	rng := rand.New(rand.NewSource(5))
-	g := randomGraph(rng, 120, 0.2)
-	res := MinVertexCoverContext(context.Background(), g, VCOptions{TimeLimit: time.Nanosecond})
-	if !g.VerifyVertexCover(res.Cover) {
-		t.Fatal("timeout cover invalid")
+		if brute := bruteMinVC(c.g); brute != c.want {
+			t.Errorf("%s: brute force says %d, want %d", c.name, brute, c.want)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -45,44 +44,13 @@ func TestQuickBipartiteConsistency(t *testing.T) {
 	}
 }
 
-// Property: every cover returned by MinVertexCoverContext and
-// GreedyVertexCover covers all edges, and the exact cover is never larger
-// than the greedy.
+// Property: GreedyVertexCover covers every edge and is never smaller than
+// a minimum cover.
 func TestQuickCoversAlwaysCover(t *testing.T) {
 	prop := func(seed int64) bool {
 		g := graphFromSeed(seed, 11, 0.3)
-		exact := MinVertexCoverContext(context.Background(), g, VCOptions{})
 		greedy := GreedyVertexCover(g)
-		if !g.VerifyVertexCover(exact.Cover) || !g.VerifyVertexCover(greedy) {
-			return false
-		}
-		return len(exact.Cover) <= len(greedy)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: the LP relaxation value is a lower bound for the exact cover,
-// and rounding all 1/2-entries up yields a feasible cover (NT rounding).
-func TestQuickLPBoundAndRounding(t *testing.T) {
-	prop := func(seed int64) bool {
-		g := graphFromSeed(seed, 10, 0.35)
-		x := LPRelaxVC(g)
-		sum := 0
-		rounded := make(map[int]bool)
-		for v, xi := range x {
-			sum += xi
-			if xi >= 1 {
-				rounded[v] = true
-			}
-		}
-		if !g.VerifyVertexCover(rounded) {
-			return false
-		}
-		exact := MinVertexCoverContext(context.Background(), g, VCOptions{})
-		// sum is doubled units: LP value = sum/2 <= |exact|.
-		return sum <= 2*len(exact.Cover)
+		return g.VerifyVertexCover(greedy) && len(greedy) >= bruteMinVC(g)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

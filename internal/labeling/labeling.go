@@ -264,10 +264,10 @@ func SolveContext(ctx context.Context, p Problem, opts Options) (*Solution, erro
 		if p.G.N() <= opts.AutoExactLimit {
 			method = MethodMIP
 		} else {
-			// The OCT route scales far beyond the MIP thanks to the
-			// Nemhauser–Trotter kernel, and degrades to the greedy cover
-			// inside the vertex-cover search when the time limit bites —
-			// strictly better than the plain heuristic labeler.
+			// The OCT route scales far beyond the MIP: its odd-cycle
+			// branch & bound starts from the greedy OCT and, when the
+			// time limit bites, returns the best OCT found so far —
+			// never worse than the plain heuristic labeler.
 			method = MethodOCT
 		}
 	}

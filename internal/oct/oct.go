@@ -99,12 +99,13 @@ func fromCover(g *graph.Graph, cover map[int]bool, optimal bool) Result {
 			side[v] = 1
 		default:
 			// Rung edge (v, v+n) uncovered: cover invalid. Be defensive
-			// and place v on side 0; Verify will catch real breakage.
+			// and place v on side 0; the residual check below catches
+			// real breakage.
 			side[v] = 0
 		}
 	}
 	res := Result{OCT: oct, Side: side, Optimal: optimal}
-	if !Verify(g, res) {
+	if invariant.ResidualBipartite(g, oct, side) != nil {
 		// A correct cover always verifies (see the paper's proof); a
 		// timed-out heuristic cover may not. Fall back to the greedy OCT.
 		return Heuristic(g)
@@ -164,24 +165,6 @@ func DisjointOddCycles(g *graph.Graph) [][]int {
 		}
 		cycles = append(cycles, mapped)
 	}
-}
-
-// Verify reports whether res.OCT is a genuine odd cycle transversal of g
-// and res.Side a proper 2-coloring of the residual graph.
-func Verify(g *graph.Graph, res Result) bool {
-	for _, e := range g.Edges() {
-		u, v := e[0], e[1]
-		if res.OCT[u] || res.OCT[v] {
-			continue
-		}
-		if res.Side[u] == res.Side[v] {
-			return false
-		}
-		if res.Side[u] < 0 || res.Side[v] < 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Heuristic computes a (not necessarily minimum) OCT greedily: BFS

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"compact/internal/graph"
+	"compact/internal/invariant"
 )
 
 func cycle(n int) *graph.Graph {
@@ -71,8 +72,8 @@ func TestBipartiteGraphEmptyOCT(t *testing.T) {
 	if len(res.OCT) != 0 || !res.Optimal {
 		t.Errorf("C8 OCT = %v", res.OCT)
 	}
-	if !Verify(cycle(8), res) {
-		t.Error("verify failed")
+	if err := invariant.ResidualBipartite(cycle(8), res.OCT, res.Side); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -86,8 +87,8 @@ func TestOddCycleOCT(t *testing.T) {
 		if len(res.OCT) != 1 || !res.Optimal {
 			t.Errorf("C%d: OCT size %d, want 1", n, len(res.OCT))
 		}
-		if !Verify(g, res) {
-			t.Errorf("C%d: invalid result", n)
+		if err := invariant.ResidualBipartite(g, res.OCT, res.Side); err != nil {
+			t.Errorf("C%d: %v", n, err)
 		}
 	}
 }
@@ -110,7 +111,7 @@ func TestCompleteGraphOCT(t *testing.T) {
 }
 
 // TestFindMatchesBruteForce checks the default engine's proven k against
-// brute force and against Lemma 1 on random graphs of up to 14 vertices.
+// Lemma 1's ILP and brute force on random graphs of up to 14 vertices.
 func TestFindMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 90; trial++ {
@@ -118,10 +119,7 @@ func TestFindMatchesBruteForce(t *testing.T) {
 		if trial >= 30 {
 			n, p = 4+rng.Intn(11), 0.2+0.4*rng.Float64()
 		}
-		g := randomGraph(rng, n, p)
-		if k, want := checkAgainstLemma1(t, g), bruteMinOCT(g); k != want {
-			t.Fatalf("trial %d: OCT size %d, want %d", trial, k, want)
-		}
+		checkAgainstLemma1(t, randomGraph(rng, n, p))
 	}
 }
 
@@ -134,8 +132,10 @@ func TestILPBackendAgrees(t *testing.T) {
 		if errA != nil || errB != nil {
 			t.Fatalf("trial %d: Find errors: %v / %v", trial, errA, errB)
 		}
-		if !Verify(g, a) || !Verify(g, b) {
-			t.Fatalf("trial %d: invalid result", trial)
+		for _, res := range []Result{a, b} {
+			if err := invariant.ResidualBipartite(g, res.OCT, res.Side); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
 		}
 		if a.Optimal && b.Optimal && len(a.OCT) != len(b.OCT) {
 			t.Fatalf("trial %d: backends disagree: %d vs %d", trial, len(a.OCT), len(b.OCT))
@@ -148,8 +148,8 @@ func TestHeuristicValid(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		g := randomGraph(rng, 30, 0.15)
 		res := Heuristic(g)
-		if !Verify(g, res) {
-			t.Fatalf("trial %d: heuristic OCT invalid", trial)
+		if err := invariant.ResidualBipartite(g, res.OCT, res.Side); err != nil {
+			t.Fatalf("trial %d: heuristic OCT invalid: %v", trial, err)
 		}
 		// Heuristic should be within a reasonable factor on these sizes;
 		// at minimum it must never exceed n.
@@ -161,8 +161,8 @@ func TestHeuristicValid(t *testing.T) {
 
 func TestHeuristicOnOddCycle(t *testing.T) {
 	res := Heuristic(cycle(7))
-	if !Verify(cycle(7), res) {
-		t.Fatal("invalid")
+	if err := invariant.ResidualBipartite(cycle(7), res.OCT, res.Side); err != nil {
+		t.Fatal(err)
 	}
 	if len(res.OCT) != 1 {
 		t.Errorf("heuristic OCT on C7 = %d, want 1 (pruning should reach it)", len(res.OCT))
@@ -201,8 +201,8 @@ func TestTimeLimitStillValid(t *testing.T) {
 		if res.Optimal {
 			t.Errorf("ctx dies after %d Err calls: result claims optimality", calls)
 		}
-		if !Verify(g, res) {
-			t.Fatalf("ctx dies after %d Err calls: OCT invalid", calls)
+		if err := invariant.ResidualBipartite(g, res.OCT, res.Side); err != nil {
+			t.Fatalf("ctx dies after %d Err calls: %v", calls, err)
 		}
 	}
 }
@@ -218,37 +218,44 @@ func TestDeadContextOnEntry(t *testing.T) {
 	}
 }
 
-// lemma1OCT is the size of a minimum OCT of g by Lemma 1: a minimum vertex
-// cover of G □ K2 has n + k* vertices.
+// lemma1OCT is the size of a minimum OCT of g by Lemma 1 as the paper
+// solves it: the ILP backend's minimum vertex cover of G □ K2 has n + k*
+// vertices, and both copies of each transversal vertex are in it.
 func lemma1OCT(t testing.TB, g *graph.Graph) int {
 	t.Helper()
-	vc := graph.MinVertexCoverContext(context.Background(), g.CartesianK2(), graph.VCOptions{})
-	if !vc.Optimal {
-		t.Fatal("vertex cover oracle not optimal without a time limit")
+	res, err := FindContext(context.Background(), g, Options{Backend: BackendILP})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return len(vc.Cover) - g.N()
+	if !res.Optimal {
+		t.Fatal("Lemma 1 ILP not optimal without a time limit")
+	}
+	return len(res.OCT)
 }
 
-// checkAgainstLemma1 runs the default engine on g and compares it with the
-// vertex-cover oracle.
-func checkAgainstLemma1(t *testing.T, g *graph.Graph) int {
+// checkAgainstLemma1 runs the default engine on g and compares its proven
+// k with two oracles: Lemma 1's vertex-cover ILP and, independent of
+// package ilp, brute-force enumeration.
+func checkAgainstLemma1(t *testing.T, g *graph.Graph) {
 	t.Helper()
 	res, err := FindContext(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Optimal || !Verify(g, res) {
-		t.Fatalf("optimal=%v verify=%v on edges %v", res.Optimal, Verify(g, res), g.Edges())
+	if !res.Optimal {
+		t.Fatalf("not optimal without a time limit on edges %v", g.Edges())
 	}
 	if want := lemma1OCT(t, g); len(res.OCT) != want {
-		t.Fatalf("k=%d, Lemma 1 vertex cover gives %d on edges %v", len(res.OCT), want, g.Edges())
+		t.Fatalf("k=%d, Lemma 1 ILP gives %d on edges %v", len(res.OCT), want, g.Edges())
 	}
-	return len(res.OCT)
+	if want := bruteMinOCT(g); len(res.OCT) != want {
+		t.Fatalf("k=%d, brute force gives %d on edges %v", len(res.OCT), want, g.Edges())
+	}
 }
 
 // FuzzOCTVsLemma1 builds a graph on at most 14 vertices from (n, edge
 // bytes; two per edge) and checks the default engine's proven k against
-// the minimum vertex cover of G □ K2.
+// Lemma 1's vertex-cover ILP and brute force.
 func FuzzOCTVsLemma1(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 1, 1, 2, 2, 0})
 	f.Add(uint8(6), []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 1, 2, 2, 3, 3, 4, 4, 5, 5, 1})
@@ -267,10 +274,17 @@ func FuzzOCTVsLemma1(f *testing.F) {
 	})
 }
 
-func TestVerifyCatchesBadColoring(t *testing.T) {
-	g := cycle(4)
-	bad := Result{OCT: map[int]bool{}, Side: []int{0, 0, 1, 1}}
-	if Verify(g, bad) {
-		t.Error("invalid coloring accepted")
+// TestFromCoverFallsBackOnBadCover feeds fromCover a set that leaves an
+// edge of G □ K2 uncovered, so the coloring read off it is improper; the
+// residual check must reject it and fall back to the greedy OCT.
+func TestFromCoverFallsBackOnBadCover(t *testing.T) {
+	g := cycle(5)
+	bad := map[int]bool{0: true, 1: true, 7: true, 8: true, 9: true} // sides 0,0,1,1,1
+	res := fromCover(g, bad, true)
+	if err := invariant.ResidualBipartite(g, res.OCT, res.Side); err != nil {
+		t.Fatal(err)
+	}
+	if res.Optimal || len(res.OCT) != 1 {
+		t.Errorf("fallback = %v (optimal=%v), want the heuristic's OCT of size 1", res.OCT, res.Optimal)
 	}
 }

@@ -298,8 +298,9 @@ func (p *placer) witness(layer1 []int) (row, candidates int) {
 // per-physical-row fault counts. If even this relaxed row-to-wordline
 // relation admits no perfect matching, no placement exists, and the
 // unmatchable relation yields a witness. A nil return proves nothing; the
-// search stages still decide.
-func (p *placer) provenInfeasible() *Unplaceable {
+// search stages still decide. When ctx expires mid-matching nothing is
+// proven and the ctx error is returned.
+func (p *placer) provenInfeasible(ctx context.Context) error {
 	type profile struct{ hasLit, hasOn, hasOff bool }
 	rows := make([]profile, p.Widths[0])
 	for r, row := range p.Planes[0] {
@@ -336,8 +337,8 @@ func (p *placer) provenInfeasible() *Unplaceable {
 		}
 		return true
 	}
-	if _, ok := kuhn(p.Widths[0], p.phys[0], possible, identityPerm(p.phys[0])); ok {
-		return nil
+	if _, ok, err := kuhn(ctx, p.Widths[0], p.phys[0], possible, identityPerm(p.phys[0])); err != nil || ok {
+		return err
 	}
 	row, candidates := -1, p.phys[0]+1
 	for r := 0; r < p.Widths[0]; r++ {
@@ -390,8 +391,8 @@ func (s Stack) Place(ctx context.Context, opts PlaceOptions) ([][]int, string, e
 	if opts.Engine != PlaceILP && p.compatible(p.identity()) {
 		return p.finish(p.identity(), "identity")
 	}
-	if up := p.provenInfeasible(); up != nil {
-		return nil, "", up
+	if err := p.provenInfeasible(ctx); err != nil {
+		return nil, "", err
 	}
 	var layer1 []int
 	if opts.Engine != PlaceILP {
@@ -475,10 +476,13 @@ func (p *placer) greedy(ctx context.Context, seed uint64, shuffleAll bool) ([][]
 			if l < k-1 {
 				above = inversePerm(perms[l+1], p.phys[l+1])
 			}
-			var perm []int
-			perm, matched = kuhn(p.Widths[l], p.phys[l], func(i, w int) bool {
+			perm, ok, err := kuhn(ctx, p.Widths[l], p.phys[l], func(i, w int) bool {
 				return p.wireOK(l, i, w, below, above)
 			}, order(p.phys[l], shuffle))
+			if err != nil {
+				return nil, perms[1], err
+			}
+			matched = ok
 			if matched {
 				perms[l] = perm
 			}
@@ -500,8 +504,9 @@ func (p *placer) greedy(ctx context.Context, seed uint64, shuffleAll bool) ([][]
 // kuhn computes a maximum bipartite matching of nLeft logical lines onto
 // nRight physical lines via augmenting paths, trying physical candidates
 // in the given order. It returns the left-side assignment and whether
-// every logical line was matched.
-func kuhn(nLeft, nRight int, ok func(l, r int) bool, order []int) ([]int, bool) {
+// every logical line was matched. ctx is checked once per left vertex; on
+// expiry kuhn stops with the ctx error and no verdict.
+func kuhn(ctx context.Context, nLeft, nRight int, ok func(l, r int) bool, order []int) ([]int, bool, error) {
 	matchL := make([]int, nLeft)
 	matchR := make([]int, nRight)
 	for i := range matchL {
@@ -526,11 +531,14 @@ func kuhn(nLeft, nRight int, ok func(l, r int) bool, order []int) ([]int, bool) 
 	}
 	complete := true
 	for l := 0; l < nLeft; l++ {
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
+		}
 		if !try(l, make([]bool, nRight)) {
 			complete = false
 		}
 	}
-	return matchL, complete
+	return matchL, complete, nil
 }
 
 // ilp escalates to the exact 0-1 assignment formulation: one binary
@@ -548,22 +556,7 @@ func (p *placer) ilp(ctx context.Context, layer1 []int) ([][]int, error) {
 		return &Unplaceable{Stage: "ilp", Detail: fmt.Sprintf(format, args...), LogicalRow: row, Candidates: cand, Proven: proven}
 	}
 	k := len(p.Widths)
-	size := 0
-	for l, w := range p.Widths {
-		size += w*p.phys[l] + w + p.phys[l]
-	}
-	for pl, faults := range p.faults {
-		for _, fc := range faults {
-			for _, row := range p.Planes[pl] {
-				for _, e := range row {
-					if !compatCell(e, fc.Kind) {
-						size++
-					}
-				}
-			}
-		}
-	}
-	if size > placeModelCap {
+	if size := p.modelSize(); size > placeModelCap {
 		return nil, fail(false, "greedy search failed and the exact model would need %d variables+constraints (cap %d)", size, placeModelCap)
 	}
 
@@ -652,6 +645,39 @@ func (p *placer) ilp(ctx context.Context, layer1 []int) ([][]int, error) {
 	}
 }
 
+// modelSize is the exact stage's variable plus constraint count: one
+// binary per (logical wire, physical wire) pair of a layer, one assignment
+// row per logical wire, one capacity row per physical wire, and one
+// conflict row per (logical cell, stuck device) pair the compatibility
+// table forbids. Each plane's cells are counted once per stuck state, so
+// the cost is O(cells + faults).
+func (p *placer) modelSize() int {
+	size := 0
+	for l, w := range p.Widths {
+		size += w*p.phys[l] + w + p.phys[l]
+	}
+	kinds := []defect.Kind{defect.StuckOff, defect.StuckOn}
+	for pl, faults := range p.faults {
+		if len(faults) == 0 {
+			continue
+		}
+		forbidden := map[defect.Kind]int{}
+		for _, row := range p.Planes[pl] {
+			for _, e := range row {
+				for _, kind := range kinds {
+					if !compatCell(e, kind) {
+						forbidden[kind]++
+					}
+				}
+			}
+		}
+		for _, fc := range faults {
+			size += forbidden[fc.Kind]
+		}
+	}
+	return size
+}
+
 // PlaceCandidates enumerates up to max distinct compatible placements of d
 // onto dm, for callers that rank placements by a secondary objective (the
 // margin-aware repair loop scores each candidate's electrical margin). The
@@ -698,8 +724,8 @@ func PlaceCandidates(ctx context.Context, d *Design, dm *defect.Map, opts PlaceO
 		return out, nil
 	}
 	if len(out) == 0 {
-		if up := p.provenInfeasible(); up != nil {
-			return nil, up
+		if err := p.provenInfeasible(ctx); err != nil {
+			return nil, err
 		}
 	}
 	for i := 0; i < 4*max && len(out) < max; i++ {

@@ -3,7 +3,9 @@ package xbar
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"compact/internal/bdd"
@@ -425,5 +427,110 @@ func TestPlaceCandidatesCanceledContext(t *testing.T) {
 	cancel()
 	if _, err := PlaceCandidates(ctx, d, dm, PlaceOptions{}, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("dead context not surfaced: %v", err)
+	}
+}
+
+// randomStack builds a K-layer stack of random cells over widths of 1..12
+// wires, with spare physical wires at K=2 and a defect map per plane.
+func randomStack(t *testing.T, rng *rand.Rand) Stack {
+	t.Helper()
+	k := 2 + rng.Intn(2)
+	widths, phys := make([]int, k), make([]int, k)
+	for l := range widths {
+		widths[l] = 1 + rng.Intn(12)
+		phys[l] = widths[l]
+		if k == 2 {
+			phys[l] += rng.Intn(3)
+		}
+	}
+	s := Stack{Widths: widths, Planes: make([][][]Entry, k-1), Maps: make([]*defect.Map, k-1)}
+	for p := range s.Planes {
+		s.Planes[p] = make([][]Entry, widths[p])
+		for r := range s.Planes[p] {
+			s.Planes[p][r] = make([]Entry, widths[p+1])
+			for c := range s.Planes[p][r] {
+				s.Planes[p][r][c] = Entry{Kind: EntryKind(rng.Intn(3)), Var: int32(rng.Intn(3))}
+			}
+		}
+		dm, err := defect.Generate(phys[p], phys[p+1], 0.4*rng.Float64(), 0.5, rng.Uint64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Maps[p] = dm
+	}
+	return s
+}
+
+// TestPlaceModelSizeMatchesBruteForce checks the exact stage's size count,
+// and the refusal that reports it, against one compatibility test per
+// (fault, logical cell) pair.
+func TestPlaceModelSizeMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	refused := 0
+	for trial := 0; trial < 200; trial++ {
+		s := randomStack(t, rng)
+		p, err := newPlacer(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for l, w := range p.Widths {
+			want += w*p.phys[l] + w + p.phys[l]
+		}
+		for pl, faults := range p.faults {
+			for _, fc := range faults {
+				for _, row := range p.Planes[pl] {
+					for _, e := range row {
+						if !compatCell(e, fc.Kind) {
+							want++
+						}
+					}
+				}
+			}
+		}
+		if got := p.modelSize(); got != want {
+			t.Fatalf("trial %d (%s, %d faults): model size %d, brute force %d", trial, dimString(p.phys), p.nFaults, got, want)
+		}
+		if want <= placeModelCap {
+			continue
+		}
+		refused++
+		_, err = p.ilp(context.Background(), nil)
+		var up *Unplaceable
+		if !errors.As(err, &up) || up.Proven || !strings.Contains(up.Detail, fmt.Sprintf("need %d variables+constraints", want)) {
+			t.Fatalf("trial %d: refusal %v does not report size %d", trial, err, want)
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no trial exceeded the model cap; the refusal path went untested")
+	}
+}
+
+// TestKuhnStopsWithinOneVertexOfCancel counts work, not wall clock: the
+// compatibility test cancels ctx on its n-th call, and kuhn may finish
+// only the augmenting search in progress — at most nRight further calls
+// on the complete relation under identity order — before it stops.
+func TestKuhnStopsWithinOneVertexOfCancel(t *testing.T) {
+	const nLeft, nRight = 40, 40
+	for _, n := range []int{1, 17, 100, 500} {
+		ctx, cancel := context.WithCancel(context.Background())
+		calls := 0
+		ok := func(l, r int) bool {
+			if calls++; calls == n {
+				cancel()
+			}
+			return true
+		}
+		_, matched, err := kuhn(ctx, nLeft, nRight, ok, identityPerm(nRight))
+		cancel()
+		if !errors.Is(err, context.Canceled) || matched {
+			t.Fatalf("cancel after %d calls: matched=%v err=%v, want no verdict and context.Canceled", n, matched, err)
+		}
+		if calls > n+nRight {
+			t.Errorf("cancel after %d calls: kuhn made %d calls, want at most %d", n, calls, n+nRight)
+		}
+	}
+	if _, matched, err := kuhn(context.Background(), nLeft, nRight, func(l, r int) bool { return true }, identityPerm(nRight)); err != nil || !matched {
+		t.Fatalf("live ctx: matched=%v err=%v, want a perfect matching", matched, err)
 	}
 }

@@ -81,7 +81,14 @@ func (d *Design3D) WireID(ref WireRef) int {
 // widths (at least two layers). Every dimension is bounds-checked through
 // wirelimit before any allocation sized from it — the constructor is the
 // single allocation point for wire-decoded stacks, so the caps live here.
-func NewDesign3D(widths []int) (*Design3D, error) {
+func NewDesign3D(widths []int) (*Design3D, error) { return newDesign3D(widths, 0) }
+
+// newDesign3D is NewDesign3D with an optional cap on the stack's total
+// cell count (stackCap > 0), checked before any plane is allocated. Only
+// the wire decoder sets it: each plane may pass its own cap while the
+// stack as a whole still asks for more cells than a decoded body may
+// demand.
+func newDesign3D(widths []int, stackCap int) (*Design3D, error) {
 	if len(widths) < 2 {
 		return nil, fmt.Errorf("xbar3d: %d wire layers (need >= 2)", len(widths))
 	}
@@ -91,6 +98,17 @@ func NewDesign3D(widths []int) (*Design3D, error) {
 	for l, w := range widths {
 		if err := wirelimit.CheckDim(fmt.Sprintf("layer %d width", l), w); err != nil {
 			return nil, fmt.Errorf("xbar3d: %v", err)
+		}
+	}
+	if stackCap > 0 {
+		// Widths are bounded and so is the layer count, so the total
+		// cannot overflow.
+		total := 0
+		for dl := 0; dl+1 < len(widths); dl++ {
+			total += widths[dl] * widths[dl+1]
+		}
+		if total > stackCap {
+			return nil, fmt.Errorf("xbar3d: %v", &wirelimit.LimitError{What: "design3d stack cells", Got: total, Max: stackCap})
 		}
 	}
 	d := &Design3D{Widths: append([]int(nil), widths...)}

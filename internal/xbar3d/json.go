@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"compact/internal/wirelimit"
 	"compact/internal/xbar"
 )
 
@@ -28,18 +27,20 @@ import (
 //
 // "d" is the device plane (between wire layers d and d+1), "r"/"c" index
 // the plane's layer-d/layer-d+1 wires, and "k"/"var"/"neg" follow the 2D
-// cell encoding. UnmarshalJSON peeks every declared dimension through
+// cell encoding. UnmarshalJSON bounds every declared dimension through
 // wirelimit before any dense allocation — layer count, per-layer widths,
-// per-plane cell extents — so a few-byte body cannot drive the decoder
-// out of memory (the repo's twice-shipped wire-OOM class), then validates
-// every reference so a decoded design is structurally sound and Eval-able.
+// per-plane and whole-stack cell extents — so a few-byte body cannot drive
+// the decoder out of memory (the repo's twice-shipped wire-OOM class), then
+// validates every reference so a decoded design is structurally sound and
+// Eval-able.
 
 // design3DWireVersion is the current wire format version; UnmarshalJSON
 // accepts exactly this value (or an absent field, treated as 1).
 const design3DWireVersion = 1
 
 // maxWireCells3D bounds the dense extent of a single device plane, the
-// same cap as the 2D design decoder.
+// same cap as the 2D design decoder, and of a wire-decoded stack as a
+// whole.
 const maxWireCells3D = 1 << 31
 
 type design3DJSON struct {
@@ -110,33 +111,11 @@ func (d *Design3D) UnmarshalJSON(data []byte) error {
 	if dj.Version != design3DWireVersion {
 		return fmt.Errorf("xbar3d: unsupported design wire version %d (want %d)", dj.Version, design3DWireVersion)
 	}
-	// Dimension discipline: every wire-declared size is bounded before any
-	// allocation sized from it. Layer count first, then each width, then
-	// each plane's dense extent.
-	if err := wirelimit.CheckCount("design3d layers", len(dj.Widths), MaxWireLayers); err != nil {
-		return fmt.Errorf("xbar3d: %v", err)
-	}
-	if len(dj.Widths) < 2 {
-		return fmt.Errorf("xbar3d: %d wire layers (need >= 2)", len(dj.Widths))
-	}
-	for l, w := range dj.Widths {
-		if err := wirelimit.CheckDim(fmt.Sprintf("design3d layer %d width", l), w); err != nil {
-			return fmt.Errorf("xbar3d: %v", err)
-		}
-	}
-	total := 0
-	for dl := 0; dl < len(dj.Widths)-1; dl++ {
-		if err := wirelimit.CheckCells(fmt.Sprintf("design3d plane %d", dl), dj.Widths[dl], dj.Widths[dl+1], maxWireCells3D); err != nil {
-			return fmt.Errorf("xbar3d: %v", err)
-		}
-		// The per-plane products are bounded, so the running stack total
-		// cannot overflow before it trips the cap.
-		total += dj.Widths[dl] * dj.Widths[dl+1]
-		if total > maxWireCells3D {
-			return fmt.Errorf("xbar3d: %v", &wirelimit.LimitError{What: "design3d stack cells", Got: total, Max: maxWireCells3D})
-		}
-	}
-	nd, err := NewDesign3D(dj.Widths)
+	// Dimension discipline: the constructor bounds every wire-declared
+	// size — layer count, each width, each plane's dense extent — before
+	// the allocation sized from it; the decoder adds its own cap on the
+	// stack's total cell count, checked before any plane is allocated.
+	nd, err := newDesign3D(dj.Widths, maxWireCells3D)
 	if err != nil {
 		return err
 	}

@@ -270,6 +270,7 @@ func TestJSONRejectsMalformed(t *testing.T) {
 		"layer flood":    `{"v":1,"widths":[1,1,1,1,1,1,1,1,1,1],"input":{"l":0,"i":0},"outputs":[],"cells":[]}`,
 		"width bomb":     `{"v":1,"widths":[2147483647,2],"input":{"l":0,"i":0},"outputs":[],"cells":[]}`,
 		"cell bomb":      `{"v":1,"widths":[65536,65536,65536],"input":{"l":0,"i":0},"outputs":[],"cells":[]}`,
+		"stack bomb":     `{"v":1,"widths":[65536,32768,65536],"input":{"l":0,"i":0},"outputs":[],"cells":[]}`,
 		"negative width": `{"v":1,"widths":[-1,2],"input":{"l":0,"i":0},"outputs":[],"cells":[]}`,
 		"bad input":      `{"v":1,"widths":[2,2],"input":{"l":0,"i":5},"outputs":[],"cells":[]}`,
 		"bad output":     `{"v":1,"widths":[2,2],"input":{"l":0,"i":0},"outputs":[{"l":7,"i":0}],"cells":[]}`,
