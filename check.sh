@@ -22,9 +22,10 @@
 #                    exactness oracle, the crossbar mapper's postcondition
 #                    and evaluation check on fuzzed layer intervals, the
 #                    exact-OCT cross-check against Lemma 1's ILP and
-#                    brute force, the spice dense-vs-CG solver
-#                    cross-check and the warm-vs-cold branch & bound LP
-#                    cross-check)
+#                    brute force, the greedy OCT prune's cross-check
+#                    against one recoloring per candidate, the spice
+#                    dense-vs-CG solver cross-check and the warm-vs-cold
+#                    branch & bound LP cross-check)
 #   7. compactlint — the project's own analyzers, including the compactflow
 #                    dataflow suite (allocbound, ctxflow, gospawn) and the
 #                    staleignore check on //lint:ignore directives; any
@@ -84,6 +85,7 @@ if [ "$short" -eq 0 ]; then
     go test -fuzz=FuzzMapStack -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzWarmVsColdLP -fuzztime=5s -run='^$' ./internal/ilp/
     go test -fuzz=FuzzOCTVsLemma1 -fuzztime=5s -run='^$' ./internal/oct/
+    go test -fuzz=FuzzHeuristicVsRecolor -fuzztime=5s -run='^$' ./internal/oct/
     go test -fuzz=FuzzPlanJSON -fuzztime=5s -run='^$' ./internal/partition/
     go test -fuzz=FuzzStoreEntry -fuzztime=5s -run='^$' ./internal/store/
     go test -fuzz=FuzzDenseVsCG -fuzztime=5s -run='^$' ./internal/spice/

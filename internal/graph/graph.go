@@ -8,6 +8,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Graph is a simple undirected graph over vertices 0..N-1 with adjacency
@@ -16,6 +17,10 @@ type Graph struct {
 	adj  [][]int
 	m    int
 	seen map[[2]int]bool
+	// edges caches the sorted list Edges returns; addEdge drops it. It is
+	// atomic because concurrent readers (the labeling portfolio's engines
+	// share one graph) may each build and publish it.
+	edges atomic.Pointer[[][2]int]
 }
 
 // New creates an empty graph with n vertices.
@@ -69,13 +74,19 @@ func (g *Graph) addEdge(u, v int) {
 		return
 	}
 	g.seen[k] = true
+	g.edges.Store(nil)
 	g.adj[u] = append(g.adj[u], v)
 	g.adj[v] = append(g.adj[v], u)
 	g.m++
 }
 
-// Edges returns all edges as (u,v) pairs with u < v, sorted.
+// Edges returns all edges as (u,v) pairs with u < v, sorted. The list is
+// built on the first call after the last edge insertion and shared by
+// later calls (not to be mutated).
 func (g *Graph) Edges() [][2]int {
+	if p := g.edges.Load(); p != nil {
+		return *p
+	}
 	out := make([][2]int, 0, g.m)
 	for u, ns := range g.adj {
 		for _, v := range ns {
@@ -90,6 +101,7 @@ func (g *Graph) Edges() [][2]int {
 		}
 		return out[i][1] < out[j][1]
 	})
+	g.edges.Store(&out)
 	return out
 }
 
@@ -209,8 +221,9 @@ func (g *Graph) Components() [][]int {
 }
 
 // OddCycle returns some odd cycle as a vertex sequence (first == last not
-// repeated), or nil if the graph is bipartite. Used by tests and the
-// labeling heuristics.
+// repeated), or nil if the graph is bipartite. With RemoveVertices it is
+// the test reference for oct.DisjointOddCycles, which walks the same BFS
+// masked by a removed set instead of on rebuilt subgraphs.
 func (g *Graph) OddCycle() []int {
 	color := make([]int, len(g.adj))
 	parent := make([]int, len(g.adj))

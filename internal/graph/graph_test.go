@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -61,6 +62,28 @@ func TestBasics(t *testing.T) {
 	}
 	if g.M() != 2 {
 		t.Errorf("rejected edges mutated the graph: M = %d, want 2", g.M())
+	}
+}
+
+// TestEdgesCached checks that Edges builds its list once and that an
+// inserted edge drops the cached list.
+func TestEdgesCached(t *testing.T) {
+	g := cycle(4)
+	first := g.Edges()
+	if again := g.Edges(); &again[0] != &first[0] {
+		t.Error("second Edges call rebuilt the list")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { g.Edges() }); allocs != 0 {
+		t.Errorf("cached Edges allocates %.0f times", allocs)
+	}
+	g.AddEdge(0, 2)
+	want := [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {2, 3}}
+	if got := g.Edges(); !slices.Equal(got, want) {
+		t.Errorf("after AddEdge, Edges = %v, want %v", got, want)
+	}
+	g.AddEdge(0, 2) // duplicate: the cache stays
+	if got := g.Edges(); !slices.Equal(got, want) {
+		t.Errorf("after a duplicate AddEdge, Edges = %v, want %v", got, want)
 	}
 }
 

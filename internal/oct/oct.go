@@ -13,7 +13,9 @@
 package oct
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"time"
 
 	"compact/internal/graph"
@@ -149,83 +151,291 @@ func coverILP(ctx context.Context, p *graph.Graph, limit time.Duration) (map[int
 // DisjointOddCycles greedily packs vertex-disjoint odd cycles. The number
 // of cycles is a lower bound on the minimum OCT size (each needs its own
 // transversal vertex), which the MIP labeler turns into valid cuts.
+//
+// Each round is graph.OddCycle on g minus the cycles packed so far, run as
+// a BFS masked by the removed set instead of on a rebuilt subgraph. The
+// walk visits neighbours in the order graph.InducedSubgraph would list
+// them (lower ids ascending, then higher ids in g's adjacency order), so
+// the packing is the one the rebuilt subgraphs give. Components a round
+// finds bipartite stay so once other components lose vertices, so later
+// rounds skip them and resume at the root whose BFS closed the cycle.
 func DisjointOddCycles(g *graph.Graph) [][]int {
-	removed := make(map[int]bool)
+	n := g.N()
+	adj, off := subgraphOrder(g)
+	removed := make([]bool, n)
+	done := make([]bool, n) // in a component already found bipartite
+	mark := make([]int, n)  // round in which the vertex was colored
+	color := make([]int8, n)
+	parent := make([]int, n)
+	queue := make([]int, 0, n)
 	var cycles [][]int
-	for {
-		sub, orig := g.RemoveVertices(removed)
-		cyc := sub.OddCycle()
+	s := 0
+	for round := 1; ; round++ {
+		var cyc []int
+		for ; s < n; s++ {
+			if removed[s] || done[s] {
+				continue
+			}
+			mark[s], color[s], parent[s] = round, 0, -1
+			queue = append(queue[:0], s)
+		bfs:
+			for h := 0; h < len(queue); h++ {
+				u := queue[h]
+				for _, v := range adj[off[u]:off[u+1]] {
+					switch {
+					case removed[v]:
+					case mark[v] != round:
+						mark[v], color[v], parent[v] = round, 1-color[u], u
+						queue = append(queue, v)
+					case color[v] == color[u]:
+						cyc = joinAtLCA(parent, u, v)
+						break bfs
+					}
+				}
+			}
+			if cyc != nil {
+				break
+			}
+			for _, v := range queue {
+				done[v] = true
+			}
+		}
 		if cyc == nil {
 			return cycles
 		}
-		mapped := make([]int, len(cyc))
-		for i, v := range cyc {
-			mapped[i] = orig[v]
-			removed[orig[v]] = true
+		for _, v := range cyc {
+			removed[v] = true
 		}
-		cycles = append(cycles, mapped)
+		cycles = append(cycles, cyc)
 	}
 }
 
-// Heuristic computes a (not necessarily minimum) OCT greedily: BFS
-// 2-coloring that moves conflict vertices into the transversal, followed by
-// a pruning pass that re-admits unnecessary transversal vertices.
-func Heuristic(g *graph.Graph) Result {
-	oct := make(map[int]bool)
-	// Order vertices by descending degree: high-degree vertices are more
-	// likely to close odd cycles, so resolving conflicts at them first
-	// keeps the transversal small.
-	side := colorGreedy(g, oct)
-	// Prune: try returning each OCT vertex (ascending degree) if the
-	// residual graph stays bipartite.
-	verts := make([]int, 0, len(oct))
-	for v := range oct {
-		verts = append(verts, v)
+// subgraphOrder returns g's adjacency in compressed form (the neighbours
+// of v are adj[off[v]:off[v+1]]), each list in graph.InducedSubgraph's
+// order: lower-id neighbours ascending, then higher-id neighbours in g's
+// adjacency order.
+func subgraphOrder(g *graph.Graph) (adj, off []int) {
+	n := g.N()
+	off = make([]int, n+1)
+	for v := 0; v < n; v++ {
+		off[v+1] = off[v] + g.Degree(v)
 	}
-	sortByDegree(g, verts)
-	for _, v := range verts {
-		delete(oct, v)
-		if s := tryColor(g, oct); s != nil {
-			side = s
-		} else {
+	adj = make([]int, off[n])
+	next := append([]int(nil), off[:n]...)
+	for u := 0; u < n; u++ {
+		for _, w := range g.Adj(u) {
+			if u < w {
+				adj[next[w]] = u
+				next[w]++
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		for _, w := range g.Adj(v) {
+			if v < w {
+				adj[next[v]] = w
+				next[v]++
+			}
+		}
+	}
+	return adj, off
+}
+
+// joinAtLCA returns the odd cycle closed by the edge {u,v} between two
+// same-colored vertices of one BFS tree: u's path up to the lowest common
+// ancestor, then v's path back down, as graph.OddCycle lists it.
+func joinAtLCA(parent []int, u, v int) []int {
+	pu, pv := pathToRoot(parent, u), pathToRoot(parent, v)
+	iu, iv := len(pu)-1, len(pv)-1
+	for iu > 0 && iv > 0 && pu[iu-1] == pv[iv-1] {
+		iu--
+		iv--
+	}
+	cyc := make([]int, 0, iu+iv+1)
+	cyc = append(cyc, pu[:iu+1]...)
+	for i := iv; i >= 1; i-- {
+		cyc = append(cyc, pv[i-1])
+	}
+	return cyc
+}
+
+func pathToRoot(parent []int, v int) []int {
+	var p []int
+	for ; v >= 0; v = parent[v] {
+		p = append(p, v)
+	}
+	return p
+}
+
+// Heuristic computes a (not necessarily minimum) OCT greedily: a BFS
+// 2-coloring that moves conflict vertices into the transversal, followed
+// by a pruning pass that re-admits unnecessary transversal vertices.
+func Heuristic(g *graph.Graph) Result {
+	side, in := colorGreedy(g)
+	return prune(g, side, in)
+}
+
+// prune tries to return each transversal vertex (in[v]) to the graph, in
+// pruneOrder, keeping it out of the transversal when G − OCT stays
+// bipartite. side must be a proper 2-coloring of G − OCT on entry, with
+// -1 on the transversal.
+//
+// G − OCT is bipartite before every step, so returning v closes an odd
+// cycle iff two of v's residual neighbours in one component of G − OCT
+// lie on the same side of it. A union-find with parity over G − OCT,
+// built once, answers that per neighbour, so the pass costs
+// O((n+m)·α(n)) instead of one full 2-coloring per candidate, and
+// re-admits exactly the vertices the recoloring loop would.
+//
+// The returned Side is side when nothing was re-admitted and otherwise
+// the 2-coloring of the final residual graph that tryColor computes.
+func prune(g *graph.Graph, side []int, in []bool) Result {
+	n := g.N()
+	uf := newParityUF(n)
+	for u := 0; u < n; u++ {
+		if in[u] {
+			continue
+		}
+		for _, v := range g.Adj(u) {
+			if u < v && !in[v] {
+				uf.link(u, v)
+			}
+		}
+	}
+	order := pruneOrder(g, in)
+	k := len(order)
+	// seen[r] is 1 + the index of the last candidate that reached root r
+	// through a neighbour of parity par[r].
+	seen := make([]int, n)
+	par := make([]uint8, n)
+	for i, v := range order {
+		ok := true
+		for _, w := range g.Adj(v) {
+			if in[w] {
+				continue
+			}
+			r, p := uf.find(w)
+			if seen[r] != i+1 {
+				seen[r], par[r] = i+1, p
+			} else if par[r] != p {
+				ok = false
+				break
+			}
+		}
+		if !ok {
+			continue
+		}
+		in[v] = false
+		k--
+		for _, w := range g.Adj(v) {
+			if !in[w] {
+				uf.link(v, w)
+			}
+		}
+	}
+	if k < len(order) {
+		side = tryColor(g, in)
+	}
+	oct := make(map[int]bool, k)
+	for _, v := range order {
+		if in[v] {
 			oct[v] = true
 		}
 	}
-	for v := range oct {
-		side[v] = -1
-	}
-	return Result{OCT: oct, Side: side, Optimal: len(oct) == 0}
+	return Result{OCT: oct, Side: side, Optimal: k == 0}
 }
 
-func sortByDegree(g *graph.Graph, vs []int) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && g.Degree(vs[j]) < g.Degree(vs[j-1]); j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
+// pruneOrder lists the transversal vertices by ascending degree, ties by
+// id: low-degree vertices close the fewest odd cycles, so they are the
+// likeliest to come back.
+func pruneOrder(g *graph.Graph, in []bool) []int {
+	var vs []int
+	for v, x := range in {
+		if x {
+			vs = append(vs, v)
 		}
 	}
+	slices.SortFunc(vs, func(a, b int) int {
+		return cmp.Or(cmp.Compare(g.Degree(a), g.Degree(b)), cmp.Compare(a, b))
+	})
+	return vs
 }
 
-// colorGreedy BFS-colors g, pushing conflicting vertices into oct.
-func colorGreedy(g *graph.Graph, oct map[int]bool) []int {
+// parityUF is a union-find over vertices that also records, for each
+// vertex, the parity of its path to its parent: two vertices of one set
+// lie on the same side of the set's 2-coloring iff their parities to the
+// root agree.
+type parityUF struct {
+	parent, size []int32
+	parity       []uint8
+}
+
+func newParityUF(n int) *parityUF {
+	uf := &parityUF{parent: make([]int32, n), size: make([]int32, n), parity: make([]uint8, n)}
+	for v := range uf.parent {
+		uf.parent[v], uf.size[v] = int32(v), 1
+	}
+	return uf
+}
+
+// find returns v's root and v's parity relative to it, halving the path
+// as it goes (iteratively: components of large BDD graphs are deep).
+func (uf *parityUF) find(v int) (int, uint8) {
+	x := int32(v)
+	var p uint8
+	for uf.parent[x] != x {
+		q := uf.parent[x]
+		if gp := uf.parent[q]; gp != q {
+			uf.parity[x] ^= uf.parity[q]
+			uf.parent[x] = gp
+		}
+		p ^= uf.parity[x]
+		x = uf.parent[x]
+	}
+	return int(x), p
+}
+
+// link records that u and v lie on opposite sides. The caller guarantees
+// the sets stay bipartite: if u and v already share a set, nothing changes.
+func (uf *parityUF) link(u, v int) {
+	ru, pu := uf.find(u)
+	rv, pv := uf.find(v)
+	if ru == rv {
+		return
+	}
+	if uf.size[ru] < uf.size[rv] {
+		ru, rv = rv, ru
+	}
+	uf.parent[rv] = int32(ru)
+	uf.parity[rv] = pu ^ pv ^ 1
+	uf.size[ru] += uf.size[rv]
+}
+
+// colorGreedy BFS-colors g from each uncolored vertex in id order,
+// marking in the transversal every already-colored neighbour that
+// conflicts with the vertex being expanded. It returns the sides
+// (transversal vertices carry -1) and the transversal's membership.
+func colorGreedy(g *graph.Graph) ([]int, []bool) {
 	n := g.N()
 	side := make([]int, n)
+	in := make([]bool, n)
 	for i := range side {
 		side[i] = -2 // uncolored
 	}
+	queue := make([]int, 0, n)
 	for s := 0; s < n; s++ {
-		if side[s] != -2 || oct[s] {
+		if side[s] != -2 {
 			continue
 		}
 		side[s] = 0
-		queue := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			if oct[u] {
+		queue = append(queue[:0], s)
+		for h := 0; h < len(queue); h++ {
+			u := queue[h]
+			if in[u] {
 				continue
 			}
 			for _, v := range g.Adj(u) {
-				if oct[v] {
+				if in[v] {
 					continue
 				}
 				if side[v] == -2 {
@@ -233,33 +443,34 @@ func colorGreedy(g *graph.Graph, oct map[int]bool) []int {
 					queue = append(queue, v)
 				} else if side[v] == side[u] {
 					// Conflict: move v into the OCT.
-					oct[v] = true
+					in[v] = true
 					side[v] = -1
 				}
 			}
 		}
 	}
-	return side
+	return side, in
 }
 
-// tryColor 2-colors g minus oct, returning nil if not bipartite.
-func tryColor(g *graph.Graph, oct map[int]bool) []int {
+// tryColor 2-colors g minus the vertices marked in in, returning nil if
+// that residual graph is not bipartite. Marked vertices carry -1.
+func tryColor(g *graph.Graph, in []bool) []int {
 	n := g.N()
 	side := make([]int, n)
 	for i := range side {
 		side[i] = -2
 	}
+	queue := make([]int, 0, n)
 	for s := 0; s < n; s++ {
-		if side[s] != -2 || oct[s] {
+		if side[s] != -2 || in[s] {
 			continue
 		}
 		side[s] = 0
-		queue := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		queue = append(queue[:0], s)
+		for h := 0; h < len(queue); h++ {
+			u := queue[h]
 			for _, v := range g.Adj(u) {
-				if oct[v] {
+				if in[v] {
 					continue
 				}
 				if side[v] == -2 {
@@ -271,8 +482,10 @@ func tryColor(g *graph.Graph, oct map[int]bool) []int {
 			}
 		}
 	}
-	for v := range oct {
-		side[v] = -1
+	for v, x := range in {
+		if x {
+			side[v] = -1
+		}
 	}
 	return side
 }

@@ -30,10 +30,11 @@ func findBB(ctx context.Context, g *graph.Graph, limit time.Duration) Result {
 	res := inc
 	if len(s.best) < len(inc.OCT) {
 		oct := make(map[int]bool, len(s.best))
+		in := make([]bool, g.N())
 		for _, v := range s.best {
-			oct[v] = true
+			oct[v], in[v] = true, true
 		}
-		res = Result{OCT: oct, Side: tryColor(g, oct)}
+		res = Result{OCT: oct, Side: tryColor(g, in)}
 	}
 	res.Optimal = !s.expired
 	res.Nodes = s.nodes
