@@ -22,8 +22,8 @@
 #                    exactness oracle, the crossbar mapper's postcondition
 #                    and evaluation check on fuzzed layer intervals, the
 #                    exact-OCT cross-check against Lemma 1's ILP and
-#                    brute force, the greedy OCT prune's cross-check
-#                    against one recoloring per candidate, the spice
+#                    brute force, the check that one recoloring per
+#                    greedy OCT vertex re-admits none of them, the spice
 #                    dense-vs-CG solver cross-check and the warm-vs-cold
 #                    branch & bound LP cross-check)
 #   7. compactlint — the project's own analyzers, including the compactflow

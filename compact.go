@@ -24,8 +24,9 @@
 // internal/oct), a bounded-variable-simplex MIP solver (internal/ilp), the
 // VH-labeling solvers (internal/labeling), crossbar mapping and evaluation
 // (internal/xbar), an electrical validator (internal/spice), the prior-art
-// baselines (internal/staircase, internal/magic), benchmark generators
-// (internal/bench) and the experiment harness (internal/exp). This façade
+// baselines (the staircase labeling of [16] in internal/exp, and
+// internal/magic), benchmark generators (internal/bench) and the
+// experiment harness (internal/exp). This façade
 // re-exports the types a downstream user needs.
 package compact
 

@@ -12,7 +12,6 @@ import (
 	"compact/internal/labeling"
 	"compact/internal/oct"
 	"compact/internal/pla"
-	"compact/internal/staircase"
 	"compact/internal/xbar"
 )
 
@@ -68,7 +67,7 @@ func Baselines(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		stair, err := staircase.Map(bg)
+		stair, err := staircaseMap(bg)
 		if err != nil {
 			return nil, err
 		}

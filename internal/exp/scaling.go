@@ -6,7 +6,6 @@ import (
 	"compact/internal/bdd"
 	"compact/internal/bench"
 	"compact/internal/core"
-	"compact/internal/staircase"
 	"compact/internal/xbar"
 )
 
@@ -45,7 +44,7 @@ func Scaling(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		stair, err := staircase.Map(bg)
+		stair, err := staircaseMap(bg)
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,6 @@ import (
 	"compact/internal/core"
 	"compact/internal/labeling"
 	"compact/internal/logic"
-	"compact/internal/staircase"
 	"compact/internal/xbar"
 )
 
@@ -195,7 +194,7 @@ func staircaseBaseline(nw *logic.Network) (*xbar.Design, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	d, err := staircase.Map(bg)
+	d, err := staircaseMap(bg)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -15,9 +15,12 @@ package ilp
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"time"
+
+	"compact/internal/errio"
 )
 
 // VarType distinguishes continuous from integrality-constrained variables.
@@ -129,6 +132,26 @@ func (m *Model) AddConstr(name string, terms []Term, sense Sense, rhs float64) {
 		}
 	}
 	m.constrs = append(m.constrs, Constraint{Terms: out, Sense: sense, RHS: rhs, Name: name})
+}
+
+// WriteText writes the model one line per variable (name, bounds, type,
+// objective coefficient) and then one line per constraint (name, terms,
+// sense, right-hand side), in insertion order. Floats print in their
+// shortest round-trip form, so two models write equal text exactly when
+// they are the same model row for row.
+func (m *Model) WriteText(w io.Writer) error {
+	ew := errio.NewWriter(w)
+	for v := range m.obj {
+		ew.Printf("var %s [%v,%v] %d %v\n", m.names[v], m.lb[v], m.ub[v], m.vtype[v], m.obj[v])
+	}
+	for _, c := range m.constrs {
+		ew.Printf("row %s", c.Name)
+		for _, t := range c.Terms {
+			ew.Printf(" %v*%d", t.Coeff, t.Var)
+		}
+		ew.Printf(" %s %v\n", c.Sense, c.RHS)
+	}
+	return ew.Err()
 }
 
 // Objective evaluates c·x.

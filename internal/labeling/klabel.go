@@ -3,7 +3,6 @@ package labeling
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"compact/internal/ilp"
@@ -34,10 +33,11 @@ import (
 // labeling's wordlines across layers 0 and 2 therefore shrinks S roughly
 // by half the row count — the FLOW-3D superlinear footprint win.
 //
-// SolveK delegates K <= 2 to the 2D pipeline verbatim (a crossbar needs
-// two wire layers, so K=1 is clamped to 2 — documented, not an error) and
-// solves K >= 3 with a fold-from-2D heuristic plus an interval ILP, racing
-// under the same shared-incumbent portfolio discipline as the 2D solvers.
+// SolveK runs K <= 2 on the 2D engines (a crossbar needs two wire layers,
+// so K=1 is clamped to 2 — documented, not an error) and solves K >= 3
+// with a fold-from-2D heuristic plus an interval ILP. Both go through one
+// driver (solve), one MIP driver (solveExact) and one engine race
+// (solvePortfolio).
 
 // MaxLayers caps the layer count accepted by SolveK and core.Options: the
 // interval ILP grows as n·K³ and no published 3D RRAM stack exceeds a
@@ -101,6 +101,9 @@ func edgeRealizable(loU, hiU, loV, hiV, k int) bool {
 	return false
 }
 
+// reachesEven reports whether [lo, hi] holds an even (wordline) layer.
+func reachesEven(lo, hi int) bool { return lo%2 == 0 || lo < hi }
+
 // ValidateK checks that the intervals solve the K-layer problem: every
 // node occupies a non-empty in-range interval, every edge is realizable on
 // some adjacent layer pair, and every alignment node reaches an even
@@ -126,14 +129,7 @@ func ValidateK(p Problem, k int, lo, hi []int) error {
 		}
 	}
 	for _, v := range p.AlignH {
-		even := false
-		for l := lo[v]; l <= hi[v]; l++ {
-			if l%2 == 0 {
-				even = true
-				break
-			}
-		}
-		if !even {
+		if !reachesEven(lo[v], hi[v]) {
 			return fmt.Errorf("labeling: alignment node %d interval [%d,%d] reaches no even layer", v, lo[v], hi[v])
 		}
 	}
@@ -150,11 +146,15 @@ type KSolution struct {
 	Elapsed time.Duration
 	Trace   []ilp.TraceEvent
 	Engines []EngineReport
+	// ColdNodes and DenseFallbacks carry the MIP's ilp.Solution counters,
+	// as in Solution.
+	ColdNodes, DenseFallbacks int
 }
 
 // LiftLabels converts a 2D labeling into the equivalent 2-layer intervals:
-// H → [0,0], V → [1,1], VH → [0,1]. This is the V/H ↔ layer mapping the
-// K=2 equivalence suite pins cell-for-cell.
+// H → [0,0], V → [1,1], VH → [0,1], and Unlabeled to the empty [1,0] that
+// ValidateK rejects. This is the V/H ↔ layer mapping the K=2 equivalence
+// suite pins cell-for-cell.
 func LiftLabels(labels []Label) (lo, hi []int) {
 	lo = make([]int, len(labels))
 	hi = make([]int, len(labels))
@@ -164,109 +164,58 @@ func LiftLabels(labels []Label) (lo, hi []int) {
 			lo[v], hi[v] = 0, 0
 		case V:
 			lo[v], hi[v] = 1, 1
-		default: // VH (Unlabeled never survives Validate)
+		case VH:
 			lo[v], hi[v] = 0, 1
+		default:
+			lo[v], hi[v] = 1, 0
 		}
 	}
 	return lo, hi
 }
 
-// SolveK computes a K-layer labeling of p. K <= 2 delegates to the 2D
-// SolveContext verbatim (K=1 is clamped — a crossbar needs two wire
-// layers) and lifts the labels into intervals, so the layered path at
-// K <= 2 is semiperimeter-identical to today's pipeline by construction.
-// K >= 3 runs the fold heuristic and the interval ILP under Options.Method
-// (auto, oct and portfolio all race both engines with a shared incumbent;
-// there is no OCT analogue above two colors). The deadline discipline
-// matches SolveContext: one shared budget, anytime degradation to the best
-// valid labeling found.
+// SolveK computes a K-layer labeling of p. K=1 is clamped to 2 (a
+// crossbar needs two wire layers), and K = 2 runs the 2D engines exactly
+// as SolveContext does, so the layered path at K <= 2 is
+// semiperimeter-identical to the 2D pipeline by construction. K >= 3 runs
+// the fold heuristic and the interval ILP under Options.Method (auto, oct
+// and portfolio all race both engines with a shared incumbent; there is no
+// OCT analogue above two colors). The deadline discipline matches
+// SolveContext: one shared budget, anytime degradation to the best valid
+// labeling found.
 func SolveK(ctx context.Context, p Problem, k int, opts Options) (*KSolution, error) {
-	start := time.Now()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if k < 2 {
-		k = 2
-	}
 	if k > MaxLayers {
 		return nil, fmt.Errorf("labeling: %d layers exceeds the %d-layer cap", k, MaxLayers)
 	}
-	if k == 2 {
-		sol, err := SolveContext(ctx, p, opts)
-		if err != nil {
-			return nil, err
-		}
-		lo, hi := LiftLabels(sol.Labels)
-		return &KSolution{
-			K: 2, Lo: lo, Hi: hi,
-			Stats:   ComputeKStats(2, lo, hi),
-			Optimal: sol.Optimal,
-			Method:  sol.Method,
-			Elapsed: sol.Elapsed,
-			Trace:   sol.Trace,
-			Engines: sol.Engines,
-		}, nil
-	}
-
-	if opts.TimeLimit > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.TimeLimit)
-		defer cancel()
-	}
-	// Provable early infeasibility: each even layer holds at most MaxRows
-	// wires and each odd layer at most MaxCols, and every node occupies at
-	// least one layer.
-	ke, ko := (k+1)/2, k/2
-	if opts.MaxRows > 0 && opts.MaxCols > 0 && p.G.N() > ke*opts.MaxRows+ko*opts.MaxCols {
-		return nil, fmt.Errorf("labeling: %d graph nodes exceed the %d-layer capacity of budget %dx%d: %w",
-			p.G.N(), k, opts.MaxRows, opts.MaxCols, ErrInfeasible)
-	}
-
-	var sol *KSolution
-	var err error
-	switch opts.Method {
-	case MethodHeuristic:
-		sol = solveKHeuristic(p, k, opts)
-	case MethodMIP:
-		sol, err = solveKMIP(ctx, p, k, opts, solveKHeuristic(p, k, opts), nil)
-	default: // auto, oct, portfolio: race both engines with a shared incumbent
-		sol, err = solveKPortfolio(ctx, p, k, opts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	sol.Elapsed = time.Since(start)
-	if err := ValidateK(p, k, sol.Lo, sol.Hi); err != nil {
-		return nil, fmt.Errorf("labeling: solver %s produced invalid K-labeling: %w", sol.Method, err)
-	}
-	if (opts.MaxRows > 0 && sol.Stats.R > opts.MaxRows) ||
-		(opts.MaxCols > 0 && sol.Stats.C > opts.MaxCols) {
-		return nil, fmt.Errorf("labeling: %s result footprint %dx%d exceeds budget %dx%d: %w",
-			sol.Method, sol.Stats.R, sol.Stats.C, opts.MaxRows, opts.MaxCols, ErrInfeasible)
-	}
-	return sol, nil
+	return solve(ctx, p, max(k, 2), opts)
 }
 
-// solveKHeuristic folds a 2D labeling across K layers: VH nodes keep the
+// solveKHeuristic is the greedy OCT plus orientation and balancing,
+// folded across k layers (MethodHeuristic at K = 2, kfold above).
+func solveKHeuristic(p Problem, k int, opts Options) *KSolution {
+	labels, _ := orientAndBalance(p, oct.Heuristic(p.G))
+	sol := foldLabels(p, k, opts.Gamma, labels)
+	if k == 2 {
+		sol.Method = "heuristic"
+	}
+	return sol
+}
+
+// foldLabels folds a 2D labeling across k layers: VH nodes keep the
 // interval [0,1], V nodes sit on odd layers, H nodes are balanced across
 // even layers, and a deterministic local search migrates nodes toward
 // less-loaded layers of their parity while every move keeps all incident
 // edges on adjacent layer pairs. Candidates are generated for every layer
 // count 3..k (a k'-layer labeling is valid under k layers), plus the 2D
 // lift itself, and the best objective wins — so S is monotone
-// non-increasing in K by construction.
-func solveKHeuristic(p Problem, k int, opts Options) *KSolution {
-	base := solveHeuristic(p, opts)
-	lo2, hi2 := LiftLabels(base.Labels)
+// non-increasing in K by construction. At k = 2 it is the lift.
+func foldLabels(p Problem, k int, gamma float64, labels []Label) *KSolution {
+	lo2, hi2 := LiftLabels(labels)
 	bestLo, bestHi := lo2, hi2
 	bestStats := ComputeKStats(k, lo2, hi2)
 	for kk := 3; kk <= k; kk++ {
-		lo, hi := kFold(p, base.Labels, kk)
+		lo, hi := kFold(p, labels, kk)
 		st := ComputeKStats(k, lo, hi)
-		if st.Objective(opts.Gamma) < bestStats.Objective(opts.Gamma)-1e-9 {
+		if st.Objective(gamma) < bestStats.Objective(gamma)-1e-9 {
 			bestLo, bestHi, bestStats = lo, hi, st
 		}
 	}
@@ -355,16 +304,8 @@ func shrinkIntervals(p Problem, k int, lo, hi []int) {
 	for _, v := range p.AlignH {
 		alignSet[v] = true
 	}
-	hasEven := func(a, b int) bool {
-		for l := a; l <= b; l++ {
-			if l%2 == 0 {
-				return true
-			}
-		}
-		return false
-	}
 	canUse := func(v, a, b int) bool {
-		if alignSet[v] && !hasEven(a, b) {
+		if alignSet[v] && !reachesEven(a, b) {
 			return false
 		}
 		for _, u := range p.G.Adj(v) {
@@ -386,74 +327,12 @@ func shrinkIntervals(p Problem, k int, lo, hi []int) {
 	}
 }
 
-// solveKPortfolio mirrors solvePortfolio for the K >= 3 engines: the fold
-// heuristic runs first (polynomial, near-instant) and seeds the shared
-// incumbent; the interval ILP then prunes against it via BestKnown. With
-// one exact engine the race is sequential, but the incumbent-sharing
-// contract is identical to the 2D portfolio.
-func solveKPortfolio(ctx context.Context, p Problem, k int, opts Options) (*KSolution, error) {
-	gamma := opts.Gamma
-	shared := newSharedIncumbent()
-
-	hStart := time.Now()
-	heur := solveKHeuristic(p, k, opts)
-	heur.Elapsed = time.Since(hStart)
-	shared.offer(heur.Stats.Objective(gamma))
-	reports := []EngineReport{{
-		Method:    "kfold",
-		Objective: heur.Stats.Objective(gamma),
-		Optimal:   heur.Optimal,
-		Elapsed:   heur.Elapsed,
-	}}
-
-	fits := func(s *KSolution) bool {
-		return (opts.MaxRows <= 0 || s.Stats.R <= opts.MaxRows) &&
-			(opts.MaxCols <= 0 || s.Stats.C <= opts.MaxCols)
-	}
-	best, bestName := heur, "kfold"
-	mStart := time.Now()
-	mip, err := solveKMIP(ctx, p, k, opts, heur, shared.get)
-	rep := EngineReport{Method: "kmip", Elapsed: time.Since(mStart), Objective: math.Inf(1)}
-	if err != nil {
-		rep.Err = err.Error()
-		if ctx.Err() == nil {
-			return nil, err
-		}
-	} else if ValidateK(p, k, mip.Lo, mip.Hi) == nil {
-		rep.Objective = mip.Stats.Objective(gamma)
-		rep.Optimal = mip.Optimal
-		shared.offer(rep.Objective)
-		switch {
-		case fits(mip) && !fits(best):
-			best, bestName = mip, "kmip"
-		case fits(mip) == fits(best) && rep.Objective < best.Stats.Objective(gamma)-1e-9:
-			best, bestName = mip, "kmip"
-		case fits(mip) == fits(best) && rep.Objective < best.Stats.Objective(gamma)+1e-9 && mip.Optimal && !best.Optimal:
-			best, bestName = mip, "kmip"
-		}
-	}
-	reports = append(reports, rep)
-	for i := range reports {
-		reports[i].Winner = reports[i].Method == bestName
-	}
-	return &KSolution{
-		K: k, Lo: best.Lo, Hi: best.Hi,
-		Stats:   best.Stats,
-		Optimal: best.Optimal,
-		Method:  "portfolio(" + bestName + ")",
-		Trace:   best.Trace,
-		Engines: reports,
-	}, nil
-}
-
-// solveKMIP solves the interval ILP: occupancy binaries x[v][l] with
-// contiguity triples, per-edge adjacency helpers, even-layer alignment,
-// and integer R/C/D footprint variables carrying the γ-weighted objective.
-// The 2D odd-cycle machinery carries over: a node on a single layer has a
-// fixed parity and edges connect opposite parities, so every odd cycle
-// forces at least one spanning node — the disjoint-cycle cuts and the OCT
-// packing bound on total occupancy remain valid for every K.
-func solveKMIP(ctx context.Context, p Problem, k int, opts Options, primer *KSolution, bestKnown func() float64) (*KSolution, error) {
+// intervalModel builds FLOW-3D's interval ILP: occupancy binaries x[v][l]
+// with contiguity triples, per-edge adjacency helpers, even-layer
+// alignment, and integer R/C/D footprint variables carrying the γ-weighted
+// objective. The odd-cycle rows and the occupancy floor are the shared
+// ones solveExact adds; decoded intervals are trimmed by shrinkIntervals.
+func intervalModel(p Problem, k int, opts Options) *exactModel {
 	gamma := opts.Gamma
 	n := p.G.N()
 	mod := ilp.NewModel("k-labeling")
@@ -520,16 +399,12 @@ func solveKMIP(ctx context.Context, p Problem, k int, opts Options, primer *KSol
 		for v := 0; v < n; v++ {
 			terms = append(terms, ilp.Term{Var: x[v][l], Coeff: -1})
 		}
-		if l%2 == 0 {
-			mod.AddConstr("RgeW", append(terms, ilp.Term{Var: rVar, Coeff: 1}), ilp.GE, 0)
-		} else {
-			mod.AddConstr("CgeW", append(terms, ilp.Term{Var: cVar, Coeff: 1}), ilp.GE, 0)
+		side, sideVar := "RgeW", rVar
+		if l%2 == 1 {
+			side, sideVar = "CgeW", cVar
 		}
-		dterms := make([]ilp.Term, 0, n+1)
-		for v := 0; v < n; v++ {
-			dterms = append(dterms, ilp.Term{Var: x[v][l], Coeff: -1})
-		}
-		mod.AddConstr("DgeW", append(dterms, ilp.Term{Var: dVar, Coeff: 1}), ilp.GE, 0)
+		mod.AddConstr(side, append(terms, ilp.Term{Var: sideVar, Coeff: 1}), ilp.GE, 0)
+		mod.AddConstr("DgeW", append(terms, ilp.Term{Var: dVar, Coeff: 1}), ilp.GE, 0)
 	}
 	if opts.MaxRows > 0 {
 		mod.AddConstr("maxRows", []ilp.Term{{Var: rVar, Coeff: 1}}, ilp.LE, float64(opts.MaxRows))
@@ -537,115 +412,46 @@ func solveKMIP(ctx context.Context, p Problem, k int, opts Options, primer *KSol
 	if opts.MaxCols > 0 {
 		mod.AddConstr("maxCols", []ilp.Term{{Var: cVar, Coeff: 1}}, ilp.LE, float64(opts.MaxCols))
 	}
-	// Strengthening cuts, inherited from the 2D model: single-layer nodes
-	// have a fixed parity and every edge joins opposite parities, so any
-	// odd cycle forces a node spanning both parities (>= 2 layers). Hence
-	// per disjoint odd cycle Σ occupancy >= |C| + 1, and globally total
-	// occupancy >= n + kLB with kLB the OCT packing bound.
-	cycles := oct.DisjointOddCycles(p.G)
-	for _, cyc := range cycles {
-		terms := make([]ilp.Term, 0, k*len(cyc))
-		for _, v := range cyc {
-			for l := 0; l < k; l++ {
-				terms = append(terms, ilp.Term{Var: x[v][l], Coeff: 1})
-			}
-		}
-		mod.AddConstr("oddcyc", terms, ilp.GE, float64(len(cyc)+1))
-	}
-	kLB := len(cycles)
-	occTerms := make([]ilp.Term, 0, n*k)
-	for v := 0; v < n; v++ {
-		for l := 0; l < k; l++ {
-			occTerms = append(occTerms, ilp.Term{Var: x[v][l], Coeff: 1})
-		}
-	}
-	mod.AddConstr("occLB", occTerms, ilp.GE, float64(n+kLB))
 
-	// Analytic objective floor: ⌈k/2⌉·R + ⌊k/2⌋·C >= total occupancy
-	// >= n + kLB, so S >= (n+kLB)/⌈k/2⌉ and D >= (n+kLB)/k.
-	ke := (k + 1) / 2
-	analytic := gamma*float64(n+kLB)/float64(ke) + (1-gamma)*float64(n+kLB)/float64(k)
-
-	// Incumbent from the fold heuristic.
-	var inc []float64
-	if primer != nil {
-		inc = make([]float64, mod.NumVars())
+	m := &exactModel{name: "kmip", k: k, mod: mod, occ: x}
+	m.encode = func(c *KSolution) []float64 {
+		inc := make([]float64, mod.NumVars())
 		for v := 0; v < n; v++ {
-			for l := primer.Lo[v]; l <= primer.Hi[v]; l++ {
+			for l := c.Lo[v]; l <= c.Hi[v]; l++ {
 				inc[x[v][l]] = 1
 			}
 		}
 		for e, ed := range edges {
 			u, v := ed[0], ed[1]
 			for d := 0; d < k-1; d++ {
-				if Occupies(primer.Lo[u], primer.Hi[u], d) && Occupies(primer.Lo[v], primer.Hi[v], d+1) {
+				if Occupies(c.Lo[u], c.Hi[u], d) && Occupies(c.Lo[v], c.Hi[v], d+1) {
 					inc[y[e][d][0]] = 1
 				}
-				if Occupies(primer.Lo[v], primer.Hi[v], d) && Occupies(primer.Lo[u], primer.Hi[u], d+1) {
+				if Occupies(c.Lo[v], c.Hi[v], d) && Occupies(c.Lo[u], c.Hi[u], d+1) {
 					inc[y[e][d][1]] = 1
 				}
 			}
 		}
-		inc[rVar] = float64(primer.Stats.R)
-		inc[cVar] = float64(primer.Stats.C)
-		inc[dVar] = float64(primer.Stats.D)
+		inc[rVar] = float64(c.Stats.R)
+		inc[cVar] = float64(c.Stats.C)
+		inc[dVar] = float64(c.Stats.D)
+		return inc
 	}
-
-	// fallback returns the fold incumbent, still carrying a bound: every
-	// early exit closes its trace on at least the analytic floor.
-	fallback := func(method string, trace []ilp.TraceEvent, nodes int) *KSolution {
-		lo := append([]int(nil), primer.Lo...)
-		hi := append([]int(nil), primer.Hi...)
-		trace, gap := anytimeTrace(trace, primer.Stats.Objective(gamma), analytic, nodes)
-		return &KSolution{K: k, Lo: lo, Hi: hi, Stats: primer.Stats, Optimal: gap <= 1e-9, Method: method, Trace: trace}
-	}
-	// Memory guard: same dense-tableau worst case as the 2D model.
-	rows := int64(mod.NumConstrs())
-	cols := int64(mod.NumVars()) + 2*rows
-	if rows*cols*8 > maxTableauBytes {
-		return fallback("kmip-bounded", nil, 0), nil
-	}
-
-	sol, err := ilp.SolveContext(ctx, mod, ilp.Options{
-		Incumbent: inc, BestKnown: bestKnown, Workers: ilp.DefaultWorkers(),
-	})
-	if err != nil {
-		if ctx.Err() != nil {
-			return fallback("kmip-fallback", nil, 0), nil
-		}
-		return nil, fmt.Errorf("labeling: K-MIP solve: %w", err)
-	}
-	if sol.Status == ilp.StatusInfeasible {
-		return nil, fmt.Errorf("labeling: no %d-layer labeling within %dx%d: %w", k, opts.MaxRows, opts.MaxCols, ErrInfeasible)
-	}
-	if sol.X == nil && (opts.MaxRows > 0 || opts.MaxCols > 0) {
-		return nil, fmt.Errorf("labeling: %d-layer budget %dx%d neither met nor refuted within the time limit",
-			k, opts.MaxRows, opts.MaxCols)
-	}
-	if sol.X == nil {
-		return fallback("kmip-fallback", sol.Trace, sol.Nodes), nil
-	}
-	lo := make([]int, n)
-	hi := make([]int, n)
-	for v := 0; v < n; v++ {
-		lo[v], hi[v] = -1, -1
-		for l := 0; l < k; l++ {
-			if sol.X[x[v][l]] > 0.5 {
-				if lo[v] < 0 {
-					lo[v] = l
+	m.decode = func(sx []float64) (lo, hi []int) {
+		lo, hi = make([]int, n), make([]int, n)
+		for v := 0; v < n; v++ {
+			lo[v], hi[v] = -1, -1
+			for l := 0; l < k; l++ {
+				if sx[x[v][l]] > 0.5 {
+					if lo[v] < 0 {
+						lo[v] = l
+					}
+					hi[v] = l
 				}
-				hi[v] = l
 			}
 		}
+		shrinkIntervals(p, k, lo, hi)
+		return lo, hi
 	}
-	shrinkIntervals(p, k, lo, hi)
-	st := ComputeKStats(k, lo, hi)
-	trace, gap := anytimeTrace(sol.Trace, st.Objective(gamma), analytic, sol.Nodes)
-	return &KSolution{
-		K: k, Lo: lo, Hi: hi,
-		Stats:   st,
-		Optimal: sol.Status == ilp.StatusOptimal || gap <= 1e-9,
-		Method:  "kmip",
-		Trace:   trace,
-	}, nil
+	return m
 }

@@ -2,6 +2,7 @@ package labeling
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -171,5 +172,50 @@ func TestValidateKCatchesGaps(t *testing.T) {
 	}
 	if err := ValidateK(Problem{G: g, AlignH: []int{1}}, 4, []int{0, 1}, []int{0, 1}); err == nil {
 		t.Fatal("odd-only alignment interval accepted")
+	}
+}
+
+// TestKOccupancyFloorUsesProvenOCT pins the interval ILP's occupancy
+// floor Σ x[v][l] >= n + kLB at max(packing, proven k*). On K5 the
+// vertex-disjoint odd-cycle packing holds one triangle, while the minimum
+// OCT has 3 vertices: with the warm start's budget the floor reads n + 3,
+// and with the budget already gone (greedy OCT, nothing proven) it falls
+// back to the packing's n + 1.
+func TestKOccupancyFloorUsesProvenOCT(t *testing.T) {
+	g := graph.New(5)
+	for u := 0; u < 5; u++ {
+		for v := u + 1; v < 5; v++ {
+			if err := g.AddEdge(u, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	p := Problem{G: g}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		want string
+	}{{"proven", context.Background(), "8"}, {"expired", dead, "6"}} {
+		for _, k := range []int{3, 4} {
+			m := intervalModel(p, k, Options{Gamma: 0.5})
+			if _, _, err := m.addOCTRows(c.ctx, p, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			if err := m.mod.WriteText(&b); err != nil {
+				t.Fatal(err)
+			}
+			var floor string
+			for _, line := range strings.Split(b.String(), "\n") {
+				if f := strings.Fields(line); len(f) > 2 && f[0] == "row" && f[1] == "semiLB" {
+					floor = f[len(f)-1]
+				}
+			}
+			if floor != c.want {
+				t.Errorf("%s K=%d: occupancy floor %q, want n + kLB = %s", c.name, k, floor, c.want)
+			}
+		}
 	}
 }

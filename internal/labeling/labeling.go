@@ -5,7 +5,7 @@
 // γ·S + (1−γ)·D where S is the crossbar semiperimeter (= n + #VH) and D
 // the maximum dimension (= max(rows, cols)).
 //
-// Three solvers are provided:
+// Four methods are provided:
 //
 //   - MethodOCT (Section VI-A): minimum odd cycle transversal via vertex
 //     cover of G □ K2, then 2-coloring — provably minimal semiperimeter.
@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -87,49 +86,20 @@ func (s Stats) Objective(gamma float64) float64 {
 	return gamma*float64(s.S) + (1-gamma)*float64(s.D)
 }
 
-// ComputeStats derives crossbar dimensions from a labeling.
+// ComputeStats derives crossbar dimensions from a labeling: the footprint
+// of its 2-layer lift.
 func ComputeStats(labels []Label) Stats {
-	var st Stats
-	for _, l := range labels {
-		if l.HasH() {
-			st.Rows++
-		}
-		if l.HasV() {
-			st.Cols++
-		}
-	}
-	st.S = st.Rows + st.Cols
-	st.D = st.Rows
-	if st.Cols > st.D {
-		st.D = st.Cols
-	}
-	return st
+	lo, hi := LiftLabels(labels)
+	ks := ComputeKStats(2, lo, hi)
+	return Stats{Rows: ks.R, Cols: ks.C, S: ks.S, D: ks.D}
 }
 
 // Validate checks that labels solve the problem: every node labeled, no
-// V–V or H–H edge, and all alignment nodes carry an H.
+// V–V or H–H edge, and all alignment nodes carry an H. It is ValidateK on
+// the 2-layer lift.
 func Validate(p Problem, labels []Label) error {
-	if len(labels) != p.G.N() {
-		return fmt.Errorf("labeling: %d labels for %d nodes", len(labels), p.G.N())
-	}
-	for v, l := range labels {
-		if l == Unlabeled {
-			return fmt.Errorf("labeling: node %d unlabeled", v)
-		}
-	}
-	for _, e := range p.G.Edges() {
-		lu, lv := labels[e[0]], labels[e[1]]
-		ok := (lu.HasH() && lv.HasV()) || (lu.HasV() && lv.HasH())
-		if !ok {
-			return fmt.Errorf("labeling: edge (%d,%d) with labels %s–%s unrealizable", e[0], e[1], lu, lv)
-		}
-	}
-	for _, v := range p.AlignH {
-		if !labels[v].HasH() {
-			return fmt.Errorf("labeling: alignment node %d labeled %s, needs H", v, labels[v])
-		}
-	}
-	return nil
+	lo, hi := LiftLabels(labels)
+	return ValidateK(p, 2, lo, hi)
 }
 
 // Method selects the solver.
@@ -199,10 +169,6 @@ type Options struct {
 // row/column budget (Options.MaxRows / Options.MaxCols).
 var ErrInfeasible = errors.New("labeling: row/column constraints are infeasible")
 
-// maxTableauBytes bounds the LP tableau the MIP labeler may allocate;
-// larger models use the analytic-bound fallback (see solveMIP).
-const maxTableauBytes = int64(1) << 30
-
 // Solution is a valid labeling plus solve metadata.
 type Solution struct {
 	Labels  []Label
@@ -211,8 +177,9 @@ type Solution struct {
 	Method  string // solver that produced the labeling
 	Elapsed time.Duration
 	// Trace carries the MIP convergence samples (Figure 10/11 data);
-	// empty for non-MIP methods. For MethodPortfolio it is the winning
-	// engine's trace.
+	// empty for MethodOCT and MethodHeuristic. For MethodPortfolio it is
+	// the winner's incumbent closed on the best bound any engine proved,
+	// so it is never empty.
 	Trace []ilp.TraceEvent
 	// ColdNodes and DenseFallbacks carry the MIP branch & bound's
 	// ilp.Solution counters of the same names (zero when no MIP ran): node
@@ -234,6 +201,28 @@ type Solution struct {
 // (never an error); a context that is already dead on entry returns
 // (nil, ctx.Err()) promptly.
 func SolveContext(ctx context.Context, p Problem, opts Options) (*Solution, error) {
+	ks, err := solve(ctx, p, 2, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Solution{
+		Labels:  lowerLabels(ks.Lo, ks.Hi),
+		Stats:   Stats{Rows: ks.Stats.R, Cols: ks.Stats.C, S: ks.Stats.S, D: ks.Stats.D},
+		Optimal: ks.Optimal,
+		Method:  ks.Method,
+		Elapsed: ks.Elapsed,
+		Trace:   ks.Trace,
+		Engines: ks.Engines,
+
+		ColdNodes:      ks.ColdNodes,
+		DenseFallbacks: ks.DenseFallbacks,
+	}, nil
+}
+
+// solve is the one labeling driver for every layer count k >= 2: budget,
+// O(1) cap refutation, method dispatch, and the checks every answer must
+// pass. At K = 2 it runs the 2D engines (OCT and the Eq. 4 MIP).
+func solve(ctx context.Context, p Problem, k int, opts Options) (*KSolution, error) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -249,39 +238,42 @@ func SolveContext(ctx context.Context, p Problem, opts Options) (*Solution, erro
 	if opts.AutoExactLimit <= 0 {
 		opts.AutoExactLimit = 600
 	}
-	// Provable early infeasibility: every valid labeling has semiperimeter
-	// S = Rows + Cols = n + #VH >= n, so when both caps are set and the
-	// graph alone exceeds their sum, no solver can succeed — refute in
-	// O(1) instead of burning the budget on a doomed search. This is what
-	// makes partitioned synthesis affordable: each failed piece attempt
-	// costs a BDD build, not an exact-solver timeout.
-	if opts.MaxRows > 0 && opts.MaxCols > 0 && p.G.N() > opts.MaxRows+opts.MaxCols {
-		return nil, fmt.Errorf("labeling: %d graph nodes force semiperimeter >= %d, budget %dx%d allows %d: %w",
-			p.G.N(), p.G.N(), opts.MaxRows, opts.MaxCols, opts.MaxRows+opts.MaxCols, ErrInfeasible)
+	// Provable early infeasibility: every node takes at least one wire, and
+	// each of the ⌈k/2⌉ even layers holds at most MaxRows wires and each of
+	// the ⌊k/2⌋ odd ones at most MaxCols (at K = 2: S = n + #VH >= n). When
+	// the graph alone exceeds that capacity, refute in O(1) instead of
+	// burning the budget on a doomed search. This is what makes partitioned
+	// synthesis affordable: each failed piece attempt costs a BDD build,
+	// not an exact-solver timeout.
+	n := p.G.N()
+	if ke, ko := (k+1)/2, k/2; opts.MaxRows > 0 && opts.MaxCols > 0 && n > ke*opts.MaxRows+ko*opts.MaxCols {
+		return nil, fmt.Errorf("labeling: %d graph nodes exceed the %d-layer capacity of budget %dx%d: %w",
+			n, k, opts.MaxRows, opts.MaxCols, ErrInfeasible)
 	}
 	method := opts.Method
-	if method == MethodAuto {
-		if p.G.N() <= opts.AutoExactLimit {
+	if method == MethodAuto && k == 2 {
+		// The OCT route scales far beyond the MIP: its odd-cycle branch &
+		// bound starts from the greedy OCT and, when the time limit bites,
+		// returns the best OCT found so far — never worse than the plain
+		// heuristic labeler.
+		method = MethodOCT
+		if n <= opts.AutoExactLimit {
 			method = MethodMIP
-		} else {
-			// The OCT route scales far beyond the MIP: its odd-cycle
-			// branch & bound starts from the greedy OCT and, when the
-			// time limit bites, returns the best OCT found so far —
-			// never worse than the plain heuristic labeler.
-			method = MethodOCT
 		}
 	}
-	var sol *Solution
+	var sol *KSolution
 	var err error
-	switch method {
-	case MethodOCT:
+	switch {
+	case method == MethodHeuristic:
+		sol = solveKHeuristic(p, k, opts)
+	case method == MethodMIP:
+		sol, err = solveMIP(ctx, p, k, opts, nil, nil)
+	case method == MethodOCT && k == 2:
 		sol, err = solveOCT(ctx, p, opts)
-	case MethodMIP:
-		sol, err = solveMIP(ctx, p, opts, nil, nil)
-	case MethodHeuristic:
-		sol = solveHeuristic(p, opts)
-	case MethodPortfolio:
-		sol, err = solvePortfolio(ctx, p, opts)
+	case method <= MethodPortfolio:
+		// At K >= 3 auto and oct race too: there is no OCT analogue above
+		// two colors.
+		sol, err = solvePortfolio(ctx, p, k, opts)
 	default:
 		return nil, fmt.Errorf("labeling: unknown method %v", method)
 	}
@@ -289,31 +281,32 @@ func SolveContext(ctx context.Context, p Problem, opts Options) (*Solution, erro
 		return nil, err
 	}
 	sol.Elapsed = time.Since(start)
-	if err := Validate(p, sol.Labels); err != nil {
+	if err := ValidateK(p, k, sol.Lo, sol.Hi); err != nil {
 		return nil, fmt.Errorf("labeling: solver %s produced invalid labeling: %w", sol.Method, err)
 	}
-	hasH := func(v int) bool { return sol.Labels[v].HasH() }
-	hasV := func(v int) bool { return sol.Labels[v].HasV() }
-	if err := invariant.EdgesSpanHV(p.G, hasH, hasV); err != nil {
-		return nil, fmt.Errorf("labeling: solver %s: %w", sol.Method, err)
-	}
-	vh := 0
-	for _, l := range sol.Labels {
-		if l == VH {
-			vh++
+	if k == 2 {
+		vh := 0
+		for v := range sol.Lo {
+			if sol.Lo[v] < sol.Hi[v] {
+				vh++
+			}
+		}
+		err := invariant.EdgesSpanHV(p.G, func(v int) bool { return sol.Lo[v] == 0 }, func(v int) bool { return sol.Hi[v] == 1 })
+		if err == nil {
+			err = invariant.Semiperimeter(n, vh, sol.Stats.S)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("labeling: solver %s: %w", sol.Method, err)
 		}
 	}
-	if err := invariant.Semiperimeter(p.G.N(), vh, sol.Stats.S); err != nil {
-		return nil, fmt.Errorf("labeling: solver %s: %w", sol.Method, err)
-	}
-	if (opts.MaxRows > 0 && sol.Stats.Rows > opts.MaxRows) ||
-		(opts.MaxCols > 0 && sol.Stats.Cols > opts.MaxCols) {
+	if (opts.MaxRows > 0 && sol.Stats.R > opts.MaxRows) ||
+		(opts.MaxCols > 0 && sol.Stats.C > opts.MaxCols) {
 		// Non-MIP methods do not optimize under dimension budgets; their
 		// result simply failed the caps (the budget may still be feasible
 		// via MethodMIP). The MIP path returns ErrInfeasible directly on
 		// proven infeasibility before reaching here.
 		return nil, fmt.Errorf("labeling: %s result %dx%d exceeds budget %dx%d: %w",
-			sol.Method, sol.Stats.Rows, sol.Stats.Cols, opts.MaxRows, opts.MaxCols, ErrInfeasible)
+			sol.Method, sol.Stats.R, sol.Stats.C, opts.MaxRows, opts.MaxCols, ErrInfeasible)
 	}
 	return sol, nil
 }
@@ -325,7 +318,7 @@ func SolveContext(ctx context.Context, p Problem, opts Options) (*Solution, erro
 // conflicts; alignment patches may add VH labels. The time budget rides on
 // ctx (set up by SolveContext); a budget that dies mid-search degrades to
 // the greedy OCT rather than erroring.
-func solveOCT(ctx context.Context, p Problem, opts Options) (*Solution, error) {
+func solveOCT(ctx context.Context, p Problem, opts Options) (*KSolution, error) {
 	res, err := oct.FindContext(ctx, p.G, oct.Options{Backend: opts.OCTBackend})
 	if err != nil {
 		if ctx.Err() == nil {
@@ -337,31 +330,16 @@ func solveOCT(ctx context.Context, p Problem, opts Options) (*Solution, error) {
 		res = oct.Heuristic(p.G)
 	}
 	labels, upgrades := orientAndBalance(p, res)
-	st := ComputeStats(labels)
+	sol := foldLabels(p, 2, opts.Gamma, labels)
 	// The method proves minimality of S (= n + k*) when the OCT is proven
 	// and no alignment upgrades were needed. For γ < 1 the objective also
 	// involves D; the result is additionally optimal when D meets the
 	// analytic floor ⌈S/2⌉ (then γS + (1−γ)D equals the valid lower bound
 	// γ(n+k*) + (1−γ)⌈(n+k*)/2⌉ for every γ).
-	gamma := opts.Gamma
-	optimal := res.Optimal && upgrades == 0 && (gamma >= 1 || st.D == (st.S+1)/2)
-	return &Solution{
-		Labels:  labels,
-		Stats:   st,
-		Optimal: optimal,
-		Method:  "oct",
-	}, nil
-}
-
-// solveHeuristic uses the greedy OCT plus the same orientation/balancing.
-func solveHeuristic(p Problem, opts Options) *Solution {
-	res := oct.Heuristic(p.G)
-	labels, _ := orientAndBalance(p, res)
-	return &Solution{
-		Labels: labels,
-		Stats:  ComputeStats(labels),
-		Method: "heuristic",
-	}
+	st := sol.Stats
+	sol.Optimal = res.Optimal && upgrades == 0 && (opts.Gamma >= 1 || st.D == (st.S+1)/2)
+	sol.Method = "oct"
+	return sol, nil
 }
 
 // orientAndBalance converts an OCT + residual 2-coloring into labels:
@@ -426,25 +404,6 @@ func orientAndBalance(p Problem, res oct.Result) ([]Label, int) {
 	// Rows/cols contributed by the VH set.
 	rows, cols := len(res.OCT), len(res.OCT)
 	upgrades := 0
-	// First pass: components with an alignment preference get the
-	// orientation minimizing upgrades (ties deferred to balancing).
-	type choice struct {
-		ci     *compInfo
-		forced int // 0: side0->H, 1: side1->H, -1: free
-	}
-	var choices []choice
-	for _, ci := range comps {
-		switch {
-		case ci.align0 > ci.align1:
-			choices = append(choices, choice{ci, 0})
-		case ci.align1 > ci.align0:
-			choices = append(choices, choice{ci, 1})
-		case ci.align0 > 0: // equal and nonzero: either way same upgrades
-			choices = append(choices, choice{ci, -1})
-		default:
-			choices = append(choices, choice{ci, -1})
-		}
-	}
 	apply := func(ci *compInfo, hSide int) {
 		var hs, vs []int
 		if hSide == 0 {
@@ -472,13 +431,17 @@ func orientAndBalance(p Problem, res oct.Result) ([]Label, int) {
 			}
 		}
 	}
-	// Forced components first.
+	// Components with an alignment preference first, oriented to minimize
+	// upgrades; the rest are left to balancing.
 	var free []*compInfo
-	for _, c := range choices {
-		if c.forced >= 0 {
-			apply(c.ci, c.forced)
-		} else {
-			free = append(free, c.ci)
+	for _, ci := range comps {
+		switch {
+		case ci.align0 > ci.align1:
+			apply(ci, 0)
+		case ci.align1 > ci.align0:
+			apply(ci, 1)
+		default:
+			free = append(free, ci)
 		}
 	}
 	// Free components: largest imbalance first, always putting the larger
@@ -495,32 +458,13 @@ func orientAndBalance(p Problem, res oct.Result) ([]Label, int) {
 		// Account for forced upgrades identically in both orientations.
 		r0, c0 := rows+len(ci.side0)+ci.align1, cols+len(ci.side1)
 		r1, c1 := rows+len(ci.side1)+ci.align0, cols+len(ci.side0)
-		if maxDimAfter(r0, c0) <= maxDimAfter(r1, c1) {
+		if max(r0, c0) <= max(r1, c1) {
 			apply(ci, 0)
 		} else {
 			apply(ci, 1)
 		}
 	}
 	return labels, upgrades
-}
-
-// ctxRemaining returns the time left on ctx's deadline (clamped at 0), or
-// 0 when ctx has no deadline.
-func ctxRemaining(ctx context.Context) time.Duration {
-	if d, ok := ctx.Deadline(); ok {
-		if r := time.Until(d); r > 0 {
-			return r
-		}
-		return 0
-	}
-	return 0
-}
-
-func maxDimAfter(r, c int) int {
-	if r > c {
-		return r
-	}
-	return c
 }
 
 func abs(x int) int {
@@ -530,26 +474,22 @@ func abs(x int) int {
 	return x
 }
 
-// solveMIP implements Section VI-B: the Eq. 4 MIP with Eq. 7 alignment,
-// solved by the internal branch & bound, primed with the heuristic
-// labeling as incumbent. The whole solve — OCT warm start included —
-// spends from the single deadline carried by ctx, so the user's budget is
-// never exceeded (the warm start used to get TimeLimit/2 and the MIP the
-// full TimeLimit again; with one shared deadline that double-spend is
-// impossible by construction). primer, when non-nil, is a valid labeling
-// used as the incumbent instead of recomputing the heuristic; bestKnown,
-// when non-nil, feeds a live external objective bound into the branch &
-// bound (portfolio incumbent sharing).
-func solveMIP(ctx context.Context, p Problem, opts Options, primer *Solution, bestKnown func() float64) (*Solution, error) {
+// eq4Model builds Section VI-B's MIP: the paper's Eq. 4 with Eq. 7
+// alignment over x^V_i, x^H_i per node, the optional dimension caps, and
+// (after the shared odd-cycle rows and S >= n + kLB floor) the cut
+// 2D >= S. x^H is layer 0 of the K = 2 intervals and x^V layer 1.
+func eq4Model(p Problem, opts Options) *exactModel {
 	gamma := opts.Gamma
 	n := p.G.N()
 	mod := ilp.NewModel("vh-labeling")
 	// Variables: xV_i, xH_i per node; xE per edge; D.
 	xV := make([]int, n)
 	xH := make([]int, n)
+	occ := make([][]int, n)
 	for i := 0; i < n; i++ {
 		xV[i] = mod.AddVar(fmt.Sprintf("xV%d", i), 0, 1, ilp.Binary, gamma)
 		xH[i] = mod.AddVar(fmt.Sprintf("xH%d", i), 0, 1, ilp.Binary, gamma)
+		occ[i] = []int{xV[i], xH[i]}
 	}
 	edges := p.G.Edges()
 	var xE []int
@@ -620,208 +560,62 @@ func solveMIP(ctx context.Context, p Problem, opts Options, primer *Solution, be
 		mod.AddConstr("maxCols", terms, ilp.LE, float64(opts.MaxCols))
 	}
 
-	// Strengthening cuts. The plain Eq. 4 relaxation is weak (all-halves
-	// is LP-feasible), so we add three families of valid inequalities:
-	//
-	//  1. Per odd cycle C (vertex-disjoint packing): some node of C must
-	//     be VH, i.e. Σ_{i∈C}(xV_i + xH_i) ≥ |C| + 1.
-	//  2. Globally, the VH set of any valid labeling is an odd cycle
-	//     transversal, so S ≥ n + k where k is an OCT size lower bound —
-	//     the packing number, upgraded to the exact minimum when the OCT
-	//     solver proves it within its sub-budget.
-	//  3. The max dimension is at least half the semiperimeter: 2D ≥ S.
-	cycles := oct.DisjointOddCycles(p.G)
-	for _, cyc := range cycles {
-		terms := make([]ilp.Term, 0, 2*len(cyc))
-		for _, v := range cyc {
-			terms = append(terms, ilp.Term{Var: xV[v], Coeff: 1}, ilp.Term{Var: xH[v], Coeff: 1})
+	m := &exactModel{name: "mip", k: 2, mod: mod, occ: occ}
+	// The max dimension is at least half the semiperimeter: 2D >= S.
+	m.tail = func() {
+		dTerms := append(make([]ilp.Term, 0, 2*n+1), ilp.Term{Var: dVar, Coeff: 2})
+		for i := 0; i < n; i++ {
+			dTerms = append(dTerms, ilp.Term{Var: xV[i], Coeff: -1}, ilp.Term{Var: xH[i], Coeff: -1})
 		}
-		mod.AddConstr("oddcyc", terms, ilp.GE, float64(len(cyc)+1))
+		mod.AddConstr("DgeHalfS", dTerms, ilp.GE, 0)
 	}
-	kLB := len(cycles)
-	// The OCT warm start gets at most half of whatever remains of the
-	// shared budget (capped at 30s); because its deadline is layered on the
-	// same ctx, warm start plus branch & bound together can never spend
-	// more than the user's TimeLimit.
-	octBudget := 30 * time.Second
-	if r := ctxRemaining(ctx); r > 0 && r/2 < octBudget {
-		octBudget = r / 2
-	}
-	octCtx, octCancel := context.WithTimeout(ctx, octBudget)
-	octRes, err := oct.FindContext(octCtx, p.G, oct.Options{Backend: opts.OCTBackend})
-	octExpired := octCtx.Err() != nil
-	octCancel()
-	if err != nil {
-		if !octExpired {
-			return nil, err
+	m.encode = func(c *KSolution) []float64 {
+		x := make([]float64, mod.NumVars())
+		for i := range c.Lo {
+			if c.Hi[i] == 1 {
+				x[xV[i]] = 1
+			}
+			if c.Lo[i] == 0 {
+				x[xH[i]] = 1
+			}
 		}
-		// The OCT's share of the budget (or the shared budget itself) is
-		// already exhausted: degrade to the greedy OCT (its labels still
-		// serve as incumbent material below).
-		octRes = oct.Heuristic(p.G)
-	}
-	if octRes.Optimal && len(octRes.OCT) > kLB {
-		kLB = len(octRes.OCT)
-	}
-	sTerms := make([]ilp.Term, 0, 2*n)
-	for i := 0; i < n; i++ {
-		sTerms = append(sTerms, ilp.Term{Var: xV[i], Coeff: 1}, ilp.Term{Var: xH[i], Coeff: 1})
-	}
-	mod.AddConstr("semiLB", sTerms, ilp.GE, float64(n+kLB))
-	dTerms := append(make([]ilp.Term, 0, 2*n+1), ilp.Term{Var: dVar, Coeff: 2})
-	for i := 0; i < n; i++ {
-		dTerms = append(dTerms, ilp.Term{Var: xV[i], Coeff: -1}, ilp.Term{Var: xH[i], Coeff: -1})
-	}
-	mod.AddConstr("DgeHalfS", dTerms, ilp.GE, 0)
-
-	// Incumbent: the better of the primer (or greedy heuristic) and the
-	// OCT-derived labeling (which achieves S = n + k* exactly when the OCT
-	// is proven).
-	heur := primer
-	if heur == nil {
-		heur = solveHeuristic(p, opts)
-	}
-	best := heur
-	if octLabels, _ := orientAndBalance(p, octRes); Validate(p, octLabels) == nil {
-		if st := ComputeStats(octLabels); st.Objective(gamma) < best.Stats.Objective(gamma) {
-			best = &Solution{Labels: octLabels, Stats: st, Method: "oct-incumbent"}
-		}
-	}
-	inc := incumbentFromLabels(mod.NumVars(), p, best.Labels, xV, xH, xE, dVar, edges)
-
-	// The OCT-based analytic bound γ(n+kLB) + (1−γ)·⌈(n+kLB)/2⌉ — valid
-	// because S >= n+kLB and D >= S/2 — backstops the branch & bound's
-	// proven bound on every exit, crucial when the budget expires before
-	// even the root LP finishes (the bound would otherwise read −∞, or the
-	// trace be empty).
-	analytic := gamma*float64(n+kLB) + (1-gamma)*math.Ceil(float64(n+kLB)/2)
-	// fallback returns the incumbent when the MIP produced no labeling of
-	// its own, still carrying a bound (DESIGN §5b). A fresh Solution: best
-	// may alias the portfolio's shared primer.
-	fallback := func(method string, trace []ilp.TraceEvent, nodes int) *Solution {
-		trace, gap := anytimeTrace(trace, best.Stats.Objective(gamma), analytic, nodes)
-		return &Solution{Labels: best.Labels, Stats: best.Stats, Optimal: gap <= 1e-9, Method: method, Trace: trace}
-	}
-
-	// Memory guard: the production LP core is the sparse revised simplex,
-	// but it falls back to the dense oracle on numerical trouble, and the
-	// dense tableau takes roughly rows x (vars + 2*rows) float64 cells — so
-	// the guard stays sized for the worst case. Graphs beyond that budget get
-	// the analytic bound instead, reported with the heuristic incumbent,
-	// exactly the anytime data Figure 11 plots for circuits the paper's
-	// CPLEX could not close either.
-	rows := int64(mod.NumConstrs())
-	cols := int64(mod.NumVars()) + 2*rows
-	if rows*cols*8 > maxTableauBytes {
-		return fallback("mip-bounded", nil, 0), nil
-	}
-
-	sol, err := ilp.SolveContext(ctx, mod, ilp.Options{
-		Incumbent: inc, BestKnown: bestKnown, Workers: ilp.DefaultWorkers(),
-	})
-	if err != nil {
-		if ctx.Err() != nil {
-			// Budget expired between model build and solve: anytime
-			// contract — return the incumbent rather than an error.
-			return fallback("mip-fallback", nil, 0), nil
-		}
-		return nil, fmt.Errorf("labeling: MIP solve: %w", err)
-	}
-	if sol.Status == ilp.StatusInfeasible {
-		return nil, fmt.Errorf("labeling: no labeling within %dx%d: %w", opts.MaxRows, opts.MaxCols, ErrInfeasible)
-	}
-	if sol.X == nil && (opts.MaxRows > 0 || opts.MaxCols > 0) {
-		// Not proven infeasible — the time limit expired before either a
-		// fitting labeling or a refutation was found.
-		return nil, fmt.Errorf("labeling: budget %dx%d neither met nor refuted within the time limit",
-			opts.MaxRows, opts.MaxCols)
-	}
-	if sol.X == nil {
-		// No incumbent at all (should not happen: all-VH is feasible and
-		// the heuristic always yields one); fall back to the primer.
-		return fallback("mip-fallback", sol.Trace, sol.Nodes), nil
-	}
-	labels := make([]Label, n)
-	for i := 0; i < n; i++ {
-		hasV := sol.X[xV[i]] > 0.5
-		hasH := sol.X[xH[i]] > 0.5
-		switch {
-		case hasV && hasH:
-			labels[i] = VH
-		case hasV:
-			labels[i] = V
-		case hasH:
-			labels[i] = H
-		}
-	}
-	st := ComputeStats(labels)
-	trace, gap := anytimeTrace(sol.Trace, st.Objective(gamma), analytic, sol.Nodes)
-	return &Solution{
-		Labels:  labels,
-		Stats:   st,
-		Optimal: sol.Status == ilp.StatusOptimal || gap <= 1e-9,
-		Method:  "mip",
-		Trace:   trace,
-
-		ColdNodes:      sol.ColdNodes,
-		DenseFallbacks: sol.DenseFallbacks,
-	}, nil
-}
-
-// anytimeTrace closes a MIP convergence trace for an incumbent of
-// objective obj. The reported bound is the better of the solver's last
-// sample and the analytic floor; when the trace does not already end on it
-// — or is empty because the budget ran out before the root LP — a closing
-// sample is appended, so every exit reports an incumbent and a bound
-// (DESIGN §5b). It also returns the closing relative gap.
-func anytimeTrace(trace []ilp.TraceEvent, obj, analytic float64, nodes int) ([]ilp.TraceEvent, float64) {
-	bound := analytic
-	if len(trace) > 0 && trace[len(trace)-1].Bound > bound {
-		bound = trace[len(trace)-1].Bound
-	}
-	gap := 0.0
-	if obj > bound && obj > 0 {
-		gap = (obj - bound) / obj
-	}
-	if len(trace) == 0 || trace[len(trace)-1].Bound < bound-1e-9 {
-		last := ilp.TraceEvent{Incumbent: obj, Bound: bound, Gap: gap, Nodes: nodes}
-		if len(trace) > 0 {
-			last.Elapsed = trace[len(trace)-1].Elapsed
-		}
-		trace = append(trace, last)
-	}
-	return trace, gap
-}
-
-// incumbentFromLabels encodes a valid labeling as a MIP solution vector.
-func incumbentFromLabels(nVars int, p Problem, labels []Label, xV, xH, xE []int, dVar int, edges [][2]int) []float64 {
-	x := make([]float64, nVars)
-	rows, cols := 0, 0
-	for i, l := range labels {
-		if l.HasV() {
-			x[xV[i]] = 1
-			cols++
-		}
-		if l.HasH() {
-			x[xH[i]] = 1
-			rows++
-		}
-	}
-	if xE != nil {
-		for k, e := range edges {
-			i, j := e[0], e[1]
-			// xE=0 activates xV_i + xH_j >= 2; xE=1 activates xH_i + xV_j >= 2.
-			if labels[i].HasV() && labels[j].HasH() {
-				x[xE[k]] = 0
-			} else {
+		// xE=0 activates xV_i + xH_j >= 2; xE=1 activates xH_i + xV_j >= 2.
+		for k, e := range edges[:len(xE)] {
+			if c.Hi[e[0]] != 1 || c.Lo[e[1]] != 0 {
 				x[xE[k]] = 1
 			}
 		}
+		x[dVar] = float64(c.Stats.D)
+		return x
 	}
-	d := rows
-	if cols > d {
-		d = cols
+	m.decode = func(x []float64) (lo, hi []int) {
+		lo, hi = make([]int, n), make([]int, n)
+		for i := range lo {
+			if x[xH[i]] <= 0.5 {
+				lo[i] = 1
+			}
+			if x[xV[i]] > 0.5 {
+				hi[i] = 1
+			}
+		}
+		return lo, hi
 	}
-	x[dVar] = float64(d)
-	return x
+	return m
+}
+
+// lowerLabels is LiftLabels' inverse: [0,0] → H, [1,1] → V, [0,1] → VH.
+// Any other interval stays Unlabeled, which Validate rejects.
+func lowerLabels(lo, hi []int) []Label {
+	labels := make([]Label, len(lo))
+	for v := range lo {
+		switch {
+		case lo[v] == 0 && hi[v] == 0:
+			labels[v] = H
+		case lo[v] == 1 && hi[v] == 1:
+			labels[v] = V
+		case lo[v] == 0 && hi[v] == 1:
+			labels[v] = VH
+		}
+	}
+	return labels
 }

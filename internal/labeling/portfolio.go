@@ -44,47 +44,56 @@ func (s *sharedIncumbent) offer(v float64) {
 	}
 }
 
-// solvePortfolio races the OCT and MIP engines in goroutines after priming
-// both with the (fast, polynomial) heuristic labeling. Incumbents are
-// shared: the heuristic warm-starts the MIP via ilp.Options.Incumbent, and
-// any engine that finishes publishes its objective so the MIP's branch &
-// bound prunes against it mid-flight. The race ends when every engine
-// returns, when one proves optimality (the rest are cancelled), or when
-// ctx expires — each engine then unwinds with its best labeling so far,
-// and the portfolio returns the best valid labeling seen, never an error.
-func solvePortfolio(ctx context.Context, p Problem, opts Options) (*Solution, error) {
+// solvePortfolio is the one engine race for every K. A fast polynomial
+// engine runs first — the heuristic at K = 2, the fold heuristic (kfold)
+// above — and seeds the shared incumbent and the MIP primer. The exact
+// engines then race in goroutines: OCT and the Eq. 4 MIP at K = 2, the
+// interval ILP (kmip) above. Any engine that finishes publishes its
+// objective, so the MIP's branch & bound prunes against it mid-flight.
+// The race ends when every engine returns, when one proves optimality
+// (the rest are cancelled), or when ctx expires — each engine then unwinds
+// with its best labeling so far, and the portfolio returns the best valid
+// labeling seen, never an error. The winner's incumbent is closed against
+// the tightest bound any engine proved, so the answer always carries a
+// trace whose bound is at most its objective (DESIGN §5b).
+func solvePortfolio(ctx context.Context, p Problem, k int, opts Options) (*KSolution, error) {
 	gamma := opts.Gamma
 	shared := newSharedIncumbent()
 
-	fits := func(s *Solution) bool {
-		return (opts.MaxRows <= 0 || s.Stats.Rows <= opts.MaxRows) &&
-			(opts.MaxCols <= 0 || s.Stats.Cols <= opts.MaxCols)
+	fits := func(s *KSolution) bool {
+		return (opts.MaxRows <= 0 || s.Stats.R <= opts.MaxRows) &&
+			(opts.MaxCols <= 0 || s.Stats.C <= opts.MaxCols)
 	}
 	// better orders candidates: respect the dimension caps first, then the
 	// objective, then proven optimality as the tie-break.
-	better := func(a, b *Solution) bool {
+	better := func(a, b *KSolution) bool {
 		if fa, fb := fits(a), fits(b); fa != fb {
 			return fa
 		}
 		oa, ob := a.Stats.Objective(gamma), b.Stats.Objective(gamma)
-		if oa < ob-1e-9 {
-			return true
+		return oa < ob-1e-9 || (oa <= ob+1e-9 && a.Optimal && !b.Optimal)
+	}
+	// bound is the tightest objective bound proven so far: the analytic
+	// floor of S >= n, raised by each engine's closing trace bound, or by
+	// its objective when it proved that optimal.
+	bound := objectiveFloor(gamma, p.G.N(), k)
+	prove := func(s *KSolution) {
+		if n := len(s.Trace); n > 0 && s.Trace[n-1].Bound > bound {
+			bound = s.Trace[n-1].Bound
 		}
-		if ob < oa-1e-9 {
-			return false
+		if obj := s.Stats.Objective(gamma); s.Optimal && obj > bound {
+			bound = obj
 		}
-		return a.Optimal && !b.Optimal
 	}
 
-	// The heuristic engine runs first, synchronously: it is polynomial and
-	// near-instant relative to the exact engines, and its bound seeds both
-	// the shared incumbent and the MIP primer.
+	// The fast engine runs first, synchronously: it is polynomial and
+	// near-instant relative to the exact engines.
 	hStart := time.Now()
-	heur := solveHeuristic(p, opts)
+	heur := solveKHeuristic(p, k, opts)
 	heur.Elapsed = time.Since(hStart)
 	shared.offer(heur.Stats.Objective(gamma))
 	reports := []EngineReport{{
-		Method:    "heuristic",
+		Method:    heur.Method,
 		Objective: heur.Stats.Objective(gamma),
 		Optimal:   heur.Optimal,
 		Elapsed:   heur.Elapsed,
@@ -92,16 +101,20 @@ func solvePortfolio(ctx context.Context, p Problem, opts Options) (*Solution, er
 
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	engines := []struct {
+	type engine struct {
 		name string
-		run  func() (*Solution, error)
-	}{
-		{"oct", func() (*Solution, error) { return solveOCT(raceCtx, p, opts) }},
-		{"mip", func() (*Solution, error) { return solveMIP(raceCtx, p, opts, heur, shared.get) }},
+		run  func() (*KSolution, error)
 	}
+	mip := func() (*KSolution, error) { return solveMIP(raceCtx, p, k, opts, heur, shared.get) }
+	engines := []engine{{"kmip", mip}}
+	if k == 2 {
+		oct := func() (*KSolution, error) { return solveOCT(raceCtx, p, opts) }
+		engines = []engine{{"oct", oct}, {"mip", mip}}
+	}
+
 	type engineResult struct {
 		name    string
-		sol     *Solution
+		sol     *KSolution
 		err     error
 		elapsed time.Duration
 	}
@@ -109,24 +122,25 @@ func solvePortfolio(ctx context.Context, p Problem, opts Options) (*Solution, er
 	var wg sync.WaitGroup
 	for _, e := range engines {
 		wg.Add(1)
-		go func(name string, run func() (*Solution, error)) {
+		go func(e engine) {
 			defer wg.Done()
 			t0 := time.Now()
-			sol, err := run()
-			results <- engineResult{name: name, sol: sol, err: err, elapsed: time.Since(t0)}
-		}(e.name, e.run)
+			sol, err := e.run()
+			results <- engineResult{name: e.name, sol: sol, err: err, elapsed: time.Since(t0)}
+		}(e)
 	}
 
-	best, bestName := heur, "heuristic"
+	best, bestName := heur, heur.Method
 	for received := 0; received < len(engines); received++ {
 		r := <-results
 		rep := EngineReport{Method: r.name, Elapsed: r.elapsed, Objective: math.Inf(1)}
 		if r.err != nil {
 			rep.Err = r.err.Error()
-		} else if r.sol != nil && Validate(p, r.sol.Labels) == nil {
+		} else if ValidateK(p, k, r.sol.Lo, r.sol.Hi) == nil {
 			rep.Objective = r.sol.Stats.Objective(gamma)
 			rep.Optimal = r.sol.Optimal
 			shared.offer(rep.Objective)
+			prove(r.sol)
 			if better(r.sol, best) {
 				best, bestName = r.sol, r.name
 			}
@@ -143,12 +157,21 @@ func solvePortfolio(ctx context.Context, p Problem, opts Options) (*Solution, er
 	for i := range reports {
 		reports[i].Winner = reports[i].Method == bestName
 	}
-	return &Solution{
-		Labels:  best.Labels,
+	obj := best.Stats.Objective(gamma)
+	nodes := 0
+	if n := len(best.Trace); n > 0 {
+		nodes = best.Trace[n-1].Nodes
+	}
+	trace, gap := anytimeTrace(best.Trace, obj, math.Min(bound, obj), nodes)
+	return &KSolution{
+		K: k, Lo: best.Lo, Hi: best.Hi,
 		Stats:   best.Stats,
-		Optimal: best.Optimal,
+		Optimal: best.Optimal || gap <= 1e-9,
 		Method:  "portfolio(" + bestName + ")",
-		Trace:   best.Trace,
+		Trace:   trace,
 		Engines: reports,
+
+		ColdNodes:      best.ColdNodes,
+		DenseFallbacks: best.DenseFallbacks,
 	}, nil
 }

@@ -132,3 +132,35 @@ func TestHeuristicAllocations(t *testing.T) {
 		t.Errorf("Heuristic made %.0f allocations, want fewer than |OCT| = %d", allocs, k)
 	}
 }
+
+// TestCircuitHeuristicReadmitsNothing checks on the labeling graphs of the
+// bundled circuits, both the shared BDD and the per-output ROBDDs merged
+// by the 1-terminal, that the recoloring prune can return no vertex of
+// Heuristic's transversal to the graph. arbiter is left out for time.
+func TestCircuitHeuristicReadmitsNothing(t *testing.T) {
+	for _, name := range bench.Names() {
+		if name == "arbiter" {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			nw := bench.MustBuild(name)
+			singles, err := bdd.BuildSeparate(nw, bdd.DFSOrder(nw), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			robdd, err := xbar.FromSeparate(singles, nw.InputNames())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range []*graph.Graph{circuitGraph(t, name), robdd.G} {
+				res := oct.Heuristic(g)
+				if err := invariant.ResidualBipartite(g, res.OCT, res.Side); err != nil {
+					t.Fatal(err)
+				}
+				if back := oct.PruneRecolor(g, res.OCT); len(back) > 0 {
+					t.Fatalf("recoloring re-admits %d of %d transversal vertices", len(back), len(res.OCT))
+				}
+			}
+		})
+	}
+}

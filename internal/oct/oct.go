@@ -13,9 +13,7 @@
 package oct
 
 import (
-	"cmp"
 	"context"
-	"slices"
 	"time"
 
 	"compact/internal/graph"
@@ -268,147 +266,19 @@ func pathToRoot(parent []int, v int) []int {
 }
 
 // Heuristic computes a (not necessarily minimum) OCT greedily: a BFS
-// 2-coloring that moves conflict vertices into the transversal, followed
-// by a pruning pass that re-admits unnecessary transversal vertices.
+// 2-coloring that moves conflict vertices into the transversal. No
+// transversal vertex could be re-admitted afterwards: a vertex joins only
+// before it is expanded, so its conflict closes an odd cycle through
+// expanded vertices alone, and an expanded vertex never joins.
 func Heuristic(g *graph.Graph) Result {
 	side, in := colorGreedy(g)
-	return prune(g, side, in)
-}
-
-// prune tries to return each transversal vertex (in[v]) to the graph, in
-// pruneOrder, keeping it out of the transversal when G − OCT stays
-// bipartite. side must be a proper 2-coloring of G − OCT on entry, with
-// -1 on the transversal.
-//
-// G − OCT is bipartite before every step, so returning v closes an odd
-// cycle iff two of v's residual neighbours in one component of G − OCT
-// lie on the same side of it. A union-find with parity over G − OCT,
-// built once, answers that per neighbour, so the pass costs
-// O((n+m)·α(n)) instead of one full 2-coloring per candidate, and
-// re-admits exactly the vertices the recoloring loop would.
-//
-// The returned Side is side when nothing was re-admitted and otherwise
-// the 2-coloring of the final residual graph that tryColor computes.
-func prune(g *graph.Graph, side []int, in []bool) Result {
-	n := g.N()
-	uf := newParityUF(n)
-	for u := 0; u < n; u++ {
-		if in[u] {
-			continue
-		}
-		for _, v := range g.Adj(u) {
-			if u < v && !in[v] {
-				uf.link(u, v)
-			}
-		}
-	}
-	order := pruneOrder(g, in)
-	k := len(order)
-	// seen[r] is 1 + the index of the last candidate that reached root r
-	// through a neighbour of parity par[r].
-	seen := make([]int, n)
-	par := make([]uint8, n)
-	for i, v := range order {
-		ok := true
-		for _, w := range g.Adj(v) {
-			if in[w] {
-				continue
-			}
-			r, p := uf.find(w)
-			if seen[r] != i+1 {
-				seen[r], par[r] = i+1, p
-			} else if par[r] != p {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		in[v] = false
-		k--
-		for _, w := range g.Adj(v) {
-			if !in[w] {
-				uf.link(v, w)
-			}
-		}
-	}
-	if k < len(order) {
-		side = tryColor(g, in)
-	}
-	oct := make(map[int]bool, k)
-	for _, v := range order {
-		if in[v] {
+	oct := make(map[int]bool)
+	for v, x := range in {
+		if x {
 			oct[v] = true
 		}
 	}
-	return Result{OCT: oct, Side: side, Optimal: k == 0}
-}
-
-// pruneOrder lists the transversal vertices by ascending degree, ties by
-// id: low-degree vertices close the fewest odd cycles, so they are the
-// likeliest to come back.
-func pruneOrder(g *graph.Graph, in []bool) []int {
-	var vs []int
-	for v, x := range in {
-		if x {
-			vs = append(vs, v)
-		}
-	}
-	slices.SortFunc(vs, func(a, b int) int {
-		return cmp.Or(cmp.Compare(g.Degree(a), g.Degree(b)), cmp.Compare(a, b))
-	})
-	return vs
-}
-
-// parityUF is a union-find over vertices that also records, for each
-// vertex, the parity of its path to its parent: two vertices of one set
-// lie on the same side of the set's 2-coloring iff their parities to the
-// root agree.
-type parityUF struct {
-	parent, size []int32
-	parity       []uint8
-}
-
-func newParityUF(n int) *parityUF {
-	uf := &parityUF{parent: make([]int32, n), size: make([]int32, n), parity: make([]uint8, n)}
-	for v := range uf.parent {
-		uf.parent[v], uf.size[v] = int32(v), 1
-	}
-	return uf
-}
-
-// find returns v's root and v's parity relative to it, halving the path
-// as it goes (iteratively: components of large BDD graphs are deep).
-func (uf *parityUF) find(v int) (int, uint8) {
-	x := int32(v)
-	var p uint8
-	for uf.parent[x] != x {
-		q := uf.parent[x]
-		if gp := uf.parent[q]; gp != q {
-			uf.parity[x] ^= uf.parity[q]
-			uf.parent[x] = gp
-		}
-		p ^= uf.parity[x]
-		x = uf.parent[x]
-	}
-	return int(x), p
-}
-
-// link records that u and v lie on opposite sides. The caller guarantees
-// the sets stay bipartite: if u and v already share a set, nothing changes.
-func (uf *parityUF) link(u, v int) {
-	ru, pu := uf.find(u)
-	rv, pv := uf.find(v)
-	if ru == rv {
-		return
-	}
-	if uf.size[ru] < uf.size[rv] {
-		ru, rv = rv, ru
-	}
-	uf.parent[rv] = int32(ru)
-	uf.parity[rv] = pu ^ pv ^ 1
-	uf.size[ru] += uf.size[rv]
+	return Result{OCT: oct, Side: side, Optimal: len(oct) == 0}
 }
 
 // colorGreedy BFS-colors g from each uncolored vertex in id order,

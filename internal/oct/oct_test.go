@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -291,94 +290,71 @@ func TestFromCoverFallsBackOnBadCover(t *testing.T) {
 	}
 }
 
-// pruneRecolor is the prune pass as one full 2-coloring of the residual
-// graph per candidate, trying the candidates in order: the oracle that
-// prune's union-find test must match.
-func pruneRecolor(g *graph.Graph, side []int, in []bool, order []int) Result {
-	for _, v := range order {
-		in[v] = false
-		if s := tryColor(g, in); s != nil {
-			side = s
-		} else {
-			in[v] = true
-		}
+// pruneRecolor is the recoloring prune, kept as an oracle: it tries to
+// return each vertex of the transversal to the graph on its own, keeping
+// it out when one full 2-coloring of the residual graph succeeds, and
+// lists the vertices that could come back.
+func pruneRecolor(g *graph.Graph, oct map[int]bool) []int {
+	in := make([]bool, g.N())
+	for v := range oct {
+		in[v] = true
 	}
-	oct := make(map[int]bool)
+	var back []int
 	for v, x := range in {
-		if x {
-			oct[v] = true
-			side[v] = -1
+		if !x {
+			continue
 		}
+		in[v] = false
+		if tryColor(g, in) != nil {
+			back = append(back, v)
+		}
+		in[v] = true
 	}
-	return Result{OCT: oct, Side: side, Optimal: len(oct) == 0}
+	return back
 }
 
-// comparePrune runs prune and the recoloring oracle on copies of the same
-// transversal and coloring, in pruneOrder, and returns how many vertices
-// prune re-admitted.
-func comparePrune(t *testing.T, g *graph.Graph, side []int, in []bool) int {
+// checkNothingToReadmit runs Heuristic on g and checks its transversal is
+// valid and minimal by inclusion under the recoloring oracle.
+func checkNothingToReadmit(t *testing.T, g *graph.Graph) {
 	t.Helper()
-	order := pruneOrder(g, in)
-	want := pruneRecolor(g, slices.Clone(side), slices.Clone(in), order)
-	got := prune(g, slices.Clone(side), slices.Clone(in))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("prune = %v %v, recoloring oracle = %v %v on edges %v (transversal %v)",
-			got.OCT, got.Side, want.OCT, want.Side, g.Edges(), order)
-	}
-	if err := invariant.ResidualBipartite(g, got.OCT, got.Side); err != nil {
+	res := Heuristic(g)
+	if err := invariant.ResidualBipartite(g, res.OCT, res.Side); err != nil {
 		t.Fatal(err)
 	}
-	return len(order) - len(got.OCT)
-}
-
-// padTransversal adds each vertex outside colorGreedy's transversal to it
-// when keep(v) says so. The coloring stays proper on the smaller residual
-// graph, and the extra vertices give the prune something to re-admit.
-func padTransversal(side []int, in []bool, keep func(v int) bool) {
-	for v := range in {
-		if !in[v] && keep(v) {
-			in[v], side[v] = true, -1
-		}
+	if back := pruneRecolor(g, res.OCT); len(back) > 0 {
+		t.Fatalf("recoloring re-admits %v of transversal %v on edges %v", back, res.OCT, g.Edges())
 	}
 }
 
-// TestPruneMatchesRecolor checks prune against the recoloring oracle on
-// random graphs, first on colorGreedy's own transversal and then on one
-// padded with random extra vertices, so most instances re-admit some.
-//
-// The unpadded transversal has nothing to re-admit: a vertex joins it
-// only before it is expanded, so its conflict closes an odd cycle
-// through expanded vertices alone, and an expanded vertex never joins.
+// TestPruneMatchesRecolor checks on random graphs that the recoloring
+// prune can return no vertex of Heuristic's transversal to the graph: a
+// vertex joins it only before it is expanded, so its conflict closes an
+// odd cycle through expanded vertices alone, and an expanded vertex never
+// joins.
 func TestPruneMatchesRecolor(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	withReadmissions := 0
+	nonEmpty := 0
 	for trial := 0; trial < 600; trial++ {
 		n := 2 + rng.Intn(60)
 		g := randomGraph(rng, n, 0.5*rng.Float64()*rng.Float64())
-		side, in := colorGreedy(g)
-		if k := comparePrune(t, g, side, in); k != 0 {
-			t.Fatalf("trial %d: prune re-admitted %d greedy transversal vertices", trial, k)
-		}
-		pad := rng.Float64()
-		padTransversal(side, in, func(int) bool { return rng.Float64() < pad })
-		if comparePrune(t, g, side, in) > 0 {
-			withReadmissions++
+		checkNothingToReadmit(t, g)
+		if len(Heuristic(g).OCT) > 0 {
+			nonEmpty++
 		}
 	}
-	if withReadmissions < 300 {
-		t.Errorf("only %d of 600 instances re-admitted a vertex", withReadmissions)
+	if nonEmpty < 300 {
+		t.Errorf("only %d of 600 graphs had a non-empty transversal", nonEmpty)
 	}
 }
 
 // FuzzHeuristicVsRecolor builds a graph on at most 64 vertices from (n,
-// edge bytes; two per edge), pads colorGreedy's transversal with the
-// vertices whose bit is set in pad, and checks prune against the
-// recoloring oracle.
+// edge bytes; two per edge) and checks that the recoloring prune
+// re-admits nothing from Heuristic's transversal.
 func FuzzHeuristicVsRecolor(f *testing.F) {
-	f.Add(uint8(5), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 0}, uint64(0b10110))
-	f.Add(uint8(7), []byte{0, 1, 0, 2, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 2}, uint64(0x7f))
-	f.Add(uint8(12), []byte{0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3, 0, 3, 6, 7, 7, 8, 8, 6, 9, 10, 10, 11, 11, 9, 6, 9}, uint64(0x5a5))
-	f.Fuzz(func(t *testing.T, n uint8, edges []byte, pad uint64) {
+	f.Add(uint8(5), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 0})
+	f.Add(uint8(7), []byte{0, 1, 0, 2, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 2})
+	f.Add(uint8(12), []byte{0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3, 0, 3, 6, 7, 7, 8, 8, 6, 9, 10, 10, 11, 11, 9, 6, 9})
+	f.Fuzz(func(t *testing.T, n uint8, edges []byte) {
 		nn := 1 + int(n)%64
 		g := graph.New(nn)
 		for i := 0; i+1 < len(edges) && i < 2*nn*nn; i += 2 {
@@ -388,45 +364,16 @@ func FuzzHeuristicVsRecolor(f *testing.F) {
 				}
 			}
 		}
-		side, in := colorGreedy(g)
-		padTransversal(side, in, func(v int) bool { return pad>>v&1 == 1 })
-		comparePrune(t, g, side, in)
+		checkNothingToReadmit(t, g)
 	})
 }
 
-// TestPruneDeterministic pins the prune's candidate order where it
-// matters: on a triangle whose transversal is padded to {1, 2}, both of
-// degree 2, whichever tied candidate comes first returns and the other
-// stays. Before candidates were ordered by (degree, id) such ties fell
-// to map iteration order. Heuristic itself is checked for repeatability
-// on random graphs with degree ties in the transversal.
-func TestPruneDeterministic(t *testing.T) {
-	g := cycle(3)
-	side, in := colorGreedy(g)
-	padTransversal(side, in, func(v int) bool { return v == 1 })
-	order := pruneOrder(g, in)
-	if !slices.Equal(order, []int{1, 2}) {
-		t.Fatalf("prune order %v, want [1 2]", order)
-	}
-	reversed := pruneRecolor(g, slices.Clone(side), slices.Clone(in), []int{2, 1})
-	if !reflect.DeepEqual(reversed.OCT, map[int]bool{1: true}) {
-		t.Fatalf("oracle in order [2 1] keeps %v, want {1}", reversed.OCT)
-	}
-	for run := 0; run < 20; run++ {
-		res := prune(g, slices.Clone(side), slices.Clone(in))
-		if want := (Result{OCT: map[int]bool{2: true}, Side: []int{0, 1, -1}}); !reflect.DeepEqual(res, want) {
-			t.Fatalf("run %d: prune = %+v, want %+v", run, res, want)
-		}
-	}
-
+// TestHeuristicDeterministic checks Heuristic for repeatability on random
+// graphs.
+func TestHeuristicDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
-	tied := 0
 	for trial := 0; trial < 20; trial++ {
 		g := randomGraph(rng, 40, 0.1)
-		_, in := colorGreedy(g)
-		if hasDegreeTie(g, pruneOrder(g, in)) {
-			tied++
-		}
 		first := Heuristic(g)
 		for run := 0; run < 20; run++ {
 			if res := Heuristic(g); !reflect.DeepEqual(res, first) {
@@ -434,16 +381,4 @@ func TestPruneDeterministic(t *testing.T) {
 			}
 		}
 	}
-	if tied == 0 {
-		t.Error("no transversal had a degree tie")
-	}
-}
-
-func hasDegreeTie(g *graph.Graph, vs []int) bool {
-	for i := 1; i < len(vs); i++ {
-		if g.Degree(vs[i]) == g.Degree(vs[i-1]) {
-			return true
-		}
-	}
-	return false
 }

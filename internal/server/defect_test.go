@@ -298,3 +298,23 @@ func getJSON(t *testing.T, url string, v any) {
 		t.Fatalf("decoding %s: %v", url, err)
 	}
 }
+
+// TestLayeredEngineMillis checks that a K-layer portfolio solve records
+// its engines' wall clock in engine_ms_total, as a 2D portfolio does.
+func TestLayeredEngineMillis(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	if status, _, body := post(t, ts.URL, circuitRequest(`{"method": "portfolio", "layers": 3}`)); status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, body)
+	}
+	var doc struct {
+		Compactd struct {
+			EngineMillis map[string]float64 `json:"engine_ms_total"`
+		} `json:"compactd"`
+	}
+	getJSON(t, ts.URL+"/debug/vars", &doc)
+	for _, engine := range []string{"kfold", "kmip"} {
+		if _, ok := doc.Compactd.EngineMillis[engine]; !ok {
+			t.Errorf("engine_ms_total %v has no %s entry", doc.Compactd.EngineMillis, engine)
+		}
+	}
+}

@@ -296,22 +296,67 @@ func (p *placer) witness(layer1 []int) (row, candidates int) {
 // needs a healthy column, an On a healthy or stuck-ON one, an Off a
 // healthy or stuck-OFF one) — a necessary condition that reduces to
 // per-physical-row fault counts. If even this relaxed row-to-wordline
-// relation admits no perfect matching, no placement exists, and the
-// unmatchable relation yields a witness. A nil return proves nothing; the
-// search stages still decide. When ctx expires mid-matching nothing is
-// proven and the ctx error is returned.
-func (p *placer) provenInfeasible(ctx context.Context) error {
-	type profile struct{ hasLit, hasOn, hasOff bool }
-	rows := make([]profile, p.Widths[0])
+// relation admits no matching of every logical row, no placement exists,
+// and the most constrained row is the witness. A nil return proves
+// nothing; the search stages still decide.
+//
+// The relation depends on a logical row only through its profile, the
+// set of cell kinds it holds (at most 8 classes), so Hall's theorem
+// decides it without a matching search: every logical row is matched iff
+// each union of classes has at most as many rows as there are physical
+// rows admitting some class of the union. That is 2⁸ unions over at most
+// 2⁸ physical-row masks, after one pass over the plane and the faults.
+func (p *placer) provenInfeasible() error {
+	class, fits := p.relaxedRows()
+	var need [8]int
+	for _, c := range class {
+		need[c]++
+	}
+	var avail [256]int // physical rows by the mask of classes they admit
+	var cands [8]int   // physical rows admitting each class
+	for pr := 0; pr < p.phys[0]; pr++ {
+		m := 0
+		for c := range need {
+			if fits(uint8(c), pr) {
+				m |= 1 << c
+				cands[c]++
+			}
+		}
+		avail[m]++
+	}
+	if hallMatchable(&need, &avail) {
+		return nil
+	}
+	row := 0
+	for r, c := range class {
+		if cands[c] < cands[class[row]] {
+			row = r
+		}
+	}
+	return &Unplaceable{
+		Stage:      "precheck",
+		Detail:     fmt.Sprintf("no wordline assignment exists even ignoring column injectivity (%d faults on %dx%d)", len(p.faults[0]), p.phys[0], p.phys[1]),
+		LogicalRow: row,
+		Candidates: cands[class[row]],
+		Proven:     true,
+	}
+}
+
+// relaxedRows returns the profile class of every logical row of plane 0
+// (bit 0: holds a Lit, bit 1: an On, bit 2: an Off) and the relaxed
+// relation of provenInfeasible: whether a row of class c fits physical
+// row pr.
+func (p *placer) relaxedRows() ([]uint8, func(c uint8, pr int) bool) {
+	class := make([]uint8, p.Widths[0])
 	for r, row := range p.Planes[0] {
 		for _, e := range row {
 			switch e.Kind {
 			case Lit:
-				rows[r].hasLit = true
+				class[r] |= 1
 			case On:
-				rows[r].hasOn = true
+				class[r] |= 2
 			default:
-				rows[r].hasOff = true
+				class[r] |= 4
 			}
 		}
 	}
@@ -324,41 +369,36 @@ func (p *placer) provenInfeasible(ctx context.Context) error {
 			stuckOn[fc.Row]++
 		}
 	}
-	possible := func(r, pr int) bool {
-		healthy := p.phys[1] - stuckOff[pr] - stuckOn[pr]
-		if rows[r].hasLit && healthy == 0 {
-			return false
-		}
-		if rows[r].hasOn && healthy == 0 && stuckOn[pr] == 0 {
-			return false
-		}
-		if rows[r].hasOff && healthy == 0 && stuckOff[pr] == 0 {
-			return false
-		}
-		return true
+	return class, func(c uint8, pr int) bool {
+		healthy := p.phys[1]-stuckOff[pr]-stuckOn[pr] > 0
+		return (c&1 == 0 || healthy) && (c&2 == 0 || healthy || stuckOn[pr] > 0) &&
+			(c&4 == 0 || healthy || stuckOff[pr] > 0)
 	}
-	if _, ok, err := kuhn(ctx, p.Widths[0], p.phys[0], possible, identityPerm(p.phys[0])); err != nil || ok {
-		return err
-	}
-	row, candidates := -1, p.phys[0]+1
-	for r := 0; r < p.Widths[0]; r++ {
-		n := 0
-		for pr := 0; pr < p.phys[0]; pr++ {
-			if possible(r, pr) {
-				n++
+}
+
+// hallMatchable reports whether every left vertex can be matched when
+// need[c] left vertices share the neighbourhood of class c and avail[m]
+// right vertices are adjacent to exactly the classes in mask m. By Hall's
+// theorem it suffices to check, for every union t of classes, that the
+// union's vertices do not outnumber the right vertices adjacent to it.
+func hallMatchable(need *[8]int, avail *[256]int) bool {
+	for t := 1; t < 256; t++ {
+		demand, supply := 0, 0
+		for c, k := range need {
+			if t>>c&1 == 1 {
+				demand += k
 			}
 		}
-		if n < candidates {
-			row, candidates = r, n
+		for m, k := range avail {
+			if m&t != 0 {
+				supply += k
+			}
+		}
+		if demand > supply {
+			return false
 		}
 	}
-	return &Unplaceable{
-		Stage:      "precheck",
-		Detail:     fmt.Sprintf("no wordline assignment exists even ignoring column injectivity (%d faults on %dx%d)", len(p.faults[0]), p.phys[0], p.phys[1]),
-		LogicalRow: row,
-		Candidates: candidates,
-		Proven:     true,
-	}
+	return true
 }
 
 // Place searches for a placement of the stack onto its defective planes
@@ -391,7 +431,7 @@ func (s Stack) Place(ctx context.Context, opts PlaceOptions) ([][]int, string, e
 	if opts.Engine != PlaceILP && p.compatible(p.identity()) {
 		return p.finish(p.identity(), "identity")
 	}
-	if err := p.provenInfeasible(ctx); err != nil {
+	if err := p.provenInfeasible(); err != nil {
 		return nil, "", err
 	}
 	var layer1 []int
@@ -724,7 +764,7 @@ func PlaceCandidates(ctx context.Context, d *Design, dm *defect.Map, opts PlaceO
 		return out, nil
 	}
 	if len(out) == 0 {
-		if err := p.provenInfeasible(ctx); err != nil {
+		if err := p.provenInfeasible(); err != nil {
 			return nil, err
 		}
 	}

@@ -534,3 +534,51 @@ func TestKuhnStopsWithinOneVertexOfCancel(t *testing.T) {
 		t.Fatalf("live ctx: matched=%v err=%v, want a perfect matching", matched, err)
 	}
 }
+
+// TestPrecheckMatchesKuhn checks the precheck's Hall verdict against a
+// kuhn matching over the same relaxed row-to-wordline relation, on random
+// row profiles and dense fault maps with few columns, so that whole
+// physical rows are stuck and both verdicts occur often.
+func TestPrecheckMatchesKuhn(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	proven := 0
+	const trials = 600
+	for trial := 0; trial < trials; trial++ {
+		rows, cols := 1+rng.Intn(12), 1+rng.Intn(3)
+		cells := make([][]Entry, rows)
+		for r := range cells {
+			cells[r] = make([]Entry, cols)
+			for c := range cells[r] {
+				cells[r][c] = Entry{Kind: EntryKind(rng.Intn(3))}
+			}
+		}
+		dm, err := defect.Generate(rows+rng.Intn(3), cols, 0.5+0.5*rng.Float64(), rng.Float64(), rng.Uint64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := newPlacer(Stack{Widths: []int{rows, cols}, Planes: [][][]Entry{cells}, Maps: []*defect.Map{dm}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		class, fits := p.relaxedRows()
+		ok := func(r, pr int) bool { return fits(class[r], pr) }
+		_, matched, err := kuhn(context.Background(), rows, p.phys[0], ok, identityPerm(p.phys[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = p.provenInfeasible()
+		if (err == nil) != matched {
+			t.Fatalf("trial %d: precheck %v, kuhn matched=%v (classes %v)", trial, err, matched, class)
+		}
+		if err != nil {
+			proven++
+			var up *Unplaceable
+			if !errors.As(err, &up) || up.Stage != "precheck" || !up.Proven {
+				t.Fatalf("trial %d: refusal %v is not a proven precheck", trial, err)
+			}
+		}
+	}
+	if proven < trials/10 || proven > trials-trials/10 {
+		t.Errorf("%d of %d trials refuted; want both verdicts often", proven, trials)
+	}
+}
