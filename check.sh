@@ -21,6 +21,7 @@
 #                    scalar Eval, the placement engine's brute-force
 #                    exactness oracle, the crossbar mapper's postcondition
 #                    and evaluation check on fuzzed layer intervals, the
+#                    sparse device plane against a dense reference, the
 #                    exact-OCT cross-check against Lemma 1's ILP and
 #                    brute force, the check that one recoloring per
 #                    greedy OCT vertex re-admits none of them, the spice
@@ -83,6 +84,7 @@ if [ "$short" -eq 0 ]; then
     go test -fuzz=FuzzClosureVsEval -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzPlaceVsBruteForce -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzMapStack -fuzztime=5s -run='^$' ./internal/xbar/
+    go test -fuzz=FuzzPlaneVsDense -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzWarmVsColdLP -fuzztime=5s -run='^$' ./internal/ilp/
     go test -fuzz=FuzzOCTVsLemma1 -fuzztime=5s -run='^$' ./internal/oct/
     go test -fuzz=FuzzHeuristicVsRecolor -fuzztime=5s -run='^$' ./internal/oct/

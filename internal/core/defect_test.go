@@ -185,12 +185,8 @@ func TestVerifyWiresSampledFallback(t *testing.T) {
 	if err := res.verifyWires(res.Design.Wires(), 1); err != nil {
 		t.Fatalf("correct design rejected by the sampled fallback: %v", err)
 	}
-	bad := xbar.NewDesign(res.Design.Rows, res.Design.Cols)
-	for r, row := range res.Design.Cells {
-		copy(bad.Cells[r], row)
-	}
-	bad.InputRow, bad.OutputRows = res.Design.InputRow, res.Design.OutputRows
-	corruptPlanes([][][]xbar.Entry{bad.Cells})
+	bad := clone2D(t, res.Design)
+	corruptPlanes([]xbar.Plane{bad.Cells})
 	err = res.verifyWires(bad.Wires(), 1)
 	if err == nil || !strings.Contains(err.Error(), "disagrees with the network") {
 		t.Fatalf("corrupted design passed the sampled fallback: %v", err)

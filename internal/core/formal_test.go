@@ -33,18 +33,13 @@ func witnessOf(t *testing.T, err error) []bool {
 	return w
 }
 
-// flipFirstLit complements the first literal cell of a plane.
-func flipFirstLit(t *testing.T, cells [][]xbar.Entry) {
+// flipFirstLit complements, in place, the first literal cell of a plane.
+func flipFirstLit(t *testing.T, p xbar.Plane) {
 	t.Helper()
-	for r := range cells {
-		for c := range cells[r] {
-			if cells[r][c].Kind == xbar.Lit {
-				cells[r][c].Neg = !cells[r][c].Neg
-				return
-			}
-		}
+	if lits, _ := p.Counts(); lits == 0 {
+		t.Fatal("no literal cell to flip")
 	}
-	t.Fatal("no literal cell to flip")
+	corruptPlanes([]xbar.Plane{p})
 }
 
 // clone2D deep-copies a design (a design's wire graph is compiled on first

@@ -76,7 +76,7 @@ func synthesizeLayered(ctx context.Context, nw *logic.Network, opts Options, bg 
 		if err := faultinject.Err(faultinject.StagePlace); err != nil {
 			return nil, fmt.Errorf("core: placement: %w", err)
 		}
-		perms, engine, eff, err := repair(ctx, res, design.Stack(maps), opts, func(perms [][]int) (*xbar3d.Design3D, [][][]xbar.Entry, error) {
+		perms, engine, eff, err := repair(ctx, res, design.Stack(maps), opts, func(perms [][]int) (*xbar3d.Design3D, []xbar.Plane, error) {
 			eff, err := design.UnderDefects3D(maps, &xbar3d.Placement3D{Perms: perms})
 			if err != nil {
 				return nil, nil, err

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,9 +26,9 @@ import (
 // regenerate after an intended change, delete the file and run the test
 // once: it writes the file and fails, asking for review.
 //
-// arbiter, c1355 and c499 are left out: their heuristic synthesis alone
-// takes 0.2 to 0.6 s each (2-vCPU host), and this test labels and maps
-// each circuit sixteen ways.
+// The three largest circuits (arbiter, c1355, c499) are pinned in SBDD
+// mode with alignment on, at K ∈ {2, 3} only: their lines follow the
+// others.
 
 const mapGoldenFile = "testdata/map_golden.txt"
 
@@ -35,6 +36,8 @@ var mapGoldenCircuits = []string{
 	"ctrl", "cavlc", "int2float", "dec", "router", "i2c", "priority",
 	"c432", "c880", "c1908", "c2670", "c3540", "c5315", "c7552",
 }
+
+var mapGoldenBig = []string{"arbiter", "c1355", "c499"}
 
 // mapGoldenGraph builds the BDD graph the single-crossbar pipeline maps,
 // in the DFS variable order.
@@ -109,6 +112,23 @@ func mapGoldenReport(t *testing.T) string {
 			}
 		}
 	}
+	for _, c := range mapGoldenBig {
+		bg := mapGoldenGraph(t, c, false)
+		sol, err := labeling.SolveContext(ctx, bg.Problem(true), lopts)
+		if err != nil {
+			t.Fatalf("%s: %v", c, err)
+		}
+		d, err := xbar.Map(bg, sol.Labels)
+		fmt.Fprintf(&out, "%s sbdd aligned map: %s\n", c, fmtMapped(t, d, err))
+		for k := 2; k <= 3; k++ {
+			ks, err := labeling.SolveK(ctx, bg.Problem(true), k, lopts)
+			if err != nil {
+				t.Fatalf("%s K=%d: %v", c, k, err)
+			}
+			d3, err := xbar3d.Map3D(bg, ks)
+			fmt.Fprintf(&out, "%s sbdd aligned map3d K=%d: %s\n", c, k, fmtMapped(t, d3, err))
+		}
+	}
 	return out.String()
 }
 
@@ -142,5 +162,33 @@ func TestMapGolden(t *testing.T) {
 		if g != w {
 			t.Fatalf("%s line %d differs:\n got: %s\nwant: %s", mapGoldenFile, i+1, g, w)
 		}
+	}
+}
+
+// TestMapAllocatesPerDevice maps c1355's heuristic labeling with
+// xbar.Map and bounds the bytes allocated, a work-unit verdict rather
+// than a wall-clock one. The design has 21,275 devices (one per edge,
+// one per VH stitch) on a 5,500 x 5,391 array. With a dense Entry grid,
+// Map allocated 237.9 MB; with sparse planes it allocates 3.5 MB (go1.24,
+// linux/amd64).
+func TestMapAllocatesPerDevice(t *testing.T) {
+	bg := mapGoldenGraph(t, "c1355", false)
+	lopts := labeling.Options{Gamma: Options{}.gamma(), Method: labeling.MethodHeuristic}
+	sol, err := labeling.SolveContext(context.Background(), bg.Problem(true), lopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := xbar.Map(bg, sol.Labels)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("c1355: %dx%d design, %d devices, %d nodes, %d edges: Map allocated %d bytes",
+		d.Rows, d.Cols, d.Cells.Len(), bg.G.N(), bg.G.M(), got)
+	if got > 32<<20 {
+		t.Fatalf("mapping c1355 allocated %d bytes; the bound is 32 MB", got)
 	}
 }

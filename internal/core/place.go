@@ -69,12 +69,12 @@ func (r *Result) placeWithRepair(ctx context.Context, dm *defect.Map, opts Optio
 		// the plain loop below is the unconditional fallback.
 	}
 	d := r.Design
-	perms, engine, eff, err := repair(ctx, r, d.Stack(dm), opts, func(perms [][]int) (*xbar.Design, [][][]xbar.Entry, error) {
+	perms, engine, eff, err := repair(ctx, r, d.Stack(dm), opts, func(perms [][]int) (*xbar.Design, []xbar.Plane, error) {
 		eff, err := d.UnderDefects(dm, &xbar.Placement{RowPerm: perms[0], ColPerm: perms[1]})
 		if err != nil {
 			return nil, nil, err
 		}
-		return eff, [][][]xbar.Entry{eff.Cells}, nil
+		return eff, []xbar.Plane{eff.Cells}, nil
 	})
 	if err != nil {
 		return err
@@ -91,7 +91,7 @@ func (r *Result) placeWithRepair(ctx context.Context, dm *defect.Map, opts Optio
 // success it records RepairAttempts and returns the binding, the engine
 // that found it and the verified effective design. opts must be canonical.
 func repair[D interface{ Wires() *xbar.Wires }](ctx context.Context, r *Result, s xbar.Stack, opts Options,
-	under func(perms [][]int) (D, [][][]xbar.Entry, error)) ([][]int, string, D, error) {
+	under func(perms [][]int) (D, []xbar.Plane, error)) ([][]int, string, D, error) {
 	var none D
 	attempts := opts.MaxRepairAttempts
 	if attempts <= 0 {
@@ -263,14 +263,16 @@ func (r *Result) verifyWires(w *xbar.Wires, nodeLimit int) error {
 	return nil
 }
 
-// corruptPlanes flips the polarity of the first literal cell — the
-// deterministic wrong design used by the place=corrupt injection mode.
-func corruptPlanes(planes [][][]xbar.Entry) {
-	for _, plane := range planes {
-		for _, row := range plane {
-			for c := range row {
-				if row[c].Kind == xbar.Lit {
-					row[c].Neg = !row[c].Neg
+// corruptPlanes flips, in place, the polarity of the first literal cell in
+// (plane, row, col) order — the deterministic wrong design used by the
+// place=corrupt injection mode.
+func corruptPlanes(planes []xbar.Plane) {
+	for p := range planes {
+		for r := 0; r < planes[p].Rows(); r++ {
+			_, es := planes[p].Row(r)
+			for i := range es {
+				if es[i].Kind == xbar.Lit {
+					es[i].Neg = !es[i].Neg
 					return
 				}
 			}

@@ -67,13 +67,13 @@ func Map(t *pla.Table) (*xbar.Design, error) {
 		cols = 1
 	}
 	// Cube-chain designs explode quadratically with the cover; cap the
-	// dense cell matrix rather than exhausting memory (this baseline's
-	// unscalability is, after all, the point being demonstrated).
+	// crossing count (this baseline's unscalability is, after all, the
+	// point being demonstrated, and a design's dense consumers — Render,
+	// spice — allocate per crossing).
 	if int64(rows)*int64(cols) > 600_000_000 {
 		return nil, fmt.Errorf("dnf: design would need %d x %d cells; the cube-chain style does not scale to this cover", rows, cols)
 	}
-	d := xbar.NewDesign(rows, cols)
-	d.InputRow = rows - 1
+	inputRow := rows - 1
 	names := t.InNames
 	if len(names) != t.NumIn {
 		names = make([]string, t.NumIn)
@@ -81,6 +81,32 @@ func Map(t *pla.Table) (*xbar.Design, error) {
 			names[i] = fmt.Sprintf("i%d", i)
 		}
 	}
+	var devs []xbar.Device
+	nextRow := t.NumOut // first free interior wordline
+	nextCol := 0
+	for _, c := range chains {
+		// Walk input row -> col -> row -> ... -> col -> output row.
+		curRow := inputRow
+		for k := 0; k < len(c.lits); k += 2 {
+			col := nextCol
+			nextCol++
+			devs = append(devs, xbar.Device{Row: curRow, Col: col, E: c.lits[k]})
+			if k+2 < len(c.lits) {
+				curRow = nextRow
+				nextRow++
+			} else {
+				curRow = c.out
+			}
+			devs = append(devs, xbar.Device{Row: curRow, Col: col, E: c.lits[k+1]})
+		}
+	}
+	// Chains are private, so no crossing is programmed twice; NewDesign
+	// still rejects a second device on one.
+	d, err := xbar.NewDesign(rows, cols, devs)
+	if err != nil {
+		return nil, fmt.Errorf("dnf: %w", err)
+	}
+	d.InputRow = inputRow
 	d.VarNames = names
 	for o := 0; o < t.NumOut; o++ {
 		d.OutputRows = append(d.OutputRows, o)
@@ -90,35 +116,7 @@ func Map(t *pla.Table) (*xbar.Design, error) {
 		}
 		d.OutputNames = append(d.OutputNames, name)
 	}
-
-	nextRow := t.NumOut // first free interior wordline
-	nextCol := 0
-	for _, c := range chains {
-		// Walk input row -> col -> row -> ... -> col -> output row.
-		curRow := d.InputRow
-		for k := 0; k < len(c.lits); k += 2 {
-			col := nextCol
-			nextCol++
-			place(d, curRow, col, c.lits[k])
-			if k+2 < len(c.lits) {
-				curRow = nextRow
-				nextRow++
-			} else {
-				curRow = c.out
-			}
-			place(d, curRow, col, c.lits[k+1])
-		}
-	}
 	return d, nil
-}
-
-// place sets a device, merging with an identical preexisting assignment
-// (cannot occur with private chains, but guards the invariant).
-func place(d *xbar.Design, row, col int, e xbar.Entry) {
-	if d.Cells[row][col].Kind != xbar.Off {
-		panic(fmt.Sprintf("dnf: cell (%d,%d) assigned twice", row, col))
-	}
-	d.Cells[row][col] = e
 }
 
 // MapNetwork derives the minterm cover of a small network by truth-table

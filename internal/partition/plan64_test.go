@@ -107,17 +107,17 @@ func wideIdentityPlan(t *testing.T, n int) *partition.Plan {
 	for i := range names {
 		names[i] = fmt.Sprintf("x%d", i)
 	}
-	d := &xbar.Design{
-		Rows: 2, Cols: 1,
-		Cells: [][]xbar.Entry{
-			{{Kind: xbar.Lit, Var: 0}}, // col 0 -> output row, gated by x0
-			{{Kind: xbar.On}},          // input row -> col 0
-		},
-		InputRow:    1,
-		OutputRows:  []int{0},
-		OutputNames: []string{"y"},
-		VarNames:    append([]string(nil), names...),
+	d, err := xbar.NewDesign(2, 1, []xbar.Device{
+		{Row: 0, Col: 0, E: xbar.Entry{Kind: xbar.Lit, Var: 0}}, // col 0 -> output row, gated by x0
+		{Row: 1, Col: 0, E: xbar.Entry{Kind: xbar.On}},          // input row -> col 0
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	d.InputRow = 1
+	d.OutputRows = []int{0}
+	d.OutputNames = []string{"y"}
+	d.VarNames = append([]string(nil), names...)
 	plan := &partition.Plan{
 		Name:    "wide",
 		Inputs:  names,

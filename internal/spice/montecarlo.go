@@ -326,9 +326,10 @@ func (nw *network) blameTrial(vecs [][]bool, onVec, offVec int, blame map[[3]int
 		in := vecs[vec]
 		uf := newUnionFind(nw.n)
 		for _, pl := range nw.planes {
-			for r, row := range pl.cells {
-				for c, e := range row {
-					if e.Conducts(in) {
+			for r := 0; r < pl.cells.Rows(); r++ {
+				cs, es := pl.cells.Row(r)
+				for i, c := range cs {
+					if es[i].Conducts(in) {
 						uf.union(pl.rowBase+r, pl.colBase+c)
 					}
 				}
@@ -336,8 +337,13 @@ func (nw *network) blameTrial(vecs [][]bool, onVec, offVec int, blame map[[3]int
 		}
 		driven := uf.find(nw.input)
 		for p, pl := range nw.planes {
-			for r, row := range pl.cells {
-				for c, e := range row {
+			for r := 0; r < pl.cells.Rows(); r++ {
+				cs, es := pl.cells.Row(r)
+				for c := 0; c < pl.cells.Cols(); c++ {
+					var e xbar.Entry // Off until the row cursor reaches a device
+					if len(cs) > 0 && cs[0] == c {
+						e, cs, es = es[0], cs[1:], es[1:]
+					}
 					on := e.Conducts(in)
 					if on != conducting {
 						continue

@@ -17,9 +17,13 @@ import (
 // and the literal cell. Small enough that every electrical effect is
 // hand-checkable.
 func wireDesign() (*xbar.Design, func([]bool) []bool) {
-	d := xbar.NewDesign(2, 1)
-	d.Cells[0][0] = xbar.Entry{Kind: xbar.Lit, Var: 0}
-	d.Cells[1][0] = xbar.Entry{Kind: xbar.On}
+	d, err := xbar.NewDesign(2, 1, []xbar.Device{
+		{Row: 0, Col: 0, E: xbar.Entry{Kind: xbar.Lit, Var: 0}},
+		{Row: 1, Col: 0, E: xbar.Entry{Kind: xbar.On}},
+	})
+	if err != nil {
+		panic(err)
+	}
 	d.InputRow = 1
 	d.OutputRows = []int{0}
 	d.OutputNames = []string{"f"}

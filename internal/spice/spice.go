@@ -115,11 +115,12 @@ type network struct {
 	sample func(v Variation, seed uint64) ([]*ResistanceMap, error)
 }
 
-// plane is one device plane: cell (r, c) of the grid is a conductance
-// between node rowBase+r and node colBase+c. The grid is the design's own
-// — referenced, never copied, so compiling costs no memory per device.
+// plane is one device plane: crossing (r, c) is a conductance between node
+// rowBase+r and node colBase+c — every crossing, since an Off device still
+// leaks. The plane is the design's own — referenced, never copied, so
+// compiling costs no memory per device.
 type plane struct {
-	cells            [][]xbar.Entry
+	cells            xbar.Plane
 	rowBase, colBase int
 	rowPhys, colPhys []int  // logical line -> physical device line (nil = identity)
 	override         []int8 // per cell, row-major: 0 none, +1 stuck-ON, -1 stuck-OFF
@@ -360,11 +361,19 @@ func (nw *network) system(assignment []bool, res []*ResistanceMap) ([][]float64,
 		if res != nil {
 			m = res[p]
 		}
-		for r, row := range pl.cells {
-			for c, e := range row {
+		rows, cols := pl.cells.Rows(), pl.cells.Cols()
+		for r := 0; r < rows; r++ {
+			cs, es := pl.cells.Row(r)
+			for c := 0; c < cols; c++ {
+				// Walk the row's devices with a cursor: every crossing
+				// before the next device is Off.
+				var e xbar.Entry
+				if len(cs) > 0 && cs[0] == c {
+					e, cs, es = es[0], cs[1:], es[1:]
+				}
 				on := e.Conducts(assignment)
 				if pl.override != nil {
-					switch pl.override[r*len(row)+c] {
+					switch pl.override[r*cols+c] {
 					case 1:
 						on = true
 					case -1:

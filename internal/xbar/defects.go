@@ -53,7 +53,7 @@ func inversePerm(perm []int, bound int) []int {
 // overridden by the stuck behavior (stuck-ON → On, stuck-OFF → Off).
 // Faults on physical wires the placement leaves unused are ignored —
 // unused spares are disconnected.
-func (s Stack) UnderDefects(perms [][]int) ([][][]Entry, error) {
+func (s Stack) UnderDefects(perms [][]int) ([]Plane, error) {
 	p, err := newPlacer(s)
 	if err != nil {
 		return nil, err
@@ -72,29 +72,25 @@ func (s Stack) UnderDefects(perms [][]int) ([][][]Entry, error) {
 			return nil, err
 		}
 	}
-	planes := make([][][]Entry, len(s.Planes))
-	for pl, plane := range s.Planes {
-		planes[pl] = make([][]Entry, len(plane))
-		for r, row := range plane {
-			planes[pl][r] = append([]Entry(nil), row...)
-		}
-		if len(p.faults[pl]) == 0 {
-			continue
-		}
-		invRow := inversePerm(perms[pl], p.phys[pl])
-		invCol := inversePerm(perms[pl+1], p.phys[pl+1])
-		for _, fc := range p.faults[pl] {
-			r, c := invRow[fc.Row], invCol[fc.Col]
-			if r < 0 || c < 0 {
-				continue // crossing on an unused (disconnected) physical wire
-			}
-			switch fc.Kind {
-			case defect.StuckOn:
-				planes[pl][r][c] = Entry{Kind: On}
-			case defect.StuckOff:
-				planes[pl][r][c] = Entry{Kind: Off}
+	planes := make([]Plane, len(s.Planes))
+	for pl := range s.Planes {
+		var stuck []Device
+		if len(p.faults[pl]) > 0 {
+			invRow := inversePerm(perms[pl], p.phys[pl])
+			invCol := inversePerm(perms[pl+1], p.phys[pl+1])
+			for _, fc := range p.faults[pl] {
+				r, c := invRow[fc.Row], invCol[fc.Col]
+				if r < 0 || c < 0 {
+					continue // crossing on an unused (disconnected) physical wire
+				}
+				e := Entry{Kind: Off}
+				if fc.Kind == defect.StuckOn {
+					e = Entry{Kind: On}
+				}
+				stuck = append(stuck, Device{Row: r, Col: c, E: e})
 			}
 		}
+		planes[pl] = s.Planes[pl].With(stuck)
 	}
 	return planes, nil
 }

@@ -32,9 +32,8 @@ const (
 	Lit                  // programmed from a Boolean literal
 )
 
-// Entry is one memristor assignment. The struct is kept at 8 bytes (a
-// crossbar design stores Rows x Cols of them, and the largest benchmark
-// produces ~70M cells).
+// Entry is one memristor assignment. Planes store one per programmed
+// device (see Plane); the zero Entry is Off.
 type Entry struct {
 	Kind EntryKind
 	Neg  bool  // negated literal
@@ -65,10 +64,10 @@ func (e Entry) label(names []string) string {
 // Design is a complete crossbar representation of a Boolean function.
 type Design struct {
 	Rows, Cols int
-	// Cells is indexed [row][col]; row 0 is the top-most wordline, row
-	// Rows-1 the bottom-most (the input wordline, per the paper's
-	// alignment convention).
-	Cells [][]Entry
+	// Cells is the Rows x Cols device plane: row 0 is the top-most
+	// wordline, row Rows-1 the bottom-most (the input wordline, per the
+	// paper's alignment convention).
+	Cells Plane
 	// InputRow is the wordline driven with Vin.
 	InputRow int
 	// OutputRows holds one wordline per function output (entries may
@@ -95,23 +94,27 @@ func (d *Design) Wires() *Wires {
 		return w
 	}
 	w := NewWires(d.Rows+d.Cols, d.InputRow, append([]int(nil), d.OutputRows...))
-	for r, row := range d.Cells {
-		for c, e := range row {
-			if e.Kind != Off {
-				w.Add(r, d.Rows+c, e, func() string { return fmt.Sprintf("(%d,%d)", r, c) })
-			}
+	for r := 0; r < d.Cells.Rows(); r++ {
+		cs, es := d.Cells.Row(r)
+		for i, c := range cs {
+			w.Add(r, d.Rows+c, es[i], func() string { return fmt.Sprintf("(%d,%d)", r, c) })
 		}
 	}
 	if w.Err == nil {
-		w.Err = d.checkRows()
+		w.Err = d.checkShape()
 	}
 	d.wires.Store(w)
 	return w
 }
 
-// checkRows validates the driven and sensed wordlines. An empty design
-// (no rows, no outputs) has nothing to read and nothing to drive.
-func (d *Design) checkRows() error {
+// checkShape validates the plane's extent and the driven and sensed
+// wordlines. An empty design (no rows, no outputs) has nothing to read and
+// nothing to drive.
+func (d *Design) checkShape() error {
+	if d.Cells.Rows() != d.Rows || d.Cells.Cols() != d.Cols {
+		return invariant.Violationf("xbar.plane-dims",
+			"%dx%d plane in a %dx%d design", d.Cells.Rows(), d.Cells.Cols(), d.Rows, d.Cols)
+	}
 	if len(d.OutputRows) == 0 && d.Rows == 0 {
 		return nil
 	}
@@ -139,20 +142,14 @@ func (d *Design) NumVars() int {
 	return n
 }
 
-// NewDesign allocates an all-Off crossbar.
-func NewDesign(rows, cols int) *Design {
-	return &Design{Rows: rows, Cols: cols, Cells: NewGrid(rows, cols)}
-}
-
-// NewGrid allocates an all-Off rows x cols cell matrix on one backing
-// array.
-func NewGrid(rows, cols int) [][]Entry {
-	cells := make([][]Entry, rows)
-	backing := make([]Entry, rows*cols)
-	for r := range cells {
-		cells[r], backing = backing[:cols:cols], backing[cols:]
+// NewDesign builds a rows x cols crossbar programmed with devs (see
+// NewPlane); every other crossing is Off.
+func NewDesign(rows, cols int, devs []Device) (*Design, error) {
+	p, err := NewPlane(rows, cols, devs)
+	if err != nil {
+		return nil, fmt.Errorf("xbar: %w", err)
 	}
-	return cells
+	return &Design{Rows: rows, Cols: cols, Cells: p}, nil
 }
 
 // Stats summarizes hardware utilization and the paper's cost models.
@@ -180,34 +177,18 @@ func (d *Design) Stats() Stats {
 		st.D = d.Cols
 	}
 	st.Area = d.Rows * d.Cols
-	for _, row := range d.Cells {
-		for _, e := range row {
-			switch e.Kind {
-			case Lit:
-				st.LitCells++
-			case On:
-				st.OnCells++
-			}
-		}
-	}
+	st.LitCells, st.OnCells = d.Cells.Counts()
 	st.Power = st.LitCells
 	st.Delay = d.Rows + 1
 	return st
 }
 
 // Render writes a human-readable matrix view, as in the paper's Figure 2.
+// The view is dense by nature: it prints every crossing.
 func (d *Design) Render(w io.Writer) error {
 	width := 1
-	labels := make([][]string, d.Rows)
-	for r := range d.Cells {
-		labels[r] = make([]string, d.Cols)
-		for c, e := range d.Cells[r] {
-			s := e.label(d.VarNames)
-			labels[r][c] = s
-			if len(s) > width {
-				width = len(s)
-			}
-		}
+	for _, dev := range d.Cells.Devices() {
+		width = max(width, len(dev.E.label(d.VarNames)))
 	}
 	outOf := make(map[int][]string)
 	for i, r := range d.OutputRows {
@@ -219,8 +200,13 @@ func (d *Design) Render(w io.Writer) error {
 	}
 	ew := errio.NewWriter(w)
 	for r := 0; r < d.Rows; r++ {
+		cs, es := d.Cells.Row(r)
 		for c := 0; c < d.Cols; c++ {
-			ew.Printf("%*s ", width, labels[r][c])
+			e := Entry{}
+			if len(cs) > 0 && cs[0] == c {
+				e, cs, es = es[0], cs[1:], es[1:]
+			}
+			ew.Printf("%*s ", width, e.label(d.VarNames))
 		}
 		var marks []string
 		if r == d.InputRow {

@@ -8,14 +8,14 @@ import (
 
 // randomDesign builds an in-memory design with a mix of Off/On/Lit cells.
 func randomDesign(rng *rand.Rand, rows, cols, nVars int) *Design {
-	d := NewDesign(rows, cols)
+	d := testDesign(rows, cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			switch rng.Intn(6) {
 			case 0:
-				d.Cells[r][c] = Entry{Kind: On}
+				setCell(&d.Cells, r, c, Entry{Kind: On})
 			case 1, 2:
-				d.Cells[r][c] = Entry{Kind: Lit, Var: int32(rng.Intn(nVars)), Neg: rng.Intn(2) == 0}
+				setCell(&d.Cells, r, c, Entry{Kind: Lit, Var: int32(rng.Intn(nVars)), Neg: rng.Intn(2) == 0})
 			}
 		}
 	}
@@ -208,7 +208,7 @@ func TestVerifyAgainst64MatchesScalarRef(t *testing.T) {
 func TestVerifyAgainstOverflowClamp(t *testing.T) {
 	// Two disconnected rows: output row 0 never reaches input row 1, so the
 	// design computes constant false; the reference says constant true.
-	d := NewDesign(2, 1)
+	d := testDesign(2, 1)
 	d.InputRow = 1
 	d.OutputRows = []int{0}
 	ref := func(in []bool) []bool { return []bool{true} }
@@ -231,10 +231,10 @@ func TestVerifyAgainstOverflowClamp(t *testing.T) {
 // rather than verifying the design.
 func TestCorruptedCellsFailLoudly(t *testing.T) {
 	mk := func(e Entry) *Design {
-		d := NewDesign(2, 1)
+		d := testDesign(2, 1)
 		d.InputRow = 1
 		d.OutputRows = []int{0}
-		d.Cells[0][0] = e
+		setCell(&d.Cells, 0, 0, e)
 		return d
 	}
 	for name, e := range map[string]Entry{

@@ -9,11 +9,11 @@ import (
 // reaches the output wordline iff both literals conduct through the shared
 // bitline chain.
 func andDesign() *Design {
-	d := NewDesign(3, 2)
-	d.Cells[2][0] = Entry{Kind: Lit, Var: 0} // input row -> bitline 0 via a
-	d.Cells[1][0] = Entry{Kind: Lit, Var: 1} // bitline 0 -> middle row via b
-	d.Cells[1][1] = Entry{Kind: On}          // middle row -> bitline 1
-	d.Cells[0][1] = Entry{Kind: On}          // bitline 1 -> output row
+	d := testDesign(3, 2)
+	setCell(&d.Cells, 2, 0, Entry{Kind: Lit, Var: 0}) // input row -> bitline 0 via a
+	setCell(&d.Cells, 1, 0, Entry{Kind: Lit, Var: 1}) // bitline 0 -> middle row via b
+	setCell(&d.Cells, 1, 1, Entry{Kind: On})          // middle row -> bitline 1
+	setCell(&d.Cells, 0, 1, Entry{Kind: On})          // bitline 1 -> output row
 	d.InputRow = 2
 	d.OutputRows = []int{0}
 	return d

@@ -55,13 +55,7 @@ func FuzzDesignJSON(f *testing.F) {
 		// …and a short assignment must fail closed, never panic. (NumVars
 		// also counts named-but-unreferenced variables, which EvalChecked
 		// does not require the assignment to cover — hence the Lit scan.)
-		hasLit := false
-		for _, row := range d.Cells {
-			for _, e := range row {
-				hasLit = hasLit || e.Kind == Lit
-			}
-		}
-		if hasLit {
+		if lits, _ := d.Cells.Counts(); lits > 0 {
 			if _, err := d.EvalChecked(nil); err == nil {
 				t.Fatal("EvalChecked accepted a nil assignment for a design with literals")
 			}
@@ -139,7 +133,7 @@ func bytesDesign(data []byte) (*Design, int) {
 		return nil, 0
 	}
 	rows, cols, nVars := 1+int(data[0]%6), 1+int(data[1]%6), 1+int(data[2]%6)
-	d := NewDesign(rows, cols)
+	d := testDesign(rows, cols)
 	d.InputRow = int(data[3]) % rows
 	for r := 0; r < rows; r++ {
 		d.OutputRows = append(d.OutputRows, r)
@@ -150,9 +144,9 @@ func bytesDesign(data []byte) (*Design, int) {
 		}
 		switch b % 3 {
 		case 1:
-			d.Cells[i/cols][i%cols] = Entry{Kind: On}
+			setCell(&d.Cells, i/cols, i%cols, Entry{Kind: On})
 		case 2:
-			d.Cells[i/cols][i%cols] = Entry{Kind: Lit, Var: int32(int(b/3) % nVars), Neg: b >= 128}
+			setCell(&d.Cells, i/cols, i%cols, Entry{Kind: Lit, Var: int32(int(b/3) % nVars), Neg: b >= 128})
 		}
 	}
 	return d, nVars

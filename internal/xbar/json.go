@@ -9,9 +9,10 @@ import (
 
 // The Design wire format (version 1)
 //
-// Designs marshal to a sparse JSON object — only non-Off cells are listed,
-// since crossbars are overwhelmingly empty (the largest benchmark design
-// is ~70M cells, of which a few percent are programmed):
+// Designs marshal to a sparse JSON object listing the plane's devices —
+// the non-Off cells, the same list a Plane stores — since crossbars are
+// overwhelmingly empty (the largest bundled design has 109M crossings and
+// 29k devices):
 //
 //	{
 //	  "v": 1,
@@ -72,10 +73,11 @@ func (d *Design) MarshalJSON() ([]byte, error) {
 	if dj.OutputRows == nil {
 		dj.OutputRows = []int{}
 	}
-	for r, row := range d.Cells {
-		for c, e := range row {
-			switch e.Kind {
-			case Off:
+	for r := 0; r < d.Cells.Rows(); r++ {
+		cs, es := d.Cells.Row(r)
+		for i, c := range cs {
+			switch e := es[i]; e.Kind {
+			case Off: // a device cleared in place through Row
 			case On:
 				dj.Cells = append(dj.Cells, cellJSON{Row: r, Col: c, K: "on"})
 			case Lit:
@@ -104,7 +106,8 @@ func (d *Design) UnmarshalJSON(data []byte) error {
 	}
 	// Both dimensions are capped individually before the product check:
 	// the old product-only guard had a hole (a huge row count with zero
-	// columns passed it, and NewDesign's per-row slice allocation OOMed).
+	// columns passed it, and the dense grid's per-row slices OOMed). The
+	// plane itself is sparse, so decoding allocates O(rows + cells).
 	const maxWireCells = 1 << 31
 	if err := wirelimit.CheckCells("design", dj.Rows, dj.Cols, maxWireCells); err != nil {
 		return fmt.Errorf("xbar: %v", err)
@@ -120,21 +123,12 @@ func (d *Design) UnmarshalJSON(data []byte) error {
 	if len(dj.OutputNames) > 0 && len(dj.OutputNames) != len(dj.OutputRows) {
 		return fmt.Errorf("xbar: %d output names for %d output rows", len(dj.OutputNames), len(dj.OutputRows))
 	}
-	nd := NewDesign(dj.Rows, dj.Cols)
-	nd.InputRow = dj.InputRow
-	nd.OutputRows = append([]int(nil), dj.OutputRows...)
-	nd.OutputNames = append([]string(nil), dj.OutputNames...)
-	nd.VarNames = append([]string(nil), dj.VarNames...)
+	devs := make([]Device, len(dj.Cells))
 	for i, c := range dj.Cells {
-		if c.Row < 0 || c.Row >= dj.Rows || c.Col < 0 || c.Col >= dj.Cols {
-			return fmt.Errorf("xbar: cell #%d at (%d,%d) outside %dx%d", i, c.Row, c.Col, dj.Rows, dj.Cols)
-		}
-		if nd.Cells[c.Row][c.Col].Kind != Off {
-			return fmt.Errorf("xbar: duplicate cell at (%d,%d)", c.Row, c.Col)
-		}
+		devs[i] = Device{Row: c.Row, Col: c.Col} // NewDesign checks the coordinates
 		switch c.K {
 		case "on":
-			nd.Cells[c.Row][c.Col] = Entry{Kind: On}
+			devs[i].E = Entry{Kind: On}
 		case "lit":
 			if c.Var < 0 {
 				return fmt.Errorf("xbar: cell #%d has negative variable %d", i, c.Var)
@@ -142,11 +136,19 @@ func (d *Design) UnmarshalJSON(data []byte) error {
 			if len(dj.VarNames) > 0 && int(c.Var) >= len(dj.VarNames) {
 				return fmt.Errorf("xbar: cell #%d references variable %d of %d", i, c.Var, len(dj.VarNames))
 			}
-			nd.Cells[c.Row][c.Col] = Entry{Kind: Lit, Var: c.Var, Neg: c.Neg}
+			devs[i].E = Entry{Kind: Lit, Var: c.Var, Neg: c.Neg}
 		default:
 			return fmt.Errorf("xbar: cell #%d has unknown kind %q", i, c.K)
 		}
 	}
+	nd, err := NewDesign(dj.Rows, dj.Cols, devs)
+	if err != nil {
+		return err
+	}
+	nd.InputRow = dj.InputRow
+	nd.OutputRows = append([]int(nil), dj.OutputRows...)
+	nd.OutputNames = append([]string(nil), dj.OutputNames...)
+	nd.VarNames = append([]string(nil), dj.VarNames...)
 	d.Rows, d.Cols = nd.Rows, nd.Cols
 	d.Cells = nd.Cells
 	d.InputRow = nd.InputRow

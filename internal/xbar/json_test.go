@@ -2,23 +2,24 @@ package xbar
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // fig2Design builds a small hand-made design exercising every cell kind.
 func fig2Design() *Design {
-	d := NewDesign(4, 3)
+	d := testDesign(4, 3,
+		Device{0, 0, Entry{Kind: Lit, Var: 0}},
+		Device{1, 0, Entry{Kind: On}},
+		Device{1, 1, Entry{Kind: Lit, Var: 1, Neg: true}},
+		Device{2, 1, Entry{Kind: Lit, Var: 2}},
+		Device{3, 2, Entry{Kind: Lit, Var: 0, Neg: true}},
+		Device{0, 2, Entry{Kind: On}})
 	d.InputRow = 3
 	d.OutputRows = []int{0}
 	d.OutputNames = []string{"f"}
 	d.VarNames = []string{"a", "b", "c"}
-	d.Cells[0][0] = Entry{Kind: Lit, Var: 0}
-	d.Cells[1][0] = Entry{Kind: On}
-	d.Cells[1][1] = Entry{Kind: Lit, Var: 1, Neg: true}
-	d.Cells[2][1] = Entry{Kind: Lit, Var: 2}
-	d.Cells[3][2] = Entry{Kind: Lit, Var: 0, Neg: true}
-	d.Cells[0][2] = Entry{Kind: On}
 	return d
 }
 
@@ -58,9 +59,9 @@ func TestDesignJSONRoundTripEvalParity(t *testing.T) {
 }
 
 func TestDesignJSONSparse(t *testing.T) {
-	d := NewDesign(50, 50)
+	d := testDesign(50, 50)
 	d.OutputRows = []int{0}
-	d.Cells[7][9] = Entry{Kind: On}
+	setCell(&d.Cells, 7, 9, Entry{Kind: On})
 	data, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +74,7 @@ func TestDesignJSONSparse(t *testing.T) {
 	if err := json.Unmarshal(data, &dec); err != nil {
 		t.Fatal(err)
 	}
-	if dec.Cells[7][9].Kind != On {
+	if dec.Cells.At(7, 9).Kind != On {
 		t.Fatal("programmed cell lost in round trip")
 	}
 }
@@ -127,5 +128,26 @@ func TestDesignJSONReuseResetsSparseCache(t *testing.T) {
 	}
 	if got := d.Eval(nil); got[0] {
 		t.Fatal("stale sparse cache survived re-decode")
+	}
+}
+
+// TestDecodeEmptyDesignAllocatesSparsely decodes a 8192 x 8192 design
+// with no devices: the plane holds its devices, not its 67M crossings, so
+// the decode allocates O(rows), not one Entry per crossing (512 MB as a
+// dense grid).
+func TestDecodeEmptyDesignAllocatesSparsely(t *testing.T) {
+	body := []byte(`{"v":1,"rows":8192,"cols":8192,"input_row":0,"output_rows":[0]}`)
+	var d Design
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := json.Unmarshal(body, &d); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Fatalf("decoding an empty 8192x8192 design allocated %d bytes", got)
+	}
+	if d.Rows != 8192 || d.Cols != 8192 || d.Cells.Len() != 0 || d.Cells.At(8191, 8191).Kind != Off {
+		t.Fatalf("decoded %dx%d with %d devices", d.Rows, d.Cols, d.Cells.Len())
 	}
 }

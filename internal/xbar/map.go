@@ -21,7 +21,7 @@ type WireRef struct {
 // BDDGraph.Roots order.
 type Mapping struct {
 	Widths      []int
-	Planes      [][][]Entry
+	Planes      []Plane
 	Input       WireRef
 	Outputs     []WireRef
 	OutputNames []string
@@ -135,10 +135,6 @@ func MapStack(bg *BDDGraph, k int, lo, hi []int) (*Mapping, error) {
 		m.Widths[l] = max(next, 1)
 	}
 
-	m.Planes = make([][][]Entry, k-1)
-	for p := range m.Planes {
-		m.Planes[p] = NewGrid(m.Widths[p], m.Widths[p+1])
-	}
 	m.Input = WireRef{Layer: inputLayer, Index: idx[inputLayer][bg.TerminalID]}
 	for _, r := range bg.Roots {
 		m.OutputNames = append(m.OutputNames, r.Name)
@@ -155,10 +151,11 @@ func MapStack(bg *BDDGraph, k int, lo, hi []int) (*Mapping, error) {
 
 	// Via stitches: a node spanning layers l and l+1 joins its two wires
 	// with a statically-on device on plane l (at K=2, the VH stitch).
+	devs := make([][]Device, k-1)
 	stitches := 0
 	for v := 0; v < n; v++ {
 		for l := lo[v]; l < hi[v]; l++ {
-			m.Planes[l][idx[l][v]][idx[l+1][v]] = Entry{Kind: On}
+			devs[l] = append(devs[l], Device{Row: idx[l][v], Col: idx[l+1][v], E: Entry{Kind: On}})
 			stitches++
 		}
 	}
@@ -178,15 +175,20 @@ func MapStack(bg *BDDGraph, k int, lo, hi []int) (*Mapping, error) {
 			default:
 				continue
 			}
-			if m.Planes[p][r][c].Kind != Off {
-				return nil, fmt.Errorf("xbar: cell (%d,%d,%d) assigned twice", p, r, c)
-			}
-			m.Planes[p][r][c] = bg.EdgeLit[edgeKey(u, v)]
+			devs[p] = append(devs[p], Device{Row: r, Col: c, E: bg.EdgeLit[edgeKey(u, v)]})
 			placed = true
 		}
 		if !placed {
 			return nil, fmt.Errorf("xbar: edge (%d,%d) has no free adjacent-layer crossing", u, v)
 		}
+	}
+	m.Planes = make([]Plane, k-1)
+	for p := range m.Planes {
+		pl, err := NewPlane(m.Widths[p], m.Widths[p+1], devs[p])
+		if err != nil {
+			return nil, fmt.Errorf("xbar: plane %d: %w", p, err)
+		}
+		m.Planes[p] = pl
 	}
 
 	// Postconditions: every layer is exactly as wide as the labeling
@@ -204,14 +206,8 @@ func MapStack(bg *BDDGraph, k int, lo, hi []int) (*Mapping, error) {
 		return nil, fmt.Errorf("xbar: %w", err)
 	}
 	programmed := 0
-	for _, plane := range m.Planes {
-		for _, row := range plane {
-			for _, e := range row {
-				if e.Kind != Off {
-					programmed++
-				}
-			}
-		}
+	for p := range m.Planes {
+		programmed += m.Planes[p].Len()
 	}
 	if err := invariant.ProgrammedCells(programmed, bg.G.M(), stitches); err != nil {
 		return nil, fmt.Errorf("xbar: %w", err)

@@ -154,15 +154,25 @@ func FuzzMapStack(f *testing.F) {
 			outs[i] = id(o)
 		}
 		w := NewWires(base[k], id(m.Input), outs)
-		for p, plane := range m.Planes {
-			if len(plane) != m.Widths[p] {
-				t.Fatalf("plane %d has %d rows for width %d", p, len(plane), m.Widths[p])
+		for p := range m.Planes {
+			plane := &m.Planes[p]
+			if plane.Rows() != m.Widths[p] || plane.Cols() != m.Widths[p+1] {
+				t.Fatalf("plane %d is %dx%d for widths %d, %d", p, plane.Rows(), plane.Cols(), m.Widths[p], m.Widths[p+1])
 			}
-			for r, row := range plane {
-				if len(row) != m.Widths[p+1] {
-					t.Fatalf("plane %d row %d has %d cols for width %d", p, r, len(row), m.Widths[p+1])
-				}
+			// The sparse plane agrees cell for cell with a dense grid
+			// filled from its own devices.
+			dense := make([][]Entry, plane.Rows())
+			for r := range dense {
+				dense[r] = make([]Entry, plane.Cols())
+			}
+			for _, dv := range plane.Devices() {
+				dense[dv.Row][dv.Col] = dv.E
+			}
+			for r, row := range dense {
 				for c, e := range row {
+					if got := plane.At(r, c); got != e {
+						t.Fatalf("plane %d At(%d,%d) = %v, dense grid %v", p, r, c, got, e)
+					}
 					w.Add(base[p]+r, base[p+1]+c, e, func() string { return fmt.Sprintf("(%d,%d,%d)", p, r, c) })
 				}
 			}

@@ -11,16 +11,8 @@ import (
 // replaces the design's variable names, converting e.g. BDD-level indexing
 // into network-input indexing. remap must cover every Var in use.
 func (d *Design) RemapVars(remap []int, names []string) error {
-	for r, row := range d.Cells {
-		for c, e := range row {
-			if e.Kind != Lit {
-				continue
-			}
-			if e.Var < 0 || int(e.Var) >= len(remap) {
-				return fmt.Errorf("xbar: cell (%d,%d) variable %d outside remap", r, c, e.Var)
-			}
-			d.Cells[r][c].Var = int32(remap[e.Var])
-		}
+	if err := d.Cells.RemapVars(remap); err != nil {
+		return fmt.Errorf("xbar: %w", err)
 	}
 	d.VarNames = names
 	d.wires.Store(nil) // invalidate the compiled wire graph

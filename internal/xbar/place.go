@@ -127,13 +127,13 @@ func (u *Unplaceable) Error() string {
 // the logical size.
 type Stack struct {
 	Widths []int
-	Planes [][][]Entry
+	Planes []Plane
 	Maps   []*defect.Map
 }
 
 // Stack returns d as the placement engine's K=2 stack on dm.
 func (d *Design) Stack(dm *defect.Map) Stack {
-	return Stack{Widths: []int{d.Rows, d.Cols}, Planes: [][][]Entry{d.Cells}, Maps: []*defect.Map{dm}}
+	return Stack{Widths: []int{d.Rows, d.Cols}, Planes: []Plane{d.Cells}, Maps: []*defect.Map{dm}}
 }
 
 // compatCell reports whether a logical cell may occupy a device stuck in
@@ -148,15 +148,17 @@ func compatCell(e Entry, k defect.Kind) bool {
 	return true
 }
 
-// placer carries the immutable search inputs: the stack, the physical
-// width of every layer and each plane's faults, in row-major order and
-// grouped by physical row and column.
+// placer carries the search inputs: the stack, the physical width of
+// every layer and each plane's faults, in row-major order and grouped by
+// physical row and column. cols[p] is plane p transposed (its columns as
+// rows), built on wireOK's first use, so a placer serves one goroutine.
 type placer struct {
 	Stack
 	phys         []int
 	faults       [][]defect.Cell
-	byRow, byCol []map[int][]defect.Cell
+	byRow, byCol [][][]defect.Cell // [plane][physical row or column]
 	nFaults      int
+	cols         []Plane
 }
 
 // dimString renders layer widths as "RxC" (or "W0xW1xW2" for K layers).
@@ -182,7 +184,7 @@ func newPlacer(s Stack) (*placer, error) {
 			Detail: fmt.Sprintf("%d defect maps for %d device planes", len(s.Maps), k-1)}
 	}
 	p := &placer{Stack: s, phys: make([]int, k), faults: make([][]defect.Cell, k-1),
-		byRow: make([]map[int][]defect.Cell, k-1), byCol: make([]map[int][]defect.Cell, k-1)}
+		byRow: make([][][]defect.Cell, k-1), byCol: make([][][]defect.Cell, k-1)}
 	for pl, dm := range s.Maps {
 		rows, cols := s.Widths[pl], s.Widths[pl+1]
 		if dm != nil {
@@ -195,7 +197,7 @@ func newPlacer(s Stack) (*placer, error) {
 		}
 		p.phys[pl], p.phys[pl+1] = rows, cols
 		p.faults[pl] = dm.Cells()
-		p.byRow[pl], p.byCol[pl] = map[int][]defect.Cell{}, map[int][]defect.Cell{}
+		p.byRow[pl], p.byCol[pl] = make([][]defect.Cell, rows), make([][]defect.Cell, cols)
 		for _, fc := range p.faults[pl] {
 			p.byRow[pl][fc.Row] = append(p.byRow[pl][fc.Row], fc)
 			p.byCol[pl][fc.Col] = append(p.byCol[pl][fc.Col], fc)
@@ -229,23 +231,51 @@ func (p *placer) identity() [][]int {
 
 // wireOK reports whether logical wire i of layer l may occupy physical
 // wire w, given the inverse bindings (physical -> logical, -1 = unused)
-// of the layer below and the layer above.
+// of the layer below and the layer above. It reads wire i's cells from
+// its own device lists, column i of plane l-1 and row i of plane l: a
+// BDD node's wire holds a handful of devices, so a scan beats a search.
 func (p *placer) wireOK(l, i, w int, below, above []int) bool {
+	if p.cols == nil {
+		p.cols = make([]Plane, len(p.Planes))
+		for pl := range p.Planes {
+			p.cols[pl] = p.Planes[pl].transpose()
+		}
+	}
 	if l > 0 { // plane l-1: layer l is its column side
-		for _, fc := range p.byCol[l-1][w] {
-			if r := below[fc.Row]; r >= 0 && !compatCell(p.Planes[l-1][r][i], fc.Kind) {
-				return false
+		if faults := p.byCol[l-1][w]; len(faults) > 0 {
+			rs, es := p.cols[l-1].Row(i)
+			for _, fc := range faults {
+				if r := below[fc.Row]; r >= 0 && !compatCell(scan(rs, es, r), fc.Kind) {
+					return false
+				}
 			}
 		}
 	}
 	if l < len(p.Widths)-1 { // plane l: layer l is its row side
-		for _, fc := range p.byRow[l][w] {
-			if c := above[fc.Col]; c >= 0 && !compatCell(p.Planes[l][i][c], fc.Kind) {
-				return false
+		if faults := p.byRow[l][w]; len(faults) > 0 {
+			cs, es := p.Planes[l].Row(i)
+			for _, fc := range faults {
+				if c := above[fc.Col]; c >= 0 && !compatCell(scan(cs, es, c), fc.Kind) {
+					return false
+				}
 			}
 		}
 	}
 	return true
+}
+
+// scan returns the device at index x of a row's ascending device indices
+// idx and entries es, or Off.
+func scan(idx []int, es []Entry, x int) Entry {
+	for k, v := range idx {
+		if v >= x {
+			if v == x {
+				return es[k]
+			}
+			break
+		}
+	}
+	return Entry{}
 }
 
 // compatible reports whether the full placement satisfies every crossing.
@@ -258,7 +288,7 @@ func (p *placer) compatible(perms [][]int) bool {
 		invCol := inversePerm(perms[pl+1], p.phys[pl+1])
 		for _, fc := range faults {
 			r, c := invRow[fc.Row], invCol[fc.Col]
-			if r >= 0 && c >= 0 && !compatCell(p.Planes[pl][r][c], fc.Kind) {
+			if r >= 0 && c >= 0 && !compatCell(p.Planes[pl].At(r, c), fc.Kind) {
 				return false
 			}
 		}
@@ -348,8 +378,10 @@ func (p *placer) provenInfeasible() error {
 // row pr.
 func (p *placer) relaxedRows() ([]uint8, func(c uint8, pr int) bool) {
 	class := make([]uint8, p.Widths[0])
-	for r, row := range p.Planes[0] {
-		for _, e := range row {
+	plane := &p.Planes[0]
+	for r := range class {
+		_, es := plane.Row(r)
+		for _, e := range es {
 			switch e.Kind {
 			case Lit:
 				class[r] |= 1
@@ -358,6 +390,9 @@ func (p *placer) relaxedRows() ([]uint8, func(c uint8, pr int) bool) {
 			default:
 				class[r] |= 4
 			}
+		}
+		if len(es) < plane.Cols() {
+			class[r] |= 4 // an Off crossing
 		}
 	}
 	stuckOff := make([]int, p.phys[0])
@@ -634,10 +669,11 @@ func (p *placer) ilp(ctx context.Context, layer1 []int) ([][]int, error) {
 		}
 	}
 	for pl, faults := range p.faults {
+		plane := &p.Planes[pl]
 		for _, fc := range faults {
-			for r, row := range p.Planes[pl] {
-				for c, e := range row {
-					if compatCell(e, fc.Kind) {
+			for r := 0; r < plane.Rows(); r++ {
+				for c := 0; c < plane.Cols(); c++ {
+					if compatCell(plane.At(r, c), fc.Kind) {
 						continue
 					}
 					mod.AddConstr(
@@ -689,30 +725,26 @@ func (p *placer) ilp(ctx context.Context, layer1 []int) ([][]int, error) {
 // binary per (logical wire, physical wire) pair of a layer, one assignment
 // row per logical wire, one capacity row per physical wire, and one
 // conflict row per (logical cell, stuck device) pair the compatibility
-// table forbids. Each plane's cells are counted once per stuck state, so
-// the cost is O(cells + faults).
+// table forbids: a stuck-OFF device forbids every device, a stuck-ON one
+// every crossing but the On devices. The cost is O(devices + faults).
 func (p *placer) modelSize() int {
 	size := 0
 	for l, w := range p.Widths {
 		size += w*p.phys[l] + w + p.phys[l]
 	}
-	kinds := []defect.Kind{defect.StuckOff, defect.StuckOn}
 	for pl, faults := range p.faults {
 		if len(faults) == 0 {
 			continue
 		}
-		forbidden := map[defect.Kind]int{}
-		for _, row := range p.Planes[pl] {
-			for _, e := range row {
-				for _, kind := range kinds {
-					if !compatCell(e, kind) {
-						forbidden[kind]++
-					}
-				}
-			}
-		}
+		plane := &p.Planes[pl]
+		_, on := plane.Counts()
 		for _, fc := range faults {
-			size += forbidden[fc.Kind]
+			switch fc.Kind {
+			case defect.StuckOff:
+				size += plane.Len()
+			case defect.StuckOn:
+				size += plane.Rows()*plane.Cols() - on
+			}
 		}
 	}
 	return size

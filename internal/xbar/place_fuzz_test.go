@@ -30,20 +30,21 @@ func bytesStack(data []byte) Stack {
 			phys[l] += next() % 3
 		}
 	}
-	s := Stack{Widths: widths, Planes: make([][][]Entry, k-1), Maps: make([]*defect.Map, k-1)}
+	s := Stack{Widths: widths, Planes: make([]Plane, k-1), Maps: make([]*defect.Map, k-1)}
 	for p := range s.Planes {
-		s.Planes[p] = make([][]Entry, widths[p])
-		for r := range s.Planes[p] {
-			s.Planes[p][r] = make([]Entry, widths[p+1])
-			for c := range s.Planes[p][r] {
+		grid := make([][]Entry, widths[p])
+		for r := range grid {
+			grid[r] = make([]Entry, widths[p+1])
+			for c := range grid[r] {
 				switch b := next(); b % 4 {
 				case 1:
-					s.Planes[p][r][c] = Entry{Kind: On}
+					grid[r][c] = Entry{Kind: On}
 				case 2, 3:
-					s.Planes[p][r][c] = Entry{Kind: Lit, Var: int32(b / 4 % 2), Neg: b/8%2 == 1}
+					grid[r][c] = Entry{Kind: Lit, Var: int32(b / 4 % 2), Neg: b/8%2 == 1}
 				}
 			}
 		}
+		s.Planes[p] = gridPlane(grid)
 		dm, err := defect.New(phys[p], phys[p+1])
 		if err != nil {
 			panic(err)
@@ -72,9 +73,13 @@ func bruteForcePlaceable(s Stack) bool {
 		phys[p], phys[p+1] = dm.Rows(), dm.Cols()
 	}
 	perms := make([][]int, k)
+	grids := make([][][]Entry, len(s.Planes))
+	for p := range grids {
+		grids[p] = planeGrid(&s.Planes[p])
+	}
 	ok := func() bool {
-		for p, plane := range s.Planes {
-			for r, row := range plane {
+		for p, grid := range grids {
+			for r, row := range grid {
 				for c, e := range row {
 					if kind, stuck := s.Maps[p].At(perms[p][r], perms[p+1][c]); stuck && !compatCell(e, kind) {
 						return false
@@ -118,7 +123,7 @@ func bruteForcePlaceable(s Stack) bool {
 
 // stackWires compiles planes in the global wire numbering (layers
 // concatenated), driving wire 0 and sensing every wire.
-func stackWires(widths []int, planes [][][]Entry) *Wires {
+func stackWires(widths []int, planes []Plane) *Wires {
 	n := 0
 	for _, w := range widths {
 		n += w
@@ -129,11 +134,9 @@ func stackWires(widths []int, planes [][][]Entry) *Wires {
 	}
 	w := NewWires(n, 0, outputs)
 	base := 0
-	for p, plane := range planes {
-		for r, row := range plane {
-			for c, e := range row {
-				w.Add(base+r, base+widths[p]+c, e, func() string { return "" })
-			}
+	for p := range planes {
+		for _, dv := range planes[p].Devices() {
+			w.Add(base+dv.Row, base+widths[p]+dv.Col, dv.E, func() string { return "" })
 		}
 		base += widths[p]
 	}

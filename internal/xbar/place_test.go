@@ -84,7 +84,7 @@ func findLitCell(t *testing.T, d *Design) (int, int) {
 	t.Helper()
 	for r := 0; r < d.Rows; r++ {
 		for c := 0; c < d.Cols; c++ {
-			if d.Cells[r][c].Kind == Lit {
+			if d.Cells.At(r, c).Kind == Lit {
 				return r, c
 			}
 		}
@@ -200,7 +200,7 @@ func TestPlaceForcedILPSkipsIdentityShortcut(t *testing.T) {
 	var r, c = -1, -1
 	for i := 0; i < d.Rows && r < 0; i++ {
 		for j := 0; j < d.Cols; j++ {
-			if d.Cells[i][j].Kind == Off {
+			if d.Cells.At(i, j).Kind == Off {
 				r, c = i, j
 				break
 			}
@@ -251,12 +251,12 @@ func TestPlaceCanceledContext(t *testing.T) {
 }
 
 func TestUnderDefectsOverrides(t *testing.T) {
-	d := NewDesign(2, 2)
+	d := testDesign(2, 2)
 	d.VarNames = []string{"a"}
 	d.InputRow = 1
 	d.OutputRows = []int{0}
-	d.Cells[0][0] = Entry{Kind: Lit, Var: 0}
-	d.Cells[1][0] = Entry{Kind: On}
+	setCell(&d.Cells, 0, 0, Entry{Kind: Lit, Var: 0})
+	setCell(&d.Cells, 1, 0, Entry{Kind: On})
 	dm, err := defect.New(2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -271,14 +271,14 @@ func TestUnderDefectsOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eff.Cells[0][0].Kind != Off {
-		t.Fatalf("stuck-OFF override: %v", eff.Cells[0][0])
+	if eff.Cells.At(0, 0).Kind != Off {
+		t.Fatalf("stuck-OFF override: %v", eff.Cells.At(0, 0))
 	}
-	if eff.Cells[0][1].Kind != On {
-		t.Fatalf("stuck-ON override: %v", eff.Cells[0][1])
+	if eff.Cells.At(0, 1).Kind != On {
+		t.Fatalf("stuck-ON override: %v", eff.Cells.At(0, 1))
 	}
 	// The original is untouched.
-	if d.Cells[0][0].Kind != Lit || d.Cells[0][1].Kind != Off {
+	if d.Cells.At(0, 0).Kind != Lit || d.Cells.At(0, 1).Kind != Off {
 		t.Fatal("UnderDefects mutated the receiver")
 	}
 	// f was a: now the literal path is gone but the stuck-ON at (0,1)
@@ -443,15 +443,16 @@ func randomStack(t *testing.T, rng *rand.Rand) Stack {
 			phys[l] += rng.Intn(3)
 		}
 	}
-	s := Stack{Widths: widths, Planes: make([][][]Entry, k-1), Maps: make([]*defect.Map, k-1)}
+	s := Stack{Widths: widths, Planes: make([]Plane, k-1), Maps: make([]*defect.Map, k-1)}
 	for p := range s.Planes {
-		s.Planes[p] = make([][]Entry, widths[p])
-		for r := range s.Planes[p] {
-			s.Planes[p][r] = make([]Entry, widths[p+1])
-			for c := range s.Planes[p][r] {
-				s.Planes[p][r][c] = Entry{Kind: EntryKind(rng.Intn(3)), Var: int32(rng.Intn(3))}
+		grid := make([][]Entry, widths[p])
+		for r := range grid {
+			grid[r] = make([]Entry, widths[p+1])
+			for c := range grid[r] {
+				grid[r][c] = Entry{Kind: EntryKind(rng.Intn(3)), Var: int32(rng.Intn(3))}
 			}
 		}
+		s.Planes[p] = gridPlane(grid)
 		dm, err := defect.Generate(phys[p], phys[p+1], 0.4*rng.Float64(), 0.5, rng.Uint64())
 		if err != nil {
 			t.Fatal(err)
@@ -479,7 +480,7 @@ func TestPlaceModelSizeMatchesBruteForce(t *testing.T) {
 		}
 		for pl, faults := range p.faults {
 			for _, fc := range faults {
-				for _, row := range p.Planes[pl] {
+				for _, row := range planeGrid(&p.Planes[pl]) {
 					for _, e := range row {
 						if !compatCell(e, fc.Kind) {
 							want++
@@ -556,7 +557,7 @@ func TestPrecheckMatchesKuhn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := newPlacer(Stack{Widths: []int{rows, cols}, Planes: [][][]Entry{cells}, Maps: []*defect.Map{dm}})
+		p, err := newPlacer(Stack{Widths: []int{rows, cols}, Planes: []Plane{gridPlane(cells)}, Maps: []*defect.Map{dm}})
 		if err != nil {
 			t.Fatal(err)
 		}

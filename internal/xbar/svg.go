@@ -45,26 +45,22 @@ func (d *Design) WriteSVG(w io.Writer) error {
 	}
 
 	// Devices.
-	for r, row := range d.Cells {
-		for c, e := range row {
-			var fill string
-			switch e.Kind {
-			case Off:
-				continue
-			case On:
-				fill = "#2e7d32" // green
-			case Lit:
-				if e.Neg {
-					fill = "#c62828" // red
-				} else {
-					fill = "#1565c0" // blue
-				}
+	for _, dev := range d.Cells.Devices() {
+		r, c, e := dev.Row, dev.Col, dev.E
+		if e.Kind == Off {
+			continue // a device cleared in place through Row
+		}
+		fill := "#2e7d32" // green: always on
+		if e.Kind == Lit {
+			fill = "#1565c0" // blue
+			if e.Neg {
+				fill = "#c62828" // red
 			}
-			ew.Printf(`<circle cx="%d" cy="%d" r="7" fill="%s"/>`+"\n", x(c), y(r), fill)
-			if e.Kind == Lit {
-				ew.Printf(`<text x="%d" y="%d" font-size="9" font-family="monospace" text-anchor="middle" fill="white">%s</text>`+"\n",
-					x(c), y(r)+3, svgEscape(shortLabel(e, d.VarNames)))
-			}
+		}
+		ew.Printf(`<circle cx="%d" cy="%d" r="7" fill="%s"/>`+"\n", x(c), y(r), fill)
+		if e.Kind == Lit {
+			ew.Printf(`<text x="%d" y="%d" font-size="9" font-family="monospace" text-anchor="middle" fill="white">%s</text>`+"\n",
+				x(c), y(r)+3, svgEscape(shortLabel(e, d.VarNames)))
 		}
 	}
 

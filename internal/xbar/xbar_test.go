@@ -294,7 +294,7 @@ func TestWriteSVG(t *testing.T) {
 		}
 	}
 	// A literal with special characters must be escaped.
-	d.Cells[0][0] = Entry{Kind: Lit, Var: 0}
+	setCell(&d.Cells, 0, 0, Entry{Kind: Lit, Var: 0})
 	d.VarNames = []string{"a<b&c"}
 	buf.Reset()
 	if err := d.WriteSVG(&buf); err != nil {

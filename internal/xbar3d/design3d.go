@@ -37,9 +37,9 @@ type WireRef = xbar.WireRef
 type Design3D struct {
 	// Widths[l] is the number of nanowires on wire layer l (len >= 2).
 	Widths []int
-	// Cells[d][r][c] is the device between wire r of layer d and wire c of
-	// layer d+1. On cells are the inter-layer via stitches.
-	Cells [][][]xbar.Entry
+	// Cells[d].At(r, c) is the device between wire r of layer d and wire c
+	// of layer d+1. On cells are the inter-layer via stitches.
+	Cells []xbar.Plane
 	// Input is the wire driven with Vin (an even, wordline layer).
 	Input WireRef
 	// Outputs holds one sensed wire per function output (entries may repeat
@@ -77,27 +77,60 @@ func (d *Design3D) WireID(ref WireRef) int {
 	return id
 }
 
-// NewDesign3D allocates an all-Off K-layer crossbar with the given layer
-// widths (at least two layers). Every dimension is bounds-checked through
+// NewDesign3D builds a K-layer crossbar with the given layer widths (at
+// least two layers) and devs[d] programmed on device plane d (see
+// xbar.NewPlane; devs may be shorter than the plane count, and every
+// crossing not listed is Off). Every dimension is bounds-checked through
 // wirelimit before any allocation sized from it — the constructor is the
 // single allocation point for wire-decoded stacks, so the caps live here.
-func NewDesign3D(widths []int) (*Design3D, error) { return newDesign3D(widths, 0) }
+func NewDesign3D(widths []int, devs ...[]xbar.Device) (*Design3D, error) {
+	return newDesign3D(widths, 0, devs)
+}
 
 // newDesign3D is NewDesign3D with an optional cap on the stack's total
-// cell count (stackCap > 0), checked before any plane is allocated. Only
-// the wire decoder sets it: each plane may pass its own cap while the
-// stack as a whole still asks for more cells than a decoded body may
-// demand.
-func newDesign3D(widths []int, stackCap int) (*Design3D, error) {
+// crossing count (see checkWidths).
+func newDesign3D(widths []int, stackCap int, devs [][]xbar.Device) (*Design3D, error) {
+	if err := checkWidths(widths, stackCap); err != nil {
+		return nil, err
+	}
+	if len(devs) > len(widths)-1 {
+		return nil, fmt.Errorf("xbar3d: devices for %d planes in a %d-layer stack", len(devs), len(widths))
+	}
+	d := &Design3D{Widths: append([]int(nil), widths...)}
+	d.Cells = make([]xbar.Plane, len(widths)-1)
+	for dl := range d.Cells {
+		rows, cols := widths[dl], widths[dl+1]
+		if err := wirelimit.CheckCells(fmt.Sprintf("plane %d", dl), rows, cols, maxWireCells3D); err != nil {
+			return nil, fmt.Errorf("xbar3d: %v", err)
+		}
+		var pd []xbar.Device
+		if dl < len(devs) {
+			pd = devs[dl]
+		}
+		p, err := xbar.NewPlane(rows, cols, pd)
+		if err != nil {
+			return nil, fmt.Errorf("xbar3d: plane %d: %w", dl, err)
+		}
+		d.Cells[dl] = p
+	}
+	return d, nil
+}
+
+// checkWidths bounds a stack's shape: the layer count, each width and,
+// when stackCap > 0, the stack's total crossing count (newDesign3D caps
+// each plane's). Only the wire decoder sets stackCap: each plane may pass
+// its own cap while the stack as a whole still spans more crossings than a
+// decoded body may declare.
+func checkWidths(widths []int, stackCap int) error {
 	if len(widths) < 2 {
-		return nil, fmt.Errorf("xbar3d: %d wire layers (need >= 2)", len(widths))
+		return fmt.Errorf("xbar3d: %d wire layers (need >= 2)", len(widths))
 	}
 	if err := wirelimit.CheckCount("wire layers", len(widths), MaxWireLayers); err != nil {
-		return nil, fmt.Errorf("xbar3d: %v", err)
+		return fmt.Errorf("xbar3d: %v", err)
 	}
 	for l, w := range widths {
 		if err := wirelimit.CheckDim(fmt.Sprintf("layer %d width", l), w); err != nil {
-			return nil, fmt.Errorf("xbar3d: %v", err)
+			return fmt.Errorf("xbar3d: %v", err)
 		}
 	}
 	if stackCap > 0 {
@@ -108,19 +141,10 @@ func newDesign3D(widths []int, stackCap int) (*Design3D, error) {
 			total += widths[dl] * widths[dl+1]
 		}
 		if total > stackCap {
-			return nil, fmt.Errorf("xbar3d: %v", &wirelimit.LimitError{What: "design3d stack cells", Got: total, Max: stackCap})
+			return fmt.Errorf("xbar3d: %v", &wirelimit.LimitError{What: "design3d stack cells", Got: total, Max: stackCap})
 		}
 	}
-	d := &Design3D{Widths: append([]int(nil), widths...)}
-	d.Cells = make([][][]xbar.Entry, len(widths)-1)
-	for dl := range d.Cells {
-		rows, cols := widths[dl], widths[dl+1]
-		if err := wirelimit.CheckCells(fmt.Sprintf("plane %d", dl), rows, cols, maxWireCells3D); err != nil {
-			return nil, fmt.Errorf("xbar3d: %v", err)
-		}
-		d.Cells[dl] = xbar.NewGrid(rows, cols)
-	}
-	return d, nil
+	return nil
 }
 
 // Wires returns the stack's compiled wire graph in the global numbering
@@ -137,13 +161,13 @@ func (d *Design3D) Wires() *xbar.Wires {
 			w.Outputs = append(w.Outputs, d.WireID(o))
 		}
 		base := 0
-		for dl, plane := range d.Cells {
+		for dl := range d.Cells {
+			plane := &d.Cells[dl]
 			next := base + d.Widths[dl]
-			for r, row := range plane {
-				for c, e := range row {
-					if e.Kind != xbar.Off {
-						w.Add(base+r, next+c, e, func() string { return fmt.Sprintf("(%d,%d,%d)", dl, r, c) })
-					}
+			for r := 0; r < plane.Rows(); r++ {
+				cs, es := plane.Row(r)
+				for i, c := range cs {
+					w.Add(base+r, next+c, es[i], func() string { return fmt.Sprintf("(%d,%d,%d)", dl, r, c) })
 				}
 			}
 			base = next
@@ -163,16 +187,14 @@ func (d *Design3D) checkShape() error {
 	if len(d.Cells) != k-1 {
 		return invariant.Violationf("xbar3d.planes", "%d device planes for %d wire layers", len(d.Cells), k)
 	}
-	for dl, plane := range d.Cells {
-		if len(plane) != d.Widths[dl] {
+	for dl := range d.Cells {
+		if rows := d.Cells[dl].Rows(); rows != d.Widths[dl] {
 			return invariant.Violationf("xbar3d.plane-rows",
-				"plane %d has %d rows, layer width is %d", dl, len(plane), d.Widths[dl])
+				"plane %d has %d rows, layer width is %d", dl, rows, d.Widths[dl])
 		}
-		for r, row := range plane {
-			if len(row) != d.Widths[dl+1] {
-				return invariant.Violationf("xbar3d.plane-cols",
-					"plane %d row %d has %d cols, layer width is %d", dl, r, len(row), d.Widths[dl+1])
-			}
+		if cols := d.Cells[dl].Cols(); cols != d.Widths[dl+1] {
+			return invariant.Violationf("xbar3d.plane-cols",
+				"plane %d has %d cols, layer width is %d", dl, cols, d.Widths[dl+1])
 		}
 	}
 	if err := d.checkRef("input", d.Input); err != nil {
@@ -247,17 +269,10 @@ func (d *Design3D) Stats() Stats3D {
 	for dl := range d.Cells {
 		st.Area += d.Widths[dl] * d.Widths[dl+1]
 	}
-	for _, plane := range d.Cells {
-		for _, row := range plane {
-			for _, e := range row {
-				switch e.Kind {
-				case xbar.Lit:
-					st.LitCells++
-				case xbar.On:
-					st.OnCells++
-				}
-			}
-		}
+	for dl := range d.Cells {
+		lit, on := d.Cells[dl].Counts()
+		st.LitCells += lit
+		st.OnCells += on
 	}
 	st.Power = st.LitCells
 	st.Delay = st.R + 1
@@ -333,17 +348,9 @@ func FormalVerify3D(d *Design3D, nw *logic.Network, nodeLimit int) error {
 // replaces VarNames, mirroring xbar.Design.RemapVars for the layered path
 // (core remaps BDD-level variables into network-input order).
 func (d *Design3D) RemapVars(remap []int, names []string) error {
-	for dl, plane := range d.Cells {
-		for r, row := range plane {
-			for c, e := range row {
-				if e.Kind != xbar.Lit {
-					continue
-				}
-				if e.Var < 0 || int(e.Var) >= len(remap) {
-					return fmt.Errorf("xbar3d: cell (%d,%d,%d) variable %d outside remap", dl, r, c, e.Var)
-				}
-				d.Cells[dl][r][c].Var = int32(remap[e.Var])
-			}
+	for dl := range d.Cells {
+		if err := d.Cells[dl].RemapVars(remap); err != nil {
+			return fmt.Errorf("xbar3d: plane %d: %w", dl, err)
 		}
 	}
 	d.VarNames = names
@@ -353,15 +360,9 @@ func (d *Design3D) RemapVars(remap []int, names []string) error {
 
 // Clone deep-copies the design (the compiled wire graph is not shared).
 func (d *Design3D) Clone() *Design3D {
-	nd, err := NewDesign3D(d.Widths)
-	if err != nil {
-		//lint:ignore panicfree cloning an already-constructed design cannot fail NewDesign3D's shape checks
-		panic(err)
-	}
-	for dl, plane := range d.Cells {
-		for r, row := range plane {
-			copy(nd.Cells[dl][r], row)
-		}
+	nd := &Design3D{Widths: append([]int(nil), d.Widths...), Cells: make([]xbar.Plane, len(d.Cells))}
+	for dl := range d.Cells {
+		nd.Cells[dl] = d.Cells[dl].With(nil)
 	}
 	nd.Input = d.Input
 	nd.Outputs = append([]WireRef(nil), d.Outputs...)

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-
-	"compact/internal/xbar"
 )
 
 // FuzzDesign3DJSON asserts that decoding arbitrary bytes as a Design3D
@@ -75,12 +73,9 @@ func FuzzDesign3DJSON(f *testing.F) {
 		}
 		// A short assignment must fail closed, never panic.
 		hasLit := false
-		for _, plane := range d.Cells {
-			for _, row := range plane {
-				for _, e := range row {
-					hasLit = hasLit || e.Kind == xbar.Lit
-				}
-			}
+		for dl := range d.Cells {
+			lits, _ := d.Cells[dl].Counts()
+			hasLit = hasLit || lits > 0
 		}
 		if hasLit {
 			if _, err := d.EvalChecked(nil); err == nil {

@@ -28,17 +28,18 @@ import (
 // "d" is the device plane (between wire layers d and d+1), "r"/"c" index
 // the plane's layer-d/layer-d+1 wires, and "k"/"var"/"neg" follow the 2D
 // cell encoding. UnmarshalJSON bounds every declared dimension through
-// wirelimit before any dense allocation — layer count, per-layer widths,
-// per-plane and whole-stack cell extents — so a few-byte body cannot drive
-// the decoder out of memory (the repo's twice-shipped wire-OOM class), then
-// validates every reference so a decoded design is structurally sound and
-// Eval-able.
+// wirelimit before any allocation sized from it — layer count, per-layer
+// widths, per-plane and whole-stack cell extents — so a few-byte body
+// cannot drive the decoder out of memory (the repo's twice-shipped
+// wire-OOM class), then validates every reference so a decoded design is
+// structurally sound and Eval-able. The planes are sparse (xbar.Plane), so
+// a decode allocates O(wires + cells), never one entry per crossing.
 
 // design3DWireVersion is the current wire format version; UnmarshalJSON
 // accepts exactly this value (or an absent field, treated as 1).
 const design3DWireVersion = 1
 
-// maxWireCells3D bounds the dense extent of a single device plane, the
+// maxWireCells3D bounds the crossing count of a single device plane, the
 // same cap as the 2D design decoder, and of a wire-decoded stack as a
 // whole.
 const maxWireCells3D = 1 << 31
@@ -79,11 +80,13 @@ func (d *Design3D) MarshalJSON() ([]byte, error) {
 	if dj.Outputs == nil {
 		dj.Outputs = []WireRef{}
 	}
-	for dl, plane := range d.Cells {
-		for r, row := range plane {
-			for c, e := range row {
-				switch e.Kind {
-				case xbar.Off:
+	for dl := range d.Cells {
+		plane := &d.Cells[dl]
+		for r := 0; r < plane.Rows(); r++ {
+			cs, es := plane.Row(r)
+			for i, c := range cs {
+				switch e := es[i]; e.Kind {
+				case xbar.Off: // a device cleared in place through Row
 				case xbar.On:
 					dj.Cells = append(dj.Cells, cell3DJSON{D: dl, Row: r, Col: c, K: "on"})
 				case xbar.Lit:
@@ -112,10 +115,40 @@ func (d *Design3D) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("xbar3d: unsupported design wire version %d (want %d)", dj.Version, design3DWireVersion)
 	}
 	// Dimension discipline: the constructor bounds every wire-declared
-	// size — layer count, each width, each plane's dense extent — before
+	// size — layer count, each width, each plane's crossing count — before
 	// the allocation sized from it; the decoder adds its own cap on the
-	// stack's total cell count, checked before any plane is allocated.
-	nd, err := newDesign3D(dj.Widths, maxWireCells3D)
+	// stack's total crossing count, checked before any plane is built. The
+	// widths are checked here first, so the cell loop below can index them.
+	if err := checkWidths(dj.Widths, maxWireCells3D); err != nil {
+		return err
+	}
+	devs := make([][]xbar.Device, len(dj.Widths)-1)
+	for i, c := range dj.Cells {
+		if c.D < 0 || c.D >= len(devs) {
+			return fmt.Errorf("xbar3d: cell #%d on plane %d outside 0..%d", i, c.D, len(devs)-1)
+		}
+		if c.Row < 0 || c.Row >= dj.Widths[c.D] || c.Col < 0 || c.Col >= dj.Widths[c.D+1] {
+			return fmt.Errorf("xbar3d: cell #%d at (%d,%d,%d) outside plane %dx%d",
+				i, c.D, c.Row, c.Col, dj.Widths[c.D], dj.Widths[c.D+1])
+		}
+		dev := xbar.Device{Row: c.Row, Col: c.Col}
+		switch c.K {
+		case "on":
+			dev.E = xbar.Entry{Kind: xbar.On}
+		case "lit":
+			if c.Var < 0 {
+				return fmt.Errorf("xbar3d: cell #%d has negative variable %d", i, c.Var)
+			}
+			if len(dj.VarNames) > 0 && int(c.Var) >= len(dj.VarNames) {
+				return fmt.Errorf("xbar3d: cell #%d references variable %d of %d", i, c.Var, len(dj.VarNames))
+			}
+			dev.E = xbar.Entry{Kind: xbar.Lit, Var: c.Var, Neg: c.Neg}
+		default:
+			return fmt.Errorf("xbar3d: cell #%d has unknown kind %q", i, c.K)
+		}
+		devs[c.D] = append(devs[c.D], dev)
+	}
+	nd, err := newDesign3D(dj.Widths, maxWireCells3D, devs)
 	if err != nil {
 		return err
 	}
@@ -129,32 +162,6 @@ func (d *Design3D) UnmarshalJSON(data []byte) error {
 	}
 	nd.OutputNames = append([]string(nil), dj.OutputNames...)
 	nd.VarNames = append([]string(nil), dj.VarNames...)
-	for i, c := range dj.Cells {
-		if c.D < 0 || c.D >= len(nd.Cells) {
-			return fmt.Errorf("xbar3d: cell #%d on plane %d outside 0..%d", i, c.D, len(nd.Cells)-1)
-		}
-		if c.Row < 0 || c.Row >= dj.Widths[c.D] || c.Col < 0 || c.Col >= dj.Widths[c.D+1] {
-			return fmt.Errorf("xbar3d: cell #%d at (%d,%d,%d) outside plane %dx%d",
-				i, c.D, c.Row, c.Col, dj.Widths[c.D], dj.Widths[c.D+1])
-		}
-		if nd.Cells[c.D][c.Row][c.Col].Kind != xbar.Off {
-			return fmt.Errorf("xbar3d: duplicate cell at (%d,%d,%d)", c.D, c.Row, c.Col)
-		}
-		switch c.K {
-		case "on":
-			nd.Cells[c.D][c.Row][c.Col] = xbar.Entry{Kind: xbar.On}
-		case "lit":
-			if c.Var < 0 {
-				return fmt.Errorf("xbar3d: cell #%d has negative variable %d", i, c.Var)
-			}
-			if len(dj.VarNames) > 0 && int(c.Var) >= len(dj.VarNames) {
-				return fmt.Errorf("xbar3d: cell #%d references variable %d of %d", i, c.Var, len(dj.VarNames))
-			}
-			nd.Cells[c.D][c.Row][c.Col] = xbar.Entry{Kind: xbar.Lit, Var: c.Var, Neg: c.Neg}
-		default:
-			return fmt.Errorf("xbar3d: cell #%d has unknown kind %q", i, c.K)
-		}
-	}
 	d.Widths = nd.Widths
 	d.Cells = nd.Cells
 	d.Input = nd.Input

@@ -28,12 +28,9 @@ func Lift3D(src *xbar.Design) (*Design3D, error) {
 	if cols == 0 {
 		cols = 1
 	}
-	d, err := NewDesign3D([]int{src.Rows, cols})
+	d, err := NewDesign3D([]int{src.Rows, cols}, src.Cells.Devices())
 	if err != nil {
 		return nil, err
-	}
-	for r, row := range src.Cells {
-		copy(d.Cells[0][r], row)
 	}
 	d.Input = WireRef{Layer: 0, Index: src.InputRow}
 	for _, r := range src.OutputRows {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"compact/internal/bdd"
@@ -171,10 +172,11 @@ func TestFormalVerify3DCatchesFaults(t *testing.T) {
 	// Flip one literal: the proof must fail.
 	flipped := false
 	for dl := range d.Cells {
-		for r := range d.Cells[dl] {
-			for c := range d.Cells[dl][r] {
-				if d.Cells[dl][r][c].Kind == xbar.Lit && !flipped {
-					d.Cells[dl][r][c].Neg = !d.Cells[dl][r][c].Neg
+		for r := 0; r < d.Cells[dl].Rows() && !flipped; r++ {
+			_, es := d.Cells[dl].Row(r)
+			for i := range es {
+				if es[i].Kind == xbar.Lit && !flipped {
+					es[i].Neg = !es[i].Neg
 					flipped = true
 				}
 			}
@@ -294,12 +296,13 @@ func TestJSONRejectsMalformed(t *testing.T) {
 // (1,0) through an On via, then the output wire (0,0) through a literal.
 func tiny2Layer(t *testing.T) *Design3D {
 	t.Helper()
-	d, err := NewDesign3D([]int{2, 2})
+	d, err := NewDesign3D([]int{2, 2}, []xbar.Device{
+		{Row: 0, Col: 0, E: xbar.Entry{Kind: xbar.Lit, Var: 0}},
+		{Row: 1, Col: 0, E: xbar.Entry{Kind: xbar.On}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Cells[0][0][0] = xbar.Entry{Kind: xbar.Lit, Var: 0}
-	d.Cells[0][1][0] = xbar.Entry{Kind: xbar.On}
 	d.Input = WireRef{Layer: 0, Index: 1}
 	d.Outputs = []WireRef{{Layer: 0, Index: 0}}
 	d.OutputNames = []string{"f"}
@@ -399,12 +402,13 @@ func TestPhysWidthsRejectsInconsistentStack(t *testing.T) {
 
 func TestEvalCheckedRejectsCorruption(t *testing.T) {
 	d := tiny2Layer(t)
-	d.Cells[0][0][0] = xbar.Entry{Kind: xbar.Lit, Var: -2}
+	_, es := d.Cells[0].Row(0) // the literal at (0, 0)
+	es[0] = xbar.Entry{Kind: xbar.Lit, Var: -2}
 	d.wires.Store(nil)
 	if _, err := d.EvalChecked([]bool{true}); err == nil {
 		t.Fatal("negative-var cell evaluated")
 	}
-	d.Cells[0][0][0] = xbar.Entry{Kind: 7}
+	es[0] = xbar.Entry{Kind: 7}
 	d.wires.Store(nil)
 	if _, err := d.Eval64Checked([]uint64{0}); err == nil {
 		t.Fatal("unknown-kind cell evaluated")
@@ -431,5 +435,25 @@ func TestStats3D(t *testing.T) {
 	}
 	if st.Power != st.LitCells || st.Delay != st.R+1 {
 		t.Fatalf("power/delay proxies wrong: %+v", st)
+	}
+}
+
+// TestDecodeEmptyDesign3DAllocatesSparsely decodes an empty 8192 x 8192
+// two-layer stack: its plane holds devices, not crossings, so the decode
+// allocates O(wires), not one Entry per crossing (512 MB as a dense grid).
+func TestDecodeEmptyDesign3DAllocatesSparsely(t *testing.T) {
+	body := []byte(`{"v":1,"widths":[8192,8192],"input":{"l":0,"i":0},"outputs":[{"l":0,"i":0}]}`)
+	var d Design3D
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := json.Unmarshal(body, &d); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Fatalf("decoding an empty 8192x8192 stack allocated %d bytes", got)
+	}
+	if len(d.Cells) != 1 || d.Cells[0].Rows() != 8192 || d.Cells[0].Cols() != 8192 || d.Cells[0].Len() != 0 {
+		t.Fatalf("decoded widths %v with %d planes", d.Widths, len(d.Cells))
 	}
 }
