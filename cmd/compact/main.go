@@ -11,9 +11,9 @@
 //
 // -layers K (K >= 3) synthesizes a FLOW-3D K-layer crossbar stack instead
 // of the classic two-layer array: the BDD graph is K-colored onto the
-// stack (internal/labeling SolveK), mapped through internal/xbar3d and
-// verified through the layered sneak-path evaluators. 0, 1 and 2 all mean
-// the classic 2D pipeline.
+// stack (internal/labeling SolveK), mapped to a K-layer xbar.Design and
+// verified through the same sneak-path evaluators. 0, 1 and 2 all mean the
+// classic 2D pipeline.
 //
 // -max-rows / -max-cols cap the crossbar dimensions; with -partition, a
 // function that cannot fit one tile is cut into a verified cascade of
@@ -167,23 +167,21 @@ func run(ctx context.Context, inPath string, cfg cliConfig) error {
 			fmt.Println(line)
 		}
 		fmt.Printf("plan digest: %s\n", res.Plan.Digest())
-	} else if res.Design3D != nil {
-		st := res.Design3D.Stats()
+	} else if st := res.Stats(); st.K > 2 {
 		fmt.Printf("bdd: %d nodes, %d edges (%s)\n", res.BDDNodes, res.BDDEdges, opts.BDDKind)
 		fmt.Printf("labeling: method=%s optimal=%v (K=%d coloring)\n",
 			res.KLabeling.Method, res.KLabeling.Optimal, st.K)
 		fmt.Printf("stack: %d wire layers, widths %v  footprint %d x %d  S=%d  D=%d  devices=%d  delay=%d steps\n",
-			st.K, st.Widths, st.R, st.C, st.S, st.D, st.LitCells+st.OnCells, st.Delay)
-		if res.Placement3D != nil {
+			st.K, st.Widths, st.Rows, st.Cols, st.S, st.D, st.LitCells+st.OnCells, st.Delay)
+		if res.Placement != nil {
 			defects := 0
-			for _, dm := range res.DefectMaps3D {
+			for _, dm := range res.Defects {
 				defects += dm.Len()
 			}
 			fmt.Printf("placement: engine=%s planes=%d defects=%d repair_attempts=%d (effective design re-verified)\n",
-				res.Placement3D.Engine, len(res.DefectMaps3D), defects, res.RepairAttempts)
+				res.Placement.Engine, len(res.Defects), defects, res.RepairAttempts)
 		}
 	} else {
-		st := res.Stats()
 		fmt.Printf("bdd: %d nodes, %d edges (%s)\n", res.BDDNodes, res.BDDEdges, opts.BDDKind)
 		fmt.Printf("labeling: method=%s optimal=%v\n", res.Labeling.Method, res.Labeling.Optimal)
 		for _, er := range res.Labeling.Engines {
@@ -200,8 +198,9 @@ func run(ctx context.Context, inPath string, cfg cliConfig) error {
 		fmt.Printf("crossbar: %d x %d  S=%d  D=%d  area=%d  devices=%d  delay=%d steps\n",
 			st.Rows, st.Cols, st.S, st.D, st.Area, st.LitCells+st.OnCells, st.Delay)
 		if res.Placement != nil {
+			dm := res.Defects[0]
 			fmt.Printf("placement: engine=%s array=%dx%d defects=%d repair_attempts=%d (effective design re-verified)\n",
-				res.Placement.Engine, res.Defects.Rows(), res.Defects.Cols(), res.Defects.Len(), res.RepairAttempts)
+				res.Placement.Engine, dm.Rows(), dm.Cols(), dm.Len(), res.RepairAttempts)
 		}
 	}
 	fmt.Printf("synthesis time: %v\n", res.SynthTime.Round(time.Millisecond))
@@ -218,7 +217,7 @@ func run(ctx context.Context, inPath string, cfg cliConfig) error {
 		}
 		fmt.Printf("validation: OK (%d inputs, sampled/exhaustive)\n", nw.NumInputs())
 	}
-	if res.Design3D != nil && (cfg.render || cfg.svgPath != "") {
+	if res.Stats().K > 2 && (cfg.render || cfg.svgPath != "") {
 		return fmt.Errorf("-render and -svg draw single 2D arrays; not supported for -layers stacks (use the JSON wire format)")
 	}
 	if cfg.render {
@@ -268,21 +267,11 @@ func run(ctx context.Context, inPath string, cfg cliConfig) error {
 		fmt.Printf("svg: wrote %s\n", cfg.svgPath)
 	}
 	if cfg.runSpice {
-		model := spice.Default()
-		var (
-			rep spice.MarginReport
-			err error
-		)
-		if res.Design3D != nil {
-			// The 3D nodal path simulates the pristine stack (layered defect
-			// placement has no electrical model).
-			rep, err = spice.Margin3DContext(ctx, res.Design3D, nw.Eval, nw.NumInputs(), 10, 200, model, 1)
-		} else {
-			// A defect-placed design is simulated on its physical array:
-			// stuck devices and spare-line bridges move the read voltages.
-			env := spice.Env{Model: model, Defects: res.Defects, Placement: res.Placement}
-			rep, err = spice.MarginContext(ctx, res.Design, nw.Eval, nw.NumInputs(), 10, 200, env, 1)
-		}
+		// A defect-placed design is simulated on its physical array: stuck
+		// devices and spare-line bridges move the read voltages. A placed
+		// K-layer stack has no electrical model, and spice refuses it.
+		env := spice.Env{Model: spice.Default(), Defects: res.Defects, Placement: res.Placement}
+		rep, err := spice.MarginContext(ctx, res.Design, nw.Eval, nw.NumInputs(), 10, 200, env, 1)
 		if err != nil {
 			return err
 		}

@@ -273,3 +273,31 @@ func TestRunSpicePlaced(t *testing.T) {
 		t.Errorf("-spice reported\n  %s\nwant the placed array's\n  %s\n(clean array: %s)", got, placed, clean)
 	}
 }
+
+// TestRunSpiceLayeredPlaced pins that -spice on a defect-placed K-layer
+// stack is refused with spice's typed error: the stack has no electrical
+// model for its per-plane defect maps, so a margin of the pristine stack
+// would report numbers for an array the design was not placed on.
+func TestRunSpiceLayeredPlaced(t *testing.T) {
+	var buf strings.Builder
+	if err := blif.Write(&buf, bench.MustBuild("ctrl")); err != nil {
+		t.Fatal(err)
+	}
+	path := writeTemp(t, "ctrl.blif", buf.String())
+	cfg := cliConfig{gamma: 0.5, method: "heuristic", timeLimit: 10 * time.Second, layers: 3,
+		defectRate: 0.001, defectSeed: 3, runSpice: true}
+	out, err := captureStdout(t, func() error { return run(context.Background(), path, cfg) })
+	if !errors.Is(err, spice.ErrLayered) {
+		t.Fatalf("-spice on a placed stack returned %v, want spice.ErrLayered", err)
+	}
+	if !strings.Contains(out, "placement: engine=") || strings.Contains(out, "spice-lite:") {
+		t.Fatalf("want a placed stack and no margin report, got:\n%s", out)
+	}
+
+	// The clean stack still simulates.
+	cfg.defectRate = 0
+	out, err = captureStdout(t, func() error { return run(context.Background(), path, cfg) })
+	if err != nil || !strings.Contains(out, "spice-lite:") {
+		t.Fatalf("clean stack: err %v, output:\n%s", err, out)
+	}
+}

@@ -51,7 +51,8 @@ type (
 	Options = core.Options
 	// Result carries the design, the labeling solution and statistics.
 	Result = core.Result
-	// Design is a crossbar: a matrix of memristor assignments plus the
+	// Design is a crossbar: a stack of nanowire layers (two for the classic
+	// 2D array) with planes of memristor assignments between them, plus the
 	// input and output wordlines.
 	Design = xbar.Design
 	// Network is a combinational Boolean network.

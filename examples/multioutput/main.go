@@ -40,8 +40,8 @@ func main() {
 			kind, res.BDDNodes, st.Rows, st.Cols, st.S, st.D, res.Labeling.Method, res.Labeling.Optimal)
 
 		// Every output must sit on its own sensed wordline.
-		for i, row := range res.Design.OutputRows {
-			fmt.Printf("  output %-5s -> wordline %d\n", res.Design.OutputNames[i], row)
+		for i, o := range res.Design.Outputs {
+			fmt.Printf("  output %-5s -> wordline %d\n", res.Design.OutputNames[i], o.Index)
 		}
 		if err := res.Verify(8, 0, 1); err != nil {
 			fmt.Fprintln(os.Stderr, "validation failed:", err)

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 
 	"compact/internal/errio"
@@ -435,45 +436,62 @@ func (m *Manager) Support(f Node) []int {
 // Reachable returns all node handles reachable from the given roots,
 // terminals included, in deterministic (ascending handle) order.
 func (m *Manager) Reachable(roots ...Node) []Node {
-	seen := make(map[Node]bool)
-	var stack []Node
-	for _, r := range roots {
-		stack = append(stack, r)
+	mark, n := m.mark(roots)
+	out := make([]Node, 0, n)
+	for w, word := range mark {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, Node(w*64+bits.TrailingZeros64(word)))
+		}
 	}
+	return out
+}
+
+// mark walks the nodes reachable from roots once, setting one bit per
+// node handle, and returns the bitset and the node count.
+func (m *Manager) mark(roots []Node) ([]uint64, int) {
+	mark := make([]uint64, (len(m.nodes)+63)/64)
+	n := 0
+	stack := append([]Node(nil), roots...)
 	for len(stack) > 0 {
-		n := stack[len(stack)-1]
+		h := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[n] {
+		w, bit := h/64, uint64(1)<<(h%64)
+		if mark[w]&bit != 0 {
 			continue
 		}
-		seen[n] = true
-		if n > One {
-			d := m.nodes[n]
+		mark[w] |= bit
+		n++
+		if h > One {
+			d := m.nodes[h]
 			stack = append(stack, d.low, d.high)
 		}
 	}
-	out := make([]Node, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
+	return mark, n
+}
+
+// Count returns CountNodes and CountEdges from one walk of the nodes
+// reachable from roots.
+func (m *Manager) Count(roots ...Node) (nodes, edges int) {
+	mark, n := m.mark(roots)
+	terminals := 0
+	if len(mark) > 0 {
+		terminals = bits.OnesCount64(mark[0] & (1<<Zero | 1<<One))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return n, 2 * (n - terminals)
 }
 
 // CountNodes returns the number of reachable nodes including terminals
 // (the paper's Table I "Nodes" convention).
-func (m *Manager) CountNodes(roots ...Node) int { return len(m.Reachable(roots...)) }
+func (m *Manager) CountNodes(roots ...Node) int {
+	nodes, _ := m.Count(roots...)
+	return nodes
+}
 
 // CountEdges returns the number of BDD edges reachable from roots: two per
 // reachable internal node (the paper's "Edges" convention).
 func (m *Manager) CountEdges(roots ...Node) int {
-	internal := 0
-	for _, n := range m.Reachable(roots...) {
-		if n > One {
-			internal++
-		}
-	}
-	return 2 * internal
+	_, edges := m.Count(roots...)
+	return edges
 }
 
 // WriteDOT emits a Graphviz rendering of the BDDs rooted at roots. Solid

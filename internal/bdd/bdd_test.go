@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -220,6 +221,49 @@ func TestCountNodesEdges(t *testing.T) {
 	h := m.And(v[0], v[1])
 	if n := m.CountNodes(f, h); n != 7 {
 		t.Errorf("disjoint CountNodes = %d, want 7", n)
+	}
+	// Terminal roots: one node, no edges.
+	for _, r := range []Node{Zero, One} {
+		if n, e := m.Count(r); n != 1 || e != 0 {
+			t.Errorf("Count(%d) = %d nodes, %d edges, want 1, 0", r, n, e)
+		}
+	}
+	// Reachable against a reference walk on managers spanning many bitset
+	// words: the same set, in ascending handle order.
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 10; trial++ {
+		bm, roots, err := BuildNetwork(randomNetwork(rng, 8, 60), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[Node]bool{}
+		var walk func(n Node)
+		walk = func(n Node) {
+			if want[n] {
+				return
+			}
+			want[n] = true
+			if n > One {
+				walk(bm.Low(n))
+				walk(bm.High(n))
+			}
+		}
+		for _, r := range roots {
+			walk(r)
+		}
+		got := bm.Reachable(roots...)
+		if len(got) != len(want) || !slices.IsSorted(got) {
+			t.Fatalf("trial %d: Reachable gave %d nodes (ascending: %v), want %d",
+				trial, len(got), slices.IsSorted(got), len(want))
+		}
+		for i, n := range got {
+			if !want[n] || (i > 0 && got[i-1] == n) {
+				t.Fatalf("trial %d: Reachable returned %d, not reachable or repeated", trial, n)
+			}
+		}
+		if n, e := bm.Count(roots...); n != len(want) || e != bm.CountEdges(roots...) {
+			t.Fatalf("trial %d: Count = %d, %d", trial, n, e)
+		}
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"compact/internal/oct"
 	"compact/internal/partition"
 	"compact/internal/xbar"
-	"compact/internal/xbar3d"
 )
 
 // BDDKind selects how multi-output functions are represented.
@@ -118,10 +117,10 @@ type Options struct {
 	// The final attempt always escalates to the exact ILP engine.
 	MaxRepairAttempts int
 	// Layers selects the number of crossbar wire layers. 0 (and 1) mean the
-	// classic two-layer crossbar — the 2D pipeline, unchanged. 3 and above
-	// enable FLOW-3D synthesis: the BDD graph is K-colored onto a layer
-	// stack (labeling.SolveK), mapped to a layered design (xbar3d.Map3D),
-	// and the result carries Design3D instead of Design. Capped at
+	// classic two-layer crossbar. 3 and above enable FLOW-3D synthesis: the
+	// BDD graph is K-colored onto a layer stack (labeling.SolveK) and
+	// mapped to a K-layer design (xbar.MapStack); the result carries the
+	// K-coloring in KLabeling instead of Labeling. Capped at
 	// labeling.MaxLayers. Layered synthesis composes with DefectRate
 	// (per-plane generated maps) but not yet with explicit Defects maps,
 	// Partition or MarginAware — Validate rejects those combinations.
@@ -147,9 +146,14 @@ func (o Options) gamma() float64 { return o.Canonical().Gamma }
 // report: BDD statistics, the labeling solution (with solver trace), and
 // wall-clock synthesis time.
 type Result struct {
-	Design   *xbar.Design
-	Graph    *xbar.BDDGraph
-	Labeling *labeling.Solution
+	// Design is the crossbar: a 2D design, or a K-layer stack when
+	// Options.Layers >= 3.
+	Design *xbar.Design
+	Graph  *xbar.BDDGraph
+	// Labeling is the VH-labeling of a 2D design; KLabeling is the
+	// K-coloring of a K-layer stack. Exactly one is set.
+	Labeling  *labeling.Solution
+	KLabeling *labeling.KSolution
 	// Plan is the multi-crossbar cascade produced when Options.Partition
 	// is set and single-crossbar synthesis is infeasible under the
 	// dimension caps. For partitioned results Design/Graph/Labeling and
@@ -164,27 +168,22 @@ type Result struct {
 	SynthTime time.Duration
 
 	// Placement, Effective and Defects are set when synthesis ran against
-	// a defect map: the row/column binding of the logical design onto the
-	// physical array, the effective design that array computes under the
-	// binding (verified against the source network before the result is
-	// returned), and the map itself. RepairAttempts counts the
-	// place-verify rounds the repair loop used (1 = first placement
-	// verified clean).
+	// defect maps: the wire binding of every layer of the logical design
+	// onto the physical array, the effective design that array computes
+	// under the binding (verified against the source network before the
+	// result is returned), and the maps themselves, one per device plane.
+	// RepairAttempts counts the place-verify rounds the repair loop used
+	// (1 = first placement verified clean).
 	Placement      *xbar.Placement
 	Effective      *xbar.Design
-	Defects        *defect.Map
+	Defects        []*defect.Map
 	RepairAttempts int
 
-	// Design3D, KLabeling, Placement3D, Effective3D and DefectMaps3D are
-	// the layered counterparts of Design/Labeling/Placement/Effective/
-	// Defects, set when Options.Layers >= 3 (Design, Labeling and the 2D
-	// placement fields stay nil in that case). DefectMaps3D holds one
-	// generated map per device plane.
-	Design3D     *xbar3d.Design3D
-	KLabeling    *labeling.KSolution
-	Placement3D  *xbar3d.Placement3D
-	Effective3D  *xbar3d.Design3D
-	DefectMaps3D []*defect.Map
+	// Design3D mirrors Design when Options.Layers >= 3 and is nil
+	// otherwise.
+	//
+	// Deprecated: read Design, which is set for every layer count.
+	Design3D *xbar.Design
 
 	network *logic.Network
 	mgr     *bdd.Manager // SBDD mode only
@@ -262,10 +261,8 @@ func synthesizeSingle(ctx context.Context, nw *logic.Network, opts Options) (*Re
 	if err := faultinject.Err(faultinject.StageBDD); err != nil {
 		return nil, fmt.Errorf("core: BDD construction: %w", err)
 	}
+	res := &Result{Order: order, network: nw}
 	var bg *xbar.BDDGraph
-	var nodes, edges int
-	var mgrKeep *bdd.Manager
-	var rootsKeep []bdd.Node
 	switch opts.BDDKind {
 	case SeparateROBDDs:
 		singles, err := bdd.BuildSeparate(nw, order, opts.NodeLimit)
@@ -278,24 +275,23 @@ func synthesizeSingle(ctx context.Context, nw *logic.Network, opts Options) (*Re
 		}
 		// Merged node/edge counts: shared terminal counted once, plus the
 		// (removed) 0-terminal convention of Table I.
-		nodes = bg.NumNodes() + 1 // re-add the 0-terminal
-		edges = 0
+		res.BDDNodes = bg.NumNodes() + 1 // re-add the 0-terminal
 		for _, s := range singles {
-			edges += s.Manager.CountEdges(s.Root)
+			res.BDDEdges += s.Manager.CountEdges(s.Root)
 		}
 	default:
 		m, roots, err := bdd.BuildNetwork(nw, order, opts.NodeLimit)
 		if err != nil {
 			return nil, fmt.Errorf("core: SBDD construction: %w", err)
 		}
-		nodes = m.CountNodes(roots...)
-		edges = m.CountEdges(roots...)
+		res.BDDNodes, res.BDDEdges = m.Count(roots...)
 		bg, err = xbar.FromBDD(m, roots, nw.OutputNames)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		mgrKeep, rootsKeep = m, roots // retained for WriteBDDDOT
+		res.mgr, res.roots = m, roots // retained for WriteBDDDOT
 	}
+	res.Graph = bg
 
 	if mode, ok := faultinject.Mode(faultinject.StageLabeling); ok {
 		if mode == "infeasible" {
@@ -308,17 +304,26 @@ func synthesizeSingle(ctx context.Context, nw *logic.Network, opts Options) (*Re
 			return nil, fmt.Errorf("core: labeling: %w", err)
 		}
 	}
-	if opts.Layers > 2 {
-		return synthesizeLayered(ctx, nw, opts, bg, nodes, edges, order, mgrKeep, rootsKeep)
-	}
-	sol, err := labeling.SolveContext(ctx, bg.Problem(!opts.NoAlign), labeling.Options{
+	prob := bg.Problem(!opts.NoAlign)
+	lopts := labeling.Options{
 		Gamma:          opts.gamma(),
 		Method:         opts.Method,
 		OCTBackend:     opts.OCTBackend,
 		AutoExactLimit: opts.AutoExactLimit,
 		MaxRows:        opts.MaxRows,
 		MaxCols:        opts.MaxCols,
-	})
+	}
+	// The one fork: a VH-labeling is the K=2 case of a layer-interval
+	// labeling, and everything from the mapping on serves every K.
+	var err error
+	k, lo, hi := 2, []int(nil), []int(nil)
+	if opts.Layers > 2 {
+		if res.KLabeling, err = labeling.SolveK(ctx, prob, opts.Layers, lopts); err == nil {
+			k, lo, hi = res.KLabeling.K, res.KLabeling.Lo, res.KLabeling.Hi
+		}
+	} else if res.Labeling, err = labeling.SolveContext(ctx, prob, lopts); err == nil {
+		lo, hi = labeling.LiftLabels(res.Labeling.Labels)
+	}
 	if err != nil {
 		if errors.Is(err, labeling.ErrInfeasible) {
 			// Upgrade the sentinel to the typed error carrying the numbers
@@ -330,36 +335,27 @@ func synthesizeSingle(ctx context.Context, nw *logic.Network, opts Options) (*Re
 	if err := faultinject.Err(faultinject.StageMap); err != nil {
 		return nil, fmt.Errorf("core: mapping: %w", err)
 	}
-	design, err := xbar.Map(bg, sol.Labels)
-	if err != nil {
+	if res.Design, err = xbar.MapStack(bg, k, lo, hi); err != nil {
 		return nil, fmt.Errorf("core: mapping: %w", err)
+	}
+	if k > 2 {
+		res.Design3D = res.Design
 	}
 	if opts.BDDKind != SeparateROBDDs {
 		// Shared-manager designs carry BDD-level variable indices; remap
 		// into network-input indexing so Eval takes network-order inputs.
 		remap := make([]int, len(order))
 		copy(remap, order)
-		if err := design.RemapVars(remap, nw.InputNames()); err != nil {
+		if err := res.Design.RemapVars(remap, nw.InputNames()); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	res := &Result{
-		Design:   design,
-		Graph:    bg,
-		Labeling: sol,
-		BDDNodes: nodes,
-		BDDEdges: edges,
-		Order:    order,
-		network:  nw,
-		mgr:      mgrKeep,
-		roots:    rootsKeep,
-	}
-	dm, err := opts.defectMap(design)
+	maps, err := opts.defectMaps(res.Design)
 	if err != nil {
 		return nil, fmt.Errorf("core: defect map: %w", err)
 	}
-	if dm != nil {
-		if err := res.placeWithRepair(ctx, dm, opts); err != nil {
+	if maps != nil {
+		if err := res.placeWithRepair(ctx, maps, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -374,13 +370,6 @@ func (r *Result) Verify(exhaustiveLimit, samples int, seed uint64) error {
 	if r.Plan != nil {
 		if err := r.Plan.Verify64(r.network.Eval64, exhaustiveLimit, samples, seed); err != nil {
 			return fmt.Errorf("core: %w", err)
-		}
-		return nil
-	}
-	if r.Design3D != nil {
-		bad := r.Design3D.VerifyAgainst64(r.network.Eval64, r.network.NumInputs(), exhaustiveLimit, samples, seed)
-		if bad != nil {
-			return fmt.Errorf("core: layered design disagrees with network on %v", bad)
 		}
 		return nil
 	}
@@ -399,9 +388,6 @@ func (r *Result) Verify(exhaustiveLimit, samples int, seed uint64) error {
 func (r *Result) FormalVerify(nodeLimit int) error {
 	if r.Plan != nil {
 		return r.Plan.FormalVerify(r.network, nodeLimit)
-	}
-	if r.Design3D != nil {
-		return xbar3d.FormalVerify3D(r.Design3D, r.network, nodeLimit)
 	}
 	return xbar.FormalVerify(r.Design, r.network, nodeLimit)
 }

@@ -59,11 +59,11 @@ func TestDefectSuiteBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s @%g%%: second run failed: %v", name, 100*rate, err)
 			}
-			if !equalPerm(res.Placement.RowPerm, res2.Placement.RowPerm) ||
-				!equalPerm(res.Placement.ColPerm, res2.Placement.ColPerm) {
+			if !equalPerm(res.Placement.Perms[0], res2.Placement.Perms[0]) ||
+				!equalPerm(res.Placement.Perms[1], res2.Placement.Perms[1]) {
 				t.Errorf("%s @%g%%: placement not deterministic", name, 100*rate)
 			}
-			if res.Defects.Digest() != res2.Defects.Digest() {
+			if res.Defects[0].Digest() != res2.Defects[0].Digest() {
 				t.Errorf("%s @%g%%: defect map not deterministic", name, 100*rate)
 			}
 		}
@@ -186,7 +186,7 @@ func TestVerifyWiresSampledFallback(t *testing.T) {
 		t.Fatalf("correct design rejected by the sampled fallback: %v", err)
 	}
 	bad := clone2D(t, res.Design)
-	corruptPlanes([]xbar.Plane{bad.Cells})
+	corruptPlanes([]xbar.Plane{bad.Planes[0]})
 	err = res.verifyWires(bad.Wires(), 1)
 	if err == nil || !strings.Contains(err.Error(), "disagrees with the network") {
 		t.Fatalf("corrupted design passed the sampled fallback: %v", err)
@@ -216,7 +216,7 @@ func TestRepairLoopBailsOnRepeatedPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = r.placeWithRepair(context.Background(), dm, Options{MaxRepairAttempts: 25}.Canonical())
+	err = r.placeWithRepair(context.Background(), []*defect.Map{dm}, Options{MaxRepairAttempts: 25}.Canonical())
 	if err == nil {
 		t.Fatal("verification against a mismatched network succeeded")
 	}
@@ -335,7 +335,7 @@ func placedMargin(t *testing.T, res *Result, dm *defect.Map, seed uint64) float6
 	t.Helper()
 	rep, err := spice.MarginContext(context.Background(), res.Design, res.Design.Eval,
 		len(res.Design.VarNames), marginExhaustiveLimit, marginSamples,
-		spice.Env{Model: spice.Default(), Defects: dm, Placement: res.Placement}, seed)
+		spice.Env{Model: spice.Default(), Defects: []*defect.Map{dm}, Placement: res.Placement}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,10 +363,10 @@ func TestMarginAwarePlacementImprovesMargin(t *testing.T) {
 		t.Fatal(err)
 	}
 	spareCol := d.Cols
-	if err := dm.Set(d.InputRow, spareCol, defect.StuckOn); err != nil {
+	if err := dm.Set(d.Input.Index, spareCol, defect.StuckOn); err != nil {
 		t.Fatal(err)
 	}
-	if err := dm.Set(d.OutputRows[0], spareCol, defect.StuckOn); err != nil {
+	if err := dm.Set(d.Outputs[0].Index, spareCol, defect.StuckOn); err != nil {
 		t.Fatal(err)
 	}
 
@@ -408,8 +408,8 @@ func TestMarginAwarePlacementImprovesMargin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalPerm(tuned.Placement.RowPerm, tuned2.Placement.RowPerm) ||
-		!equalPerm(tuned.Placement.ColPerm, tuned2.Placement.ColPerm) {
+	if !equalPerm(tuned.Placement.Perms[0], tuned2.Placement.Perms[0]) ||
+		!equalPerm(tuned.Placement.Perms[1], tuned2.Placement.Perms[1]) {
 		t.Errorf("margin-aware placement not deterministic")
 	}
 }
@@ -440,10 +440,10 @@ func TestMarginAwareNoFaultsMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalPerm(plain.Placement.RowPerm, tuned.Placement.RowPerm) ||
-		!equalPerm(plain.Placement.ColPerm, tuned.Placement.ColPerm) {
+	if !equalPerm(plain.Placement.Perms[0], tuned.Placement.Perms[0]) ||
+		!equalPerm(plain.Placement.Perms[1], tuned.Placement.Perms[1]) {
 		t.Errorf("fault-free margin-aware placement diverged from plain: %v/%v vs %v/%v",
-			tuned.Placement.RowPerm, tuned.Placement.ColPerm, plain.Placement.RowPerm, plain.Placement.ColPerm)
+			tuned.Placement.Perms[0], tuned.Placement.Perms[1], plain.Placement.Perms[0], plain.Placement.Perms[1])
 	}
 	if base.Key() == aware.Key() {
 		t.Error("MarginAware does not enter the options key")

@@ -98,7 +98,7 @@ func TestFormalVerifyMutants(t *testing.T) {
 		t.Fatalf("2D: %v", err)
 	}
 	d := clone2D(t, res.Design)
-	flipFirstLit(t, d.Cells)
+	flipFirstLit(t, d.Planes[0])
 	check("2D", router, xbar.FormalVerify(d, router, 0), d.EvalChecked)
 
 	res, err = Synthesize(router, Options{Layers: 3, Method: labeling.MethodHeuristic})
@@ -109,7 +109,7 @@ func TestFormalVerifyMutants(t *testing.T) {
 		t.Fatalf("K=3: %v", err)
 	}
 	d3 := res.Design3D.Clone()
-	flipFirstLit(t, d3.Cells[0])
+	flipFirstLit(t, d3.Planes[0])
 	check("K=3", router, xbar3d.FormalVerify3D(d3, router, 0), d3.EvalChecked)
 
 	nw := cascadeNet(t)
@@ -123,6 +123,6 @@ func TestFormalVerifyMutants(t *testing.T) {
 	plan := *res.Plan
 	plan.Tiles = append([]partition.Tile(nil), res.Plan.Tiles...)
 	plan.Tiles[0].Design = clone2D(t, plan.Tiles[0].Design)
-	flipFirstLit(t, plan.Tiles[0].Design.Cells)
+	flipFirstLit(t, plan.Tiles[0].Design.Planes[0])
 	check("plan", nw, plan.FormalVerify(nw, 0), plan.Eval)
 }

@@ -64,21 +64,17 @@ func TestLayeredK2Equivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Map3D: %v", name, err)
 		}
-		lifted, err := xbar3d.Lift3D(d2)
-		if err != nil {
-			t.Fatalf("%s: Lift3D: %v", name, err)
+		if !reflect.DeepEqual(d3.Widths, d2.Widths) {
+			t.Fatalf("%s: K=2 widths %v differ from 2D %v", name, d3.Widths, d2.Widths)
 		}
-		if !reflect.DeepEqual(d3.Widths, lifted.Widths) {
-			t.Fatalf("%s: K=2 widths %v differ from lifted 2D %v", name, d3.Widths, lifted.Widths)
+		if !reflect.DeepEqual(d3.Planes[0], d2.Planes[0]) {
+			t.Errorf("%s: K=2 cells differ from the 2D design", name)
 		}
-		if !reflect.DeepEqual(d3.Cells, lifted.Cells) {
-			t.Errorf("%s: K=2 cells differ from the lifted 2D design", name)
-		}
-		if d3.Input != lifted.Input || !reflect.DeepEqual(d3.Outputs, lifted.Outputs) {
+		if d3.Input != d2.Input || !reflect.DeepEqual(d3.Outputs, d2.Outputs) {
 			t.Errorf("%s: K=2 ports differ: input %v vs %v, outputs %v vs %v",
-				name, d3.Input, lifted.Input, d3.Outputs, lifted.Outputs)
+				name, d3.Input, d2.Input, d3.Outputs, d2.Outputs)
 		}
-		if !reflect.DeepEqual(d3.OutputNames, lifted.OutputNames) {
+		if !reflect.DeepEqual(d3.OutputNames, d2.OutputNames) {
 			t.Errorf("%s: K=2 output names differ", name)
 		}
 	}
@@ -93,11 +89,11 @@ func TestSynthesizeLayered(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if res.Design != nil || res.Labeling != nil {
-			t.Errorf("%s: layered result carries 2D design/labeling", name)
+		if res.Labeling != nil {
+			t.Errorf("%s: layered result carries a 2D labeling", name)
 		}
-		if res.Design3D == nil || res.KLabeling == nil {
-			t.Fatalf("%s: layered result missing Design3D/KLabeling", name)
+		if res.Design == nil || res.Design3D != res.Design || res.KLabeling == nil {
+			t.Fatalf("%s: layered result missing Design (and its Design3D mirror) or KLabeling", name)
 		}
 		if got := res.Design3D.K(); got != 3 {
 			t.Errorf("%s: design has %d wire layers, want 3", name, got)
@@ -165,11 +161,11 @@ func TestSynthesizeLayeredWithDefects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Placement3D == nil || res.Effective3D == nil {
-		t.Fatal("defect-aware layered synthesis missing Placement3D/Effective3D")
+	if res.Placement == nil || res.Effective == nil {
+		t.Fatal("defect-aware layered synthesis missing Placement/Effective")
 	}
-	if len(res.DefectMaps3D) != res.Design3D.K()-1 {
-		t.Fatalf("%d defect maps for %d device planes", len(res.DefectMaps3D), res.Design3D.K()-1)
+	if len(res.Defects) != res.Design.K()-1 {
+		t.Fatalf("%d defect maps for %d device planes", len(res.Defects), res.Design.K()-1)
 	}
 	if res.RepairAttempts < 1 {
 		t.Errorf("RepairAttempts %d < 1", res.RepairAttempts)
@@ -177,7 +173,7 @@ func TestSynthesizeLayeredWithDefects(t *testing.T) {
 	// The effective design is what the faulty array computes; it must agree
 	// with the network (the repair loop already verified it — re-check from
 	// the outside).
-	bad := res.Effective3D.VerifyAgainst64(nw.Eval64, nw.NumInputs(), 14, 512, 1)
+	bad := res.Effective.VerifyAgainst64(nw.Eval64, nw.NumInputs(), 14, 512, 1)
 	if bad != nil {
 		t.Errorf("effective layered design disagrees with the network on %v", bad)
 	}
@@ -205,10 +201,10 @@ func TestLayeredPlacementRegression(t *testing.T) {
 					t.Errorf("%s K=%d seed %d: %v", tc.circuit, k, seed, err)
 					continue
 				}
-				if res.Placement3D == nil {
+				if res.Placement == nil {
 					t.Fatalf("%s K=%d seed %d: no placement", tc.circuit, k, seed)
 				}
-				if err := xbar3d.FormalVerify3D(res.Effective3D, nw, 0); err != nil {
+				if err := xbar3d.FormalVerify3D(res.Effective, nw, 0); err != nil {
 					t.Errorf("%s K=%d seed %d: effective stack: %v", tc.circuit, k, seed, err)
 				}
 			}
@@ -275,7 +271,7 @@ func TestLayeredView(t *testing.T) {
 	if v.Crossbar.Layers != 3 || !reflect.DeepEqual(v.Crossbar.LayerWidths, st.Widths) {
 		t.Errorf("crossbar view %+v does not reflect the stack %v", v.Crossbar, st.Widths)
 	}
-	if v.Crossbar.S != st.S || v.Crossbar.Rows != st.R || v.Crossbar.Cols != st.C {
+	if v.Crossbar.S != st.S || v.Crossbar.Rows != st.Rows || v.Crossbar.Cols != st.Cols {
 		t.Errorf("crossbar view footprint %+v differs from stats %+v", v.Crossbar, st)
 	}
 	if v.Labeling.S != res.KLabeling.Stats.S || v.Labeling.Method == "" {
@@ -308,5 +304,22 @@ func TestLayeredView(t *testing.T) {
 	}
 	if bad := back.Design3D.VerifyAgainst64(nw.Eval64, nw.NumInputs(), 14, 256, 1); bad != nil {
 		t.Errorf("round-tripped design3d disagrees with the network on %v", bad)
+	}
+}
+
+// TestLayeredStatsFootprint pins Result.Stats for a K-layer stack: the
+// footprint of ctrl's heuristic three-layer stack, the figure the public
+// Result.Stats and the examples report.
+func TestLayeredStatsFootprint(t *testing.T) {
+	res, err := Synthesize(bench.MustBuild("ctrl"), Options{Layers: 3, Method: labeling.MethodHeuristic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats()
+	if st.K != 3 || st.S != 61 || st.S != st.Rows+st.Cols {
+		t.Fatalf("ctrl K=3 stats %+v, want a 3-layer footprint with S = 61", st)
+	}
+	if st.Rows != max(st.Widths[0], st.Widths[2]) || st.Cols != st.Widths[1] {
+		t.Fatalf("footprint %dx%d is not the widest even and odd layers of %v", st.Rows, st.Cols, st.Widths)
 	}
 }

@@ -74,7 +74,7 @@ func synthesizePartitioned(ctx context.Context, nw *logic.Network, opts Options)
 		return &partition.TileResult{
 			Design:         res.Design,
 			Placement:      res.Placement,
-			Defects:        res.Defects,
+			Defects:        o.Defects, // the tile's one plane, nil when no map was in play
 			RepairAttempts: res.RepairAttempts,
 		}, nil
 	}

@@ -35,30 +35,44 @@ import (
 // budget returns the last failure — a wrong crossbar is never returned
 // silently, which is the robustness contract of this stage.
 
-// defectMap resolves the physical array for this synthesis: the explicit
-// Options.Defects map, a generated one when DefectRate > 0 (sized exactly
-// to the design, no spare lines), or nil when defect handling is off.
-// opts must be canonical.
-func (o Options) defectMap(d *xbar.Design) (*defect.Map, error) {
+// defectMaps resolves the physical array for this synthesis, one map per
+// device plane: the explicit Options.Defects map (2D designs only), maps
+// generated when DefectRate > 0 (each sized exactly to its plane, no
+// spare lines), or nil when defect handling is off. A 2D design's plane
+// draws from DefectSeed; a K-layer stack's plane p from a stride off it,
+// so no two planes share a fault stream. opts must be canonical.
+func (o Options) defectMaps(d *xbar.Design) ([]*defect.Map, error) {
 	if o.Defects != nil {
-		return o.Defects, nil
+		return []*defect.Map{o.Defects}, nil
 	}
 	if o.DefectRate <= 0 {
 		return nil, nil
 	}
-	return defect.Generate(d.Rows, d.Cols, o.DefectRate, o.DefectOnFraction, o.DefectSeed)
+	maps := make([]*defect.Map, len(d.Planes))
+	for p := range maps {
+		seed := o.DefectSeed
+		if d.K() > 2 {
+			seed += uint64(p+1) * 0x9e3779b97f4a7c15
+		}
+		m, err := defect.Generate(d.Widths[p], d.Widths[p+1], o.DefectRate, o.DefectOnFraction, seed)
+		if err != nil {
+			return nil, err
+		}
+		maps[p] = m
+	}
+	return maps, nil
 }
 
-// placeWithRepair places the 2D design onto dm — the margin-aware
+// placeWithRepair places the design onto maps — the margin-aware
 // candidate search first when Options.MarginAware asks for it, then the
 // verified-repair loop — and, on success, records Placement, Effective,
 // Defects and RepairAttempts on the result. opts must be canonical.
-func (r *Result) placeWithRepair(ctx context.Context, dm *defect.Map, opts Options) error {
+func (r *Result) placeWithRepair(ctx context.Context, maps []*defect.Map, opts Options) error {
 	if err := faultinject.Err(faultinject.StagePlace); err != nil {
 		return fmt.Errorf("core: placement: %w", err)
 	}
 	if opts.MarginAware {
-		done, err := r.placeMarginAware(ctx, dm, opts)
+		done, err := r.placeMarginAware(ctx, maps, opts)
 		if err != nil {
 			return err
 		}
@@ -68,31 +82,22 @@ func (r *Result) placeWithRepair(ctx context.Context, dm *defect.Map, opts Optio
 		// Margin-aware search found nothing it could both verify and keep;
 		// the plain loop below is the unconditional fallback.
 	}
-	d := r.Design
-	perms, engine, eff, err := repair(ctx, r, d.Stack(dm), opts, func(perms [][]int) (*xbar.Design, []xbar.Plane, error) {
-		eff, err := d.UnderDefects(dm, &xbar.Placement{RowPerm: perms[0], ColPerm: perms[1]})
-		if err != nil {
-			return nil, nil, err
-		}
-		return eff, []xbar.Plane{eff.Cells}, nil
-	})
+	pl, eff, err := repair(ctx, r, maps, opts)
 	if err != nil {
 		return err
 	}
-	r.Placement = &xbar.Placement{RowPerm: perms[0], ColPerm: perms[1], Engine: engine}
+	r.Placement = pl
 	r.Effective = eff
-	r.Defects = dm
+	r.Defects = maps
 	return nil
 }
 
-// repair runs the verified-repair loop described above on the stack s.
-// under materializes a binding's effective design, returning it with its
-// planes (the place=corrupt injection mode flips a literal there). On
-// success it records RepairAttempts and returns the binding, the engine
-// that found it and the verified effective design. opts must be canonical.
-func repair[D interface{ Wires() *xbar.Wires }](ctx context.Context, r *Result, s xbar.Stack, opts Options,
-	under func(perms [][]int) (D, []xbar.Plane, error)) ([][]int, string, D, error) {
-	var none D
+// repair runs the verified-repair loop described above, placing the
+// result's design onto maps. On success it records RepairAttempts and
+// returns the placement and the verified effective design. opts must be
+// canonical.
+func repair(ctx context.Context, r *Result, maps []*defect.Map, opts Options) (*xbar.Placement, *xbar.Design, error) {
+	s := r.Design.Stack(maps)
 	attempts := opts.MaxRepairAttempts
 	if attempts <= 0 {
 		attempts = DefaultRepairAttempts
@@ -110,7 +115,7 @@ func repair[D interface{ Wires() *xbar.Wires }](ctx context.Context, r *Result, 
 	forceILP := false
 	for attempt := 0; attempt < attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, "", none, err
+			return nil, nil, err
 		}
 		if fn := progressFrom(ctx).RepairAttempt; fn != nil {
 			fn(attempt + 1)
@@ -127,10 +132,10 @@ func repair[D interface{ Wires() *xbar.Wires }](ctx context.Context, r *Result, 
 		if err != nil {
 			var up *xbar.Unplaceable
 			if errors.As(err, &up) && up.Proven {
-				return nil, "", none, fmt.Errorf("core: placement: %w", err)
+				return nil, nil, fmt.Errorf("core: placement: %w", err)
 			}
 			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, "", none, fmt.Errorf("core: placement: %w", ctxErr)
+				return nil, nil, fmt.Errorf("core: placement: %w", ctxErr)
 			}
 			lastErr = err
 			continue
@@ -138,22 +143,23 @@ func repair[D interface{ Wires() *xbar.Wires }](ctx context.Context, r *Result, 
 		fp := fmt.Sprint(perms)
 		if rejected[fp] {
 			if popts.Engine == xbar.PlaceILP {
-				return nil, "", none, fmt.Errorf("core: defect-aware placement failed after %d attempts: the exact engine reproduces a placement that already failed verification: %w", attempt+1, lastErr)
+				return nil, nil, fmt.Errorf("core: defect-aware placement failed after %d attempts: the exact engine reproduces a placement that already failed verification: %w", attempt+1, lastErr)
 			}
 			forceILP = true
 			continue
 		}
-		eff, planes, err := under(perms)
+		pl := &xbar.Placement{Perms: perms, Engine: engine}
+		eff, err := r.Design.UnderDefects(maps, pl)
 		if err != nil {
 			// Structural rejection of a search-produced placement is a bug,
 			// not a retryable condition.
-			return nil, "", none, fmt.Errorf("core: placement: %w", err)
+			return nil, nil, fmt.Errorf("core: placement: %w", err)
 		}
 		injected := false
 		if mode, _ := faultinject.Mode(faultinject.StagePlace); mode == "corrupt" && attempt == 0 {
 			// Deterministically hand verification a wrong effective design
 			// on the first attempt, so tests can drive the repair path.
-			corruptPlanes(planes)
+			corruptPlanes(eff.Planes)
 			injected = true
 		}
 		if err := r.verifyWires(eff.Wires(), opts.NodeLimit); err != nil {
@@ -166,9 +172,9 @@ func repair[D interface{ Wires() *xbar.Wires }](ctx context.Context, r *Result, 
 			continue
 		}
 		r.RepairAttempts = attempt + 1
-		return perms, engine, eff, nil
+		return pl, eff, nil
 	}
-	return nil, "", none, fmt.Errorf("core: defect-aware placement failed after %d attempts: %w", attempts, lastErr)
+	return nil, nil, fmt.Errorf("core: defect-aware placement failed after %d attempts: %w", attempts, lastErr)
 }
 
 // Margin-aware candidate search tuning: how many distinct placements to
@@ -188,8 +194,8 @@ const (
 // verified. Scoring failures (e.g. a design past the nodal solver's size
 // cap) demote the candidate's score to -Inf rather than failing: a
 // verified placement always beats no placement.
-func (r *Result) placeMarginAware(ctx context.Context, dm *defect.Map, opts Options) (bool, error) {
-	cands, err := xbar.PlaceCandidates(ctx, r.Design, dm, xbar.PlaceOptions{Seed: opts.DefectSeed}, marginCandidates)
+func (r *Result) placeMarginAware(ctx context.Context, maps []*defect.Map, opts Options) (bool, error) {
+	cands, err := xbar.PlaceCandidates(ctx, r.Design, maps, xbar.PlaceOptions{Seed: opts.DefectSeed}, marginCandidates)
 	if err != nil {
 		var up *xbar.Unplaceable
 		if errors.As(err, &up) && up.Proven {
@@ -213,7 +219,7 @@ func (r *Result) placeMarginAware(ctx context.Context, dm *defect.Map, opts Opti
 		if fn := progressFrom(ctx).RepairAttempt; fn != nil {
 			fn(attempts + 1)
 		}
-		eff, err := r.Design.UnderDefects(dm, pl)
+		eff, err := r.Design.UnderDefects(maps, pl)
 		if err != nil {
 			// Structural rejection of a search-produced placement is a bug,
 			// not a retryable condition (same contract as the plain loop).
@@ -226,7 +232,7 @@ func (r *Result) placeMarginAware(ctx context.Context, dm *defect.Map, opts Opti
 		score := math.Inf(-1)
 		rep, err := spice.MarginContext(ctx, r.Design, r.Design.Eval, len(r.Design.VarNames),
 			marginExhaustiveLimit, marginSamples,
-			spice.Env{Model: spice.Default(), Defects: dm, Placement: pl}, opts.DefectSeed)
+			spice.Env{Model: spice.Default(), Defects: maps, Placement: pl}, opts.DefectSeed)
 		if err == nil {
 			score = rep.MinOn - rep.MaxOff
 		}
@@ -242,7 +248,7 @@ func (r *Result) placeMarginAware(ctx context.Context, dm *defect.Map, opts Opti
 	}
 	r.Placement = bestPl
 	r.Effective = bestEff
-	r.Defects = dm
+	r.Defects = maps
 	r.RepairAttempts = attempts
 	return true, nil
 }

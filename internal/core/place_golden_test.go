@@ -66,7 +66,7 @@ func fmtPlacement(pl *xbar.Placement, err error) string {
 	if err != nil {
 		return "err=" + err.Error()
 	}
-	return fmt.Sprintf("%s rows=%v cols=%v", pl.Engine, pl.RowPerm, pl.ColPerm)
+	return fmt.Sprintf("%s rows=%v cols=%v", pl.Engine, pl.Perms[0], pl.Perms[1])
 }
 
 func placeGoldenReport(t *testing.T) string {
@@ -97,10 +97,10 @@ func placeGoldenReport(t *testing.T) string {
 			if attempt == DefaultRepairAttempts-1 {
 				opts.Engine = xbar.PlaceILP
 			}
-			pl, err := xbar.PlaceContext(ctx, d, dm, opts)
+			pl, err := xbar.PlaceContext(ctx, d, []*defect.Map{dm}, opts)
 			fmt.Fprintf(&out, "place seed=%d engine=%s: %s\n", opts.Seed, opts.Engine, fmtPlacement(pl, err))
 		}
-		cands, err := xbar.PlaceCandidates(ctx, d, dm, xbar.PlaceOptions{Seed: pc.seed}, 4)
+		cands, err := xbar.PlaceCandidates(ctx, d, []*defect.Map{dm}, xbar.PlaceOptions{Seed: pc.seed}, 4)
 		if err != nil {
 			fmt.Fprintf(&out, "candidates: %s\n", fmtPlacement(nil, err))
 		}

@@ -8,7 +8,6 @@ import (
 	"compact/internal/labeling"
 	"compact/internal/partition"
 	"compact/internal/xbar"
-	"compact/internal/xbar3d"
 )
 
 // ResultView is the stable, JSON-serializable projection of a Result — the
@@ -32,13 +31,13 @@ type ResultView struct {
 	Crossbar CrossbarView `json:"crossbar"`
 	// SynthMillis is the synthesis wall clock in milliseconds.
 	SynthMillis float64 `json:"synth_ms"`
-	// Design is the programmed crossbar, sparse-encoded; nil for
-	// partitioned results (see Partition).
+	// Design is the programmed 2D crossbar, sparse-encoded; nil for
+	// partitioned results (see Partition) and K-layer stacks.
 	Design *xbar.Design `json:"design,omitempty"`
 	// Design3D is the K-layer stack produced when the request asked for
-	// Layers >= 3, in xbar3d's versioned sparse wire format; Design is nil
-	// in that case and Crossbar carries the stack's footprint projection.
-	Design3D *xbar3d.Design3D `json:"design3d,omitempty"`
+	// Layers >= 3, in the same codec's layered body; Design is nil in that
+	// case and Crossbar carries the stack's footprint projection.
+	Design3D *xbar.Design `json:"design3d,omitempty"`
 	// Placement reports the defect-aware placement outcome; present only
 	// when synthesis ran against a defect map.
 	Placement *PlacementView `json:"placement,omitempty"`
@@ -145,24 +144,19 @@ func (r *Result) View() ResultView {
 		BDDEdges:    r.BDDEdges,
 		Order:       append([]int(nil), r.Order...),
 		SynthMillis: millis(r.SynthTime),
-		Design:      r.Design,
 	}
-	if r.Design != nil {
-		st := r.Design.Stats()
+	if d := r.Design; d != nil {
+		st := d.Stats()
 		v.Crossbar = CrossbarView{
 			Rows: st.Rows, Cols: st.Cols, S: st.S, D: st.D,
 			Area: st.Area, Devices: st.LitCells + st.OnCells,
 			Power: st.Power, Delay: st.Delay,
 		}
-	}
-	if r.Design3D != nil {
-		st := r.Design3D.Stats()
-		v.Design3D = r.Design3D
-		v.Crossbar = CrossbarView{
-			Rows: st.R, Cols: st.C, S: st.S, D: st.D,
-			Area: st.Area, Devices: st.LitCells + st.OnCells,
-			Power: st.Power, Delay: st.Delay,
-			Layers: st.K, LayerWidths: st.Widths,
+		if st.K > 2 {
+			v.Design3D = d
+			v.Crossbar.Layers, v.Crossbar.LayerWidths = st.K, st.Widths
+		} else {
+			v.Design = d
 		}
 	}
 	if p := r.Plan; p != nil {
@@ -191,25 +185,17 @@ func (r *Result) View() ResultView {
 		}
 	}
 	if pl := r.Placement; pl != nil {
-		v.Placement = &PlacementView{
-			Engine:         pl.Engine,
-			RowPerm:        append([]int(nil), pl.RowPerm...),
-			ColPerm:        append([]int(nil), pl.ColPerm...),
-			RepairAttempts: r.RepairAttempts,
-			Defects:        r.Defects.Len(),
-			DefectsDigest:  r.Defects.Digest(),
-		}
-	}
-	if pl := r.Placement3D; pl != nil {
-		pv := &PlacementView{
-			Engine:         pl.Engine,
-			RepairAttempts: r.RepairAttempts,
-		}
-		for _, p := range pl.Perms {
-			pv.LayerPerms = append(pv.LayerPerms, append([]int(nil), p...))
+		pv := &PlacementView{Engine: pl.Engine, RepairAttempts: r.RepairAttempts}
+		if len(pl.Perms) == 2 {
+			pv.RowPerm = append([]int(nil), pl.Perms[0]...)
+			pv.ColPerm = append([]int(nil), pl.Perms[1]...)
+		} else {
+			for _, p := range pl.Perms {
+				pv.LayerPerms = append(pv.LayerPerms, append([]int(nil), p...))
+			}
 		}
 		var digests []string
-		for _, m := range r.DefectMaps3D {
+		for _, m := range r.Defects {
 			pv.Defects += m.Len()
 			digests = append(digests, m.Digest())
 		}

@@ -102,14 +102,14 @@ func Map(t *pla.Table) (*xbar.Design, error) {
 	}
 	// Chains are private, so no crossing is programmed twice; NewDesign
 	// still rejects a second device on one.
-	d, err := xbar.NewDesign(rows, cols, devs)
+	d, err := xbar.NewDesign([]int{rows, cols}, devs)
 	if err != nil {
 		return nil, fmt.Errorf("dnf: %w", err)
 	}
-	d.InputRow = inputRow
+	d.Input = xbar.WireRef{Index: inputRow}
 	d.VarNames = names
 	for o := 0; o < t.NumOut; o++ {
-		d.OutputRows = append(d.OutputRows, o)
+		d.Outputs = append(d.Outputs, xbar.WireRef{Index: o})
 		name := fmt.Sprintf("o%d", o)
 		if o < len(t.OutNames) {
 			name = t.OutNames[o]

@@ -31,8 +31,8 @@ func TestMapSimpleCover(t *testing.T) {
 	if bad := d.VerifyAgainst(nw.Eval, 3, 10, 0, 1); bad != nil {
 		t.Errorf("mismatch on %v", bad)
 	}
-	if d.InputRow != d.Rows-1 || d.OutputRows[0] != 0 {
-		t.Errorf("port placement wrong: in=%d out=%v", d.InputRow, d.OutputRows)
+	if d.Input.Index != d.Rows-1 || d.Outputs[0].Index != 0 {
+		t.Errorf("port placement wrong: in=%v out=%v", d.Input, d.Outputs)
 	}
 }
 

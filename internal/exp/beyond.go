@@ -47,19 +47,13 @@ func Flow3D(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("flow3d %s K=%d: %w", name, k, err)
 			}
-			var s, d, rows, cols, devices int
-			if res.Design3D != nil {
-				st := res.Design3D.Stats()
-				s, d, rows, cols, devices = st.S, st.D, st.R, st.C, st.LitCells+st.OnCells
-			} else {
-				st := res.Stats()
-				s, d, rows, cols, devices = st.S, st.D, st.Rows, st.Cols, st.LitCells+st.OnCells
-			}
+			st := res.Stats()
 			verified := res.FormalVerify(0) == nil && res.Verify(14, 512, 1) == nil
 			t.Rows = append(t.Rows, []string{
-				name, itoa(k), itoa(s), itoa(d), itoa(rows), itoa(cols), itoa(devices), fmt.Sprint(verified),
+				name, itoa(k), itoa(st.S), itoa(st.D), itoa(st.Rows), itoa(st.Cols),
+				itoa(st.LitCells + st.OnCells), fmt.Sprint(verified),
 			})
-			cfg.logf("flow3d %s K=%d: S=%d verified=%v", name, k, s, verified)
+			cfg.logf("flow3d %s K=%d: S=%d verified=%v", name, k, st.S, verified)
 		}
 	}
 	return t, t.Write(cfg, "flow3d")
@@ -130,14 +124,14 @@ func Yield(cfg Config) (*Table, error) {
 // spare bitline, so every placement is compatible and any difference is
 // the electrical secondary objective alone.
 func (c Config) marginAware(nw *logic.Network, d *xbar.Design) (plain, aware float64, err error) {
-	if len(d.OutputRows) == 0 {
+	if len(d.Outputs) == 0 {
 		return 0, 0, fmt.Errorf("design has no output rows")
 	}
 	dm, err := defect.New(d.Rows+1, d.Cols+1)
 	if err != nil {
 		return 0, 0, err
 	}
-	for _, row := range []int{d.InputRow, d.OutputRows[0]} {
+	for _, row := range []int{d.Input.Index, d.Outputs[0].Index} {
 		if err := dm.Set(row, d.Cols, defect.StuckOn); err != nil {
 			return 0, 0, err
 		}
@@ -155,7 +149,7 @@ func (c Config) marginAware(nw *logic.Network, d *xbar.Design) (plain, aware flo
 		}
 		rep, err := spice.MarginContext(c.context(), res.Design, res.Design.Eval,
 			len(res.Design.VarNames), 6, 32,
-			spice.Env{Model: spice.Default(), Defects: dm, Placement: res.Placement}, opts.DefectSeed)
+			spice.Env{Model: spice.Default(), Defects: res.Defects, Placement: res.Placement}, opts.DefectSeed)
 		if err != nil {
 			return 0, 0, err
 		}

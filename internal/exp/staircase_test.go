@@ -131,7 +131,7 @@ func TestStaircaseMultiOutput(t *testing.T) {
 	if bad := d.VerifyAgainst(nw.Eval, 6, 10, 0, 1); bad != nil {
 		t.Errorf("mismatch on %v", bad)
 	}
-	if d.InputRow != d.Rows-1 {
+	if d.Input.Index != d.Rows-1 {
 		t.Errorf("input row not at bottom")
 	}
 }

@@ -105,7 +105,7 @@ func TestFlowmodMarkers(t *testing.T) {
 // TestFlowmodRegressions pins the historical OOM decoders: the pre-fix
 // copies in regress/ must each be flagged by allocbound (the third entry
 // is the layered-decoder shape of the same class, guarded in
-// xbar3d.NewDesign3D).
+// xbar's design constructor, next to each plane allocation).
 func TestFlowmodRegressions(t *testing.T) {
 	prog := loadFlowmod(t)
 	diags := RunAnalyzers(prog, flowmodAnalyzers())

@@ -23,12 +23,10 @@ func DefaultAnalyzers(modPath string) []*Analyzer {
 		modPath + "/internal/labeling",
 		modPath + "/internal/bdd",
 		modPath + "/internal/xbar",
-		modPath + "/internal/xbar3d",
 		modPath + "/internal/spice",
 	}
 	wirePkgs := []string{
 		modPath + "/internal/xbar",
-		modPath + "/internal/xbar3d",
 		modPath + "/internal/defect",
 		modPath + "/internal/partition",
 		modPath + "/internal/server",

@@ -116,7 +116,10 @@ func (p *Plan) MarshalJSON() ([]byte, error) {
 			tw.Outputs = []string{}
 		}
 		if pl := t.Placement; pl != nil {
-			tw.Placement = &placementWire{Engine: pl.Engine, RowPerm: pl.RowPerm, ColPerm: pl.ColPerm}
+			if len(pl.Perms) != 2 {
+				return nil, fmt.Errorf("partition: tile %d (%s) placement binds %d layers, not a 2D tile's 2", i, t.Name, len(pl.Perms))
+			}
+			tw.Placement = &placementWire{Engine: pl.Engine, RowPerm: pl.Perms[0], ColPerm: pl.Perms[1]}
 		}
 		w.Tiles[i] = tw
 	}
@@ -163,6 +166,9 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 		if err := json.Unmarshal(tw.Design, d); err != nil {
 			return fmt.Errorf("partition: tile %d (%s) design: %w", i, tw.Name, err)
 		}
+		if d.K() != 2 {
+			return fmt.Errorf("partition: tile %d (%s) design is a %d-layer stack; tiles are 2D crossbars", i, tw.Name, d.K())
+		}
 		t := Tile{
 			Name:           tw.Name,
 			Inputs:         tw.Inputs,
@@ -178,7 +184,7 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 			if err := validatePerm(pw.ColPerm, d.Cols); err != nil {
 				return fmt.Errorf("partition: tile %d (%s) placement cols: %w", i, tw.Name, err)
 			}
-			t.Placement = &xbar.Placement{Engine: pw.Engine, RowPerm: pw.RowPerm, ColPerm: pw.ColPerm}
+			t.Placement = &xbar.Placement{Engine: pw.Engine, Perms: [][]int{pw.RowPerm, pw.ColPerm}}
 		}
 		if err := wirelimit.CheckCount("repair_attempts", tw.RepairAttempts, 0); err != nil {
 			return fmt.Errorf("partition: tile %d (%s): %v", i, tw.Name, err)

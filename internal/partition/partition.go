@@ -222,7 +222,7 @@ func makeTile(sub *logic.Network, tr *TileResult) (Tile, error) {
 	if got, want := d.NumVars(), sub.NumInputs(); got != want {
 		return Tile{}, fmt.Errorf("partition: tile for %s has %d variables, sub-network %d inputs", sub.Name, got, want)
 	}
-	if got, want := len(d.OutputRows), sub.NumOutputs(); got != want {
+	if got, want := len(d.Outputs), sub.NumOutputs(); got != want {
 		return Tile{}, fmt.Errorf("partition: tile for %s has %d output rows, sub-network %d outputs", sub.Name, got, want)
 	}
 	return Tile{

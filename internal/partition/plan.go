@@ -40,7 +40,7 @@ type OutputRef struct {
 // Tile is one crossbar of the cascade plus its net binding. Inputs holds
 // the net driving each design variable (indexed like Design.VarNames);
 // Outputs holds the net defined by each sensed output row (indexed like
-// Design.OutputRows).
+// Design.Outputs).
 type Tile struct {
 	Name    string
 	Inputs  []string
@@ -152,7 +152,7 @@ func (p *Plan) Validate() error {
 		if got, want := len(t.Inputs), t.Design.NumVars(); got != want {
 			return fmt.Errorf("partition: tile %d (%s) binds %d input nets for %d design variables", ti, t.Name, got, want)
 		}
-		if got, want := len(t.Outputs), len(t.Design.OutputRows); got != want {
+		if got, want := len(t.Outputs), len(t.Design.Outputs); got != want {
 			return fmt.Errorf("partition: tile %d (%s) binds %d output nets for %d output rows", ti, t.Name, got, want)
 		}
 		for vi, net := range t.Inputs {

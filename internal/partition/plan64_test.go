@@ -107,15 +107,15 @@ func wideIdentityPlan(t *testing.T, n int) *partition.Plan {
 	for i := range names {
 		names[i] = fmt.Sprintf("x%d", i)
 	}
-	d, err := xbar.NewDesign(2, 1, []xbar.Device{
+	d, err := xbar.NewDesign([]int{2, 1}, []xbar.Device{
 		{Row: 0, Col: 0, E: xbar.Entry{Kind: xbar.Lit, Var: 0}}, // col 0 -> output row, gated by x0
 		{Row: 1, Col: 0, E: xbar.Entry{Kind: xbar.On}},          // input row -> col 0
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.InputRow = 1
-	d.OutputRows = []int{0}
+	d.Input = xbar.WireRef{Index: 1}
+	d.Outputs = []xbar.WireRef{{Index: 0}}
 	d.OutputNames = []string{"y"}
 	d.VarNames = append([]string(nil), names...)
 	plan := &partition.Plan{

@@ -43,9 +43,9 @@ import (
 // concurrent identical requests join one in-flight analysis. Partitioned
 // results (multi-tile plans) and designs past the nodal solver's size cap
 // are refused with the "margin_unsupported" code (422). Layered requests
-// ("layers" >= 3) run through the 3D nodal solver when the stack is
-// pristine; defect-placed layered stacks have no electrical model and are
-// refused with the same 422 code — never a 500.
+// ("layers" >= 3) run on the same nodal solver when the stack is pristine;
+// defect-placed layered stacks have no electrical model (spice.ErrLayered)
+// and are refused with the same 422 code — never a 500.
 
 // maxSigma bounds the requested log-normal spread. exp(4) is a ~55x
 // resistance swing — far beyond any fabricated device, and enough to keep
@@ -164,7 +164,8 @@ type marginResponse struct {
 }
 
 // errMarginUnsupported marks solve outcomes the margin analyzer cannot
-// simulate (partitioned plans, arrays past the nodal size cap).
+// simulate (partitioned plans, arrays past the nodal size cap,
+// defect-placed layered stacks).
 var errMarginUnsupported = errors.New("margin analysis unsupported for this result")
 
 // marginKey extends the synthesis cache key with the margin parameters,
@@ -251,14 +252,8 @@ func (s *Server) handleMargin(w http.ResponseWriter, r *http.Request) {
 func (s *Server) solveMargin(ctx context.Context, key string, nw *logic.Network,
 	opts core.Options, modelName string, model spice.DeviceModel, v spice.Variation, mcopts spice.MonteCarloOptions) ([]byte, error) {
 	return s.synth(ctx, nw, opts, func(res *core.Result) ([]byte, error) {
-		if res.Plan != nil || (res.Design == nil && res.Design3D == nil) {
+		if res.Plan != nil || res.Design == nil {
 			return nil, fmt.Errorf("%w: partitioned multi-tile plans have no single-array electrical model", errMarginUnsupported)
-		}
-		if res.Design3D != nil && res.Placement3D != nil {
-			// The 3D nodal solver simulates pristine stacks only: layered
-			// defect placement has no electrical model (DESIGN.md §15), so a
-			// defect-placed layered result is a typed refusal, not a 500.
-			return nil, fmt.Errorf("%w: defect-placed layered stacks have no electrical model; rerun without defect options", errMarginUnsupported)
 		}
 
 		// The Monte Carlo runs under the same per-request budget policy as
@@ -266,28 +261,24 @@ func (s *Server) solveMargin(ctx context.Context, key string, nw *logic.Network,
 		mcCtx, cancel := context.WithTimeout(ctx, opts.TimeLimit)
 		defer cancel()
 		mcopts.Workers = s.cfg.Workers
+		st := res.Design.Stats()
 		resp := marginResponse{
 			Key:      key,
 			Model:    modelName,
 			SigmaOn:  v.SigmaOn,
 			SigmaOff: v.SigmaOff,
+			Rows:     st.Rows,
+			Cols:     st.Cols,
+			Placed:   res.Placement != nil,
+		}
+		if st.K > 2 {
+			resp.Layers = st.K
 		}
 		t0 := time.Now()
-		var rep spice.MonteCarloReport
-		var err error
-		if res.Design3D != nil {
-			st := res.Design3D.Stats()
-			resp.Rows, resp.Cols, resp.Layers = st.R, st.C, st.K
-			rep, err = spice.MonteCarlo3DContext(mcCtx, res.Design3D, res.Design3D.Eval,
-				res.Design3D.NumVars(), model, v, mcopts)
-		} else {
-			resp.Rows, resp.Cols = res.Design.Rows, res.Design.Cols
-			resp.Placed = res.Placement != nil
-			env := spice.Env{Model: model, Defects: res.Defects, Placement: res.Placement}
-			rep, err = spice.MonteCarloContext(mcCtx, res.Design, res.Design.Eval, len(res.Design.VarNames), env, v, mcopts)
-		}
+		env := spice.Env{Model: model, Defects: res.Defects, Placement: res.Placement}
+		rep, err := spice.MonteCarloContext(mcCtx, res.Design, res.Design.Eval, len(res.Design.VarNames), env, v, mcopts)
 		s.metrics.marginMillis.Add(float64(time.Since(t0)) / float64(time.Millisecond))
-		if errors.Is(err, spice.ErrTooLarge) {
+		if errors.Is(err, spice.ErrTooLarge) || errors.Is(err, spice.ErrLayered) {
 			return nil, fmt.Errorf("%w: %v", errMarginUnsupported, err)
 		}
 		if err != nil {

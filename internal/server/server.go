@@ -503,7 +503,7 @@ func (s *Server) synth(ctx context.Context, nw *logic.Network, opts core.Options
 		}
 		return nil, err
 	}
-	if res.Placement != nil || res.Placement3D != nil {
+	if res.Placement != nil {
 		s.metrics.placements.Add(1)
 		s.metrics.repairAttempts.Add(int64(res.RepairAttempts))
 	}

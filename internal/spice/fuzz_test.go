@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"compact/internal/xbar"
-	"compact/internal/xbar3d"
 )
 
 // FuzzDenseVsCG is the solver cross-check property: on any valid randomly
@@ -43,16 +42,16 @@ func FuzzDenseVsCG(f *testing.F) {
 				}
 			}
 		}
-		d, err := xbar.NewDesign(rows, cols, devs)
+		d, err := xbar.NewDesign([]int{rows, cols}, devs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.InputRow = int(splitmix64(&state) % uint64(rows))
+		d.Input = xbar.WireRef{Index: int(splitmix64(&state) % uint64(rows))}
 		out := int(splitmix64(&state) % uint64(rows))
-		if out == d.InputRow {
+		if out == d.Input.Index {
 			out = (out + 1) % rows
 		}
-		d.OutputRows = []int{out}
+		d.Outputs = []xbar.WireRef{{Index: out}}
 		d.OutputNames = []string{"f"}
 		d.VarNames = make([]string, nVars)
 		for i := range d.VarNames {
@@ -82,29 +81,6 @@ func FuzzDenseVsCG(f *testing.F) {
 		}
 		g1, b1 := nw.system(assign, nil)
 		g2, b2 := nw.system(assign, nil)
-		if env.Res == nil {
-			// The lifted 2-layer stack is the same network: its assembly
-			// must match the 2D one bit for bit.
-			d3, err := xbar3d.Lift3D(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nw3, err := compile3(d3, env.Model)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g3, b3 := nw3.system(assign, nil)
-			for i := range g1 {
-				if math.Float64bits(b1[i]) != math.Float64bits(b3[i]) {
-					t.Fatalf("node %d: 2D current %v vs lifted %v", i, b1[i], b3[i])
-				}
-				for j := range g1[i] {
-					if math.Float64bits(g1[i][j]) != math.Float64bits(g3[i][j]) {
-						t.Fatalf("G[%d][%d]: 2D %v vs lifted %v", i, j, g1[i][j], g3[i][j])
-					}
-				}
-			}
-		}
 		x1, err := solveDense(g1, b1)
 		if err != nil {
 			t.Fatal(err)

@@ -158,7 +158,7 @@ func goldenReport(t *testing.T) string {
 		goldenLoad(t, name, &pc)
 		d := designs[strings.SplitN(name, "_", 2)[0]]
 		nVars := len(d.VarNames)
-		env := Env{Model: Default(), Defects: pc.Defects, Placement: &xbar.Placement{RowPerm: pc.RowPerm, ColPerm: pc.ColPerm}}
+		env := Env{Model: Default(), Defects: []*defect.Map{pc.Defects}, Placement: &xbar.Placement{Perms: [][]int{pc.RowPerm, pc.ColPerm}}}
 		line("== 2d %s on %dx%d with %d faults", name, pc.Defects.Rows(), pc.Defects.Cols(), pc.Defects.Len())
 		for _, in := range goldenVectors(nVars, 3) {
 			v, err := SimulateEnv(d, in, env)
@@ -191,13 +191,13 @@ func goldenReport(t *testing.T) string {
 		nVars := len(d.VarNames)
 		line("== 3d %s widths=%v", name, d.Widths)
 		for _, in := range goldenVectors(nVars, 3) {
-			v, err := Simulate3D(d, in, Default())
+			v, err := Simulate(d, in, Default())
 			line("simulate %s err=%v v=[%s]", bitString(in), err, bitsList(v))
 		}
-		line("%s", fmtMargin(Margin3DContext(ctx, d, d.Eval, nVars, 7, 12, Default(), 1)))
-		line("%s", fmtMonteCarlo(MonteCarlo3DContext(ctx, d, d.Eval, nVars, HighContrast(), goldenSpread, goldenMC)))
+		line("%s", fmtMargin(MarginContext(ctx, d, d.Eval, nVars, 7, 12, Env{Model: Default()}, 1)))
+		line("%s", fmtMonteCarlo(MonteCarloContext(ctx, d, d.Eval, nVars, Env{Model: HighContrast()}, goldenSpread, goldenMC)))
 		if i == 0 {
-			rep, err := MonteCarlo3DContext(ctx, d, d.Eval, nVars, lowContrast(), goldenHighV, goldenHighMC)
+			rep, err := MonteCarloContext(ctx, d, d.Eval, nVars, Env{Model: lowContrast()}, goldenHighV, goldenHighMC)
 			critical(name, rep, err)
 			line("montecarlo-high %s", fmtMonteCarlo(rep, err))
 		}

@@ -133,18 +133,11 @@ type MonteCarloReport struct {
 
 // MonteCarloContext runs the per-device variation analysis described in
 // the package comment above, in parallel on a bounded worker pool, under
-// the shared-deadline contract.
+// the shared-deadline contract. A K-layer stack draws an independent map
+// per device plane each trial, and its critical cells carry their device
+// plane in Layer.
 func MonteCarloContext(ctx context.Context, d *xbar.Design, ref func([]bool) []bool, nVars int,
 	env Env, v Variation, opts MonteCarloOptions) (MonteCarloReport, error) {
-	return monteCarlo(ctx, func() (*network, error) { return compile(d, env) }, ref, nVars, v, opts)
-}
-
-// monteCarlo is the trial pool behind MonteCarloContext and
-// MonteCarlo3DContext; build compiles the network once the options have
-// been checked.
-func monteCarlo(ctx context.Context, build func() (*network, error), ref func([]bool) []bool, nVars int,
-	v Variation, opts MonteCarloOptions) (MonteCarloReport, error) {
-
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -162,7 +155,7 @@ func monteCarlo(ctx context.Context, build func() (*network, error), ref func([]
 		return MonteCarloReport{}, err
 	}
 	opts = opts.withDefaults()
-	nw, err := build()
+	nw, err := compile(d, env)
 	if err != nil {
 		return MonteCarloReport{}, err
 	}
@@ -306,6 +299,14 @@ func monteCarlo(ctx context.Context, build func() (*network, error), ref func([]
 	rep.WorstMargin = rep.WorstMinOn - rep.WorstMaxOff
 	rep.Critical = topCells(blame, opts.TopCells)
 	return rep, nil
+}
+
+// MonteCarlo3DContext is MonteCarloContext on a clean stack.
+//
+// Deprecated: call MonteCarloContext with Env{Model: base}.
+func MonteCarlo3DContext(ctx context.Context, d *xbar.Design, ref func([]bool) []bool, nVars int,
+	base DeviceModel, v Variation, opts MonteCarloOptions) (MonteCarloReport, error) {
+	return MonteCarloContext(ctx, d, ref, nVars, Env{Model: base}, v, opts)
 }
 
 // blameTrial charges the devices most plausibly responsible for a failing

@@ -17,15 +17,15 @@ import (
 // and the literal cell. Small enough that every electrical effect is
 // hand-checkable.
 func wireDesign() (*xbar.Design, func([]bool) []bool) {
-	d, err := xbar.NewDesign(2, 1, []xbar.Device{
+	d, err := xbar.NewDesign([]int{2, 1}, []xbar.Device{
 		{Row: 0, Col: 0, E: xbar.Entry{Kind: xbar.Lit, Var: 0}},
 		{Row: 1, Col: 0, E: xbar.Entry{Kind: xbar.On}},
 	})
 	if err != nil {
 		panic(err)
 	}
-	d.InputRow = 1
-	d.OutputRows = []int{0}
+	d.Input = xbar.WireRef{Index: 1}
+	d.Outputs = []xbar.WireRef{{Index: 0}}
 	d.OutputNames = []string{"f"}
 	d.VarNames = []string{"a"}
 	return d, func(in []bool) []bool { return []bool{in[0]} }
@@ -250,7 +250,7 @@ func TestBridgeSneakPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bridged, err := SimulateEnv(d, off, Env{Model: model, Defects: dm})
+	bridged, err := SimulateEnv(d, off, Env{Model: model, Defects: []*defect.Map{dm}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +272,8 @@ func TestBridgeSneakPath(t *testing.T) {
 	// the bridge chain dangling: device (0,1) ties spare bitline 1 to the
 	// input, device (1,1) only chains on the spare wordline 1 — no path to
 	// the output.
-	alt := &xbar.Placement{RowPerm: []int{2, 0}, ColPerm: []int{0}, Engine: "test"}
-	moved, err := SimulateEnv(d, off, Env{Model: model, Defects: dm, Placement: alt})
+	alt := &xbar.Placement{Perms: [][]int{{2, 0}, {0}}, Engine: "test"}
+	moved, err := SimulateEnv(d, off, Env{Model: model, Defects: []*defect.Map{dm}, Placement: alt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestStuckOverrideOnUsedCrossing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stuck, err := SimulateEnv(d, off, Env{Model: model, Defects: dm})
+	stuck, err := SimulateEnv(d, off, Env{Model: model, Defects: []*defect.Map{dm}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestMonteCarloEnvPlacedMatchesIdentity(t *testing.T) {
 	for i := range idCols {
 		idCols[i] = i
 	}
-	pl := &xbar.Placement{RowPerm: idRows, ColPerm: idCols, Engine: "identity"}
+	pl := &xbar.Placement{Perms: [][]int{idRows, idCols}, Engine: "identity"}
 	opts := MonteCarloOptions{Trials: 8, Vectors: 8, Seed: 5}
 	v := Variation{SigmaOn: 0.3, SigmaOff: 0.3}
 	plain, err := MonteCarloContext(context.Background(), d, nw.Eval, 3, Env{Model: Default()}, v, opts)
@@ -340,7 +340,7 @@ func TestMonteCarloEnvPlacedMatchesIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	placed, err := MonteCarloContext(context.Background(), d, nw.Eval, 3,
-		Env{Model: Default(), Defects: dm, Placement: pl}, v, opts)
+		Env{Model: Default(), Defects: []*defect.Map{dm}, Placement: pl}, v, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

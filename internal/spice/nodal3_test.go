@@ -8,15 +8,15 @@ import (
 	"testing"
 
 	"compact/internal/bdd"
+	"compact/internal/defect"
 	"compact/internal/labeling"
 	"compact/internal/logic"
 	"compact/internal/xbar"
-	"compact/internal/xbar3d"
 )
 
 // synth3 runs the layered pipeline with natural variable order:
-// BDD -> graph -> K-labeling -> Map3D.
-func synth3(t *testing.T, nw *logic.Network, k int) *xbar3d.Design3D {
+// BDD -> graph -> K-labeling -> MapStack.
+func synth3(t *testing.T, nw *logic.Network, k int) *xbar.Design {
 	t.Helper()
 	m, roots, err := bdd.BuildNetwork(nw, nil, 0)
 	if err != nil {
@@ -32,20 +32,37 @@ func synth3(t *testing.T, nw *logic.Network, k int) *xbar3d.Design3D {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := xbar3d.Map3D(bg, sol)
+	d, err := xbar.MapStack(bg, sol.K, sol.Lo, sol.Hi)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
 }
 
-// TestSimulate3DLiftMatches2D pins the 2D/3D consistency: lifting a 2D
-// design to a 2-layer stack must reproduce the 2D nodal voltages and the
-// 2D margin report bit for bit — both compile to the same network.
+// TestSimulate3DLiftMatches2D pins the 2D/stack consistency: a 2D
+// labeling lifted to layer intervals and mapped as a two-layer stack
+// (xbar.MapStack) must reproduce the voltages and the margin report of
+// the 2D mapping (xbar.Map) bit for bit.
 func TestSimulate3DLiftMatches2D(t *testing.T) {
 	nw := fig2()
-	d2 := synth(t, nw)
-	d3, err := xbar3d.Lift3D(d2)
+	m, roots, err := bdd.BuildNetwork(nw, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg, err := xbar.FromBDD(m, roots, nw.OutputNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := labeling.SolveContext(context.Background(), bg.Problem(true), labeling.Options{Method: labeling.MethodMIP, Gamma: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := xbar.Map(bg, sol.Labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := labeling.LiftLabels(sol.Labels)
+	d3, err := xbar.MapStack(bg, 2, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +74,7 @@ func TestSimulate3DLiftMatches2D(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v3, err := Simulate3D(d3, assign, model)
+		v3, err := Simulate(d3, assign, model)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +83,7 @@ func TestSimulate3DLiftMatches2D(t *testing.T) {
 		}
 		for o := range v2 {
 			if math.Float64bits(v2[o]) != math.Float64bits(v3[o]) {
-				t.Errorf("assignment %03b output %d: 2D %v vs 3D %v", a, o, v2[o], v3[o])
+				t.Errorf("assignment %03b output %d: Map %v vs MapStack %v", a, o, v2[o], v3[o])
 			}
 		}
 	}
@@ -77,15 +94,41 @@ func TestSimulate3DLiftMatches2D(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m3, err := Margin3DContext(ctx, d3, d3.Eval, 3, limit, 16, model, 1)
+		m3, err := MarginContext(ctx, d3, d3.Eval, 3, limit, 16, Env{Model: model}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m2.Checked != m3.Checked || m2.Separable != m3.Separable ||
 			math.Float64bits(m2.MinOn) != math.Float64bits(m3.MinOn) ||
 			math.Float64bits(m2.MaxOff) != math.Float64bits(m3.MaxOff) {
-			t.Errorf("exhaustive limit %d: 2D margin %+v vs lifted %+v", limit, m2, m3)
+			t.Errorf("exhaustive limit %d: Map margin %+v vs MapStack %+v", limit, m2, m3)
 		}
+	}
+}
+
+// TestLayeredEnvRefused pins the typed refusal: a K-layer stack has no
+// electrical model for defect maps, placements or resistance maps.
+func TestLayeredEnvRefused(t *testing.T) {
+	d := synth3(t, fig2(), 3)
+	dm, err := defect.New(d.Widths[1], d.Widths[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SampleResistances(d.Widths[0], d.Widths[1], Default(), Variation{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, env := range map[string]Env{
+		"defects":     {Model: Default(), Defects: []*defect.Map{nil, dm}},
+		"placement":   {Model: Default(), Placement: &xbar.Placement{}},
+		"resistances": {Model: Default(), Res: res},
+	} {
+		if _, err := SimulateEnv(d, make([]bool, 3), env); !errors.Is(err, ErrLayered) {
+			t.Errorf("%s: got %v, want ErrLayered", name, err)
+		}
+	}
+	if _, err := SimulateEnv(d, make([]bool, 3), Env{Model: Default(), Defects: make([]*defect.Map, 2)}); err != nil {
+		t.Errorf("nil defect maps are a clean stack: %v", err)
 	}
 }
 
@@ -93,7 +136,7 @@ func TestMargin3DSeparableAcrossK(t *testing.T) {
 	nw := fig2()
 	for k := 2; k <= 4; k++ {
 		d := synth3(t, nw, k)
-		rep, err := Margin3DContext(context.Background(), d, nw.Eval, 3, 8, 0, Default(), 1)
+		rep, err := MarginContext(context.Background(), d, nw.Eval, 3, 8, 0, Env{Model: Default()}, 1)
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
@@ -148,8 +191,8 @@ func TestMonteCarlo3DCriticalLayers(t *testing.T) {
 		t.Fatal("failing trials but no critical cells")
 	}
 	for _, c := range rep.Critical {
-		if c.Layer < 0 || c.Layer >= len(d.Cells) {
-			t.Errorf("critical cell plane %d outside 0..%d", c.Layer, len(d.Cells)-1)
+		if c.Layer < 0 || c.Layer >= len(d.Planes) {
+			t.Errorf("critical cell plane %d outside 0..%d", c.Layer, len(d.Planes)-1)
 		} else if c.Row < 0 || c.Row >= d.Widths[c.Layer] || c.Col < 0 || c.Col >= d.Widths[c.Layer+1] {
 			t.Errorf("critical cell (%d,%d,%d) outside plane %dx%d",
 				c.Layer, c.Row, c.Col, d.Widths[c.Layer], d.Widths[c.Layer+1])
@@ -166,11 +209,11 @@ func TestMonteCarlo3DCriticalLayers(t *testing.T) {
 }
 
 func TestCompile3TooLarge(t *testing.T) {
-	d, err := xbar3d.NewDesign3D([]int{maxNodes + 1, 1})
+	d, err := xbar.NewDesign([]int{maxNodes + 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cerr := Simulate3D(d, nil, Default())
+	_, cerr := Simulate(d, nil, Default())
 	if !errors.Is(cerr, ErrTooLarge) {
 		t.Fatalf("got %v, want ErrTooLarge", cerr)
 	}

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"compact/internal/defect"
 	"compact/internal/xbar"
@@ -74,11 +75,21 @@ const maxNodes = 6000
 // pattern-matching message text.
 var ErrTooLarge = errors.New("design exceeds the dense nodal solver limit")
 
+// ErrLayered marks a K-layer stack (K >= 3) simulated with defect maps, a
+// placement or a resistance map: the layered placement story (per-plane
+// fault maps, spare-line bridges that can span planes) has a logical model
+// in xbar.Stack.Place but no electrical one yet, and a margin number that
+// silently ignored the faults it was asked about would be worse than a
+// typed refusal. Service layers map it to a typed unsupported error.
+var ErrLayered = errors.New("spice: K-layer stacks are simulated clean only: no electrical model for defect maps, placements or resistance maps")
+
 // Env describes the electrical context of one simulation: the device
 // model, optional per-device resistances, and the physical-array context
-// (defect map + placement) whose stuck-ON faults become analog effects.
+// (defect maps + placement) whose stuck-ON faults become analog effects.
 // The zero Model is invalid; everything else defaults to "nominal devices
-// on an array exactly the design's size".
+// on an array exactly the design's size". Only 2D designs take a physical
+// context: a K-layer stack given Res, Defects or Placement is refused with
+// ErrLayered.
 type Env struct {
 	// Model supplies the nominal device parameters and the drive/sense
 	// configuration.
@@ -87,21 +98,21 @@ type Env struct {
 	// every device nominal). Its dimensions must match the physical array:
 	// the defect map's when Defects is set, the design's otherwise.
 	Res *ResistanceMap
-	// Defects is the physical array context. Stuck devices override the
-	// conductance of the cells placed on them, and stuck-ON devices on
-	// used×spare crossings tie the spare line in as a sneak-path bridge.
-	// nil means the array is exactly the design with no faults.
-	Defects *defect.Map
+	// Defects is the physical array context, one map per device plane
+	// (a 2D design has one). Stuck devices override the conductance of the
+	// cells placed on them, and stuck-ON devices on used×spare crossings
+	// tie the spare line in as a sneak-path bridge. nil (or a nil map)
+	// means the array is exactly the design with no faults.
+	Defects []*defect.Map
 	// Placement binds logical lines to physical ones (nil = identity).
 	Placement *xbar.Placement
 }
 
 // network is a compiled simulation — everything that does not change
 // between assignments or Monte Carlo trials: the node space, the driven
-// and sensed nodes, and the device planes that join the nodes. Both design
-// kinds compile to it: a 2D design (compile) is one plane over its placed
-// physical array, a K-layer stack (compile3) is one plane per adjacent
-// wire-layer pair. simulate is re-entrant: concurrent trials share one
+// and sensed nodes, and the device planes that join the nodes, one per
+// device plane of the design, over the design's wire numbering
+// (xbar.Design.Wires). simulate is re-entrant: concurrent trials share one
 // network.
 type network struct {
 	model   DeviceModel
@@ -158,60 +169,117 @@ func checkLinePerm(what string, perm []int, bound int) error {
 	return nil
 }
 
-// compile validates the Env against the design and precomputes the placed
-// node space, stuck overrides and bridge topology: one plane whose rows
-// are nodes 0..Rows-1 and whose columns follow them.
+// compile validates the model, the design (its compiled wire graph's Err
+// covers the plane shapes, the wire references and corrupted cells) and
+// the Env, and compiles one plane per device plane: plane p joins the
+// wires of layer p (rows) to those of layer p+1 (columns). A 2D design's
+// plane lands on its placed physical array, with the stuck overrides and
+// bridge topology of Env.Defects; a K-layer stack is simulated clean.
 func compile(d *xbar.Design, env Env) (*network, error) {
 	if err := env.Model.Validate(); err != nil {
 		return nil, err
 	}
-	physRows, physCols := d.Rows, d.Cols
-	if env.Defects != nil {
-		physRows, physCols = env.Defects.Rows(), env.Defects.Cols()
+	w := d.Wires()
+	if w.Err != nil {
+		return nil, fmt.Errorf("spice: %w", w.Err)
 	}
-	pl := plane{cells: d.Cells, colBase: d.Rows}
-	if p := env.Placement; p != nil {
-		if len(p.RowPerm) != d.Rows || len(p.ColPerm) != d.Cols {
-			return nil, fmt.Errorf("spice: placement shape %dx%d does not match the %dx%d design",
-				len(p.RowPerm), len(p.ColPerm), d.Rows, d.Cols)
+	nw := &network{model: env.Model, n: w.N, input: w.Input, outputs: w.Outputs}
+	if d.K() > 2 {
+		if env.Res != nil || env.Placement != nil || slices.ContainsFunc(env.Defects, func(m *defect.Map) bool { return m != nil }) {
+			return nil, ErrLayered
 		}
-		pl.rowPhys, pl.colPhys = p.RowPerm, p.ColPerm
+		base := 0
+		for p, cells := range d.Planes {
+			nw.planes = append(nw.planes, plane{cells: cells, rowBase: base, colBase: base + d.Widths[p]})
+			base += d.Widths[p]
+		}
+		nw.sample = func(v Variation, seed uint64) ([]*ResistanceMap, error) {
+			return samplePlaneRes(d, env.Model, v, seed)
+		}
+	} else if err := nw.place(d, env); err != nil {
+		return nil, err
+	}
+	if nw.n > maxNodes {
+		return nil, fmt.Errorf("spice: %d nanowire nodes exceed the %d-node cap: %w", nw.n, maxNodes, ErrTooLarge)
+	}
+	return nw, nil
+}
+
+// place compiles a 2D design's one plane onto its physical array: the
+// placement's line maps, per-device resistances, and the stuck overrides
+// and spare-line bridges of its defect map.
+func (nw *network) place(d *xbar.Design, env Env) error {
+	var dm *defect.Map
+	if len(env.Defects) > 1 {
+		return fmt.Errorf("spice: %d defect maps for a design with one device plane", len(env.Defects))
+	} else if len(env.Defects) == 1 {
+		dm = env.Defects[0]
+	}
+	physRows, physCols := d.Rows, d.Cols
+	if dm != nil {
+		physRows, physCols = dm.Rows(), dm.Cols()
+	}
+	pl := plane{cells: d.Planes[0], colBase: d.Rows}
+	if p := env.Placement; p != nil {
+		if len(p.Perms) != 2 || len(p.Perms[0]) != d.Rows || len(p.Perms[1]) != d.Cols {
+			return fmt.Errorf("spice: placement does not bind the %dx%d design's rows and columns", d.Rows, d.Cols)
+		}
+		pl.rowPhys, pl.colPhys = p.Perms[0], p.Perms[1]
 	} else {
 		if physRows < d.Rows || physCols < d.Cols {
-			return nil, fmt.Errorf("spice: %dx%d design does not fit the %dx%d physical array",
+			return fmt.Errorf("spice: %dx%d design does not fit the %dx%d physical array",
 				d.Rows, d.Cols, physRows, physCols)
 		}
 		pl.rowPhys, pl.colPhys = identityPerm(d.Rows), identityPerm(d.Cols)
 	}
 	if err := checkLinePerm("wordline", pl.rowPhys, physRows); err != nil {
-		return nil, err
+		return err
 	}
 	if err := checkLinePerm("bitline", pl.colPhys, physCols); err != nil {
-		return nil, err
+		return err
 	}
-	nw := &network{model: env.Model, n: d.Rows + d.Cols, input: d.InputRow, outputs: d.OutputRows}
 	if env.Res != nil {
 		if err := env.Res.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 		if env.Res.Rows != physRows || env.Res.Cols != physCols {
-			return nil, fmt.Errorf("spice: resistance map %dx%d does not match the %dx%d physical array",
+			return fmt.Errorf("spice: resistance map %dx%d does not match the %dx%d physical array",
 				env.Res.Rows, env.Res.Cols, physRows, physCols)
 		}
 		nw.res = []*ResistanceMap{env.Res}
 	}
-	if env.Defects.Len() > 0 {
-		nw.n = pl.compileDefects(env.Defects, d.Rows, d.Cols)
-	}
-	if nw.n > maxNodes {
-		return nil, fmt.Errorf("spice: %d nanowire nodes exceed the %d-node cap: %w", nw.n, maxNodes, ErrTooLarge)
+	if dm.Len() > 0 {
+		nw.n = pl.compileDefects(dm, d.Rows, d.Cols)
 	}
 	nw.planes = []plane{pl}
 	nw.sample = func(v Variation, seed uint64) ([]*ResistanceMap, error) {
 		m, err := SampleResistances(physRows, physCols, env.Model, v, seed)
 		return []*ResistanceMap{m}, err
 	}
-	return nw, nil
+	return nil
+}
+
+// samplePlaneRes draws one concrete stack: an independent log-normal
+// resistance map per device plane, plane seeds derived from the trial seed
+// through the splitmix64 stream so no two (trial, plane) pairs share a
+// stream. Zero-extent planes get a nil entry but still consume a seed, so
+// their presence never shifts another plane's draw.
+func samplePlaneRes(d *xbar.Design, base DeviceModel, v Variation, trialSeed uint64) ([]*ResistanceMap, error) {
+	res := make([]*ResistanceMap, len(d.Planes))
+	state := trialSeed
+	for p := range d.Planes {
+		planeSeed := splitmix64(&state)
+		rows, cols := d.Widths[p], d.Widths[p+1]
+		if rows == 0 || cols == 0 {
+			continue
+		}
+		m, err := SampleResistances(rows, cols, base, v, planeSeed)
+		if err != nil {
+			return nil, err
+		}
+		res[p] = m
+	}
+	return res, nil
 }
 
 // compileDefects records stuck-state overrides for cells placed on faulty
@@ -445,10 +513,9 @@ func (nw *network) simulate(assignment []bool, res []*ResistanceMap) ([]float64,
 	return out, nil
 }
 
-// Simulate computes the voltage on every output wordline of the programmed
+// Simulate computes the voltage on every output wire of the programmed
 // crossbar under the given assignment (indexed by Entry.Var), with nominal
-// devices on a fault-free array. The returned slice parallels
-// d.OutputRows.
+// devices on a fault-free array. The returned slice parallels d.Outputs.
 func Simulate(d *xbar.Design, assignment []bool, model DeviceModel) ([]float64, error) {
 	return SimulateEnv(d, assignment, Env{Model: model})
 }
@@ -611,7 +678,7 @@ func MarginContext(ctx context.Context, d *xbar.Design, ref func([]bool) []bool,
 	return nw.margin(ctx, ref, nVars, exhaustiveLimit, samples, seed)
 }
 
-// margin is the sweep behind MarginContext and Margin3DContext.
+// margin is the sweep behind MarginContext.
 func (nw *network) margin(ctx context.Context, ref func([]bool) []bool, nVars, exhaustiveLimit, samples int, seed uint64) (MarginReport, error) {
 	if ctx == nil {
 		ctx = context.Background()

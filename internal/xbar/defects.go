@@ -96,21 +96,37 @@ func (s Stack) UnderDefects(perms [][]int) ([]Plane, error) {
 }
 
 // UnderDefects returns the effective design the physical array computes:
-// d placed by pl (identity when nil) onto dm, as Stack.UnderDefects. The
-// result is a deep copy; the receiver is unchanged.
-func (d *Design) UnderDefects(dm *defect.Map, pl *Placement) (*Design, error) {
+// d placed by pl (identity when nil) onto the planes maps describes (one
+// map per device plane, nil for a fault-free plane), as
+// Stack.UnderDefects. The result is a deep copy; the receiver is
+// unchanged.
+func (d *Design) UnderDefects(maps []*defect.Map, pl *Placement) (*Design, error) {
 	var perms [][]int
 	if pl != nil {
-		perms = [][]int{pl.RowPerm, pl.ColPerm}
+		perms = pl.Perms
 	}
-	planes, err := d.Stack(dm).UnderDefects(perms)
+	planes, err := d.Stack(maps).UnderDefects(perms)
 	if err != nil {
 		return nil, err
 	}
-	return &Design{
-		Rows: d.Rows, Cols: d.Cols, Cells: planes[0], InputRow: d.InputRow,
-		OutputRows:  append([]int(nil), d.OutputRows...),
+	return d.withPlanes(planes), nil
+}
+
+// Clone deep-copies the design (the compiled wire graph is not shared).
+func (d *Design) Clone() *Design {
+	planes := make([]Plane, len(d.Planes))
+	for p := range d.Planes {
+		planes[p] = d.Planes[p].With(nil)
+	}
+	return d.withPlanes(planes)
+}
+
+// withPlanes copies the design around the given planes.
+func (d *Design) withPlanes(planes []Plane) *Design {
+	return &Design{Rows: d.Rows, Cols: d.Cols, Widths: append([]int(nil), d.Widths...), Planes: planes,
+		Input:       d.Input,
+		Outputs:     append([]WireRef(nil), d.Outputs...),
 		OutputNames: append([]string(nil), d.OutputNames...),
 		VarNames:    append([]string(nil), d.VarNames...),
-	}, nil
+	}
 }

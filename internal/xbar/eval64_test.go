@@ -13,16 +13,16 @@ func randomDesign(rng *rand.Rand, rows, cols, nVars int) *Design {
 		for c := 0; c < cols; c++ {
 			switch rng.Intn(6) {
 			case 0:
-				setCell(&d.Cells, r, c, Entry{Kind: On})
+				setCell(&d.Planes[0], r, c, Entry{Kind: On})
 			case 1, 2:
-				setCell(&d.Cells, r, c, Entry{Kind: Lit, Var: int32(rng.Intn(nVars)), Neg: rng.Intn(2) == 0})
+				setCell(&d.Planes[0], r, c, Entry{Kind: Lit, Var: int32(rng.Intn(nVars)), Neg: rng.Intn(2) == 0})
 			}
 		}
 	}
-	d.InputRow = rng.Intn(rows)
+	d.Input = WireRef{Index: rng.Intn(rows)}
 	nOut := 1 + rng.Intn(3)
 	for i := 0; i < nOut; i++ {
-		d.OutputRows = append(d.OutputRows, rng.Intn(rows))
+		d.Outputs = append(d.Outputs, WireRef{Index: rng.Intn(rows)})
 	}
 	return d
 }
@@ -176,7 +176,7 @@ func TestVerifyAgainst64MatchesScalarRef(t *testing.T) {
 			return out
 		}
 		ref64 := func(words []uint64) []uint64 {
-			out := make([]uint64, len(d.OutputRows))
+			out := make([]uint64, len(d.Outputs))
 			in := make([]bool, nVars)
 			for b := 0; b < 64; b++ {
 				for i := range in {
@@ -209,8 +209,8 @@ func TestVerifyAgainstOverflowClamp(t *testing.T) {
 	// Two disconnected rows: output row 0 never reaches input row 1, so the
 	// design computes constant false; the reference says constant true.
 	d := testDesign(2, 1)
-	d.InputRow = 1
-	d.OutputRows = []int{0}
+	d.Input = WireRef{Index: 1}
+	d.Outputs = rowRefs(0)
 	ref := func(in []bool) []bool { return []bool{true} }
 	for _, nVars := range []int{63, 64, 40} {
 		if bad := d.VerifyAgainst(ref, nVars, 100, 0, 1); bad == nil {
@@ -232,9 +232,9 @@ func TestVerifyAgainstOverflowClamp(t *testing.T) {
 func TestCorruptedCellsFailLoudly(t *testing.T) {
 	mk := func(e Entry) *Design {
 		d := testDesign(2, 1)
-		d.InputRow = 1
-		d.OutputRows = []int{0}
-		setCell(&d.Cells, 0, 0, e)
+		d.Input = WireRef{Index: 1}
+		d.Outputs = rowRefs(0)
+		setCell(&d.Planes[0], 0, 0, e)
 		return d
 	}
 	for name, e := range map[string]Entry{

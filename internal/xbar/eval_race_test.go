@@ -10,12 +10,12 @@ import (
 // bitline chain.
 func andDesign() *Design {
 	d := testDesign(3, 2)
-	setCell(&d.Cells, 2, 0, Entry{Kind: Lit, Var: 0}) // input row -> bitline 0 via a
-	setCell(&d.Cells, 1, 0, Entry{Kind: Lit, Var: 1}) // bitline 0 -> middle row via b
-	setCell(&d.Cells, 1, 1, Entry{Kind: On})          // middle row -> bitline 1
-	setCell(&d.Cells, 0, 1, Entry{Kind: On})          // bitline 1 -> output row
-	d.InputRow = 2
-	d.OutputRows = []int{0}
+	setCell(&d.Planes[0], 2, 0, Entry{Kind: Lit, Var: 0}) // input row -> bitline 0 via a
+	setCell(&d.Planes[0], 1, 0, Entry{Kind: Lit, Var: 1}) // bitline 0 -> middle row via b
+	setCell(&d.Planes[0], 1, 1, Entry{Kind: On})          // middle row -> bitline 1
+	setCell(&d.Planes[0], 0, 1, Entry{Kind: On})          // bitline 1 -> output row
+	d.Input = WireRef{Index: 2}
+	d.Outputs = rowRefs(0)
 	return d
 }
 

@@ -56,12 +56,12 @@ func TestFormalVerifyCatchesFaults(t *testing.T) {
 		d := synthRemapped(t, nw, labeling.MethodHeuristic)
 		for r := 0; r < d.Rows && injected < 60; r++ {
 			for c := 0; c < d.Cols; c++ {
-				if d.Cells.At(r, c).Kind != Lit {
+				if d.Planes[0].At(r, c).Kind != Lit {
 					continue
 				}
 				injected++
 				fresh := synthRemapped(t, nw, labeling.MethodHeuristic)
-				flipCell(&fresh.Cells, r, c)
+				flipCell(&fresh.Planes[0], r, c)
 				if err := FormalVerify(fresh, nw, 0); err != nil {
 					caught++
 				}
@@ -83,10 +83,10 @@ func TestFormalVerifyCatchesFaults(t *testing.T) {
 outer:
 	for r := 0; r < d.Rows; r++ {
 		for c := 0; c < d.Cols; c++ {
-			if d.Cells.At(r, c).Kind != Lit {
+			if d.Planes[0].At(r, c).Kind != Lit {
 				continue
 			}
-			flipCell(&d.Cells, r, c)
+			flipCell(&d.Planes[0], r, c)
 			d.wires.Store(nil)
 			sampledBad := d.VerifyAgainst(nw.Eval, 5, 10, 0, 1) != nil
 			formalErr := FormalVerify(d, nw, 0)
@@ -105,8 +105,8 @@ func TestFormalVerifyWitnessIsReal(t *testing.T) {
 	d := synthRemapped(t, nw, labeling.MethodMIP)
 	for r := 0; r < d.Rows; r++ {
 		for c := 0; c < d.Cols; c++ {
-			if d.Cells.At(r, c).Kind == Lit {
-				flipCell(&d.Cells, r, c)
+			if d.Planes[0].At(r, c).Kind == Lit {
+				flipCell(&d.Planes[0], r, c)
 				d.wires.Store(nil)
 				err := FormalVerify(d, nw, 0)
 				if err == nil {
@@ -166,8 +166,8 @@ func TestFormalVerifyWitnessInInputOrder(t *testing.T) {
 		t.Fatalf("DFS order %v does not put b first", got)
 	}
 	d := testDesign(2, 1) // no devices: the output reads constant 0
-	d.InputRow = 1
-	d.OutputRows = []int{0}
+	d.Input = WireRef{Index: 1}
+	d.Outputs = rowRefs(0)
 	d.VarNames = nw.InputNames()
 	err := FormalVerify(d, nw, 0)
 	if err == nil || !strings.Contains(err.Error(), "on input [false true]") {

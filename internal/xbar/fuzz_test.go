@@ -11,11 +11,13 @@ import (
 	"compact/internal/invariant"
 )
 
-// FuzzDesignJSON asserts that decoding arbitrary bytes as a Design never
-// panics, that any design the decoder accepts can be evaluated safely
-// (Eval with a NumVars-sized assignment, EvalChecked with a deliberately
-// short one), and that accepted designs survive an encode → decode round
-// trip byte-for-byte.
+// FuzzDesignJSON asserts that decoding arbitrary bytes as a Design — the
+// crossbar body or the layered one — never panics or over-allocates
+// (every wire-declared dimension is bounded before allocation), that any
+// accepted design evaluates safely with the scalar and word-parallel
+// evaluators agreeing (Eval with a NumVars-sized assignment, EvalChecked
+// with a deliberately short one), and that accepted designs survive an
+// encode → decode round trip byte-for-byte.
 func FuzzDesignJSON(f *testing.F) {
 	seeds := []string{
 		`{"v":1,"rows":2,"cols":2,"input_row":1,"output_rows":[0],"cells":[{"r":0,"c":0,"k":"lit","var":0},{"r":1,"c":0,"k":"on"}]}`,
@@ -36,6 +38,18 @@ func FuzzDesignJSON(f *testing.F) {
 		`not json`,
 		`{}`,
 		`[]`,
+		// Layered bodies: two- and three-layer stacks, accepted and
+		// rejected (layer flood, width bombs, odd-layer and out-of-range
+		// references, a cell on a missing plane).
+		`{"v":1,"widths":[2,2],"input":{"l":0,"i":1},"outputs":[{"l":0,"i":0}],"cells":[{"d":0,"r":0,"c":0,"k":"lit","var":0},{"d":0,"r":1,"c":0,"k":"on"}]}`,
+		`{"v":1,"widths":[2,2,2],"input":{"l":0,"i":0},"outputs":[{"l":2,"i":1}],"var_names":["a","b"],"cells":[{"d":0,"r":0,"c":1,"k":"lit","var":1,"neg":true},{"d":1,"r":1,"c":1,"k":"on"}]}`,
+		`{"v":1,"widths":[1,1,1],"input":{"l":0,"i":0},"outputs":[{"l":2,"i":0}],"cells":[{"d":1,"r":0,"c":0,"k":"lit","var":1000}]}`,
+		`{"v":1,"widths":[4]}`,
+		`{"v":1,"widths":[1,1,1,1,1,1,1,1,1]}`,
+		`{"v":1,"widths":[2147483647,2],"input":{"l":0,"i":0},"outputs":[],"cells":[]}`,
+		`{"v":1,"widths":[65536,65536,65536],"input":{"l":0,"i":0},"outputs":[],"cells":[]}`,
+		`{"v":1,"widths":[2,2,2],"input":{"l":0,"i":0},"outputs":[{"l":1,"i":0}],"cells":[]}`,
+		`{"v":1,"widths":[2,2],"input":{"l":0,"i":0},"outputs":[],"cells":[{"d":1,"r":0,"c":0,"k":"on"}]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -45,17 +59,34 @@ func FuzzDesignJSON(f *testing.F) {
 		if err := json.Unmarshal(data, &d); err != nil {
 			return
 		}
-		// Accepted designs must be evaluable with a sufficient assignment…
-		if len(d.OutputRows) > 0 || d.Rows > 0 {
-			out := d.Eval(make([]bool, d.NumVars()))
-			if len(out) != len(d.OutputRows) {
-				t.Fatalf("Eval returned %d outputs for %d output rows", len(out), len(d.OutputRows))
+		// Accepted designs must evaluate with a sufficient assignment, and
+		// the word-parallel sweep must agree with the scalar oracle on the
+		// all-false and all-true assignments…
+		n := d.NumVars()
+		for _, bit := range []bool{false, true} {
+			in := make([]bool, n)
+			words := make([]uint64, n)
+			for i := range in {
+				in[i] = bit
+				if bit {
+					words[i] = ^uint64(0)
+				}
+			}
+			want := d.Eval(in)
+			if len(want) != len(d.Outputs) {
+				t.Fatalf("Eval returned %d outputs for %d outputs", len(want), len(d.Outputs))
+			}
+			got := d.Eval64(words)
+			for o := range want {
+				if want[o] != (got[o]&1 == 1) {
+					t.Fatalf("scalar/word disagreement on output %d under all-%v", o, bit)
+				}
 			}
 		}
 		// …and a short assignment must fail closed, never panic. (NumVars
 		// also counts named-but-unreferenced variables, which EvalChecked
 		// does not require the assignment to cover — hence the Lit scan.)
-		if lits, _ := d.Cells.Counts(); lits > 0 {
+		if lits := d.Stats().LitCells; lits > 0 {
 			if _, err := d.EvalChecked(nil); err == nil {
 				t.Fatal("EvalChecked accepted a nil assignment for a design with literals")
 			}
@@ -134,9 +165,9 @@ func bytesDesign(data []byte) (*Design, int) {
 	}
 	rows, cols, nVars := 1+int(data[0]%6), 1+int(data[1]%6), 1+int(data[2]%6)
 	d := testDesign(rows, cols)
-	d.InputRow = int(data[3]) % rows
+	d.Input = WireRef{Index: int(data[3]) % rows}
 	for r := 0; r < rows; r++ {
-		d.OutputRows = append(d.OutputRows, r)
+		d.Outputs = append(d.Outputs, WireRef{Index: r})
 	}
 	for i, b := range data[4:] {
 		if i >= rows*cols {
@@ -144,9 +175,9 @@ func bytesDesign(data []byte) (*Design, int) {
 		}
 		switch b % 3 {
 		case 1:
-			setCell(&d.Cells, i/cols, i%cols, Entry{Kind: On})
+			setCell(&d.Planes[0], i/cols, i%cols, Entry{Kind: On})
 		case 2:
-			setCell(&d.Cells, i/cols, i%cols, Entry{Kind: Lit, Var: int32(int(b/3) % nVars), Neg: b >= 128})
+			setCell(&d.Planes[0], i/cols, i%cols, Entry{Kind: Lit, Var: int32(int(b/3) % nVars), Neg: b >= 128})
 		}
 	}
 	return d, nVars

@@ -1,7 +1,9 @@
 package xbar
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -16,8 +18,8 @@ func fig2Design() *Design {
 		Device{2, 1, Entry{Kind: Lit, Var: 2}},
 		Device{3, 2, Entry{Kind: Lit, Var: 0, Neg: true}},
 		Device{0, 2, Entry{Kind: On}})
-	d.InputRow = 3
-	d.OutputRows = []int{0}
+	d.Input = WireRef{Index: 3}
+	d.Outputs = rowRefs(0)
 	d.OutputNames = []string{"f"}
 	d.VarNames = []string{"a", "b", "c"}
 	return d
@@ -33,9 +35,9 @@ func TestDesignJSONRoundTripEvalParity(t *testing.T) {
 	if err := json.Unmarshal(data, &dec); err != nil {
 		t.Fatal(err)
 	}
-	if dec.Rows != orig.Rows || dec.Cols != orig.Cols || dec.InputRow != orig.InputRow {
+	if dec.Rows != orig.Rows || dec.Cols != orig.Cols || dec.Input.Index != orig.Input.Index {
 		t.Fatalf("decoded geometry %dx%d/in=%d differs from %dx%d/in=%d",
-			dec.Rows, dec.Cols, dec.InputRow, orig.Rows, orig.Cols, orig.InputRow)
+			dec.Rows, dec.Cols, dec.Input.Index, orig.Rows, orig.Cols, orig.Input.Index)
 	}
 	// Eval parity over every assignment of the 3 variables.
 	for a := 0; a < 8; a++ {
@@ -60,8 +62,8 @@ func TestDesignJSONRoundTripEvalParity(t *testing.T) {
 
 func TestDesignJSONSparse(t *testing.T) {
 	d := testDesign(50, 50)
-	d.OutputRows = []int{0}
-	setCell(&d.Cells, 7, 9, Entry{Kind: On})
+	d.Outputs = rowRefs(0)
+	setCell(&d.Planes[0], 7, 9, Entry{Kind: On})
 	data, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +76,7 @@ func TestDesignJSONSparse(t *testing.T) {
 	if err := json.Unmarshal(data, &dec); err != nil {
 		t.Fatal(err)
 	}
-	if dec.Cells.At(7, 9).Kind != On {
+	if dec.Planes[0].At(7, 9).Kind != On {
 		t.Fatal("programmed cell lost in round trip")
 	}
 }
@@ -147,7 +149,48 @@ func TestDecodeEmptyDesignAllocatesSparsely(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
 		t.Fatalf("decoding an empty 8192x8192 design allocated %d bytes", got)
 	}
-	if d.Rows != 8192 || d.Cols != 8192 || d.Cells.Len() != 0 || d.Cells.At(8191, 8191).Kind != Off {
-		t.Fatalf("decoded %dx%d with %d devices", d.Rows, d.Cols, d.Cells.Len())
+	if d.Rows != 8192 || d.Cols != 8192 || d.Planes[0].Len() != 0 || d.Planes[0].At(8191, 8191).Kind != Off {
+		t.Fatalf("decoded %dx%d with %d devices", d.Rows, d.Cols, d.Planes[0].Len())
+	}
+}
+
+// TestWireCompat decodes three bodies written by the separate 2D and
+// layered encoders this codec replaced — ctrl's 2D design, the same
+// design as a two-layer layered body, and ctrl's three-layer stack — and
+// pins the one codec to them: every body decodes, the 2D and three-layer
+// bodies re-encode byte for byte, and the two-layer layered body
+// re-encodes as the equal 2D body.
+func TestWireCompat(t *testing.T) {
+	read := func(name string) []byte {
+		b, err := os.ReadFile("testdata/wire/" + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	body2D := read("ctrl_2d")
+	for _, tc := range []struct {
+		name string
+		k    int
+		want []byte
+	}{
+		{"ctrl_2d", 2, body2D},
+		{"ctrl_k2_layered", 2, body2D},
+		{"ctrl_k3_layered", 3, read("ctrl_k3_layered")},
+	} {
+		var d Design
+		if err := json.Unmarshal(read(tc.name), &d); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d.K() != tc.k {
+			t.Fatalf("%s decodes to %d layers, want %d", tc.name, d.K(), tc.k)
+		}
+		got, err := json.Marshal(&d)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(got, tc.want) {
+			t.Fatalf("%s re-encodes as\n%s\nwant\n%s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -15,18 +15,6 @@ type WireRef struct {
 	Index int `json:"i"`
 }
 
-// Mapping is a mapped layer stack: Widths[l] wires on wire layer l,
-// Planes[p] the Widths[p] x Widths[p+1] device plane between layers p and
-// p+1, the wire driven with Vin and one sensed wire per output, in
-// BDDGraph.Roots order.
-type Mapping struct {
-	Widths      []int
-	Planes      []Plane
-	Input       WireRef
-	Outputs     []WireRef
-	OutputNames []string
-}
-
 // Map performs the paper's crossbar mapping step (Section V-C) on a
 // VH-labeling; it is MapStack's K=2 case. H-labeled nodes are bound to
 // wordlines, V-labeled nodes to bitlines, VH nodes to both with a
@@ -44,16 +32,7 @@ func Map(bg *BDDGraph, labels []labeling.Label) (*Design, error) {
 		return nil, fmt.Errorf("xbar: %w", err)
 	}
 	lo, hi := labeling.LiftLabels(labels)
-	m, err := MapStack(bg, 2, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	d := &Design{Rows: m.Widths[0], Cols: m.Widths[1], Cells: m.Planes[0], InputRow: m.Input.Index,
-		OutputNames: m.OutputNames, VarNames: bg.VarNames}
-	for _, o := range m.Outputs {
-		d.OutputRows = append(d.OutputRows, o.Index)
-	}
-	return d, nil
+	return MapStack(bg, 2, lo, hi)
 }
 
 // MapStack is the one crossbar mapping implementation: node v is bound to
@@ -69,8 +48,8 @@ func Map(bg *BDDGraph, labels []labeling.Label) (*Design, error) {
 // lowest even layer; odd (bitline) layers order occupants by node id. A
 // layer nothing occupies is padded to one wire. Output roots and the
 // 1-terminal must reach an even layer, where the periphery can sense and
-// drive them.
-func MapStack(bg *BDDGraph, k int, lo, hi []int) (*Mapping, error) {
+// drive them. Outputs follow BDDGraph.Roots order.
+func MapStack(bg *BDDGraph, k int, lo, hi []int) (*Design, error) {
 	if err := labeling.ValidateK(bg.Problem(false), k, lo, hi); err != nil {
 		return nil, fmt.Errorf("xbar: %w", err)
 	}
@@ -101,7 +80,7 @@ func MapStack(bg *BDDGraph, k int, lo, hi []int) (*Mapping, error) {
 
 	// idx[l][v] is node v's wire index on layer l (-1 when absent).
 	idx := make([][]int, k)
-	m := &Mapping{Widths: make([]int, k)}
+	widths := make([]int, k)
 	const0Index := -1
 	for l := range idx {
 		idx[l] = make([]int, n)
@@ -132,21 +111,7 @@ func MapStack(bg *BDDGraph, k int, lo, hi []int) (*Mapping, error) {
 			idx[l][bg.TerminalID] = next
 			next++
 		}
-		m.Widths[l] = max(next, 1)
-	}
-
-	m.Input = WireRef{Layer: inputLayer, Index: idx[inputLayer][bg.TerminalID]}
-	for _, r := range bg.Roots {
-		m.OutputNames = append(m.OutputNames, r.Name)
-		switch r.Kind {
-		case RootConst0:
-			m.Outputs = append(m.Outputs, WireRef{Layer: 0, Index: const0Index})
-		case RootConst1:
-			m.Outputs = append(m.Outputs, m.Input)
-		default:
-			l := lowestEven(r.NodeID)
-			m.Outputs = append(m.Outputs, WireRef{Layer: l, Index: idx[l][r.NodeID]})
-		}
+		widths[l] = max(next, 1)
 	}
 
 	// Via stitches: a node spanning layers l and l+1 joins its two wires
@@ -182,14 +147,24 @@ func MapStack(bg *BDDGraph, k int, lo, hi []int) (*Mapping, error) {
 			return nil, fmt.Errorf("xbar: edge (%d,%d) has no free adjacent-layer crossing", u, v)
 		}
 	}
-	m.Planes = make([]Plane, k-1)
-	for p := range m.Planes {
-		pl, err := NewPlane(m.Widths[p], m.Widths[p+1], devs[p])
-		if err != nil {
-			return nil, fmt.Errorf("xbar: plane %d: %w", p, err)
-		}
-		m.Planes[p] = pl
+	d, err := NewDesign(widths, devs...)
+	if err != nil {
+		return nil, err
 	}
+	d.Input = WireRef{Layer: inputLayer, Index: idx[inputLayer][bg.TerminalID]}
+	for _, r := range bg.Roots {
+		d.OutputNames = append(d.OutputNames, r.Name)
+		switch r.Kind {
+		case RootConst0:
+			d.Outputs = append(d.Outputs, WireRef{Layer: 0, Index: const0Index})
+		case RootConst1:
+			d.Outputs = append(d.Outputs, d.Input)
+		default:
+			l := lowestEven(r.NodeID)
+			d.Outputs = append(d.Outputs, WireRef{Layer: l, Index: idx[l][r.NodeID]})
+		}
+	}
+	d.VarNames = bg.VarNames
 
 	// Postconditions: every layer is exactly as wide as the labeling
 	// implies (its occupancy, plus the const-0 wire on layer 0 and the
@@ -202,15 +177,15 @@ func MapStack(bg *BDDGraph, k int, lo, hi []int) (*Mapping, error) {
 	for l := range want {
 		want[l] = max(want[l], 1)
 	}
-	if err := invariant.GridDims(m.Widths, want); err != nil {
+	if err := invariant.GridDims(d.Widths, want); err != nil {
 		return nil, fmt.Errorf("xbar: %w", err)
 	}
 	programmed := 0
-	for p := range m.Planes {
-		programmed += m.Planes[p].Len()
+	for p := range d.Planes {
+		programmed += d.Planes[p].Len()
 	}
 	if err := invariant.ProgrammedCells(programmed, bg.G.M(), stitches); err != nil {
 		return nil, fmt.Errorf("xbar: %w", err)
 	}
-	return m, nil
+	return d, nil
 }

@@ -11,8 +11,10 @@ import (
 // replaces the design's variable names, converting e.g. BDD-level indexing
 // into network-input indexing. remap must cover every Var in use.
 func (d *Design) RemapVars(remap []int, names []string) error {
-	if err := d.Cells.RemapVars(remap); err != nil {
-		return fmt.Errorf("xbar: %w", err)
+	for p := range d.Planes {
+		if err := d.Planes[p].RemapVars(remap); err != nil {
+			return fmt.Errorf("xbar: plane %d: %w", p, err)
+		}
 	}
 	d.VarNames = names
 	d.wires.Store(nil) // invalidate the compiled wire graph

@@ -16,8 +16,8 @@ import (
 // One engine places every crossbar shape. It works on a plane stack: K
 // wire layers and K-1 device planes, plane p joining layer p's wires (as
 // rows) to layer p+1's wires (as columns), each plane landing on a
-// physical plane described by its own defect.Map. A 2D Design is the K=2
-// stack; a FLOW-3D xbar3d.Design3D is the K-layer one. A placement binds
+// physical plane described by its own defect.Map: a Design is exactly
+// such a stack (a 2D crossbar the K=2 one). A placement binds
 // every logical wire of every layer to a physical wire of that layer so
 // that each crossing is compatible with the device fabricated there:
 //
@@ -84,12 +84,13 @@ const (
 	placeILPBudget = 10 * time.Second
 )
 
-// Placement binds each logical row/column of a design to a physical
-// wordline/bitline of the defective array it was placed onto.
+// Placement binds each logical wire of each layer of a design to a
+// physical wire of the defective array it was placed onto.
 type Placement struct {
-	// RowPerm[r] / ColPerm[c] is the physical line carrying logical row r
-	// / logical column c. Both are injective into the physical array.
-	RowPerm, ColPerm []int
+	// Perms[l][i] is the physical wire carrying logical wire i of layer l
+	// (at K=2, Perms[0] binds the rows and Perms[1] the columns); each
+	// Perms[l] is injective into the layer's physical width.
+	Perms [][]int
 	// Engine records which search stage produced the placement:
 	// "identity", "greedy" or "ilp".
 	Engine string
@@ -131,9 +132,10 @@ type Stack struct {
 	Maps   []*defect.Map
 }
 
-// Stack returns d as the placement engine's K=2 stack on dm.
-func (d *Design) Stack(dm *defect.Map) Stack {
-	return Stack{Widths: []int{d.Rows, d.Cols}, Planes: []Plane{d.Cells}, Maps: []*defect.Map{dm}}
+// Stack returns d as the placement engine's plane stack on maps (one map
+// per device plane; nil for a fault-free array of d's exact size).
+func (d *Design) Stack(maps []*defect.Map) Stack {
+	return Stack{Widths: d.Widths, Planes: d.Planes, Maps: maps}
 }
 
 // compatCell reports whether a logical cell may occupy a device stuck in
@@ -487,14 +489,15 @@ func (s Stack) Place(ctx context.Context, opts PlaceOptions) ([][]int, string, e
 	return p.finish(perms, "ilp")
 }
 
-// PlaceContext places the 2D design d onto the defective array dm (nil:
-// a fault-free array of exactly d's size); see Stack.Place.
-func PlaceContext(ctx context.Context, d *Design, dm *defect.Map, opts PlaceOptions) (*Placement, error) {
-	perms, engine, err := d.Stack(dm).Place(ctx, opts)
+// PlaceContext places the design d onto the defective planes maps (one
+// per device plane; nil: a fault-free array of exactly d's size); see
+// Stack.Place.
+func PlaceContext(ctx context.Context, d *Design, maps []*defect.Map, opts PlaceOptions) (*Placement, error) {
+	perms, engine, err := d.Stack(maps).Place(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Placement{RowPerm: perms[0], ColPerm: perms[1], Engine: engine}, nil
+	return &Placement{Perms: perms, Engine: engine}, nil
 }
 
 // finish re-validates the placement against every defective crossing —
@@ -751,7 +754,7 @@ func (p *placer) modelSize() int {
 }
 
 // PlaceCandidates enumerates up to max distinct compatible placements of d
-// onto dm, for callers that rank placements by a secondary objective (the
+// onto maps, for callers that rank placements by a secondary objective (the
 // margin-aware repair loop scores each candidate's electrical margin). The
 // identity placement, when compatible, is always the first candidate;
 // further candidates come from greedy searches under derived seeds with
@@ -760,14 +763,14 @@ func (p *placer) modelSize() int {
 // PlaceContext's result. When at least one candidate exists the slice is
 // returned even if the context expires mid-enumeration (anytime
 // semantics); with none, the error is the usual *Unplaceable or ctx error.
-func PlaceCandidates(ctx context.Context, d *Design, dm *defect.Map, opts PlaceOptions, max int) ([]*Placement, error) {
+func PlaceCandidates(ctx context.Context, d *Design, maps []*defect.Map, opts PlaceOptions, max int) ([]*Placement, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if max <= 0 {
 		max = 1
 	}
-	p, err := newPlacer(d.Stack(dm))
+	p, err := newPlacer(d.Stack(maps))
 	if err != nil {
 		return nil, err
 	}
@@ -782,7 +785,7 @@ func PlaceCandidates(ctx context.Context, d *Design, dm *defect.Map, opts PlaceO
 			return err
 		}
 		seen[key] = true
-		out = append(out, &Placement{RowPerm: perms[0], ColPerm: perms[1], Engine: engine})
+		out = append(out, &Placement{Perms: perms, Engine: engine})
 		return nil
 	}
 	if id := p.identity(); p.compatible(id) {

@@ -52,14 +52,14 @@ func TestPlaceIdentityOnCleanArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := PlaceContext(context.Background(), d, dm, PlaceOptions{})
+	pl, err := PlaceContext(context.Background(), d, []*defect.Map{dm}, PlaceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pl.Engine != "identity" {
 		t.Fatalf("engine %q, want identity", pl.Engine)
 	}
-	for i, p := range pl.RowPerm {
+	for i, p := range pl.Perms[0] {
 		if p != i {
 			t.Fatalf("identity RowPerm[%d] = %d", i, p)
 		}
@@ -68,11 +68,11 @@ func TestPlaceIdentityOnCleanArray(t *testing.T) {
 
 func TestPlaceNilMapIsIdentity(t *testing.T) {
 	d, ref, n := synthDesign(t, 2)
-	pl, err := PlaceContext(context.Background(), d, nil, PlaceOptions{})
+	pl, err := PlaceContext(context.Background(), d, []*defect.Map{nil}, PlaceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eff, err := d.UnderDefects(nil, pl)
+	eff, err := d.UnderDefects([]*defect.Map{nil}, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func findLitCell(t *testing.T, d *Design) (int, int) {
 	t.Helper()
 	for r := 0; r < d.Rows; r++ {
 		for c := 0; c < d.Cols; c++ {
-			if d.Cells.At(r, c).Kind == Lit {
+			if d.Planes[0].At(r, c).Kind == Lit {
 				return r, c
 			}
 		}
@@ -104,14 +104,14 @@ func TestPlaceAvoidsStuckOffUnderLiteral(t *testing.T) {
 	if err := dm.Set(r, c, defect.StuckOff); err != nil {
 		t.Fatal(err)
 	}
-	pl, err := PlaceContext(context.Background(), d, dm, PlaceOptions{Seed: 5})
+	pl, err := PlaceContext(context.Background(), d, []*defect.Map{dm}, PlaceOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lr, lc := pl.RowPerm[r], pl.ColPerm[c]; lr == r && lc == c {
+	if lr, lc := pl.Perms[0][r], pl.Perms[1][c]; lr == r && lc == c {
 		t.Fatalf("literal cell left on the stuck-OFF device at (%d,%d)", r, c)
 	}
-	eff, err := d.UnderDefects(dm, pl)
+	eff, err := d.UnderDefects([]*defect.Map{dm}, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestPlaceUnplaceableProvenWithWitness(t *testing.T) {
 			}
 		}
 	}
-	_, err = PlaceContext(context.Background(), d, dm, PlaceOptions{})
+	_, err = PlaceContext(context.Background(), d, []*defect.Map{dm}, PlaceOptions{})
 	var up *Unplaceable
 	if !errors.As(err, &up) {
 		t.Fatalf("error %v is not *Unplaceable", err)
@@ -156,7 +156,7 @@ func TestPlaceDimsTooSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = PlaceContext(context.Background(), d, dm, PlaceOptions{})
+	_, err = PlaceContext(context.Background(), d, []*defect.Map{dm}, PlaceOptions{})
 	var up *Unplaceable
 	if !errors.As(err, &up) || up.Stage != "dims" || !up.Proven {
 		t.Fatalf("want proven dims-stage Unplaceable, got %v", err)
@@ -175,14 +175,14 @@ func TestPlaceILPEngineSolvesConstrained(t *testing.T) {
 	if err := dm.Set(r, c, defect.StuckOff); err != nil {
 		t.Fatal(err)
 	}
-	pl, err := PlaceContext(context.Background(), d, dm, PlaceOptions{Engine: PlaceILP})
+	pl, err := PlaceContext(context.Background(), d, []*defect.Map{dm}, PlaceOptions{Engine: PlaceILP})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pl.Engine != "ilp" {
 		t.Fatalf("engine %q, want ilp", pl.Engine)
 	}
-	eff, err := d.UnderDefects(dm, pl)
+	eff, err := d.UnderDefects([]*defect.Map{dm}, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestPlaceForcedILPSkipsIdentityShortcut(t *testing.T) {
 	var r, c = -1, -1
 	for i := 0; i < d.Rows && r < 0; i++ {
 		for j := 0; j < d.Cols; j++ {
-			if d.Cells.At(i, j).Kind == Off {
+			if d.Planes[0].At(i, j).Kind == Off {
 				r, c = i, j
 				break
 			}
@@ -216,21 +216,21 @@ func TestPlaceForcedILPSkipsIdentityShortcut(t *testing.T) {
 	if err := dm.Set(r, c, defect.StuckOff); err != nil {
 		t.Fatal(err)
 	}
-	pl, err := PlaceContext(context.Background(), d, dm, PlaceOptions{})
+	pl, err := PlaceContext(context.Background(), d, []*defect.Map{dm}, PlaceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pl.Engine != "identity" {
 		t.Fatalf("default engine %q, want the identity shortcut", pl.Engine)
 	}
-	pl, err = PlaceContext(context.Background(), d, dm, PlaceOptions{Engine: PlaceILP})
+	pl, err = PlaceContext(context.Background(), d, []*defect.Map{dm}, PlaceOptions{Engine: PlaceILP})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pl.Engine != "ilp" {
 		t.Fatalf("forced exact engine %q, want ilp", pl.Engine)
 	}
-	eff, err := d.UnderDefects(dm, pl)
+	eff, err := d.UnderDefects([]*defect.Map{dm}, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestPlaceCanceledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := PlaceContext(ctx, d, dm, PlaceOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := PlaceContext(ctx, d, []*defect.Map{dm}, PlaceOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
@@ -253,10 +253,10 @@ func TestPlaceCanceledContext(t *testing.T) {
 func TestUnderDefectsOverrides(t *testing.T) {
 	d := testDesign(2, 2)
 	d.VarNames = []string{"a"}
-	d.InputRow = 1
-	d.OutputRows = []int{0}
-	setCell(&d.Cells, 0, 0, Entry{Kind: Lit, Var: 0})
-	setCell(&d.Cells, 1, 0, Entry{Kind: On})
+	d.Input = WireRef{Index: 1}
+	d.Outputs = rowRefs(0)
+	setCell(&d.Planes[0], 0, 0, Entry{Kind: Lit, Var: 0})
+	setCell(&d.Planes[0], 1, 0, Entry{Kind: On})
 	dm, err := defect.New(2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -267,18 +267,18 @@ func TestUnderDefectsOverrides(t *testing.T) {
 	if err := dm.Set(0, 1, defect.StuckOn); err != nil {
 		t.Fatal(err)
 	}
-	eff, err := d.UnderDefects(dm, nil)
+	eff, err := d.UnderDefects([]*defect.Map{dm}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eff.Cells.At(0, 0).Kind != Off {
-		t.Fatalf("stuck-OFF override: %v", eff.Cells.At(0, 0))
+	if eff.Planes[0].At(0, 0).Kind != Off {
+		t.Fatalf("stuck-OFF override: %v", eff.Planes[0].At(0, 0))
 	}
-	if eff.Cells.At(0, 1).Kind != On {
-		t.Fatalf("stuck-ON override: %v", eff.Cells.At(0, 1))
+	if eff.Planes[0].At(0, 1).Kind != On {
+		t.Fatalf("stuck-ON override: %v", eff.Planes[0].At(0, 1))
 	}
 	// The original is untouched.
-	if d.Cells.At(0, 0).Kind != Lit || d.Cells.At(0, 1).Kind != Off {
+	if d.Planes[0].At(0, 0).Kind != Lit || d.Planes[0].At(0, 1).Kind != Off {
 		t.Fatal("UnderDefects mutated the receiver")
 	}
 	// f was a: now the literal path is gone but the stuck-ON at (0,1)
@@ -302,22 +302,22 @@ func TestPlacementValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := &Placement{RowPerm: make([]int, d.Rows), ColPerm: make([]int, d.Cols)}
+	bad := &Placement{Perms: [][]int{make([]int, d.Rows), make([]int, d.Cols)}}
 	// All-zero row perm is not injective (for designs with >1 row).
 	if d.Rows > 1 {
-		if _, err := d.UnderDefects(dm, bad); err == nil {
+		if _, err := d.UnderDefects([]*defect.Map{dm}, bad); err == nil {
 			t.Fatal("non-injective placement accepted")
 		}
 	}
-	outOfRange := &Placement{RowPerm: make([]int, d.Rows), ColPerm: make([]int, d.Cols)}
-	for i := range outOfRange.RowPerm {
-		outOfRange.RowPerm[i] = i
+	outOfRange := &Placement{Perms: [][]int{make([]int, d.Rows), make([]int, d.Cols)}}
+	for i := range outOfRange.Perms[0] {
+		outOfRange.Perms[0][i] = i
 	}
-	for i := range outOfRange.ColPerm {
-		outOfRange.ColPerm[i] = i
+	for i := range outOfRange.Perms[1] {
+		outOfRange.Perms[1][i] = i
 	}
-	outOfRange.RowPerm[0] = d.Rows + 5
-	if _, err := d.UnderDefects(dm, outOfRange); err == nil {
+	outOfRange.Perms[0][0] = d.Rows + 5
+	if _, err := d.UnderDefects([]*defect.Map{dm}, outOfRange); err == nil {
 		t.Fatal("out-of-range placement accepted")
 	}
 }
@@ -333,7 +333,7 @@ func TestPlaceCandidatesIdentityFirstAndDistinct(t *testing.T) {
 	if err := dm.Set(d.Rows, d.Cols, defect.StuckOn); err != nil {
 		t.Fatal(err)
 	}
-	cands, err := PlaceCandidates(context.Background(), d, dm, PlaceOptions{Seed: 9}, 4)
+	cands, err := PlaceCandidates(context.Background(), d, []*defect.Map{dm}, PlaceOptions{Seed: 9}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,21 +346,21 @@ func TestPlaceCandidatesIdentityFirstAndDistinct(t *testing.T) {
 	seen := map[string]bool{}
 	for _, pl := range cands {
 		key := ""
-		for _, p := range append(append([]int{}, pl.RowPerm...), pl.ColPerm...) {
+		for _, p := range append(append([]int{}, pl.Perms[0]...), pl.Perms[1]...) {
 			key += string(rune('A' + p))
 		}
 		if seen[key] {
-			t.Errorf("duplicate candidate %v/%v", pl.RowPerm, pl.ColPerm)
+			t.Errorf("duplicate candidate %v/%v", pl.Perms[0], pl.Perms[1])
 		}
 		seen[key] = true
-		eff, err := d.UnderDefects(dm, pl)
+		eff, err := d.UnderDefects([]*defect.Map{dm}, pl)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertEquivalent(t, eff, ref, n)
 	}
 	// Determinism: same inputs, same candidate list.
-	again, err := PlaceCandidates(context.Background(), d, dm, PlaceOptions{Seed: 9}, 4)
+	again, err := PlaceCandidates(context.Background(), d, []*defect.Map{dm}, PlaceOptions{Seed: 9}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestPlaceCandidatesIdentityFirstAndDistinct(t *testing.T) {
 		t.Fatalf("candidate count not deterministic: %d vs %d", len(cands), len(again))
 	}
 	for i := range cands {
-		if !equalIntSlice(cands[i].RowPerm, again[i].RowPerm) || !equalIntSlice(cands[i].ColPerm, again[i].ColPerm) {
+		if !equalIntSlice(cands[i].Perms[0], again[i].Perms[0]) || !equalIntSlice(cands[i].Perms[1], again[i].Perms[1]) {
 			t.Errorf("candidate %d not deterministic", i)
 		}
 	}
@@ -392,7 +392,7 @@ func TestPlaceCandidatesCleanArraySingleIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, err := PlaceCandidates(context.Background(), d, dm, PlaceOptions{}, 8)
+	cands, err := PlaceCandidates(context.Background(), d, []*defect.Map{dm}, PlaceOptions{}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestPlaceCandidatesDimsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = PlaceCandidates(context.Background(), d, dm, PlaceOptions{}, 2)
+	_, err = PlaceCandidates(context.Background(), d, []*defect.Map{dm}, PlaceOptions{}, 2)
 	var up *Unplaceable
 	if !errors.As(err, &up) || !up.Proven || up.Stage != "dims" {
 		t.Fatalf("undersized array not rejected with a proven dims Unplaceable: %v", err)
@@ -425,7 +425,7 @@ func TestPlaceCandidatesCanceledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := PlaceCandidates(ctx, d, dm, PlaceOptions{}, 2); !errors.Is(err, context.Canceled) {
+	if _, err := PlaceCandidates(ctx, d, []*defect.Map{dm}, PlaceOptions{}, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("dead context not surfaced: %v", err)
 	}
 }

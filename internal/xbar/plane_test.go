@@ -9,7 +9,7 @@ import (
 // testDesign builds a rows x cols design from a hand-written device list;
 // a rejected list is a bug in the test.
 func testDesign(rows, cols int, devs ...Device) *Design {
-	d, err := NewDesign(rows, cols, devs)
+	d, err := NewDesign([]int{rows, cols}, devs)
 	if err != nil {
 		panic(err)
 	}
@@ -230,7 +230,7 @@ func FuzzPlaneVsDense(f *testing.F) {
 			t.Fatalf("Len() = %d for %d devices", p.Len(), len(want))
 		}
 
-		d := &Design{Rows: rows, Cols: cols, Cells: p, OutputRows: []int{0}}
+		d := &Design{Rows: rows, Cols: cols, Widths: []int{rows, cols}, Planes: []Plane{p}, Outputs: rowRefs(0)}
 		enc, err := json.Marshal(d)
 		if err != nil {
 			t.Fatal(err)
@@ -239,8 +239,17 @@ func FuzzPlaneVsDense(f *testing.F) {
 		if err := json.Unmarshal(enc, &back); err != nil {
 			t.Fatalf("round trip: %v\n%s", err, enc)
 		}
-		if got := back.Cells.Devices(); !equalDevices(got, want) {
+		if got := back.Planes[0].Devices(); !equalDevices(got, want) {
 			t.Fatalf("round trip: %v, want %v", got, want)
 		}
 	})
+}
+
+// rowRefs addresses wordlines of a 2D design.
+func rowRefs(rows ...int) []WireRef {
+	refs := make([]WireRef, len(rows))
+	for i, r := range rows {
+		refs[i] = WireRef{Index: r}
+	}
+	return refs
 }

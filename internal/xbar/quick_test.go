@@ -76,7 +76,7 @@ func TestFailureInjectionCaughtByVerify(t *testing.T) {
 		// Flip the polarity of each literal cell in turn.
 		for r := 0; r < d.Rows; r++ {
 			for c := 0; c < d.Cols; c++ {
-				if d.Cells.At(r, c).Kind != Lit {
+				if d.Planes[0].At(r, c).Kind != Lit {
 					continue
 				}
 				injected++
@@ -84,7 +84,7 @@ func TestFailureInjectionCaughtByVerify(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				flipCell(&fresh.Cells, r, c)
+				flipCell(&fresh.Planes[0], r, c)
 				if bad := fresh.VerifyAgainst(nw.Eval, 5, 10, 0, 1); bad != nil {
 					caught++
 				}
@@ -126,7 +126,7 @@ func TestStuckOnFaultCaught(t *testing.T) {
 		}
 		for r := 0; r < d.Rows && injected < 200; r++ {
 			for c := 0; c < d.Cols; c++ {
-				if d.Cells.At(r, c).Kind != Off {
+				if d.Planes[0].At(r, c).Kind != Off {
 					continue
 				}
 				injected++
@@ -134,7 +134,7 @@ func TestStuckOnFaultCaught(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				setCell(&fresh.Cells, r, c, Entry{Kind: On})
+				setCell(&fresh.Planes[0], r, c, Entry{Kind: On})
 				if bad := fresh.VerifyAgainst(nw.Eval, 5, 10, 0, 1); bad != nil {
 					caught++
 				}

@@ -7,13 +7,17 @@ import (
 	"compact/internal/errio"
 )
 
-// WriteSVG renders the design as a scalable vector graphic: wordlines as
+// WriteSVG renders a 2D (K = 2) design as a scalable vector graphic: wordlines as
 // horizontal rails, bitlines as vertical rails, and one circle per
 // programmed memristor — green for always-on, blue for positive literals,
 // red for negated ones. The input wordline is marked with the drive arrow
 // and every output wordline with its sense label, mirroring the paper's
 // crossbar figures.
 func (d *Design) WriteSVG(w io.Writer) error {
+	cells, err := d.flat()
+	if err != nil {
+		return err
+	}
 	const (
 		cell   = 26
 		margin = 70
@@ -45,7 +49,7 @@ func (d *Design) WriteSVG(w io.Writer) error {
 	}
 
 	// Devices.
-	for _, dev := range d.Cells.Devices() {
+	for _, dev := range cells.Devices() {
 		r, c, e := dev.Row, dev.Col, dev.E
 		if e.Kind == Off {
 			continue // a device cleared in place through Row
@@ -66,9 +70,10 @@ func (d *Design) WriteSVG(w io.Writer) error {
 
 	// Ports.
 	ew.Printf(`<text x="%d" y="%d" font-size="12" font-family="monospace" text-anchor="end" fill="#2e7d32">Vin&#8594;</text>`+"\n",
-		x(0)-cell/2-4, y(d.InputRow)+4)
+		x(0)-cell/2-4, y(d.Input.Index)+4)
 	seen := map[int]bool{}
-	for i, r := range d.OutputRows {
+	for i, o := range d.Outputs {
+		r := o.Index
 		if seen[r] {
 			continue
 		}

@@ -12,7 +12,7 @@ import (
 //
 // Every crossbar shape in this module computes by one rule: an output
 // reads 1 iff a chain of conducting devices joins its wire to the driven
-// input wire. A 2D Design, a K-layer xbar3d.Design3D and each tile of a
+// input wire. A Design of any layer count and each tile of a
 // partition.Plan differ only in how they number their nanowires, so each
 // compiles itself once into a Wires graph — its wires numbered 0..N-1,
 // one edge per non-Off device in its own cell order — and every evaluator

@@ -159,8 +159,8 @@ func TestSharedOutputRows(t *testing.T) {
 	b.Output("f2", g)
 	nw := b.Build()
 	d, _ := synth(t, nw, labeling.MethodMIP, 0.5, true)
-	if d.OutputRows[0] != d.OutputRows[1] {
-		t.Errorf("identical outputs on different rows: %v", d.OutputRows)
+	if d.Outputs[0] != d.Outputs[1] {
+		t.Errorf("identical outputs on different wires: %v", d.Outputs)
 	}
 	if bad := d.VerifyAgainst(nw.Eval, 2, 5, 0, 1); bad != nil {
 		t.Errorf("mismatch on %v", bad)
@@ -170,11 +170,11 @@ func TestSharedOutputRows(t *testing.T) {
 func TestInputRowIsBottom(t *testing.T) {
 	nw := fig2Network()
 	d, _ := synth(t, nw, labeling.MethodMIP, 0.5, true)
-	if d.InputRow != d.Rows-1 {
-		t.Errorf("input row = %d, want bottom row %d", d.InputRow, d.Rows-1)
+	if d.Input.Index != d.Rows-1 {
+		t.Errorf("input row = %d, want bottom row %d", d.Input.Index, d.Rows-1)
 	}
-	for _, r := range d.OutputRows {
-		if r == d.InputRow {
+	for _, o := range d.Outputs {
+		if o == d.Input {
 			t.Errorf("output on input row for non-constant function")
 		}
 	}
@@ -294,7 +294,7 @@ func TestWriteSVG(t *testing.T) {
 		}
 	}
 	// A literal with special characters must be escaped.
-	setCell(&d.Cells, 0, 0, Entry{Kind: Lit, Var: 0})
+	setCell(&d.Planes[0], 0, 0, Entry{Kind: Lit, Var: 0})
 	d.VarNames = []string{"a<b&c"}
 	buf.Reset()
 	if err := d.WriteSVG(&buf); err != nil {
@@ -302,5 +302,11 @@ func TestWriteSVG(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "a<b") {
 		t.Error("unescaped '<' in SVG text")
+	}
+}
+
+func TestLayerCapMatchesLabeling(t *testing.T) {
+	if MaxWireLayers != labeling.MaxLayers {
+		t.Fatalf("MaxWireLayers %d != labeling.MaxLayers %d", MaxWireLayers, labeling.MaxLayers)
 	}
 }

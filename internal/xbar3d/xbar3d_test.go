@@ -79,12 +79,8 @@ func synth3(t *testing.T, nw *logic.Network, k int) (*Design3D, *xbar.BDDGraph) 
 	return d, bg
 }
 
-func TestLayerCapMatchesLabeling(t *testing.T) {
-	if MaxWireLayers != labeling.MaxLayers {
-		t.Fatalf("MaxWireLayers %d != labeling.MaxLayers %d", MaxWireLayers, labeling.MaxLayers)
-	}
-}
-
+// TestMap3DAtK2MatchesLifted2D pins Map3D at K=2 to xbar.Map: the same
+// widths, planes and ports.
 func TestMap3DAtK2MatchesLifted2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 8; trial++ {
@@ -105,20 +101,16 @@ func TestMap3DAtK2MatchesLifted2D(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lifted, err := Lift3D(d2)
-		if err != nil {
-			t.Fatal(err)
-		}
 		d3, _ := synth3(t, nw, 2)
-		if !reflect.DeepEqual(d3.Widths, lifted.Widths) {
-			t.Fatalf("trial %d: widths %v vs lifted %v", trial, d3.Widths, lifted.Widths)
+		if !reflect.DeepEqual(d3.Widths, d2.Widths) || d3.Rows != d2.Rows || d3.Cols != d2.Cols {
+			t.Fatalf("trial %d: widths %v vs 2D %v", trial, d3.Widths, d2.Widths)
 		}
-		if !reflect.DeepEqual(d3.Cells, lifted.Cells) {
-			t.Fatalf("trial %d: K=2 cells differ from the lifted 2D design", trial)
+		if !reflect.DeepEqual(d3.Planes, d2.Planes) {
+			t.Fatalf("trial %d: K=2 cells differ from the 2D design", trial)
 		}
-		if d3.Input != lifted.Input || !reflect.DeepEqual(d3.Outputs, lifted.Outputs) {
+		if d3.Input != d2.Input || !reflect.DeepEqual(d3.Outputs, d2.Outputs) {
 			t.Fatalf("trial %d: ports differ: %+v/%v vs %+v/%v",
-				trial, d3.Input, d3.Outputs, lifted.Input, lifted.Outputs)
+				trial, d3.Input, d3.Outputs, d2.Input, d2.Outputs)
 		}
 	}
 }
@@ -171,9 +163,9 @@ func TestFormalVerify3DCatchesFaults(t *testing.T) {
 	}
 	// Flip one literal: the proof must fail.
 	flipped := false
-	for dl := range d.Cells {
-		for r := 0; r < d.Cells[dl].Rows() && !flipped; r++ {
-			_, es := d.Cells[dl].Row(r)
+	for dl := range d.Planes {
+		for r := 0; r < d.Planes[dl].Rows() && !flipped; r++ {
+			_, es := d.Planes[dl].Row(r)
 			for i := range es {
 				if es[i].Kind == xbar.Lit && !flipped {
 					es[i].Neg = !es[i].Neg
@@ -185,7 +177,7 @@ func TestFormalVerify3DCatchesFaults(t *testing.T) {
 	if !flipped {
 		t.Fatal("no literal cell to corrupt")
 	}
-	d.wires.Store(nil)
+	d = d.Clone() // drop the wire graph compiled before the flip
 	if err := FormalVerify3D(d, nw, 0); err == nil {
 		t.Fatal("corrupted design passed formal verification")
 	}
@@ -245,7 +237,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(data, &back); err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
-		if !reflect.DeepEqual(back.Widths, d.Widths) || !reflect.DeepEqual(back.Cells, d.Cells) {
+		if !reflect.DeepEqual(back.Widths, d.Widths) || !reflect.DeepEqual(back.Planes, d.Planes) {
 			t.Fatalf("K=%d: round trip changed the design", k)
 		}
 		if back.Input != d.Input || !reflect.DeepEqual(back.Outputs, d.Outputs) {
@@ -296,15 +288,15 @@ func TestJSONRejectsMalformed(t *testing.T) {
 // (1,0) through an On via, then the output wire (0,0) through a literal.
 func tiny2Layer(t *testing.T) *Design3D {
 	t.Helper()
-	d, err := NewDesign3D([]int{2, 2}, []xbar.Device{
+	d, err := xbar.NewDesign([]int{2, 2}, []xbar.Device{
 		{Row: 0, Col: 0, E: xbar.Entry{Kind: xbar.Lit, Var: 0}},
 		{Row: 1, Col: 0, E: xbar.Entry{Kind: xbar.On}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Input = WireRef{Layer: 0, Index: 1}
-	d.Outputs = []WireRef{{Layer: 0, Index: 0}}
+	d.Input = xbar.WireRef{Layer: 0, Index: 1}
+	d.Outputs = []xbar.WireRef{{Layer: 0, Index: 0}}
 	d.OutputNames = []string{"f"}
 	d.VarNames = []string{"a"}
 	return d
@@ -327,7 +319,7 @@ func TestPlace3DAroundStuckDevice(t *testing.T) {
 	if engine != "greedy" {
 		t.Fatalf("engine %q, want greedy (identity is incompatible)", engine)
 	}
-	eff, err := d.UnderDefects3D(maps, &Placement3D{Perms: perms, Engine: engine})
+	eff, err := d.UnderDefects(maps, &xbar.Placement{Perms: perms, Engine: engine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,22 +387,20 @@ func TestPhysWidthsRejectsInconsistentStack(t *testing.T) {
 	if _, _, err := d.Stack(maps).Place(context.Background(), xbar.PlaceOptions{}); err == nil {
 		t.Fatal("inconsistent stack accepted")
 	}
-	if _, err := d.UnderDefects3D(maps, nil); err == nil {
+	if _, err := d.UnderDefects(maps, nil); err == nil {
 		t.Fatal("inconsistent stack accepted by UnderDefects3D")
 	}
 }
 
 func TestEvalCheckedRejectsCorruption(t *testing.T) {
 	d := tiny2Layer(t)
-	_, es := d.Cells[0].Row(0) // the literal at (0, 0)
+	_, es := d.Planes[0].Row(0) // the literal at (0, 0)
 	es[0] = xbar.Entry{Kind: xbar.Lit, Var: -2}
-	d.wires.Store(nil)
-	if _, err := d.EvalChecked([]bool{true}); err == nil {
+	if _, err := d.Clone().EvalChecked([]bool{true}); err == nil {
 		t.Fatal("negative-var cell evaluated")
 	}
 	es[0] = xbar.Entry{Kind: 7}
-	d.wires.Store(nil)
-	if _, err := d.Eval64Checked([]uint64{0}); err == nil {
+	if _, err := d.Clone().Eval64Checked([]uint64{0}); err == nil {
 		t.Fatal("unknown-kind cell evaluated")
 	}
 	d = tiny2Layer(t)
@@ -426,14 +416,14 @@ func TestStats3D(t *testing.T) {
 	if st.K != 3 || len(st.Widths) != 3 {
 		t.Fatalf("stats K/widths wrong: %+v", st)
 	}
-	if st.S != st.R+st.C {
-		t.Fatalf("S %d != R+C %d", st.S, st.R+st.C)
+	if st.S != st.Rows+st.Cols {
+		t.Fatalf("S %d != R+C %d", st.S, st.Rows+st.Cols)
 	}
 	wantArea := d.Widths[0]*d.Widths[1] + d.Widths[1]*d.Widths[2]
 	if st.Area != wantArea {
 		t.Fatalf("area %d, want %d", st.Area, wantArea)
 	}
-	if st.Power != st.LitCells || st.Delay != st.R+1 {
+	if st.Power != st.LitCells || st.Delay != st.Rows+1 {
 		t.Fatalf("power/delay proxies wrong: %+v", st)
 	}
 }
@@ -453,7 +443,7 @@ func TestDecodeEmptyDesign3DAllocatesSparsely(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
 		t.Fatalf("decoding an empty 8192x8192 stack allocated %d bytes", got)
 	}
-	if len(d.Cells) != 1 || d.Cells[0].Rows() != 8192 || d.Cells[0].Cols() != 8192 || d.Cells[0].Len() != 0 {
-		t.Fatalf("decoded widths %v with %d planes", d.Widths, len(d.Cells))
+	if len(d.Planes) != 1 || d.Planes[0].Rows() != 8192 || d.Planes[0].Cols() != 8192 || d.Planes[0].Len() != 0 {
+		t.Fatalf("decoded widths %v with %d planes", d.Widths, len(d.Planes))
 	}
 }
