@@ -167,24 +167,15 @@ func run(ctx context.Context, inPath string, cfg cliConfig) error {
 			fmt.Println(line)
 		}
 		fmt.Printf("plan digest: %s\n", res.Plan.Digest())
-	} else if st := res.Stats(); st.K > 2 {
-		fmt.Printf("bdd: %d nodes, %d edges (%s)\n", res.BDDNodes, res.BDDEdges, opts.BDDKind)
-		fmt.Printf("labeling: method=%s optimal=%v (K=%d coloring)\n",
-			res.KLabeling.Method, res.KLabeling.Optimal, st.K)
-		fmt.Printf("stack: %d wire layers, widths %v  footprint %d x %d  S=%d  D=%d  devices=%d  delay=%d steps\n",
-			st.K, st.Widths, st.Rows, st.Cols, st.S, st.D, st.LitCells+st.OnCells, st.Delay)
-		if res.Placement != nil {
-			defects := 0
-			for _, dm := range res.Defects {
-				defects += dm.Len()
-			}
-			fmt.Printf("placement: engine=%s planes=%d defects=%d repair_attempts=%d (effective design re-verified)\n",
-				res.Placement.Engine, len(res.Defects), defects, res.RepairAttempts)
-		}
 	} else {
+		st, lab := res.Stats(), res.Labeling
 		fmt.Printf("bdd: %d nodes, %d edges (%s)\n", res.BDDNodes, res.BDDEdges, opts.BDDKind)
-		fmt.Printf("labeling: method=%s optimal=%v\n", res.Labeling.Method, res.Labeling.Optimal)
-		for _, er := range res.Labeling.Engines {
+		coloring := ""
+		if st.K > 2 {
+			coloring = fmt.Sprintf(" (K=%d coloring)", st.K)
+		}
+		fmt.Printf("labeling: method=%s optimal=%v%s\n", lab.Method, lab.Optimal, coloring)
+		for _, er := range lab.Engines {
 			mark := " "
 			if er.Winner {
 				mark = "*"
@@ -195,12 +186,24 @@ func run(ctx context.Context, inPath string, cfg cliConfig) error {
 			}
 			fmt.Printf("  %s engine %-9s %-32s elapsed=%v\n", mark, er.Method, detail, er.Elapsed.Round(time.Millisecond))
 		}
-		fmt.Printf("crossbar: %d x %d  S=%d  D=%d  area=%d  devices=%d  delay=%d steps\n",
-			st.Rows, st.Cols, st.S, st.D, st.Area, st.LitCells+st.OnCells, st.Delay)
+		if st.K > 2 {
+			fmt.Printf("stack: %d wire layers, widths %v  footprint %d x %d  S=%d  D=%d  devices=%d  delay=%d steps\n",
+				st.K, st.Widths, st.Rows, st.Cols, st.S, st.D, st.LitCells+st.OnCells, st.Delay)
+		} else {
+			fmt.Printf("crossbar: %d x %d  S=%d  D=%d  area=%d  devices=%d  delay=%d steps\n",
+				st.Rows, st.Cols, st.S, st.D, st.Area, st.LitCells+st.OnCells, st.Delay)
+		}
 		if res.Placement != nil {
-			dm := res.Defects[0]
-			fmt.Printf("placement: engine=%s array=%dx%d defects=%d repair_attempts=%d (effective design re-verified)\n",
-				res.Placement.Engine, dm.Rows(), dm.Cols(), dm.Len(), res.RepairAttempts)
+			defects := 0
+			for _, dm := range res.Defects {
+				defects += dm.Len()
+			}
+			where := fmt.Sprintf("array=%dx%d", res.Defects[0].Rows(), res.Defects[0].Cols())
+			if st.K > 2 {
+				where = fmt.Sprintf("planes=%d", len(res.Defects))
+			}
+			fmt.Printf("placement: engine=%s %s defects=%d repair_attempts=%d (effective design re-verified)\n",
+				res.Placement.Engine, where, defects, res.RepairAttempts)
 		}
 	}
 	fmt.Printf("synthesis time: %v\n", res.SynthTime.Round(time.Millisecond))

@@ -301,3 +301,57 @@ func TestRunSpiceLayeredPlaced(t *testing.T) {
 		t.Fatalf("clean stack: err %v, output:\n%s", err, out)
 	}
 }
+
+// TestRunReportsEnginesEveryK pins one report for every K: a portfolio
+// run lists each raced engine under the labeling line, on a 2D crossbar
+// (heuristic, oct, mip) and on a 3-layer stack (kfold, kmip) alike, and
+// marks exactly one winner.
+func TestRunReportsEnginesEveryK(t *testing.T) {
+	var buf strings.Builder
+	if err := blif.Write(&buf, bench.MustBuild("ctrl")); err != nil {
+		t.Fatal(err)
+	}
+	path := writeTemp(t, "ctrl.blif", buf.String())
+	for _, tc := range []struct {
+		layers  int
+		label   string
+		engines []string
+		shape   string
+	}{
+		{2, "labeling: method=portfolio(", []string{"heuristic", "oct", "mip"}, "crossbar: "},
+		{3, "(K=3 coloring)", []string{"kfold", "kmip"}, "stack: 3 wire layers"},
+	} {
+		cfg := cliConfig{gamma: 0.5, method: "portfolio", timeLimit: 500 * time.Millisecond, layers: tc.layers}
+		out, err := captureStdout(t, func() error { return run(context.Background(), path, cfg) })
+		if err != nil {
+			t.Fatalf("K=%d: %v", tc.layers, err)
+		}
+		lines := strings.Split(out, "\n")
+		at := -1
+		for i, l := range lines {
+			if strings.HasPrefix(l, "labeling: ") {
+				at = i
+			}
+		}
+		if at < 0 || !strings.Contains(lines[at], tc.label) || len(lines) < at+len(tc.engines)+2 {
+			t.Fatalf("K=%d: no %q labeling line followed by the engines, got:\n%s", tc.layers, tc.label, out)
+		}
+		winners := 0
+		for i, name := range tc.engines {
+			f := strings.Fields(lines[at+1+i])
+			if len(f) > 0 && f[0] == "*" {
+				winners++
+				f = f[1:]
+			}
+			if len(f) < 2 || f[0] != "engine" || f[1] != name {
+				t.Fatalf("K=%d: engine line %d is %q, want engine %s", tc.layers, i, lines[at+1+i], name)
+			}
+		}
+		if winners != 1 {
+			t.Fatalf("K=%d: %d winners marked, want 1:\n%s", tc.layers, winners, out)
+		}
+		if next := lines[at+1+len(tc.engines)]; !strings.HasPrefix(next, tc.shape) {
+			t.Fatalf("K=%d: engines followed by %q, want %q", tc.layers, next, tc.shape)
+		}
+	}
+}

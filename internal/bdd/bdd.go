@@ -115,9 +115,6 @@ func (m *Manager) VarName(level int) string { return m.varNames[level] }
 // Size returns the total number of nodes ever created (incl. terminals).
 func (m *Manager) Size() int { return len(m.nodes) }
 
-// IsTerminal reports whether n is Zero or One.
-func (m *Manager) IsTerminal(n Node) bool { return n <= One }
-
 // Level returns the variable level of n; terminals report NumVars().
 func (m *Manager) Level(n Node) int {
 	if m.nodes[n].level == terminalLevel {
@@ -168,14 +165,6 @@ func (m *Manager) checkVar(v int) {
 		//lint:ignore panicfree error-valued panic unwinding recursive ops; recovered via BoundaryError
 		panic(fmt.Errorf("%w: %d not in [0,%d)", ErrVarRange, v, len(m.varNames)))
 	}
-}
-
-// Const returns One or Zero for the given Boolean.
-func (m *Manager) Const(b bool) Node {
-	if b {
-		return One
-	}
-	return Zero
 }
 
 // Not returns the complement of f.

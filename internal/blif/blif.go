@@ -9,7 +9,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"compact/internal/errio"
@@ -390,14 +389,4 @@ func writeGate(w io.Writer, g logic.Gate, sig []string, name string) error {
 		return err
 	}
 	return fmt.Errorf("blif: cannot serialize gate type %s", g.Type)
-}
-
-// SignalNames returns the sorted set of internal signal names a parsed
-// network would use; exported for tooling/tests that need stable listings.
-func SignalNames(n *logic.Network) []string {
-	var names []string
-	names = append(names, n.InputNames()...)
-	names = append(names, n.OutputNames...)
-	sort.Strings(names)
-	return names
 }

@@ -119,8 +119,8 @@ type Options struct {
 	// Layers selects the number of crossbar wire layers. 0 (and 1) mean the
 	// classic two-layer crossbar. 3 and above enable FLOW-3D synthesis: the
 	// BDD graph is K-colored onto a layer stack (labeling.SolveK) and
-	// mapped to a K-layer design (xbar.MapStack); the result carries the
-	// K-coloring in KLabeling instead of Labeling. Capped at
+	// mapped to a K-layer design (xbar.MapStack); the result's Labeling
+	// carries the K-layer intervals. Capped at
 	// labeling.MaxLayers. Layered synthesis composes with DefectRate
 	// (per-plane generated maps) but not yet with explicit Defects maps,
 	// Partition or MarginAware — Validate rejects those combinations.
@@ -150,10 +150,9 @@ type Result struct {
 	// Options.Layers >= 3.
 	Design *xbar.Design
 	Graph  *xbar.BDDGraph
-	// Labeling is the VH-labeling of a 2D design; KLabeling is the
-	// K-coloring of a K-layer stack. Exactly one is set.
-	Labeling  *labeling.Solution
-	KLabeling *labeling.KSolution
+	// Labeling is the layer-interval labeling the design was mapped from;
+	// for a 2D design it also carries the VH labels.
+	Labeling *labeling.Solution
 	// Plan is the multi-crossbar cascade produced when Options.Partition
 	// is set and single-crossbar synthesis is infeasible under the
 	// dimension caps. For partitioned results Design/Graph/Labeling and
@@ -313,17 +312,9 @@ func synthesizeSingle(ctx context.Context, nw *logic.Network, opts Options) (*Re
 		MaxRows:        opts.MaxRows,
 		MaxCols:        opts.MaxCols,
 	}
-	// The one fork: a VH-labeling is the K=2 case of a layer-interval
-	// labeling, and everything from the mapping on serves every K.
-	var err error
-	k, lo, hi := 2, []int(nil), []int(nil)
-	if opts.Layers > 2 {
-		if res.KLabeling, err = labeling.SolveK(ctx, prob, opts.Layers, lopts); err == nil {
-			k, lo, hi = res.KLabeling.K, res.KLabeling.Lo, res.KLabeling.Hi
-		}
-	} else if res.Labeling, err = labeling.SolveContext(ctx, prob, lopts); err == nil {
-		lo, hi = labeling.LiftLabels(res.Labeling.Labels)
-	}
+	// A VH-labeling is the K=2 case of a layer-interval labeling, so one
+	// solve and one mapping serve every K.
+	sol, err := labeling.SolveK(ctx, prob, opts.Layers, lopts)
 	if err != nil {
 		if errors.Is(err, labeling.ErrInfeasible) {
 			// Upgrade the sentinel to the typed error carrying the numbers
@@ -335,10 +326,11 @@ func synthesizeSingle(ctx context.Context, nw *logic.Network, opts Options) (*Re
 	if err := faultinject.Err(faultinject.StageMap); err != nil {
 		return nil, fmt.Errorf("core: mapping: %w", err)
 	}
-	if res.Design, err = xbar.MapStack(bg, k, lo, hi); err != nil {
+	res.Labeling = sol
+	if res.Design, err = xbar.MapStack(bg, sol.K, sol.Lo, sol.Hi); err != nil {
 		return nil, fmt.Errorf("core: mapping: %w", err)
 	}
-	if k > 2 {
+	if sol.K > 2 {
 		res.Design3D = res.Design
 	}
 	if opts.BDDKind != SeparateROBDDs {

@@ -89,18 +89,18 @@ func TestSynthesizeLayered(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if res.Labeling != nil {
-			t.Errorf("%s: layered result carries a 2D labeling", name)
+		if res.Design == nil || res.Design3D != res.Design || res.Labeling == nil {
+			t.Fatalf("%s: layered result missing Design (and its Design3D mirror) or Labeling", name)
 		}
-		if res.Design == nil || res.Design3D != res.Design || res.KLabeling == nil {
-			t.Fatalf("%s: layered result missing Design (and its Design3D mirror) or KLabeling", name)
+		if res.Labeling.K != 3 || res.Labeling.Labels != nil {
+			t.Errorf("%s: layered labeling has K=%d and VH labels %v, want K=3 and none", name, res.Labeling.K, res.Labeling.Labels)
 		}
 		if got := res.Design3D.K(); got != 3 {
 			t.Errorf("%s: design has %d wire layers, want 3", name, got)
 		}
-		if res.KLabeling.Stats.S != res.Design3D.Stats().S {
+		if res.Labeling.Stats.S != res.Design3D.Stats().S {
 			t.Errorf("%s: labeling S %d differs from design S %d",
-				name, res.KLabeling.Stats.S, res.Design3D.Stats().S)
+				name, res.Labeling.Stats.S, res.Design3D.Stats().S)
 		}
 		if err := res.Verify(14, 512, 1); err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -274,7 +274,7 @@ func TestLayeredView(t *testing.T) {
 	if v.Crossbar.S != st.S || v.Crossbar.Rows != st.Rows || v.Crossbar.Cols != st.Cols {
 		t.Errorf("crossbar view footprint %+v differs from stats %+v", v.Crossbar, st)
 	}
-	if v.Labeling.S != res.KLabeling.Stats.S || v.Labeling.Method == "" {
+	if v.Labeling.S != res.Labeling.Stats.S || v.Labeling.Method == "" {
 		t.Errorf("labeling view %+v does not reflect the K-solution", v.Labeling)
 	}
 	if v.Placement == nil || len(v.Placement.LayerPerms) != 3 {

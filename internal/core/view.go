@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"compact/internal/labeling"
 	"compact/internal/partition"
 	"compact/internal/xbar"
 )
@@ -202,32 +201,23 @@ func (r *Result) View() ResultView {
 		pv.DefectsDigest = strings.Join(digests, ",")
 		v.Placement = pv
 	}
-	// One labeling view from either solution type; the 2D and K-layer
-	// stats name the footprint differently.
-	var engines []labeling.EngineReport
-	if sol := r.KLabeling; sol != nil {
-		v.Labeling = LabelingView{Method: sol.Method, Optimal: sol.Optimal, Rows: sol.Stats.R, Cols: sol.Stats.C,
-			S: sol.Stats.S, D: sol.Stats.D, Millis: millis(sol.Elapsed)}
-		engines = sol.Engines
-	}
 	if sol := r.Labeling; sol != nil {
 		v.Labeling = LabelingView{Method: sol.Method, Optimal: sol.Optimal, Rows: sol.Stats.Rows, Cols: sol.Stats.Cols,
 			S: sol.Stats.S, D: sol.Stats.D, Millis: millis(sol.Elapsed)}
-		engines = sol.Engines
-	}
-	for _, er := range engines {
-		ev := EngineView{
-			Method:  er.Method,
-			Optimal: er.Optimal,
-			Winner:  er.Winner,
-			Millis:  millis(er.Elapsed),
-			Err:     er.Err,
+		for _, er := range sol.Engines {
+			ev := EngineView{
+				Method:  er.Method,
+				Optimal: er.Optimal,
+				Winner:  er.Winner,
+				Millis:  millis(er.Elapsed),
+				Err:     er.Err,
+			}
+			if !math.IsInf(er.Objective, 0) && !math.IsNaN(er.Objective) {
+				obj := er.Objective
+				ev.Objective = &obj
+			}
+			v.Labeling.Engines = append(v.Labeling.Engines, ev)
 		}
-		if !math.IsInf(er.Objective, 0) && !math.IsNaN(er.Objective) {
-			obj := er.Objective
-			ev.Objective = &obj
-		}
-		v.Labeling.Engines = append(v.Labeling.Engines, ev)
 	}
 	return v
 }

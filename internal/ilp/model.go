@@ -105,9 +105,6 @@ func (m *Model) AddVar(name string, lb, ub float64, typ VarType, obj float64) in
 	return len(m.obj) - 1
 }
 
-// SetObj overrides the objective coefficient of variable v.
-func (m *Model) SetObj(v int, c float64) { m.obj[v] = c }
-
 // VarName returns the name of variable v.
 func (m *Model) VarName(v int) string { return m.names[v] }
 

@@ -30,7 +30,7 @@ func TestCapBoundaryBipartite(t *testing.T) {
 			if sol.Stats.Rows > 4 || sol.Stats.Cols > 4 {
 				t.Fatalf("solution %dx%d violates 4x4 caps", sol.Stats.Rows, sol.Stats.Cols)
 			}
-			if err := Validate(p, sol.Labels); err != nil {
+			if err := Validate(p, sol.K, sol.Lo, sol.Hi); err != nil {
 				t.Fatalf("invalid labeling: %v", err)
 			}
 			for _, caps := range [][2]int{{4, 3}, {3, 4}} {

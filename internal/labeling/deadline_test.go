@@ -36,7 +36,7 @@ func TestTimeLimitAdherenceMIP(t *testing.T) {
 	if limit := budget + budget/5; elapsed > limit {
 		t.Errorf("TimeLimit=%v overshot: elapsed %v > %v", budget, elapsed, limit)
 	}
-	if err := Validate(p, sol.Labels); err != nil {
+	if err := Validate(p, sol.K, sol.Lo, sol.Hi); err != nil {
 		t.Errorf("degraded solution invalid: %v", err)
 	}
 }
@@ -58,7 +58,7 @@ func TestTimeLimitAdherencePortfolio(t *testing.T) {
 	if limit := budget + budget/5; elapsed > limit {
 		t.Errorf("TimeLimit=%v overshot: elapsed %v > %v", budget, elapsed, limit)
 	}
-	if err := Validate(p, sol.Labels); err != nil {
+	if err := Validate(p, sol.K, sol.Lo, sol.Hi); err != nil {
 		t.Errorf("portfolio solution invalid: %v", err)
 	}
 	if len(sol.Engines) == 0 {
@@ -105,7 +105,7 @@ func TestCancellationMidSolve(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Errorf("cancelled solve took %v; want prompt unwind", elapsed)
 	}
-	if err := Validate(p, sol.Labels); err != nil {
+	if err := Validate(p, sol.K, sol.Lo, sol.Hi); err != nil {
 		t.Errorf("cancelled solution invalid: %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package labeling
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"compact/internal/ilp"
 	"compact/internal/oct"
@@ -44,48 +43,6 @@ import (
 // handful of device layers.
 const MaxLayers = 8
 
-// KStats are the footprint dimensions implied by a K-layer labeling.
-type KStats struct {
-	K      int   // wire layers
-	Widths []int // wires per layer (occupancy), len K
-	R      int   // footprint rows: max width over even layers
-	C      int   // footprint cols: max width over odd layers
-	S      int   // semiperimeter of the footprint = R + C
-	D      int   // max dimension = max(R, C)
-}
-
-// Objective evaluates γ·S + (1−γ)·D, the same weighting as the 2D Stats.
-func (s KStats) Objective(gamma float64) float64 {
-	return gamma*float64(s.S) + (1-gamma)*float64(s.D)
-}
-
-// ComputeKStats derives the footprint from per-node layer intervals.
-func ComputeKStats(k int, lo, hi []int) KStats {
-	st := KStats{K: k, Widths: make([]int, k)}
-	for v := range lo {
-		for l := lo[v]; l <= hi[v] && l < k; l++ {
-			if l >= 0 {
-				st.Widths[l]++
-			}
-		}
-	}
-	for l, w := range st.Widths {
-		if l%2 == 0 {
-			if w > st.R {
-				st.R = w
-			}
-		} else if w > st.C {
-			st.C = w
-		}
-	}
-	st.S = st.R + st.C
-	st.D = st.R
-	if st.C > st.D {
-		st.D = st.C
-	}
-	return st
-}
-
 // Occupies reports whether layer l lies in [lo, hi].
 func Occupies(lo, hi, l int) bool { return lo <= l && l <= hi }
 
@@ -104,56 +61,9 @@ func edgeRealizable(loU, hiU, loV, hiV, k int) bool {
 // reachesEven reports whether [lo, hi] holds an even (wordline) layer.
 func reachesEven(lo, hi int) bool { return lo%2 == 0 || lo < hi }
 
-// ValidateK checks that the intervals solve the K-layer problem: every
-// node occupies a non-empty in-range interval, every edge is realizable on
-// some adjacent layer pair, and every alignment node reaches an even
-// (wordline) layer.
-func ValidateK(p Problem, k int, lo, hi []int) error {
-	n := p.G.N()
-	if len(lo) != n || len(hi) != n {
-		return fmt.Errorf("labeling: %d/%d intervals for %d nodes", len(lo), len(hi), n)
-	}
-	if k < 2 {
-		return fmt.Errorf("labeling: %d wire layers (need >= 2)", k)
-	}
-	for v := 0; v < n; v++ {
-		if lo[v] < 0 || hi[v] >= k || lo[v] > hi[v] {
-			return fmt.Errorf("labeling: node %d interval [%d,%d] outside 0..%d", v, lo[v], hi[v], k-1)
-		}
-	}
-	for _, e := range p.G.Edges() {
-		u, v := e[0], e[1]
-		if !edgeRealizable(lo[u], hi[u], lo[v], hi[v], k) {
-			return fmt.Errorf("labeling: edge (%d,%d) with intervals [%d,%d]–[%d,%d] has no adjacent layer pair",
-				u, v, lo[u], hi[u], lo[v], hi[v])
-		}
-	}
-	for _, v := range p.AlignH {
-		if !reachesEven(lo[v], hi[v]) {
-			return fmt.Errorf("labeling: alignment node %d interval [%d,%d] reaches no even layer", v, lo[v], hi[v])
-		}
-	}
-	return nil
-}
-
-// KSolution is a valid K-layer labeling plus solve metadata.
-type KSolution struct {
-	K       int
-	Lo, Hi  []int // per-node contiguous layer interval
-	Stats   KStats
-	Optimal bool
-	Method  string
-	Elapsed time.Duration
-	Trace   []ilp.TraceEvent
-	Engines []EngineReport
-	// ColdNodes and DenseFallbacks carry the MIP's ilp.Solution counters,
-	// as in Solution.
-	ColdNodes, DenseFallbacks int
-}
-
 // LiftLabels converts a 2D labeling into the equivalent 2-layer intervals:
 // H → [0,0], V → [1,1], VH → [0,1], and Unlabeled to the empty [1,0] that
-// ValidateK rejects. This is the V/H ↔ layer mapping the K=2 equivalence
+// Validate rejects. This is the V/H ↔ layer mapping the K=2 equivalence
 // suite pins cell-for-cell.
 func LiftLabels(labels []Label) (lo, hi []int) {
 	lo = make([]int, len(labels))
@@ -182,7 +92,7 @@ func LiftLabels(labels []Label) (lo, hi []int) {
 // OCT analogue above two colors). The deadline discipline matches
 // SolveContext: one shared budget, anytime degradation to the best valid
 // labeling found.
-func SolveK(ctx context.Context, p Problem, k int, opts Options) (*KSolution, error) {
+func SolveK(ctx context.Context, p Problem, k int, opts Options) (*Solution, error) {
 	if k > MaxLayers {
 		return nil, fmt.Errorf("labeling: %d layers exceeds the %d-layer cap", k, MaxLayers)
 	}
@@ -191,7 +101,7 @@ func SolveK(ctx context.Context, p Problem, k int, opts Options) (*KSolution, er
 
 // solveKHeuristic is the greedy OCT plus orientation and balancing,
 // folded across k layers (MethodHeuristic at K = 2, kfold above).
-func solveKHeuristic(p Problem, k int, opts Options) *KSolution {
+func solveKHeuristic(p Problem, k int, opts Options) *Solution {
 	labels, _ := orientAndBalance(p, oct.Heuristic(p.G))
 	sol := foldLabels(p, k, opts.Gamma, labels)
 	if k == 2 {
@@ -208,18 +118,18 @@ func solveKHeuristic(p Problem, k int, opts Options) *KSolution {
 // count 3..k (a k'-layer labeling is valid under k layers), plus the 2D
 // lift itself, and the best objective wins — so S is monotone
 // non-increasing in K by construction. At k = 2 it is the lift.
-func foldLabels(p Problem, k int, gamma float64, labels []Label) *KSolution {
+func foldLabels(p Problem, k int, gamma float64, labels []Label) *Solution {
 	lo2, hi2 := LiftLabels(labels)
 	bestLo, bestHi := lo2, hi2
-	bestStats := ComputeKStats(k, lo2, hi2)
+	bestStats := ComputeStats(k, lo2, hi2)
 	for kk := 3; kk <= k; kk++ {
 		lo, hi := kFold(p, labels, kk)
-		st := ComputeKStats(k, lo, hi)
+		st := ComputeStats(k, lo, hi)
 		if st.Objective(gamma) < bestStats.Objective(gamma)-1e-9 {
 			bestLo, bestHi, bestStats = lo, hi, st
 		}
 	}
-	return &KSolution{
+	return &Solution{
 		K: k, Lo: bestLo, Hi: bestHi,
 		Stats:  bestStats,
 		Method: "kfold",
@@ -414,7 +324,7 @@ func intervalModel(p Problem, k int, opts Options) *exactModel {
 	}
 
 	m := &exactModel{name: "kmip", k: k, mod: mod, occ: x}
-	m.encode = func(c *KSolution) []float64 {
+	m.encode = func(c *Solution) []float64 {
 		inc := make([]float64, mod.NumVars())
 		for v := 0; v < n; v++ {
 			for l := c.Lo[v]; l <= c.Hi[v]; l++ {
@@ -432,8 +342,8 @@ func intervalModel(p Problem, k int, opts Options) *exactModel {
 				}
 			}
 		}
-		inc[rVar] = float64(c.Stats.R)
-		inc[cVar] = float64(c.Stats.C)
+		inc[rVar] = float64(c.Stats.Rows)
+		inc[cVar] = float64(c.Stats.Cols)
 		inc[dVar] = float64(c.Stats.D)
 		return inc
 	}

@@ -45,45 +45,6 @@ func grid(a, b int) *graph.Graph {
 	return g
 }
 
-func TestComputeKStatsMatches2D(t *testing.T) {
-	labels := []Label{H, V, VH, H, V}
-	lo, hi := LiftLabels(labels)
-	st2 := ComputeStats(labels)
-	stK := ComputeKStats(2, lo, hi)
-	if stK.R != st2.Rows || stK.C != st2.Cols || stK.S != st2.S || stK.D != st2.D {
-		t.Fatalf("lifted stats %+v disagree with 2D stats %+v", stK, st2)
-	}
-	if stK.Widths[0] != st2.Rows || stK.Widths[1] != st2.Cols {
-		t.Fatalf("widths %v, want [%d %d]", stK.Widths, st2.Rows, st2.Cols)
-	}
-}
-
-func TestSolveKDelegatesAtKLE2(t *testing.T) {
-	p := Problem{G: wheel(5), AlignH: []int{5}}
-	base, err := SolveContext(context.Background(), p, Options{Method: MethodHeuristic, Gamma: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 2} {
-		sol, err := SolveK(context.Background(), p, k, Options{Method: MethodHeuristic, Gamma: 0.5})
-		if err != nil {
-			t.Fatalf("K=%d: %v", k, err)
-		}
-		if sol.K != 2 {
-			t.Fatalf("K=%d clamped to %d, want 2", k, sol.K)
-		}
-		if sol.Stats.S != base.Stats.S || sol.Stats.D != base.Stats.D {
-			t.Fatalf("K=%d stats %+v disagree with 2D %+v", k, sol.Stats, base.Stats)
-		}
-		wantLo, wantHi := LiftLabels(base.Labels)
-		for v := range wantLo {
-			if sol.Lo[v] != wantLo[v] || sol.Hi[v] != wantHi[v] {
-				t.Fatalf("K=%d node %d interval [%d,%d], want [%d,%d]", k, v, sol.Lo[v], sol.Hi[v], wantLo[v], wantHi[v])
-			}
-		}
-	}
-}
-
 func TestSolveKFoldShrinksFootprint(t *testing.T) {
 	// A grid has many H nodes to fold across even layers; S must strictly
 	// decrease from K=2 to K=3 and stay monotone through K=4.
@@ -94,7 +55,7 @@ func TestSolveKFoldShrinksFootprint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
-		if err := ValidateK(p, k, sol.Lo, sol.Hi); err != nil {
+		if err := Validate(p, k, sol.Lo, sol.Hi); err != nil {
 			t.Fatalf("K=%d invalid: %v", k, err)
 		}
 		if prev > 0 {
@@ -117,7 +78,7 @@ func TestSolveKMIPOnWheel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateK(p, 3, sol.Lo, sol.Hi); err != nil {
+	if err := Validate(p, 3, sol.Lo, sol.Hi); err != nil {
 		t.Fatal(err)
 	}
 	heur, err := SolveK(context.Background(), p, 3, Options{Method: MethodHeuristic, Gamma: 0.5})
@@ -164,13 +125,13 @@ func TestValidateKCatchesGaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Problem{G: g}
-	if err := ValidateK(p, 4, []int{0, 3}, []int{0, 3}); err == nil {
+	if err := Validate(p, 4, []int{0, 3}, []int{0, 3}); err == nil {
 		t.Fatal("non-adjacent layers accepted")
 	}
-	if err := ValidateK(p, 4, []int{0, 1}, []int{0, 1}); err != nil {
+	if err := Validate(p, 4, []int{0, 1}, []int{0, 1}); err != nil {
 		t.Fatalf("adjacent layers rejected: %v", err)
 	}
-	if err := ValidateK(Problem{G: g, AlignH: []int{1}}, 4, []int{0, 1}, []int{0, 1}); err == nil {
+	if err := Validate(Problem{G: g, AlignH: []int{1}}, 4, []int{0, 1}, []int{0, 1}); err == nil {
 		t.Fatal("odd-only alignment interval accepted")
 	}
 }

@@ -58,12 +58,6 @@ func (l Label) String() string {
 	return "?"
 }
 
-// HasH reports whether the label includes a wordline.
-func (l Label) HasH() bool { return l == H || l == VH }
-
-// HasV reports whether the label includes a bitline.
-func (l Label) HasV() bool { return l == V || l == VH }
-
 // Problem is a VH-labeling instance.
 type Problem struct {
 	// G is the undirected graph derived from the BDD (0-terminal removed).
@@ -73,12 +67,16 @@ type Problem struct {
 	AlignH []int
 }
 
-// Stats are the crossbar dimensions implied by a labeling.
+// Stats are the footprint dimensions implied by a labeling on K wire
+// layers. All even layers share one row pitch and all odd layers one
+// column pitch, so at K = 2 Rows = #H + #VH and Cols = #V + #VH.
 type Stats struct {
-	Rows int // #H + #VH
-	Cols int // #V + #VH
-	S    int // semiperimeter = Rows + Cols
-	D    int // max dimension = max(Rows, Cols)
+	K      int   // wire layers
+	Widths []int // wires per layer (occupancy), len K
+	Rows   int   // footprint rows: max width over even (wordline) layers
+	Cols   int   // footprint cols: max width over odd (bitline) layers
+	S      int   // semiperimeter = Rows + Cols
+	D      int   // max dimension = max(Rows, Cols)
 }
 
 // Objective evaluates γ·S + (1−γ)·D.
@@ -86,20 +84,58 @@ func (s Stats) Objective(gamma float64) float64 {
 	return gamma*float64(s.S) + (1-gamma)*float64(s.D)
 }
 
-// ComputeStats derives crossbar dimensions from a labeling: the footprint
-// of its 2-layer lift.
-func ComputeStats(labels []Label) Stats {
-	lo, hi := LiftLabels(labels)
-	ks := ComputeKStats(2, lo, hi)
-	return Stats{Rows: ks.R, Cols: ks.C, S: ks.S, D: ks.D}
+// ComputeStats derives the footprint from per-node layer intervals on k
+// layers.
+func ComputeStats(k int, lo, hi []int) Stats {
+	st := Stats{K: k, Widths: make([]int, k)}
+	for v := range lo {
+		for l := max(lo[v], 0); l <= hi[v] && l < k; l++ {
+			st.Widths[l]++
+		}
+	}
+	for l, w := range st.Widths {
+		if l%2 == 0 {
+			st.Rows = max(st.Rows, w)
+		} else {
+			st.Cols = max(st.Cols, w)
+		}
+	}
+	st.S = st.Rows + st.Cols
+	st.D = max(st.Rows, st.Cols)
+	return st
 }
 
-// Validate checks that labels solve the problem: every node labeled, no
-// V–V or H–H edge, and all alignment nodes carry an H. It is ValidateK on
-// the 2-layer lift.
-func Validate(p Problem, labels []Label) error {
-	lo, hi := LiftLabels(labels)
-	return ValidateK(p, 2, lo, hi)
+// Validate checks that the intervals solve p on k layers: every node
+// occupies a non-empty in-range interval, every edge is realizable on some
+// adjacent layer pair, and every alignment node reaches an even (wordline)
+// layer. At K = 2 that is: every node labeled, no V–V or H–H edge, and
+// every alignment node carries an H.
+func Validate(p Problem, k int, lo, hi []int) error {
+	n := p.G.N()
+	if len(lo) != n || len(hi) != n {
+		return fmt.Errorf("labeling: %d/%d intervals for %d nodes", len(lo), len(hi), n)
+	}
+	if k < 2 {
+		return fmt.Errorf("labeling: %d wire layers (need >= 2)", k)
+	}
+	for v := 0; v < n; v++ {
+		if lo[v] < 0 || hi[v] >= k || lo[v] > hi[v] {
+			return fmt.Errorf("labeling: node %d interval [%d,%d] outside 0..%d", v, lo[v], hi[v], k-1)
+		}
+	}
+	for _, e := range p.G.Edges() {
+		u, v := e[0], e[1]
+		if !edgeRealizable(lo[u], hi[u], lo[v], hi[v], k) {
+			return fmt.Errorf("labeling: edge (%d,%d) with intervals [%d,%d]–[%d,%d] has no adjacent layer pair",
+				u, v, lo[u], hi[u], lo[v], hi[v])
+		}
+	}
+	for _, v := range p.AlignH {
+		if !reachesEven(lo[v], hi[v]) {
+			return fmt.Errorf("labeling: alignment node %d interval [%d,%d] reaches no even layer", v, lo[v], hi[v])
+		}
+	}
+	return nil
 }
 
 // Method selects the solver.
@@ -169,8 +205,14 @@ type Options struct {
 // row/column budget (Options.MaxRows / Options.MaxCols).
 var ErrInfeasible = errors.New("labeling: row/column constraints are infeasible")
 
-// Solution is a valid labeling plus solve metadata.
+// Solution is a valid labeling plus solve metadata: one contiguous layer
+// interval per node on K wire layers. The paper's VH-labeling is its K = 2
+// case, and there Labels carries the V/H/VH view of the intervals.
 type Solution struct {
+	K      int
+	Lo, Hi []int // per-node contiguous layer interval
+	// Labels is the VH-labeling the intervals encode (H = [0,0],
+	// V = [1,1], VH = [0,1]); set at K = 2 only.
 	Labels  []Label
 	Stats   Stats
 	Optimal bool   // proven optimal for the chosen objective
@@ -192,37 +234,28 @@ type Solution struct {
 	Engines []EngineReport
 }
 
-// SolveContext computes a VH-labeling of p. Options.TimeLimit
-// becomes a deadline on one context shared by every sub-solver — the OCT
-// warm start, the MIP branch & bound (checked inside simplex pivots) and
-// the portfolio engines all spend from the same budget, so the total wall
-// clock cannot exceed it by more than one pivot. When the budget or ctx
-// expires mid-solve, the best valid labeling found so far is returned
-// (never an error); a context that is already dead on entry returns
-// (nil, ctx.Err()) promptly.
-func SolveContext(ctx context.Context, p Problem, opts Options) (*Solution, error) {
-	ks, err := solve(ctx, p, 2, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Solution{
-		Labels:  lowerLabels(ks.Lo, ks.Hi),
-		Stats:   Stats{Rows: ks.Stats.R, Cols: ks.Stats.C, S: ks.Stats.S, D: ks.Stats.D},
-		Optimal: ks.Optimal,
-		Method:  ks.Method,
-		Elapsed: ks.Elapsed,
-		Trace:   ks.Trace,
-		Engines: ks.Engines,
+// KSolution is the K-layer name of Solution.
+//
+// Deprecated: use Solution.
+type KSolution = Solution
 
-		ColdNodes:      ks.ColdNodes,
-		DenseFallbacks: ks.DenseFallbacks,
-	}, nil
+// SolveContext computes a VH-labeling of p: SolveK at K = 2.
+// Options.TimeLimit becomes a deadline on one context shared by every
+// sub-solver — the OCT warm start, the MIP branch & bound (checked inside
+// simplex pivots) and the portfolio engines all spend from the same
+// budget, so the total wall clock cannot exceed it by more than one pivot.
+// When the budget or ctx expires mid-solve, the best valid labeling found
+// so far is returned (never an error); a context that is already dead on
+// entry returns (nil, ctx.Err()) promptly.
+func SolveContext(ctx context.Context, p Problem, opts Options) (*Solution, error) {
+	return SolveK(ctx, p, 2, opts)
 }
 
 // solve is the one labeling driver for every layer count k >= 2: budget,
 // O(1) cap refutation, method dispatch, and the checks every answer must
-// pass. At K = 2 it runs the 2D engines (OCT and the Eq. 4 MIP).
-func solve(ctx context.Context, p Problem, k int, opts Options) (*KSolution, error) {
+// pass. At K = 2 it runs the 2D engines (OCT and the Eq. 4 MIP) and fills
+// Solution.Labels.
+func solve(ctx context.Context, p Problem, k int, opts Options) (*Solution, error) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -261,7 +294,7 @@ func solve(ctx context.Context, p Problem, k int, opts Options) (*KSolution, err
 			method = MethodMIP
 		}
 	}
-	var sol *KSolution
+	var sol *Solution
 	var err error
 	switch {
 	case method == MethodHeuristic:
@@ -281,10 +314,11 @@ func solve(ctx context.Context, p Problem, k int, opts Options) (*KSolution, err
 		return nil, err
 	}
 	sol.Elapsed = time.Since(start)
-	if err := ValidateK(p, k, sol.Lo, sol.Hi); err != nil {
+	if err := Validate(p, k, sol.Lo, sol.Hi); err != nil {
 		return nil, fmt.Errorf("labeling: solver %s produced invalid labeling: %w", sol.Method, err)
 	}
 	if k == 2 {
+		sol.Labels = lowerLabels(sol.Lo, sol.Hi)
 		vh := 0
 		for v := range sol.Lo {
 			if sol.Lo[v] < sol.Hi[v] {
@@ -299,14 +333,14 @@ func solve(ctx context.Context, p Problem, k int, opts Options) (*KSolution, err
 			return nil, fmt.Errorf("labeling: solver %s: %w", sol.Method, err)
 		}
 	}
-	if (opts.MaxRows > 0 && sol.Stats.R > opts.MaxRows) ||
-		(opts.MaxCols > 0 && sol.Stats.C > opts.MaxCols) {
+	if (opts.MaxRows > 0 && sol.Stats.Rows > opts.MaxRows) ||
+		(opts.MaxCols > 0 && sol.Stats.Cols > opts.MaxCols) {
 		// Non-MIP methods do not optimize under dimension budgets; their
 		// result simply failed the caps (the budget may still be feasible
 		// via MethodMIP). The MIP path returns ErrInfeasible directly on
 		// proven infeasibility before reaching here.
 		return nil, fmt.Errorf("labeling: %s result %dx%d exceeds budget %dx%d: %w",
-			sol.Method, sol.Stats.R, sol.Stats.C, opts.MaxRows, opts.MaxCols, ErrInfeasible)
+			sol.Method, sol.Stats.Rows, sol.Stats.Cols, opts.MaxRows, opts.MaxCols, ErrInfeasible)
 	}
 	return sol, nil
 }
@@ -318,7 +352,7 @@ func solve(ctx context.Context, p Problem, k int, opts Options) (*KSolution, err
 // conflicts; alignment patches may add VH labels. The time budget rides on
 // ctx (set up by SolveContext); a budget that dies mid-search degrades to
 // the greedy OCT rather than erroring.
-func solveOCT(ctx context.Context, p Problem, opts Options) (*KSolution, error) {
+func solveOCT(ctx context.Context, p Problem, opts Options) (*Solution, error) {
 	res, err := oct.FindContext(ctx, p.G, oct.Options{Backend: opts.OCTBackend})
 	if err != nil {
 		if ctx.Err() == nil {
@@ -569,7 +603,7 @@ func eq4Model(p Problem, opts Options) *exactModel {
 		}
 		mod.AddConstr("DgeHalfS", dTerms, ilp.GE, 0)
 	}
-	m.encode = func(c *KSolution) []float64 {
+	m.encode = func(c *Solution) []float64 {
 		x := make([]float64, mod.NumVars())
 		for i := range c.Lo {
 			if c.Hi[i] == 1 {
@@ -604,7 +638,7 @@ func eq4Model(p Problem, opts Options) *exactModel {
 }
 
 // lowerLabels is LiftLabels' inverse: [0,0] → H, [1,1] → V, [0,1] → VH.
-// Any other interval stays Unlabeled, which Validate rejects.
+// Any other interval stays Unlabeled.
 func lowerLabels(lo, hi []int) []Label {
 	labels := make([]Label, len(lo))
 	for v := range lo {

@@ -38,6 +38,18 @@ func randomGraph(rng *rand.Rand, n int, p float64) *graph.Graph {
 	return g
 }
 
+// validLabels is Validate on the 2-layer lift of a VH-labeling.
+func validLabels(p Problem, labels []Label) error {
+	lo, hi := LiftLabels(labels)
+	return Validate(p, 2, lo, hi)
+}
+
+// labelStats is ComputeStats on the 2-layer lift of a VH-labeling.
+func labelStats(labels []Label) Stats {
+	lo, hi := LiftLabels(labels)
+	return ComputeStats(2, lo, hi)
+}
+
 // bruteBest enumerates all labelings and returns the best objective value.
 func bruteBest(p Problem, gamma float64) float64 {
 	n := p.G.N()
@@ -46,8 +58,8 @@ func bruteBest(p Problem, gamma float64) float64 {
 	var rec func(i int)
 	rec = func(i int) {
 		if i == n {
-			if Validate(p, labels) == nil {
-				if obj := ComputeStats(labels).Objective(gamma); obj < best {
+			if validLabels(p, labels) == nil {
+				if obj := labelStats(labels).Objective(gamma); obj < best {
 					best = obj
 				}
 			}
@@ -64,7 +76,7 @@ func bruteBest(p Problem, gamma float64) float64 {
 
 func TestStatsAndObjective(t *testing.T) {
 	labels := []Label{V, H, VH, V}
-	st := ComputeStats(labels)
+	st := labelStats(labels)
 	if st.Rows != 2 || st.Cols != 3 || st.S != 5 || st.D != 3 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -81,26 +93,26 @@ func TestStatsAndObjective(t *testing.T) {
 
 func TestValidateRejects(t *testing.T) {
 	p := Problem{G: path(2)}
-	if err := Validate(p, []Label{V, V}); err == nil {
+	if err := validLabels(p, []Label{V, V}); err == nil {
 		t.Error("V-V edge accepted")
 	}
-	if err := Validate(p, []Label{H, H}); err == nil {
+	if err := validLabels(p, []Label{H, H}); err == nil {
 		t.Error("H-H edge accepted")
 	}
-	if err := Validate(p, []Label{V, H}); err != nil {
+	if err := validLabels(p, []Label{V, H}); err != nil {
 		t.Errorf("V-H edge rejected: %v", err)
 	}
-	if err := Validate(p, []Label{Unlabeled, H}); err == nil {
+	if err := validLabels(p, []Label{Unlabeled, H}); err == nil {
 		t.Error("unlabeled node accepted")
 	}
-	if err := Validate(p, []Label{V}); err == nil {
+	if err := validLabels(p, []Label{V}); err == nil {
 		t.Error("wrong length accepted")
 	}
 	pAlign := Problem{G: path(2), AlignH: []int{0}}
-	if err := Validate(pAlign, []Label{V, H}); err == nil {
+	if err := validLabels(pAlign, []Label{V, H}); err == nil {
 		t.Error("alignment violation accepted")
 	}
-	if err := Validate(pAlign, []Label{VH, V}); err != nil {
+	if err := validLabels(pAlign, []Label{VH, V}); err != nil {
 		t.Errorf("VH alignment rejected: %v", err)
 	}
 }
@@ -269,7 +281,7 @@ func TestAlignmentForcesH(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := 0; v < 3; v++ {
-		if !sol.Labels[v].HasH() {
+		if l := sol.Labels[v]; l != H && l != VH {
 			t.Errorf("node %d lacks H", v)
 		}
 	}

@@ -30,7 +30,7 @@ type exactModel struct {
 	tail func()
 	// encode writes a valid labeling as a solution vector; decode reads
 	// the solver's vector back as layer intervals.
-	encode func(c *KSolution) []float64
+	encode func(c *Solution) []float64
 	decode func(x []float64) (lo, hi []int)
 }
 
@@ -39,7 +39,7 @@ type exactModel struct {
 // labeling used as the incumbent instead of recomputing the heuristic;
 // bestKnown, when non-nil, feeds a live external objective bound into the
 // branch & bound (portfolio incumbent sharing).
-func solveMIP(ctx context.Context, p Problem, k int, opts Options, primer *KSolution, bestKnown func() float64) (*KSolution, error) {
+func solveMIP(ctx context.Context, p Problem, k int, opts Options, primer *Solution, bestKnown func() float64) (*Solution, error) {
 	if k == 2 {
 		return solveExact(ctx, p, opts, eq4Model(p, opts), primer, bestKnown)
 	}
@@ -109,7 +109,7 @@ func (m *exactModel) addOCTRows(ctx context.Context, p Problem, opts Options) (o
 // when nil) and the OCT warm start's labeling folded onto m.k layers,
 // solves under ctx's deadline, and closes the trace on the analytic floor
 // so every exit reports an incumbent and a bound (DESIGN §5b).
-func solveExact(ctx context.Context, p Problem, opts Options, m *exactModel, primer *KSolution, bestKnown func() float64) (*KSolution, error) {
+func solveExact(ctx context.Context, p Problem, opts Options, m *exactModel, primer *Solution, bestKnown func() float64) (*Solution, error) {
 	gamma := opts.Gamma
 	octRes, kLB, err := m.addOCTRows(ctx, p, opts)
 	if err != nil {
@@ -121,7 +121,8 @@ func solveExact(ctx context.Context, p Problem, opts Options, m *exactModel, pri
 	if best == nil {
 		best = solveKHeuristic(p, m.k, opts)
 	}
-	if octLabels, _ := orientAndBalance(p, octRes); Validate(p, octLabels) == nil {
+	octLabels, _ := orientAndBalance(p, octRes)
+	if lo, hi := LiftLabels(octLabels); Validate(p, 2, lo, hi) == nil {
 		if c := foldLabels(p, m.k, gamma, octLabels); c.Stats.Objective(gamma) < best.Stats.Objective(gamma) {
 			best = c
 		}
@@ -135,9 +136,9 @@ func solveExact(ctx context.Context, p Problem, opts Options, m *exactModel, pri
 	// fallback returns the incumbent when the MIP produced no labeling of
 	// its own, still carrying a bound. Fresh intervals: best may alias the
 	// portfolio's shared primer.
-	fallback := func(method string, trace []ilp.TraceEvent, nodes int) *KSolution {
+	fallback := func(method string, trace []ilp.TraceEvent, nodes int) *Solution {
 		trace, gap := anytimeTrace(trace, best.Stats.Objective(gamma), analytic, nodes)
-		return &KSolution{K: m.k, Lo: append([]int(nil), best.Lo...), Hi: append([]int(nil), best.Hi...),
+		return &Solution{K: m.k, Lo: append([]int(nil), best.Lo...), Hi: append([]int(nil), best.Hi...),
 			Stats: best.Stats, Optimal: gap <= 1e-9, Method: method, Trace: trace}
 	}
 
@@ -179,9 +180,9 @@ func solveExact(ctx context.Context, p Problem, opts Options, m *exactModel, pri
 		return fallback(m.name+"-fallback", sol.Trace, sol.Nodes), nil
 	}
 	lo, hi := m.decode(sol.X)
-	st := ComputeKStats(m.k, lo, hi)
+	st := ComputeStats(m.k, lo, hi)
 	trace, gap := anytimeTrace(sol.Trace, st.Objective(gamma), analytic, sol.Nodes)
-	return &KSolution{
+	return &Solution{
 		K: m.k, Lo: lo, Hi: hi,
 		Stats:   st,
 		Optimal: sol.Status == ilp.StatusOptimal || gap <= 1e-9,

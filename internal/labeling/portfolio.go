@@ -56,17 +56,17 @@ func (s *sharedIncumbent) offer(v float64) {
 // labeling seen, never an error. The winner's incumbent is closed against
 // the tightest bound any engine proved, so the answer always carries a
 // trace whose bound is at most its objective (DESIGN §5b).
-func solvePortfolio(ctx context.Context, p Problem, k int, opts Options) (*KSolution, error) {
+func solvePortfolio(ctx context.Context, p Problem, k int, opts Options) (*Solution, error) {
 	gamma := opts.Gamma
 	shared := newSharedIncumbent()
 
-	fits := func(s *KSolution) bool {
-		return (opts.MaxRows <= 0 || s.Stats.R <= opts.MaxRows) &&
-			(opts.MaxCols <= 0 || s.Stats.C <= opts.MaxCols)
+	fits := func(s *Solution) bool {
+		return (opts.MaxRows <= 0 || s.Stats.Rows <= opts.MaxRows) &&
+			(opts.MaxCols <= 0 || s.Stats.Cols <= opts.MaxCols)
 	}
 	// better orders candidates: respect the dimension caps first, then the
 	// objective, then proven optimality as the tie-break.
-	better := func(a, b *KSolution) bool {
+	better := func(a, b *Solution) bool {
 		if fa, fb := fits(a), fits(b); fa != fb {
 			return fa
 		}
@@ -77,7 +77,7 @@ func solvePortfolio(ctx context.Context, p Problem, k int, opts Options) (*KSolu
 	// floor of S >= n, raised by each engine's closing trace bound, or by
 	// its objective when it proved that optimal.
 	bound := objectiveFloor(gamma, p.G.N(), k)
-	prove := func(s *KSolution) {
+	prove := func(s *Solution) {
 		if n := len(s.Trace); n > 0 && s.Trace[n-1].Bound > bound {
 			bound = s.Trace[n-1].Bound
 		}
@@ -103,18 +103,18 @@ func solvePortfolio(ctx context.Context, p Problem, k int, opts Options) (*KSolu
 	defer cancel()
 	type engine struct {
 		name string
-		run  func() (*KSolution, error)
+		run  func() (*Solution, error)
 	}
-	mip := func() (*KSolution, error) { return solveMIP(raceCtx, p, k, opts, heur, shared.get) }
+	mip := func() (*Solution, error) { return solveMIP(raceCtx, p, k, opts, heur, shared.get) }
 	engines := []engine{{"kmip", mip}}
 	if k == 2 {
-		oct := func() (*KSolution, error) { return solveOCT(raceCtx, p, opts) }
+		oct := func() (*Solution, error) { return solveOCT(raceCtx, p, opts) }
 		engines = []engine{{"oct", oct}, {"mip", mip}}
 	}
 
 	type engineResult struct {
 		name    string
-		sol     *KSolution
+		sol     *Solution
 		err     error
 		elapsed time.Duration
 	}
@@ -136,7 +136,7 @@ func solvePortfolio(ctx context.Context, p Problem, k int, opts Options) (*KSolu
 		rep := EngineReport{Method: r.name, Elapsed: r.elapsed, Objective: math.Inf(1)}
 		if r.err != nil {
 			rep.Err = r.err.Error()
-		} else if ValidateK(p, k, r.sol.Lo, r.sol.Hi) == nil {
+		} else if Validate(p, k, r.sol.Lo, r.sol.Hi) == nil {
 			rep.Objective = r.sol.Stats.Objective(gamma)
 			rep.Optimal = r.sol.Optimal
 			shared.offer(rep.Objective)
@@ -163,7 +163,7 @@ func solvePortfolio(ctx context.Context, p Problem, k int, opts Options) (*KSolu
 		nodes = best.Trace[n-1].Nodes
 	}
 	trace, gap := anytimeTrace(best.Trace, obj, math.Min(bound, obj), nodes)
-	return &KSolution{
+	return &Solution{
 		K: k, Lo: best.Lo, Hi: best.Hi,
 		Stats:   best.Stats,
 		Optimal: best.Optimal || gap <= 1e-9,

@@ -3,8 +3,10 @@ package labeling
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"compact/internal/graph"
 )
@@ -22,31 +24,90 @@ func graphFromSeed(seed int64, n int, p float64) *graph.Graph {
 	return g
 }
 
-// Property: every solver method returns a labeling that validates, with
-// S >= n always, and S == n exactly when the graph is bipartite (no
-// alignment constraints involved).
+// Property: on K ∈ {2, 3, 4} layers every solver method returns intervals
+// that validate, with Stats computed from them and Labels set exactly at
+// K = 2, where they lift back to the intervals and Rows = #H + #VH and
+// Cols = #V + #VH. At K = 2, S >= n always,
+// and S == n exactly when the graph is bipartite for OCT and the
+// heuristic, whose SolveContext answer is SolveK's at K = 1 and K = 2.
+// The first node is aligned on odd seeds.
 func TestQuickAllMethodsValidate(t *testing.T) {
+	ctx := context.Background()
+	methods := []Method{MethodAuto, MethodOCT, MethodMIP, MethodHeuristic, MethodPortfolio}
 	prop := func(seed int64) bool {
 		g := graphFromSeed(seed, 10, 0.3)
 		p := Problem{G: g}
-		for _, m := range []Method{MethodOCT, MethodHeuristic} {
-			sol, err := SolveContext(context.Background(), p, Options{Method: m, Gamma: 1})
-			if err != nil {
-				return false
-			}
-			if sol.Stats.S < g.N() {
-				return false
-			}
-			if g.IsBipartite() && sol.Stats.S != g.N() {
-				// Both methods find zero VH labels on bipartite graphs.
-				return false
+		if seed%2 != 0 {
+			p.AlignH = []int{0}
+		}
+		for _, k := range []int{2, 3, 4} {
+			for _, m := range methods {
+				opts := Options{Method: m, Gamma: 1}
+				if m != MethodHeuristic {
+					opts.TimeLimit = 5 * time.Millisecond
+				}
+				sol, err := SolveK(ctx, p, k, opts)
+				if err != nil {
+					t.Logf("K=%d %v: %v", k, m, err)
+					return false
+				}
+				if sol.K != k || Validate(p, k, sol.Lo, sol.Hi) != nil ||
+					!reflect.DeepEqual(sol.Stats, ComputeStats(k, sol.Lo, sol.Hi)) {
+					t.Logf("K=%d %v: invalid solution %+v", k, m, sol)
+					return false
+				}
+				if k > 2 {
+					if sol.Labels != nil {
+						t.Logf("K=%d %v: labels set above K = 2", k, m)
+						return false
+					}
+					continue
+				}
+				if lo, hi := LiftLabels(sol.Labels); !reflect.DeepEqual(lo, sol.Lo) || !reflect.DeepEqual(hi, sol.Hi) {
+					t.Logf("K=2 %v: labels %v do not lift to the intervals", m, sol.Labels)
+					return false
+				}
+				rows, cols := 0, 0
+				for _, l := range sol.Labels {
+					if l != V {
+						rows++
+					}
+					if l != H {
+						cols++
+					}
+				}
+				if !reflect.DeepEqual(sol.Stats.Widths, []int{rows, cols}) || sol.Stats.Rows != rows ||
+					sol.Stats.Cols != cols || sol.Stats.S < g.N() {
+					t.Logf("K=2 %v: stats %+v for %d H-side and %d V-side labels", m, sol.Stats, rows, cols)
+					return false
+				}
+				if m != MethodOCT && m != MethodHeuristic {
+					continue
+				}
+				if g.IsBipartite() && sol.Stats.S != g.N() {
+					// Both methods find zero VH labels on bipartite graphs.
+					return false
+				}
+				ref, err := SolveContext(ctx, p, opts)
+				clamped, err1 := SolveK(ctx, p, 1, opts)
+				if err != nil || err1 != nil || !sameSolution(ref, sol) || !sameSolution(clamped, sol) {
+					t.Logf("%v: SolveContext %+v and SolveK(1) %+v differ from SolveK(2) %+v", m, ref, clamped, sol)
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// sameSolution compares the deterministic parts of two solutions.
+func sameSolution(a, b *Solution) bool {
+	return a.K == b.K && reflect.DeepEqual(a.Lo, b.Lo) && reflect.DeepEqual(a.Hi, b.Hi) &&
+		reflect.DeepEqual(a.Labels, b.Labels) && reflect.DeepEqual(a.Stats, b.Stats) &&
+		a.Method == b.Method && a.Optimal == b.Optimal
 }
 
 // Property: the OCT-method semiperimeter is n plus the proven minimum OCT
@@ -82,7 +143,7 @@ func TestQuickVHUpgradeKeepsValidity(t *testing.T) {
 		}
 		labels := append([]Label(nil), sol.Labels...)
 		labels[int(pick)%len(labels)] = VH
-		return Validate(p, labels) == nil
+		return validLabels(p, labels) == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -100,7 +161,7 @@ func TestQuickStatsConsistency(t *testing.T) {
 		for i, r := range raw {
 			labels[i] = Label(r%3) + 1
 		}
-		st := ComputeStats(labels)
+		st := labelStats(labels)
 		if st.S != st.Rows+st.Cols {
 			return false
 		}

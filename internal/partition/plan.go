@@ -308,13 +308,3 @@ func (p *Plan) Digest() string {
 	sum := sha256.Sum256(data)
 	return fmt.Sprintf("sha256:%x", sum)
 }
-
-// TileNames returns the tile names in cascade order (a convenience for
-// reporting).
-func (p *Plan) TileNames() []string {
-	names := make([]string, len(p.Tiles))
-	for i := range p.Tiles {
-		names[i] = p.Tiles[i].Name
-	}
-	return names
-}

@@ -517,15 +517,10 @@ func (s *Server) synth(ctx context.Context, nw *logic.Network, opts core.Options
 			}
 		}
 	}
-	var engines []labeling.EngineReport
-	if res.KLabeling != nil {
-		engines = res.KLabeling.Engines
-	}
 	if res.Labeling != nil {
-		engines = res.Labeling.Engines
-	}
-	for _, er := range engines {
-		s.metrics.recordEngine(er.Method, float64(er.Elapsed)/float64(time.Millisecond))
+		for _, er := range res.Labeling.Engines {
+			s.metrics.recordEngine(er.Method, float64(er.Elapsed)/float64(time.Millisecond))
+		}
 	}
 	body, err := finish(res)
 	if err != nil && s.base.Err() != nil {

@@ -28,9 +28,6 @@ type WireRef struct {
 // their nodes were bound (roots labeled V-only are rejected — callers
 // wanting sensable outputs must label with alignment).
 func Map(bg *BDDGraph, labels []labeling.Label) (*Design, error) {
-	if err := labeling.Validate(labeling.Problem{G: bg.G}, labels); err != nil {
-		return nil, fmt.Errorf("xbar: %w", err)
-	}
 	lo, hi := labeling.LiftLabels(labels)
 	return MapStack(bg, 2, lo, hi)
 }
@@ -50,7 +47,7 @@ func Map(bg *BDDGraph, labels []labeling.Label) (*Design, error) {
 // 1-terminal must reach an even layer, where the periphery can sense and
 // drive them. Outputs follow BDDGraph.Roots order.
 func MapStack(bg *BDDGraph, k int, lo, hi []int) (*Design, error) {
-	if err := labeling.ValidateK(bg.Problem(false), k, lo, hi); err != nil {
+	if err := labeling.Validate(bg.Problem(false), k, lo, hi); err != nil {
 		return nil, fmt.Errorf("xbar: %w", err)
 	}
 	n := bg.G.N()
@@ -170,7 +167,7 @@ func MapStack(bg *BDDGraph, k int, lo, hi []int) (*Design, error) {
 	// implies (its occupancy, plus the const-0 wire on layer 0 and the
 	// padding of an empty layer), and every device (one per edge, one
 	// stitch per spanned layer pair) landed on its own crossing.
-	want := labeling.ComputeKStats(k, lo, hi).Widths
+	want := labeling.ComputeStats(k, lo, hi).Widths
 	if needConst0 {
 		want[0]++
 	}

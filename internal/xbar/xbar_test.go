@@ -106,14 +106,14 @@ func TestSemiperimeterIsNPlusK(t *testing.T) {
 		// S = n + k, adjusted for the two degenerate extras: a dedicated
 		// row for constant-0 outputs and the filler bitline when no node
 		// is labeled V.
-		wantRows := labeling.ComputeStats(sol.Labels).Rows
+		wantRows := sol.Stats.Rows
 		for _, r := range bg.Roots {
 			if r.Kind == RootConst0 {
 				wantRows++
 				break
 			}
 		}
-		wantCols := labeling.ComputeStats(sol.Labels).Cols
+		wantCols := sol.Stats.Cols
 		if wantCols == 0 {
 			wantCols = 1
 		}
@@ -202,6 +202,36 @@ func TestMapRejectsVRoot(t *testing.T) {
 	labels[bg.TerminalID] = labeling.H
 	if _, err := Map(bg, labels); err == nil {
 		t.Error("V-labeled root accepted")
+	}
+}
+
+// TestMapRejectsInvalidLabels pins that MapStack's one validity check
+// serves Map: an unlabeled node and a V–V edge are both refused with an
+// "xbar: labeling: " error.
+func TestMapRejectsInvalidLabels(t *testing.T) {
+	nw := fig2Network()
+	m, roots, err := bdd.BuildNetwork(nw, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg, err := FromBDD(m, roots, nw.OutputNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := labeling.SolveContext(context.Background(), bg.Problem(true), labeling.Options{Method: labeling.MethodHeuristic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlabeled := append([]labeling.Label(nil), sol.Labels...)
+	unlabeled[0] = labeling.Unlabeled
+	allV := make([]labeling.Label, len(sol.Labels))
+	for i := range allV {
+		allV[i] = labeling.V
+	}
+	for name, labels := range map[string][]labeling.Label{"unlabeled": unlabeled, "V-V edge": allV} {
+		if _, err := Map(bg, labels); err == nil || !strings.HasPrefix(err.Error(), "xbar: labeling: ") {
+			t.Errorf("%s: Map returned %v, want an xbar: labeling: error", name, err)
+		}
 	}
 }
 

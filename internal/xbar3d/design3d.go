@@ -18,7 +18,7 @@ type Unplaceable3D = xbar.Unplaceable
 
 // Map3D maps a K-labeling onto a K-layer stack: xbar.MapStack on the
 // solution's layer intervals.
-func Map3D(bg *xbar.BDDGraph, sol *labeling.KSolution) (*Design3D, error) {
+func Map3D(bg *xbar.BDDGraph, sol *labeling.Solution) (*Design3D, error) {
 	return xbar.MapStack(bg, sol.K, sol.Lo, sol.Hi)
 }
 
