@@ -104,6 +104,7 @@ type bbSearch struct {
 	seq         int
 	nodes       int
 	iters       int
+	refactors   int // simplex reinversions over all node LP solves
 	coldNodes   int // node LPs solved without a usable parent basis
 	denseLPs    int // LP solves that fell back to the dense tableau
 	incumbent   float64
@@ -229,6 +230,7 @@ func (s *bbSearch) worker(id int) {
 		delete(s.inFlight, id)
 		s.cond.Broadcast()
 		s.iters += res.iters
+		s.refactors += res.refactors
 		if cold {
 			s.coldNodes++
 		}
@@ -308,16 +310,17 @@ func (s *bbSearch) worker(id int) {
 // limit inside the warm path is returned as is: the caller puts the node
 // back and stops, exactly as for a cold solve.
 func (s *bbSearch) solveNode(node *bbNode, lbs, ubs []float64) (res lpResult, cold bool, err error) {
-	warmIters := 0
+	var warm lpResult
 	if node.basis != nil && s.tmpl != nil {
 		res, err = s.tmpl.solveWarm(s.ctx, lbs, ubs, node.basis, s.deadline)
 		if err == nil || errors.Is(err, errTimeLimit) {
 			return res, false, err
 		}
-		warmIters = res.iters
+		warm = res
 	}
 	res, err = solveLP(s.ctx, s.mod, lbs, ubs, s.deadline)
-	res.iters += warmIters
+	res.iters += warm.iters
+	res.refactors += warm.refactors
 	return res, true, err
 }
 
@@ -390,6 +393,7 @@ func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, err
 	}
 	res.obj = snap(res.obj)
 	sol.Iters += res.iters
+	sol.Refactors += res.refactors
 	if res.dense {
 		sol.DenseFallbacks++
 	}
@@ -454,6 +458,7 @@ func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, err
 	globalBound := s.globalBound
 	sol.ColdNodes = s.coldNodes
 	sol.DenseFallbacks += s.denseLPs
+	sol.Refactors += s.refactors
 	if s.unbounded {
 		sol.Status = StatusUnbounded
 		sol.Nodes = s.nodes

@@ -34,11 +34,11 @@ func (p *rsLP) snapshot() basisSnap { return append(basisSnap(nil), p.status...)
 // caller re-solves the node cold.
 var errWarmFailed = errors.New("ilp: warm start failed")
 
-// solveWarm reoptimizes the template t under bounds lbs/ubs, starting
-// from the basis snap of the node's parent: install and factorize the
-// basis, run the dual simplex to primal feasibility, then a primal polish
-// that removes any dual infeasibility the tolerances let through.
-func (t *rsLP) solveWarm(ctx context.Context, lbs, ubs []float64, snap basisSnap, deadline time.Time) (lpResult, error) {
+// warmNode is the template t's node LP under bounds lbs/ubs with the
+// basis snap installed but not yet factorized. It reports
+// errBoundsInfeasible for crossed bounds and errWarmFailed for a snapshot
+// that is not a basis.
+func (t *rsLP) warmNode(lbs, ubs []float64, snap basisSnap) (*rsLP, error) {
 	p := &rsLP{
 		m: t.m, n: t.n, nStruct: t.nStruct, firstArt: t.firstArt,
 		cols: t.cols, b: t.b, cost: t.cost,
@@ -52,12 +52,10 @@ func (t *rsLP) solveWarm(ctx context.Context, lbs, ubs []float64, snap basisSnap
 		// One budget for dual pivots and polish, like the cold path's
 		// two phases.
 		maxIters: t.maxIters,
-		deadline: deadline,
-		ctx:      ctx,
 	}
 	for j := 0; j < p.nStruct; j++ {
 		if lbs[j] > ubs[j]+feasTol {
-			return lpResult{status: StatusInfeasible}, nil
+			return nil, errBoundsInfeasible
 		}
 		p.lo[j], p.up[j] = lbs[j], math.Max(ubs[j], lbs[j])
 	}
@@ -73,24 +71,40 @@ func (t *rsLP) solveWarm(ctx context.Context, lbs, ubs []float64, snap basisSnap
 		}
 	}
 	if len(p.basis) != p.m {
-		return lpResult{}, errWarmFailed
+		return nil, errWarmFailed
 	}
-	if err := p.refactorize(); err != nil {
+	return p, nil
+}
+
+// solveWarm reoptimizes the template t under bounds lbs/ubs, starting
+// from the basis snap of the node's parent: install and factorize the
+// basis, run the dual simplex to primal feasibility, then a primal polish
+// that removes any dual infeasibility the tolerances let through.
+func (t *rsLP) solveWarm(ctx context.Context, lbs, ubs []float64, snap basisSnap, deadline time.Time) (lpResult, error) {
+	p, err := t.warmNode(lbs, ubs, snap)
+	if errors.Is(err, errBoundsInfeasible) {
+		return lpResult{status: StatusInfeasible}, nil
+	}
+	if err != nil {
 		return lpResult{}, err
+	}
+	p.deadline, p.ctx = deadline, ctx
+	if err := p.refactorize(); err != nil {
+		return p.result(StatusNoSolution), err
 	}
 	infeasible, err := p.dualOptimize()
 	if err != nil {
-		return lpResult{iters: p.iters}, err
+		return p.result(StatusNoSolution), err
 	}
 	if infeasible {
-		return lpResult{status: StatusInfeasible, iters: p.iters}, nil
+		return p.result(StatusInfeasible), nil
 	}
 	if err := p.optimize(p.cost); err != nil {
 		if errors.Is(err, errUnbounded) {
 			// A node of a bounded root cannot be unbounded.
-			return lpResult{iters: p.iters}, errWarmFailed
+			return p.result(StatusNoSolution), errWarmFailed
 		}
-		return lpResult{iters: p.iters}, err
+		return p.result(StatusNoSolution), err
 	}
 	return p.finish(lbs, ubs)
 }

@@ -254,6 +254,10 @@ type Solution struct {
 	// DenseFallbacks counts LP solves (root included) where the sparse
 	// revised simplex failed numerically and the dense tableau took over.
 	DenseFallbacks int
+	// Refactors counts the sparse simplex's basis reinversions over every
+	// LP solve, the root included: periodic ones, the warm start's install
+	// and each solve's final one.
+	Refactors int
 }
 
 // Options tunes SolveContext.

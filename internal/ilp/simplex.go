@@ -401,6 +401,9 @@ type lpResult struct {
 	x      []float64
 	obj    float64
 	iters  int
+	// refactors counts the revised simplex's reinversions, including those
+	// of a failed attempt the dense tableau then replaced.
+	refactors int
 	// basis is the optimal basis in the sparse lowering's column layout
 	// (nil unless the revised simplex solved the LP to optimality).
 	basis basisSnap

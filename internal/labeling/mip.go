@@ -191,6 +191,7 @@ func solveExact(ctx context.Context, p Problem, opts Options, m *exactModel, pri
 
 		ColdNodes:      sol.ColdNodes,
 		DenseFallbacks: sol.DenseFallbacks,
+		Refactors:      sol.Refactors,
 	}, nil
 }
 

@@ -79,3 +79,43 @@ func TestMIPModelGolden(t *testing.T) {
 		}
 	}
 }
+
+// eq4TestdataDir holds the Eq. 4 models of ctrl, cavlc and int2float
+// (γ = 0.5, aligned SBDD, the pipeline's defaults) in Model.WriteText form
+// for the ilp package's tests, which cannot build them: ilp sits below
+// the BDD and labeling packages.
+const eq4TestdataDir = "../ilp/testdata/eq4"
+
+// TestEq4ModelTestdata keeps the ilp package's model files equal to what
+// MethodMIP hands the branch & bound today. A missing file is written.
+func TestEq4ModelTestdata(t *testing.T) {
+	for _, circuit := range []string{"ctrl", "cavlc", "int2float"} {
+		mod, err := labeling.MIPModel(context.Background(), circuitGraph(t, circuit).Problem(true),
+			labeling.Options{Method: labeling.MethodMIP, Gamma: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := mod.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		path := eq4TestdataDir + "/" + circuit + ".txt"
+		want, err := os.ReadFile(path)
+		if os.IsNotExist(err) {
+			if err := os.MkdirAll(eq4TestdataDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Errorf("wrote %s; review and commit it", path)
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != string(want) {
+			t.Errorf("%s is not the current %s Eq. 4 model; delete it and rerun to rewrite it", path, circuit)
+		}
+	}
+}

@@ -173,5 +173,6 @@ func solvePortfolio(ctx context.Context, p Problem, k int, opts Options) (*Solut
 
 		ColdNodes:      best.ColdNodes,
 		DenseFallbacks: best.DenseFallbacks,
+		Refactors:      best.Refactors,
 	}, nil
 }
