@@ -25,8 +25,9 @@
 #                    exact-OCT cross-check against Lemma 1's ILP and
 #                    brute force, the check that one recoloring per
 #                    greedy OCT vertex re-admits none of them, the spice
-#                    dense-vs-CG solver cross-check and the warm-vs-cold
-#                    branch & bound LP cross-check)
+#                    dense-vs-CG solver cross-check, the warm-vs-cold
+#                    branch & bound LP cross-check and the sparse
+#                    reinversion's eta file against the dense one)
 #   7. compactlint — the project's own analyzers, including the compactflow
 #                    dataflow suite (allocbound, ctxflow, gospawn) and the
 #                    staleignore check on //lint:ignore directives; any
@@ -85,6 +86,7 @@ if [ "$short" -eq 0 ]; then
     go test -fuzz=FuzzMapStack -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzPlaneVsDense -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzWarmVsColdLP -fuzztime=5s -run='^$' ./internal/ilp/
+    go test -fuzz=FuzzRefactorizeVsDense -fuzztime=5s -run='^$' ./internal/ilp/
     go test -fuzz=FuzzOCTVsLemma1 -fuzztime=5s -run='^$' ./internal/oct/
     go test -fuzz=FuzzHeuristicVsRecolor -fuzztime=5s -run='^$' ./internal/oct/
     go test -fuzz=FuzzPlanJSON -fuzztime=5s -run='^$' ./internal/partition/
