@@ -201,8 +201,7 @@ func TestExactMIPOnCtrl(t *testing.T) {
 
 // TestExactMIPWarmNodes pins the branch & bound fast path on the Eq. 4
 // models the exact benchmark solves: every node LP of ctrl and cavlc is
-// reoptimized warm from its parent's basis (no cold node solves) and the
-// sparse simplex never falls back to the dense tableau.
+// reoptimized warm from its parent's basis (no cold node solves).
 func TestExactMIPWarmNodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exact MIP on cavlc takes a few seconds")
@@ -219,9 +218,8 @@ func TestExactMIPWarmNodes(t *testing.T) {
 		if nodes := lab.Trace[len(lab.Trace)-1].Nodes; nodes == 0 {
 			t.Fatalf("%s: no branch & bound node expanded", name)
 		}
-		if lab.ColdNodes != 0 || lab.DenseFallbacks != 0 {
-			t.Errorf("%s: %d cold node LPs, %d dense fallbacks; want 0 and 0",
-				name, lab.ColdNodes, lab.DenseFallbacks)
+		if lab.ColdNodes != 0 {
+			t.Errorf("%s: %d cold node LPs, want 0", name, lab.ColdNodes)
 		}
 	}
 }

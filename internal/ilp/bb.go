@@ -91,7 +91,7 @@ type bbSearch struct {
 	mod            *Model
 	opts           Options
 	rootLB, rootUB []float64
-	tmpl           *rsLP // root lowering shared by every warm node solve; nil = all cold
+	tmpl           *rsLP // root lowering shared by every warm node solve
 	deadline       time.Time
 	ctx            context.Context
 	start          time.Time
@@ -106,7 +106,6 @@ type bbSearch struct {
 	iters       int
 	refactors   int // simplex reinversions over all node LP solves
 	coldNodes   int // node LPs solved without a usable parent basis
-	denseLPs    int // LP solves that fell back to the dense tableau
 	incumbent   float64
 	incumbentX  []float64
 	prunedFloor float64
@@ -217,10 +216,6 @@ func (s *bbSearch) worker(id int) {
 			s.globalBound = om
 			s.traceLocked()
 		}
-		if s.opts.GapLimit > 0 && relGap(s.incumbent, s.globalBound) <= s.opts.GapLimit {
-			s.finishLocked()
-			return
-		}
 		s.nodes++
 		s.inFlight[id] = node.bound
 		lbs, ubs := s.applyFixes(node.fixes)
@@ -233,9 +228,6 @@ func (s *bbSearch) worker(id int) {
 		s.refactors += res.refactors
 		if cold {
 			s.coldNodes++
-		}
-		if res.dense {
-			s.denseLPs++
 		}
 		if lpErr != nil {
 			// Time limit or numerical trouble on one node: put it back so
@@ -305,13 +297,13 @@ func (s *bbSearch) worker(id int) {
 
 // solveNode solves a node's LP relaxation: warm from the parent's basis
 // when the node carries one, otherwise — or when the warm path fails
-// numerically — cold with solveLP (which in turn falls back to the dense
-// oracle). cold reports that the cold path produced the result. A time
-// limit inside the warm path is returned as is: the caller puts the node
-// back and stops, exactly as for a cold solve.
+// numerically — cold with solveLP. cold reports that the cold path
+// produced the result. A time limit inside the warm path is returned as
+// is, and so is any error of the cold solve: the caller puts the node back
+// and stops.
 func (s *bbSearch) solveNode(node *bbNode, lbs, ubs []float64) (res lpResult, cold bool, err error) {
 	var warm lpResult
-	if node.basis != nil && s.tmpl != nil {
+	if node.basis != nil {
 		res, err = s.tmpl.solveWarm(s.ctx, lbs, ubs, node.basis, s.deadline)
 		if err == nil || errors.Is(err, errTimeLimit) {
 			return res, false, err
@@ -394,9 +386,6 @@ func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, err
 	res.obj = snap(res.obj)
 	sol.Iters += res.iters
 	sol.Refactors += res.refactors
-	if res.dense {
-		sol.DenseFallbacks++
-	}
 	switch res.status {
 	case StatusInfeasible:
 		if incumbentX != nil {
@@ -419,10 +408,11 @@ func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, err
 
 	// Lower once: the root's sparse form is the read-only template every
 	// node reoptimizes on. Its layout matches the cold lowering's, so the
-	// root's optimal basis (res.basis) warm-starts the first node. The
-	// root solve already lowered these bounds, so this cannot fail; a nil
-	// template would only mean every node solves cold.
-	tmpl, _ := lowerSparse(mod, rootLB, rootUB)
+	// root's optimal basis (res.basis) warm-starts the first node.
+	tmpl, err := lowerSparse(mod, rootLB, rootUB)
+	if err != nil {
+		return nil, fmt.Errorf("root relaxation: %w", err)
+	}
 	s := &bbSearch{
 		mod: mod, opts: opts,
 		rootLB: rootLB, rootUB: rootUB, tmpl: tmpl,
@@ -457,7 +447,6 @@ func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, err
 	incumbent, incumbentX = s.incumbent, s.incumbentX
 	globalBound := s.globalBound
 	sol.ColdNodes = s.coldNodes
-	sol.DenseFallbacks += s.denseLPs
 	sol.Refactors += s.refactors
 	if s.unbounded {
 		sol.Status = StatusUnbounded
@@ -513,8 +502,6 @@ func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, err
 		sol.Status = StatusOptimal
 		sol.Bound = incumbent
 		sol.Gap = 0
-	} else if opts.GapLimit > 0 && sol.Gap <= opts.GapLimit {
-		sol.Status = StatusOptimal
 	} else {
 		sol.Status = StatusFeasible
 	}

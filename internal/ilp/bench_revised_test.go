@@ -37,7 +37,7 @@ func BenchmarkLPVertexCoverRevised(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := solveLPRevised(context.Background(), mod, mod.lb, mod.ub, time.Time{})
+		res, err := solveLP(context.Background(), mod, mod.lb, mod.ub, time.Time{})
 		if err != nil || res.status != StatusOptimal {
 			b.Fatalf("revised: %v / %v", err, res.status)
 		}

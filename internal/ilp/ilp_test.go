@@ -388,29 +388,6 @@ func TestStatusStrings(t *testing.T) {
 	}
 }
 
-func TestGapLimitStopsEarly(t *testing.T) {
-	// A loose gap limit must stop with StatusOptimal-by-gap semantics.
-	rng := rand.New(rand.NewSource(11))
-	m := NewModel("gap")
-	n := 18
-	var terms []Term
-	for j := 0; j < n; j++ {
-		m.AddVar("x", 0, 1, Binary, -float64(1+rng.Intn(40)))
-		terms = append(terms, Term{j, float64(1 + rng.Intn(12))})
-	}
-	m.AddConstr("cap", terms, LE, 30)
-	sol, err := SolveContext(context.Background(), m, Options{GapLimit: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.X == nil {
-		t.Fatal("no solution")
-	}
-	if sol.Gap > 0.5+1e-9 {
-		t.Errorf("gap %v exceeds limit", sol.Gap)
-	}
-}
-
 func TestMaxNodesRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	m := NewModel("mn")

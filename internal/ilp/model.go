@@ -2,8 +2,7 @@
 // standing in for CPLEX in the COMPACT reproduction. It combines a sparse
 // bounded-variable revised simplex for LP relaxations with best-first
 // branch & bound that reoptimizes every node from its parent's optimal
-// basis with a dual simplex (the dense two-phase tableau stays as test
-// oracle and numerical fallback), and reports the anytime convergence
+// basis with a dual simplex, and reports the anytime convergence
 // data (best integer, best bound, relative gap over time) that the
 // paper's Figures 10 and 11 plot.
 //
@@ -251,9 +250,6 @@ type Solution struct {
 	// than reoptimized from the parent's basis: nodes without a basis, and
 	// nodes whose warm dual simplex failed numerically.
 	ColdNodes int
-	// DenseFallbacks counts LP solves (root included) where the sparse
-	// revised simplex failed numerically and the dense tableau took over.
-	DenseFallbacks int
 	// Refactors counts the sparse simplex's basis reinversions over every
 	// LP solve, the root included: periodic ones, the warm start's install
 	// and each solve's final one.
@@ -263,7 +259,6 @@ type Solution struct {
 // Options tunes SolveContext.
 type Options struct {
 	TimeLimit time.Duration // zero = unlimited
-	GapLimit  float64       // stop when relative gap <= this (0 = prove optimality)
 	MaxNodes  int           // zero = unlimited
 	// Incumbent optionally provides a known feasible solution to prime the
 	// search (e.g. the all-VH labeling, which is always feasible).

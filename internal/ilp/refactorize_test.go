@@ -274,7 +274,7 @@ func eq4NodeBases(t *testing.T, mod *Model, rng *rand.Rand) []*rsLP {
 		}
 		out = append(out, p)
 	}
-	root, err := solveLPRevised(ctx, mod, mod.lb, mod.ub, time.Time{})
+	root, err := solveLP(ctx, mod, mod.lb, mod.ub, time.Time{})
 	if err != nil || root.status != StatusOptimal {
 		t.Fatalf("root: %v / %v", err, root.status)
 	}
@@ -387,15 +387,19 @@ func FuzzRefactorizeVsDense(f *testing.F) {
 // or two from about pivot 3,500 on — 273 reinversions by pivot 4,000 and
 // a root LP that never finished — where the fill-relative budget needs
 // 41. Each ceiling is about twice the count measured with that budget.
+// The roots solved whole are also checked against the dense oracle: they
+// are the real models the exact pipeline solves, far larger than the
+// random ones the other oracle tests use.
 func TestEq4RootLPWork(t *testing.T) {
 	cases := []struct {
 		circuit               string
 		maxIters              int // 0 = solve the root LP to optimality
 		pivotCap, refactorCap int
+		obj                   float64 // root LP optimum, when solved whole
 	}{
-		{"ctrl", 0, 1800, 18},      // measured: 898 pivots, 9 reinversions
-		{"cavlc", 0, 2600, 32},     // measured: 1,290 pivots, 16 reinversions
-		{"int2float", 4000, 0, 82}, // measured: 41 reinversions
+		{"ctrl", 0, 1800, 18, 67.25},  // measured: 898 pivots, 9 reinversions
+		{"cavlc", 0, 2600, 32, 76.5},  // measured: 1,290 pivots, 16 reinversions
+		{"int2float", 4000, 0, 82, 0}, // measured: 41 reinversions
 	}
 	for _, c := range cases {
 		mod := eq4Testdata(t, c.circuit)
@@ -417,13 +421,20 @@ func TestEq4RootLPWork(t *testing.T) {
 			}
 			continue
 		}
-		res, err := solveLPRevised(context.Background(), mod, mod.lb, mod.ub, time.Time{})
+		res, err := solveLP(context.Background(), mod, mod.lb, mod.ub, time.Time{})
 		if err != nil || res.status != StatusOptimal {
 			t.Fatalf("%s: root LP %v / %v", c.circuit, err, res.status)
 		}
 		if res.iters > c.pivotCap || res.refactors > c.refactorCap {
 			t.Errorf("%s: root LP took %d pivots and %d reinversions, ceilings %d and %d",
 				c.circuit, res.iters, res.refactors, c.pivotCap, c.refactorCap)
+		}
+		dense, err := solveLPDense(context.Background(), mod, mod.lb, mod.ub, time.Time{})
+		if err != nil || dense.status != StatusOptimal {
+			t.Fatalf("%s: dense root LP %v / %v", c.circuit, err, dense.status)
+		}
+		if math.Abs(res.obj-c.obj) > 1e-6 || math.Abs(dense.obj-c.obj) > 1e-6 {
+			t.Errorf("%s: root LP optimum %v, dense oracle %v, want %v", c.circuit, res.obj, dense.obj, c.obj)
 		}
 	}
 }

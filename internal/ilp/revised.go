@@ -12,31 +12,39 @@ import (
 	"compact/internal/invariant"
 )
 
-// The LP core: a sparse revised simplex with a product-form-of-the-inverse
-// (PFI) eta file.
+// The LP core: a sparse bounded-variable two-phase revised simplex with
+// a product-form-of-the-inverse (PFI) eta file.
 //
-// The dense tableau simplex (simplex.go) spends O(m·n) per pivot updating
-// the whole tableau, which dominates solve time on this repository's
-// models even though they are extremely sparse — the vertex-cover and
-// Eq.4 labeling matrices carry ~2 nonzeros per row. The revised simplex
-// keeps the constraint matrix in sparse column form and represents B⁻¹ as
-// a product of eta matrices, so one pivot costs one BTRAN (pricing), one
-// FTRAN (entering column) and one eta append: O(nnz + eta file) instead of
-// O(m·n). The eta file is rebuilt from scratch every refactorEvery pivots
-// or when it grows past its nonzero budget (twice the fill the last
-// rebuild left, plus 16m+1024), and the basic solution is recomputed from
-// the raw right-hand side at each refactorization, which bounds numerical
-// drift the way the dense tableau's full eliminations did. Reinversion
-// pivots each basis column on its largest remaining entry and costs
-// O(nnz + eta file): it touches only each column's nonzero pattern and
-// the etas that pattern reaches.
+// The model is lowered to equality standard form A x = b with per-variable
+// bounds [lo, up] (up may be +Inf; lo must be finite). Slack variables turn
+// inequalities into equalities; one artificial variable per row provides a
+// trivially feasible starting basis for phase 1.
 //
-// All contracts of the dense implementation are preserved: the same
-// lowering (lower()), tolerances, per-iteration deadline/context checks,
-// iteration limit, Bland's-rule anti-cycling fallback after a stall
-// window, bounded-variable bound flips, and the BoundedValues exit
-// invariant. solveLP falls back to solveLPDense if the eta machinery ever
-// reports a singular basis — correctness never depends on the fast path.
+// This repository's models are extremely sparse — the vertex-cover and
+// Eq.4 labeling matrices carry ~2 nonzeros per row — so the constraint
+// matrix is kept in sparse column form and B⁻¹ is represented as a
+// product of eta matrices: one pivot costs one BTRAN (pricing), one FTRAN
+// (entering column) and one eta append, O(nnz + eta file), where a dense
+// tableau pivot costs O(m·n). The eta file is rebuilt from scratch every
+// refactorEvery pivots or when it grows past its nonzero budget (twice
+// the fill the last rebuild left, plus 16m+1024), and the basic solution
+// is recomputed from the raw right-hand side at each refactorization,
+// which bounds numerical drift. Reinversion pivots each basis column on
+// its largest remaining entry and costs O(nnz + eta file): it touches
+// only each column's nonzero pattern and the etas that pattern reaches.
+//
+// Every solve checks the deadline and context each iteration, stops at an
+// iteration limit, falls back to Bland's rule after a stall window, takes
+// bounded-variable bound flips, and checks the BoundedValues invariant on
+// exit. A numerical failure (a singular basis, an exit-invariant breach)
+// is returned as an error. The tests check this core against a dense
+// two-phase tableau oracle (dense_test.go).
+
+const (
+	costTol  = 1e-7
+	pivotTol = 1e-8
+	feasTol  = 1e-6
+)
 
 const (
 	// refactorEvery bounds the eta-file length (and so FTRAN/BTRAN cost
@@ -46,6 +54,24 @@ const (
 	// numerical noise relative to feasTol and only bloats the file.
 	etaDropTol = 1e-12
 )
+
+// zero reports whether x is exactly 0. Simplex and model code skip
+// exact-zero coefficients purely to preserve sparsity and avoid useless
+// arithmetic — it is never a tolerance decision (those use costTol,
+// pivotTol and feasTol). The one deliberate exact float comparison in this
+// package lives here.
+//
+//lint:ignore floatcmp centralized exact-zero sparsity fast path
+func zero(x float64) bool { return x == 0 }
+
+var errIterLimit = errors.New("ilp: simplex iteration limit reached")
+
+// errTimeLimit aborts an LP solve that runs past the global deadline.
+var errTimeLimit = errors.New("ilp: time limit reached during LP solve")
+
+var errBoundsInfeasible = errors.New("ilp: variable bounds infeasible")
+
+var errUnbounded = errors.New("ilp: LP unbounded")
 
 var errSingularBasis = errors.New("ilp: singular basis during refactorization")
 
@@ -65,11 +91,19 @@ type eta struct {
 	val    []float64
 }
 
+type varStatus uint8
+
+const (
+	atLower varStatus = iota
+	atUpper
+	isBasic
+)
+
 // rsLP is a lowered sparse LP instance plus revised-simplex working state.
-// The lowering mirrors lower() exactly: structural columns, one slack per
-// inequality (coefficient +1 before row negation), one artificial per row
-// (+1 after negation), rows negated so the initial artificial basis is
-// feasible at the structural lower bounds.
+// The lowering: structural columns, one slack per inequality (coefficient
+// +1 before row negation), one artificial per row (+1 after negation),
+// rows negated so the initial artificial basis is feasible at the
+// structural lower bounds.
 type rsLP struct {
 	m, n      int
 	nStruct   int
@@ -95,9 +129,8 @@ type rsLP struct {
 	w, y      []float64 // dense scratch: FTRAN column, BTRAN multipliers
 }
 
-// lowerSparse builds the sparse standard form. It must stay semantically
-// identical to lower(): same slack/artificial layout, same row negation,
-// same bound checks, same iteration budget.
+// lowerSparse builds the sparse standard form with the bound overrides
+// lbs/ubs in place of the model's variable bounds.
 func lowerSparse(mod *Model, lbs, ubs []float64) (*rsLP, error) {
 	nStruct := mod.NumVars()
 	m := mod.NumConstrs()
@@ -123,7 +156,7 @@ func lowerSparse(mod *Model, lbs, ubs []float64) (*rsLP, error) {
 	for j := 0; j < nStruct; j++ {
 		p.lo[j], p.up[j] = lbs[j], ubs[j]
 		if math.IsInf(p.lo[j], -1) {
-			return nil, errInfLowerBound(mod, j)
+			return nil, fmt.Errorf("ilp: variable %q has infinite lower bound (unsupported)", mod.names[j])
 		}
 		if p.lo[j] > p.up[j]+feasTol {
 			return nil, errBoundsInfeasible
@@ -144,8 +177,10 @@ func lowerSparse(mod *Model, lbs, ubs []float64) (*rsLP, error) {
 			sign = -1.0
 			rhs = -rhs
 		}
-		// Residual at the initial point decides the row's final sign (see
-		// lower()): terms are merged by AddConstr, so no duplicate vars.
+		// Residual at the initial point (structurals at their lower
+		// bounds, slacks at 0). A row with a negative residual is negated
+		// so its artificial column is a +1 unit column with a nonnegative
+		// value. Terms are merged by AddConstr, so no duplicate vars.
 		res := rhs
 		for _, t := range c.Terms {
 			res -= sign * t.Coeff * p.lo[t.Var]
@@ -177,11 +212,6 @@ func lowerSparse(mod *Model, lbs, ubs []float64) (*rsLP, error) {
 	}
 	p.maxIters = 200*(m+1) + 20*n + 2000
 	return p, nil
-}
-
-// errInfLowerBound matches the dense lowering's error text.
-func errInfLowerBound(mod *Model, j int) error {
-	return fmt.Errorf("ilp: variable %q has infinite lower bound (unsupported)", mod.names[j])
 }
 
 // ftranEtas applies the eta file to x in order: x ← E_k … E_1 x, i.e.
@@ -322,12 +352,10 @@ func newReinvScratch(m int) *reinvScratch {
 // refactorize rebuilds the eta file from the current basis by reinversion:
 // basis columns are processed singletons-first then by increasing nonzero
 // count, each FTRAN'd against the partial file, pivoting on its largest
-// remaining entry (free partial pivoting the dense tableau never had; ties
-// go to the lowest row). The basis is reordered so basis[r] is the column
-// pivoted at row r — PFI needs no separate permutation. On success xB is
-// recomputed from b; on a singular basis the state is left untouched and
-// errSingularBasis is returned (solveLP then falls back to the dense
-// oracle).
+// remaining entry (ties go to the lowest row). The basis is reordered so
+// basis[r] is the column pivoted at row r — PFI needs no separate
+// permutation. On success xB is recomputed from b; on a singular basis the
+// state is left untouched and errSingularBasis is returned.
 //
 // The work follows the nonzeros, not m²: a column's FTRAN visits only the
 // etas whose pivot rows its pattern reaches, in file order, and the pivot
@@ -547,8 +575,11 @@ func (p *rsLP) chooseEntering(c, y []float64, bland bool) (int, float64) {
 	return bestJ, bestDir
 }
 
-// ratioTest mirrors the dense implementation over the FTRAN'd entering
-// column w, including the smallest-basic-index tie-break.
+// ratioTest computes how far entering column q may move in direction dir,
+// given its FTRAN'd column w. It returns flip=true if q's own opposite
+// bound is the binding limit; otherwise the leaving row r (ties go to the
+// smallest basic index) and whether the leaving basic variable hits its
+// upper bound.
 func (p *rsLP) ratioTest(q int, dir float64, w []float64) (flip bool, r int, hitUpper bool, t float64, err error) {
 	t = math.Inf(1)
 	if !math.IsInf(p.up[q], 1) {
@@ -588,10 +619,9 @@ func (p *rsLP) ratioTest(q int, dir float64, w []float64) (flip bool, r int, hit
 }
 
 // tick counts one simplex iteration against the iteration limit and
-// checks the deadline and context. Same per-iteration budget discipline
-// as the dense code: one revised pivot is O(nnz + eta file), so a strided
-// check could still overshoot on big models while time.Now() costs
-// nanoseconds.
+// checks the deadline and context. The check runs every iteration, not on
+// a stride: one revised pivot is O(nnz + eta file), so a strided check
+// could overshoot on big models while time.Now() costs nanoseconds.
 func (p *rsLP) tick() error {
 	p.iters++
 	if p.iters > p.maxIters {
@@ -611,8 +641,8 @@ func (p *rsLP) tick() error {
 }
 
 // optimize runs the revised bounded-variable primal simplex for cost
-// vector c until optimality, with the dense implementation's stall-window
-// Bland's-rule fallback as the anti-cycling guard: after blandThreshold
+// vector c until optimality, with a stall-window Bland's-rule fallback as
+// the anti-cycling guard: after blandThreshold
 // consecutive degenerate pivots the entering rule switches to
 // first-improving-index, which cannot cycle.
 func (p *rsLP) optimize(c []float64) error {
@@ -690,7 +720,7 @@ func (p *rsLP) optimize(c []float64) error {
 	}
 }
 
-// value returns the current value of column j (dense value() semantics).
+// value returns the current value of column j.
 func (p *rsLP) value(j int) float64 {
 	switch p.status[j] {
 	case atLower:
@@ -727,24 +757,24 @@ func (p *rsLP) solution() []float64 {
 	return x
 }
 
-// solveLP solves the LP relaxation of mod with the given bound overrides
-// using the sparse revised simplex, falling back to the dense tableau
-// implementation on a singular-basis report or an exit-invariant failure
-// (both indicate numerical trouble in the eta file, not a property of the
-// model). A non-zero deadline or a cancelled context aborts the solve with
-// errTimeLimit.
-func solveLP(ctx context.Context, mod *Model, lbs, ubs []float64, deadline time.Time) (lpResult, error) {
-	res, err := solveLPRevised(ctx, mod, lbs, ubs, deadline)
-	var ivErr *invariant.Error
-	if err != nil && (errors.Is(err, errSingularBasis) || errors.As(err, &ivErr)) {
-		refactors := res.refactors
-		res, err = solveLPDense(ctx, mod, lbs, ubs, deadline)
-		res.dense, res.refactors = true, refactors
-	}
-	return res, err
+// lpResult is the outcome of one LP relaxation solve.
+type lpResult struct {
+	status Status
+	x      []float64
+	obj    float64
+	iters  int
+	// refactors counts the solve's basis reinversions, those of a failed
+	// attempt included.
+	refactors int
+	// basis is the optimal basis in the sparse lowering's column layout
+	// (nil unless the LP was solved to optimality).
+	basis basisSnap
 }
 
-func solveLPRevised(ctx context.Context, mod *Model, lbs, ubs []float64, deadline time.Time) (lpResult, error) {
+// solveLP solves the LP relaxation of mod with the given bound overrides.
+// A numerical failure is returned as an error. A non-zero deadline or a
+// cancelled context aborts the solve with errTimeLimit.
+func solveLP(ctx context.Context, mod *Model, lbs, ubs []float64, deadline time.Time) (lpResult, error) {
 	p, err := lowerSparse(mod, lbs, ubs)
 	if err != nil {
 		if errors.Is(err, errBoundsInfeasible) {
@@ -795,8 +825,8 @@ func solveLPRevised(ctx context.Context, mod *Model, lbs, ubs []float64, deadlin
 
 // finish extracts an optimal solution. The final reinversion wipes the eta
 // drift accumulated since the last refactorization; failure there means
-// the optimal basis itself is numerically singular — reported so solveLP
-// can fall back to the dense oracle. The result carries the optimal basis
+// the optimal basis itself is numerically singular, and is reported as an
+// error. The result carries the optimal basis
 // so branch & bound can warm-start the node's children from it.
 func (p *rsLP) finish(lbs, ubs []float64) (lpResult, error) {
 	if err := p.refactorize(); err != nil {

@@ -32,8 +32,10 @@ func vcModel(g *graph.Graph, rng *rand.Rand) *Model {
 // TestRevisedVsDenseVertexCoverLP is the sparse-vs-dense agreement
 // property: on random vertex-cover relaxations — including branch-and-
 // bound-style bound overrides that fix random subsets of variables, some
-// of which make the LP infeasible — the revised simplex must report the
-// same status and (when optimal) the same objective as the dense oracle.
+// of which make the LP infeasible — the revised simplex must solve without
+// error and report the same status and (when optimal) the same objective
+// as the dense oracle. A numerical failure of the revised core fails the
+// test; production has no fallback that would absorb it.
 func TestRevisedVsDenseVertexCoverLP(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 80; trial++ {
@@ -56,7 +58,7 @@ func TestRevisedVsDenseVertexCoverLP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
-		got, err := solveLPRevised(context.Background(), mod, lbs, ubs, time.Time{})
+		got, err := solveLP(context.Background(), mod, lbs, ubs, time.Time{})
 		if err != nil {
 			t.Fatalf("trial %d: revised: %v", trial, err)
 		}
@@ -101,7 +103,7 @@ func TestRevisedVsDenseGeneralLP(t *testing.T) {
 		if err != nil {
 			continue // dense iteration limit etc. — nothing to compare against
 		}
-		got, err := solveLPRevised(context.Background(), mod, mod.lb, mod.ub, time.Time{})
+		got, err := solveLP(context.Background(), mod, mod.lb, mod.ub, time.Time{})
 		if err != nil {
 			t.Fatalf("trial %d: revised: %v", trial, err)
 		}
@@ -127,7 +129,7 @@ func TestRevisedDegenerateBeale(t *testing.T) {
 	m.AddConstr("r1", []Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, LE, 0)
 	m.AddConstr("r2", []Term{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, LE, 0)
 	m.AddConstr("r3", []Term{{x3, 1}}, LE, 1)
-	res, err := solveLPRevised(context.Background(), m, m.lb, m.ub, time.Time{})
+	res, err := solveLP(context.Background(), m, m.lb, m.ub, time.Time{})
 	if err != nil {
 		t.Fatalf("revised on Beale: %v", err)
 	}
@@ -159,7 +161,7 @@ func TestRevisedHighlyDegenerate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
-		got, err := solveLPRevised(context.Background(), mod, mod.lb, mod.ub, time.Time{})
+		got, err := solveLP(context.Background(), mod, mod.lb, mod.ub, time.Time{})
 		if err != nil {
 			t.Fatalf("trial %d: revised: %v", trial, err)
 		}

@@ -59,9 +59,10 @@ func isWarmFallback(err error) bool {
 // diveWarmVsCold replays a branch & bound dive on mod: each step picks a
 // node basis (the last optimal one, or the root's), tightens or resets
 // bounds on variables chosen by pick, and reoptimizes warm. Warm, cold
-// (solveLP) and dense (solveLPDense) must agree on status and, when
-// optimal, on objective within 1e-6. With strict, a warm fallback is a
-// failure too. pick returns (variable, fix) where fix 0 sets ub=0, 1 sets
+// (solveLP, the revised core alone) and dense (solveLPDense) must agree on
+// status and, when optimal, on objective within 1e-6. Any error of the
+// cold solve fails the test: no second solver stands behind it. With
+// strict, a warm fallback is a failure too. pick returns (variable, fix) where fix 0 sets ub=0, 1 sets
 // lb=1 and 2 restores the root bounds of every variable. It reports the
 // number of warm solves compared.
 func diveWarmVsCold(t *testing.T, mod *Model, steps int, pick func() (int, int), strict bool) int {
@@ -69,7 +70,7 @@ func diveWarmVsCold(t *testing.T, mod *Model, steps int, pick func() (int, int),
 	ctx := context.Background()
 	lbs := append([]float64(nil), mod.lb...)
 	ubs := append([]float64(nil), mod.ub...)
-	root, err := solveLPRevised(ctx, mod, lbs, ubs, time.Time{})
+	root, err := solveLP(ctx, mod, lbs, ubs, time.Time{})
 	if err != nil || root.status != StatusOptimal {
 		t.Fatalf("root: %v / %v", err, root.status)
 	}
@@ -175,8 +176,8 @@ func TestWarmVsColdEq4(t *testing.T) {
 // FuzzWarmVsColdLP derives a vertex-cover or Eq. 4 model from (kind, n,
 // density, seed) and a dive from fixes — two bytes per step: variable
 // and action — then checks warm reoptimization against the cold and
-// dense solvers at every step. Warm fallbacks are allowed; disagreements
-// are not.
+// dense solvers at every step. Warm fallbacks to a cold solve are allowed;
+// a cold numerical failure and any disagreement are not.
 func FuzzWarmVsColdLP(f *testing.F) {
 	f.Add(uint8(0), uint8(12), uint8(80), uint64(1), []byte{0, 1, 3, 0, 5, 1, 7, 0, 2, 2, 9, 1})
 	f.Add(uint8(1), uint8(9), uint8(100), uint64(7), []byte{0, 0, 1, 1, 4, 0, 18, 1, 30, 0, 0, 2, 3, 1})

@@ -223,12 +223,11 @@ type Solution struct {
 	// the winner's incumbent closed on the best bound any engine proved,
 	// so it is never empty.
 	Trace []ilp.TraceEvent
-	// ColdNodes, DenseFallbacks and Refactors carry the MIP branch &
-	// bound's ilp.Solution counters of the same names (zero when no MIP
-	// ran): node LPs solved from scratch instead of warm from the parent's
-	// basis, LP solves where the sparse simplex fell back to the dense
-	// tableau, and simplex basis reinversions.
-	ColdNodes, DenseFallbacks, Refactors int
+	// ColdNodes and Refactors carry the MIP branch & bound's ilp.Solution
+	// counters of the same names (zero when no MIP ran): node LPs solved
+	// from scratch instead of warm from the parent's basis, and simplex
+	// basis reinversions.
+	ColdNodes, Refactors int
 	// Engines reports the per-engine outcome of a MethodPortfolio race
 	// (which engine won, each engine's objective and elapsed time); nil for
 	// the single-engine methods.

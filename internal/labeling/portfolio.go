@@ -171,8 +171,7 @@ func solvePortfolio(ctx context.Context, p Problem, k int, opts Options) (*Solut
 		Trace:   trace,
 		Engines: reports,
 
-		ColdNodes:      best.ColdNodes,
-		DenseFallbacks: best.DenseFallbacks,
-		Refactors:      best.Refactors,
+		ColdNodes: best.ColdNodes,
+		Refactors: best.Refactors,
 	}, nil
 }
