@@ -25,9 +25,10 @@
 #                    exact-OCT cross-check against Lemma 1's ILP and
 #                    brute force, the check that one recoloring per
 #                    greedy OCT vertex re-admits none of them, the spice
-#                    dense-vs-CG solver cross-check, the warm-vs-cold
-#                    branch & bound LP cross-check and the sparse
-#                    reinversion's eta file against the dense one)
+#                    nodal solve against the dense-elimination oracle,
+#                    the warm-vs-cold branch & bound LP cross-check and
+#                    the sparse reinversion's eta file against the dense
+#                    one)
 #   7. compactlint — the project's own analyzers, including the compactflow
 #                    dataflow suite (allocbound, ctxflow, gospawn) and the
 #                    staleignore check on //lint:ignore directives; any
@@ -91,7 +92,7 @@ if [ "$short" -eq 0 ]; then
     go test -fuzz=FuzzHeuristicVsRecolor -fuzztime=5s -run='^$' ./internal/oct/
     go test -fuzz=FuzzPlanJSON -fuzztime=5s -run='^$' ./internal/partition/
     go test -fuzz=FuzzStoreEntry -fuzztime=5s -run='^$' ./internal/store/
-    go test -fuzz=FuzzDenseVsCG -fuzztime=5s -run='^$' ./internal/spice/
+    go test -fuzz=FuzzNodalVsDense -fuzztime=5s -run='^$' ./internal/spice/
 fi
 
 echo "== compactlint =="

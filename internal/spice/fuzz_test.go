@@ -1,58 +1,78 @@
 package spice
 
 import (
-	"math"
 	"testing"
 
+	"compact/internal/defect"
 	"compact/internal/xbar"
 )
 
-// FuzzDenseVsCG is the solver cross-check property: on any valid randomly
-// programmed crossbar, the direct dense solve and the Jacobi-preconditioned
-// conjugate-gradient solve must agree on every node voltage to within a
-// relative tolerance. On nominal devices it also checks that the design
-// and its lifted 2-layer stack assemble the same nodal system. The design, the assignment and the per-device
-// resistance spread are all derived deterministically from the fuzz inputs
-// via splitmix64, so every corpus entry replays bit-identically.
-func FuzzDenseVsCG(f *testing.F) {
+// FuzzNodalVsDense is the solver cross-check property: on any valid
+// randomly programmed crossbar, the bipartite Schur-complement solve and
+// the dense-elimination oracle must agree on every node voltage. seed%4
+// picks the shape: a clean 2D array, a 2D design placed on a larger
+// defective array (stuck-ON bridges to spare lines, stuck overrides on used
+// crossings, a random placement), or a K=3 or K=4 stack. An odd spread
+// adds a per-device resistance draw. The design, the array, the assignment
+// and the draw all derive from the fuzz inputs via splitmix64, so every
+// corpus entry replays bit-identically.
+func FuzzNodalVsDense(f *testing.F) {
 	f.Add(uint64(1), uint64(0))
 	f.Add(uint64(42), uint64(7))
 	f.Add(uint64(0xdeadbeef), uint64(3))
 	f.Add(uint64(12345), uint64(0xffffffffffffffff))
+	for seed := uint64(100); seed < 108; seed++ {
+		f.Add(seed, seed*0x9e3779b97f4a7c15|seed&1)
+	}
 	f.Fuzz(func(t *testing.T, seed, spread uint64) {
 		state := seed
-		rows := 2 + int(splitmix64(&state)%9)  // 2..10
-		cols := 1 + int(splitmix64(&state)%10) // 1..10
 		nVars := 1 + int(splitmix64(&state)%4) // 1..4
-
-		var devs []xbar.Device
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				switch splitmix64(&state) % 4 {
-				case 0:
-					devs = append(devs, xbar.Device{Row: r, Col: c, E: xbar.Entry{Kind: xbar.On}})
-				case 1:
-					devs = append(devs, xbar.Device{Row: r, Col: c, E: xbar.Entry{
-						Kind: xbar.Lit,
-						Var:  int32(splitmix64(&state) % uint64(nVars)),
-						Neg:  splitmix64(&state)%2 == 0,
-					}})
-				default:
-					// Off twice as likely: sparse arrays are the common case.
+		var widths []int
+		switch seed % 4 {
+		case 0, 1:
+			widths = []int{2 + int(splitmix64(&state)%9), 1 + int(splitmix64(&state)%10)} // 2..10 x 1..10
+		case 2:
+			widths = []int{2 + int(splitmix64(&state)%5), 1 + int(splitmix64(&state)%6), 1 + int(splitmix64(&state)%6)}
+		default:
+			widths = []int{2 + int(splitmix64(&state)%5), 1 + int(splitmix64(&state)%6), 1 + int(splitmix64(&state)%6), 1 + int(splitmix64(&state)%6)}
+		}
+		planes := make([][]xbar.Device, len(widths)-1)
+		for p := range planes {
+			for r := 0; r < widths[p]; r++ {
+				for c := 0; c < widths[p+1]; c++ {
+					switch splitmix64(&state) % 4 {
+					case 0:
+						planes[p] = append(planes[p], xbar.Device{Row: r, Col: c, E: xbar.Entry{Kind: xbar.On}})
+					case 1:
+						planes[p] = append(planes[p], xbar.Device{Row: r, Col: c, E: xbar.Entry{
+							Kind: xbar.Lit,
+							Var:  int32(splitmix64(&state) % uint64(nVars)),
+							Neg:  splitmix64(&state)%2 == 0,
+						}})
+					default:
+						// Off twice as likely: sparse arrays are the common case.
+					}
 				}
 			}
 		}
-		d, err := xbar.NewDesign([]int{rows, cols}, devs)
+		d, err := xbar.NewDesign(widths, planes...)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rows := widths[0]
 		d.Input = xbar.WireRef{Index: int(splitmix64(&state) % uint64(rows))}
 		out := int(splitmix64(&state) % uint64(rows))
 		if out == d.Input.Index {
 			out = (out + 1) % rows
 		}
 		d.Outputs = []xbar.WireRef{{Index: out}}
-		d.OutputNames = []string{"f"}
+		if len(widths) > 2 {
+			// A second output on layer 2: a stack senses folded wordlines.
+			d.Outputs = append(d.Outputs, xbar.WireRef{Layer: 2, Index: int(splitmix64(&state) % uint64(widths[2]))})
+		}
+		for i := range d.Outputs {
+			d.OutputNames = append(d.OutputNames, string(rune('f'+i)))
+		}
 		d.VarNames = make([]string, nVars)
 		for i := range d.VarNames {
 			d.VarNames[i] = string(rune('a' + i))
@@ -62,40 +82,53 @@ func FuzzDenseVsCG(f *testing.F) {
 			assign[i] = splitmix64(&state)%2 == 0
 		}
 
-		// Half the runs exercise the per-device resistance path, with sigma
-		// bounded so the system stays numerically reasonable.
-		var env Env
-		env.Model = Default()
-		if spread%2 == 1 {
-			sigma := 0.05 + float64(spread%16)/16
-			res, err := SampleResistances(rows, cols, env.Model, Variation{SigmaOn: sigma, SigmaOff: sigma}, spread)
+		env := Env{Model: Default()}
+		physRows, physCols := widths[0], widths[1]
+		if seed%4 == 1 {
+			// A larger array with spare lines, a random placement and a
+			// dense fault map, so stuck-ON devices bridge spares in.
+			physRows += int(splitmix64(&state) % 4)
+			physCols += int(splitmix64(&state) % 4)
+			dm, err := defect.Generate(physRows, physCols, 0.25, 0.75, splitmix64(&state))
 			if err != nil {
 				t.Fatal(err)
 			}
-			env.Res = res
+			env.Defects = []*defect.Map{dm}
+			env.Placement = &xbar.Placement{Perms: [][]int{
+				randomInjection(&state, widths[0], physRows),
+				randomInjection(&state, widths[1], physCols),
+			}}
 		}
-
 		nw, err := compile(d, env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g1, b1 := nw.system(assign, nil)
-		g2, b2 := nw.system(assign, nil)
-		x1, err := solveDense(g1, b1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x2, err := solveCG(g2, b2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(x1) != len(x2) {
-			t.Fatalf("solution lengths differ: dense %d, cg %d", len(x1), len(x2))
-		}
-		for i := range x1 {
-			if math.Abs(x1[i]-x2[i]) > 1e-6*(1+math.Abs(x1[i])) {
-				t.Errorf("node %d: dense %v vs CG %v (seed=%d spread=%d)", i, x1[i], x2[i], seed, spread)
+		// Half the runs draw per-device resistances, with sigma bounded so
+		// the system stays numerically reasonable: a K=2 draw covers the
+		// physical array, a stack draws one map per plane.
+		var res []*ResistanceMap
+		if spread%2 == 1 {
+			v := Variation{SigmaOn: 0.05 + float64(spread%16)/16, SigmaOff: 0.05 + float64(spread%16)/16}
+			if len(widths) == 2 {
+				m, err := SampleResistances(physRows, physCols, env.Model, v, spread)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res = []*ResistanceMap{m}
+			} else if res, err = samplePlaneRes(d, env.Model, v, spread); err != nil {
+				t.Fatal(err)
 			}
 		}
+		checkNodalMatchesDense(t, "fuzz", nw, assign, res)
 	})
+}
+
+// randomInjection draws n distinct lines out of bound.
+func randomInjection(state *uint64, n, bound int) []int {
+	perm := identityPerm(bound)
+	for i := 0; i < n; i++ {
+		j := i + int(splitmix64(state)%uint64(bound-i))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	return perm[:n]
 }

@@ -20,11 +20,16 @@ import (
 // voltages, margin sweeps and Monte Carlo reports (critical cells
 // included) on committed EPFL designs — clean 2D arrays, 2D designs placed
 // on defective arrays with spare lines (stuck-ON bridges and used×used
-// overrides), K=3/K=4 stacks, and one design large enough for the
-// conjugate-gradient solver. A rewrite of the nodal assembly, the margin
-// sweep, the trial pool or the blame has to reproduce testdata/golden.txt
-// byte for byte. To regenerate after an intended change, delete the file
-// and run the test once: it writes the file and fails, asking for review.
+// overrides), K=3/K=4 stacks, and one design whose solve spans several
+// tiles of the dense kernels on both sides. A rewrite of the nodal
+// assembly, the margin sweep, the trial pool or the blame has to reproduce
+// testdata/golden.txt byte for byte. To regenerate after an intended
+// change, delete the file and run the test once: it writes the file and
+// fails, asking for review. A change of the solve's arithmetic moves float
+// bits only: before committing, check that every discrete field of the new
+// file (separability, trial and failure counts, yield, critical cells,
+// error strings) is unchanged and every float lies within 1e-9·(1+|v|) of
+// the old one.
 
 const goldenFile = "testdata/golden.txt"
 
@@ -204,10 +209,11 @@ func goldenReport(t *testing.T) string {
 	}
 
 	d := designs["dec"]
-	if d.Rows+d.Cols <= 500 {
-		t.Fatalf("dec has %d nodes; the CG case needs more than 500", d.Rows+d.Cols)
+	if min(d.Rows, d.Cols) <= tileJ || max(d.Rows, d.Cols) <= tileK {
+		t.Fatalf("dec is %dx%d; the multi-tile case needs more than %d nodes on the kept side and %d on the eliminated one",
+			d.Rows, d.Cols, tileJ, tileK)
 	}
-	line("== 2d dec %dx%d (conjugate gradient)", d.Rows, d.Cols)
+	line("== 2d dec %dx%d (multi-tile)", d.Rows, d.Cols)
 	in := goldenVectors(len(d.VarNames), 1)[0]
 	v, err := Simulate(d, in, Default())
 	line("simulate %s err=%v v=[%s]", bitString(in), err, bitsList(v))

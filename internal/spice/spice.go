@@ -5,8 +5,11 @@
 // resistive state, not absent. The package builds the resistive network of
 // a programmed crossbar — input wordline driven through a source
 // resistance, every output wordline loaded by a sense resistor to ground —
-// and solves the nodal equations by dense Gaussian elimination (small
-// designs) or Jacobi-preconditioned conjugate gradient (large ones).
+// and solves the nodal equations through their bipartite structure: every
+// device joins a wordline-side node to a bitline-side one, so the larger
+// side is eliminated in closed form and the Schur complement of the
+// smaller one is factored by Cholesky (nodal.go), one path for every size
+// and every layer count.
 //
 // Beyond the nominal model, the package simulates placed designs on real
 // arrays: per-device resistances (ResistanceMap, log-normal variation via
@@ -66,8 +69,9 @@ func (m DeviceModel) Validate() error {
 	return nil
 }
 
-// maxNodes caps the nodal system: the matrix is dense, and 6000 nodes is
-// already a 288 MB solve.
+// maxNodes caps the nodal system: the couplings, V and the Schur
+// complement are dense, and 6000 nodes split evenly already take 216 MB
+// per solving goroutine.
 const maxNodes = 6000
 
 // ErrTooLarge marks designs whose nodal system exceeds maxNodes, so
@@ -109,17 +113,25 @@ type Env struct {
 }
 
 // network is a compiled simulation — everything that does not change
-// between assignments or Monte Carlo trials: the node space, the driven
-// and sensed nodes, and the device planes that join the nodes, one per
-// device plane of the design, over the design's wire numbering
-// (xbar.Design.Wires). simulate is re-entrant: concurrent trials share one
-// network.
+// between assignments or Monte Carlo trials: the node space and its two
+// bipartite sides, the driven and sensed nodes, and the device planes that
+// join the nodes, one per device plane of the design, over the design's
+// wire numbering (xbar.Design.Wires). simulate is re-entrant: concurrent
+// trials share one network, each with its own solver.
 type network struct {
 	model   DeviceModel
 	n       int   // total nodes incl. bridge-tied spares
 	input   int   // node driven through RDriver
 	outputs []int // sensed node per design output
+	loads   []int // nodes carrying a sense resistor: distinct outputs other than the input
 	planes  []plane
+	// The bipartite split (see nodal.go): small[w] says node w is on the
+	// kept side, slot[w] is its index within its side, ns and nl are the
+	// side sizes, and devW[d] is device d's coupling in the V layout.
+	small  []bool
+	slot   []int
+	ns, nl int
+	devW   []int
 	// res pins per-plane device resistances (nil = every device nominal).
 	res []*ResistanceMap
 	// sample draws one Monte Carlo trial's per-plane resistance maps.
@@ -202,6 +214,12 @@ func compile(d *xbar.Design, env Env) (*network, error) {
 	if nw.n > maxNodes {
 		return nil, fmt.Errorf("spice: %d nanowire nodes exceed the %d-node cap: %w", nw.n, maxNodes, ErrTooLarge)
 	}
+	for _, w := range nw.outputs {
+		if w != nw.input && !slices.Contains(nw.loads, w) {
+			nw.loads = append(nw.loads, w)
+		}
+	}
+	nw.sides()
 	return nw, nil
 }
 
@@ -399,118 +417,18 @@ func (pl *plane) compileDefects(dm *defect.Map, rows, cols int) int {
 	return next
 }
 
-// stamp adds conductance gc between nodes i and j.
-func stamp(g [][]float64, i, j int, gc float64) {
-	g[i][i] += gc
-	g[j][j] += gc
-	g[i][j] -= gc
-	g[j][i] -= gc
-}
-
-// system assembles the conductance matrix and current vector for one
-// assignment. res overrides the compiled per-plane resistance maps when
-// non-nil (the Monte Carlo per-trial path). Every device of a plane reads
-// its map at its physical position.
-func (nw *network) system(assignment []bool, res []*ResistanceMap) ([][]float64, []float64) {
-	if res == nil {
-		res = nw.res
-	}
-	n := nw.n
-	g := make([][]float64, n)
-	backing := make([]float64, n*n)
-	for i := range g {
-		g[i], backing = backing[:n:n], backing[n:]
-	}
-	b := make([]float64, n)
-
-	gOnNom, gOffNom := 1/nw.model.ROn, 1/nw.model.ROff
-	for p, pl := range nw.planes {
-		var m *ResistanceMap
-		if res != nil {
-			m = res[p]
-		}
-		rows, cols := pl.cells.Rows(), pl.cells.Cols()
-		for r := 0; r < rows; r++ {
-			cs, es := pl.cells.Row(r)
-			for c := 0; c < cols; c++ {
-				// Walk the row's devices with a cursor: every crossing
-				// before the next device is Off.
-				var e xbar.Entry
-				if len(cs) > 0 && cs[0] == c {
-					e, cs, es = es[0], cs[1:], es[1:]
-				}
-				on := e.Conducts(assignment)
-				if pl.override != nil {
-					switch pl.override[r*cols+c] {
-					case 1:
-						on = true
-					case -1:
-						on = false
-					}
-				}
-				gc := gOffNom
-				if on {
-					gc = gOnNom
-				}
-				if m != nil {
-					pr, pc := r, c
-					if pl.rowPhys != nil {
-						pr, pc = pl.rowPhys[r], pl.colPhys[c]
-					}
-					gc = 1 / m.OffAt(pr, pc)
-					if on {
-						gc = 1 / m.OnAt(pr, pc)
-					}
-				}
-				stamp(g, pl.rowBase+r, pl.colBase+c, gc)
-			}
-		}
-		for _, br := range pl.bridges {
-			gc := gOnNom
-			if m != nil {
-				gc = 1 / m.OnAt(br.pr, br.pc)
-			}
-			stamp(g, br.a, br.b, gc)
-		}
-	}
-	// Driver on the input node.
-	gd := 1 / nw.model.RDriver
-	g[nw.input][nw.input] += gd
-	b[nw.input] += nw.model.Vin * gd
-	// Sense resistors on output nodes (one per distinct node; the input
-	// node doubles as the const-1 output and is not additionally loaded).
-	seen := make(map[int]bool)
-	for _, w := range nw.outputs {
-		if w == nw.input || seen[w] {
-			continue
-		}
-		seen[w] = true
-		g[w][w] += 1 / nw.model.RSense
-	}
-	return g, b
-}
-
-// simulate solves the nodal system for one assignment and returns the
-// output node voltages (parallel to nw.outputs).
-func (nw *network) simulate(assignment []bool, res []*ResistanceMap) ([]float64, error) {
-	g, b := nw.system(assignment, res)
-	var (
-		v   []float64
-		err error
-	)
-	if nw.n <= 500 {
-		v, err = solveDense(g, b)
-	} else {
-		v, err = solveCG(g, b)
-	}
-	if err != nil {
+// simulate solves the nodal system for one assignment under the trial
+// loaded into sv and returns the output node voltages (parallel to
+// nw.outputs) in sv's scratch, valid until sv's next solve.
+func (nw *network) simulate(sv *solver, assignment []bool) ([]float64, error) {
+	if err := nw.solve(sv, assignment); err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(nw.outputs))
+	sv.out = grow(sv.out, len(nw.outputs))
 	for i, w := range nw.outputs {
-		out[i] = v[w]
+		sv.out[i] = nw.voltage(sv, w)
 	}
-	return out, nil
+	return sv.out, nil
 }
 
 // Simulate computes the voltage on every output wire of the programmed
@@ -530,127 +448,9 @@ func SimulateEnv(d *xbar.Design, assignment []bool, env Env) ([]float64, error) 
 	if err != nil {
 		return nil, err
 	}
-	return nw.simulate(assignment, nil)
-}
-
-// solveDense is Gaussian elimination with partial pivoting (destroys g, b).
-// zero reports whether x is exactly 0 — a sparsity fast path in the linear
-// solvers (skip a zero elimination multiplier, zero RHS shortcut), never a
-// tolerance decision.
-//
-//lint:ignore floatcmp centralized exact-zero sparsity fast path
-func zero(x float64) bool { return x == 0 }
-
-func solveDense(g [][]float64, b []float64) ([]float64, error) {
-	n := len(g)
-	for col := 0; col < n; col++ {
-		// Pivot.
-		p := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(g[r][col]) > math.Abs(g[p][col]) {
-				p = r
-			}
-		}
-		if math.Abs(g[p][col]) < 1e-18 {
-			return nil, fmt.Errorf("spice: singular conductance matrix at column %d", col)
-		}
-		g[col], g[p] = g[p], g[col]
-		b[col], b[p] = b[p], b[col]
-		inv := 1 / g[col][col]
-		for r := col + 1; r < n; r++ {
-			f := g[r][col] * inv
-			if zero(f) {
-				continue
-			}
-			row, prow := g[r], g[col]
-			for c := col; c < n; c++ {
-				row[c] -= f * prow[c]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	x := make([]float64, n)
-	for r := n - 1; r >= 0; r-- {
-		s := b[r]
-		row := g[r]
-		for c := r + 1; c < n; c++ {
-			s -= row[c] * x[c]
-		}
-		x[r] = s / row[r]
-	}
-	return x, nil
-}
-
-// solveCG is Jacobi-preconditioned conjugate gradient for the SPD nodal
-// matrix.
-func solveCG(g [][]float64, b []float64) ([]float64, error) {
-	n := len(g)
-	x := make([]float64, n)
-	r := append([]float64(nil), b...)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
-	diag := make([]float64, n)
-	for i := range diag {
-		diag[i] = g[i][i]
-		if diag[i] <= 0 {
-			return nil, fmt.Errorf("spice: non-positive diagonal at node %d", i)
-		}
-	}
-	bnorm := 0.0
-	for _, bi := range b {
-		bnorm += bi * bi
-	}
-	bnorm = math.Sqrt(bnorm)
-	if zero(bnorm) {
-		return x, nil
-	}
-	rz := 0.0
-	for i := range r {
-		z[i] = r[i] / diag[i]
-		p[i] = z[i]
-		rz += r[i] * z[i]
-	}
-	maxIter := 20*n + 100
-	for iter := 0; iter < maxIter; iter++ {
-		// ap = G p.
-		for i := 0; i < n; i++ {
-			s := 0.0
-			row := g[i]
-			for j := 0; j < n; j++ {
-				s += row[j] * p[j]
-			}
-			ap[i] = s
-		}
-		pap := 0.0
-		for i := range p {
-			pap += p[i] * ap[i]
-		}
-		if pap <= 0 {
-			return nil, errors.New("spice: matrix not positive definite")
-		}
-		alpha := rz / pap
-		rnorm := 0.0
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-			rnorm += r[i] * r[i]
-		}
-		if math.Sqrt(rnorm) <= 1e-12*bnorm {
-			return x, nil
-		}
-		rzNew := 0.0
-		for i := range r {
-			z[i] = r[i] / diag[i]
-			rzNew += r[i] * z[i]
-		}
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-	}
-	return nil, errors.New("spice: conjugate gradient did not converge")
+	var sv solver
+	nw.trial(&sv, nil)
+	return nw.simulate(&sv, assignment)
 }
 
 // MarginReport summarizes the electrical separability of a design: the
@@ -684,9 +484,11 @@ func (nw *network) margin(ctx context.Context, ref func([]bool) []bool, nVars, e
 		ctx = context.Background()
 	}
 	rep := MarginReport{MinOn: math.Inf(1), MaxOff: math.Inf(-1)}
+	var sv solver
+	nw.trial(&sv, nil)
 	run := func(in []bool) error {
 		want := ref(in)
-		volts, err := nw.simulate(in, nil)
+		volts, err := nw.simulate(&sv, in)
 		if err != nil {
 			return err
 		}

@@ -336,3 +336,30 @@ func BenchmarkVerifyExhaustiveWord64(b *testing.B) {
 		}
 	}
 }
+
+// TestVerifySampledAllocations bounds what a sampled verify allocates: its
+// word and scratch buffers, whatever the sample count — a witness only on
+// a mismatch, never one assignment per sample.
+func TestVerifySampledAllocations(t *testing.T) {
+	const nVars = 10
+	out := []uint64{0}
+	eval := func([]uint64) ([]uint64, error) { return out, nil }
+	ref64 := func([]uint64) []uint64 { return out }
+	want := []bool{false}
+	ref := func([]bool) []bool { return want }
+	for _, samples := range []int{64, 4096} {
+		word := testing.AllocsPerRun(5, func() {
+			if bad := VerifyEquiv(eval, nil, ref64, nVars, 0, samples, 1); bad != nil {
+				t.Fatalf("bogus witness %v", bad)
+			}
+		})
+		scalar := testing.AllocsPerRun(5, func() {
+			if bad := VerifyEquiv(eval, ref, nil, nVars, 0, samples, 1); bad != nil {
+				t.Fatalf("bogus witness %v", bad)
+			}
+		})
+		if word > 4 || scalar > 4 {
+			t.Errorf("samples=%d: %v allocations with a word reference, %v with a scalar one", samples, word, scalar)
+		}
+	}
+}
