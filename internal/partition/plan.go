@@ -229,7 +229,9 @@ func (p *Plan) Eval(inputs []bool) ([]bool, error) {
 // vectors otherwise (same discipline as xbar.Design.VerifyAgainst). It
 // returns the first mismatching assignment as the error's witness, or nil
 // if none is found. The cascade side runs 64 assignments per pass via
-// Eval64; use Verify64 when the reference is word-parallel too.
+// Eval64; use Verify64 when the reference is word-parallel too. ref must
+// not keep the slice it is passed, which is reused for the next
+// assignment.
 func (p *Plan) Verify(ref func([]bool) []bool, exhaustiveLimit, samples int, seed uint64) error {
 	return p.verify(ref, nil, exhaustiveLimit, samples, seed)
 }
