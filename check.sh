@@ -19,7 +19,9 @@
 #                    codec, the sneak-path kernel's word-parallel and
 #                    permuted-order symbolic cross-checks against the
 #                    scalar Eval, the placement engine's brute-force
-#                    exactness oracle, the crossbar mapper's postcondition
+#                    exactness oracle, the placement matcher against the
+#                    recursive Kuhn search it replays, the crossbar
+#                    mapper's postcondition
 #                    and evaluation check on fuzzed layer intervals, the
 #                    sparse device plane against a dense reference, the
 #                    exact-OCT cross-check against Lemma 1's ILP and
@@ -84,6 +86,7 @@ if [ "$short" -eq 0 ]; then
     go test -fuzz=FuzzEval64VsScalar -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzClosureVsEval -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzPlaceVsBruteForce -fuzztime=5s -run='^$' ./internal/xbar/
+    go test -fuzz=FuzzKuhnVsRef -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzMapStack -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzPlaneVsDense -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzWarmVsColdLP -fuzztime=5s -run='^$' ./internal/ilp/

@@ -15,7 +15,7 @@ package defect
 import (
 	"crypto/sha256"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"compact/internal/wirelimit"
@@ -150,17 +150,18 @@ func (m *Map) Cells() []Cell {
 	if m == nil {
 		return nil
 	}
-	out := make([]Cell, 0, len(m.faults))
+	// A key is row*cols+col < 2^32, so key order is row-major and the kind
+	// fits in the low bits below it.
+	packed := make([]int64, 0, len(m.faults))
 	for key, k := range m.faults {
-		r, c := int(key/int64(m.cols)), int(key%int64(m.cols))
-		out = append(out, Cell{Row: r, Col: c, Kind: k})
+		packed = append(packed, key<<8|int64(k))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Row != out[j].Row {
-			return out[i].Row < out[j].Row
-		}
-		return out[i].Col < out[j].Col
-	})
+	slices.Sort(packed)
+	out := make([]Cell, len(packed))
+	for i, v := range packed {
+		key := v >> 8
+		out[i] = Cell{Row: int(key / int64(m.cols)), Col: int(key % int64(m.cols)), Kind: Kind(v & 0xff)}
+	}
 	return out
 }
 

@@ -35,18 +35,6 @@ func checkInjective(perm []int, bound, l int) error {
 	return nil
 }
 
-// inversePerm maps physical wire -> logical wire (-1 where unused).
-func inversePerm(perm []int, bound int) []int {
-	inv := make([]int, bound)
-	for i := range inv {
-		inv[i] = -1
-	}
-	for logical, physical := range perm {
-		inv[physical] = logical
-	}
-	return inv
-}
-
 // UnderDefects returns the effective planes the physical stack computes:
 // a deep copy of the stack's planes, placed by perms (one permutation per
 // layer; identity when nil), with every cell that lands on a stuck device
@@ -76,8 +64,7 @@ func (s Stack) UnderDefects(perms [][]int) ([]Plane, error) {
 	for pl := range s.Planes {
 		var stuck []Device
 		if len(p.faults[pl]) > 0 {
-			invRow := inversePerm(perms[pl], p.phys[pl])
-			invCol := inversePerm(perms[pl+1], p.phys[pl+1])
+			invRow, invCol := p.invert(pl, perms[pl]), p.invert(pl+1, perms[pl+1])
 			for _, fc := range p.faults[pl] {
 				r, c := invRow[fc.Row], invCol[fc.Col]
 				if r < 0 || c < 0 {

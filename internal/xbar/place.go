@@ -3,6 +3,8 @@ package xbar
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
 	"time"
 
@@ -152,15 +154,23 @@ func compatCell(e Entry, k defect.Kind) bool {
 
 // placer carries the search inputs: the stack, the physical width of
 // every layer and each plane's faults, in row-major order and grouped by
-// physical row and column. cols[p] is plane p transposed (its columns as
-// rows), built on wireOK's first use, so a placer serves one goroutine.
+// physical row and column, plus the greedy stage's scratch. cols[p] is
+// plane p transposed (its columns as rows), built on first use, so a
+// placer serves one goroutine.
 type placer struct {
 	Stack
-	phys         []int
-	faults       [][]defect.Cell
-	byRow, byCol [][][]defect.Cell // [plane][physical row or column]
-	nFaults      int
-	cols         []Plane
+	phys    []int
+	faults  [][]defect.Cell // [plane], row-major
+	byCol   [][]defect.Cell // [plane], column-major
+	rowAt   [][]int         // [plane][physical row]: first fault of the row in faults
+	colAt   [][]int         // [plane][physical column]: first fault of the column in byCol
+	nFaults int
+	cols    []Plane
+
+	m     matcher
+	inv   [][]int // [layer] physical -> logical scratch (-1 = unused)
+	order []int   // search order scratch
+	kept  []int   // restrict's scratch
 }
 
 // dimString renders layer widths as "RxC" (or "W0xW1xW2" for K layers).
@@ -186,7 +196,7 @@ func newPlacer(s Stack) (*placer, error) {
 			Detail: fmt.Sprintf("%d defect maps for %d device planes", len(s.Maps), k-1)}
 	}
 	p := &placer{Stack: s, phys: make([]int, k), faults: make([][]defect.Cell, k-1),
-		byRow: make([][][]defect.Cell, k-1), byCol: make([][][]defect.Cell, k-1)}
+		byCol: make([][]defect.Cell, k-1), rowAt: make([][]int, k-1), colAt: make([][]int, k-1)}
 	for pl, dm := range s.Maps {
 		rows, cols := s.Widths[pl], s.Widths[pl+1]
 		if dm != nil {
@@ -198,13 +208,27 @@ func newPlacer(s Stack) (*placer, error) {
 					pl-1, p.phys[pl], pl, rows, pl)}
 		}
 		p.phys[pl], p.phys[pl+1] = rows, cols
-		p.faults[pl] = dm.Cells()
-		p.byRow[pl], p.byCol[pl] = make([][]defect.Cell, rows), make([][]defect.Cell, cols)
-		for _, fc := range p.faults[pl] {
-			p.byRow[pl][fc.Row] = append(p.byRow[pl][fc.Row], fc)
-			p.byCol[pl][fc.Col] = append(p.byCol[pl][fc.Col], fc)
+		faults := dm.Cells()
+		p.faults[pl] = faults
+		// Group by row and, by a stable counting sort, by column.
+		p.rowAt[pl], p.colAt[pl] = make([]int, rows+1), make([]int, cols+1)
+		for _, fc := range faults {
+			p.rowAt[pl][fc.Row+1]++
+			p.colAt[pl][fc.Col+1]++
 		}
-		p.nFaults += len(p.faults[pl])
+		for r := 0; r < rows; r++ {
+			p.rowAt[pl][r+1] += p.rowAt[pl][r]
+		}
+		for c := 0; c < cols; c++ {
+			p.colAt[pl][c+1] += p.colAt[pl][c]
+		}
+		byCol, next := make([]defect.Cell, len(faults)), slices.Clone(p.colAt[pl][:cols])
+		for _, fc := range faults {
+			byCol[next[fc.Col]] = fc
+			next[fc.Col]++
+		}
+		p.byCol[pl] = byCol
+		p.nFaults += len(faults)
 	}
 	for l, w := range s.Widths {
 		if w > p.phys[l] {
@@ -212,7 +236,43 @@ func newPlacer(s Stack) (*placer, error) {
 				Detail: fmt.Sprintf("%s design exceeds the %s physical array", dimString(s.Widths), dimString(p.phys))}
 		}
 	}
+	p.inv = make([][]int, k)
+	for l, w := range p.phys {
+		p.inv[l] = make([]int, w)
+	}
 	return p, nil
+}
+
+// rowFaults returns the faults on physical row w of plane pl.
+func (p *placer) rowFaults(pl, w int) []defect.Cell {
+	return p.faults[pl][p.rowAt[pl][w]:p.rowAt[pl][w+1]]
+}
+
+// colFaults returns the faults on physical column w of plane pl.
+func (p *placer) colFaults(pl, w int) []defect.Cell {
+	return p.byCol[pl][p.colAt[pl][w]:p.colAt[pl][w+1]]
+}
+
+// colPlane returns plane pl transposed, building every transpose on first
+// use.
+func (p *placer) colPlane(pl int) *Plane {
+	if p.cols == nil {
+		p.cols = make([]Plane, len(p.Planes))
+		for q := range p.Planes {
+			p.cols[q] = p.Planes[q].transpose()
+		}
+	}
+	return &p.cols[pl]
+}
+
+// invert fills layer l's scratch inverse binding from perm (physical ->
+// logical, -1 where unused) and returns it.
+func (p *placer) invert(l int, perm []int) []int {
+	inv := fill(p.inv[l], -1)
+	for logical, physical := range perm {
+		inv[physical] = logical
+	}
+	return inv
 }
 
 func identityPerm(n int) []int {
@@ -231,53 +291,63 @@ func (p *placer) identity() [][]int {
 	return perms
 }
 
-// wireOK reports whether logical wire i of layer l may occupy physical
-// wire w, given the inverse bindings (physical -> logical, -1 = unused)
-// of the layer below and the layer above. It reads wire i's cells from
-// its own device lists, column i of plane l-1 and row i of plane l: a
-// BDD node's wire holds a handful of devices, so a scan beats a search.
-func (p *placer) wireOK(l, i, w int, below, above []int) bool {
-	if p.cols == nil {
-		p.cols = make([]Plane, len(p.Planes))
-		for pl := range p.Planes {
-			p.cols[pl] = p.Planes[pl].transpose()
+// compile builds layer l's compatibility relation into p.m: bit i of row
+// w is set when logical wire i may occupy physical wire w, given the
+// inverse bindings (physical -> logical, -1 = unused) of the layer below
+// and the layer above. Every fault of w whose partner wire is bound
+// narrows w's row: a stuck-OFF one clears the logical wires holding a
+// device on that partner, a stuck-ON one keeps only those holding an On
+// device there. The cost is O(phys·⌈n/64⌉ + Σ faults·degree), plus
+// ⌈n/64⌉ per stuck-ON fault, for n logical wires.
+func (p *placer) compile(l int, below, above []int) {
+	m := &p.m
+	m.reset(p.Widths[l], p.phys[l])
+	for w := 0; w < p.phys[l]; w++ {
+		row := m.row(w)
+		if l > 0 { // plane l-1: layer l is its column side
+			for _, fc := range p.colFaults(l-1, w) {
+				if r := below[fc.Row]; r >= 0 {
+					cs, es := p.Planes[l-1].Row(r)
+					p.restrict(row, cs, es, fc.Kind)
+				}
+			}
 		}
-	}
-	if l > 0 { // plane l-1: layer l is its column side
-		if faults := p.byCol[l-1][w]; len(faults) > 0 {
-			rs, es := p.cols[l-1].Row(i)
-			for _, fc := range faults {
-				if r := below[fc.Row]; r >= 0 && !compatCell(scan(rs, es, r), fc.Kind) {
-					return false
+		if l < len(p.Widths)-1 { // plane l: layer l is its row side
+			for _, fc := range p.rowFaults(l, w) {
+				if c := above[fc.Col]; c >= 0 {
+					rs, es := p.colPlane(l).Row(c)
+					p.restrict(row, rs, es, fc.Kind)
 				}
 			}
 		}
 	}
-	if l < len(p.Widths)-1 { // plane l: layer l is its row side
-		if faults := p.byRow[l][w]; len(faults) > 0 {
-			cs, es := p.Planes[l].Row(i)
-			for _, fc := range faults {
-				if c := above[fc.Col]; c >= 0 && !compatCell(scan(cs, es, c), fc.Kind) {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }
 
-// scan returns the device at index x of a row's ascending device indices
-// idx and entries es, or Off.
-func scan(idx []int, es []Entry, x int) Entry {
-	for k, v := range idx {
-		if v >= x {
-			if v == x {
-				return es[k]
+// restrict narrows a relation row to the logical wires whose cell against
+// a partner wire may occupy a device stuck in state k; idx and es list the
+// partner's devices (ascending logical wires and their entries), every
+// other crossing being Off.
+func (p *placer) restrict(row []uint64, idx []int, es []Entry, k defect.Kind) {
+	switch k {
+	case defect.StuckOff:
+		for j, i := range idx {
+			if !compatCell(es[j], k) {
+				row[i>>6] &^= 1 << (i & 63)
 			}
-			break
 		}
+	case defect.StuckOn:
+		kept := p.kept[:0]
+		for j, i := range idx {
+			if compatCell(es[j], k) && row[i>>6]>>(i&63)&1 == 1 {
+				kept = append(kept, i)
+			}
+		}
+		clear(row)
+		for _, i := range kept {
+			row[i>>6] |= 1 << (i & 63)
+		}
+		p.kept = kept
 	}
-	return Entry{}
 }
 
 // compatible reports whether the full placement satisfies every crossing.
@@ -286,8 +356,7 @@ func (p *placer) compatible(perms [][]int) bool {
 		if len(faults) == 0 {
 			continue
 		}
-		invRow := inversePerm(perms[pl], p.phys[pl])
-		invCol := inversePerm(perms[pl+1], p.phys[pl+1])
+		invRow, invCol := p.invert(pl, perms[pl]), p.invert(pl+1, perms[pl+1])
 		for _, fc := range faults {
 			r, c := invRow[fc.Row], invCol[fc.Col]
 			if r >= 0 && c >= 0 && !compatCell(p.Planes[pl].At(r, c), fc.Kind) {
@@ -300,20 +369,22 @@ func (p *placer) compatible(perms [][]int) bool {
 
 // witness finds the most constrained layer-0 wire under the layer-1
 // binding layer1 (identity when nil): the wire with the fewest compatible
-// physical wires.
+// physical wires, counted off layer 0's compiled relation.
 func (p *placer) witness(layer1 []int) (row, candidates int) {
 	if layer1 == nil {
 		layer1 = identityPerm(p.Widths[1])
 	}
-	above := inversePerm(layer1, p.phys[1])
-	row, candidates = -1, p.phys[0]+1
-	for r := 0; r < p.Widths[0]; r++ {
-		n := 0
-		for pr := 0; pr < p.phys[0]; pr++ {
-			if p.wireOK(0, r, pr, nil, above) {
-				n++
+	p.compile(0, nil, p.invert(1, layer1))
+	count := make([]int, p.Widths[0])
+	for w := 0; w < p.phys[0]; w++ {
+		for k, word := range p.m.row(w) {
+			for ; word != 0; word &= word - 1 {
+				count[k*64+bits.TrailingZeros64(word)]++
 			}
 		}
+	}
+	row, candidates = -1, p.phys[0]+1
+	for r, n := range count {
 		if n < candidates {
 			row, candidates = r, n
 		}
@@ -516,11 +587,17 @@ func (p *placer) finish(perms [][]int, engine string) ([][]int, string, error) {
 }
 
 // greedy runs the alternating matching sweeps: each sweep matches every
-// layer in turn, bottom-up, against both neighbouring planes. It returns
-// the placement on success; on failure it returns the last layer-1
-// binding tried, for witness computation. With shuffleAll, even sweep 0
-// uses randomized tie-breaking — candidate enumeration wants seed
-// diversity, whereas single-placement search wants sweep 0 near-identity.
+// layer in turn, bottom-up, against both neighbouring planes, compiling
+// the layer's relation once and running kuhn over it. It returns the
+// placement on success; on failure it returns the last layer-1 binding
+// tried, for witness computation. Sweep 0 tries the physical wires in
+// index order, so it is the same for every seed; later sweeps shuffle.
+// Kuhn over one shared order returns the mirror image of that order where
+// the relation allows (n wires onto the first n physical wires, the last
+// logical wire on the first), so sweep 0 packs each layer onto its
+// lowest-numbered wires, reversed — it does not prefer identity. With
+// shuffleAll, even sweep 0 shuffles: candidate enumeration wants seed
+// diversity.
 func (p *placer) greedy(ctx context.Context, seed uint64, shuffleAll bool) ([][]int, []int, error) {
 	rng := seed*6364136223846793005 + 1442695040888963407
 	next := func(bound int) int {
@@ -528,7 +605,11 @@ func (p *placer) greedy(ctx context.Context, seed uint64, shuffleAll bool) ([][]
 		return int((rng >> 33) % uint64(bound))
 	}
 	order := func(n int, shuffle bool) []int {
-		o := identityPerm(n)
+		p.order = grow(p.order, n)
+		o := p.order
+		for i := range o {
+			o[i] = i
+		}
 		if shuffle {
 			for i := n - 1; i > 0; i-- {
 				j := next(i + 1)
@@ -544,25 +625,24 @@ func (p *placer) greedy(ctx context.Context, seed uint64, shuffleAll bool) ([][]
 		if err := ctx.Err(); err != nil {
 			return nil, perms[1], err
 		}
-		shuffle := shuffleAll || round > 0 // round 0 prefers near-identity bindings
+		shuffle := shuffleAll || round > 0 // round 0 is seed-independent
 		matched := true
 		for l := 0; l < k && matched; l++ {
 			var below, above []int
 			if l > 0 {
-				below = inversePerm(perms[l-1], p.phys[l-1])
+				below = p.invert(l-1, perms[l-1])
 			}
 			if l < k-1 {
-				above = inversePerm(perms[l+1], p.phys[l+1])
+				above = p.invert(l+1, perms[l+1])
 			}
-			perm, ok, err := kuhn(ctx, p.Widths[l], p.phys[l], func(i, w int) bool {
-				return p.wireOK(l, i, w, below, above)
-			}, order(p.phys[l], shuffle))
+			p.compile(l, below, above)
+			perm, ok, err := p.m.kuhn(ctx, p.Widths[l], order(p.phys[l], shuffle))
 			if err != nil {
 				return nil, perms[1], err
 			}
 			matched = ok
 			if matched {
-				perms[l] = perm
+				copy(perms[l], perm)
 			}
 		}
 		if matched {
@@ -573,50 +653,10 @@ func (p *placer) greedy(ctx context.Context, seed uint64, shuffleAll bool) ([][]
 		}
 		// Re-randomize every layer above layer 0 before the next sweep.
 		for l := 1; l < k; l++ {
-			perms[l] = order(p.phys[l], true)[:p.Widths[l]]
+			copy(perms[l], order(p.phys[l], true))
 		}
 	}
 	return nil, perms[1], nil
-}
-
-// kuhn computes a maximum bipartite matching of nLeft logical lines onto
-// nRight physical lines via augmenting paths, trying physical candidates
-// in the given order. It returns the left-side assignment and whether
-// every logical line was matched. ctx is checked once per left vertex; on
-// expiry kuhn stops with the ctx error and no verdict.
-func kuhn(ctx context.Context, nLeft, nRight int, ok func(l, r int) bool, order []int) ([]int, bool, error) {
-	matchL := make([]int, nLeft)
-	matchR := make([]int, nRight)
-	for i := range matchL {
-		matchL[i] = -1
-	}
-	for i := range matchR {
-		matchR[i] = -1
-	}
-	var try func(l int, seen []bool) bool
-	try = func(l int, seen []bool) bool {
-		for _, r := range order {
-			if seen[r] || !ok(l, r) {
-				continue
-			}
-			seen[r] = true
-			if matchR[r] < 0 || try(matchR[r], seen) {
-				matchL[l], matchR[r] = r, l
-				return true
-			}
-		}
-		return false
-	}
-	complete := true
-	for l := 0; l < nLeft; l++ {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		if !try(l, make([]bool, nRight)) {
-			complete = false
-		}
-	}
-	return matchL, complete, nil
 }
 
 // ilp escalates to the exact 0-1 assignment formulation: one binary

@@ -3,6 +3,8 @@ package xbar
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"compact/internal/defect"
@@ -196,6 +198,48 @@ func FuzzPlaceVsBruteForce(f *testing.F) {
 					t.Fatalf("%s placement %v: wire %d reads %v under %v, design reads %v",
 						engine, perms, o, gotOut[o], in, wantOut[o])
 				}
+			}
+		}
+	})
+}
+
+// FuzzKuhnVsRef checks that kuhn replays the recursive reference search
+// exactly: on random relations of every density and random orders, with
+// nLeft <= nRight <= 64, both must return the same assignment and verdict.
+// Each input runs three instances through one matcher, so stale scratch
+// from a previous call would show.
+func FuzzKuhnVsRef(f *testing.F) {
+	f.Add(uint8(6), uint8(8), uint8(255), uint64(1))
+	f.Add(uint8(40), uint8(40), uint8(200), uint64(2))
+	f.Add(uint8(64), uint8(64), uint8(30), uint64(3))
+	f.Add(uint8(10), uint8(60), uint8(8), uint64(4))
+	f.Fuzz(func(t *testing.T, left, right, density uint8, seed uint64) {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		m := &matcher{}
+		for inst := 0; inst < 3; inst++ {
+			nRight := int(right) % 65
+			nLeft := int(left) % (nRight + 1)
+			if inst > 0 {
+				nRight = rng.Intn(65)
+				nLeft = rng.Intn(nRight + 1)
+			}
+			rel := make([]bool, nLeft*nRight)
+			for k := range rel {
+				rel[k] = rng.Intn(256) < int(density)
+			}
+			ok := func(l, r int) bool { return rel[l*nRight+r] }
+			order := identityPerm(nRight)
+			if seed%4 != 0 || inst > 0 {
+				order = rng.Perm(nRight)
+			}
+			want, wantOK := kuhnRef(nLeft, nRight, ok, order)
+			got, gotOK, err := setRelation(m, nLeft, nRight, ok).kuhn(context.Background(), nLeft, order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotOK != wantOK || !slices.Equal(got, want) {
+				t.Fatalf("instance %d (%dx%d, order %v): kuhn %v complete=%v, reference %v complete=%v",
+					inst, nLeft, nRight, order, got, gotOK, want, wantOK)
 			}
 		}
 	})

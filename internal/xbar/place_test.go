@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -507,31 +508,40 @@ func TestPlaceModelSizeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestKuhnStopsWithinOneVertexOfCancel counts work, not wall clock: the
-// compatibility test cancels ctx on its n-th call, and kuhn may finish
-// only the augmenting search in progress — at most nRight further calls
+// triesCtx is a live context whose Err reports cancellation once m has
+// claimed n right vertices.
+type triesCtx struct {
+	context.Context
+	m *matcher
+	n int
+}
+
+func (c triesCtx) Err() error {
+	if c.m.tries >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestKuhnStopsWithinOneVertexOfCancel counts work, not wall clock: ctx
+// reads as cancelled from kuhn's n-th claimed right vertex on (on the
+// complete relation every relation test claims one), and kuhn may finish
+// only the augmenting search in progress — at most nRight further claims
 // on the complete relation under identity order — before it stops.
 func TestKuhnStopsWithinOneVertexOfCancel(t *testing.T) {
 	const nLeft, nRight = 40, 40
 	for _, n := range []int{1, 17, 100, 500} {
-		ctx, cancel := context.WithCancel(context.Background())
-		calls := 0
-		ok := func(l, r int) bool {
-			if calls++; calls == n {
-				cancel()
-			}
-			return true
-		}
-		_, matched, err := kuhn(ctx, nLeft, nRight, ok, identityPerm(nRight))
-		cancel()
+		m := relationOf(nLeft, nRight, func(l, r int) bool { return true })
+		_, matched, err := m.kuhn(triesCtx{context.Background(), m, n}, nLeft, identityPerm(nRight))
 		if !errors.Is(err, context.Canceled) || matched {
-			t.Fatalf("cancel after %d calls: matched=%v err=%v, want no verdict and context.Canceled", n, matched, err)
+			t.Fatalf("cancel after %d claims: matched=%v err=%v, want no verdict and context.Canceled", n, matched, err)
 		}
-		if calls > n+nRight {
-			t.Errorf("cancel after %d calls: kuhn made %d calls, want at most %d", n, calls, n+nRight)
+		if m.tries > n+nRight {
+			t.Errorf("cancel after %d claims: kuhn made %d claims, want at most %d", n, m.tries, n+nRight)
 		}
 	}
-	if _, matched, err := kuhn(context.Background(), nLeft, nRight, func(l, r int) bool { return true }, identityPerm(nRight)); err != nil || !matched {
+	m := relationOf(nLeft, nRight, func(l, r int) bool { return true })
+	if _, matched, err := m.kuhn(context.Background(), nLeft, identityPerm(nRight)); err != nil || !matched {
 		t.Fatalf("live ctx: matched=%v err=%v, want a perfect matching", matched, err)
 	}
 }
@@ -562,8 +572,8 @@ func TestPrecheckMatchesKuhn(t *testing.T) {
 			t.Fatal(err)
 		}
 		class, fits := p.relaxedRows()
-		ok := func(r, pr int) bool { return fits(class[r], pr) }
-		_, matched, err := kuhn(context.Background(), rows, p.phys[0], ok, identityPerm(p.phys[0]))
+		m := relationOf(rows, p.phys[0], func(r, pr int) bool { return fits(class[r], pr) })
+		_, matched, err := m.kuhn(context.Background(), rows, identityPerm(p.phys[0]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -581,5 +591,236 @@ func TestPrecheckMatchesKuhn(t *testing.T) {
 	}
 	if proven < trials/10 || proven > trials-trials/10 {
 		t.Errorf("%d of %d trials refuted; want both verdicts often", proven, trials)
+	}
+}
+
+// wireOK is the compiled relation's oracle: whether logical wire i of
+// layer l may occupy physical wire w, given the inverse bindings
+// (physical -> logical, -1 = unused) of the layer below and the layer
+// above, read by scanning wire i's own devices, column i of plane l-1 and
+// row i of plane l, once per fault of w.
+func (p *placer) wireOK(l, i, w int, below, above []int) bool {
+	if l > 0 { // plane l-1: layer l is its column side
+		if faults := p.colFaults(l-1, w); len(faults) > 0 {
+			rs, es := p.colPlane(l - 1).Row(i)
+			for _, fc := range faults {
+				if r := below[fc.Row]; r >= 0 && !compatCell(scan(rs, es, r), fc.Kind) {
+					return false
+				}
+			}
+		}
+	}
+	if l < len(p.Widths)-1 { // plane l: layer l is its row side
+		if faults := p.rowFaults(l, w); len(faults) > 0 {
+			cs, es := p.Planes[l].Row(i)
+			for _, fc := range faults {
+				if c := above[fc.Col]; c >= 0 && !compatCell(scan(cs, es, c), fc.Kind) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// scan returns the device at index x of a row's ascending device indices
+// idx and entries es, or Off.
+func scan(idx []int, es []Entry, x int) Entry {
+	for k, v := range idx {
+		if v >= x {
+			if v == x {
+				return es[k]
+			}
+			break
+		}
+	}
+	return Entry{}
+}
+
+// kuhnRef is the matcher's oracle: the recursive depth-first Kuhn search
+// that kuhn replays, with a fresh seen set per augmenting search and a
+// full walk of order at every level.
+func kuhnRef(nLeft, nRight int, ok func(l, r int) bool, order []int) ([]int, bool) {
+	matchL := make([]int, nLeft)
+	matchR := make([]int, nRight)
+	for i := range matchL {
+		matchL[i] = -1
+	}
+	for i := range matchR {
+		matchR[i] = -1
+	}
+	var try func(l int, seen []bool) bool
+	try = func(l int, seen []bool) bool {
+		for _, r := range order {
+			if seen[r] || !ok(l, r) {
+				continue
+			}
+			seen[r] = true
+			if matchR[r] < 0 || try(matchR[r], seen) {
+				matchL[l], matchR[r] = r, l
+				return true
+			}
+		}
+		return false
+	}
+	complete := true
+	for l := 0; l < nLeft; l++ {
+		if !try(l, make([]bool, nRight)) {
+			complete = false
+		}
+	}
+	return matchL, complete
+}
+
+// relationOf returns a matcher holding the nLeft x nRight relation ok.
+func relationOf(nLeft, nRight int, ok func(l, r int) bool) *matcher {
+	return setRelation(&matcher{}, nLeft, nRight, ok)
+}
+
+// setRelation loads the nLeft x nRight relation ok into m and returns m.
+func setRelation(m *matcher, nLeft, nRight int, ok func(l, r int) bool) *matcher {
+	m.reset(nLeft, nRight)
+	for w := 0; w < nRight; w++ {
+		row := m.row(w)
+		for i := 0; i < nLeft; i++ {
+			if !ok(i, w) {
+				row[i>>6] &^= 1 << (i & 63)
+			}
+		}
+	}
+	return m
+}
+
+// compiledMismatch compiles every layer of s under the bindings perms and
+// reports the first relation bit that disagrees with wireOK, or "".
+func compiledMismatch(t *testing.T, s Stack, perms [][]int) string {
+	t.Helper()
+	p, err := newPlacer(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(s.Widths)
+	for l := 0; l < k; l++ {
+		var below, above []int
+		if l > 0 {
+			below = p.invert(l-1, perms[l-1])
+		}
+		if l < k-1 {
+			above = p.invert(l+1, perms[l+1])
+		}
+		p.compile(l, below, above)
+		for w := 0; w < p.phys[l]; w++ {
+			for i := 0; i < 64*p.m.stride; i++ {
+				want := i < s.Widths[l] && p.wireOK(l, i, w, below, above)
+				if got := p.m.has(i, w); got != want {
+					return fmt.Sprintf("layer %d logical %d physical %d: compiled %v, wireOK %v", l, i, w, got, want)
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// TestCompiledMatchesWireOK checks the compiled relation bit for bit
+// against wireOK on K=3 stacks with spare wires on every layer, so that
+// some neighbour wires are unbound (-1), under identity and random
+// bindings. TestCompiledMatchesWireOKOnGoldenMaps covers the placement
+// golden file's maps.
+func TestCompiledMatchesWireOK(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 300; trial++ {
+		k := 2 + rng.Intn(2)
+		if trial%2 == 0 {
+			k = 3
+		}
+		widths, phys := make([]int, k), make([]int, k)
+		for l := range widths {
+			widths[l] = 1 + rng.Intn(70) // past one relation word
+			phys[l] = widths[l] + rng.Intn(4)
+		}
+		s := Stack{Widths: widths, Planes: make([]Plane, k-1), Maps: make([]*defect.Map, k-1)}
+		for pl := range s.Planes {
+			var devs []Device
+			for r := 0; r < widths[pl]; r++ {
+				for c := 0; c < widths[pl+1]; c++ {
+					if rng.Intn(4) == 0 {
+						devs = append(devs, Device{Row: r, Col: c, E: Entry{Kind: EntryKind(1 + rng.Intn(2))}})
+					}
+				}
+			}
+			plane, err := NewPlane(widths[pl], widths[pl+1], devs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Planes[pl] = plane
+			dm, err := defect.Generate(phys[pl], phys[pl+1], 0.1*rng.Float64(), rng.Float64(), rng.Uint64())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Maps[pl] = dm
+		}
+		perms := make([][]int, k)
+		for l := range perms {
+			perms[l] = identityPerm(widths[l])
+			if trial%3 != 0 {
+				perms[l] = rng.Perm(phys[l])[:widths[l]]
+			}
+		}
+		if msg := compiledMismatch(t, s, perms); msg != "" {
+			t.Fatalf("trial %d (%s on %s): %s", trial, dimString(widths), dimString(phys), msg)
+		}
+	}
+}
+
+// TestKuhnMirrorsIdentityOrder pins what sweep 0 of the greedy stage does
+// with a complete relation: Kuhn over one shared identity order packs the
+// logical wires onto the first physical wires in reverse.
+func TestKuhnMirrorsIdentityOrder(t *testing.T) {
+	m := relationOf(6, 8, func(l, r int) bool { return true })
+	got, matched, err := m.kuhn(context.Background(), 6, identityPerm(8))
+	if err != nil || !matched {
+		t.Fatalf("matched=%v err=%v, want a complete matching", matched, err)
+	}
+	if want := []int{5, 4, 3, 2, 1, 0}; !slices.Equal(got, want) {
+		t.Fatalf("matching %v, want the mirror image %v", got, want)
+	}
+	if ref, _ := kuhnRef(6, 8, func(l, r int) bool { return true }, identityPerm(8)); !slices.Equal(got, ref) {
+		t.Fatalf("matching %v, reference %v", got, ref)
+	}
+}
+
+// has reports whether the compiled relation lets left vertex i take right
+// vertex w.
+func (m *matcher) has(i, w int) bool { return m.adj[w*m.stride+i>>6]>>(i&63)&1 == 1 }
+
+// TestKuhnMatchesRefAcrossWords extends FuzzKuhnVsRef past one word of
+// right vertices, where the matcher's seen set spans several words and
+// skips fully seen ones: dense relations under identity order build
+// long mirror chains over whole words.
+func TestKuhnMatchesRefAcrossWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	m := &matcher{}
+	for trial := 0; trial < 120; trial++ {
+		nRight := 65 + rng.Intn(160)
+		nLeft := nRight - rng.Intn(8)
+		density := []float64{1, 0.98, 0.9, 0.5, 0.1, 0.02}[trial%6]
+		rel := make([]bool, nLeft*nRight)
+		for k := range rel {
+			rel[k] = rng.Float64() < density
+		}
+		ok := func(l, r int) bool { return rel[l*nRight+r] }
+		order := identityPerm(nRight)
+		if trial%2 == 1 {
+			order = rng.Perm(nRight)
+		}
+		want, wantOK := kuhnRef(nLeft, nRight, ok, order)
+		got, gotOK, err := setRelation(m, nLeft, nRight, ok).kuhn(context.Background(), nLeft, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotOK != wantOK || !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%dx%d, density %v): kuhn %v complete=%v, reference %v complete=%v",
+				trial, nLeft, nRight, density, got, gotOK, want, wantOK)
+		}
 	}
 }
