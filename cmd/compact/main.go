@@ -270,9 +270,9 @@ func run(ctx context.Context, inPath string, cfg cliConfig) error {
 		fmt.Printf("svg: wrote %s\n", cfg.svgPath)
 	}
 	if cfg.runSpice {
-		// A defect-placed design is simulated on its physical array: stuck
-		// devices and spare-line bridges move the read voltages. A placed
-		// K-layer stack has no electrical model, and spice refuses it.
+		// A defect-placed design — a 2D array or a K-layer stack — is
+		// simulated on its physical stack: stuck devices and spare-wire
+		// bridges move the read voltages.
 		env := spice.Env{Model: spice.Default(), Defects: res.Defects, Placement: res.Placement}
 		rep, err := spice.MarginContext(ctx, res.Design, nw.Eval, nw.NumInputs(), 10, 200, env, 1)
 		if err != nil {

@@ -275,30 +275,51 @@ func TestRunSpicePlaced(t *testing.T) {
 }
 
 // TestRunSpiceLayeredPlaced pins that -spice on a defect-placed K-layer
-// stack is refused with spice's typed error: the stack has no electrical
-// model for its per-plane defect maps, so a margin of the pristine stack
-// would report numbers for an array the design was not placed on.
+// stack reports the margin of the placed physical stack: the printed
+// line must equal MarginContext on the result's own defect maps and
+// placement.
 func TestRunSpiceLayeredPlaced(t *testing.T) {
 	var buf strings.Builder
-	if err := blif.Write(&buf, bench.MustBuild("ctrl")); err != nil {
+	nw := bench.MustBuild("ctrl")
+	if err := blif.Write(&buf, nw); err != nil {
 		t.Fatal(err)
 	}
 	path := writeTemp(t, "ctrl.blif", buf.String())
 	cfg := cliConfig{gamma: 0.5, method: "heuristic", timeLimit: 10 * time.Second, layers: 3,
 		defectRate: 0.001, defectSeed: 3, runSpice: true}
 	out, err := captureStdout(t, func() error { return run(context.Background(), path, cfg) })
-	if !errors.Is(err, spice.ErrLayered) {
-		t.Fatalf("-spice on a placed stack returned %v, want spice.ErrLayered", err)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out, "placement: engine=") || strings.Contains(out, "spice-lite:") {
-		t.Fatalf("want a placed stack and no margin report, got:\n%s", out)
+	if !strings.Contains(out, "placement: engine=") {
+		t.Fatalf("want a placed stack, got:\n%s", out)
+	}
+	var got string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "spice-lite:") {
+			got = line
+		}
 	}
 
-	// The clean stack still simulates.
-	cfg.defectRate = 0
-	out, err = captureStdout(t, func() error { return run(context.Background(), path, cfg) })
-	if err != nil || !strings.Contains(out, "spice-lite:") {
-		t.Fatalf("clean stack: err %v, output:\n%s", err, out)
+	res, err := core.SynthesizeContext(context.Background(), nw, core.Options{
+		Gamma: 0.5, GammaSet: true, Method: labeling.MethodHeuristic, TimeLimit: cfg.timeLimit,
+		Layers: 3, DefectRate: cfg.defectRate, DefectSeed: cfg.defectSeed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Placement == nil || len(res.Defects) != 2 {
+		t.Fatalf("no placement on two per-plane maps: %v, %d maps", res.Placement, len(res.Defects))
+	}
+	env := spice.Env{Model: spice.Default(), Defects: res.Defects, Placement: res.Placement}
+	rep, err := spice.MarginContext(context.Background(), res.Design, nw.Eval, nw.NumInputs(), 10, 200, env, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("spice-lite: minOn=%.4gV maxOff=%.4gV separable=%v (%d vectors)",
+		rep.MinOn, rep.MaxOff, rep.Separable, rep.Checked)
+	if got != want {
+		t.Errorf("-spice reported\n  %s\nwant the placed stack's\n  %s", got, want)
 	}
 }
 

@@ -70,6 +70,10 @@ func run(args []string) int {
 		log.Printf("compactd: %v", err)
 		return 1
 	}
+	// Deferred right after New, Close runs last on every path: after the
+	// selfcheck, and after Shutdown has drained the HTTP handlers, so it
+	// only has job runners and singleflight leaders left to join.
+	defer srv.Close()
 
 	if *selfcheck {
 		if err := runSelfcheck(ctx, srv); err != nil {
@@ -202,6 +206,21 @@ func runSelfcheck(ctx context.Context, srv *server.Server) error {
 	}
 	if !bytes.Equal(mfirst, msecond) {
 		return fmt.Errorf("margin cache hit body differs from miss body")
+	}
+
+	// Layered margin roundtrip: a FLOW-3D stack placed on its per-plane
+	// defect maps simulates on its physical stack.
+	lreq := `{"benchmark": "ctrl", "options": {"method": "heuristic", "layers": 3, "defect_rate": 0.0005, "defect_seed": 1, "time_limit_ms": 10000}, "margin": {"trials": 2, "vectors": 4, "seed": 1}}`
+	status, _, body, err = do(ctx, client, http.MethodPost, base+"/v1/margin", lreq)
+	if err != nil || status != http.StatusOK {
+		return fmt.Errorf("layered margin: status %d, err %v, body %s", status, err, body)
+	}
+	var lrep struct {
+		Layers int  `json:"layers"`
+		Placed bool `json:"placed"`
+	}
+	if err := json.Unmarshal(body, &lrep); err != nil || lrep.Layers != 3 || !lrep.Placed {
+		return fmt.Errorf("layered margin: want a placed 3-layer report, got %s (%v)", body, err)
 	}
 
 	// Async roundtrip: submit the same request as a job, poll to done,

@@ -122,8 +122,9 @@ type Options struct {
 	// mapped to a K-layer design (xbar.MapStack); the result's Labeling
 	// carries the K-layer intervals. Capped at
 	// labeling.MaxLayers. Layered synthesis composes with DefectRate
-	// (per-plane generated maps) but not yet with explicit Defects maps,
-	// Partition or MarginAware — Validate rejects those combinations.
+	// (per-plane generated maps) and MarginAware, but not yet with
+	// explicit Defects maps or Partition — Validate rejects those
+	// combinations.
 	Layers int
 	// MarginAware adds a secondary electrical objective to defect-aware
 	// placement: several candidate placements are enumerated, each verified

@@ -11,6 +11,7 @@ import (
 	"compact/internal/bench"
 	"compact/internal/defect"
 	"compact/internal/labeling"
+	"compact/internal/spice"
 	"compact/internal/xbar"
 	"compact/internal/xbar3d"
 )
@@ -212,6 +213,33 @@ func TestLayeredPlacementRegression(t *testing.T) {
 	}
 }
 
+// TestLayeredMarginAwarePlacement runs the margin-aware candidate search
+// on a stack: ctrl at K=3 on generated per-plane maps (rate 0.05%, seed 1),
+// which the plain loop places. Each candidate is scored on the placed
+// physical stack, so the search must return a placement whose effective
+// stack proves equivalent to the network, and whose margin simulates.
+func TestLayeredMarginAwarePlacement(t *testing.T) {
+	nw := bench.MustBuild("ctrl")
+	res, err := SynthesizeContext(context.Background(), nw, Options{
+		Layers: 3, Method: labeling.MethodHeuristic,
+		DefectRate: 0.0005, DefectSeed: 1, MarginAware: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Placement == nil || res.Effective == nil || len(res.Defects) != 2 {
+		t.Fatalf("margin-aware layered synthesis: placement %v, effective %v, %d maps",
+			res.Placement, res.Effective != nil, len(res.Defects))
+	}
+	if err := xbar.FormalVerify(res.Effective, nw, 0); err != nil {
+		t.Errorf("effective stack: %v", err)
+	}
+	env := spice.Env{Model: spice.Default(), Defects: res.Defects, Placement: res.Placement}
+	if _, err := spice.MarginContext(context.Background(), res.Design, nw.Eval, nw.NumInputs(), 6, 32, env, 1); err != nil {
+		t.Errorf("margin of the placed stack: %v", err)
+	}
+}
+
 func TestLayeredOptionsValidation(t *testing.T) {
 	dm, err := defect.New(4, 4)
 	if err != nil {
@@ -228,7 +256,7 @@ func TestLayeredOptionsValidation(t *testing.T) {
 		{"negative", Options{Layers: -1}, false},
 		{"over-cap", Options{Layers: labeling.MaxLayers + 1}, false},
 		{"partition", Options{Layers: 3, Partition: true, MaxRows: 8, MaxCols: 8}, false},
-		{"margin-aware", Options{Layers: 3, MarginAware: true}, false},
+		{"margin-aware", Options{Layers: 3, MarginAware: true}, true},
 		{"explicit-defects", Options{Layers: 3, Defects: dm}, false},
 		{"defect-rate", Options{Layers: 3, DefectRate: 0.05}, true},
 	}

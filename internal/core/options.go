@@ -120,9 +120,6 @@ func (o Options) Validate() error {
 		if o.Partition {
 			return fmt.Errorf("core: Partition is not supported with Layers %d (layered tiling is not implemented)", o.Layers)
 		}
-		if o.MarginAware {
-			return fmt.Errorf("core: MarginAware is not supported with Layers %d (layered placement has no electrical model)", o.Layers)
-		}
 		if o.Defects != nil {
 			return fmt.Errorf("core: explicit Defects maps are 2D; use DefectRate to generate per-plane maps with Layers %d", o.Layers)
 		}

@@ -365,6 +365,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.metrics.jobsSubmitted.Add(1)
 	s.metrics.jobsActive.Add(1)
 	s.jobs.persist(j.snapshot())
+	s.wg.Add(1)
 	go s.runJob(jobctx, j, nw, opts)
 	writeJSON(w, http.StatusAccepted, jobSubmitResponse{
 		ID:        id,
@@ -377,6 +378,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // transitions (cancel only signals ctx), so persisted records never
 // interleave.
 func (s *Server) runJob(ctx context.Context, j *job, nw *logic.Network, opts core.Options) {
+	defer s.wg.Done()
 	defer j.cancel() // release the derived context once terminal
 	if body, _, ok, _ := s.cache.get(j.key); ok && len(body) > 0 {
 		s.finishJob(j, "", "")

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -335,5 +336,66 @@ func TestJobResultEvicted(t *testing.T) {
 	}
 	if code := envelopeCode(t, body); code != "result_evicted" {
 		t.Fatalf("evicted result code %q: %s", code, body)
+	}
+}
+
+// TestCloseJoinsRunnersAndLeaders pins Server.Close: with a job and a
+// synchronous request both blocked in a solve that only ends with its
+// context, Close must cancel the server's lifetime and return only once
+// every job runner and singleflight leader has returned.
+func TestCloseJoinsRunnersAndLeaders(t *testing.T) {
+	started := make(chan struct{}, 2)
+	srv, err := New(context.Background(), Config{
+		Synth: func(ctx context.Context, nw *logic.Network, opts core.Options) (*core.Result, error) {
+			started <- struct{}{}
+			<-ctx.Done()
+			return nil, ctx.Err()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTPServer(t, srv)
+	if status, _, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", circuitRequest("")); status != http.StatusAccepted {
+		t.Fatalf("submit: status %d, body %s", status, raw)
+	}
+	syncStatus := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json",
+			strings.NewReader(circuitRequest(`{"method": "heuristic"}`)))
+		if err != nil {
+			syncStatus <- 0
+			return
+		}
+		_ = resp.Body.Close()
+		syncStatus <- resp.StatusCode
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case <-started:
+		case <-time.After(10 * time.Second):
+			t.Fatal("solves never started")
+		}
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	for _, fn := range []string{"(*Server).runJob", "(*flightGroup).do."} {
+		if strings.Contains(stacks, fn) {
+			t.Errorf("%s still running after Close:\n%s", fn, stacks)
+		}
+	}
+	if status := <-syncStatus; status != http.StatusServiceUnavailable {
+		t.Errorf("synchronous request ended with status %d, want 503", status)
 	}
 }

@@ -43,9 +43,8 @@ import (
 // concurrent identical requests join one in-flight analysis. Partitioned
 // results (multi-tile plans) and designs past the nodal solver's size cap
 // are refused with the "margin_unsupported" code (422). Layered requests
-// ("layers" >= 3) run on the same nodal solver when the stack is pristine;
-// defect-placed layered stacks have no electrical model (spice.ErrLayered)
-// and are refused with the same 422 code — never a 500.
+// ("layers" >= 3) run on the same nodal solver, pristine or placed on
+// their per-plane defect maps.
 
 // maxSigma bounds the requested log-normal spread. exp(4) is a ~55x
 // resistance swing — far beyond any fabricated device, and enough to keep
@@ -278,7 +277,7 @@ func (s *Server) solveMargin(ctx context.Context, key string, nw *logic.Network,
 		env := spice.Env{Model: model, Defects: res.Defects, Placement: res.Placement}
 		rep, err := spice.MonteCarloContext(mcCtx, res.Design, res.Design.Eval, len(res.Design.VarNames), env, v, mcopts)
 		s.metrics.marginMillis.Add(float64(time.Since(t0)) / float64(time.Millisecond))
-		if errors.Is(err, spice.ErrTooLarge) || errors.Is(err, spice.ErrLayered) {
+		if errors.Is(err, spice.ErrTooLarge) {
 			return nil, fmt.Errorf("%w: %v", errMarginUnsupported, err)
 		}
 		if err != nil {

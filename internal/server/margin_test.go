@@ -211,9 +211,10 @@ func TestMarginUnsupportedOnPartitionedResult(t *testing.T) {
 }
 
 // TestMarginLayeredEnvelope pins the /v1/margin contract for FLOW-3D
-// requests: a pristine layered stack runs through the 3D nodal solver and
-// returns a normal report carrying the layer count; every layered shape
-// the analyzer cannot simulate is a typed envelope — never a 500.
+// requests: a layered stack, pristine or placed on its per-plane defect
+// maps (with or without the margin-aware search), runs through the nodal
+// solver and returns a normal report carrying the layer count; a layer
+// count past the cap is a typed envelope — never a 500.
 func TestMarginLayeredEnvelope(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	layered := func(options, margin string) string {
@@ -224,26 +225,27 @@ func TestMarginLayeredEnvelope(t *testing.T) {
 		body       string
 		wantStatus int
 		wantCode   string // empty for a 200
+		wantPlaced bool
 	}{
 		{
 			"clean layered stack",
 			layered(`{"method": "heuristic", "layers": 3}`, `{"sigma": 0.02, "trials": 8, "vectors": 8, "seed": 3}`),
-			http.StatusOK, "",
+			http.StatusOK, "", false,
 		},
 		{
 			"defect-placed layered stack",
-			layered(`{"method": "heuristic", "layers": 3, "defect_rate": 0.001, "defect_seed": 1}`, `{"sigma": 0.02, "trials": 4, "vectors": 4}`),
-			http.StatusUnprocessableEntity, codeMarginUnsupported,
+			layered(`{"method": "heuristic", "layers": 3, "defect_rate": 0.001, "defect_seed": 1}`, `{"sigma": 0.02, "trials": 8, "vectors": 4}`),
+			http.StatusOK, "", true,
 		},
 		{
 			"layered margin-aware placement",
-			layered(`{"method": "heuristic", "layers": 3, "margin_aware": true}`, `{"sigma": 0.02}`),
-			http.StatusBadRequest, codeInvalidOptions,
+			layered(`{"method": "heuristic", "layers": 3, "defect_rate": 0.001, "defect_seed": 1, "margin_aware": true}`, `{"sigma": 0.02, "trials": 8}`),
+			http.StatusOK, "", true,
 		},
 		{
 			"layers over cap",
 			layered(`{"method": "heuristic", "layers": 99}`, `{"sigma": 0.02}`),
-			http.StatusBadRequest, codeInvalidOptions,
+			http.StatusBadRequest, codeInvalidOptions, false,
 		},
 	}
 	for _, tc := range cases {
@@ -260,8 +262,8 @@ func TestMarginLayeredEnvelope(t *testing.T) {
 				if err := json.Unmarshal(body, &mr); err != nil {
 					t.Fatalf("non-JSON 200 body %s: %v", body, err)
 				}
-				if mr.Layers != 3 {
-					t.Errorf("layered report carries layers=%d, want 3", mr.Layers)
+				if mr.Layers != 3 || mr.Placed != tc.wantPlaced {
+					t.Errorf("layered report carries layers=%d placed=%v, want 3 and %v", mr.Layers, mr.Placed, tc.wantPlaced)
 				}
 				if mr.Report.Trials != 8 {
 					t.Errorf("trial accounting wrong: %+v", mr.Report)

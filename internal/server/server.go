@@ -46,6 +46,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"compact/internal/bench"
@@ -135,6 +136,8 @@ var errShuttingDown = errors.New("server: shutting down")
 type Server struct {
 	cfg     Config
 	base    context.Context
+	stop    context.CancelFunc
+	wg      sync.WaitGroup // job runners and singleflight leaders
 	metrics *metrics
 	cache   *tieredCache
 	flights *flightGroup
@@ -145,9 +148,10 @@ type Server struct {
 	benches []benchmarkInfo
 }
 
-// New builds a Server. base is the server's lifetime: canceling it fails
-// new and queued solves with 503 (in-flight HTTP exchanges are the
-// embedding http.Server's to drain; pair this with Shutdown). New fails
+// New builds a Server. base is the server's lifetime: canceling it (or
+// calling Close) fails new and queued solves with 503 (in-flight HTTP
+// exchanges are the embedding http.Server's to drain; pair this with
+// Shutdown, then Close). New fails
 // only when cfg.StoreDir is set but cannot be opened; job records from a
 // previous run under the same directory are recovered (interrupted jobs
 // resurface as failed with the "interrupted" code, completed ones keep
@@ -168,14 +172,14 @@ func New(base context.Context, cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		base:    base,
 		metrics: m,
 		cache:   newTieredCache(newResultCache(cfg.CacheEntries, cfg.CacheBytes), disk, m),
-		flights: newFlightGroup(),
 		sem:     make(chan struct{}, cfg.Workers),
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
 	}
+	s.base, s.stop = context.WithCancel(base)
+	s.flights = newFlightGroup(&s.wg)
 	jobs, err := newJobTable(cfg.MaxJobs, cfg.StoreDir, m)
 	if err != nil {
 		return nil, fmt.Errorf("server: recovering job table: %w", err)
@@ -208,6 +212,15 @@ func New(base context.Context, cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	return s, nil
+}
+
+// Close ends the server's lifetime and waits until every job runner and
+// singleflight leader has returned: their solves see the canceled
+// context, and queued ones fail with 503. Call it once the embedding
+// http.Server has drained (after Shutdown), so no handler starts new work.
+func (s *Server) Close() {
+	s.stop()
+	s.wg.Wait()
 }
 
 // Handler returns the server's HTTP handler. Responses the mux generates

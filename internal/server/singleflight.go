@@ -14,6 +14,7 @@ import (
 type flightGroup struct {
 	mu      sync.Mutex
 	flights map[string]*flight
+	wg      *sync.WaitGroup // counts running leaders
 }
 
 // flight is one in-progress computation.
@@ -23,8 +24,8 @@ type flight struct {
 	err  error
 }
 
-func newFlightGroup() *flightGroup {
-	return &flightGroup{flights: make(map[string]*flight)}
+func newFlightGroup(wg *sync.WaitGroup) *flightGroup {
+	return &flightGroup{flights: make(map[string]*flight), wg: wg}
 }
 
 // do returns the flight computing key, starting fn in a new goroutine if
@@ -41,7 +42,9 @@ func (g *flightGroup) do(key string, fn func() ([]byte, error)) (f *flight, lead
 	g.flights[key] = f
 	g.mu.Unlock()
 
+	g.wg.Add(1)
 	go func() {
+		defer g.wg.Done()
 		body, err := fn()
 		// Unregister before publishing: later requests must consult the
 		// cache (which fn populated on success) rather than this flight.

@@ -12,8 +12,10 @@ import (
 // the dense-elimination oracle must agree on every node voltage. seed%4
 // picks the shape: a clean 2D array, a 2D design placed on a larger
 // defective array (stuck-ON bridges to spare lines, stuck overrides on used
-// crossings, a random placement), or a K=3 or K=4 stack. An odd spread
-// adds a per-device resistance draw. The design, the array, the assignment
+// crossings, a random placement), or a K=3 or K=4 stack — clean, or (on
+// odd seed/4) placed at random on a physical stack with spare wires on
+// every layer and a dense fault map per plane, so bridges chain across
+// planes. An odd spread adds a per-device resistance draw. The design, the array, the assignment
 // and the draw all derive from the fuzz inputs via splitmix64, so every
 // corpus entry replays bit-identically.
 func FuzzNodalVsDense(f *testing.F) {
@@ -83,39 +85,35 @@ func FuzzNodalVsDense(f *testing.F) {
 		}
 
 		env := Env{Model: Default()}
-		physRows, physCols := widths[0], widths[1]
-		if seed%4 == 1 {
-			// A larger array with spare lines, a random placement and a
-			// dense fault map, so stuck-ON devices bridge spares in.
-			physRows += int(splitmix64(&state) % 4)
-			physCols += int(splitmix64(&state) % 4)
-			dm, err := defect.Generate(physRows, physCols, 0.25, 0.75, splitmix64(&state))
-			if err != nil {
-				t.Fatal(err)
+		if seed%4 == 1 || (seed%4 >= 2 && seed/4%2 == 1) {
+			// A larger array with spare wires, a random placement and a
+			// dense fault map per plane, so stuck-ON devices bridge spares
+			// in.
+			phys := make([]int, len(widths))
+			env.Placement = &xbar.Placement{Perms: make([][]int, len(widths))}
+			for l, w := range widths {
+				phys[l] = w + int(splitmix64(&state)%4)
+				env.Placement.Perms[l] = randomInjection(&state, w, phys[l])
 			}
-			env.Defects = []*defect.Map{dm}
-			env.Placement = &xbar.Placement{Perms: [][]int{
-				randomInjection(&state, widths[0], physRows),
-				randomInjection(&state, widths[1], physCols),
-			}}
+			for p := range planes {
+				dm, err := defect.Generate(phys[p], phys[p+1], 0.25, 0.75, splitmix64(&state))
+				if err != nil {
+					t.Fatal(err)
+				}
+				env.Defects = append(env.Defects, dm)
+			}
 		}
 		nw, err := compile(d, env)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Half the runs draw per-device resistances, with sigma bounded so
-		// the system stays numerically reasonable: a K=2 draw covers the
-		// physical array, a stack draws one map per plane.
+		// the system stays numerically reasonable: one map per plane over
+		// its physical extent.
 		var res []*ResistanceMap
 		if spread%2 == 1 {
 			v := Variation{SigmaOn: 0.05 + float64(spread%16)/16, SigmaOff: 0.05 + float64(spread%16)/16}
-			if len(widths) == 2 {
-				m, err := SampleResistances(physRows, physCols, env.Model, v, spread)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res = []*ResistanceMap{m}
-			} else if res, err = samplePlaneRes(d, env.Model, v, spread); err != nil {
+			if res, err = nw.sample(v, spread); err != nil {
 				t.Fatal(err)
 			}
 		}

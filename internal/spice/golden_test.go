@@ -173,9 +173,7 @@ func goldenReport(t *testing.T) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		withRes := env
-		withRes.Res = res
-		v, err := SimulateEnv(d, goldenVectors(nVars, 1)[0], withRes)
+		v, err := simulateRes(d, goldenVectors(nVars, 1)[0], env, []*ResistanceMap{res})
 		line("simulate-res err=%v v=[%s]", err, bitsList(v))
 		line("%s", fmtMargin(MarginContext(ctx, d, d.Eval, nVars, 7, 12, env, 1)))
 		hc := env
@@ -218,6 +216,18 @@ func goldenReport(t *testing.T) string {
 	v, err := Simulate(d, in, Default())
 	line("simulate %s err=%v v=[%s]", bitString(in), err, bitsList(v))
 	return out.String()
+}
+
+// simulateRes is SimulateEnv with the per-plane device resistances res
+// pinned for the one trial.
+func simulateRes(d *xbar.Design, assignment []bool, env Env, res []*ResistanceMap) ([]float64, error) {
+	nw, err := compile(d, env)
+	if err != nil {
+		return nil, err
+	}
+	var sv solver
+	nw.trial(&sv, res)
+	return nw.simulate(&sv, assignment)
 }
 
 func TestGoldenReports(t *testing.T) {

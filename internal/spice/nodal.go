@@ -112,12 +112,8 @@ func grow(buf []float64, n int) []float64 {
 }
 
 // trial computes the conductances of the per-plane resistance maps res
-// (nil = the compiled ones; a nil map = nominal devices) into sv, once
-// per trial.
+// (nil, or a nil map, = nominal devices) into sv, once per trial.
 func (nw *network) trial(sv *solver, res []*ResistanceMap) {
-	if res == nil {
-		res = nw.res
-	}
 	sv.base = grow(sv.base, nw.ns*nw.nl)
 	clear(sv.base)
 	sv.dev = grow(sv.dev, len(nw.devW))
@@ -134,10 +130,7 @@ func (nw *network) trial(sv *solver, res []*ResistanceMap) {
 			for c := 0; c < cols; c++ {
 				gOn, gOff := gOnNom, gOffNom
 				if m != nil {
-					pr, pc := r, c
-					if pl.rowPhys != nil {
-						pr, pc = pl.rowPhys[r], pl.colPhys[c]
-					}
+					pr, pc := pl.rowPhys[r], pl.colPhys[c]
 					gOn, gOff = 1/m.OnAt(pr, pc), 1/m.OffAt(pr, pc)
 				}
 				if pl.override != nil {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"compact/internal/bdd"
-	"compact/internal/defect"
 	"compact/internal/labeling"
 	"compact/internal/logic"
 	"compact/internal/xbar"
@@ -103,32 +102,6 @@ func TestSimulate3DLiftMatches2D(t *testing.T) {
 			math.Float64bits(m2.MaxOff) != math.Float64bits(m3.MaxOff) {
 			t.Errorf("exhaustive limit %d: Map margin %+v vs MapStack %+v", limit, m2, m3)
 		}
-	}
-}
-
-// TestLayeredEnvRefused pins the typed refusal: a K-layer stack has no
-// electrical model for defect maps, placements or resistance maps.
-func TestLayeredEnvRefused(t *testing.T) {
-	d := synth3(t, fig2(), 3)
-	dm, err := defect.New(d.Widths[1], d.Widths[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SampleResistances(d.Widths[0], d.Widths[1], Default(), Variation{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, env := range map[string]Env{
-		"defects":     {Model: Default(), Defects: []*defect.Map{nil, dm}},
-		"placement":   {Model: Default(), Placement: &xbar.Placement{}},
-		"resistances": {Model: Default(), Res: res},
-	} {
-		if _, err := SimulateEnv(d, make([]bool, 3), env); !errors.Is(err, ErrLayered) {
-			t.Errorf("%s: got %v, want ErrLayered", name, err)
-		}
-	}
-	if _, err := SimulateEnv(d, make([]bool, 3), Env{Model: Default(), Defects: make([]*defect.Map, 2)}); err != nil {
-		t.Errorf("nil defect maps are a clean stack: %v", err)
 	}
 }
 

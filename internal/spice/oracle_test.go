@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,13 +29,10 @@ func stamp(g [][]float64, i, j int, gc float64) {
 }
 
 // system assembles the conductance matrix and current vector for one
-// assignment. res overrides the compiled per-plane resistance maps when
-// non-nil (the Monte Carlo per-trial path). Every device of a plane reads
-// its map at its physical position.
+// assignment under the per-plane resistance maps res (nil, or a nil map,
+// = nominal devices). Every device of a plane reads its map at its
+// physical position.
 func (nw *network) system(assignment []bool, res []*ResistanceMap) ([][]float64, []float64) {
-	if res == nil {
-		res = nw.res
-	}
 	n := nw.n
 	g := make([][]float64, n)
 	backing := make([]float64, n*n)
@@ -72,10 +71,7 @@ func (nw *network) system(assignment []bool, res []*ResistanceMap) ([][]float64,
 					gc = gOnNom
 				}
 				if m != nil {
-					pr, pc := r, c
-					if pl.rowPhys != nil {
-						pr, pc = pl.rowPhys[r], pl.colPhys[c]
-					}
+					pr, pc := pl.rowPhys[r], pl.colPhys[c]
 					gc = 1 / m.OffAt(pr, pc)
 					if on {
 						gc = 1 / m.OnAt(pr, pc)
@@ -288,18 +284,9 @@ func TestNodalMatchesDense(t *testing.T) {
 			checkNodalMatchesDense(t, name+" "+bitString(in), nw, in, nil)
 		}
 	}
-	for i, name := range []string{"ctrl_placed1", "ctrl_placed2", "ctrl_placed3", "ctrl_placed4",
-		"cavlc_placed1", "cavlc_placed2", "cavlc_placed3", "int2float_placed1", "int2float_placed2"} {
-		var pc struct {
-			Defects *defect.Map `json:"defects"`
-			RowPerm []int       `json:"row_perm"`
-			ColPerm []int       `json:"col_perm"`
-		}
-		goldenLoad(t, name, &pc)
-		d := new(xbar.Design)
-		goldenLoad(t, strings.SplitN(name, "_", 2)[0], d)
-		nw, err := compile(d, Env{Model: Default(), Defects: []*defect.Map{pc.Defects},
-			Placement: &xbar.Placement{Perms: [][]int{pc.RowPerm, pc.ColPerm}}})
+	for i, name := range placedGoldens {
+		d, env := placedGolden(t, name)
+		nw, err := compile(d, env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,10 +296,348 @@ func TestNodalMatchesDense(t *testing.T) {
 		for _, in := range goldenVectors(len(d.VarNames), 3) {
 			checkNodalMatchesDense(t, name+" "+bitString(in), nw, in, nil)
 		}
-		res, err := SampleResistances(pc.Defects.Rows(), pc.Defects.Cols(), Default(), goldenSpread, uint64(i))
+		res, err := nw.sample(goldenSpread, uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkNodalMatchesDense(t, name+" with resistances", nw, goldenVectors(len(d.VarNames), 1)[0], []*ResistanceMap{res})
+		checkNodalMatchesDense(t, name+" with resistances", nw, goldenVectors(len(d.VarNames), 1)[0], res)
 	}
+}
+
+// The 2D compile oracle: the one-plane compile that preceded the
+// physical-stack one (place), kept here as its reference at K=2. place2D
+// binds the rows and columns through the placement (identity when nil)
+// and compileDefects2D adds the stuck overrides and spare-line bridges of
+// the plane's one defect map. Both assume a valid Env.
+
+func identityPerm(n int) []int {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	return perm
+}
+
+func (nw *network) place2D(d *xbar.Design, env Env) {
+	var dm *defect.Map
+	if len(env.Defects) == 1 {
+		dm = env.Defects[0]
+	}
+	pl := plane{cells: d.Planes[0], colBase: d.Rows}
+	if p := env.Placement; p != nil {
+		pl.rowPhys, pl.colPhys = p.Perms[0], p.Perms[1]
+	} else {
+		pl.rowPhys, pl.colPhys = identityPerm(d.Rows), identityPerm(d.Cols)
+	}
+	if dm.Len() > 0 {
+		nw.n = pl.compileDefects2D(dm, d.Rows, d.Cols)
+	}
+	nw.planes = []plane{pl}
+}
+
+func (pl *plane) compileDefects2D(dm *defect.Map, rows, cols int) int {
+	physRows, physCols := dm.Rows(), dm.Cols()
+	invRow := make([]int, physRows)
+	invCol := make([]int, physCols)
+	for i := range invRow {
+		invRow[i] = -1
+	}
+	for i := range invCol {
+		invCol[i] = -1
+	}
+	for r, pr := range pl.rowPhys {
+		invRow[pr] = r
+	}
+	for c, pc := range pl.colPhys {
+		invCol[pc] = c
+	}
+
+	type fault struct{ pr, pc int }
+	var stuckOn []fault
+	for _, fc := range dm.Cells() {
+		r, c := invRow[fc.Row], invCol[fc.Col]
+		if r >= 0 && c >= 0 {
+			if pl.override == nil {
+				pl.override = make([]int8, rows*cols)
+			}
+			if fc.Kind == defect.StuckOn {
+				pl.override[r*cols+c] = 1
+			} else {
+				pl.override[r*cols+c] = -1
+			}
+			continue
+		}
+		if fc.Kind == defect.StuckOn {
+			stuckOn = append(stuckOn, fault{fc.Row, fc.Col})
+		}
+	}
+	if len(stuckOn) == 0 {
+		return rows + cols
+	}
+
+	// Phase 1: BFS from the used lines over stuck-ON adjacency.
+	rowReach := make([]bool, physRows)
+	colReach := make([]bool, physCols)
+	for _, pr := range pl.rowPhys {
+		rowReach[pr] = true
+	}
+	for _, pc := range pl.colPhys {
+		colReach[pc] = true
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, f := range stuckOn {
+			if rowReach[f.pr] && !colReach[f.pc] {
+				colReach[f.pc] = true
+				changed = true
+			}
+			if colReach[f.pc] && !rowReach[f.pr] {
+				rowReach[f.pr] = true
+				changed = true
+			}
+		}
+	}
+
+	// Phase 2: number the reached spares (rows, then columns) and emit one
+	// bridge per stuck-ON device whose ends are both present.
+	rowNode := make([]int, physRows)
+	colNode := make([]int, physCols)
+	for i := range rowNode {
+		rowNode[i] = -1
+	}
+	for i := range colNode {
+		colNode[i] = -1
+	}
+	for r, pr := range pl.rowPhys {
+		rowNode[pr] = r
+	}
+	for c, pc := range pl.colPhys {
+		colNode[pc] = rows + c
+	}
+	next := rows + cols
+	for pr := 0; pr < physRows; pr++ {
+		if rowReach[pr] && rowNode[pr] < 0 {
+			rowNode[pr] = next
+			next++
+		}
+	}
+	for pc := 0; pc < physCols; pc++ {
+		if colReach[pc] && colNode[pc] < 0 {
+			colNode[pc] = next
+			next++
+		}
+	}
+	for _, f := range stuckOn {
+		if !rowReach[f.pr] || !colReach[f.pc] {
+			continue
+		}
+		if invRow[f.pr] >= 0 && invCol[f.pc] >= 0 {
+			continue
+		}
+		pl.bridges = append(pl.bridges, bridgeEdge{a: rowNode[f.pr], b: colNode[f.pc], pr: f.pr, pc: f.pc})
+	}
+	return next
+}
+
+// placedGolden loads a golden 2D design placed on a defective array with
+// spare lines, as its Env.
+func placedGolden(t *testing.T, name string) (*xbar.Design, Env) {
+	t.Helper()
+	var pc struct {
+		Defects *defect.Map `json:"defects"`
+		RowPerm []int       `json:"row_perm"`
+		ColPerm []int       `json:"col_perm"`
+	}
+	goldenLoad(t, name, &pc)
+	d := new(xbar.Design)
+	goldenLoad(t, strings.SplitN(name, "_", 2)[0], d)
+	return d, Env{Model: Default(), Defects: []*defect.Map{pc.Defects},
+		Placement: &xbar.Placement{Perms: [][]int{pc.RowPerm, pc.ColPerm}}}
+}
+
+var placedGoldens = []string{"ctrl_placed1", "ctrl_placed2", "ctrl_placed3", "ctrl_placed4",
+	"cavlc_placed1", "cavlc_placed2", "cavlc_placed3", "int2float_placed1", "int2float_placed2"}
+
+// TestCompileMatches2DOracle pins the physical-stack compile at K=2 to the
+// 2D one it replaced, node for node and bridge for bridge: on every golden
+// placed design (and the clean golden arrays), the same node count, the
+// same per-plane bindings, overrides and bridges, and the same bipartite
+// sides and V layout.
+func TestCompileMatches2DOracle(t *testing.T) {
+	envs := map[string]Env{}
+	designs := map[string]*xbar.Design{}
+	for _, name := range placedGoldens {
+		designs[name], envs[name] = placedGolden(t, name)
+	}
+	for _, name := range []string{"ctrl", "cavlc", "int2float"} {
+		designs[name] = new(xbar.Design)
+		goldenLoad(t, name, designs[name])
+		envs[name] = Env{Model: Default()}
+	}
+	for name, env := range envs {
+		d := designs[name]
+		got, err := compile(d, env)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		w := d.Wires()
+		want := &network{model: env.Model, n: w.N, phys: got.phys, input: w.Input, outputs: w.Outputs}
+		want.place2D(d, env)
+		for _, o := range want.outputs {
+			if o != want.input && !slices.Contains(want.loads, o) {
+				want.loads = append(want.loads, o)
+			}
+		}
+		want.sides()
+		if dm := env.Defects; dm != nil && !slices.Equal(got.phys, []int{dm[0].Rows(), dm[0].Cols()}) {
+			t.Errorf("%s: physical widths %v, want the map's %dx%d", name, got.phys, dm[0].Rows(), dm[0].Cols())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the stack compile differs from the 2D one:\n n %d vs %d, bridges %v\nvs %v",
+				name, got.n, want.n, got.planes[0].bridges, want.planes[0].bridges)
+		}
+	}
+}
+
+// TestPlacedStackMatchesUnderDefects checks the electrical compile of a
+// placed stack against the logical model on spare-free arrays (the
+// exact-size maps that DefectRate generates): with no spare wire, every
+// fault lands on a used crossing, so the placed simulation must equal a
+// plain simulation of the effective design d.UnderDefects(maps, pl), at
+// every K, on every vector.
+func TestPlacedStackMatchesUnderDefects(t *testing.T) {
+	state := uint64(0x57ac)
+	for _, name := range []string{"ctrl", "cavlc", "ctrl_k3", "cavlc_k3", "ctrl_k4", "int2float_k4"} {
+		d := new(xbar.Design)
+		goldenLoad(t, name, d)
+		maps := make([]*defect.Map, len(d.Planes))
+		faults := 0
+		for p := range maps {
+			m, err := defect.Generate(d.Widths[p], d.Widths[p+1], 0.05, 0.5, splitmix64(&state))
+			if err != nil {
+				t.Fatal(err)
+			}
+			maps[p], faults = m, faults+m.Len()
+		}
+		if faults == 0 {
+			t.Fatalf("%s: no faults drawn", name)
+		}
+		pl := &xbar.Placement{Perms: make([][]int, d.K())}
+		for l, w := range d.Widths {
+			pl.Perms[l] = randomInjection(&state, w, w)
+		}
+		eff, err := d.UnderDefects(maps, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := Env{Model: Default(), Defects: maps, Placement: pl}
+		for _, in := range goldenVectors(len(d.VarNames), 4) {
+			got, err := SimulateEnv(d, in, env)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := Simulate(eff, in, Default())
+			if err != nil {
+				t.Fatalf("%s: effective design: %v", name, err)
+			}
+			for o := range want {
+				if math.Abs(got[o]-want[o]) > nodalTol*(1+math.Abs(want[o])) {
+					t.Errorf("%s %s output %d: placed %v, effective design %v", name, bitString(in), o, got[o], want[o])
+				}
+			}
+		}
+	}
+}
+
+// TestStackSpareChainsPlanes pins the cross-plane bridge topology on a
+// hand-built K=3 stack: physical widths 2, 3 and 3 under logical widths
+// 2, 2 and 2, with layer 1 bound in reverse (its physical wire 2 is
+// spare) and layer 2's wire 2 spare. Map 0 ties the input (layer-0 wire
+// 1) to the layer-1 spare; map 1 ties that spare on to the output on
+// layer-2 wire 1 and to the layer-2 spare, so the layer-1 spare chains the
+// faults of both planes into a sneak path, and the layer-2 spare is
+// reached through it. Map 1 also pins one used
+// crossing stuck-ON and holds a stuck-OFF fault on a spare crossing,
+// which the compile ignores.
+func TestStackSpareChainsPlanes(t *testing.T) {
+	on, lit := xbar.Entry{Kind: xbar.On}, xbar.Entry{Kind: xbar.Lit, Var: 0}
+	d, err := xbar.NewDesign([]int{2, 2, 2},
+		[]xbar.Device{{Row: 0, Col: 0, E: lit}, {Row: 1, Col: 1, E: on}},
+		[]xbar.Device{{Row: 0, Col: 0, E: on}, {Row: 1, Col: 1, E: lit}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Input = xbar.WireRef{Index: 1}
+	d.Outputs = []xbar.WireRef{{Index: 0}, {Layer: 2, Index: 1}}
+	d.OutputNames, d.VarNames = []string{"f", "g"}, []string{"a"}
+	m0, m1 := mustMap(t, 2, 3), mustMap(t, 3, 3)
+	for _, f := range []struct {
+		m    *defect.Map
+		r, c int
+		k    defect.Kind
+	}{
+		{m0, 1, 2, defect.StuckOn},  // layer-0 wire 1 (the input) — layer-1 spare
+		{m1, 2, 1, defect.StuckOn},  // layer-1 spare — layer-2 wire 1
+		{m1, 2, 2, defect.StuckOn},  // layer-1 spare — layer-2 spare
+		{m1, 1, 1, defect.StuckOn},  // used × used: logical (0, 1) of plane 1
+		{m1, 0, 2, defect.StuckOff}, // spare crossing, stuck-OFF: ignored
+	} {
+		if err := f.m.Set(f.r, f.c, f.k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env := Env{Model: Default(), Defects: []*defect.Map{m0, m1},
+		Placement: &xbar.Placement{Perms: [][]int{{0, 1}, {1, 0}, {0, 1}}}}
+	nw, err := compile(d, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nodes 0-5 are the design's wires; the layer-1 spare is node 6 and
+	// the layer-2 spare node 7.
+	if nw.n != 8 {
+		t.Errorf("%d nodes, want 8", nw.n)
+	}
+	wantBridges := [][]bridgeEdge{
+		{{a: 1, b: 6, pr: 1, pc: 2}},
+		{{a: 6, b: 5, pr: 2, pc: 1}, {a: 6, b: 7, pr: 2, pc: 2}},
+	}
+	for p, want := range wantBridges {
+		if !slices.Equal(nw.planes[p].bridges, want) {
+			t.Errorf("plane %d bridges %v, want %v", p, nw.planes[p].bridges, want)
+		}
+	}
+	if nw.planes[0].override != nil || !slices.Equal(nw.planes[1].override, []int8{0, 1, 0, 0}) {
+		t.Errorf("overrides %v / %v, want none / [0 1 0 0]", nw.planes[0].override, nw.planes[1].override)
+	}
+	if nw.small[6] == nw.small[7] || nw.small[6] != nw.small[2] || nw.small[7] != nw.small[0] {
+		t.Errorf("spare sides %v do not follow layer parity", nw.small)
+	}
+	res, err := nw.sample(Variation{SigmaOn: 0.3, SigmaOff: 0.3}, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range [][]bool{{false}, {true}} {
+		checkNodalMatchesDense(t, "stack "+bitString(in), nw, in, nil)
+		checkNodalMatchesDense(t, "stack with resistances "+bitString(in), nw, in, res)
+	}
+	clean, err := Simulate(d, []bool{false}, Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	placed, err := SimulateEnv(d, []bool{false}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if placed[1] < 10*clean[1] {
+		t.Errorf("the chained bridges barely moved the a=0 read on layer 2: clean %v, placed %v", clean[1], placed[1])
+	}
+}
+
+func mustMap(t *testing.T, rows, cols int) *defect.Map {
+	t.Helper()
+	m, err := defect.New(rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

@@ -12,13 +12,17 @@
 // and every layer count.
 //
 // Beyond the nominal model, the package simulates placed designs on real
-// arrays: per-device resistances (ResistanceMap, log-normal variation via
-// SampleResistances) and the analog consequences of a defect map that the
-// logical model ignores — a stuck-ON device on the crossing of a used line
-// and an unused spare ties that spare into the network as a sneak-path
-// bridge, even though the placement layer correctly treats it as logically
-// harmless. Env carries this electrical context; MonteCarloContext runs
-// seeded variation trials over it.
+// arrays, a 2D crossbar and a K-layer stack alike as one physical stack
+// (plane p joins the physical wires of layers p and p+1, as in xsat's
+// MemristorCrossbar): per-device resistances (ResistanceMap, log-normal
+// variation via SampleResistances) and the analog consequences of the
+// defect maps that the logical model ignores — a stuck-ON device on the
+// crossing of a used wire and an unused spare ties that spare into the
+// network as a sneak-path bridge, and a spare of a middle layer chains the
+// faults of the planes on both sides of it, even though the placement
+// layer correctly treats spares as logically harmless. Env carries this
+// electrical context; MonteCarloContext runs seeded variation trials over
+// it.
 package spice
 
 import (
@@ -79,36 +83,25 @@ const maxNodes = 6000
 // pattern-matching message text.
 var ErrTooLarge = errors.New("design exceeds the dense nodal solver limit")
 
-// ErrLayered marks a K-layer stack (K >= 3) simulated with defect maps, a
-// placement or a resistance map: the layered placement story (per-plane
-// fault maps, spare-line bridges that can span planes) has a logical model
-// in xbar.Stack.Place but no electrical one yet, and a margin number that
-// silently ignored the faults it was asked about would be worse than a
-// typed refusal. Service layers map it to a typed unsupported error.
-var ErrLayered = errors.New("spice: K-layer stacks are simulated clean only: no electrical model for defect maps, placements or resistance maps")
-
 // Env describes the electrical context of one simulation: the device
-// model, optional per-device resistances, and the physical-array context
-// (defect maps + placement) whose stuck-ON faults become analog effects.
-// The zero Model is invalid; everything else defaults to "nominal devices
-// on an array exactly the design's size". Only 2D designs take a physical
-// context: a K-layer stack given Res, Defects or Placement is refused with
-// ErrLayered.
+// model and the physical stack the design is placed on (defect maps +
+// placement), whose stuck faults become analog effects. The zero Model is
+// invalid; everything else defaults to "nominal devices on an array
+// exactly the design's size". A 2D design and a K-layer stack take the
+// same context: one defect map per device plane and one binding per wire
+// layer.
 type Env struct {
 	// Model supplies the nominal device parameters and the drive/sense
 	// configuration.
 	Model DeviceModel
-	// Res pins per-device resistances in physical coordinates (nil =
-	// every device nominal). Its dimensions must match the physical array:
-	// the defect map's when Defects is set, the design's otherwise.
-	Res *ResistanceMap
-	// Defects is the physical array context, one map per device plane
-	// (a 2D design has one). Stuck devices override the conductance of the
-	// cells placed on them, and stuck-ON devices on used×spare crossings
-	// tie the spare line in as a sneak-path bridge. nil (or a nil map)
-	// means the array is exactly the design with no faults.
+	// Defects is the physical stack, one map per device plane (a 2D
+	// design has one). Stuck devices override the conductance of the cells
+	// placed on them, and stuck-ON devices on crossings of a spare wire tie
+	// the spare in as a sneak-path bridge. nil (or a nil map) means the
+	// plane is exactly the design's with no faults.
 	Defects []*defect.Map
-	// Placement binds logical lines to physical ones (nil = identity).
+	// Placement binds each layer's logical wires to physical ones (nil =
+	// identity).
 	Placement *xbar.Placement
 }
 
@@ -116,11 +109,13 @@ type Env struct {
 // between assignments or Monte Carlo trials: the node space and its two
 // bipartite sides, the driven and sensed nodes, and the device planes that
 // join the nodes, one per device plane of the design, over the design's
-// wire numbering (xbar.Design.Wires). simulate is re-entrant: concurrent
-// trials share one network, each with its own solver.
+// wire numbering (xbar.Design.Wires) extended by the tied-in spares.
+// simulate is re-entrant: concurrent trials share one network, each with
+// its own solver.
 type network struct {
 	model   DeviceModel
 	n       int   // total nodes incl. bridge-tied spares
+	phys    []int // physical width of every wire layer
 	input   int   // node driven through RDriver
 	outputs []int // sensed node per design output
 	loads   []int // nodes carrying a sense resistor: distinct outputs other than the input
@@ -132,10 +127,6 @@ type network struct {
 	slot   []int
 	ns, nl int
 	devW   []int
-	// res pins per-plane device resistances (nil = every device nominal).
-	res []*ResistanceMap
-	// sample draws one Monte Carlo trial's per-plane resistance maps.
-	sample func(v Variation, seed uint64) ([]*ResistanceMap, error)
 }
 
 // plane is one device plane: crossing (r, c) is a conductance between node
@@ -145,48 +136,22 @@ type network struct {
 type plane struct {
 	cells            xbar.Plane
 	rowBase, colBase int
-	rowPhys, colPhys []int  // logical line -> physical device line (nil = identity)
-	override         []int8 // per cell, row-major: 0 none, +1 stuck-ON, -1 stuck-OFF
+	rowPhys, colPhys []int  // logical wire -> physical device wire
+	override         []int8 // per cell, row-major: 0 none, +1 stuck-ON, -1 stuck-OFF (nil = no faults)
 	bridges          []bridgeEdge
 }
 
-// bridgeEdge is one stuck-ON device tying a spare line into the array: a
+// bridgeEdge is one stuck-ON device tying a spare wire into the array: a
 // conductance of 1/R_on between two nodes of the extended system.
 type bridgeEdge struct {
 	a, b   int // extended node indices
 	pr, pc int // physical device position (per-device resistance lookup)
 }
 
-func identityPerm(n int) []int {
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	return perm
-}
-
-// checkLinePerm verifies that perm maps logical lines injectively into
-// 0..bound-1 physical ones.
-func checkLinePerm(what string, perm []int, bound int) error {
-	seen := make(map[int]bool, len(perm))
-	for i, p := range perm {
-		if p < 0 || p >= bound {
-			return fmt.Errorf("spice: %s placement maps %d to %d, outside 0..%d", what, i, p, bound-1)
-		}
-		if seen[p] {
-			return fmt.Errorf("spice: %s placement maps two lines to physical line %d", what, p)
-		}
-		seen[p] = true
-	}
-	return nil
-}
-
 // compile validates the model, the design (its compiled wire graph's Err
 // covers the plane shapes, the wire references and corrupted cells) and
-// the Env, and compiles one plane per device plane: plane p joins the
-// wires of layer p (rows) to those of layer p+1 (columns). A 2D design's
-// plane lands on its placed physical array, with the stuck overrides and
-// bridge topology of Env.Defects; a K-layer stack is simulated clean.
+// the Env's physical stack (xbar.Stack.Bind), and compiles the design
+// onto that stack (place).
 func compile(d *xbar.Design, env Env) (*network, error) {
 	if err := env.Model.Validate(); err != nil {
 		return nil, err
@@ -195,22 +160,16 @@ func compile(d *xbar.Design, env Env) (*network, error) {
 	if w.Err != nil {
 		return nil, fmt.Errorf("spice: %w", w.Err)
 	}
-	nw := &network{model: env.Model, n: w.N, input: w.Input, outputs: w.Outputs}
-	if d.K() > 2 {
-		if env.Res != nil || env.Placement != nil || slices.ContainsFunc(env.Defects, func(m *defect.Map) bool { return m != nil }) {
-			return nil, ErrLayered
-		}
-		base := 0
-		for p, cells := range d.Planes {
-			nw.planes = append(nw.planes, plane{cells: cells, rowBase: base, colBase: base + d.Widths[p]})
-			base += d.Widths[p]
-		}
-		nw.sample = func(v Variation, seed uint64) ([]*ResistanceMap, error) {
-			return samplePlaneRes(d, env.Model, v, seed)
-		}
-	} else if err := nw.place(d, env); err != nil {
-		return nil, err
+	var perms [][]int
+	if env.Placement != nil {
+		perms = env.Placement.Perms
 	}
+	phys, perms, err := d.Stack(env.Defects).Bind(perms)
+	if err != nil {
+		return nil, fmt.Errorf("spice: %w", err)
+	}
+	nw := &network{model: env.Model, n: w.N, phys: phys, input: w.Input, outputs: w.Outputs}
+	nw.place(d, env.Defects, perms)
 	if nw.n > maxNodes {
 		return nil, fmt.Errorf("spice: %d nanowire nodes exceed the %d-node cap: %w", nw.n, maxNodes, ErrTooLarge)
 	}
@@ -223,198 +182,128 @@ func compile(d *xbar.Design, env Env) (*network, error) {
 	return nw, nil
 }
 
-// place compiles a 2D design's one plane onto its physical array: the
-// placement's line maps, per-device resistances, and the stuck overrides
-// and spare-line bridges of its defect map.
-func (nw *network) place(d *xbar.Design, env Env) error {
-	var dm *defect.Map
-	if len(env.Defects) > 1 {
-		return fmt.Errorf("spice: %d defect maps for a design with one device plane", len(env.Defects))
-	} else if len(env.Defects) == 1 {
-		dm = env.Defects[0]
-	}
-	physRows, physCols := d.Rows, d.Cols
-	if dm != nil {
-		physRows, physCols = dm.Rows(), dm.Cols()
-	}
-	pl := plane{cells: d.Planes[0], colBase: d.Rows}
-	if p := env.Placement; p != nil {
-		if len(p.Perms) != 2 || len(p.Perms[0]) != d.Rows || len(p.Perms[1]) != d.Cols {
-			return fmt.Errorf("spice: placement does not bind the %dx%d design's rows and columns", d.Rows, d.Cols)
+// place compiles the design's planes onto the physical stack: plane p
+// joins the wires of layer p (rows) to those of layer p+1 (columns),
+// binds them through perms[p] and perms[p+1], and takes the stuck-state
+// overrides of maps[p] for the cells placed on faulty devices. Spare
+// wires reachable from the used ones through chains of stuck-ON devices
+// — across planes: a spare of layer l chains the faults of planes l−1
+// and l — become extra nodes, numbered layer by layer, then by physical
+// wire, and each stuck-ON device with a spare end becomes a bridge.
+// Spares not so reachable stay floating (they carry no current and would
+// make the system singular); stuck-OFF faults on spare crossings are
+// ignored, as are the healthy off-state devices on spare crossings —
+// their leakage onto a floating wire is second-order next to a stuck-ON
+// short (documented approximation, DESIGN §14).
+func (nw *network) place(d *xbar.Design, maps []*defect.Map, perms [][]int) {
+	// node[l][w] is the node of physical wire w of layer l: the design's
+	// wire for a used one, -1 for a spare until it is reached. base[l] is
+	// the node of layer l's first logical wire.
+	node := make([][]int, len(perms))
+	base := make([]int, len(perms))
+	for l, perm := range perms {
+		if l > 0 {
+			base[l] = base[l-1] + len(perms[l-1])
 		}
-		pl.rowPhys, pl.colPhys = p.Perms[0], p.Perms[1]
-	} else {
-		if physRows < d.Rows || physCols < d.Cols {
-			return fmt.Errorf("spice: %dx%d design does not fit the %dx%d physical array",
-				d.Rows, d.Cols, physRows, physCols)
+		node[l] = make([]int, nw.phys[l])
+		for w := range node[l] {
+			node[l][w] = -1
 		}
-		pl.rowPhys, pl.colPhys = identityPerm(d.Rows), identityPerm(d.Cols)
-	}
-	if err := checkLinePerm("wordline", pl.rowPhys, physRows); err != nil {
-		return err
-	}
-	if err := checkLinePerm("bitline", pl.colPhys, physCols); err != nil {
-		return err
-	}
-	if env.Res != nil {
-		if err := env.Res.Validate(); err != nil {
-			return err
+		for i, w := range perm {
+			node[l][w] = base[l] + i
 		}
-		if env.Res.Rows != physRows || env.Res.Cols != physCols {
-			return fmt.Errorf("spice: resistance map %dx%d does not match the %dx%d physical array",
-				env.Res.Rows, env.Res.Cols, physRows, physCols)
+	}
+	type fault struct{ p, pr, pc int }
+	var stuckOn []fault
+	nw.planes = make([]plane, len(d.Planes))
+	for p, cells := range d.Planes {
+		pl := plane{cells: cells, rowBase: base[p], colBase: base[p+1], rowPhys: perms[p], colPhys: perms[p+1]}
+		var dm *defect.Map
+		if maps != nil {
+			dm = maps[p]
 		}
-		nw.res = []*ResistanceMap{env.Res}
+		cols := len(perms[p+1])
+		for _, fc := range dm.Cells() {
+			r, c := node[p][fc.Row], node[p+1][fc.Col]
+			if r >= 0 && c >= 0 {
+				// Used×used crossing: the fabricated device pins the cell's
+				// conductance regardless of what the design programs there.
+				if pl.override == nil {
+					pl.override = make([]int8, len(perms[p])*cols)
+				}
+				i := (r-base[p])*cols + c - base[p+1]
+				pl.override[i] = -1
+				if fc.Kind == defect.StuckOn {
+					pl.override[i] = 1
+				}
+			} else if fc.Kind == defect.StuckOn {
+				stuckOn = append(stuckOn, fault{p, fc.Row, fc.Col})
+			}
+		}
+		nw.planes[p] = pl
 	}
-	if dm.Len() > 0 {
-		nw.n = pl.compileDefects(dm, d.Rows, d.Cols)
+	if len(stuckOn) == 0 {
+		return
 	}
-	nw.planes = []plane{pl}
-	nw.sample = func(v Variation, seed uint64) ([]*ResistanceMap, error) {
-		m, err := SampleResistances(physRows, physCols, env.Model, v, seed)
-		return []*ResistanceMap{m}, err
+
+	// Reach the spares: a fixpoint over stuck-ON adjacency from the used
+	// wires, marking each reached spare -2 (possibly through chains of
+	// spares bridged to each other, on any plane).
+	const reached = -2
+	for changed := true; changed; {
+		changed = false
+		for _, f := range stuckOn {
+			a, b := &node[f.p][f.pr], &node[f.p+1][f.pc]
+			if *a != -1 && *b == -1 {
+				*b, changed = reached, true
+			}
+			if *b != -1 && *a == -1 {
+				*a, changed = reached, true
+			}
+		}
 	}
-	return nil
+	for _, ws := range node {
+		for w, v := range ws {
+			if v == reached {
+				ws[w] = nw.n
+				nw.n++
+			}
+		}
+	}
+	for _, f := range stuckOn {
+		a, b := node[f.p][f.pr], node[f.p+1][f.pc]
+		if a < 0 || b < 0 {
+			continue // floating island: no used wire feeds it
+		}
+		nw.planes[f.p].bridges = append(nw.planes[f.p].bridges, bridgeEdge{a: a, b: b, pr: f.pr, pc: f.pc})
+	}
 }
 
-// samplePlaneRes draws one concrete stack: an independent log-normal
-// resistance map per device plane, plane seeds derived from the trial seed
-// through the splitmix64 stream so no two (trial, plane) pairs share a
+// sample draws one Monte Carlo trial's resistance maps, one per device
+// plane over its physical extent. A one-plane design draws from the trial
+// seed itself; a stack derives its plane seeds from the trial seed
+// through the splitmix64 stream, so no two (trial, plane) pairs share a
 // stream. Zero-extent planes get a nil entry but still consume a seed, so
 // their presence never shifts another plane's draw.
-func samplePlaneRes(d *xbar.Design, base DeviceModel, v Variation, trialSeed uint64) ([]*ResistanceMap, error) {
-	res := make([]*ResistanceMap, len(d.Planes))
+func (nw *network) sample(v Variation, trialSeed uint64) ([]*ResistanceMap, error) {
+	res := make([]*ResistanceMap, len(nw.planes))
 	state := trialSeed
-	for p := range d.Planes {
-		planeSeed := splitmix64(&state)
-		rows, cols := d.Widths[p], d.Widths[p+1]
+	for p := range res {
+		seed := trialSeed
+		if len(res) > 1 {
+			seed = splitmix64(&state)
+		}
+		rows, cols := nw.phys[p], nw.phys[p+1]
 		if rows == 0 || cols == 0 {
 			continue
 		}
-		m, err := SampleResistances(rows, cols, base, v, planeSeed)
+		m, err := SampleResistances(rows, cols, nw.model, v, seed)
 		if err != nil {
 			return nil, err
 		}
 		res[p] = m
 	}
 	return res, nil
-}
-
-// compileDefects records stuck-state overrides for cells placed on faulty
-// devices and ties in spare lines reachable from the used array through
-// chains of stuck-ON devices, returning the extended node count. Spare
-// lines not so reachable stay floating (they carry no current and would
-// make the system singular); stuck-OFF faults on spare crossings are
-// ignored, as are the healthy off-state devices on spare crossings — their
-// leakage onto a floating line is second-order next to a stuck-ON short
-// (documented approximation, DESIGN §14).
-func (pl *plane) compileDefects(dm *defect.Map, rows, cols int) int {
-	physRows, physCols := dm.Rows(), dm.Cols()
-	invRow := make([]int, physRows)
-	invCol := make([]int, physCols)
-	for i := range invRow {
-		invRow[i] = -1
-	}
-	for i := range invCol {
-		invCol[i] = -1
-	}
-	for r, pr := range pl.rowPhys {
-		invRow[pr] = r
-	}
-	for c, pc := range pl.colPhys {
-		invCol[pc] = c
-	}
-
-	type fault struct{ pr, pc int }
-	var stuckOn []fault
-	for _, fc := range dm.Cells() {
-		r, c := invRow[fc.Row], invCol[fc.Col]
-		if r >= 0 && c >= 0 {
-			// Used×used crossing: the fabricated device pins the cell's
-			// conductance regardless of what the design programs there.
-			if pl.override == nil {
-				pl.override = make([]int8, rows*cols)
-			}
-			if fc.Kind == defect.StuckOn {
-				pl.override[r*cols+c] = 1
-			} else {
-				pl.override[r*cols+c] = -1
-			}
-			continue
-		}
-		if fc.Kind == defect.StuckOn {
-			stuckOn = append(stuckOn, fault{fc.Row, fc.Col})
-		}
-	}
-	if len(stuckOn) == 0 {
-		return rows + cols
-	}
-
-	// Phase 1: BFS from the used lines over stuck-ON adjacency to find the
-	// spare lines that are electrically tied in (possibly through chains of
-	// spares bridged to each other).
-	rowReach := make([]bool, physRows)
-	colReach := make([]bool, physCols)
-	for _, pr := range pl.rowPhys {
-		rowReach[pr] = true
-	}
-	for _, pc := range pl.colPhys {
-		colReach[pc] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, f := range stuckOn {
-			if rowReach[f.pr] && !colReach[f.pc] {
-				colReach[f.pc] = true
-				changed = true
-			}
-			if colReach[f.pc] && !rowReach[f.pr] {
-				rowReach[f.pr] = true
-				changed = true
-			}
-		}
-	}
-
-	// Phase 2: assign extended node ids to the reached spares (deterministic
-	// line order) and emit one bridge edge per stuck-ON device whose both
-	// endpoints are present and at least one is a spare.
-	rowNode := make([]int, physRows)
-	colNode := make([]int, physCols)
-	for i := range rowNode {
-		rowNode[i] = -1
-	}
-	for i := range colNode {
-		colNode[i] = -1
-	}
-	for r, pr := range pl.rowPhys {
-		rowNode[pr] = r
-	}
-	for c, pc := range pl.colPhys {
-		colNode[pc] = rows + c
-	}
-	next := rows + cols
-	for pr := 0; pr < physRows; pr++ {
-		if rowReach[pr] && rowNode[pr] < 0 {
-			rowNode[pr] = next
-			next++
-		}
-	}
-	for pc := 0; pc < physCols; pc++ {
-		if colReach[pc] && colNode[pc] < 0 {
-			colNode[pc] = next
-			next++
-		}
-	}
-	for _, f := range stuckOn {
-		if !rowReach[f.pr] || !colReach[f.pc] {
-			continue // floating island: no used line feeds it
-		}
-		if invRow[f.pr] >= 0 && invCol[f.pc] >= 0 {
-			continue // used×used: handled by the override above
-		}
-		pl.bridges = append(pl.bridges, bridgeEdge{a: rowNode[f.pr], b: colNode[f.pc], pr: f.pr, pc: f.pc})
-	}
-	return next
 }
 
 // simulate solves the nodal system for one assignment under the trial

@@ -187,7 +187,7 @@ func TestSingularNetworkRefused(t *testing.T) {
 	for i := range res.ROn {
 		res.ROn[i], res.ROff[i] = math.Inf(1), math.Inf(1) // every device open
 	}
-	_, err = SimulateEnv(d, []bool{true, false, true}, Env{Model: Default(), Res: res})
+	_, err = simulateRes(d, []bool{true, false, true}, Env{Model: Default()}, []*ResistanceMap{res})
 	if err == nil || !strings.Contains(err.Error(), "singular conductance matrix") {
 		t.Fatalf("got %v, want a singular conductance matrix error", err)
 	}

@@ -62,8 +62,8 @@ func (m DeviceModel) Key() string {
 
 // ResistanceMap holds the concrete on/off resistance of every device of a
 // rows x cols physical array, row-major. Positions are physical: when a
-// design is placed, logical cell (r, c) reads the device at
-// (RowPerm[r], ColPerm[c]).
+// design is placed, logical cell (r, c) of plane p reads the device at
+// (Perms[p][r], Perms[p+1][c]).
 type ResistanceMap struct {
 	Rows, Cols int
 	ROn, ROff  []float64 // len Rows*Cols each, row-major

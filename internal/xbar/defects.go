@@ -42,23 +42,13 @@ func checkInjective(perm []int, bound, l int) error {
 // Faults on physical wires the placement leaves unused are ignored —
 // unused spares are disconnected.
 func (s Stack) UnderDefects(perms [][]int) ([]Plane, error) {
-	p, err := newPlacer(s)
+	_, perms, err := s.Bind(perms)
 	if err != nil {
 		return nil, err
 	}
-	if perms == nil {
-		perms = p.identity()
-	}
-	if len(perms) != len(s.Widths) {
-		return nil, fmt.Errorf("xbar: placement has %d layer permutations for %d layers", len(perms), len(s.Widths))
-	}
-	for l, perm := range perms {
-		if len(perm) != s.Widths[l] {
-			return nil, fmt.Errorf("xbar: layer %d placement maps %d wires, design has %d", l, len(perm), s.Widths[l])
-		}
-		if err := checkInjective(perm, p.phys[l], l); err != nil {
-			return nil, err
-		}
+	p, err := newPlacer(s)
+	if err != nil {
+		return nil, err
 	}
 	planes := make([]Plane, len(s.Planes))
 	for pl := range s.Planes {

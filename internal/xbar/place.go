@@ -182,32 +182,80 @@ func dimString(widths []int) string {
 	return strings.Join(s, "x")
 }
 
-// newPlacer validates the stack's shape — one map per plane, adjacent
-// planes agreeing on the physical width of the layer they share — and
-// that every layer fits its physical width. The planes themselves must
+// phys validates the stack's shape — one map per plane, adjacent planes
+// agreeing on the physical width of the layer they share — and that every
+// layer fits its physical width, and returns those widths (a plane without
+// a map is a fault-free array of its own size). The planes themselves must
 // match Widths (len(Planes) == K-1, plane p Widths[p] x Widths[p+1]).
+func (s Stack) phys() ([]int, error) {
+	k := len(s.Widths)
+	if s.Maps != nil && len(s.Maps) != k-1 {
+		return nil, &Unplaceable{Stage: "shape", LogicalRow: -1, Proven: true,
+			Detail: fmt.Sprintf("%d defect maps for %d device planes", len(s.Maps), k-1)}
+	}
+	phys := make([]int, k)
+	for pl := 0; pl < k-1; pl++ {
+		rows, cols := s.Widths[pl], s.Widths[pl+1]
+		if s.Maps != nil && s.Maps[pl] != nil {
+			rows, cols = s.Maps[pl].Rows(), s.Maps[pl].Cols()
+		}
+		if pl > 0 && phys[pl] != rows {
+			return nil, &Unplaceable{Stage: "shape", LogicalRow: -1, Proven: true,
+				Detail: fmt.Sprintf("plane %d has %d columns but plane %d has %d rows: layer %d width disagrees",
+					pl-1, phys[pl], pl, rows, pl)}
+		}
+		phys[pl], phys[pl+1] = rows, cols
+	}
+	for l, w := range s.Widths {
+		if w > phys[l] {
+			return nil, &Unplaceable{Stage: "dims", LogicalRow: -1, Proven: true,
+				Detail: fmt.Sprintf("%s design exceeds the %s physical array", dimString(s.Widths), dimString(phys))}
+		}
+	}
+	return phys, nil
+}
+
+// Bind checks a placement of the stack — perms, one permutation per
+// layer, identity when nil — against the physical stack its maps
+// describe, and returns the physical width of every layer and the
+// checked binding.
+func (s Stack) Bind(perms [][]int) ([]int, [][]int, error) {
+	phys, err := s.phys()
+	if err != nil {
+		return nil, nil, err
+	}
+	if perms == nil {
+		return phys, identity(s.Widths), nil
+	}
+	if len(perms) != len(s.Widths) {
+		return nil, nil, fmt.Errorf("xbar: placement has %d layer permutations for %d layers", len(perms), len(s.Widths))
+	}
+	for l, perm := range perms {
+		if len(perm) != s.Widths[l] {
+			return nil, nil, fmt.Errorf("xbar: layer %d placement maps %d wires, design has %d", l, len(perm), s.Widths[l])
+		}
+		if err := checkInjective(perm, phys[l], l); err != nil {
+			return nil, nil, err
+		}
+	}
+	return phys, perms, nil
+}
+
+// newPlacer validates the stack (see phys) and groups each plane's faults
+// for the search.
 func newPlacer(s Stack) (*placer, error) {
+	phys, err := s.phys()
+	if err != nil {
+		return nil, err
+	}
 	k := len(s.Widths)
 	if s.Maps == nil {
 		s.Maps = make([]*defect.Map, k-1)
 	}
-	if len(s.Maps) != k-1 {
-		return nil, &Unplaceable{Stage: "shape", LogicalRow: -1, Proven: true,
-			Detail: fmt.Sprintf("%d defect maps for %d device planes", len(s.Maps), k-1)}
-	}
-	p := &placer{Stack: s, phys: make([]int, k), faults: make([][]defect.Cell, k-1),
+	p := &placer{Stack: s, phys: phys, faults: make([][]defect.Cell, k-1),
 		byCol: make([][]defect.Cell, k-1), rowAt: make([][]int, k-1), colAt: make([][]int, k-1)}
 	for pl, dm := range s.Maps {
-		rows, cols := s.Widths[pl], s.Widths[pl+1]
-		if dm != nil {
-			rows, cols = dm.Rows(), dm.Cols()
-		}
-		if pl > 0 && p.phys[pl] != rows {
-			return nil, &Unplaceable{Stage: "shape", LogicalRow: -1, Proven: true,
-				Detail: fmt.Sprintf("plane %d has %d columns but plane %d has %d rows: layer %d width disagrees",
-					pl-1, p.phys[pl], pl, rows, pl)}
-		}
-		p.phys[pl], p.phys[pl+1] = rows, cols
+		rows, cols := phys[pl], phys[pl+1]
 		faults := dm.Cells()
 		p.faults[pl] = faults
 		// Group by row and, by a stable counting sort, by column.
@@ -229,12 +277,6 @@ func newPlacer(s Stack) (*placer, error) {
 		}
 		p.byCol[pl] = byCol
 		p.nFaults += len(faults)
-	}
-	for l, w := range s.Widths {
-		if w > p.phys[l] {
-			return nil, &Unplaceable{Stage: "dims", LogicalRow: -1, Proven: true,
-				Detail: fmt.Sprintf("%s design exceeds the %s physical array", dimString(s.Widths), dimString(p.phys))}
-		}
 	}
 	p.inv = make([][]int, k)
 	for l, w := range p.phys {
@@ -283,9 +325,10 @@ func identityPerm(n int) []int {
 	return perm
 }
 
-func (p *placer) identity() [][]int {
-	perms := make([][]int, len(p.Widths))
-	for l, w := range p.Widths {
+// identity binds every layer's wires to the same-numbered physical ones.
+func identity(widths []int) [][]int {
+	perms := make([][]int, len(widths))
+	for l, w := range widths {
 		perms[l] = identityPerm(w)
 	}
 	return perms
@@ -530,14 +573,14 @@ func (s Stack) Place(ctx context.Context, opts PlaceOptions) ([][]int, string, e
 	if p.nFaults == 0 {
 		// No faults: every binding computes the same design, so identity
 		// is canonical regardless of the requested engine.
-		return p.finish(p.identity(), "identity")
+		return p.finish(identity(p.Widths), "identity")
 	}
 	// The identity shortcut yields to an explicitly forced exact engine:
 	// callers (core's repair loop) force PlaceILP to explore beyond a
 	// placement that failed downstream verification, and short-circuiting
 	// every such retry back to the same identity binding would defeat it.
-	if opts.Engine != PlaceILP && p.compatible(p.identity()) {
-		return p.finish(p.identity(), "identity")
+	if opts.Engine != PlaceILP && p.compatible(identity(p.Widths)) {
+		return p.finish(identity(p.Widths), "identity")
 	}
 	if err := p.provenInfeasible(); err != nil {
 		return nil, "", err
@@ -620,7 +663,7 @@ func (p *placer) greedy(ctx context.Context, seed uint64, shuffleAll bool) ([][]
 	}
 
 	k := len(p.Widths)
-	perms := p.identity()
+	perms := identity(p.Widths)
 	for round := 0; round < 4*(k-1); round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, perms[1], err
@@ -828,7 +871,7 @@ func PlaceCandidates(ctx context.Context, d *Design, maps []*defect.Map, opts Pl
 		out = append(out, &Placement{Perms: perms, Engine: engine})
 		return nil
 	}
-	if id := p.identity(); p.compatible(id) {
+	if id := identity(p.Widths); p.compatible(id) {
 		if err := add(id, "identity"); err != nil {
 			return nil, err
 		}
