@@ -13,8 +13,10 @@
 #                    the concurrent Synthesize, defect placement and
 #                    compactd server tests)
 #   6. fuzz smoke  — a few seconds on each native fuzz target (the three
-#                    parser front ends, the design wire decoder on its
-#                    2D and layered (FLOW-3D) bodies, the partition
+#                    parser front ends, the BDD build against network
+#                    simulation with its canonicity check, the design
+#                    wire decoder on its 2D and layered (FLOW-3D)
+#                    bodies, the partition
 #                    plan decoder, the persistent store's on-disk entry
 #                    codec, the sneak-path kernel's word-parallel and
 #                    permuted-order symbolic cross-checks against the
@@ -82,6 +84,7 @@ if [ "$short" -eq 0 ]; then
     go test -fuzz=FuzzParse -fuzztime=5s -run='^$' ./internal/blif/
     go test -fuzz=FuzzParse -fuzztime=5s -run='^$' ./internal/pla/
     go test -fuzz=FuzzParse -fuzztime=5s -run='^$' ./internal/verilog/
+    go test -fuzz=FuzzBuildVsEval64 -fuzztime=5s -run='^$' ./internal/bdd/
     go test -fuzz=FuzzDesignJSON -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzEval64VsScalar -fuzztime=5s -run='^$' ./internal/xbar/
     go test -fuzz=FuzzClosureVsEval -fuzztime=5s -run='^$' ./internal/xbar/

@@ -1,13 +1,15 @@
 // Package bdd implements reduced ordered binary decision diagrams (ROBDDs)
-// with a shared, hash-consed node arena, replacing the ABC/CUDD dependency
-// of the original COMPACT implementation. Multiple roots in one Manager form
-// a shared BDD (SBDD); one root per Manager models the per-output ROBDD flow
-// of prior work.
+// over a shared node arena, replacing the ABC/CUDD dependency of the
+// original COMPACT implementation. Multiple roots in one Manager form a
+// shared BDD (SBDD); one root per Manager models the per-output ROBDD
+// flow of prior work.
 //
 // Nodes are referenced by dense uint32 handles; handles 0 and 1 are the
 // constant terminals. Internal nodes are canonical: no node has equal
-// children, and no two nodes share (level, low, high). Boolean operations
-// are memoized. The Manager is not safe for concurrent use.
+// children, and no two nodes share (level, low, high), which an
+// open-addressed unique table of handles enforces. Boolean operations are
+// memoized in an exact open-addressed computed table (tables.go). The
+// Manager is not safe for concurrent use.
 package bdd
 
 import (
@@ -58,31 +60,22 @@ type nodeData struct {
 	low, high Node
 }
 
-type uniqueKey struct {
-	level     uint32
-	low, high Node
-}
-
+// opCode names a memoized operation; 0 marks an empty computed-table slot.
 type opCode uint8
 
 const (
-	opAnd opCode = iota
+	opAnd opCode = iota + 1
 	opOr
 	opXor
 	opNot
 	opITE
 )
 
-type opKey struct {
-	op      opCode
-	a, b, c Node
-}
-
 // Manager owns a forest of ROBDDs over a fixed ordered variable set.
 type Manager struct {
 	nodes    []nodeData
-	unique   map[uniqueKey]Node
-	cache    map[opKey]Node
+	unique   uniqueTable
+	computed computedTable
 	varNames []string
 	limit    int // 0 = unlimited
 }
@@ -95,8 +88,8 @@ func New(varNames []string) *Manager {
 			{level: terminalLevel}, // Zero
 			{level: terminalLevel}, // One
 		},
-		unique:   make(map[uniqueKey]Node),
-		cache:    make(map[opKey]Node),
+		unique:   newUniqueTable(tableMinSlots),
+		computed: newComputedTable(tableMinSlots),
 		varNames: append([]string(nil), varNames...),
 	}
 	return m
@@ -134,17 +127,18 @@ func (m *Manager) mk(level uint32, low, high Node) Node {
 	if low == high {
 		return low
 	}
-	key := uniqueKey{level, low, high}
-	if n, ok := m.unique[key]; ok {
+	n, slot := m.unique.find(m.nodes, level, low, high)
+	if n != 0 {
 		return n
 	}
 	if m.limit > 0 && len(m.nodes) >= m.limit {
 		//lint:ignore panicfree error-valued panic unwinding recursive ops; recovered via BoundaryError
 		panic(fmt.Errorf("%w (%d nodes)", ErrNodeLimit, m.limit))
 	}
-	n := Node(len(m.nodes))
+	n = Node(len(m.nodes))
 	m.nodes = append(m.nodes, nodeData{level: level, low: low, high: high})
-	m.unique[key] = n
+	m.unique.slots[slot] = n
+	m.unique.grow(m.nodes)
 	return n
 }
 
@@ -175,13 +169,12 @@ func (m *Manager) Not(f Node) Node {
 	case One:
 		return Zero
 	}
-	key := opKey{op: opNot, a: f}
-	if r, ok := m.cache[key]; ok {
+	if r, ok := m.computed.lookup(opNot, f, 0, 0); ok {
 		return r
 	}
 	d := m.nodes[f]
 	r := m.mk(d.level, m.Not(d.low), m.Not(d.high))
-	m.cache[key] = r
+	m.computed.insert(opNot, f, 0, 0, r)
 	return r
 }
 
@@ -257,8 +250,7 @@ func (m *Manager) apply(op opCode, f, g Node) Node {
 	if a > b {
 		a, b = b, a
 	}
-	key := opKey{op: op, a: a, b: b}
-	if r, ok := m.cache[key]; ok {
+	if r, ok := m.computed.lookup(op, a, b, 0); ok {
 		return r
 	}
 	df, dg := m.nodes[f], m.nodes[g]
@@ -276,7 +268,7 @@ func (m *Manager) apply(op opCode, f, g Node) Node {
 		gl, gh = dg.low, dg.high
 	}
 	r := m.mk(level, m.apply(op, fl, gl), m.apply(op, fh, gh))
-	m.cache[key] = r
+	m.computed.insert(op, a, b, 0, r)
 	return r
 }
 
@@ -294,8 +286,7 @@ func (m *Manager) ITE(f, g, h Node) Node {
 	case g == Zero && h == One:
 		return m.Not(f)
 	}
-	key := opKey{op: opITE, a: f, b: g, c: h}
-	if r, ok := m.cache[key]; ok {
+	if r, ok := m.computed.lookup(opITE, f, g, h); ok {
 		return r
 	}
 	level := m.nodes[f].level
@@ -316,7 +307,7 @@ func (m *Manager) ITE(f, g, h Node) Node {
 	gl, gh := cof(g)
 	hl, hh := cof(h)
 	r := m.mk(level, m.ITE(fl, gl, hl), m.ITE(fh, gh, hh))
-	m.cache[key] = r
+	m.computed.insert(opITE, f, g, h, r)
 	return r
 }
 

@@ -263,7 +263,7 @@ func (r *Result) verifyWires(w *xbar.Wires, nodeLimit int) error {
 	if !errors.Is(err, bdd.ErrNodeLimit) {
 		return err
 	}
-	if bad := xbar.VerifyEquiv(w.Eval64, nil, r.network.Eval64, r.network.NumInputs(), 14, 512, 1); bad != nil {
+	if bad := xbar.VerifyEquiv(w.NewEvaluator().Eval64, nil, r.network.Eval64, r.network.NumInputs(), 14, 512, 1); bad != nil {
 		return fmt.Errorf("core: design disagrees with the network on %v", bad)
 	}
 	return nil

@@ -59,7 +59,8 @@ func FromBDD(m *bdd.Manager, roots []bdd.Node, outNames []string) (*BDDGraph, er
 			keep = append(keep, n)
 		}
 	}
-	id := make(map[bdd.Node]int, len(keep)+1)
+	// Graph ids by handle: handles are dense arena indices.
+	id := make([]int32, m.Size())
 	// The 1-terminal is always present (it is the input port), even for
 	// all-constant-0 functions.
 	hasOne := false
@@ -73,12 +74,13 @@ func FromBDD(m *bdd.Manager, roots []bdd.Node, outNames []string) (*BDDGraph, er
 	}
 	// Deterministic ids in ascending handle order (One first).
 	for i, n := range keep {
-		id[n] = i
+		id[n] = int32(i)
 	}
 
 	bg := &BDDGraph{
-		G:       graph.New(len(keep)),
-		EdgeLit: make(map[[2]int]Entry),
+		G: graph.New(len(keep)),
+		// A reduced BDD has at most two edges per kept node.
+		EdgeLit: make(map[[2]int]Entry, 2*len(keep)),
 		Level:   make([]int, len(keep)),
 	}
 	names := make([]string, m.NumVars())
@@ -87,7 +89,7 @@ func FromBDD(m *bdd.Manager, roots []bdd.Node, outNames []string) (*BDDGraph, er
 	}
 	bg.VarNames = names
 	for _, n := range keep {
-		gi := id[n]
+		gi := int(id[n])
 		if n == bdd.One {
 			bg.Level[gi] = -1
 			bg.TerminalID = gi
@@ -99,7 +101,7 @@ func FromBDD(m *bdd.Manager, roots []bdd.Node, outNames []string) (*BDDGraph, er
 			if edgeErr != nil || child == bdd.Zero {
 				return
 			}
-			u, v := gi, id[child]
+			u, v := gi, int(id[child])
 			if err := bg.G.AddEdge(u, v); err != nil {
 				edgeErr = err
 				return
@@ -126,7 +128,7 @@ func FromBDD(m *bdd.Manager, roots []bdd.Node, outNames []string) (*BDDGraph, er
 		case bdd.One:
 			bg.Roots = append(bg.Roots, Root{Kind: RootConst1, NodeID: bg.TerminalID, Name: outNames[i]})
 		default:
-			bg.Roots = append(bg.Roots, Root{Kind: RootNode, NodeID: id[r], Name: outNames[i]})
+			bg.Roots = append(bg.Roots, Root{Kind: RootNode, NodeID: int(id[r]), Name: outNames[i]})
 		}
 	}
 	return bg, nil

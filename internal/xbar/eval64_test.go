@@ -339,7 +339,9 @@ func BenchmarkVerifyExhaustiveWord64(b *testing.B) {
 
 // TestVerifySampledAllocations bounds what a sampled verify allocates: its
 // word and scratch buffers, whatever the sample count — a witness only on
-// a mismatch, never one assignment per sample.
+// a mismatch, never one assignment per sample. A mapped design verified
+// through VerifyAgainst64 allocates its evaluator's scratch once per
+// verify, not once per 64-sample batch.
 func TestVerifySampledAllocations(t *testing.T) {
 	const nVars = 10
 	out := []uint64{0}
@@ -347,7 +349,11 @@ func TestVerifySampledAllocations(t *testing.T) {
 	ref64 := func([]uint64) []uint64 { return out }
 	want := []bool{false}
 	ref := func([]bool) []bool { return want }
-	for _, samples := range []int{64, 4096} {
+	d, _, designVars := synthDesign(t, 1)
+	refEval := d.Wires().NewEvaluator()
+	designRef := func(words []uint64) []uint64 { out, _ := refEval.Eval64(words); return out }
+	var design [2]float64
+	for k, samples := range []int{64, 4096} {
 		word := testing.AllocsPerRun(5, func() {
 			if bad := VerifyEquiv(eval, nil, ref64, nVars, 0, samples, 1); bad != nil {
 				t.Fatalf("bogus witness %v", bad)
@@ -361,5 +367,13 @@ func TestVerifySampledAllocations(t *testing.T) {
 		if word > 4 || scalar > 4 {
 			t.Errorf("samples=%d: %v allocations with a word reference, %v with a scalar one", samples, word, scalar)
 		}
+		design[k] = testing.AllocsPerRun(5, func() {
+			if bad := d.VerifyAgainst64(designRef, designVars, 0, samples, 1); bad != nil {
+				t.Fatalf("design disagrees with itself on %v", bad)
+			}
+		})
+	}
+	if design[0] != design[1] {
+		t.Errorf("VerifyAgainst64 on a mapped design: %v allocations at 64 samples, %v at 4096", design[0], design[1])
 	}
 }

@@ -34,11 +34,11 @@ func basisWord(i int) uint64 {
 // overflowing the enumeration), or over `samples` pseudo-random assignments
 // (deterministic LCG seeded with seed) otherwise. It returns the first
 // mismatching assignment, or nil if none found. The design side is
-// evaluated 64 assignments per pass via Eval64Checked; the reference is
-// called per assignment, on a slice it must not keep (use VerifyAgainst64
-// when a word-parallel reference is available).
+// evaluated 64 assignments per pass by one Evaluator of its Wires; the
+// reference is called per assignment, on a slice it must not keep (use
+// VerifyAgainst64 when a word-parallel reference is available).
 func (d *Design) VerifyAgainst(ref func([]bool) []bool, nVars, exhaustiveLimit, samples int, seed uint64) []bool {
-	return VerifyEquiv(d.Eval64Checked, ref, nil, nVars, exhaustiveLimit, samples, seed)
+	return VerifyEquiv(d.Wires().NewEvaluator().Eval64, ref, nil, nVars, exhaustiveLimit, samples, seed)
 }
 
 // VerifyAgainst64 is VerifyAgainst with a word-parallel reference: ref64
@@ -46,7 +46,7 @@ func (d *Design) VerifyAgainst(ref func([]bool) []bool, nVars, exhaustiveLimit, 
 // output (logic.Network.Eval64 has exactly this shape), so both sides of
 // the comparison run 64 assignments per call.
 func (d *Design) VerifyAgainst64(ref64 func([]uint64) []uint64, nVars, exhaustiveLimit, samples int, seed uint64) []bool {
-	return VerifyEquiv(d.Eval64Checked, nil, ref64, nVars, exhaustiveLimit, samples, seed)
+	return VerifyEquiv(d.Wires().NewEvaluator().Eval64, nil, ref64, nVars, exhaustiveLimit, samples, seed)
 }
 
 // VerifyEquiv is the one exhaustive/sampled verification driver: 2D
@@ -55,11 +55,13 @@ func (d *Design) VerifyAgainst64(ref64 func([]uint64) []uint64, nVars, exhaustiv
 // witness semantics. eval receives one word per variable and returns one
 // word per output, or an error when the design under test cannot be
 // evaluated at all (which counts as a mismatch: the batch's first
-// assignment becomes the witness). An evaluator and a reference that
-// disagree on the output count disagree on the batch's first assignment. Exactly one of ref and ref64 must be
-// non-nil; a scalar ref must not keep the slice it is passed, which is
-// reused for the next assignment. The returned slice is the first
-// mismatching assignment, or nil.
+// assignment becomes the witness). Each result of eval and ref64 is read
+// before the next call, so both may reuse their result slice (as
+// Evaluator.Eval64 does). An evaluator and a reference that disagree on
+// the output count disagree on the batch's first assignment. Exactly one
+// of ref and ref64 must be non-nil; a scalar ref must not keep the slice
+// it is passed, which is reused for the next assignment. The returned
+// slice is the first mismatching assignment, or nil.
 func VerifyEquiv(eval func([]uint64) ([]uint64, error), ref func([]bool) []bool, ref64 func([]uint64) []uint64, nVars, exhaustiveLimit, samples int, seed uint64) []bool {
 	if nVars <= exhaustiveLimit {
 		if nVars <= MaxExhaustiveBits {
@@ -122,9 +124,7 @@ func verifySampled(eval func([]uint64) ([]uint64, error), ref func([]bool) []boo
 		// implementation bit for bit.
 		for b := 0; b < n; b++ {
 			for i := 0; i < nVars; i++ {
-				if next()>>33&1 != 0 {
-					words[i] |= 1 << uint(b)
-				}
+				words[i] |= (next() >> 33 & 1) << uint(b)
 			}
 		}
 		if bad := verifyBatch(eval, ref, ref64, words, n, scratch); bad != nil {

@@ -135,20 +135,44 @@ func (w *Wires) Eval(assignment []bool) ([]bool, error) {
 // sweeps halves that on zig-zag paths. Each sweep either sets a new bit
 // (at most 64·N of them) or proves the fixpoint, so the amortized cost
 // per assignment is ~64× below Eval (FuzzEval64VsScalar pins the two
-// together).
+// together). The result is the caller's; a sequence of calls allocates
+// less through an Evaluator.
 func (w *Wires) Eval64(words []uint64) ([]uint64, error) {
+	return w.NewEvaluator().Eval64(words)
+}
+
+// Evaluator runs Eval64 on one graph with scratch it keeps between
+// calls, so a verification sweep allocates it once, not once per batch.
+// The graph stays shared and immutable; an Evaluator is one caller's and
+// is not safe for concurrent use.
+type Evaluator struct {
+	w                 *Wires
+	out, masks, reach []uint64
+}
+
+// NewEvaluator returns an Evaluator over w.
+func (w *Wires) NewEvaluator() *Evaluator { return &Evaluator{w: w} }
+
+// Eval64 is Wires.Eval64 on the evaluator's scratch: the returned slice
+// is overwritten by the next call, so read it before calling again.
+func (ev *Evaluator) Eval64(words []uint64) ([]uint64, error) {
+	w := ev.w
 	if err := w.check(len(words)); err != nil {
 		return nil, err
 	}
-	out := make([]uint64, len(w.Outputs))
-	if len(out) == 0 {
-		return out, nil
+	if len(w.Outputs) == 0 {
+		return []uint64{}, nil // nothing sensed, nothing to drive
 	}
-	masks := make([]uint64, len(w.Edges))
+	if ev.out == nil {
+		ev.out = make([]uint64, len(w.Outputs))
+		ev.masks = make([]uint64, len(w.Edges))
+		ev.reach = make([]uint64, w.N)
+	}
+	out, masks, reach := ev.out, ev.masks, ev.reach
 	for i, e := range w.Edges {
 		masks[i] = e.E.conduct64(words)
 	}
-	reach := make([]uint64, w.N)
+	clear(reach)
 	reach[w.Input] = ^uint64(0)
 	for {
 		changed := false
