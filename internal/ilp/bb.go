@@ -45,13 +45,19 @@ type boundFix struct {
 }
 
 type bbNode struct {
-	fixes []boundFix
-	basis basisSnap // the parent's optimal basis, shared by both children; nil = solve cold
-	bound float64   // LP bound inherited from the parent
-	depth int
-	seq   int
+	fixes  []boundFix
+	basis  basisSnap // the parent's optimal basis, shared by both children; nil = solve cold
+	bound  float64   // LP bound inherited from the parent
+	depth  int
+	seq    int // creation order; the root node is 0
+	parent int // the parent's seq; -1 for the root node, whose basis is the root LP's
 }
 
+// nodeHeap orders open nodes best bound first and, among equal bounds,
+// newest first. The objective grid makes equal bounds the common case, so
+// the tie rule decides the search order: newest first pops a node's
+// children right after it (a plunge), while its parent's factor is still
+// in a slot.
 type nodeHeap []*bbNode
 
 func (h nodeHeap) Len() int { return len(h) }
@@ -62,7 +68,7 @@ func (h nodeHeap) Less(i, j int) bool {
 	if h[j].bound < h[i].bound {
 		return false
 	}
-	return h[i].seq < h[j].seq
+	return h[i].seq > h[j].seq
 }
 func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(*bbNode)) }
@@ -87,11 +93,19 @@ func (h *nodeHeap) Pop() interface{} {
 // may differ, as may node counts when a time or node budget intervenes).
 // Node LPs are reoptimized from the parent's basis by the dual simplex on
 // a shared read-only lowering of the model (tmpl; see dual.go).
+//
+// The search keeps the factors of the two most recently branched nodes in
+// slots. A popped node whose parent holds a slot installs that factor
+// instead of reinverting its basis, which leaves its LP bit for bit as it
+// would be otherwise (see rsLP.install). With newest-first ties most
+// nodes are popped while their parent is in a slot, and the memory stays
+// at two factors per search whatever the heap holds.
 type bbSearch struct {
 	mod            *Model
 	opts           Options
 	rootLB, rootUB []float64
 	tmpl           *rsLP // root lowering shared by every warm node solve
+	probe          *searchProbe
 	deadline       time.Time
 	ctx            context.Context
 	start          time.Time
@@ -105,6 +119,7 @@ type bbSearch struct {
 	nodes       int
 	iters       int
 	refactors   int // simplex reinversions over all node LP solves
+	slots       [2]factorSlot
 	coldNodes   int // node LPs solved without a usable parent basis
 	incumbent   float64
 	incumbentX  []float64
@@ -114,6 +129,40 @@ type bbSearch struct {
 	unbounded   bool
 	done        bool
 	trace       []TraceEvent
+}
+
+// factorSlot is a branched node's factor, keyed by the node's seq.
+type factorSlot struct {
+	seq int
+	f   *factor
+}
+
+// searchProbe lets a test watch and steer one search's factor reuse.
+type searchProbe struct {
+	noReuse bool // keep the slots empty
+	// served, when set, is called under the search lock for each node
+	// that installs a slot's factor, with the node's bounds.
+	served func(node *bbNode, lbs, ubs []float64, f *factor)
+}
+
+// keepLocked puts node seq's factor in the newer slot and drops the older
+// one's. Callers hold s.mu.
+func (s *bbSearch) keepLocked(seq int, f *factor) {
+	if f == nil || (s.probe != nil && s.probe.noReuse) {
+		return
+	}
+	s.slots[1], s.slots[0] = s.slots[0], factorSlot{seq: seq, f: f}
+}
+
+// slotLocked returns node seq's factor if a slot holds it, else nil.
+// Callers hold s.mu.
+func (s *bbSearch) slotLocked(seq int) *factor {
+	for _, sl := range s.slots {
+		if sl.f != nil && sl.seq == seq {
+			return sl.f
+		}
+	}
+	return nil
 }
 
 func (s *bbSearch) applyFixes(fixes []boundFix) ([]float64, []float64) {
@@ -219,8 +268,12 @@ func (s *bbSearch) worker(id int) {
 		s.nodes++
 		s.inFlight[id] = node.bound
 		lbs, ubs := s.applyFixes(node.fixes)
+		f := s.slotLocked(node.parent)
+		if f != nil && s.probe != nil && s.probe.served != nil {
+			s.probe.served(node, lbs, ubs, f)
+		}
 		s.mu.Unlock()
-		res, cold, lpErr := s.solveNode(node, lbs, ubs)
+		res, cold, lpErr := s.solveNode(node, f, lbs, ubs)
 		s.mu.Lock()
 		delete(s.inFlight, id)
 		s.cond.Broadcast()
@@ -288,23 +341,24 @@ func (s *bbSearch) worker(id int) {
 		up := append(append([]boundFix(nil), node.fixes...),
 			boundFix{v: branchVar, isUB: false, val: math.Ceil(res.x[branchVar])})
 		s.seq++
-		heap.Push(&s.h, &bbNode{fixes: down, basis: res.basis, bound: obj, depth: node.depth + 1, seq: s.seq})
+		heap.Push(&s.h, &bbNode{fixes: down, basis: res.basis, bound: obj, depth: node.depth + 1, seq: s.seq, parent: node.seq})
 		s.seq++
-		heap.Push(&s.h, &bbNode{fixes: up, basis: res.basis, bound: obj, depth: node.depth + 1, seq: s.seq})
+		heap.Push(&s.h, &bbNode{fixes: up, basis: res.basis, bound: obj, depth: node.depth + 1, seq: s.seq, parent: node.seq})
+		s.keepLocked(node.seq, res.factor)
 		s.cond.Broadcast()
 	}
 }
 
 // solveNode solves a node's LP relaxation: warm from the parent's basis
-// when the node carries one, otherwise — or when the warm path fails
-// numerically — cold with solveLP. cold reports that the cold path
-// produced the result. A time limit inside the warm path is returned as
-// is, and so is any error of the cold solve: the caller puts the node back
-// and stops.
-func (s *bbSearch) solveNode(node *bbNode, lbs, ubs []float64) (res lpResult, cold bool, err error) {
+// (and its factor f, when a slot held it) when the node carries one,
+// otherwise — or when the warm path fails numerically — cold with
+// solveLP. cold reports that the cold path produced the result. A time
+// limit inside the warm path is returned as is, and so is any error of
+// the cold solve: the caller puts the node back and stops.
+func (s *bbSearch) solveNode(node *bbNode, f *factor, lbs, ubs []float64) (res lpResult, cold bool, err error) {
 	var warm lpResult
 	if node.basis != nil {
-		res, err = s.tmpl.solveWarm(s.ctx, lbs, ubs, node.basis, s.deadline)
+		res, err = s.tmpl.solveWarm(s.ctx, lbs, ubs, node.basis, f, s.deadline)
 		if err == nil || errors.Is(err, errTimeLimit) {
 			return res, false, err
 		}
@@ -313,6 +367,9 @@ func (s *bbSearch) solveNode(node *bbNode, lbs, ubs []float64) (res lpResult, co
 	res, err = solveLP(s.ctx, s.mod, lbs, ubs, s.deadline)
 	res.iters += warm.iters
 	res.refactors += warm.refactors
+	// A cold solve lowers the model under the node's bounds, which may
+	// negate rows differently from tmpl: its factor is not tmpl's.
+	res.factor = nil
 	return res, true, err
 }
 
@@ -325,6 +382,11 @@ func (s *bbSearch) solveNode(node *bbNode, lbs, ubs []float64) (res lpResult, co
 // already dead on entry returns (nil, ctx.Err()) without touching the model.
 // With opts.Workers > 1 node expansion is parallel (see bbSearch).
 func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, error) {
+	return solve(ctx, mod, opts, nil)
+}
+
+// solve is SolveContext with an optional test probe on the search.
+func solve(ctx context.Context, mod *Model, opts Options, probe *searchProbe) (*Solution, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -407,15 +469,17 @@ func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, err
 	}
 
 	// Lower once: the root's sparse form is the read-only template every
-	// node reoptimizes on. Its layout matches the cold lowering's, so the
-	// root's optimal basis (res.basis) warm-starts the first node.
+	// node reoptimizes on. It is the very lowering the root LP was solved
+	// on, so the root's optimal basis (res.basis) warm-starts the first
+	// node and its factor (res.factor, in the slot of seq -1) spares that
+	// node's reinversion.
 	tmpl, err := lowerSparse(mod, rootLB, rootUB)
 	if err != nil {
 		return nil, fmt.Errorf("root relaxation: %w", err)
 	}
 	s := &bbSearch{
 		mod: mod, opts: opts,
-		rootLB: rootLB, rootUB: rootUB, tmpl: tmpl,
+		rootLB: rootLB, rootUB: rootUB, tmpl: tmpl, probe: probe,
 		deadline: deadline, ctx: ctx, start: start, snap: snap,
 		inFlight:    make(map[int]float64),
 		incumbent:   incumbent,
@@ -425,7 +489,8 @@ func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, err
 	}
 	s.cond = sync.NewCond(&s.mu)
 	heap.Init(&s.h)
-	heap.Push(&s.h, &bbNode{basis: res.basis, bound: res.obj, seq: 0})
+	heap.Push(&s.h, &bbNode{basis: res.basis, bound: res.obj, seq: 0, parent: -1})
+	s.keepLocked(-1, res.factor)
 	s.traceLocked()
 
 	workers := opts.Workers

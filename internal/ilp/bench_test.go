@@ -95,3 +95,33 @@ func BenchmarkBranchAndBoundWarmStart(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEq4BranchAndBound solves the bundled Eq. 4 models serially to
+// optimality and reports the search's work per solve: nodes, basis
+// reinversions, and node LPs that installed their parent's factor from a
+// slot instead of reinverting.
+func BenchmarkEq4BranchAndBound(b *testing.B) {
+	for _, circuit := range []string{"ctrl", "cavlc"} {
+		b.Run(circuit, func(b *testing.B) {
+			mod := eq4Testdata(b, circuit)
+			nodes, refactors, reused := 0, 0, 0
+			probe := &searchProbe{served: func(*bbNode, []float64, []float64, *factor) { reused++ }}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sol, err := solve(context.Background(), mod, Options{Workers: 1}, probe)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if sol.Status != StatusOptimal {
+					b.Fatalf("status %v", sol.Status)
+				}
+				nodes += sol.Nodes
+				refactors += sol.Refactors
+			}
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			b.ReportMetric(float64(refactors)/float64(b.N), "refactors/op")
+			b.ReportMetric(float64(reused)/float64(b.N), "reused/op")
+		})
+	}
+}

@@ -18,10 +18,14 @@ import (
 //
 // The model is lowered once at the root; that rsLP is a read-only
 // template whose cols, b and cost every node shares. A node owns only its
-// bounds, basis and eta file, so parallel workers reoptimize
-// independently. Any numerical failure (iteration cap, singular basis,
-// exit invariant, an ambiguous infeasibility proof) is reported as an
-// error and branch & bound re-solves the node cold with solveLP.
+// bounds, basis and the eta entries it appends, so parallel workers
+// reoptimize independently. Any numerical failure (iteration cap, singular
+// basis, exit invariant, an ambiguous infeasibility proof) is reported as
+// an error and branch & bound re-solves the node cold with solveLP.
+//
+// The parent's final reinversion factorized the very basic set a child
+// installs, and reinversion ignores bounds, so a child given that factor
+// installs it instead of reinverting: same eta file, same xB, same pivots.
 
 // basisSnap is a compact optimal basis: one status per column of the
 // sparse lowering. The basic set is {j : status[j] == isBasic}; its row
@@ -77,10 +81,12 @@ func (t *rsLP) warmNode(lbs, ubs []float64, snap basisSnap) (*rsLP, error) {
 }
 
 // solveWarm reoptimizes the template t under bounds lbs/ubs, starting
-// from the basis snap of the node's parent: install and factorize the
-// basis, run the dual simplex to primal feasibility, then a primal polish
-// that removes any dual infeasibility the tolerances let through.
-func (t *rsLP) solveWarm(ctx context.Context, lbs, ubs []float64, snap basisSnap, deadline time.Time) (lpResult, error) {
+// from the basis snap of the node's parent: install the basis and its
+// factor f (nil, or not of snap's basic set: reinvert instead), run the
+// dual simplex to primal feasibility, then a primal polish that removes
+// any dual infeasibility the tolerances let through. f must have been
+// built on t's columns, by a solve on t or on an identical lowering.
+func (t *rsLP) solveWarm(ctx context.Context, lbs, ubs []float64, snap basisSnap, f *factor, deadline time.Time) (lpResult, error) {
 	p, err := t.warmNode(lbs, ubs, snap)
 	if errors.Is(err, errBoundsInfeasible) {
 		return lpResult{status: StatusInfeasible}, nil
@@ -89,8 +95,10 @@ func (t *rsLP) solveWarm(ctx context.Context, lbs, ubs []float64, snap basisSnap
 		return lpResult{}, err
 	}
 	p.deadline, p.ctx = deadline, ctx
-	if err := p.refactorize(); err != nil {
-		return p.result(StatusNoSolution), err
+	if f == nil || !p.install(f) {
+		if err := p.refactorize(); err != nil {
+			return p.result(StatusNoSolution), err
+		}
 	}
 	infeasible, err := p.dualOptimize()
 	if err != nil {

@@ -251,8 +251,10 @@ type Solution struct {
 	// nodes whose warm dual simplex failed numerically.
 	ColdNodes int
 	// Refactors counts the sparse simplex's basis reinversions over every
-	// LP solve, the root included: periodic ones, the warm start's install
-	// and each solve's final one.
+	// LP solve, the root included: periodic ones, a warm start's install
+	// and each solve's final one. A warm start that installs its parent's
+	// factor from one of the search's two slots does no reinversion and
+	// is not counted.
 	Refactors int
 }
 
@@ -265,11 +267,12 @@ type Options struct {
 	Incumbent []float64
 	// Workers is the number of branch & bound workers expanding nodes
 	// concurrently (<= 1 = serial, the exact classical algorithm). Workers
-	// share one best-first heap and one incumbent; the result is identical
-	// to serial up to incumbent ties (equal-objective optima and, under a
-	// time or node budget, how far the search got). Parallel search is
-	// race-clean: the model is only read, and all search state is
-	// lock-protected.
+	// share one best-first heap (equal bounds pop newest first), one
+	// incumbent and the two slots of recently branched nodes' factors; the
+	// result is identical to serial up to incumbent ties (equal-objective
+	// optima and, under a time or node budget, how far the search got).
+	// Parallel search is race-clean: the model and the slotted factors are
+	// only read, and all search state is lock-protected.
 	Workers int
 	// BestKnown, when non-nil, is polled at every node expansion and must
 	// return the objective of the best solution known *outside* this solve

@@ -310,7 +310,7 @@ func eq4NodeBases(t *testing.T, mod *Model, rng *rand.Rand) []*rsLP {
 			t.Fatal(err)
 		}
 		out = append(out, p)
-		res, err := tmpl.solveWarm(ctx, lbs, ubs, last.basis, time.Time{})
+		res, err := tmpl.solveWarm(ctx, lbs, ubs, last.basis, nil, time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}

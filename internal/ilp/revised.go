@@ -537,6 +537,46 @@ func (rs *reinvScratch) pop() int32 {
 	return top
 }
 
+// factor is what a reinversion leaves behind: the basis reordered so that
+// basis[r] is the column pivoted at row r, and the eta file with its fill
+// (etaNNZ = baseNNZ = nnz). refactorize derives it from the basic set and
+// the lowering's columns alone, never from bounds or statuses, so one
+// factor serves every LP on the same lowering with that basic set. It is
+// read-only once built: etas is capped at its length, so an LP that
+// installs it and pivots on appends to a copy.
+type factor struct {
+	basis []int
+	etas  []eta
+	nnz   int
+}
+
+// factor returns the reinversion p holds. Call it right after refactorize
+// and before any pivot, and only when p is being discarded: the factor
+// keeps p's basis slice.
+func (p *rsLP) factor() *factor {
+	return &factor{basis: p.basis, etas: p.etas[:len(p.etas):len(p.etas)], nnz: p.baseNNZ}
+}
+
+// install loads f in place of a reinversion and recomputes xB under p's
+// own bounds, which leaves p exactly as refactorize would: the same basis
+// order, eta file, fill and basic solution, with no reinversion counted.
+// f must come from a lowering with p's columns. It reports false, changing
+// nothing, when f's basic set is not p's.
+func (p *rsLP) install(f *factor) bool {
+	if len(f.basis) != p.m {
+		return false
+	}
+	for _, j := range f.basis {
+		if p.status[j] != isBasic {
+			return false
+		}
+	}
+	copy(p.basis, f.basis)
+	p.etas, p.etaNNZ, p.baseNNZ, p.pivots = f.etas, f.nnz, f.nnz, 0
+	p.recomputeXB()
+	return true
+}
+
 // etaBudget is the nonzero cap that forces early reinversion when pivots
 // produce unusually dense eta columns. It is relative to the fill the last
 // reinversion left: a basis whose own factorization is dense would
@@ -769,6 +809,9 @@ type lpResult struct {
 	// basis is the optimal basis in the sparse lowering's column layout
 	// (nil unless the LP was solved to optimality).
 	basis basisSnap
+	// factor is the reinversion of that basis on the solve's own lowering
+	// (nil unless optimal).
+	factor *factor
 }
 
 // solveLP solves the LP relaxation of mod with the given bound overrides.
@@ -826,8 +869,9 @@ func solveLP(ctx context.Context, mod *Model, lbs, ubs []float64, deadline time.
 // finish extracts an optimal solution. The final reinversion wipes the eta
 // drift accumulated since the last refactorization; failure there means
 // the optimal basis itself is numerically singular, and is reported as an
-// error. The result carries the optimal basis
-// so branch & bound can warm-start the node's children from it.
+// error. The result carries the optimal basis and its reinversion, so
+// branch & bound can warm-start the node's children from the one and
+// install the other. p must not be used afterwards.
 func (p *rsLP) finish(lbs, ubs []float64) (lpResult, error) {
 	if err := p.refactorize(); err != nil {
 		return p.result(StatusNoSolution), err
@@ -843,7 +887,7 @@ func (p *rsLP) finish(lbs, ubs []float64) (lpResult, error) {
 		obj += p.cost[j] * v
 	}
 	res := p.result(StatusOptimal)
-	res.x, res.obj, res.basis = x, obj, p.snapshot()
+	res.x, res.obj, res.basis, res.factor = x, obj, p.snapshot(), p.factor()
 	return res, nil
 }
 

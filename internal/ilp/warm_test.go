@@ -58,7 +58,8 @@ func isWarmFallback(err error) bool {
 
 // diveWarmVsCold replays a branch & bound dive on mod: each step picks a
 // node basis (the last optimal one, or the root's), tightens or resets
-// bounds on variables chosen by pick, and reoptimizes warm. Warm, cold
+// bounds on variables chosen by pick, and reoptimizes warm, installing
+// that basis's factor as a node served from a slot does. Warm, cold
 // (solveLP, the revised core alone) and dense (solveLPDense) must agree on
 // status and, when optimal, on objective within 1e-6. Any error of the
 // cold solve fails the test: no second solver stands behind it. With
@@ -78,7 +79,7 @@ func diveWarmVsCold(t *testing.T, mod *Model, steps int, pick func() (int, int),
 	if err != nil {
 		t.Fatalf("template: %v", err)
 	}
-	basis := root.basis
+	basis, fac := root.basis, root.factor
 	compared := 0
 	for step := 0; step < steps; step++ {
 		v, fix := pick()
@@ -90,9 +91,9 @@ func diveWarmVsCold(t *testing.T, mod *Model, steps int, pick func() (int, int),
 		default:
 			copy(lbs, mod.lb)
 			copy(ubs, mod.ub)
-			basis = root.basis
+			basis, fac = root.basis, root.factor
 		}
-		warm, werr := tmpl.solveWarm(ctx, lbs, ubs, basis, time.Time{})
+		warm, werr := tmpl.solveWarm(ctx, lbs, ubs, basis, fac, time.Time{})
 		cold, cerr := solveLP(ctx, mod, lbs, ubs, time.Time{})
 		dense, derr := solveLPDense(ctx, mod, lbs, ubs, time.Time{})
 		if cerr != nil || derr != nil {
@@ -116,7 +117,7 @@ func diveWarmVsCold(t *testing.T, mod *Model, steps int, pick func() (int, int),
 			// An infeasible node ends the dive: back to the root bounds.
 			copy(lbs, mod.lb)
 			copy(ubs, mod.ub)
-			basis = root.basis
+			basis, fac = root.basis, root.factor
 			continue
 		}
 		if math.Abs(warm.obj-cold.obj) > 1e-6 {
@@ -125,7 +126,7 @@ func diveWarmVsCold(t *testing.T, mod *Model, steps int, pick func() (int, int),
 		if err := mod.Feasible(warm.x, 1e-6, true); err != nil {
 			t.Fatalf("step %d: warm solution violates the model: %v", step, err)
 		}
-		basis = warm.basis
+		basis, fac = warm.basis, warm.factor
 	}
 	return compared
 }

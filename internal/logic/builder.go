@@ -1,8 +1,8 @@
 package logic
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strings"
 )
 
 // Builder incrementally constructs a Network. Gates are structurally hashed:
@@ -17,6 +17,7 @@ type Builder struct {
 	outputs []int
 	onames  []string
 	hash    map[string]int
+	key     []byte // hashKey's reused buffer
 	inNames map[string]int
 	const0  int // lazily created; -1 until then
 	const1  int
@@ -44,24 +45,27 @@ func (b *Builder) check(ids ...int) {
 
 func (b *Builder) add(t GateType, fanin ...int) int {
 	b.check(fanin...)
-	key := hashKey(t, fanin)
-	if id, ok := b.hash[key]; ok {
+	b.key = hashKey(b.key[:0], t, fanin)
+	if id, ok := b.hash[string(b.key)]; ok {
 		return id
 	}
 	id := len(b.gates)
 	fcopy := append([]int(nil), fanin...)
 	b.gates = append(b.gates, Gate{Type: t, Fanin: fcopy})
-	b.hash[key] = id
+	b.hash[string(b.key)] = id
 	return id
 }
 
-func hashKey(t GateType, fanin []int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d:", t)
+// hashKey appends the structural-hash key of a gate to buf: its type and
+// fanins as unsigned varints. Varints are prefix-free, so distinct (type,
+// fanin list) pairs never share a key. A lookup through string(key) does
+// not allocate; only an insert copies the key into a string.
+func hashKey(buf []byte, t GateType, fanin []int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(t))
 	for _, f := range fanin {
-		fmt.Fprintf(&sb, "%d,", f)
+		buf = binary.AppendUvarint(buf, uint64(f))
 	}
-	return sb.String()
+	return buf
 }
 
 // Input declares (or returns the existing) primary input with this name.
