@@ -30,9 +30,10 @@
 #                    brute force, the check that one recoloring per
 #                    greedy OCT vertex re-admits none of them, the spice
 #                    nodal solve against the dense-elimination oracle,
-#                    the warm-vs-cold branch & bound LP cross-check and
+#                    the warm-vs-cold branch & bound LP cross-check,
 #                    the sparse reinversion's eta file against the dense
-#                    one)
+#                    one and the odd-cycle cut separator against brute
+#                    force)
 #   7. compactlint — the project's own analyzers, including the compactflow
 #                    dataflow suite (allocbound, ctxflow, gospawn) and the
 #                    staleignore check on //lint:ignore directives; any
@@ -96,6 +97,7 @@ if [ "$short" -eq 0 ]; then
     go test -fuzz=FuzzRefactorizeVsDense -fuzztime=5s -run='^$' ./internal/ilp/
     go test -fuzz=FuzzOCTVsLemma1 -fuzztime=5s -run='^$' ./internal/oct/
     go test -fuzz=FuzzHeuristicVsRecolor -fuzztime=5s -run='^$' ./internal/oct/
+    go test -fuzz=FuzzOddCycleSeparation -fuzztime=5s -run='^$' ./internal/oct/
     go test -fuzz=FuzzPlanJSON -fuzztime=5s -run='^$' ./internal/partition/
     go test -fuzz=FuzzStoreEntry -fuzztime=5s -run='^$' ./internal/store/
     go test -fuzz=FuzzNodalVsDense -fuzztime=5s -run='^$' ./internal/spice/

@@ -351,26 +351,46 @@ func (s *bbSearch) worker(id int) {
 
 // solveNode solves a node's LP relaxation: warm from the parent's basis
 // (and its factor f, when a slot held it) when the node carries one,
-// otherwise — or when the warm path fails numerically — cold with
+// otherwise cold (see reoptimize).
+func (s *bbSearch) solveNode(node *bbNode, f *factor, lbs, ubs []float64) (res lpResult, cold bool, err error) {
+	return reoptimize(s.ctx, s.tmpl, s.mod, lbs, ubs, node.basis, f, s.deadline)
+}
+
+// reoptimize solves mod's LP relaxation under bounds lbs/ubs warm on its
+// lowering t, from basis snap and its factor f (either may be nil), or —
+// with no basis, or when the warm path fails numerically — cold with
 // solveLP. cold reports that the cold path produced the result. A time
 // limit inside the warm path is returned as is, and so is any error of
-// the cold solve: the caller puts the node back and stops.
-func (s *bbSearch) solveNode(node *bbNode, f *factor, lbs, ubs []float64) (res lpResult, cold bool, err error) {
+// the cold solve.
+func reoptimize(ctx context.Context, t *rsLP, mod *Model, lbs, ubs []float64, snap basisSnap, f *factor, deadline time.Time) (res lpResult, cold bool, err error) {
 	var warm lpResult
-	if node.basis != nil {
-		res, err = s.tmpl.solveWarm(s.ctx, lbs, ubs, node.basis, f, s.deadline)
+	if snap != nil {
+		res, err = t.solveWarm(ctx, lbs, ubs, snap, f, deadline)
 		if err == nil || errors.Is(err, errTimeLimit) {
 			return res, false, err
 		}
 		warm = res
 	}
-	res, err = solveLP(s.ctx, s.mod, lbs, ubs, s.deadline)
+	res, err = solveLP(ctx, mod, lbs, ubs, deadline)
 	res.iters += warm.iters
 	res.refactors += warm.refactors
-	// A cold solve lowers the model under the node's bounds, which may
-	// negate rows differently from tmpl: its factor is not tmpl's.
+	// A cold solve lowers the model under its own bounds, which may
+	// negate rows differently from t: its factor is not t's.
 	res.factor = nil
 	return res, true, err
+}
+
+// solveRoot lowers mod under bounds lbs/ubs once and solves the root LP
+// as a warm node of that lowering whose parent basis is the slack basis,
+// by the dual simplex (see reoptimize: cold when the slack basis is not
+// dual feasible or the warm solve fails). It returns the lowering, which
+// becomes the template of the search's nodes.
+func solveRoot(ctx context.Context, mod *Model, lbs, ubs []float64, deadline time.Time) (t *rsLP, res lpResult, cold bool, err error) {
+	if t, err = lowerSparse(mod, lbs, ubs); err != nil {
+		return nil, lpResult{}, false, err
+	}
+	res, cold, err = reoptimize(ctx, t, mod, lbs, ubs, t.slackBasis(), nil, deadline)
+	return t, res, cold, err
 }
 
 // SolveContext minimizes the model by LP-based best-first branch & bound.
@@ -412,10 +432,10 @@ func solve(ctx context.Context, mod *Model, opts Options, probe *searchProbe) (*
 		}
 	}
 
-	// Root relaxation.
+	// Root relaxation: the dual simplex from the slack basis.
 	rootLB := append([]float64(nil), mod.lb...)
 	rootUB := append([]float64(nil), mod.ub...)
-	res, err := solveLP(ctx, mod, rootLB, rootUB, deadline)
+	tmpl, res, _, err := solveRoot(ctx, mod, rootLB, rootUB, deadline)
 	if err != nil {
 		if errors.Is(err, errTimeLimit) && incumbentX != nil {
 			sol.Status = StatusFeasible
@@ -445,7 +465,6 @@ func solve(ctx context.Context, mod *Model, opts Options, probe *searchProbe) (*
 		}
 		return math.Ceil(v/grid-1e-7) * grid
 	}
-	res.obj = snap(res.obj)
 	sol.Iters += res.iters
 	sol.Refactors += res.refactors
 	switch res.status {
@@ -467,16 +486,18 @@ func solve(ctx context.Context, mod *Model, opts Options, probe *searchProbe) (*
 		sol.Elapsed = time.Since(start)
 		return sol, nil
 	}
-
-	// Lower once: the root's sparse form is the read-only template every
-	// node reoptimizes on. It is the very lowering the root LP was solved
-	// on, so the root's optimal basis (res.basis) warm-starts the first
-	// node and its factor (res.factor, in the slot of seq -1) spares that
-	// node's reinversion.
-	tmpl, err := lowerSparse(mod, rootLB, rootUB)
-	if err != nil {
-		return nil, fmt.Errorf("root relaxation: %w", err)
+	if opts.Separate != nil {
+		closed := func(obj float64) bool { return snap(obj) >= incumbent-1e-9 }
+		mod, tmpl, res = separateRoot(ctx, mod, tmpl, res, rootLB, rootUB, opts.Separate, closed, deadline, sol)
 	}
+	res.obj = snap(res.obj)
+
+	// tmpl is the read-only template every node reoptimizes on. It is the
+	// very lowering the root LP was solved on, so the root's optimal basis
+	// (res.basis) warm-starts the first node and its factor (res.factor,
+	// in the slot of seq -1) spares that node's reinversion. With cuts,
+	// mod and tmpl are the cut model and its lowering, which the nodes,
+	// the slots and the incumbent checks all share.
 	s := &bbSearch{
 		mod: mod, opts: opts,
 		rootLB: rootLB, rootUB: rootUB, tmpl: tmpl, probe: probe,
@@ -572,6 +593,42 @@ func solve(ctx context.Context, mod *Model, opts Options, probe *searchProbe) (*
 	}
 	endTrace()
 	return sol, nil
+}
+
+// maxCutRounds caps the separation rounds at the root.
+const maxCutRounds = 2
+
+// separateRoot runs the root's cut rounds. Each round hands the root LP's
+// solution to sep, adds the rows it returns to a copy of mod, lowers the
+// copy and reoptimizes from the last optimal basis with the new rows'
+// slacks basic, which keeps that basis dual feasible (see extendBasis).
+// The rounds stop when sep returns nothing, when closed reports that the
+// root bound already ends the search, or after maxCutRounds. A round
+// whose LP fails, is not optimal or runs out of time is dropped, and the
+// search goes on from the last root solved, with its bound and basis
+// (DESIGN §5b). It returns the model with the kept cuts, its lowering and
+// the root LP solved on it; every round's work is counted in sol.
+func separateRoot(ctx context.Context, mod *Model, t *rsLP, res lpResult, lbs, ubs []float64,
+	sep func(x []float64) []Constraint, closed func(obj float64) bool, deadline time.Time, sol *Solution) (*Model, *rsLP, lpResult) {
+	for round := 0; round < maxCutRounds && !closed(res.obj); round++ {
+		cuts := sep(res.x)
+		if len(cuts) == 0 {
+			break
+		}
+		cm := mod.withRows(cuts)
+		ct, err := lowerSparse(cm, lbs, ubs)
+		if err != nil {
+			break
+		}
+		r, _, err := reoptimize(ctx, ct, cm, lbs, ubs, ct.extendBasis(t, res.basis), nil, deadline)
+		sol.Iters += r.iters
+		sol.Refactors += r.refactors
+		if err != nil || r.status != StatusOptimal {
+			break
+		}
+		mod, t, res = cm, ct, r
+	}
+	return mod, t, res
 }
 
 // roundIntegral snaps near-integral integer variables exactly.

@@ -99,7 +99,10 @@ func BenchmarkBranchAndBoundWarmStart(b *testing.B) {
 // BenchmarkEq4BranchAndBound solves the bundled Eq. 4 models serially to
 // optimality and reports the search's work per solve: nodes, basis
 // reinversions, and node LPs that installed their parent's factor from a
-// slot instead of reinverting.
+// slot instead of reinverting. Measured with the root solved from the
+// slack basis: ctrl 2 nodes, 7 reinversions, 2 reused; cavlc 204, 263
+// and 141. The models carry no separator, so these are searches without
+// the labeling pipeline's cut rounds.
 func BenchmarkEq4BranchAndBound(b *testing.B) {
 	for _, circuit := range []string{"ctrl", "cavlc"} {
 		b.Run(circuit, func(b *testing.B) {

@@ -26,6 +26,11 @@ import (
 // The parent's final reinversion factorized the very basic set a child
 // installs, and reinversion ignores bounds, so a child given that factor
 // installs it instead of reinverting: same eta file, same xB, same pivots.
+//
+// The root is a node too: its "parent basis" is the slack basis, which is
+// dual feasible whenever every negative cost has a finite upper bound, and
+// each root cut round starts from the last root basis with the new rows'
+// slacks basic, which stays dual feasible.
 
 // basisSnap is a compact optimal basis: one status per column of the
 // sparse lowering. The basic set is {j : status[j] == isBasic}; its row
@@ -33,6 +38,56 @@ import (
 type basisSnap []varStatus
 
 func (p *rsLP) snapshot() basisSnap { return append(basisSnap(nil), p.status...) }
+
+// slackBasis returns t's slack basis: every row's slack basic (an
+// equality row's artificial, which has no slack), every structural
+// column at the bound its cost prefers. The multipliers are zero there,
+// so each reduced cost is the column's cost and the basis is dual
+// feasible: solveWarm can start the root from it. It returns nil when a
+// negative cost has no finite upper bound.
+func (t *rsLP) slackBasis() basisSnap {
+	snap := make(basisSnap, t.n)
+	for j := 0; j < t.nStruct; j++ {
+		if t.cost[j] < 0 {
+			if math.IsInf(t.up[j], 1) {
+				return nil
+			}
+			snap[j] = atUpper
+		}
+	}
+	t.slacksBasic(snap, 0)
+	return snap
+}
+
+// extendBasis maps a basis snap of lowering old to t's column layout,
+// where t lowers old's model with rows appended: the new rows' slacks
+// (artificials, for new equality rows) join the basis. Their multipliers
+// are zero, so every reduced cost is unchanged and a dual feasible snap
+// stays dual feasible.
+func (t *rsLP) extendBasis(old *rsLP, snap basisSnap) basisSnap {
+	out := make(basisSnap, t.n)
+	copy(out, snap[:old.firstArt])
+	copy(out[t.firstArt:], snap[old.firstArt:])
+	t.slacksBasic(out, old.m)
+	return out
+}
+
+// slacksBasic makes basic, in snap, the slack of every row from row first
+// on, or the row's artificial when it has no slack.
+func (t *rsLP) slacksBasic(snap basisSnap, first int) {
+	slacked := make([]bool, t.m-first)
+	for j := t.nStruct; j < t.firstArt; j++ {
+		if i := int(t.cols[j].ind[0]); i >= first {
+			snap[j] = isBasic
+			slacked[i-first] = true
+		}
+	}
+	for i, ok := range slacked {
+		if !ok {
+			snap[t.firstArt+first+i] = isBasic
+		}
+	}
+}
 
 // errWarmFailed reports a warm start that cannot proceed safely; the
 // caller re-solves the node cold.

@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"compact/internal/errio"
@@ -102,6 +103,17 @@ func (m *Model) AddVar(name string, lb, ub float64, typ VarType, obj float64) in
 	m.vtype = append(m.vtype, typ)
 	m.names = append(m.names, name)
 	return len(m.obj) - 1
+}
+
+// withRows returns a copy of m with rows appended. The copy shares m's
+// variables, which neither may change afterwards; m keeps its rows.
+func (m *Model) withRows(rows []Constraint) *Model {
+	c := *m
+	c.constrs = slices.Clip(m.constrs)
+	for _, r := range rows {
+		c.AddConstr(r.Name, r.Terms, r.Sense, r.RHS)
+	}
+	return &c
 }
 
 // VarName returns the name of variable v.
@@ -282,6 +294,15 @@ type Options struct {
 	// value. The callback must be safe for concurrent use; it is typically
 	// an atomic load.
 	BestKnown func() float64
+	// Separate, when non-nil, is the model's cut separator. After the
+	// root LP it is called with the LP solution x, for a few rounds, and
+	// returns rows that x violates but every feasible integral solution
+	// satisfies (none when it finds none). Each round's rows join an
+	// internal copy of the model, whose LP is reoptimized before the
+	// next round; the caller's model is left as it was. The search then
+	// runs on the copy, so the proven bound and every node LP include the
+	// cuts. It is called from one goroutine and must not keep x.
+	Separate func(x []float64) []Constraint
 }
 
 // DefaultWorkers is the branch & bound worker count the pipeline's solve

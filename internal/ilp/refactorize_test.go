@@ -380,61 +380,142 @@ func FuzzRefactorizeVsDense(f *testing.F) {
 }
 
 // TestEq4RootLPWork pins the work of the Eq. 4 root LPs in pivots and
-// reinversions, not wall clock. ctrl's and cavlc's roots are solved
-// whole. int2float's takes ~14,700 pivots, so only its first 4,000 run:
+// reinversions, not wall clock, on both root paths. The production path
+// (solveRoot) is the dual simplex from the slack basis; it must solve
+// every root warm, int2float's included. From the all-artificial basis
+// int2float's root took ~14,700 pivots, most of them in phase 1. The cold
+// two-phase solveLP stays the fallback, so its pins stay too: ctrl and
+// cavlc solved whole, and int2float's first 4,000 phase-1 pivots, where
 // under a fixed 16m+1024 eta budget its PFI fill (17–24k nonzeros after
-// reinversion, above that budget's 20,112) forced a reinversion every pivot
-// or two from about pivot 3,500 on — 273 reinversions by pivot 4,000 and
-// a root LP that never finished — where the fill-relative budget needs
-// 41. Each ceiling is about twice the count measured with that budget.
-// The roots solved whole are also checked against the dense oracle: they
-// are the real models the exact pipeline solves, far larger than the
-// random ones the other oracle tests use.
+// reinversion, above that budget's 20,112) forced a reinversion every
+// pivot or two from about pivot 3,500 on — 273 reinversions by pivot
+// 4,000 — where the fill-relative budget needs 41. Each ceiling is about
+// twice the count measured. Each warm root is
+// certified optimal by weak duality on the model's own rows (dualBound),
+// and ctrl's and cavlc's are also checked against the dense oracle. The
+// dense oracle takes ~38 s on int2float, where it gives 193.5 too.
 func TestEq4RootLPWork(t *testing.T) {
 	cases := []struct {
-		circuit               string
-		maxIters              int // 0 = solve the root LP to optimality
-		pivotCap, refactorCap int
-		obj                   float64 // root LP optimum, when solved whole
+		circuit                   string
+		coldPrefix                int // > 0: the cold path runs only this many pivots, and no dense oracle
+		coldPivots, coldRefactors int
+		pivots, refactors         int
+		obj                       float64 // root LP optimum
 	}{
-		{"ctrl", 0, 1800, 18, 67.25},  // measured: 898 pivots, 9 reinversions
-		{"cavlc", 0, 2600, 32, 76.5},  // measured: 1,290 pivots, 16 reinversions
-		{"int2float", 4000, 0, 82, 0}, // measured: 41 reinversions
+		// measured: cold 898 pivots, 9 reinversions; warm 367 and 5
+		{"ctrl", 0, 1800, 18, 740, 10, 67.25},
+		// measured: cold 1,290 pivots, 16 reinversions; warm 397 and 6
+		{"cavlc", 0, 2600, 32, 800, 12, 76.5},
+		// measured: cold 41 reinversions in 4,000 pivots; warm 1,174
+		// pivots, 14 reinversions
+		{"int2float", 4000, 0, 82, 2400, 28, 193.5},
 	}
+	ctx := context.Background()
 	for _, c := range cases {
 		mod := eq4Testdata(t, c.circuit)
-		p, err := lowerSparse(mod, mod.lb, mod.ub)
-		if err != nil {
-			t.Fatal(err)
+		tmpl, res, cold, err := solveRoot(ctx, mod, mod.lb, mod.ub, time.Time{})
+		if err != nil || res.status != StatusOptimal || cold {
+			t.Fatalf("%s: root LP %v / %v, cold %v", c.circuit, err, res.status, cold)
 		}
-		if c.maxIters > 0 {
-			p.maxIters = c.maxIters
+		if res.iters > c.pivots || res.refactors > c.refactors {
+			t.Errorf("%s: root LP took %d pivots and %d reinversions, ceilings %d and %d",
+				c.circuit, res.iters, res.refactors, c.pivots, c.refactors)
+		}
+		if math.Abs(res.obj-c.obj) > 1e-6 {
+			t.Errorf("%s: root LP optimum %v, want %v", c.circuit, res.obj, c.obj)
+		}
+		if err := mod.Feasible(res.x, 1e-6, true); err != nil {
+			t.Errorf("%s: root LP solution: %v", c.circuit, err)
+		}
+		if lb := dualBound(t, mod, tmpl, res); lb < res.obj-1e-6 {
+			t.Errorf("%s: root LP optimum %v, but its basis proves only %v", c.circuit, res.obj, lb)
+		}
+		if c.coldPrefix > 0 {
+			p, err := lowerSparse(mod, mod.lb, mod.ub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.maxIters = c.coldPrefix
 			phase1 := make([]float64, p.n)
 			for j := p.firstArt; j < p.n; j++ {
 				phase1[j] = 1
 			}
 			if err := p.optimize(phase1); !errors.Is(err, errIterLimit) {
-				t.Fatalf("%s: phase 1 ended within %d pivots (%v); the prefix no longer reaches the dense fill", c.circuit, c.maxIters, err)
+				t.Fatalf("%s: phase 1 ended within %d pivots (%v); the prefix no longer reaches the dense fill", c.circuit, c.coldPrefix, err)
 			}
-			if p.refactors > c.refactorCap {
-				t.Errorf("%s: %d reinversions in the first %d pivots, ceiling %d", c.circuit, p.refactors, c.maxIters, c.refactorCap)
+			if p.refactors > c.coldRefactors {
+				t.Errorf("%s: %d reinversions in the first %d pivots, ceiling %d", c.circuit, p.refactors, c.coldPrefix, c.coldRefactors)
 			}
 			continue
 		}
-		res, err := solveLP(context.Background(), mod, mod.lb, mod.ub, time.Time{})
+		dense, err := solveLPDense(ctx, mod, mod.lb, mod.ub, time.Time{})
+		if err != nil || dense.status != StatusOptimal || math.Abs(dense.obj-c.obj) > 1e-6 {
+			t.Errorf("%s: dense root LP %v / %v, optimum %v", c.circuit, err, dense.status, dense.obj)
+		}
+		res, err = solveLP(ctx, mod, mod.lb, mod.ub, time.Time{})
 		if err != nil || res.status != StatusOptimal {
-			t.Fatalf("%s: root LP %v / %v", c.circuit, err, res.status)
+			t.Fatalf("%s: cold root LP %v / %v", c.circuit, err, res.status)
 		}
-		if res.iters > c.pivotCap || res.refactors > c.refactorCap {
-			t.Errorf("%s: root LP took %d pivots and %d reinversions, ceilings %d and %d",
-				c.circuit, res.iters, res.refactors, c.pivotCap, c.refactorCap)
+		if res.iters > c.coldPivots || res.refactors > c.coldRefactors {
+			t.Errorf("%s: cold root LP took %d pivots and %d reinversions, ceilings %d and %d",
+				c.circuit, res.iters, res.refactors, c.coldPivots, c.coldRefactors)
 		}
-		dense, err := solveLPDense(context.Background(), mod, mod.lb, mod.ub, time.Time{})
-		if err != nil || dense.status != StatusOptimal {
-			t.Fatalf("%s: dense root LP %v / %v", c.circuit, err, dense.status)
-		}
-		if math.Abs(res.obj-c.obj) > 1e-6 || math.Abs(dense.obj-c.obj) > 1e-6 {
-			t.Errorf("%s: root LP optimum %v, dense oracle %v, want %v", c.circuit, res.obj, dense.obj, c.obj)
+		if math.Abs(res.obj-c.obj) > 1e-6 {
+			t.Errorf("%s: cold root LP optimum %v, want %v", c.circuit, res.obj, c.obj)
 		}
 	}
+}
+
+// dualBound returns the lower bound that the optimal LP res, solved on
+// the lowering tmpl of mod, proves by weak duality, computed on the
+// model's own rows: the multipliers B⁻ᵀc_B of res's basis, mapped back
+// through each row's lowering sign and forced to the row's dual sign
+// (>= rows nonnegative, <= rows nonpositive), and every reduced cost
+// charged at the variable bound it prefers. Any multipliers of those
+// signs give a valid bound, so a bound equal to res's objective certifies
+// its optimality without trusting the simplex that found it.
+func dualBound(t *testing.T, mod *Model, tmpl *rsLP, res lpResult) float64 {
+	t.Helper()
+	p, err := tmpl.warmNode(mod.lb, mod.ub, res.basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.factor == nil || !p.install(res.factor) {
+		if err := p.refactorize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	y := make([]float64, p.m)
+	for i, b := range p.basis {
+		y[i] = p.cost[b]
+	}
+	p.btran(y)
+	d := append([]float64(nil), mod.obj...)
+	bound := 0.0
+	for i, c := range mod.constrs {
+		// The lowering scaled row i by ±1: find the factor on its first term.
+		col := &tmpl.cols[c.Terms[0].Var]
+		scale := 0.0
+		for k, r := range col.ind {
+			if int(r) == i {
+				scale = col.val[k] / c.Terms[0].Coeff
+			}
+		}
+		pi := y[i] * scale
+		if (c.Sense == GE && pi < 0) || (c.Sense == LE && pi > 0) {
+			pi = 0
+		}
+		bound += pi * c.RHS
+		for _, term := range c.Terms {
+			d[term.Var] -= pi * term.Coeff
+		}
+	}
+	for j, dj := range d {
+		if dj >= 0 {
+			bound += dj * mod.lb[j]
+		} else {
+			bound += dj * mod.ub[j]
+		}
+	}
+	return bound
 }

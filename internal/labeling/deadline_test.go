@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"compact/internal/ilp"
 )
 
 // slowProblem returns an instance dense enough that the exact MIP cannot
@@ -108,6 +110,63 @@ func TestCancellationMidSolve(t *testing.T) {
 	}
 	if err := Validate(p, sol.K, sol.Lo, sol.Hi); err != nil {
 		t.Errorf("cancelled solution invalid: %v", err)
+	}
+}
+
+// TestCutRoundsAnytime runs the exact MIP driver against every budget
+// the root's cut rounds can meet: a context dead before the solve, one
+// that ends inside the first round's reoptimization, and none. None may
+// turn into an error (DESIGN §5b): each must return a valid labeling and
+// a non-empty trace whose bound is at most the labeling's objective.
+func TestCutRoundsAnytime(t *testing.T) {
+	p := Problem{G: randomGraph(rand.New(rand.NewSource(5)), 40, 0.12)}
+	opts := Options{Method: MethodMIP, Gamma: 0.5}
+	cases := []struct {
+		name    string
+		dead    bool // ctx cancelled before the solve
+		inRound bool // ctx cancelled as the first round's cuts are returned
+	}{
+		{"dead ctx", true, false},
+		{"expires inside the first round", false, true},
+		{"unlimited", false, false},
+	}
+	for _, c := range cases {
+		ctx, cancel := context.WithCancel(context.Background())
+		if c.dead {
+			cancel()
+		}
+		m := eq4Model(p, opts)
+		rounds := 0
+		m.cuts = func(x []float64) []ilp.Constraint {
+			rounds++
+			if c.inRound {
+				cancel()
+			}
+			return m.oddCycleCuts(p.G, x)
+		}
+		sol, err := solveExact(ctx, p, opts, m, nil, nil)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := Validate(p, sol.K, sol.Lo, sol.Hi); err != nil {
+			t.Errorf("%s: invalid labeling: %v", c.name, err)
+		}
+		if len(sol.Trace) == 0 {
+			t.Fatalf("%s: empty trace", c.name)
+		}
+		obj := sol.Stats.Objective(opts.Gamma)
+		if b := sol.Trace[len(sol.Trace)-1].Bound; b > obj+1e-9 {
+			t.Errorf("%s: bound %v above the labeling's objective %v", c.name, b, obj)
+		}
+		switch {
+		case c.dead && rounds != 0:
+			t.Errorf("%s: %d cut rounds on a dead context", c.name, rounds)
+		case c.inRound && (rounds != 1 || sol.Optimal):
+			t.Errorf("%s: %d separator calls, optimal %v; want one call and an unproven labeling", c.name, rounds, sol.Optimal)
+		case !c.dead && !c.inRound && (rounds == 0 || !sol.Optimal):
+			t.Errorf("%s: %d separator calls, optimal %v; want cuts and a proven optimum", c.name, rounds, sol.Optimal)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"compact/internal/graph"
 	"compact/internal/ilp"
 	"compact/internal/oct"
 )
@@ -33,6 +34,9 @@ type exactModel struct {
 	// the solver's vector back as layer intervals.
 	encode func(c *Solution) []float64
 	decode func(x []float64) (lo, hi []int)
+	// cuts, when set, stands in for oddCycleCuts as the solve's cut
+	// separator, so a test can act between cut rounds.
+	cuts func(x []float64) []ilp.Constraint
 }
 
 // solveMIP solves p exactly on k layers (Section VI-B at K = 2): the
@@ -59,13 +63,8 @@ func solveMIP(ctx context.Context, p Problem, k int, opts Options, primer *Solut
 func (m *exactModel) addOCTRows(ctx context.Context, p Problem, opts Options) (oct.Result, int, error) {
 	cycles := oct.DisjointOddCycles(p.G)
 	for _, cyc := range cycles {
-		terms := make([]ilp.Term, 0, m.k*len(cyc))
-		for _, v := range cyc {
-			for _, x := range m.occ[v] {
-				terms = append(terms, ilp.Term{Var: x, Coeff: 1})
-			}
-		}
-		m.mod.AddConstr("oddcyc", terms, ilp.GE, float64(len(cyc)+1))
+		c := m.cycleRow(cyc)
+		m.mod.AddConstr(c.Name, c.Terms, c.Sense, c.RHS)
 	}
 	kLB := len(cycles)
 	// The OCT warm start gets at most half of whatever remains of the
@@ -103,6 +102,37 @@ func (m *exactModel) addOCTRows(ctx context.Context, p Problem, opts Options) (o
 		m.tail()
 	}
 	return octRes, kLB, nil
+}
+
+// cycleRow is Lemma 1's row for the odd cycle cyc: its nodes take at
+// least |C| + 1 wires in all.
+func (m *exactModel) cycleRow(cyc []int) ilp.Constraint {
+	terms := make([]ilp.Term, 0, m.k*len(cyc))
+	for _, v := range cyc {
+		for _, x := range m.occ[v] {
+			terms = append(terms, ilp.Term{Var: x, Coeff: 1})
+		}
+	}
+	return ilp.Constraint{Name: "oddcyc", Terms: terms, Sense: ilp.GE, RHS: float64(len(cyc) + 1)}
+}
+
+// oddCycleCuts is the exact models' cut separator: the cycle row of every
+// odd cycle of g that the LP solution x violates, found by
+// oct.ViolatedOddCycles over the weights occupancy − 1.
+func (m *exactModel) oddCycleCuts(g *graph.Graph, x []float64) []ilp.Constraint {
+	w := make([]float64, g.N())
+	for v, xs := range m.occ {
+		w[v] = -1
+		for _, j := range xs {
+			w[v] += x[j]
+		}
+	}
+	cycles := oct.ViolatedOddCycles(g, w)
+	cuts := make([]ilp.Constraint, len(cycles))
+	for i, cyc := range cycles {
+		cuts[i] = m.cycleRow(cyc)
+	}
+	return cuts
 }
 
 // solveExact is the one MIP driver for every K. It adds the shared rows,
@@ -158,8 +188,16 @@ func solveExact(ctx context.Context, p Problem, opts Options, m *exactModel, pri
 		return fallback(m.name+"-bounded", nil, 0), nil
 	}
 
+	// Separation is always on: Lemma 1's odd-cycle rows, found by
+	// shortest paths at the root and re-solved warm for a few rounds,
+	// tighten the bound the static packing above starts from.
+	cuts := m.cuts
+	if cuts == nil {
+		cuts = func(x []float64) []ilp.Constraint { return m.oddCycleCuts(p.G, x) }
+	}
 	sol, err := ilp.SolveContext(ctx, m.mod, ilp.Options{
 		Incumbent: inc, BestKnown: bestKnown, Workers: ilp.DefaultWorkers(),
+		Separate: cuts,
 	})
 	if err != nil {
 		if ctx.Err() != nil {
