@@ -91,7 +91,7 @@ func main() {
 	flag.Float64Var(&cfg.defectRate, "defect-rate", 0, "generate a seeded defect map with this stuck-at cell fraction [0,1)")
 	flag.Float64Var(&cfg.defectOn, "defect-on", 0, "stuck-ON share of generated defects (default 0.5)")
 	flag.Uint64Var(&cfg.defectSeed, "defect-seed", 0, "seed for defect generation and placement search")
-	flag.IntVar(&cfg.repairMax, "repair", 0, "max place-verify-retry attempts (default 3)")
+	flag.IntVar(&cfg.repairMax, "repair", 0, "max candidate placements that may fail verification (default 3)")
 	flag.IntVar(&cfg.maxRows, "max-rows", 0, "per-crossbar row cap (0 = unconstrained)")
 	flag.IntVar(&cfg.maxCols, "max-cols", 0, "per-crossbar column cap (0 = unconstrained)")
 	flag.BoolVar(&cfg.partition, "partition", false, "when the function cannot fit -max-rows x -max-cols, cut it into a verified multi-tile cascade")

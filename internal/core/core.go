@@ -113,8 +113,8 @@ type Options struct {
 	// DefectSeed seeds both defect generation and the placement search, so
 	// a (network, options) pair resolves to one deterministic outcome.
 	DefectSeed uint64
-	// MaxRepairAttempts bounds the place-verify-retry loop (0 = default 3).
-	// The final attempt always escalates to the exact ILP engine.
+	// MaxRepairAttempts bounds the candidate placements that may fail
+	// verification in the place-verify loop (0 = default 3).
 	MaxRepairAttempts int
 	// Layers selects the number of crossbar wire layers. 0 (and 1) mean the
 	// classic two-layer crossbar. 3 and above enable FLOW-3D synthesis: the
@@ -127,15 +127,16 @@ type Options struct {
 	// combinations.
 	Layers int
 	// MarginAware adds a secondary electrical objective to defect-aware
-	// placement: several candidate placements are enumerated, each verified
-	// placement is scored by its worst-case voltage margin under the
-	// default device model (stuck-ON faults near used lines bridge spare
-	// lines into the array, so different bindings genuinely differ
-	// electrically), and the widest-margin candidate wins. Ties keep the
-	// first candidate, so on arrays where placement cannot matter the
-	// result is identical to the plain loop. Scoring failures degrade to
-	// the plain verified-repair loop — MarginAware never turns a placeable
-	// synthesis into a failure.
+	// placement: the loop verifies up to four candidates from the same
+	// placement stream the plain loop reads, scores each by its worst-case
+	// voltage margin under the default device model (stuck-ON faults near
+	// used lines bridge spare lines into the array, so different bindings
+	// genuinely differ electrically), and keeps the widest. The plain loop
+	// keeps the stream's first verified candidate, and ties keep the
+	// earlier candidate, so where every candidate scores the same the
+	// result is the plain loop's. A candidate whose scoring fails still
+	// counts as verified, so MarginAware never turns a placeable synthesis
+	// into a failure.
 	MarginAware bool
 }
 
@@ -172,8 +173,8 @@ type Result struct {
 	// onto the physical array, the effective design that array computes
 	// under the binding (verified against the source network before the
 	// result is returned), and the maps themselves, one per device plane.
-	// RepairAttempts counts the place-verify rounds the repair loop used
-	// (1 = first placement verified clean).
+	// RepairAttempts counts the candidate placements the repair loop put
+	// through verification (1 = the first one verified clean).
 	Placement      *xbar.Placement
 	Effective      *xbar.Design
 	Defects        []*defect.Map

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"compact/internal/bench"
 	"compact/internal/defect"
@@ -194,12 +196,11 @@ func TestVerifyWiresSampledFallback(t *testing.T) {
 }
 
 // TestRepairLoopBailsOnRepeatedPlacement pins the repair loop's
-// termination behavior when verification genuinely fails: every placement
-// engine is deterministic, so once the exact engine reproduces a binding
-// that already failed verification the loop must give up immediately
-// instead of burning the whole attempt budget re-verifying the same
-// placement. The persistent failure is simulated by verifying against a
-// network the design does not implement.
+// termination behavior when verification genuinely fails: the loop
+// verifies each binding of the placement stream once and stops when the
+// stream ends, instead of burning the whole attempt budget re-verifying
+// the same placement. The persistent failure is simulated by verifying
+// against a network the design does not implement.
 func TestRepairLoopBailsOnRepeatedPlacement(t *testing.T) {
 	res, err := Synthesize(smallNetwork(), Options{Method: labeling.MethodHeuristic})
 	if err != nil {
@@ -210,21 +211,43 @@ func TestRepairLoopBailsOnRepeatedPlacement(t *testing.T) {
 	b.Output("f", b.And(x, y, z))
 	b.Output("g", b.Or(x, z))
 	r := &Result{Design: res.Design, network: b.Build()}
-	// A fault-free map sized to the design: every engine returns the
-	// identity binding, so the loop cannot explore anything new.
+	// A fault-free map sized to the design: every binding is compatible,
+	// and the stream yields a fixed set of distinct ones.
 	dm, err := defect.New(res.Design.Rows, res.Design.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = r.placeWithRepair(context.Background(), []*defect.Map{dm}, Options{MaxRepairAttempts: 25}.Canonical())
+	maps := []*defect.Map{dm}
+	stream, err := xbar.NewPlacer(res.Design.Stack(maps), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := 0
+	for {
+		pl, err := stream.Next(context.Background(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl == nil {
+			break
+		}
+		distinct++
+	}
+	const budget = 40
+	if distinct >= budget {
+		t.Fatalf("the stream yields %d bindings; the test needs fewer than the %d-attempt budget", distinct, budget)
+	}
+	var verified []int
+	ctx := WithProgress(context.Background(), Progress{RepairAttempt: func(n int) { verified = append(verified, n) }})
+	err = r.placeWithRepair(ctx, maps, Options{MaxRepairAttempts: budget}.Canonical())
 	if err == nil {
 		t.Fatal("verification against a mismatched network succeeded")
 	}
-	if !strings.Contains(err.Error(), "already failed verification") {
-		t.Fatalf("repair loop did not report the repeated placement: %v", err)
+	if !strings.Contains(err.Error(), fmt.Sprintf("all %d distinct placements failed verification", distinct)) {
+		t.Fatalf("repair loop did not report the ended stream: %v", err)
 	}
-	if !strings.Contains(err.Error(), "after 3 attempts") {
-		t.Fatalf("repair loop burned attempts on a repeated placement: %v", err)
+	if len(verified) != distinct {
+		t.Fatalf("repair loop verified %d candidates, the stream has %d distinct bindings", len(verified), distinct)
 	}
 }
 
@@ -414,11 +437,70 @@ func TestMarginAwarePlacementImprovesMargin(t *testing.T) {
 	}
 }
 
-// TestMarginAwareNoFaultsMatchesPlain pins the tie rule: on a fault-free
-// array the candidate set is exactly the identity placement, so the
-// margin-aware and plain loops return identical results (and identical
-// cache keys would be wasteful — Key must still differ, since the option
-// changes behavior on other inputs).
+// TestMarginAwareMatchesPlainOnExactSizeMaps pins Options.MarginAware's
+// tie rule on generated maps, which are sized exactly to the design: there
+// every candidate compiles to the same nodal network (spice nodes are
+// logical, and every stuck device sits under a cell of its own state), so
+// all scores tie and the margin-aware loop keeps the stream's first
+// verified candidate, the plain loop's pick. Each placement runs under a
+// deadline shorter than the exact stage's budget; a pair in which either
+// run hits it is skipped, so no verdict depends on the wall clock.
+func TestMarginAwareMatchesPlainOnExactSizeMaps(t *testing.T) {
+	compared := 0
+	for _, circuit := range []string{"ctrl", "cavlc"} {
+		nw := bench.MustBuild(circuit)
+		for _, k := range []int{2, 3} {
+			clean, err := Synthesize(nw, Options{Method: labeling.MethodHeuristic, Layers: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rate := range []float64{0.001, 0.005} {
+			seeds:
+				for seed := uint64(1); seed <= 8; seed++ {
+					opts := Options{Method: labeling.MethodHeuristic, Layers: k, DefectRate: rate, DefectSeed: seed}.Canonical()
+					maps, err := opts.defectMaps(clean.Design)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var got [2]string
+					for i, aware := range []bool{false, true} {
+						opts.MarginAware = aware
+						r := &Result{Design: clean.Design, network: clean.network}
+						ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+						err := r.placeWithRepair(ctx, maps, opts)
+						cancel()
+						var up *xbar.Unplaceable
+						switch {
+						case errors.Is(err, context.DeadlineExceeded):
+							continue seeds
+						case err == nil:
+							got[i] = fmt.Sprintf("%s %v", r.Placement.Engine, r.Placement.Perms)
+						case errors.As(err, &up):
+							got[i] = err.Error()
+						default:
+							t.Fatalf("%s K=%d rate %g seed %d: untyped failure: %v", circuit, k, rate, seed, err)
+						}
+					}
+					compared++
+					if got[0] != got[1] {
+						t.Errorf("%s K=%d rate %g seed %d: plain and margin-aware disagree:\nplain:  %.300s\naware:  %.300s",
+							circuit, k, rate, seed, got[0], got[1])
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d of 64 pairs compared", compared)
+	if compared == 0 {
+		t.Fatal("every pair hit the deadline")
+	}
+}
+
+// TestMarginAwareNoFaultsMatchesPlain pins the tie rule on a fault-free
+// array: every binding there computes the same network, so all candidates
+// tie and the margin-aware loop keeps identity, the plain loop's pick (and
+// identical cache keys would be wasteful — Key must still differ, since
+// the option changes behavior on other inputs).
 func TestMarginAwareNoFaultsMatchesPlain(t *testing.T) {
 	nw := smallNetwork()
 	clean, err := Synthesize(nw, Options{Method: labeling.MethodHeuristic})

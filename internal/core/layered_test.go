@@ -213,10 +213,10 @@ func TestLayeredPlacementRegression(t *testing.T) {
 	}
 }
 
-// TestLayeredMarginAwarePlacement runs the margin-aware candidate search
-// on a stack: ctrl at K=3 on generated per-plane maps (rate 0.05%, seed 1),
-// which the plain loop places. Each candidate is scored on the placed
-// physical stack, so the search must return a placement whose effective
+// TestLayeredMarginAwarePlacement runs margin-aware placement on a stack:
+// ctrl at K=3 on generated per-plane maps (rate 0.05%, seed 1), which the
+// plain loop places. Each candidate is scored on the placed
+// physical stack, so the loop must return a placement whose effective
 // stack proves equivalent to the network, and whose margin simulates.
 func TestLayeredMarginAwarePlacement(t *testing.T) {
 	nw := bench.MustBuild("ctrl")

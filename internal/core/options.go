@@ -173,7 +173,7 @@ func (o Options) Canonical() Options {
 func (o Options) Key() string {
 	c := o.Canonical()
 	var b strings.Builder
-	fmt.Fprintf(&b, "compact-options-v5|gamma=%g|method=%s|bdd=%s|align=%t|timelimit=%d|order=%v|sift=%t|nodelimit=%d|octbackend=%d|autoexact=%d|maxrows=%d|maxcols=%d|partition=%t|layers=%d",
+	fmt.Fprintf(&b, "compact-options-v6|gamma=%g|method=%s|bdd=%s|align=%t|timelimit=%d|order=%v|sift=%t|nodelimit=%d|octbackend=%d|autoexact=%d|maxrows=%d|maxcols=%d|partition=%t|layers=%d",
 		c.Gamma, c.Method, c.BDDKind, !c.NoAlign, int64(c.TimeLimit), c.VarOrder, c.Sift, c.NodeLimit, c.OCTBackend, c.AutoExactLimit, c.MaxRows, c.MaxCols, c.Partition, c.Layers)
 	// Defect configuration is part of the synthesis identity: the same
 	// network on differently defective arrays yields different placements

@@ -13,15 +13,15 @@ import (
 	"compact/internal/xbar"
 )
 
-// The golden placements pin the 2D placement engine to the permutation:
-// every defect map the robust benchmark workload and
-// TestDefectSuiteBenchmarks place, searched the way the repair loop does
-// (three attempt seeds, the last forced onto the exact engine) and the way
-// the margin-aware loop does (PlaceCandidates, max 4). A rewrite of the
-// matcher, the ILP or the candidate enumeration has to reproduce
-// testdata/place_golden.txt byte for byte. To regenerate after an intended
-// change, delete the file and run the test once: it writes the file and
-// fails, asking for review.
+// The golden placements pin 2D placement to the permutation: every defect
+// map the robust benchmark workload and TestDefectSuiteBenchmarks place,
+// run through core's verified-repair loop in both modes (plain and
+// MarginAware: engine, permutations and RepairAttempts) and through the
+// placement stream the loop reads (its first four candidates, offering the
+// exact stage while none has been yielded). A rewrite of the matcher, the
+// ILP, the stream or the loop has to reproduce testdata/place_golden.txt
+// byte for byte. To regenerate after an intended change, delete the file
+// and run the test once: it writes the file and fails, asking for review.
 
 const placeGoldenFile = "testdata/place_golden.txt"
 
@@ -62,27 +62,25 @@ func placeGoldenCases() []placeGoldenCase {
 	return cs
 }
 
-func fmtPlacement(pl *xbar.Placement, err error) string {
-	if err != nil {
-		return "err=" + err.Error()
-	}
+func fmtPlacement(pl *xbar.Placement) string {
 	return fmt.Sprintf("%s rows=%v cols=%v", pl.Engine, pl.Perms[0], pl.Perms[1])
 }
 
 func placeGoldenReport(t *testing.T) string {
 	ctx := context.Background()
-	designs := map[string]*xbar.Design{}
+	cleans := map[string]*Result{}
 	var out strings.Builder
 	for _, pc := range placeGoldenCases() {
-		d := designs[pc.circuit]
-		if d == nil {
+		clean := cleans[pc.circuit]
+		if clean == nil {
 			res, err := Synthesize(bench.MustBuild(pc.circuit), Options{Method: labeling.MethodHeuristic})
 			if err != nil {
 				t.Fatalf("%s: %v", pc.circuit, err)
 			}
-			d = res.Design
-			designs[pc.circuit] = d
+			clean = res
+			cleans[pc.circuit] = res
 		}
+		d := clean.Design
 		rows, cols := d.Rows, d.Cols
 		if pc.spare {
 			rows, cols = rows+(rows+3)/4, cols+(cols+3)/4
@@ -91,21 +89,34 @@ func placeGoldenReport(t *testing.T) string {
 		if err != nil {
 			t.Fatalf("%s: %v", pc.name, err)
 		}
+		maps := []*defect.Map{dm}
 		fmt.Fprintf(&out, "== %s %dx%d on %dx%d, %d faults\n", pc.name, d.Rows, d.Cols, rows, cols, dm.Len())
-		for attempt := 0; attempt < DefaultRepairAttempts; attempt++ {
-			opts := xbar.PlaceOptions{Seed: pc.seed + uint64(attempt)*0x9e3779b97f4a7c15}
-			if attempt == DefaultRepairAttempts-1 {
-				opts.Engine = xbar.PlaceILP
+		for _, aware := range []bool{false, true} {
+			r := &Result{Design: d, network: clean.network}
+			opts := Options{Method: labeling.MethodHeuristic, DefectSeed: pc.seed, MarginAware: aware}.Canonical()
+			mode := "plain"
+			if aware {
+				mode = "margin"
 			}
-			pl, err := xbar.PlaceContext(ctx, d, []*defect.Map{dm}, opts)
-			fmt.Fprintf(&out, "place seed=%d engine=%s: %s\n", opts.Seed, opts.Engine, fmtPlacement(pl, err))
+			if err := r.placeWithRepair(ctx, maps, opts); err != nil {
+				fmt.Fprintf(&out, "%s: err=%v\n", mode, err)
+				continue
+			}
+			fmt.Fprintf(&out, "%s: %s attempts=%d\n", mode, fmtPlacement(r.Placement), r.RepairAttempts)
 		}
-		cands, err := xbar.PlaceCandidates(ctx, d, []*defect.Map{dm}, xbar.PlaceOptions{Seed: pc.seed}, 4)
+		stream, err := xbar.NewPlacer(d.Stack(maps), pc.seed)
 		if err != nil {
-			fmt.Fprintf(&out, "candidates: %s\n", fmtPlacement(nil, err))
+			t.Fatalf("%s: %v", pc.name, err)
 		}
-		for i, pl := range cands {
-			fmt.Fprintf(&out, "candidate %d: %s\n", i, fmtPlacement(pl, nil))
+		for i := 0; i < 4; i++ {
+			pl, err := stream.Next(ctx, i == 0)
+			if err != nil {
+				fmt.Fprintf(&out, "stream: err=%v\n", err)
+			}
+			if pl == nil {
+				break
+			}
+			fmt.Fprintf(&out, "candidate %d: %s\n", i, fmtPlacement(pl))
 		}
 	}
 	return out.String()

@@ -12,7 +12,7 @@ import "context"
 // fields are simply not called.
 type Progress struct {
 	// RepairAttempt reports that the defect-aware verified-repair loop is
-	// starting attempt n (1-based).
+	// verifying its n-th candidate placement (1-based).
 	RepairAttempt func(n int)
 	// TileDone reports that n tiles of a partitioned cascade have
 	// completed synthesis and verification so far.

@@ -47,7 +47,7 @@ const (
 )
 
 // mcSeedStride decorrelates per-trial resistance draws (splitmix64's odd
-// gamma, the same stride the core repair loop uses for placement seeds).
+// gamma, the same stride the placement stream uses for its greedy seeds).
 const mcSeedStride = 0x9e3779b97f4a7c15
 
 // MonteCarloOptions tunes MonteCarloContext. The zero value is the

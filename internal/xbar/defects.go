@@ -46,7 +46,7 @@ func (s Stack) UnderDefects(perms [][]int) ([]Plane, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := newPlacer(s)
+	p, err := NewPlacer(s, 0)
 	if err != nil {
 		return nil, err
 	}

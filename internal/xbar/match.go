@@ -66,13 +66,14 @@ func fullRow(row []uint64, n int) {
 // row returns right vertex w's row of the relation.
 func (m *matcher) row(w int) []uint64 { return m.adj[w*m.stride : (w+1)*m.stride] }
 
-// kuhn computes a maximum bipartite matching of nLeft left vertices onto
-// the len(order) right vertices of the relation, by depth-first augmenting
-// paths that try right vertices in the given order (a permutation of
-// 0..len(order)-1). It returns the left-side assignment (-1 when
-// unmatched), valid until the next call, and whether every left vertex was
-// matched. ctx is checked once per left vertex; on expiry kuhn stops with
-// the ctx error and no verdict.
+// kuhn matches nLeft left vertices onto the len(order) right vertices of
+// the relation, by depth-first augmenting paths that try right vertices in
+// the given order (a permutation of 0..len(order)-1), and reports whether
+// every left vertex was matched. It stops at the first left vertex that
+// cannot be matched, since no caller uses a partial matching. It returns
+// the left-side assignment (-1 when unmatched), valid until the next call.
+// ctx is checked once per left vertex; on expiry kuhn stops with the ctx
+// error and no verdict.
 //
 // The search is the textbook recursive one: each level walks order from
 // its start, skipping right vertices already seen in this augmenting
@@ -91,32 +92,52 @@ func (m *matcher) kuhn(ctx context.Context, nLeft int, order []int) ([]int, bool
 		m.stack = make([]frame, 0, nLeft)
 	}
 	m.permute(nLeft, order)
-	complete := true
 	for root := 0; root < nLeft; root++ {
 		if err := ctx.Err(); err != nil {
 			return nil, false, err
 		}
 		if !m.augment(root, order) {
-			complete = false
+			return m.matchL, false, nil
 		}
 	}
-	return m.matchL, complete, nil
+	return m.matchL, true, nil
 }
 
-// permute fills cand from the relation and order: O(nLeft·cstride) to
-// clear it plus one step per pair the relation allows.
+// permute fills cand from the relation and order: the relation's rows in
+// search order, transposed 64x64 bits at a time, O(nLeft·cstride) words.
 func (m *matcher) permute(nLeft int, order []int) {
 	m.cstride = (len(order) + 63) / 64
 	m.cand = grow(m.cand, nLeft*m.cstride)
-	clear(m.cand)
-	for p, w := range order {
-		bit := uint64(1) << (p & 63)
-		for k, word := range m.row(w) {
-			for ; word != 0; word &= word - 1 {
-				i := k*64 + bits.TrailingZeros64(word)
-				m.cand[i*m.cstride+p>>6] |= bit
+	var blk [64]uint64
+	for pb := 0; pb < m.cstride; pb++ {
+		for ib := 0; ib < m.stride; ib++ {
+			for q := range blk {
+				blk[q] = 0
+				if p := pb*64 + q; p < len(order) {
+					blk[q] = m.adj[order[p]*m.stride+ib]
+				}
+			}
+			transpose64(&blk)
+			for j := 0; j < 64 && ib*64+j < nLeft; j++ {
+				m.cand[(ib*64+j)*m.cstride+pb] = blk[j]
 			}
 		}
+	}
+}
+
+// transpose64 transposes a 64x64 bit matrix in place (bit c of a[r]
+// becomes bit r of a[c]) by swapping off-diagonal blocks of halving size.
+func transpose64(a *[64]uint64) {
+	mask := uint64(0x00000000ffffffff)
+	for j := 32; j != 0; j >>= 1 {
+		for k := 0; k < 64; k++ {
+			if k&j == 0 {
+				t := (a[k]>>j ^ a[k|j]) & mask
+				a[k|j] ^= t
+				a[k] ^= t << j
+			}
+		}
+		mask ^= mask << (j >> 1)
 	}
 }
 

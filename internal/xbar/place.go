@@ -34,44 +34,30 @@ import (
 // Physical wires the placement leaves unused are spares, assumed
 // disconnected, so their faults are harmless (see defects.go).
 //
-// The search runs in two escalating stages under one context: a seeded
-// greedy alternating bipartite matching (each layer matched against both
-// of its neighbouring planes given the neighbours' current bindings,
-// 4·(K-1) sweeps with randomized tie-breaking), and — when the greedy
-// search fails — an exact 0-1 ILP assignment formulation solved by
-// internal/ilp under the shared deadline discipline. Every conflict is
-// pairwise between two adjacent layers, so the ILP is the 2D assignment
-// model with one block of variables per layer. A proven-infeasible ILP
-// yields an *Unplaceable error with Proven set and a witness naming the
-// most constrained layer-0 wire (a 2D design's logical row).
-
-// PlaceEngine selects the placement search strategy.
-type PlaceEngine uint8
-
-// Placement engines.
-const (
-	PlaceAuto PlaceEngine = iota // greedy first, exact ILP on failure
-	PlaceILP                     // exact ILP only
-)
-
-func (e PlaceEngine) String() string {
-	if e == PlaceILP {
-		return "ilp"
-	}
-	return "auto"
-}
-
-// PlaceOptions tunes the placement search. The zero value is the
-// production default.
-type PlaceOptions struct {
-	// Engine picks the search strategy (default PlaceAuto).
-	Engine PlaceEngine
-	// Seed randomizes greedy tie-breaking; distinct seeds explore distinct
-	// placements, which is what the verified-repair loop retries with.
-	Seed uint64
-}
+// A Placer is built once per request. It yields a stream of distinct
+// compatible placements (see Placer.Next): identity when compatible, then,
+// behind a sound Hall precheck, a seeded greedy alternating bipartite
+// matching under a fixed sequence of seeds (each layer matched against
+// both of its neighbouring planes given the neighbours' current bindings,
+// 4·(K-1) shuffled sweeps per seed), and finally — at most once, when the
+// caller still holds no usable placement — an exact 0-1 ILP assignment
+// formulation solved by internal/ilp under the shared deadline discipline.
+// Every conflict is pairwise between two adjacent layers, so the ILP is
+// the 2D assignment model with one block of variables per layer. A
+// proven-infeasible ILP yields an *Unplaceable error with Proven set and a
+// witness naming the most constrained layer-0 wire (a 2D design's logical
+// row).
 
 const (
+	// streamSeeds is how many greedy searches the placement stream draws,
+	// each under its own seed.
+	streamSeeds = 16
+	// seedStride spaces the greedy seeds: a splitmix64-style odd constant
+	// decorrelates them while keeping the stream a pure function of the
+	// request's seed.
+	seedStride = 0x9e3779b97f4a7c15
+	// stepDone is the Placer's step once its stream has ended.
+	stepDone = streamSeeds + 2
 	// placeModelCap caps the exact stage's size — binary variables plus
 	// constraints. Larger models skip the exact stage with a non-proven
 	// Unplaceable rather than stall. The per-node LP (sparse revised and
@@ -102,8 +88,8 @@ type Placement struct {
 // array was found. Proven distinguishes a certificate of infeasibility
 // (the exact ILP stage exhausted the search space) from a search that
 // merely came up empty. The witness names the most constrained layer-0
-// wire (a 2D design's logical row): LogicalRow had only Candidates
-// compatible physical wires under the last layer-1 binding tried.
+// wire (a 2D design's logical row): LogicalRow has only Candidates
+// compatible physical wires under the identity layer-1 binding.
 type Unplaceable struct {
 	Stage      string // search stage that gave up: "shape", "dims", "precheck" or "ilp"
 	Detail     string
@@ -152,12 +138,13 @@ func compatCell(e Entry, k defect.Kind) bool {
 	return true
 }
 
-// placer carries the search inputs: the stack, the physical width of
-// every layer and each plane's faults, in row-major order and grouped by
-// physical row and column, plus the greedy stage's scratch. cols[p] is
-// plane p transposed (its columns as rows), built on first use, so a
-// placer serves one goroutine.
-type placer struct {
+// Placer is one placement search over a stack, built once per request:
+// the stack, the physical width of every layer and each plane's faults,
+// in row-major order and grouped by physical row and column, the stream's
+// position (see Next) and the greedy stage's scratch. cols[p] is plane p
+// transposed (its columns as rows), built on first use, so a Placer
+// serves one goroutine.
+type Placer struct {
 	Stack
 	phys    []int
 	faults  [][]defect.Cell // [plane], row-major
@@ -167,8 +154,13 @@ type placer struct {
 	nFaults int
 	cols    []Plane
 
+	seed uint64
+	step int             // next stream step: 0 identity, 1..streamSeeds greedy, then exact
+	seen map[string]bool // bindings the stream has yielded
+
 	m     matcher
 	inv   [][]int // [layer] physical -> logical scratch (-1 = unused)
+	perms [][]int // greedy's binding scratch
 	order []int   // search order scratch
 	kept  []int   // restrict's scratch
 }
@@ -241,9 +233,9 @@ func (s Stack) Bind(perms [][]int) ([]int, [][]int, error) {
 	return phys, perms, nil
 }
 
-// newPlacer validates the stack (see phys) and groups each plane's faults
-// for the search.
-func newPlacer(s Stack) (*placer, error) {
+// NewPlacer validates the stack (see phys) and groups each plane's faults
+// for the search. seed seeds the stream's greedy stage.
+func NewPlacer(s Stack, seed uint64) (*Placer, error) {
 	phys, err := s.phys()
 	if err != nil {
 		return nil, err
@@ -252,7 +244,7 @@ func newPlacer(s Stack) (*placer, error) {
 	if s.Maps == nil {
 		s.Maps = make([]*defect.Map, k-1)
 	}
-	p := &placer{Stack: s, phys: phys, faults: make([][]defect.Cell, k-1),
+	p := &Placer{Stack: s, phys: phys, seed: seed, seen: map[string]bool{}, faults: make([][]defect.Cell, k-1),
 		byCol: make([][]defect.Cell, k-1), rowAt: make([][]int, k-1), colAt: make([][]int, k-1)}
 	for pl, dm := range s.Maps {
 		rows, cols := phys[pl], phys[pl+1]
@@ -286,18 +278,18 @@ func newPlacer(s Stack) (*placer, error) {
 }
 
 // rowFaults returns the faults on physical row w of plane pl.
-func (p *placer) rowFaults(pl, w int) []defect.Cell {
+func (p *Placer) rowFaults(pl, w int) []defect.Cell {
 	return p.faults[pl][p.rowAt[pl][w]:p.rowAt[pl][w+1]]
 }
 
 // colFaults returns the faults on physical column w of plane pl.
-func (p *placer) colFaults(pl, w int) []defect.Cell {
+func (p *Placer) colFaults(pl, w int) []defect.Cell {
 	return p.byCol[pl][p.colAt[pl][w]:p.colAt[pl][w+1]]
 }
 
 // colPlane returns plane pl transposed, building every transpose on first
 // use.
-func (p *placer) colPlane(pl int) *Plane {
+func (p *Placer) colPlane(pl int) *Plane {
 	if p.cols == nil {
 		p.cols = make([]Plane, len(p.Planes))
 		for q := range p.Planes {
@@ -309,7 +301,7 @@ func (p *placer) colPlane(pl int) *Plane {
 
 // invert fills layer l's scratch inverse binding from perm (physical ->
 // logical, -1 where unused) and returns it.
-func (p *placer) invert(l int, perm []int) []int {
+func (p *Placer) invert(l int, perm []int) []int {
 	inv := fill(p.inv[l], -1)
 	for logical, physical := range perm {
 		inv[physical] = logical
@@ -342,7 +334,7 @@ func identity(widths []int) [][]int {
 // device on that partner, a stuck-ON one keeps only those holding an On
 // device there. The cost is O(phys·⌈n/64⌉ + Σ faults·degree), plus
 // ⌈n/64⌉ per stuck-ON fault, for n logical wires.
-func (p *placer) compile(l int, below, above []int) {
+func (p *Placer) compile(l int, below, above []int) {
 	m := &p.m
 	m.reset(p.Widths[l], p.phys[l])
 	for w := 0; w < p.phys[l]; w++ {
@@ -370,7 +362,7 @@ func (p *placer) compile(l int, below, above []int) {
 // a partner wire may occupy a device stuck in state k; idx and es list the
 // partner's devices (ascending logical wires and their entries), every
 // other crossing being Off.
-func (p *placer) restrict(row []uint64, idx []int, es []Entry, k defect.Kind) {
+func (p *Placer) restrict(row []uint64, idx []int, es []Entry, k defect.Kind) {
 	switch k {
 	case defect.StuckOff:
 		for j, i := range idx {
@@ -394,7 +386,7 @@ func (p *placer) restrict(row []uint64, idx []int, es []Entry, k defect.Kind) {
 }
 
 // compatible reports whether the full placement satisfies every crossing.
-func (p *placer) compatible(perms [][]int) bool {
+func (p *Placer) compatible(perms [][]int) bool {
 	for pl, faults := range p.faults {
 		if len(faults) == 0 {
 			continue
@@ -410,14 +402,11 @@ func (p *placer) compatible(perms [][]int) bool {
 	return true
 }
 
-// witness finds the most constrained layer-0 wire under the layer-1
-// binding layer1 (identity when nil): the wire with the fewest compatible
-// physical wires, counted off layer 0's compiled relation.
-func (p *placer) witness(layer1 []int) (row, candidates int) {
-	if layer1 == nil {
-		layer1 = identityPerm(p.Widths[1])
-	}
-	p.compile(0, nil, p.invert(1, layer1))
+// witness finds the most constrained layer-0 wire under the identity
+// layer-1 binding: the wire with the fewest compatible physical wires,
+// counted off layer 0's compiled relation.
+func (p *Placer) witness() (row, candidates int) {
+	p.compile(0, nil, p.invert(1, identityPerm(p.Widths[1])))
 	count := make([]int, p.Widths[0])
 	for w := 0; w < p.phys[0]; w++ {
 		for k, word := range p.m.row(w) {
@@ -452,7 +441,7 @@ func (p *placer) witness(layer1 []int) (row, candidates int) {
 // each union of classes has at most as many rows as there are physical
 // rows admitting some class of the union. That is 2⁸ unions over at most
 // 2⁸ physical-row masks, after one pass over the plane and the faults.
-func (p *placer) provenInfeasible() error {
+func (p *Placer) provenInfeasible() error {
 	class, fits := p.relaxedRows()
 	var need [8]int
 	for _, c := range class {
@@ -492,7 +481,7 @@ func (p *placer) provenInfeasible() error {
 // (bit 0: holds a Lit, bit 1: an On, bit 2: an Off) and the relaxed
 // relation of provenInfeasible: whether a row of class c fits physical
 // row pr.
-func (p *placer) relaxedRows() ([]uint8, func(c uint8, pr int) bool) {
+func (p *Placer) relaxedRows() ([]uint8, func(c uint8, pr int) bool) {
 	class := make([]uint8, p.Widths[0])
 	plane := &p.Planes[0]
 	for r := range class {
@@ -552,123 +541,116 @@ func hallMatchable(need *[8]int, avail *[256]int) bool {
 	return true
 }
 
-// Place searches for a placement of the stack onto its defective planes
-// and returns one physical-wire permutation per layer and the stage that
-// found it. A fault-free stack returns the identity placement
-// immediately. Otherwise a seeded greedy matching runs first, escalating
-// to the exact ILP assignment formulation (under ctx's deadline) when
-// greedy fails. When no placement exists — or none is found within the
-// search budget — the returned error is an *Unplaceable carrying a
-// witness; a placement is only ever returned after re-checking every
-// defective crossing, so a buggy search can not hand back an incompatible
-// binding silently.
-func (s Stack) Place(ctx context.Context, opts PlaceOptions) ([][]int, string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, "", err
-	}
-	p, err := newPlacer(s)
-	if err != nil {
-		return nil, "", err
-	}
-	if p.nFaults == 0 {
-		// No faults: every binding computes the same design, so identity
-		// is canonical regardless of the requested engine.
-		return p.finish(identity(p.Widths), "identity")
-	}
-	// The identity shortcut yields to an explicitly forced exact engine:
-	// callers (core's repair loop) force PlaceILP to explore beyond a
-	// placement that failed downstream verification, and short-circuiting
-	// every such retry back to the same identity binding would defeat it.
-	if opts.Engine != PlaceILP && p.compatible(identity(p.Widths)) {
-		return p.finish(identity(p.Widths), "identity")
-	}
-	if err := p.provenInfeasible(); err != nil {
-		return nil, "", err
-	}
-	var layer1 []int
-	if opts.Engine != PlaceILP {
-		perms, last, err := p.greedy(ctx, opts.Seed, false)
+// Next returns the stream's next placement of the stack onto its
+// defective planes. The stream yields distinct bindings in a fixed order:
+//
+//  1. identity, when it is compatible (otherwise the Hall precheck,
+//     provenInfeasible, runs here, once);
+//  2. greedy searches under seeds seed + i·seedStride, i < streamSeeds;
+//  3. once, and only when the call sets exact: the exact ILP, which
+//     settles existence.
+//
+// Every yielded placement has passed finish, so a buggy search can not
+// hand back an incompatible binding silently. Next returns nil, nil once
+// the stream has ended. A refusal — a proven precheck, or an exact stage
+// that found no placement — is an *Unplaceable carrying a witness, and
+// ends the stream like a context error.
+func (p *Placer) Next(ctx context.Context, exact bool) (*Placement, error) {
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var perms [][]int
+		var err error
+		engine := "greedy"
+		switch step := p.step; {
+		case step == 0:
+			p.step++
+			if id := identity(p.Widths); p.compatible(id) {
+				perms, engine = id, "identity"
+			} else if err = p.provenInfeasible(); err != nil {
+				p.step = stepDone
+			}
+		case step <= streamSeeds:
+			p.step++
+			perms, err = p.greedy(ctx, p.seed+uint64(step-1)*seedStride)
+		case step == streamSeeds+1 && exact:
+			p.step++
+			perms, err = p.ilp(ctx)
+			engine = "ilp"
+		default:
+			p.step = stepDone
+			return nil, nil
+		}
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
-		if perms != nil {
-			return p.finish(perms, "greedy")
+		if perms == nil {
+			continue
 		}
-		layer1 = last
+		key := fmt.Sprint(perms)
+		if p.seen[key] {
+			continue
+		}
+		if err := p.finish(perms, engine); err != nil {
+			return nil, err
+		}
+		p.seen[key] = true
+		return &Placement{Perms: perms, Engine: engine}, nil
 	}
-	perms, err := p.ilp(ctx, layer1)
-	if err != nil {
-		return nil, "", err
-	}
-	return p.finish(perms, "ilp")
-}
-
-// PlaceContext places the design d onto the defective planes maps (one
-// per device plane; nil: a fault-free array of exactly d's size); see
-// Stack.Place.
-func PlaceContext(ctx context.Context, d *Design, maps []*defect.Map, opts PlaceOptions) (*Placement, error) {
-	perms, engine, err := d.Stack(maps).Place(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Placement{Perms: perms, Engine: engine}, nil
 }
 
 // finish re-validates the placement against every defective crossing —
 // the postcondition gate between the search stages and the caller.
-func (p *placer) finish(perms [][]int, engine string) ([][]int, string, error) {
+func (p *Placer) finish(perms [][]int, engine string) error {
 	for l, perm := range perms {
 		if err := checkInjective(perm, p.phys[l], l); err != nil {
-			return nil, "", err
+			return err
 		}
 	}
 	if !p.compatible(perms) {
-		return nil, "", invariant.Violationf("xbar.place-compatible",
+		return invariant.Violationf("xbar.place-compatible",
 			"%s placement binds an incompatible crossing onto a stuck device", engine)
 	}
-	return perms, engine, nil
+	return nil
 }
 
-// greedy runs the alternating matching sweeps: each sweep matches every
-// layer in turn, bottom-up, against both neighbouring planes, compiling
-// the layer's relation once and running kuhn over it. It returns the
-// placement on success; on failure it returns the last layer-1 binding
-// tried, for witness computation. Sweep 0 tries the physical wires in
-// index order, so it is the same for every seed; later sweeps shuffle.
-// Kuhn over one shared order returns the mirror image of that order where
-// the relation allows (n wires onto the first n physical wires, the last
-// logical wire on the first), so sweep 0 packs each layer onto its
-// lowest-numbered wires, reversed — it does not prefer identity. With
-// shuffleAll, even sweep 0 shuffles: candidate enumeration wants seed
-// diversity.
-func (p *placer) greedy(ctx context.Context, seed uint64, shuffleAll bool) ([][]int, []int, error) {
+// greedy runs the alternating matching sweeps under one seed: each sweep
+// matches every layer in turn, bottom-up, against both neighbouring
+// planes, compiling the layer's relation once and running kuhn over it
+// with the physical wires in a seeded shuffled order. The first sweep
+// starts from the identity binding. It returns the placement, or nil when
+// every sweep failed.
+func (p *Placer) greedy(ctx context.Context, seed uint64) ([][]int, error) {
 	rng := seed*6364136223846793005 + 1442695040888963407
-	next := func(bound int) int {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		return int((rng >> 33) % uint64(bound))
-	}
-	order := func(n int, shuffle bool) []int {
+	order := func(n int) []int {
 		p.order = grow(p.order, n)
 		o := p.order
 		for i := range o {
 			o[i] = i
 		}
-		if shuffle {
-			for i := n - 1; i > 0; i-- {
-				j := next(i + 1)
-				o[i], o[j] = o[j], o[i]
-			}
+		for i := n - 1; i > 0; i-- {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			j := int((rng >> 33) % uint64(i+1))
+			o[i], o[j] = o[j], o[i]
 		}
 		return o
 	}
 
 	k := len(p.Widths)
-	perms := identity(p.Widths)
+	if p.perms == nil {
+		p.perms = identity(p.Widths)
+	}
+	perms := p.perms
+	for _, perm := range perms {
+		for i := range perm {
+			perm[i] = i
+		}
+	}
 	for round := 0; round < 4*(k-1); round++ {
 		if err := ctx.Err(); err != nil {
-			return nil, perms[1], err
+			return nil, err
 		}
-		shuffle := shuffleAll || round > 0 // round 0 is seed-independent
 		matched := true
 		for l := 0; l < k && matched; l++ {
 			var below, above []int
@@ -679,9 +661,9 @@ func (p *placer) greedy(ctx context.Context, seed uint64, shuffleAll bool) ([][]
 				above = p.invert(l+1, perms[l+1])
 			}
 			p.compile(l, below, above)
-			perm, ok, err := p.m.kuhn(ctx, p.Widths[l], order(p.phys[l], shuffle))
+			perm, ok, err := p.m.kuhn(ctx, p.Widths[l], order(p.phys[l]))
 			if err != nil {
-				return nil, perms[1], err
+				return nil, err
 			}
 			matched = ok
 			if matched {
@@ -690,16 +672,20 @@ func (p *placer) greedy(ctx context.Context, seed uint64, shuffleAll bool) ([][]
 		}
 		if matched {
 			if p.compatible(perms) {
-				return perms, perms[1], nil
+				out := make([][]int, k)
+				for l := range perms {
+					out[l] = slices.Clone(perms[l])
+				}
+				return out, nil
 			}
 			continue
 		}
 		// Re-randomize every layer above layer 0 before the next sweep.
 		for l := 1; l < k; l++ {
-			copy(perms[l], order(p.phys[l], true))
+			copy(perms[l], order(p.phys[l]))
 		}
 	}
-	return nil, perms[1], nil
+	return nil, nil
 }
 
 // ilp escalates to the exact 0-1 assignment formulation: one binary
@@ -709,11 +695,10 @@ func (p *placer) greedy(ctx context.Context, seed uint64, shuffleAll bool) ([][]
 // pair of plane p the compatibility table forbids. The objective prefers
 // near-identity placements (minimal wire displacement), which keeps the
 // result deterministic and physically local. Infeasibility here is a
-// proof: no placement exists. layer1 is the greedy stage's last layer-1
-// binding (nil when the ILP runs alone), for the witness.
-func (p *placer) ilp(ctx context.Context, layer1 []int) ([][]int, error) {
+// proof: no placement exists.
+func (p *Placer) ilp(ctx context.Context) ([][]int, error) {
 	fail := func(proven bool, format string, args ...any) error {
-		row, cand := p.witness(layer1)
+		row, cand := p.witness()
 		return &Unplaceable{Stage: "ilp", Detail: fmt.Sprintf(format, args...), LogicalRow: row, Candidates: cand, Proven: proven}
 	}
 	k := len(p.Widths)
@@ -813,7 +798,7 @@ func (p *placer) ilp(ctx context.Context, layer1 []int) ([][]int, error) {
 // conflict row per (logical cell, stuck device) pair the compatibility
 // table forbids: a stuck-OFF device forbids every device, a stuck-ON one
 // every crossing but the On devices. The cost is O(devices + faults).
-func (p *placer) modelSize() int {
+func (p *Placer) modelSize() int {
 	size := 0
 	for l, w := range p.Widths {
 		size += w*p.phys[l] + w + p.phys[l]
@@ -834,88 +819,4 @@ func (p *placer) modelSize() int {
 		}
 	}
 	return size
-}
-
-// PlaceCandidates enumerates up to max distinct compatible placements of d
-// onto maps, for callers that rank placements by a secondary objective (the
-// margin-aware repair loop scores each candidate's electrical margin). The
-// identity placement, when compatible, is always the first candidate;
-// further candidates come from greedy searches under derived seeds with
-// fully randomized tie-breaking, deduplicated by permutation. Every
-// returned placement has passed the same postcondition gate as
-// PlaceContext's result. When at least one candidate exists the slice is
-// returned even if the context expires mid-enumeration (anytime
-// semantics); with none, the error is the usual *Unplaceable or ctx error.
-func PlaceCandidates(ctx context.Context, d *Design, maps []*defect.Map, opts PlaceOptions, max int) ([]*Placement, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if max <= 0 {
-		max = 1
-	}
-	p, err := newPlacer(d.Stack(maps))
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	var out []*Placement
-	add := func(perms [][]int, engine string) error {
-		key := fmt.Sprint(perms)
-		if seen[key] {
-			return nil
-		}
-		if _, _, err := p.finish(perms, engine); err != nil {
-			return err
-		}
-		seen[key] = true
-		out = append(out, &Placement{Perms: perms, Engine: engine})
-		return nil
-	}
-	if id := identity(p.Widths); p.compatible(id) {
-		if err := add(id, "identity"); err != nil {
-			return nil, err
-		}
-	}
-	if p.nFaults == 0 {
-		// No faults: every binding is electrically identical, so one
-		// canonical candidate is the complete answer.
-		return out, nil
-	}
-	if len(out) == 0 {
-		if err := p.provenInfeasible(); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < 4*max && len(out) < max; i++ {
-		if err := ctx.Err(); err != nil {
-			if len(out) > 0 {
-				return out, nil
-			}
-			return nil, err
-		}
-		perms, _, err := p.greedy(ctx, opts.Seed+uint64(i)*0x9e3779b97f4a7c15, true)
-		if err != nil {
-			if len(out) > 0 {
-				return out, nil
-			}
-			return nil, err
-		}
-		if perms != nil {
-			if err := add(perms, "greedy"); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if len(out) == 0 {
-		// Greedy enumeration found nothing at all; the exact stage settles
-		// existence the same way PlaceContext would.
-		perms, err := p.ilp(ctx, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := add(perms, "ilp"); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

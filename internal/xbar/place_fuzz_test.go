@@ -3,6 +3,7 @@ package xbar
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -145,58 +146,61 @@ func stackWires(widths []int, planes []Plane) *Wires {
 	return w
 }
 
-// FuzzPlaceVsBruteForce is the placement engine's exactness oracle: on a
-// tiny stack the engine must place exactly when brute force finds a
-// compatible binding, and otherwise refuse with a proven *Unplaceable.
-// Every placement's effective stack must compute what the design computes
-// under Eval.
+// FuzzPlaceVsBruteForce is the placement stream's exactness oracle: on a
+// tiny stack, drained as core's loop drains it while nothing verifies, the
+// stream must yield a placement whenever brute force finds a compatible
+// binding, and any error that ends it must be a proven *Unplaceable. Every
+// yielded placement must be distinct, and its effective stack must
+// compute what the design computes.
 func FuzzPlaceVsBruteForce(f *testing.F) {
-	f.Add([]byte{0, 2, 1, 2, 2, 1, 2, 3, 6, 0, 0, 4, 5, 0, 0, 0, 0, 0, 4}, uint64(1), false)
-	f.Add([]byte{1, 2, 2, 2, 1, 2, 3, 2, 1, 0, 2, 3, 1, 2, 3, 1, 2, 3, 4, 0, 0, 0, 5}, uint64(7), false)
-	f.Add([]byte{0, 0, 0, 0, 0, 2, 4, 4, 4, 4, 4, 4}, uint64(3), true)
-	f.Fuzz(func(t *testing.T, data []byte, seed uint64, exact bool) {
+	f.Add([]byte{0, 2, 1, 2, 2, 1, 2, 3, 6, 0, 0, 4, 5, 0, 0, 0, 0, 0, 4}, uint64(1))
+	f.Add([]byte{1, 2, 2, 2, 1, 2, 3, 2, 1, 0, 2, 3, 1, 2, 3, 1, 2, 3, 4, 0, 0, 0, 5}, uint64(7))
+	f.Add([]byte{0, 0, 0, 0, 0, 2, 4, 4, 4, 4, 4, 4}, uint64(3))
+	// Every greedy seed fails on this 2x3 design; the exact stage places it.
+	f.Add([]byte{0x72, 0xf1, 0x10, 0x08, 0x4f, 0x19, 0x6e, 0x0a, 0x63, 0xba, 0x7e, 0x66, 0xf0, 0x47, 0xf5, 0xa4, 0x71, 0x0a}, uint64(1))
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
 		s := bytesStack(data)
-		opts := PlaceOptions{Seed: seed}
-		if exact {
-			opts.Engine = PlaceILP
-		}
-		perms, engine, err := s.Place(context.Background(), opts)
+		cands, err := drain(context.Background(), s, seed)
 		want := bruteForcePlaceable(s)
+		if want && len(cands) == 0 {
+			t.Fatalf("brute force places the stack, the stream yields nothing: %v", err)
+		}
+		if !want && len(cands) > 0 {
+			t.Fatalf("%s placement %v of a stack brute force cannot place", cands[0].Engine, cands[0].Perms)
+		}
 		if err != nil {
 			var up *Unplaceable
-			if !errors.As(err, &up) {
-				t.Fatalf("untyped failure: %v", err)
+			if !errors.As(err, &up) || !up.Proven {
+				t.Fatalf("stream ended in an unproven refusal: %v", err)
 			}
-			if want {
-				t.Fatalf("brute force places the stack, engine refused: %v", err)
+		}
+		seen := map[string]bool{}
+		for _, pl := range cands {
+			if key := fmt.Sprint(pl.Perms); seen[key] {
+				t.Fatalf("%s placement %v repeats an earlier one", pl.Engine, pl.Perms)
+			} else {
+				seen[key] = true
 			}
-			if !up.Proven {
-				t.Fatalf("unplaceable stack refused without proof: %v", err)
-			}
-			return
-		}
-		if !want {
-			t.Fatalf("%s placement %v of a stack brute force cannot place", engine, perms)
-		}
-		eff, err := s.UnderDefects(perms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, got := stackWires(s.Widths, s.Planes), stackWires(s.Widths, eff)
-		for a := 0; a < 4; a++ {
-			in := []bool{a&1 == 1, a&2 == 2}
-			wantOut, err := src.Eval(in)
+			eff, err := s.UnderDefects(pl.Perms)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotOut, err := got.Eval(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for o := range wantOut {
-				if gotOut[o] != wantOut[o] {
-					t.Fatalf("%s placement %v: wire %d reads %v under %v, design reads %v",
-						engine, perms, o, gotOut[o], in, wantOut[o])
+			src, got := stackWires(s.Widths, s.Planes), stackWires(s.Widths, eff)
+			for a := 0; a < 4; a++ {
+				in := []bool{a&1 == 1, a&2 == 2}
+				wantOut, err := src.Eval(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotOut, err := got.Eval(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for o := range wantOut {
+					if gotOut[o] != wantOut[o] {
+						t.Fatalf("%s placement %v: wire %d reads %v under %v, design reads %v",
+							pl.Engine, pl.Perms, o, gotOut[o], in, wantOut[o])
+					}
 				}
 			}
 		}

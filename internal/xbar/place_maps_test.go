@@ -105,21 +105,28 @@ func TestCompiledMatchesWireOKOnGoldenMaps(t *testing.T) {
 	}
 }
 
-// TestGreedyAllocations pins the matcher's scratch reuse: a Place whose
-// greedy stage fails on every sweep (and whose exact stage then skips its
-// over-cap model) allocates a fixed number of times, however many wires
-// the design has. A matcher that allocated its seen set per augmenting
-// search would allocate once per logical wire, per layer, per sweep:
-// over 400 times on cavlc's 53x54 design and over 1,100 on int2float's
-// 146x141.
+// TestGreedyAllocations pins the matcher's scratch reuse: a placement
+// stream whose greedy stage fails on every seed and sweep (and whose exact
+// stage then skips its over-cap model) allocates a fixed number of times,
+// however many wires the design has. A matcher that allocated its seen set
+// per augmenting search would allocate once per logical wire, per layer,
+// per sweep: over 400 times per seed on cavlc's 53x54 design and over
+// 1,100 on int2float's 146x141.
 func TestGreedyAllocations(t *testing.T) {
 	const bound = 80
 	allocs := map[string]float64{}
 	for _, g := range []goldenMap{{"cavlc", true, 0.02, 1}, {"int2float", true, 0.01, 1}} {
 		d, maps := g.stack(t)
 		place := func() error {
-			_, err := xbar.PlaceContext(context.Background(), d, maps, xbar.PlaceOptions{Seed: g.seed})
-			return err
+			p, err := xbar.NewPlacer(d.Stack(maps), g.seed)
+			if err != nil {
+				return err
+			}
+			for {
+				if pl, err := p.Next(context.Background(), true); err != nil || pl == nil {
+					return err
+				}
+			}
 		}
 		var up *xbar.Unplaceable
 		if err := place(); !errors.As(err, &up) || up.Stage != "ilp" || up.Proven {
@@ -128,7 +135,7 @@ func TestGreedyAllocations(t *testing.T) {
 		allocs[g.circuit] = testing.AllocsPerRun(3, func() { _ = place() })
 		t.Logf("%s: %.0f", g, allocs[g.circuit])
 		if allocs[g.circuit] > bound {
-			t.Errorf("%s (%dx%d): a failing Place allocates %.0f times, want at most %d", g, d.Rows, d.Cols, allocs[g.circuit], bound)
+			t.Errorf("%s (%dx%d): a failing stream allocates %.0f times, want at most %d", g, d.Rows, d.Cols, allocs[g.circuit], bound)
 		}
 	}
 	if allocs["int2float"] > allocs["cavlc"] {

@@ -302,6 +302,15 @@ func tiny2Layer(t *testing.T) *Design3D {
 	return d
 }
 
+// placeFirst returns the first placement of d's stream onto maps.
+func placeFirst(d *xbar.Design, maps []*defect.Map, seed uint64) (*xbar.Placement, error) {
+	p, err := xbar.NewPlacer(d.Stack(maps), seed)
+	if err != nil {
+		return nil, err
+	}
+	return p.Next(context.Background(), true)
+}
+
 func TestPlace3DAroundStuckDevice(t *testing.T) {
 	d := tiny2Layer(t)
 	dm, err := defect.New(2, 2)
@@ -312,14 +321,14 @@ func TestPlace3DAroundStuckDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	maps := []*defect.Map{dm}
-	perms, engine, err := d.Stack(maps).Place(context.Background(), xbar.PlaceOptions{Seed: 1})
+	pl, err := placeFirst(d, maps, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if engine != "greedy" {
-		t.Fatalf("engine %q, want greedy (identity is incompatible)", engine)
+	if pl.Engine != "greedy" {
+		t.Fatalf("engine %q, want greedy (identity is incompatible)", pl.Engine)
 	}
-	eff, err := d.UnderDefects(maps, &xbar.Placement{Perms: perms, Engine: engine})
+	eff, err := d.UnderDefects(maps, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,12 +353,12 @@ func TestPlace3DIdentityWhenClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, engine, err := d.Stack([]*defect.Map{dm}).Place(context.Background(), xbar.PlaceOptions{})
+	pl, err := placeFirst(d, []*defect.Map{dm}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if engine != "identity" {
-		t.Fatalf("engine %q, want identity", engine)
+	if pl.Engine != "identity" {
+		t.Fatalf("engine %q, want identity", pl.Engine)
 	}
 }
 
@@ -366,7 +375,7 @@ func TestPlace3DUnplaceableIsTyped(t *testing.T) {
 			}
 		}
 	}
-	_, _, err = d.Stack([]*defect.Map{dm}).Place(context.Background(), xbar.PlaceOptions{})
+	_, err = placeFirst(d, []*defect.Map{dm}, 0)
 	if up, ok := err.(*Unplaceable3D); !ok || !up.Proven {
 		t.Fatalf("error %v is not a proven *Unplaceable3D", err)
 	}
@@ -384,7 +393,7 @@ func TestPhysWidthsRejectsInconsistentStack(t *testing.T) {
 	if maps[1], err = defect.New(d.Widths[1]+3, d.Widths[2]); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.Stack(maps).Place(context.Background(), xbar.PlaceOptions{}); err == nil {
+	if _, err := placeFirst(d, maps, 0); err == nil {
 		t.Fatal("inconsistent stack accepted")
 	}
 	if _, err := d.UnderDefects(maps, nil); err == nil {
