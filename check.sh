@@ -3,7 +3,8 @@
 #
 # Runs, in order:
 #   1. gofmt       — no unformatted files
-#   2. go vet      — stdlib static checks
+#   2. go vet      — stdlib static checks, natively and for arm64 (the
+#                    build without the amd64 assembly kernels)
 #   3. build+test  — tier-1: every package compiles and its tests pass,
 #                    then vet and test the nested perfbench module, which
 #                    `go test ./...` does not reach
@@ -30,6 +31,7 @@
 #                    brute force, the check that one recoloring per
 #                    greedy OCT vertex re-admits none of them, the spice
 #                    nodal solve against the dense-elimination oracle,
+#                    its AVX2 kernels against the Go ones, bit for bit,
 #                    the warm-vs-cold branch & bound LP cross-check,
 #                    the sparse reinversion's eta file against the dense
 #                    one and the odd-cycle cut separator against brute
@@ -67,6 +69,7 @@ fi
 
 echo "== go vet =="
 go vet ./...
+GOARCH=arm64 go vet ./...
 
 echo "== build + test =="
 go build ./...
@@ -101,6 +104,7 @@ if [ "$short" -eq 0 ]; then
     go test -fuzz=FuzzPlanJSON -fuzztime=5s -run='^$' ./internal/partition/
     go test -fuzz=FuzzStoreEntry -fuzztime=5s -run='^$' ./internal/store/
     go test -fuzz=FuzzNodalVsDense -fuzztime=5s -run='^$' ./internal/spice/
+    go test -fuzz=FuzzKernelsVsGo -fuzztime=5s -run='^$' ./internal/spice/
 fi
 
 echo "== compactlint =="

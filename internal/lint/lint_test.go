@@ -151,6 +151,30 @@ func TestMalformedDirective(t *testing.T) {
 	}
 }
 
+// TestLoadHonorsBuildConstraints pins that the loader type-checks only
+// the files the build compiles on this platform: a file and its excluded
+// twin declare the same names, which is no redeclaration.
+func TestLoadHonorsBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"a.go":       "package p\n\nconst x = 1\n",
+		"b.go":       "//go:build compactlint_never\n\npackage p\n\nconst x = 2\n",
+		"c_plan9.go": "package p\n\nconst x = 3\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prog, err := LoadDir(dir, "p")
+	if err != nil {
+		t.Fatalf("LoadDir: %v", err)
+	}
+	if n := len(prog.Pkgs[0].Files); n != 1 {
+		t.Errorf("loaded %d files, want only a.go", n)
+	}
+}
+
 func TestDefaultAnalyzers(t *testing.T) {
 	as := DefaultAnalyzers("compact")
 	names := make(map[string]bool)

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -170,6 +171,16 @@ func parseDir(fset *token.FileSet, dir, root, modPath string) (*parsedDir, error
 	for _, e := range entries {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
+			continue
+		}
+		// Only the files the build compiles here: a _GOOS/_GOARCH name
+		// or a //go:build line can exclude a file, and its excluded
+		// twin declares the same names.
+		ok, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		}
+		if !ok {
 			continue
 		}
 		names = append(names, n)

@@ -23,13 +23,16 @@ import (
 // overrides), K=3/K=4 stacks, and one design whose solve spans several
 // tiles of the dense kernels on both sides. A rewrite of the nodal
 // assembly, the margin sweep, the trial pool or the blame has to reproduce
-// testdata/golden.txt byte for byte. To regenerate after an intended
-// change, delete the file and run the test once: it writes the file and
-// fails, asking for review. A change of the solve's arithmetic moves float
-// bits only: before committing, check that every discrete field of the new
-// file (separability, trial and failure counts, yield, critical cells,
-// error strings) is unchanged and every float lies within 1e-9·(1+|v|) of
-// the old one.
+// testdata/golden.txt byte for byte. The file pins both kernel sets of
+// linalg.go: the test runs whichever this CPU selects, AVX2 or Go, and
+// FuzzKernelsVsGo holds the two to the same bits, so the per-entry
+// summation order of every dense kernel is part of this contract. To
+// regenerate after an intended change, delete the file and run the test
+// once: it writes the file and fails, asking for review. A change of the
+// solve's arithmetic moves float bits only: before committing, check that
+// every discrete field of the new file (separability, trial and failure
+// counts, yield, critical cells, error strings) is unchanged and every
+// float lies within 1e-9·(1+|v|) of the old one.
 
 const goldenFile = "testdata/golden.txt"
 
@@ -225,9 +228,9 @@ func simulateRes(d *xbar.Design, assignment []bool, env Env, res []*ResistanceMa
 	if err != nil {
 		return nil, err
 	}
-	var sv solver
-	nw.trial(&sv, res)
-	return nw.simulate(&sv, assignment)
+	sv := newSolver()
+	nw.trial(sv, res)
+	return nw.simulate(sv, assignment)
 }
 
 func TestGoldenReports(t *testing.T) {

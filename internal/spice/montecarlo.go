@@ -212,7 +212,7 @@ func MonteCarloContext(ctx context.Context, d *xbar.Design, ref func([]bool) []b
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sv solver
+			sv := newSolver()
 			for {
 				t := int(next.Add(1)) - 1
 				if t >= opts.Trials || runCtx.Err() != nil {
@@ -223,7 +223,7 @@ func MonteCarloContext(ctx context.Context, d *xbar.Design, ref func([]bool) []b
 					errOnce.Do(func() { simErr = err; cancel() })
 					return
 				}
-				nw.trial(&sv, res)
+				nw.trial(sv, res)
 				tr := trial{minOn: math.Inf(1), maxOff: math.Inf(-1), onVec: -1, offVec: -1}
 				aborted := false
 				for s, in := range vecs {
@@ -231,7 +231,7 @@ func MonteCarloContext(ctx context.Context, d *xbar.Design, ref func([]bool) []b
 						aborted = true // deadline mid-trial: drop the partial trial
 						break
 					}
-					volts, err := nw.simulate(&sv, in)
+					volts, err := nw.simulate(sv, in)
 					if err != nil {
 						errOnce.Do(func() { simErr = fmt.Errorf("trial %d: %w", t, err); cancel() })
 						return

@@ -94,13 +94,20 @@ func (nw *network) wIndex(a, b int) int {
 // conducts (devices in devW order). A stuck cell's two values are equal,
 // so the per-vector pass needs no override. The rest is per vector: V, the
 // Schur complement S (lower half, row-major), the two diagonals and the
-// right-hand sides.
+// right-hand sides. la runs the dense kernels.
 type solver struct {
 	base, dev     []float64
 	v, s          []float64
 	ds, dl, rl, t []float64
 	xs            []float64
 	out           []float64
+	la            linalg
+}
+
+// newSolver returns an empty solver on the fastest kernel set this CPU
+// has.
+func newSolver() *solver {
+	return &solver{la: linalg{avx2: hasAVX2}}
 }
 
 // grow returns buf resized to n, reallocating only when it is too short.
@@ -183,12 +190,27 @@ func (nw *network) solve(sv *solver, assignment []bool) error {
 	// input node and a sense resistor per loaded output node.
 	ds, dl := grow(sv.ds, ns), grow(sv.dl, nl)
 	sv.ds, sv.dl = ds, dl
-	clear(ds)
 	clear(dl)
-	for i := 0; i < ns; i++ {
-		row := v[i*nl : i*nl+nl]
+	// Four rows at a time: their sums are independent chains, and each
+	// dl[k] still adds the rows in order.
+	i := 0
+	for ; i+4 <= ns; i += 4 {
+		r0, r1 := v[i*nl:i*nl+nl], v[(i+1)*nl:(i+1)*nl+nl]
+		r2, r3 := v[(i+2)*nl:(i+2)*nl+nl], v[(i+3)*nl:(i+3)*nl+nl]
+		var s0, s1, s2, s3 float64
+		for k := range dl {
+			w0, w1, w2, w3 := r0[k], r1[k], r2[k], r3[k]
+			s0 += w0
+			s1 += w1
+			s2 += w2
+			s3 += w3
+			dl[k] = dl[k] + w0 + w1 + w2 + w3
+		}
+		ds[i], ds[i+1], ds[i+2], ds[i+3] = s0, s1, s2, s3
+	}
+	for ; i < ns; i++ {
 		sum := 0.0
-		for k, w := range row {
+		for k, w := range v[i*nl : i*nl+nl] {
 			sum += w
 			dl[k] += w
 		}
@@ -210,10 +232,7 @@ func (nw *network) solve(sv *solver, assignment []bool) error {
 		rl[k] = 1 / math.Sqrt(x)
 	}
 	for i := 0; i < ns; i++ {
-		row := v[i*nl : i*nl+nl]
-		for k := range row {
-			row[k] *= rl[k]
-		}
+		sv.la.scale(v[i*nl:i*nl+nl], rl)
 	}
 	// The right-hand side of the small side, b_s + V·t: b is Vin·gd on
 	// the input node and zero elsewhere.
@@ -239,15 +258,15 @@ func (nw *network) solve(sv *solver, assignment []bool) error {
 		clear(row)
 		row[i] = ds[i]
 	}
-	lowerUpdate(s, ns, v, nl, 0, ns, 0, ns, 0, nl)
-	if i := cholesky(s, ns); i >= 0 {
+	sv.la.lowerUpdate(s, ns, v, nl, 0, ns, 0, ns, 0, nl)
+	if i := sv.la.cholesky(s, ns); i >= 0 {
 		return fmt.Errorf("spice: singular conductance matrix at node %d", nw.node(true, i))
 	}
-	cholSolve(s, ns, xs)
+	sv.la.cholSolve(s, ns, xs)
 
 	// Back-substitution, kept scaled: t ← t + Vᵀ·x_s, so x_l = rl·t.
 	for i := 0; i < ns; i++ {
-		axpy(t, v[i*nl:i*nl+nl], xs[i])
+		sv.la.axpy(t, v[i*nl:i*nl+nl], xs[i])
 	}
 	return nil
 }

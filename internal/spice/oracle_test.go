@@ -225,16 +225,18 @@ func solveCG(g [][]float64, b []float64) ([]float64, error) {
 	return nil, errors.New("spice: conjugate gradient did not converge")
 }
 
-// nodalVoltages runs the production solve and returns every node voltage.
-func nodalVoltages(nw *network, assignment []bool, res []*ResistanceMap) ([]float64, error) {
-	var sv solver
-	nw.trial(&sv, res)
-	if err := nw.solve(&sv, assignment); err != nil {
+// nodalVoltages runs the production solve on the AVX2 or the Go kernel
+// set and returns every node voltage.
+func nodalVoltages(nw *network, assignment []bool, res []*ResistanceMap, avx2 bool) ([]float64, error) {
+	sv := newSolver()
+	sv.la.avx2 = avx2
+	nw.trial(sv, res)
+	if err := nw.solve(sv, assignment); err != nil {
 		return nil, err
 	}
 	x := make([]float64, nw.n)
 	for w := range x {
-		x[w] = nw.voltage(&sv, w)
+		x[w] = nw.voltage(sv, w)
 	}
 	return x, nil
 }
@@ -245,16 +247,25 @@ func denseVoltages(nw *network, assignment []bool, res []*ResistanceMap) ([]floa
 	return solveDense(g, b)
 }
 
-// checkNodalMatchesDense compares the two solves node by node.
+// checkNodalMatchesDense compares the two solves node by node. Where the
+// CPU has AVX2 it also solves on the Go kernels, which must give the same
+// bits.
 func checkNodalMatchesDense(t *testing.T, what string, nw *network, assignment []bool, res []*ResistanceMap) {
 	t.Helper()
 	want, err := denseVoltages(nw, assignment, res)
 	if err != nil {
 		t.Fatalf("%s: dense oracle: %v", what, err)
 	}
-	got, err := nodalVoltages(nw, assignment, res)
+	got, err := nodalVoltages(nw, assignment, res, hasAVX2)
 	if err != nil {
 		t.Fatalf("%s: nodal solve: %v", what, err)
+	}
+	if hasAVX2 {
+		ref, err := nodalVoltages(nw, assignment, res, false)
+		if err != nil {
+			t.Fatalf("%s: nodal solve on the Go kernels: %v", what, err)
+		}
+		sameBits(t, what+": node voltages", got, ref)
 	}
 	for w := range want {
 		if math.Abs(got[w]-want[w]) > nodalTol*(1+math.Abs(want[w])) {

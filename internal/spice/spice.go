@@ -337,9 +337,9 @@ func SimulateEnv(d *xbar.Design, assignment []bool, env Env) ([]float64, error) 
 	if err != nil {
 		return nil, err
 	}
-	var sv solver
-	nw.trial(&sv, nil)
-	return nw.simulate(&sv, assignment)
+	sv := newSolver()
+	nw.trial(sv, nil)
+	return nw.simulate(sv, assignment)
 }
 
 // MarginReport summarizes the electrical separability of a design: the
@@ -373,11 +373,11 @@ func (nw *network) margin(ctx context.Context, ref func([]bool) []bool, nVars, e
 		ctx = context.Background()
 	}
 	rep := MarginReport{MinOn: math.Inf(1), MaxOff: math.Inf(-1)}
-	var sv solver
-	nw.trial(&sv, nil)
+	sv := newSolver()
+	nw.trial(sv, nil)
 	run := func(in []bool) error {
 		want := ref(in)
-		volts, err := nw.simulate(&sv, in)
+		volts, err := nw.simulate(sv, in)
 		if err != nil {
 			return err
 		}

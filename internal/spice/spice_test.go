@@ -295,14 +295,14 @@ func TestSimulateReusesScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sv solver
-	nw.trial(&sv, nil)
+	sv := newSolver()
+	nw.trial(sv, nil)
 	vecs := goldenVectors(len(d.VarNames), 2)
-	if _, err := nw.simulate(&sv, vecs[0]); err != nil {
+	if _, err := nw.simulate(sv, vecs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if _, err := nw.simulate(&sv, vecs[1]); err != nil {
+		if _, err := nw.simulate(sv, vecs[1]); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
