@@ -3,8 +3,9 @@
 #
 # Runs, in order:
 #   1. gofmt       — no unformatted files
-#   2. go vet      — stdlib static checks, natively and for arm64 (the
-#                    build without the amd64 assembly kernels)
+#   2. go vet      — stdlib static checks, natively, for arm64 (the
+#                    build without the amd64 assembly kernels) and for
+#                    386 (the 32-bit build)
 #   3. build+test  — tier-1: every package compiles and its tests pass,
 #                    then vet and test the nested perfbench module, which
 #                    `go test ./...` does not reach
@@ -70,6 +71,7 @@ fi
 echo "== go vet =="
 go vet ./...
 GOARCH=arm64 go vet ./...
+GOARCH=386 go vet ./...
 
 echo "== build + test =="
 go build ./...

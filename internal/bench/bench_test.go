@@ -108,7 +108,7 @@ func TestSECCorrectsSingleErrors(t *testing.T) {
 	// en=0 the outputs pass data through; we instead verify the correction
 	// property structurally: flipping data bit i with the check bits of
 	// the clean word must restore the clean data.
-	data := 0xDEADBEEF
+	data := uint32(0xDEADBEEF)
 	in := make([]bool, 41)
 	for i := 0; i < 32; i++ {
 		in[i] = data&(1<<uint(i)) != 0

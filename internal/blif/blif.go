@@ -34,7 +34,9 @@ type cube struct {
 // any order. Covers with output value '0' (off-set covers) are complemented.
 func Parse(r io.Reader) (*logic.Network, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
+	// The buffer starts small and grows with the longest line, up to the
+	// 64 MiB token cap.
+	sc.Buffer(nil, 64*1024*1024)
 
 	var model string
 	var inputs, outputs []string

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"compact/internal/bench"
 	"compact/internal/logic"
 )
 
@@ -232,4 +233,35 @@ func randomNetwork(rng *rand.Rand, nIn, nGates int) *logic.Network {
 	b.Output("f", pool[len(pool)-1])
 	b.Output("g", pool[len(pool)-2])
 	return b.Build()
+}
+
+func TestParseLongLine(t *testing.T) {
+	long := ".inputs a b c # " + strings.Repeat("x", 2<<20) + "\n"
+	nw, err := Parse(strings.NewReader(strings.Replace(sampleBLIF, ".inputs a b c\n", long, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nw.NumInputs() != 3 {
+		t.Errorf("inputs = %d, want 3", nw.NumInputs())
+	}
+}
+
+// TestParseAllocs keeps the per-call scanner buffer proportional to the
+// input: parsing ctrl's few-KiB BLIF must allocate well under 1 MiB.
+func TestParseAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, bench.MustBuild("ctrl")); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.Bytes()
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Parse(bytes.NewReader(text)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got > 256<<10 {
+		t.Errorf("Parse(ctrl, %d bytes) allocates %d bytes per call, want at most 256 KiB", len(text), got)
+	}
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -98,6 +99,13 @@ func addDesignRow(t *Table, name, method string, d *xbar.Design, nw interface {
 	})
 }
 
+// label runs one labeling solve under the per-solve time limit.
+func (c Config) label(p labeling.Problem, opts labeling.Options) (*labeling.Solution, error) {
+	ctx, cancel := context.WithTimeout(c.context(), c.timeLimit())
+	defer cancel()
+	return labeling.SolveContext(ctx, p, opts)
+}
+
 // Ablations measures the design choices catalogued in DESIGN.md §5 on the
 // ctrl benchmark, reporting the quality and run-time of each variant pair.
 func Ablations(cfg Config) (*Table, error) {
@@ -122,9 +130,7 @@ func Ablations(cfg Config) (*Table, error) {
 	// 1. Exact labelers at gamma = 1: same optimum, different run-time.
 	for _, method := range []labeling.Method{labeling.MethodOCT, labeling.MethodMIP} {
 		start := time.Now()
-		sol, err := labeling.SolveContext(cfg.context(), bg.Problem(false), labeling.Options{
-			Method: method, Gamma: 1, TimeLimit: cfg.timeLimit(),
-		})
+		sol, err := cfg.label(bg.Problem(false), labeling.Options{Method: method, Gamma: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -138,9 +144,8 @@ func Ablations(cfg Config) (*Table, error) {
 			variant = "eq4-helpers"
 		}
 		start := time.Now()
-		sol, err := labeling.SolveContext(cfg.context(), bg.Problem(true), labeling.Options{
-			Method: labeling.MethodMIP, Gamma: 0.5,
-			TimeLimit: cfg.timeLimit(), UseEdgeHelpers: helpers,
+		sol, err := cfg.label(bg.Problem(true), labeling.Options{
+			Method: labeling.MethodMIP, Gamma: 0.5, UseEdgeHelpers: helpers,
 		})
 		if err != nil {
 			return nil, err
@@ -156,7 +161,9 @@ func Ablations(cfg Config) (*Table, error) {
 			variant = "ilp"
 		}
 		start := time.Now()
-		res, err := oct.FindContext(cfg.context(), bg.G, oct.Options{Backend: backend, TimeLimit: cfg.timeLimit()})
+		ctx, cancel := context.WithTimeout(cfg.context(), cfg.timeLimit())
+		res, err := oct.FindContext(ctx, bg.G, oct.Options{Backend: backend})
+		cancel()
 		if err != nil {
 			return nil, err
 		}
@@ -181,9 +188,7 @@ func Ablations(cfg Config) (*Table, error) {
 			variant = "unaligned"
 		}
 		start := time.Now()
-		sol, err := labeling.SolveContext(cfg.context(), bg.Problem(align), labeling.Options{
-			Method: labeling.MethodMIP, Gamma: 0.5, TimeLimit: cfg.timeLimit(),
-		})
+		sol, err := cfg.label(bg.Problem(align), labeling.Options{Method: labeling.MethodMIP, Gamma: 0.5})
 		if err != nil {
 			return nil, err
 		}

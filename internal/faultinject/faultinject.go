@@ -25,6 +25,10 @@
 // Site-specific modes (e.g. "infeasible" at the labeling boundary,
 // "corrupt" at the placement boundary, "unavailable" at the server
 // boundary) are read through Mode.
+//
+// Budget is the one injection that is not read from the environment: a
+// context that expires at a chosen check instead of at a clock time, so a
+// test can end an anytime solver's budget at a fixed point of its work.
 package faultinject
 
 import (
@@ -33,6 +37,9 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // EnvVar is the environment variable holding the injection spec.
@@ -96,3 +103,50 @@ func Err(stage string) error {
 	}
 	return nil // site-specific mode; the boundary interprets it via Mode
 }
+
+// Budget returns a context that passes its first n checks and expires as
+// the n-th returns: every later check sees context.DeadlineExceeded, and
+// its one Done channel closes, so contexts derived from it are cancelled
+// too. A check is a call of Err or Deadline, the two calls a solver makes
+// where it decides whether to go on; a derived cancel context's Deadline
+// reaches this one, so its checks count as well. n <= 0 gives a context
+// that is dead on entry. The expiry depends only on how many checks ran,
+// never on the clock.
+func Budget(n int) context.Context {
+	c := &budgetCtx{done: make(chan struct{})}
+	c.left.Store(int64(n))
+	if n <= 0 {
+		c.expire()
+	}
+	return c
+}
+
+// budgetCtx is Budget's context.
+type budgetCtx struct {
+	left  atomic.Int64 // checks still live; the check that takes it to 0 closes done
+	done  chan struct{}
+	close sync.Once
+}
+
+// check counts one check and reports the context's state after it.
+func (c *budgetCtx) check() error {
+	left := c.left.Add(-1)
+	if left <= 0 {
+		c.expire()
+	}
+	if left < 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+func (c *budgetCtx) expire() { c.close.Do(func() { close(c.done) }) }
+
+func (c *budgetCtx) Deadline() (time.Time, bool) {
+	_ = c.check() // counted only: the budget has no clock time
+	return time.Time{}, false
+}
+
+func (c *budgetCtx) Done() <-chan struct{} { return c.done }
+func (c *budgetCtx) Err() error            { return c.check() }
+func (c *budgetCtx) Value(any) any         { return nil }

@@ -61,3 +61,30 @@ func TestMalformedEntriesIgnored(t *testing.T) {
 		t.Fatalf("Mode(bdd) = %q,%v", mode, ok)
 	}
 }
+
+func TestBudgetExpiresAfterItsChecks(t *testing.T) {
+	if err := Budget(0).Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Budget(0).Err() = %v, want dead on entry", err)
+	}
+	ctx := Budget(3)
+	child, cancel := context.WithCancel(ctx)
+	defer cancel()
+	for i := 1; i <= 2; i++ {
+		if err := ctx.Err(); err != nil {
+			t.Fatalf("check %d: %v, want live", i, err)
+		}
+		select {
+		case <-ctx.Done():
+			t.Fatalf("Done closed after check %d of 3", i)
+		default:
+		}
+	}
+	if _, ok := child.Deadline(); ok { // the third check, through the child
+		t.Fatal("a budget has no clock deadline")
+	}
+	<-ctx.Done()
+	<-child.Done()
+	if err := ctx.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("check 4: %v, want context.DeadlineExceeded", err)
+	}
+}

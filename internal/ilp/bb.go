@@ -106,7 +106,6 @@ type bbSearch struct {
 	rootLB, rootUB []float64
 	tmpl           *rsLP // root lowering shared by every warm node solve
 	probe          *searchProbe
-	deadline       time.Time
 	ctx            context.Context
 	start          time.Time
 	snap           func(float64) float64
@@ -137,9 +136,12 @@ type factorSlot struct {
 	f   *factor
 }
 
-// searchProbe lets a test watch and steer one search's factor reuse.
+// searchProbe lets a test watch and steer one search: its worker count,
+// a node budget and its factor reuse.
 type searchProbe struct {
-	noReuse bool // keep the slots empty
+	workers  int  // branch & bound workers; zero means defaultWorkers()
+	maxNodes int  // stop after this many node expansions; zero = no limit
+	noReuse  bool // keep the slots empty
 	// served, when set, is called under the search lock for each node
 	// that installs a slot's factor, with the node's bounds.
 	served func(node *bbNode, lbs, ubs []float64, f *factor)
@@ -227,12 +229,7 @@ func (s *bbSearch) worker(id int) {
 			s.finishLocked()
 			return
 		}
-		if (!s.deadline.IsZero() && time.Now().After(s.deadline)) || s.ctx.Err() != nil {
-			s.timedOut = true
-			s.finishLocked()
-			return
-		}
-		if s.opts.MaxNodes > 0 && s.nodes >= s.opts.MaxNodes {
+		if expired(s.ctx) || (s.probe != nil && s.probe.maxNodes > 0 && s.nodes >= s.probe.maxNodes) {
 			s.timedOut = true
 			s.finishLocked()
 			return
@@ -353,7 +350,7 @@ func (s *bbSearch) worker(id int) {
 // (and its factor f, when a slot held it) when the node carries one,
 // otherwise cold (see reoptimize).
 func (s *bbSearch) solveNode(node *bbNode, f *factor, lbs, ubs []float64) (res lpResult, cold bool, err error) {
-	return reoptimize(s.ctx, s.tmpl, s.mod, lbs, ubs, node.basis, f, s.deadline)
+	return reoptimize(s.ctx, s.tmpl, s.mod, lbs, ubs, node.basis, f)
 }
 
 // reoptimize solves mod's LP relaxation under bounds lbs/ubs warm on its
@@ -362,16 +359,16 @@ func (s *bbSearch) solveNode(node *bbNode, f *factor, lbs, ubs []float64) (res l
 // solveLP. cold reports that the cold path produced the result. A time
 // limit inside the warm path is returned as is, and so is any error of
 // the cold solve.
-func reoptimize(ctx context.Context, t *rsLP, mod *Model, lbs, ubs []float64, snap basisSnap, f *factor, deadline time.Time) (res lpResult, cold bool, err error) {
+func reoptimize(ctx context.Context, t *rsLP, mod *Model, lbs, ubs []float64, snap basisSnap, f *factor) (res lpResult, cold bool, err error) {
 	var warm lpResult
 	if snap != nil {
-		res, err = t.solveWarm(ctx, lbs, ubs, snap, f, deadline)
+		res, err = t.solveWarm(ctx, lbs, ubs, snap, f)
 		if err == nil || errors.Is(err, errTimeLimit) {
 			return res, false, err
 		}
 		warm = res
 	}
-	res, err = solveLP(ctx, mod, lbs, ubs, deadline)
+	res, err = solveLP(ctx, mod, lbs, ubs)
 	res.iters += warm.iters
 	res.refactors += warm.refactors
 	// A cold solve lowers the model under its own bounds, which may
@@ -385,22 +382,22 @@ func reoptimize(ctx context.Context, t *rsLP, mod *Model, lbs, ubs []float64, sn
 // by the dual simplex (see reoptimize: cold when the slack basis is not
 // dual feasible or the warm solve fails). It returns the lowering, which
 // becomes the template of the search's nodes.
-func solveRoot(ctx context.Context, mod *Model, lbs, ubs []float64, deadline time.Time) (t *rsLP, res lpResult, cold bool, err error) {
+func solveRoot(ctx context.Context, mod *Model, lbs, ubs []float64) (t *rsLP, res lpResult, cold bool, err error) {
 	if t, err = lowerSparse(mod, lbs, ubs); err != nil {
 		return nil, lpResult{}, false, err
 	}
-	res, cold, err = reoptimize(ctx, t, mod, lbs, ubs, t.slackBasis(), nil, deadline)
+	res, cold, err = reoptimize(ctx, t, mod, lbs, ubs, t.slackBasis(), nil)
 	return t, res, cold, err
 }
 
 // SolveContext minimizes the model by LP-based best-first branch & bound.
 // It never returns an invalid incumbent: Solution.X (when Status is Optimal
-// or Feasible) satisfies all constraints and integrality. The effective
-// deadline is the earlier of ctx's deadline and start+opts.TimeLimit, and a
-// cancelled ctx aborts the search at the next simplex iteration or node
-// expansion, returning the best incumbent found so far. A context that is
-// already dead on entry returns (nil, ctx.Err()) without touching the model.
-// With opts.Workers > 1 node expansion is parallel (see bbSearch).
+// or Feasible) satisfies all constraints and integrality. ctx is the only
+// budget: once it is cancelled or past its deadline, the search stops at
+// the next simplex iteration or node expansion and returns the best
+// incumbent found so far. A context that is already dead on entry returns
+// (nil, ctx.Err()) without touching the model. Node expansion runs on
+// defaultWorkers() workers (see bbSearch).
 func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, error) {
 	return solve(ctx, mod, opts, nil)
 }
@@ -414,13 +411,6 @@ func solve(ctx context.Context, mod *Model, opts Options, probe *searchProbe) (*
 		return nil, err
 	}
 	start := time.Now()
-	deadline := time.Time{}
-	if opts.TimeLimit > 0 {
-		deadline = start.Add(opts.TimeLimit)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
 
 	sol := &Solution{Status: StatusNoSolution, Obj: math.Inf(1), Bound: math.Inf(-1)}
 	incumbent := math.Inf(1)
@@ -435,7 +425,7 @@ func solve(ctx context.Context, mod *Model, opts Options, probe *searchProbe) (*
 	// Root relaxation: the dual simplex from the slack basis.
 	rootLB := append([]float64(nil), mod.lb...)
 	rootUB := append([]float64(nil), mod.ub...)
-	tmpl, res, _, err := solveRoot(ctx, mod, rootLB, rootUB, deadline)
+	tmpl, res, _, err := solveRoot(ctx, mod, rootLB, rootUB)
 	if err != nil {
 		if errors.Is(err, errTimeLimit) && incumbentX != nil {
 			sol.Status = StatusFeasible
@@ -488,7 +478,7 @@ func solve(ctx context.Context, mod *Model, opts Options, probe *searchProbe) (*
 	}
 	if opts.Separate != nil {
 		closed := func(obj float64) bool { return snap(obj) >= incumbent-1e-9 }
-		mod, tmpl, res = separateRoot(ctx, mod, tmpl, res, rootLB, rootUB, opts.Separate, closed, deadline, sol)
+		mod, tmpl, res = separateRoot(ctx, mod, tmpl, res, rootLB, rootUB, opts.Separate, closed, sol)
 	}
 	res.obj = snap(res.obj)
 
@@ -501,7 +491,7 @@ func solve(ctx context.Context, mod *Model, opts Options, probe *searchProbe) (*
 	s := &bbSearch{
 		mod: mod, opts: opts,
 		rootLB: rootLB, rootUB: rootUB, tmpl: tmpl, probe: probe,
-		deadline: deadline, ctx: ctx, start: start, snap: snap,
+		ctx: ctx, start: start, snap: snap,
 		inFlight:    make(map[int]float64),
 		incumbent:   incumbent,
 		incumbentX:  incumbentX,
@@ -514,9 +504,9 @@ func solve(ctx context.Context, mod *Model, opts Options, probe *searchProbe) (*
 	s.keepLocked(-1, res.factor)
 	s.traceLocked()
 
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
+	workers := defaultWorkers()
+	if probe != nil && probe.workers > 0 {
+		workers = probe.workers
 	}
 	var wg sync.WaitGroup
 	for id := 0; id < workers; id++ {
@@ -609,7 +599,7 @@ const maxCutRounds = 2
 // (DESIGN §5b). It returns the model with the kept cuts, its lowering and
 // the root LP solved on it; every round's work is counted in sol.
 func separateRoot(ctx context.Context, mod *Model, t *rsLP, res lpResult, lbs, ubs []float64,
-	sep func(x []float64) []Constraint, closed func(obj float64) bool, deadline time.Time, sol *Solution) (*Model, *rsLP, lpResult) {
+	sep func(x []float64) []Constraint, closed func(obj float64) bool, sol *Solution) (*Model, *rsLP, lpResult) {
 	for round := 0; round < maxCutRounds && !closed(res.obj); round++ {
 		cuts := sep(res.x)
 		if len(cuts) == 0 {
@@ -620,7 +610,7 @@ func separateRoot(ctx context.Context, mod *Model, t *rsLP, res lpResult, lbs, u
 		if err != nil {
 			break
 		}
-		r, _, err := reoptimize(ctx, ct, cm, lbs, ubs, ct.extendBasis(t, res.basis), nil, deadline)
+		r, _, err := reoptimize(ctx, ct, cm, lbs, ubs, ct.extendBasis(t, res.basis), nil)
 		sol.Iters += r.iters
 		sol.Refactors += r.refactors
 		if err != nil || r.status != StatusOptimal {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"compact/internal/graph"
 )
@@ -23,7 +22,7 @@ func BenchmarkLPVertexCoverDense(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := solveLPDense(context.Background(), mod, mod.lb, mod.ub, time.Time{})
+		res, err := solveLPDense(context.Background(), mod, mod.lb, mod.ub)
 		if err != nil || res.status != StatusOptimal {
 			b.Fatalf("dense: %v / %v", err, res.status)
 		}
@@ -37,7 +36,7 @@ func BenchmarkLPVertexCoverRevised(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := solveLP(context.Background(), mod, mod.lb, mod.ub, time.Time{})
+		res, err := solveLP(context.Background(), mod, mod.lb, mod.ub)
 		if err != nil || res.status != StatusOptimal {
 			b.Fatalf("revised: %v / %v", err, res.status)
 		}
@@ -51,7 +50,7 @@ func BenchmarkBBVertexCoverSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := SolveContext(context.Background(), mod, Options{Workers: 1})
+		sol, err := solve(context.Background(), mod, Options{}, &searchProbe{workers: 1})
 		if err != nil || sol.Status != StatusOptimal {
 			b.Fatalf("serial: %v / %v", err, sol.Status)
 		}
@@ -66,7 +65,7 @@ func BenchmarkBBVertexCoverParallel4(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := SolveContext(context.Background(), mod, Options{Workers: 4})
+		sol, err := solve(context.Background(), mod, Options{}, &searchProbe{workers: 4})
 		if err != nil || sol.Status != StatusOptimal {
 			b.Fatalf("parallel: %v / %v", err, sol.Status)
 		}

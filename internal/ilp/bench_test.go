@@ -108,11 +108,11 @@ func BenchmarkEq4BranchAndBound(b *testing.B) {
 		b.Run(circuit, func(b *testing.B) {
 			mod := eq4Testdata(b, circuit)
 			nodes, refactors, reused := 0, 0, 0
-			probe := &searchProbe{served: func(*bbNode, []float64, []float64, *factor) { reused++ }}
+			probe := &searchProbe{workers: 1, served: func(*bbNode, []float64, []float64, *factor) { reused++ }}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sol, err := solve(context.Background(), mod, Options{Workers: 1}, probe)
+				sol, err := solve(context.Background(), mod, Options{}, probe)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"compact/internal/invariant"
 )
@@ -34,7 +33,6 @@ type lp struct {
 	cols     []int     // active (non-pinned) columns scanned by the simplex
 	iters    int
 	maxIters int
-	deadline time.Time       // zero = no limit; checked every iteration in optimize
 	ctx      context.Context // nil = no cancellation; checked every iteration
 }
 
@@ -189,19 +187,12 @@ func (p *lp) optimize(c []float64) error {
 		if p.iters > p.maxIters {
 			return errIterLimit
 		}
-		// Check the deadline every iteration, not on a stride: one pivot on
+		// Check the context every iteration, not on a stride: one pivot on
 		// a large tableau is O(m·n) — easily milliseconds near the 1 GiB
 		// tableau cap — so a strided check could overshoot the budget by
 		// many seconds while a per-iteration time.Now() costs nanoseconds.
-		if !p.deadline.IsZero() && time.Now().After(p.deadline) {
+		if p.ctx != nil && expired(p.ctx) {
 			return errTimeLimit
-		}
-		if p.ctx != nil {
-			select {
-			case <-p.ctx.Done():
-				return errTimeLimit
-			default:
-			}
 		}
 		bland := noImprove > blandThreshold
 		q, dir := p.chooseEntering(bland)
@@ -363,9 +354,9 @@ func (p *lp) pivot(q int, dir float64, r int, hitUpper bool, t float64) {
 // solveLPDense solves the LP relaxation of mod with the given bound
 // overrides using the dense tableau simplex, the reference the sparse
 // revised simplex (solveLP) must agree with on status and objective. A
-// non-zero deadline or a cancelled context aborts the solve with
+// context that is cancelled or past its deadline aborts the solve with
 // errTimeLimit.
-func solveLPDense(ctx context.Context, mod *Model, lbs, ubs []float64, deadline time.Time) (lpResult, error) {
+func solveLPDense(ctx context.Context, mod *Model, lbs, ubs []float64) (lpResult, error) {
 	p, err := lower(mod, lbs, ubs)
 	if err != nil {
 		if errors.Is(err, errBoundsInfeasible) {
@@ -373,7 +364,6 @@ func solveLPDense(ctx context.Context, mod *Model, lbs, ubs []float64, deadline 
 		}
 		return lpResult{}, err
 	}
-	p.deadline = deadline
 	p.ctx = ctx
 	// Phase 1: minimize the sum of artificial variables.
 	phase1 := make([]float64, p.n)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"time"
 )
 
 // Warm-started node reoptimization for branch & bound.
@@ -141,7 +140,7 @@ func (t *rsLP) warmNode(lbs, ubs []float64, snap basisSnap) (*rsLP, error) {
 // dual simplex to primal feasibility, then a primal polish that removes
 // any dual infeasibility the tolerances let through. f must have been
 // built on t's columns, by a solve on t or on an identical lowering.
-func (t *rsLP) solveWarm(ctx context.Context, lbs, ubs []float64, snap basisSnap, f *factor, deadline time.Time) (lpResult, error) {
+func (t *rsLP) solveWarm(ctx context.Context, lbs, ubs []float64, snap basisSnap, f *factor) (lpResult, error) {
 	p, err := t.warmNode(lbs, ubs, snap)
 	if errors.Is(err, errBoundsInfeasible) {
 		return lpResult{status: StatusInfeasible}, nil
@@ -149,7 +148,7 @@ func (t *rsLP) solveWarm(ctx context.Context, lbs, ubs []float64, snap basisSnap
 	if err != nil {
 		return lpResult{}, err
 	}
-	p.deadline, p.ctx = deadline, ctx
+	p.ctx = ctx
 	if f == nil || !p.install(f) {
 		if err := p.refactorize(); err != nil {
 			return p.result(StatusNoSolution), err

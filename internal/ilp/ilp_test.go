@@ -5,7 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
+
+	"compact/internal/faultinject"
 )
 
 func TestLPSimple2D(t *testing.T) {
@@ -15,7 +16,7 @@ func TestLPSimple2D(t *testing.T) {
 	x := m.AddVar("x", 0, 3, Continuous, -1)
 	y := m.AddVar("y", 0, 2, Continuous, -2)
 	m.AddConstr("cap", []Term{{x, 1}, {y, 1}}, LE, 4)
-	res, err := solveLP(context.Background(), m, m.lb, m.ub, time.Time{})
+	res, err := solveLP(context.Background(), m, m.lb, m.ub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestLPEquality(t *testing.T) {
 	x := m.AddVar("x", 0, 10, Continuous, 1)
 	y := m.AddVar("y", 0, 10, Continuous, 1)
 	m.AddConstr("eq", []Term{{x, 1}, {y, 2}}, EQ, 4)
-	res, err := solveLP(context.Background(), m, m.lb, m.ub, time.Time{})
+	res, err := solveLP(context.Background(), m, m.lb, m.ub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestLPGE(t *testing.T) {
 	x := m.AddVar("x", 1, 100, Continuous, 3)
 	y := m.AddVar("y", 0, 100, Continuous, 2)
 	m.AddConstr("c", []Term{{x, 1}, {y, 1}}, GE, 5)
-	res, err := solveLP(context.Background(), m, m.lb, m.ub, time.Time{})
+	res, err := solveLP(context.Background(), m, m.lb, m.ub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestLPInfeasible(t *testing.T) {
 	m := NewModel("inf")
 	x := m.AddVar("x", 0, 1, Continuous, 1)
 	m.AddConstr("c", []Term{{x, 1}}, GE, 2)
-	res, err := solveLP(context.Background(), m, m.lb, m.ub, time.Time{})
+	res, err := solveLP(context.Background(), m, m.lb, m.ub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestLPUnbounded(t *testing.T) {
 	x := m.AddVar("x", 0, math.Inf(1), Continuous, -1)
 	y := m.AddVar("y", 0, 5, Continuous, 0)
 	m.AddConstr("c", []Term{{x, -1}, {y, 1}}, LE, 3)
-	res, err := solveLP(context.Background(), m, m.lb, m.ub, time.Time{})
+	res, err := solveLP(context.Background(), m, m.lb, m.ub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestLPNegativeLowerBounds(t *testing.T) {
 	x := m.AddVar("x", -3, 10, Continuous, 1)
 	y := m.AddVar("y", -1, 1, Continuous, 0)
 	m.AddConstr("c", []Term{{x, 1}, {y, 1}}, GE, -2)
-	res, err := solveLP(context.Background(), m, m.lb, m.ub, time.Time{})
+	res, err := solveLP(context.Background(), m, m.lb, m.ub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestLPDegenerate(t *testing.T) {
 	m.AddConstr("c1", []Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, LE, 0)
 	m.AddConstr("c2", []Term{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, LE, 0)
 	m.AddConstr("c3", []Term{{x3, 1}}, LE, 1)
-	res, err := solveLP(context.Background(), m, m.lb, m.ub, time.Time{})
+	res, err := solveLP(context.Background(), m, m.lb, m.ub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,8 @@ func TestMIPIncumbentPriming(t *testing.T) {
 }
 
 func TestMIPTimeLimitReturnsIncumbent(t *testing.T) {
-	// A model big enough not to finish in 1ns; primed incumbent returned.
+	// The budget ends right after the entry check, inside the root LP:
+	// the primed incumbent is returned.
 	rng := rand.New(rand.NewSource(9))
 	m := NewModel("big")
 	n := 40
@@ -284,7 +286,7 @@ func TestMIPTimeLimitReturnsIncumbent(t *testing.T) {
 		terms = append(terms, Term{j, float64(1 + rng.Intn(20))})
 	}
 	m.AddConstr("cap", terms, LE, 60)
-	sol, err := SolveContext(context.Background(), m, Options{TimeLimit: time.Nanosecond, Incumbent: inc})
+	sol, err := SolveContext(faultinject.Budget(1), m, Options{Incumbent: inc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +353,7 @@ func TestMergedDuplicateTerms(t *testing.T) {
 	m := NewModel("dup")
 	x := m.AddVar("x", 0, 10, Continuous, 1)
 	m.AddConstr("c", []Term{{x, 1}, {x, 2}}, GE, 6) // 3x >= 6
-	res, err := solveLP(context.Background(), m, m.lb, m.ub, time.Time{})
+	res, err := solveLP(context.Background(), m, m.lb, m.ub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +401,7 @@ func TestMaxNodesRespected(t *testing.T) {
 	}
 	m.AddConstr("cap", terms, LE, 40)
 	inc := make([]float64, n)
-	sol, err := SolveContext(context.Background(), m, Options{MaxNodes: 3, Incumbent: inc})
+	sol, err := solve(context.Background(), m, Options{Incumbent: inc}, &searchProbe{maxNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@
 //
 // The solver is exact but not industrial: it targets the model sizes used
 // by this repository's benchmark suite (thousands of variables). Larger
-// models are still handled correctly via the time limit, returning the best
-// incumbent with a proven bound and gap.
+// models are still handled correctly via the context's deadline, returning
+// the best incumbent with a proven bound and gap.
 package ilp
 
 import (
@@ -270,22 +270,11 @@ type Solution struct {
 	Refactors int
 }
 
-// Options tunes SolveContext.
+// Options tunes SolveContext. The search's only budget is its context.
 type Options struct {
-	TimeLimit time.Duration // zero = unlimited
-	MaxNodes  int           // zero = unlimited
 	// Incumbent optionally provides a known feasible solution to prime the
 	// search (e.g. the all-VH labeling, which is always feasible).
 	Incumbent []float64
-	// Workers is the number of branch & bound workers expanding nodes
-	// concurrently (<= 1 = serial, the exact classical algorithm). Workers
-	// share one best-first heap (equal bounds pop newest first), one
-	// incumbent and the two slots of recently branched nodes' factors; the
-	// result is identical to serial up to incumbent ties (equal-objective
-	// optima and, under a time or node budget, how far the search got).
-	// Parallel search is race-clean: the model and the slotted factors are
-	// only read, and all search state is lock-protected.
-	Workers int
 	// BestKnown, when non-nil, is polled at every node expansion and must
 	// return the objective of the best solution known *outside* this solve
 	// (+Inf when none) — e.g. a portfolio sibling's incumbent. Nodes whose
@@ -305,11 +294,16 @@ type Options struct {
 	Separate func(x []float64) []Constraint
 }
 
-// DefaultWorkers is the branch & bound worker count the pipeline's solve
-// sites use: up to four, but never more than the schedulable CPUs, so on a
-// single-core box the search stays the exact serial algorithm (and fully
-// deterministic) at zero coordination cost.
-func DefaultWorkers() int {
+// defaultWorkers is the branch & bound worker count: up to four, but
+// never more than the schedulable CPUs, so on a single-core box the search
+// stays the exact serial algorithm (and fully deterministic) at zero
+// coordination cost. Workers share one best-first heap (equal bounds pop
+// newest first), one incumbent and the two slots of recently branched
+// nodes' factors; the result is identical to serial up to incumbent ties
+// (equal-objective optima and, when the context ends the search, how far
+// it got). Parallel search is race-clean: the model and the slotted
+// factors are only read, and all search state is lock-protected.
+func defaultWorkers() int {
 	w := runtime.GOMAXPROCS(0)
 	if w > 4 {
 		w = 4

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // refactorizeDense is the dense O(m²) reinversion the sparse refactorize
@@ -274,7 +273,7 @@ func eq4NodeBases(t *testing.T, mod *Model, rng *rand.Rand) []*rsLP {
 		}
 		out = append(out, p)
 	}
-	root, err := solveLP(ctx, mod, mod.lb, mod.ub, time.Time{})
+	root, err := solveLP(ctx, mod, mod.lb, mod.ub)
 	if err != nil || root.status != StatusOptimal {
 		t.Fatalf("root: %v / %v", err, root.status)
 	}
@@ -310,7 +309,7 @@ func eq4NodeBases(t *testing.T, mod *Model, rng *rand.Rand) []*rsLP {
 			t.Fatal(err)
 		}
 		out = append(out, p)
-		res, err := tmpl.solveWarm(ctx, lbs, ubs, last.basis, nil, time.Time{})
+		res, err := tmpl.solveWarm(ctx, lbs, ubs, last.basis, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +412,7 @@ func TestEq4RootLPWork(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range cases {
 		mod := eq4Testdata(t, c.circuit)
-		tmpl, res, cold, err := solveRoot(ctx, mod, mod.lb, mod.ub, time.Time{})
+		tmpl, res, cold, err := solveRoot(ctx, mod, mod.lb, mod.ub)
 		if err != nil || res.status != StatusOptimal || cold {
 			t.Fatalf("%s: root LP %v / %v, cold %v", c.circuit, err, res.status, cold)
 		}
@@ -448,11 +447,11 @@ func TestEq4RootLPWork(t *testing.T) {
 			}
 			continue
 		}
-		dense, err := solveLPDense(ctx, mod, mod.lb, mod.ub, time.Time{})
+		dense, err := solveLPDense(ctx, mod, mod.lb, mod.ub)
 		if err != nil || dense.status != StatusOptimal || math.Abs(dense.obj-c.obj) > 1e-6 {
 			t.Errorf("%s: dense root LP %v / %v, optimum %v", c.circuit, err, dense.status, dense.obj)
 		}
-		res, err = solveLP(ctx, mod, mod.lb, mod.ub, time.Time{})
+		res, err = solveLP(ctx, mod, mod.lb, mod.ub)
 		if err != nil || res.status != StatusOptimal {
 			t.Fatalf("%s: cold root LP %v / %v", c.circuit, err, res.status)
 		}

@@ -35,10 +35,10 @@ func TestFactorReuseExact(t *testing.T) {
 	for _, c := range cases {
 		mod := eq4Testdata(t, c.circuit)
 		var served []servedNode
-		probe := &searchProbe{served: func(node *bbNode, lbs, ubs []float64, f *factor) {
+		probe := &searchProbe{workers: 1, served: func(node *bbNode, lbs, ubs []float64, f *factor) {
 			served = append(served, servedNode{node, lbs, ubs, f})
 		}}
-		sol, err := solve(context.Background(), mod, Options{Workers: 1}, probe)
+		sol, err := solve(context.Background(), mod, Options{}, probe)
 		if err != nil || sol.Status != StatusOptimal {
 			t.Fatalf("%s: %v / %v", c.circuit, err, sol.Status)
 		}
@@ -69,7 +69,7 @@ func TestFactorReuseExact(t *testing.T) {
 			}
 		}
 
-		cold, err := solve(context.Background(), mod, Options{Workers: 1}, &searchProbe{noReuse: true})
+		cold, err := solve(context.Background(), mod, Options{}, &searchProbe{workers: 1, noReuse: true})
 		if err != nil || cold.Status != StatusOptimal {
 			t.Fatalf("%s without reuse: %v / %v", c.circuit, err, cold.Status)
 		}
@@ -155,13 +155,13 @@ func TestNodeHeapOrder(t *testing.T) {
 // shared factors are only read.
 func TestParallelEq4SharesSlots(t *testing.T) {
 	mod := eq4Testdata(t, "cavlc")
-	serial, err := SolveContext(context.Background(), mod, Options{Workers: 1})
+	serial, err := solve(context.Background(), mod, Options{}, &searchProbe{workers: 1})
 	if err != nil || serial.Status != StatusOptimal {
 		t.Fatalf("serial: %v / %v", err, serial.Status)
 	}
 	served := 0
-	probe := &searchProbe{served: func(*bbNode, []float64, []float64, *factor) { served++ }}
-	par, err := solve(context.Background(), mod, Options{Workers: 4}, probe)
+	probe := &searchProbe{workers: 4, served: func(*bbNode, []float64, []float64, *factor) { served++ }}
+	par, err := solve(context.Background(), mod, Options{}, probe)
 	if err != nil || par.Status != StatusOptimal {
 		t.Fatalf("parallel: %v / %v", err, par.Status)
 	}

@@ -33,12 +33,13 @@ import (
 // its largest remaining entry and costs O(nnz + eta file): it touches
 // only each column's nonzero pattern and the etas that pattern reaches.
 //
-// Every solve checks the deadline and context each iteration, stops at an
-// iteration limit, falls back to Bland's rule after a stall window, takes
-// bounded-variable bound flips, and checks the BoundedValues invariant on
-// exit. A numerical failure (a singular basis, an exit-invariant breach)
-// is returned as an error. The tests check this core against a dense
-// two-phase tableau oracle (dense_test.go).
+// Every solve checks its context (and the context's deadline against the
+// clock) each iteration, stops at an iteration limit, falls back to
+// Bland's rule after a stall window, takes bounded-variable bound flips,
+// and checks the BoundedValues invariant on exit. A numerical failure (a
+// singular basis, an exit-invariant breach) is returned as an error. The
+// tests check this core against a dense two-phase tableau oracle
+// (dense_test.go).
 
 const (
 	costTol  = 1e-7
@@ -66,7 +67,7 @@ func zero(x float64) bool { return x == 0 }
 
 var errIterLimit = errors.New("ilp: simplex iteration limit reached")
 
-// errTimeLimit aborts an LP solve that runs past the global deadline.
+// errTimeLimit aborts an LP solve whose context ends.
 var errTimeLimit = errors.New("ilp: time limit reached during LP solve")
 
 var errBoundsInfeasible = errors.New("ilp: variable bounds infeasible")
@@ -124,7 +125,6 @@ type rsLP struct {
 	activeN   int // columns scanned by pricing (n, then firstArt in phase 2)
 	iters     int
 	maxIters  int
-	deadline  time.Time
 	ctx       context.Context
 	w, y      []float64 // dense scratch: FTRAN column, BTRAN multipliers
 }
@@ -659,25 +659,33 @@ func (p *rsLP) ratioTest(q int, dir float64, w []float64) (flip bool, r int, hit
 }
 
 // tick counts one simplex iteration against the iteration limit and
-// checks the deadline and context. The check runs every iteration, not on
-// a stride: one revised pivot is O(nnz + eta file), so a strided check
-// could overshoot on big models while time.Now() costs nanoseconds.
+// checks the context. The check runs every iteration, not on a stride:
+// one revised pivot is O(nnz + eta file), so a strided check could
+// overshoot on big models while time.Now() costs nanoseconds.
 func (p *rsLP) tick() error {
 	p.iters++
 	if p.iters > p.maxIters {
 		return errIterLimit
 	}
-	if !p.deadline.IsZero() && time.Now().After(p.deadline) {
+	if p.ctx != nil && expired(p.ctx) {
 		return errTimeLimit
 	}
-	if p.ctx != nil {
-		select {
-		case <-p.ctx.Done():
-			return errTimeLimit
-		default:
-		}
-	}
 	return nil
+}
+
+// expired reports whether ctx is done or past its deadline. The clock is
+// read as well because a context's timer closes Done only some time after
+// the deadline passes.
+func expired(ctx context.Context) bool {
+	if d, ok := ctx.Deadline(); ok && time.Now().After(d) {
+		return true
+	}
+	select {
+	case <-ctx.Done():
+		return true
+	default:
+		return false
+	}
 }
 
 // optimize runs the revised bounded-variable primal simplex for cost
@@ -815,9 +823,9 @@ type lpResult struct {
 }
 
 // solveLP solves the LP relaxation of mod with the given bound overrides.
-// A numerical failure is returned as an error. A non-zero deadline or a
-// cancelled context aborts the solve with errTimeLimit.
-func solveLP(ctx context.Context, mod *Model, lbs, ubs []float64, deadline time.Time) (lpResult, error) {
+// A numerical failure is returned as an error. A context that is cancelled
+// or past its deadline aborts the solve with errTimeLimit.
+func solveLP(ctx context.Context, mod *Model, lbs, ubs []float64) (lpResult, error) {
 	p, err := lowerSparse(mod, lbs, ubs)
 	if err != nil {
 		if errors.Is(err, errBoundsInfeasible) {
@@ -825,7 +833,6 @@ func solveLP(ctx context.Context, mod *Model, lbs, ubs []float64, deadline time.
 		}
 		return lpResult{}, err
 	}
-	p.deadline = deadline
 	p.ctx = ctx
 	// Phase 1: minimize the sum of artificial variables.
 	phase1 := make([]float64, p.n)

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"compact/internal/graph"
 )
@@ -54,11 +53,11 @@ func TestRevisedVsDenseVertexCoverLP(t *testing.T) {
 				ubs[v] = 0
 			}
 		}
-		want, err := solveLPDense(context.Background(), mod, lbs, ubs, time.Time{})
+		want, err := solveLPDense(context.Background(), mod, lbs, ubs)
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
-		got, err := solveLP(context.Background(), mod, lbs, ubs, time.Time{})
+		got, err := solveLP(context.Background(), mod, lbs, ubs)
 		if err != nil {
 			t.Fatalf("trial %d: revised: %v", trial, err)
 		}
@@ -99,11 +98,11 @@ func TestRevisedVsDenseGeneralLP(t *testing.T) {
 			sense := []Sense{LE, GE, EQ}[rng.Intn(3)]
 			mod.AddConstr(fmt.Sprintf("c%d", c), terms, sense, math.Round(rng.NormFloat64()*5))
 		}
-		want, err := solveLPDense(context.Background(), mod, mod.lb, mod.ub, time.Time{})
+		want, err := solveLPDense(context.Background(), mod, mod.lb, mod.ub)
 		if err != nil {
 			continue // dense iteration limit etc. — nothing to compare against
 		}
-		got, err := solveLP(context.Background(), mod, mod.lb, mod.ub, time.Time{})
+		got, err := solveLP(context.Background(), mod, mod.lb, mod.ub)
 		if err != nil {
 			t.Fatalf("trial %d: revised: %v", trial, err)
 		}
@@ -129,7 +128,7 @@ func TestRevisedDegenerateBeale(t *testing.T) {
 	m.AddConstr("r1", []Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, LE, 0)
 	m.AddConstr("r2", []Term{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, LE, 0)
 	m.AddConstr("r3", []Term{{x3, 1}}, LE, 1)
-	res, err := solveLP(context.Background(), m, m.lb, m.ub, time.Time{})
+	res, err := solveLP(context.Background(), m, m.lb, m.ub)
 	if err != nil {
 		t.Fatalf("revised on Beale: %v", err)
 	}
@@ -157,11 +156,11 @@ func TestRevisedHighlyDegenerate(t *testing.T) {
 			}
 		}
 		_ = rng
-		want, err := solveLPDense(context.Background(), mod, mod.lb, mod.ub, time.Time{})
+		want, err := solveLPDense(context.Background(), mod, mod.lb, mod.ub)
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
-		got, err := solveLP(context.Background(), mod, mod.lb, mod.ub, time.Time{})
+		got, err := solveLP(context.Background(), mod, mod.lb, mod.ub)
 		if err != nil {
 			t.Fatalf("trial %d: revised: %v", trial, err)
 		}
@@ -180,11 +179,11 @@ func TestParallelBBMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		g := graph.Random(10+rng.Intn(10), 0.35, uint64(trial)*13+2)
 		mod := vcModel(g, rng)
-		serial, err := SolveContext(context.Background(), mod, Options{Workers: 1})
+		serial, err := solve(context.Background(), mod, Options{}, &searchProbe{workers: 1})
 		if err != nil {
 			t.Fatalf("trial %d: serial: %v", trial, err)
 		}
-		par, err := SolveContext(context.Background(), mod, Options{Workers: 4})
+		par, err := solve(context.Background(), mod, Options{}, &searchProbe{workers: 4})
 		if err != nil {
 			t.Fatalf("trial %d: parallel: %v", trial, err)
 		}
@@ -206,14 +205,13 @@ func TestParallelBBMatchesSerial(t *testing.T) {
 func TestParallelBBSharedBestKnown(t *testing.T) {
 	g := graph.Random(16, 0.4, 42)
 	mod := vcModel(g, rand.New(rand.NewSource(1)))
-	ref, err := SolveContext(context.Background(), mod, Options{Workers: 1})
+	ref, err := solve(context.Background(), mod, Options{}, &searchProbe{workers: 1})
 	if err != nil || ref.Status != StatusOptimal {
 		t.Fatalf("reference solve: %v / %v", err, ref.Status)
 	}
-	sol, err := SolveContext(context.Background(), mod, Options{
-		Workers:   4,
+	sol, err := solve(context.Background(), mod, Options{
 		BestKnown: func() float64 { return ref.Obj },
-	})
+	}, &searchProbe{workers: 4})
 	if err != nil {
 		t.Fatalf("parallel with BestKnown: %v", err)
 	}
@@ -229,10 +227,10 @@ func TestParallelBBSharedBestKnown(t *testing.T) {
 
 // TestParallelBBMaxNodes checks the node budget holds exactly under
 // concurrent expansion: the check-then-increment runs under the search
-// lock, so N workers cannot overshoot MaxNodes.
+// lock, so N workers cannot overshoot the probe's maxNodes.
 func TestParallelBBMaxNodes(t *testing.T) {
 	mod := benchKnapsack(25, 3)
-	sol, err := SolveContext(context.Background(), mod, Options{Workers: 4, MaxNodes: 5})
+	sol, err := solve(context.Background(), mod, Options{}, &searchProbe{workers: 4, maxNodes: 5})
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 )
 
 // randomRootModel draws an LP with <= and >= rows (and, with eq, some
@@ -78,11 +77,11 @@ func TestSlackRootVsDense(t *testing.T) {
 	ctx := context.Background()
 	check := func(name string, mod *Model) bool {
 		t.Helper()
-		want, err := solveLPDense(ctx, mod, mod.lb, mod.ub, time.Time{})
+		want, err := solveLPDense(ctx, mod, mod.lb, mod.ub)
 		if err != nil {
 			return false // nothing to compare against
 		}
-		_, got, cold, err := solveRoot(ctx, mod, mod.lb, mod.ub, time.Time{})
+		_, got, cold, err := solveRoot(ctx, mod, mod.lb, mod.ub)
 		if err != nil {
 			t.Fatalf("%s: root: %v", name, err)
 		}
@@ -116,7 +115,7 @@ func TestSlackRootVsDense(t *testing.T) {
 			cold++
 		}
 		compared++
-		res, _ := solveLPDense(ctx, mod, mod.lb, mod.ub, time.Time{})
+		res, _ := solveLPDense(ctx, mod, mod.lb, mod.ub)
 		switch res.status {
 		case StatusOptimal:
 			optimal++
@@ -266,7 +265,7 @@ func TestExtendBasisWarm(t *testing.T) {
 	ctx := context.Background()
 	for _, lengths := range [][]int{{3}, {5, 7}, {3, 5, 7, 9, 11}} {
 		mod, sep, _ := oddCycleCover(lengths...)
-		tmpl, root, cold, err := solveRoot(ctx, mod, mod.lb, mod.ub, time.Time{})
+		tmpl, root, cold, err := solveRoot(ctx, mod, mod.lb, mod.ub)
 		if err != nil || cold || root.status != StatusOptimal {
 			t.Fatalf("%v: root %v / %v, cold %v", lengths, err, root.status, cold)
 		}
@@ -279,11 +278,11 @@ func TestExtendBasisWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ct.solveWarm(ctx, cm.lb, cm.ub, ct.extendBasis(tmpl, root.basis), nil, time.Time{})
+		got, err := ct.solveWarm(ctx, cm.lb, cm.ub, ct.extendBasis(tmpl, root.basis), nil)
 		if err != nil || got.status != StatusOptimal {
 			t.Fatalf("%v: warm cut round %v / %v", lengths, err, got.status)
 		}
-		want, err := solveLPDense(ctx, cm, cm.lb, cm.ub, time.Time{})
+		want, err := solveLPDense(ctx, cm, cm.lb, cm.ub)
 		if err != nil || math.Abs(got.obj-want.obj) > 1e-9 {
 			t.Fatalf("%v: cut LP %v, dense %v (%v)", lengths, got.obj, want.obj, err)
 		}

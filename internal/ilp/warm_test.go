@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"compact/internal/graph"
 )
@@ -71,7 +70,7 @@ func diveWarmVsCold(t *testing.T, mod *Model, steps int, pick func() (int, int),
 	ctx := context.Background()
 	lbs := append([]float64(nil), mod.lb...)
 	ubs := append([]float64(nil), mod.ub...)
-	root, err := solveLP(ctx, mod, lbs, ubs, time.Time{})
+	root, err := solveLP(ctx, mod, lbs, ubs)
 	if err != nil || root.status != StatusOptimal {
 		t.Fatalf("root: %v / %v", err, root.status)
 	}
@@ -93,9 +92,9 @@ func diveWarmVsCold(t *testing.T, mod *Model, steps int, pick func() (int, int),
 			copy(ubs, mod.ub)
 			basis, fac = root.basis, root.factor
 		}
-		warm, werr := tmpl.solveWarm(ctx, lbs, ubs, basis, fac, time.Time{})
-		cold, cerr := solveLP(ctx, mod, lbs, ubs, time.Time{})
-		dense, derr := solveLPDense(ctx, mod, lbs, ubs, time.Time{})
+		warm, werr := tmpl.solveWarm(ctx, lbs, ubs, basis, fac)
+		cold, cerr := solveLP(ctx, mod, lbs, ubs)
+		dense, derr := solveLPDense(ctx, mod, lbs, ubs)
 		if cerr != nil || derr != nil {
 			t.Fatalf("step %d: cold %v, dense %v", step, cerr, derr)
 		}

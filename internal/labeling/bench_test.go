@@ -1,7 +1,6 @@
 package labeling
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -17,11 +16,11 @@ func benchProblem() Problem {
 
 func benchSolve(b *testing.B, m Method) {
 	p := benchProblem()
-	opts := Options{Method: m, Gamma: 0.5, TimeLimit: 30 * time.Second}
+	opts := Options{Method: m, Gamma: 0.5}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := SolveContext(context.Background(), p, opts)
+		sol, err := solveWithin(30*time.Second, p, 2, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,15 +10,22 @@ import (
 	"compact/internal/ilp"
 )
 
+// solveWithin is SolveK under a context that times out after d.
+func solveWithin(d time.Duration, p Problem, k int, opts Options) (*Solution, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return SolveK(ctx, p, k, opts)
+}
+
 // slowProblem returns an instance dense enough that the exact MIP cannot
-// finish within a fraction of a second, so TimeLimit expiry is exercised
+// finish within a fraction of a second, so deadline expiry is exercised
 // mid-solve rather than between stages.
 func slowProblem(seed int64) Problem {
 	rng := rand.New(rand.NewSource(seed))
 	return Problem{G: randomGraph(rng, 140, 0.06)}
 }
 
-// TestTimeLimitAdherenceMIP: Solve with a TimeLimit on a slow instance must
+// TestTimeLimitAdherenceMIP: Solve with a deadline on a slow instance must
 // return within the budget (plus a scheduling tolerance, well under the
 // 1.5x overshoots the per-stage budgeting used to allow) and still hand
 // back a valid labeling — the anytime contract.
@@ -29,7 +36,7 @@ func TestTimeLimitAdherenceMIP(t *testing.T) {
 	p := slowProblem(7)
 	budget := 1200 * time.Millisecond
 	start := time.Now()
-	sol, err := SolveContext(context.Background(), p, Options{Method: MethodMIP, Gamma: 0.5, TimeLimit: budget})
+	sol, err := solveWithin(budget, p, 2, Options{Method: MethodMIP, Gamma: 0.5})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("budgeted solve failed instead of degrading: %v", err)
@@ -37,7 +44,7 @@ func TestTimeLimitAdherenceMIP(t *testing.T) {
 	// 20% tolerance covers goroutine scheduling and the last simplex pivot
 	// before the per-iteration deadline check.
 	if limit := budget + budget/5; elapsed > limit {
-		t.Errorf("TimeLimit=%v overshot: elapsed %v > %v", budget, elapsed, limit)
+		t.Errorf("budget %v overshot: elapsed %v > %v", budget, elapsed, limit)
 	}
 	if err := Validate(p, sol.K, sol.Lo, sol.Hi); err != nil {
 		t.Errorf("degraded solution invalid: %v", err)
@@ -53,13 +60,13 @@ func TestTimeLimitAdherencePortfolio(t *testing.T) {
 	p := slowProblem(11)
 	budget := 1200 * time.Millisecond
 	start := time.Now()
-	sol, err := SolveContext(context.Background(), p, Options{Method: MethodPortfolio, Gamma: 0.5, TimeLimit: budget})
+	sol, err := solveWithin(budget, p, 2, Options{Method: MethodPortfolio, Gamma: 0.5})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("budgeted portfolio failed instead of degrading: %v", err)
 	}
 	if limit := budget + budget/5; elapsed > limit {
-		t.Errorf("TimeLimit=%v overshot: elapsed %v > %v", budget, elapsed, limit)
+		t.Errorf("budget %v overshot: elapsed %v > %v", budget, elapsed, limit)
 	}
 	if err := Validate(p, sol.K, sol.Lo, sol.Hi); err != nil {
 		t.Errorf("portfolio solution invalid: %v", err)
@@ -177,18 +184,18 @@ func TestPortfolioNeverWorseThanSingles(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 6; trial++ {
 		p := Problem{G: randomGraph(rng, 12, 0.3)}
-		opts := Options{Gamma: 0.5, TimeLimit: 10 * time.Second}
+		opts := Options{Gamma: 0.5}
 
 		popts := opts
 		popts.Method = MethodPortfolio
-		port, err := SolveContext(context.Background(), p, popts)
+		port, err := solveWithin(10*time.Second, p, 2, popts)
 		if err != nil {
 			t.Fatalf("trial %d: portfolio: %v", trial, err)
 		}
 		for _, m := range []Method{MethodOCT, MethodMIP, MethodHeuristic} {
 			sopts := opts
 			sopts.Method = m
-			single, err := SolveContext(context.Background(), p, sopts)
+			single, err := solveWithin(10*time.Second, p, 2, sopts)
 			if err != nil {
 				t.Fatalf("trial %d: %v: %v", trial, m, err)
 			}

@@ -72,9 +72,7 @@ func TestSolveKFoldShrinksFootprint(t *testing.T) {
 
 func TestSolveKMIPOnWheel(t *testing.T) {
 	p := Problem{G: wheel(5), AlignH: []int{5}}
-	sol, err := SolveK(context.Background(), p, 3, Options{
-		Method: MethodMIP, Gamma: 0.5, TimeLimit: 10 * time.Second,
-	})
+	sol, err := solveWithin(10*time.Second, p, 3, Options{Method: MethodMIP, Gamma: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +90,7 @@ func TestSolveKMIPOnWheel(t *testing.T) {
 
 func TestSolveKPortfolioReportsEngines(t *testing.T) {
 	p := Problem{G: wheel(7), AlignH: []int{7}}
-	sol, err := SolveK(context.Background(), p, 4, Options{
-		Method: MethodPortfolio, Gamma: 0.5, TimeLimit: 2 * time.Second,
-	})
+	sol, err := solveWithin(2*time.Second, p, 4, Options{Method: MethodPortfolio, Gamma: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

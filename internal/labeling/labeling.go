@@ -17,9 +17,9 @@
 //     heuristic's bound warm-starts the exact engines, incumbents are
 //     shared, and the best labeling wins when the budget expires.
 //
-// Every solver is deadline-honest: SolveContext derives one shared
-// context deadline from Options.TimeLimit, and all sub-solves (including
-// the MIP's OCT warm start) spend from that single budget.
+// Every solver is deadline-honest: the context SolveContext is given is
+// the one budget, and all sub-solves (including the MIP's OCT warm start)
+// spend from it.
 package labeling
 
 import (
@@ -173,12 +173,6 @@ type Options struct {
 	Gamma float64
 	// Method selects the solver (default MethodAuto).
 	Method Method
-	// TimeLimit bounds the whole solve: it becomes a deadline on one
-	// context shared by every sub-solver (OCT warm start, MIP, portfolio
-	// engines), so the total wall clock never exceeds the budget. Expired
-	// limits degrade to the best feasible labeling found (never to an
-	// invalid one).
-	TimeLimit time.Duration
 	// OCTBackend selects the exact OCT engine, both for MethodOCT and for
 	// the OCT warm start (incumbent and S >= n+k* cut) of MethodMIP: the
 	// default odd-cycle branch & bound on G, or Lemma 1's vertex cover of
@@ -239,19 +233,18 @@ type Solution struct {
 // Deprecated: use Solution.
 type KSolution = Solution
 
-// SolveContext computes a VH-labeling of p: SolveK at K = 2.
-// Options.TimeLimit becomes a deadline on one context shared by every
-// sub-solver — the OCT warm start, the MIP branch & bound (checked inside
-// simplex pivots) and the portfolio engines all spend from the same
-// budget, so the total wall clock cannot exceed it by more than one pivot.
-// When the budget or ctx expires mid-solve, the best valid labeling found
-// so far is returned (never an error); a context that is already dead on
-// entry returns (nil, ctx.Err()) promptly.
+// SolveContext computes a VH-labeling of p: SolveK at K = 2. ctx is the
+// one budget shared by every sub-solver — the OCT warm start, the MIP
+// branch & bound (checked inside simplex pivots) and the portfolio engines
+// all spend from it, so a solve cannot outlast ctx's deadline by more than
+// one pivot. When ctx is cancelled or reaches its deadline mid-solve, the
+// best valid labeling found so far is returned (never an error); a
+// context that is already dead on entry returns (nil, ctx.Err()) promptly.
 func SolveContext(ctx context.Context, p Problem, opts Options) (*Solution, error) {
 	return SolveK(ctx, p, 2, opts)
 }
 
-// solve is the one labeling driver for every layer count k >= 2: budget,
+// solve is the one labeling driver for every layer count k >= 2: entry check,
 // O(1) cap refutation, method dispatch, and the checks every answer must
 // pass. At K = 2 it runs the 2D engines (OCT and the Eq. 4 MIP) and fills
 // Solution.Labels.
@@ -262,11 +255,6 @@ func solve(ctx context.Context, p Problem, k int, opts Options) (*Solution, erro
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if opts.TimeLimit > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.TimeLimit)
-		defer cancel()
 	}
 	if opts.AutoExactLimit <= 0 {
 		opts.AutoExactLimit = 600

@@ -5,8 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
+	"compact/internal/faultinject"
 	"compact/internal/graph"
 )
 
@@ -331,7 +331,8 @@ func TestMIPTimeLimitFallsBackFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	g := randomGraph(rng, 40, 0.15)
 	p := Problem{G: g}
-	sol, err := SolveContext(context.Background(), p, Options{Method: MethodMIP, Gamma: 0.5, TimeLimit: time.Millisecond})
+	// The budget ends right after the entry check.
+	sol, err := SolveContext(faultinject.Budget(1), p, Options{Method: MethodMIP, Gamma: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

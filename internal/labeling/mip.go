@@ -69,8 +69,8 @@ func (m *exactModel) addOCTRows(ctx context.Context, p Problem, opts Options) (o
 	kLB := len(cycles)
 	// The OCT warm start gets at most half of whatever remains of the
 	// shared budget (capped at 30s); because its deadline is layered on the
-	// same ctx, warm start plus branch & bound together can never spend
-	// more than the user's TimeLimit.
+	// same ctx, warm start plus branch & bound together can never outlast
+	// ctx.
 	octBudget := 30 * time.Second
 	if d, ok := ctx.Deadline(); ok {
 		if r := time.Until(d); r > 0 && r/2 < octBudget {
@@ -196,8 +196,7 @@ func solveExact(ctx context.Context, p Problem, opts Options, m *exactModel, pri
 		cuts = func(x []float64) []ilp.Constraint { return m.oddCycleCuts(p.G, x) }
 	}
 	sol, err := ilp.SolveContext(ctx, m.mod, ilp.Options{
-		Incumbent: inc, BestKnown: bestKnown, Workers: ilp.DefaultWorkers(),
-		Separate: cuts,
+		Incumbent: inc, BestKnown: bestKnown, Separate: cuts,
 	})
 	if err != nil {
 		if ctx.Err() != nil {

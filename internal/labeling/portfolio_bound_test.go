@@ -38,13 +38,20 @@ func TestPortfolioCarriesBound(t *testing.T) {
 		circuit string
 		k       int
 		opts    labeling.Options
+		limit   time.Duration // zero = no deadline
 	}{
-		{"c1908", 2, labeling.Options{Method: labeling.MethodPortfolio, Gamma: 0.5}},
-		{"ctrl", 3, labeling.Options{Gamma: 0.5, TimeLimit: time.Second}},
+		{"c1908", 2, labeling.Options{Method: labeling.MethodPortfolio, Gamma: 0.5}, 0},
+		{"ctrl", 3, labeling.Options{Gamma: 0.5}, time.Second},
 	}
 	for _, c := range cases {
 		p := circuitGraph(t, c.circuit).Problem(true)
-		sol, err := labeling.SolveK(context.Background(), p, c.k, c.opts)
+		ctx := context.Background()
+		if c.limit > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, c.limit)
+			defer cancel()
+		}
+		sol, err := labeling.SolveK(ctx, p, c.k, c.opts)
 		if err != nil {
 			t.Fatalf("%s K=%d: %v", c.circuit, c.k, err)
 		}

@@ -32,7 +32,6 @@ func graphFromSeed(seed int64, n int, p float64) *graph.Graph {
 // heuristic, whose SolveContext answer is SolveK's at K = 1 and K = 2.
 // The first node is aligned on odd seeds.
 func TestQuickAllMethodsValidate(t *testing.T) {
-	ctx := context.Background()
 	methods := []Method{MethodAuto, MethodOCT, MethodMIP, MethodHeuristic, MethodPortfolio}
 	prop := func(seed int64) bool {
 		g := graphFromSeed(seed, 10, 0.3)
@@ -43,10 +42,7 @@ func TestQuickAllMethodsValidate(t *testing.T) {
 		for _, k := range []int{2, 3, 4} {
 			for _, m := range methods {
 				opts := Options{Method: m, Gamma: 1}
-				if m != MethodHeuristic {
-					opts.TimeLimit = 5 * time.Millisecond
-				}
-				sol, err := SolveK(ctx, p, k, opts)
+				sol, err := solveWithin(5*time.Millisecond, p, k, opts)
 				if err != nil {
 					t.Logf("K=%d %v: %v", k, m, err)
 					return false
@@ -88,8 +84,10 @@ func TestQuickAllMethodsValidate(t *testing.T) {
 					// Both methods find zero VH labels on bipartite graphs.
 					return false
 				}
-				ref, err := SolveContext(ctx, p, opts)
-				clamped, err1 := SolveK(ctx, p, 1, opts)
+				rctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+				ref, err := SolveContext(rctx, p, opts)
+				cancel()
+				clamped, err1 := solveWithin(5*time.Millisecond, p, 1, opts)
 				if err != nil || err1 != nil || !sameSolution(ref, sol) || !sameSolution(clamped, sol) {
 					t.Logf("%v: SolveContext %+v and SolveK(1) %+v differ from SolveK(2) %+v", m, ref, clamped, sol)
 					return false

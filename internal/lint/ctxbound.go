@@ -8,10 +8,11 @@ import (
 
 // Ctxbound checks that exported solver entry points carry an explicit
 // resource bound, the pattern xbar.FormalVerify(..., nodeLimit) and
-// ilp.SolveContext(ctx, ..., Options{TimeLimit}) already follow. COMPACT's exact
-// solvers (vertex cover, branch & bound, BDD construction) are worst-case
-// exponential; an entry point without a node/iteration/time budget is an
-// unbounded computation handed to whoever wires the package into a service.
+// ilp.SolveContext(ctx, ...), whose ctx carries the deadline, already
+// follow. COMPACT's exact solvers (vertex cover, branch & bound, BDD
+// construction) are worst-case exponential; an entry point without a
+// node/iteration/time budget is an unbounded computation handed to
+// whoever wires the package into a service.
 //
 // A function is considered a solver entry point when it is exported, lives
 // in one of the configured packages, and its name starts with one of:

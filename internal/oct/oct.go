@@ -14,7 +14,6 @@ package oct
 
 import (
 	"context"
-	"time"
 
 	"compact/internal/graph"
 	"compact/internal/ilp"
@@ -30,10 +29,9 @@ const (
 	BackendILP                // Lemma 1: vertex cover of G □ K2 as a 0-1 ILP
 )
 
-// Options tunes FindContext.
+// Options tunes FindContext. The search's only budget is its context.
 type Options struct {
-	Backend   Backend
-	TimeLimit time.Duration // zero = unlimited
+	Backend Backend
 }
 
 // Result is an odd cycle transversal plus the residual 2-coloring.
@@ -50,11 +48,10 @@ type Result struct {
 	Nodes int
 }
 
-// FindContext computes an odd cycle transversal of g. Without a time
-// limit the result is a minimum OCT; with one, it is a valid OCT that may
-// be larger. The search honors the earlier of ctx's deadline and
-// opts.TimeLimit, and a cancelled ctx degrades to the best valid OCT found
-// so far with Optimal=false. A context that is already dead on entry
+// FindContext computes an odd cycle transversal of g. When ctx runs to its
+// end the result is a minimum OCT; a ctx that is cancelled or reaches its
+// deadline first degrades to the best valid OCT found so far, which may be
+// larger, with Optimal=false. A context that is already dead on entry
 // returns (Result{}, ctx.Err()). The residual-bipartiteness postcondition
 // is re-verified on every exit; a violation (an invariant.Error) means a
 // solver bug, not bad input.
@@ -71,10 +68,10 @@ func FindContext(ctx context.Context, g *graph.Graph, opts Options) (Result, err
 		color, _ := g.TwoColor()
 		res = Result{OCT: map[int]bool{}, Side: color, Optimal: true}
 	case opts.Backend == BackendILP:
-		cover, optimal := coverILP(ctx, g.CartesianK2(), opts.TimeLimit)
+		cover, optimal := coverILP(ctx, g.CartesianK2())
 		res = fromCover(g, cover, optimal)
 	default:
-		res = findBB(ctx, g, opts.TimeLimit)
+		res = findBB(ctx, g)
 	}
 	if err := invariant.ResidualBipartite(g, res.OCT, res.Side); err != nil {
 		return Result{}, err
@@ -115,7 +112,7 @@ func fromCover(g *graph.Graph, cover map[int]bool, optimal bool) Result {
 
 // coverILP solves minimum vertex cover on p as a 0-1 program, primed with
 // the greedy cover as incumbent.
-func coverILP(ctx context.Context, p *graph.Graph, limit time.Duration) (map[int]bool, bool) {
+func coverILP(ctx context.Context, p *graph.Graph) (map[int]bool, bool) {
 	m := ilp.NewModel("vertex-cover")
 	for v := 0; v < p.N(); v++ {
 		m.AddVar("x", 0, 1, ilp.Binary, 1)
@@ -128,9 +125,7 @@ func coverILP(ctx context.Context, p *graph.Graph, limit time.Duration) (map[int
 	for v := range greedy {
 		inc[v] = 1
 	}
-	sol, err := ilp.SolveContext(ctx, m, ilp.Options{
-		TimeLimit: limit, Incumbent: inc, Workers: ilp.DefaultWorkers(),
-	})
+	sol, err := ilp.SolveContext(ctx, m, ilp.Options{Incumbent: inc})
 	if err != nil || sol.X == nil {
 		return greedy, false
 	}

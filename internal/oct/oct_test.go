@@ -5,9 +5,9 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
+	"compact/internal/faultinject"
 	"compact/internal/graph"
 	"compact/internal/invariant"
 )
@@ -170,40 +170,19 @@ func TestHeuristicOnOddCycle(t *testing.T) {
 	}
 }
 
-// countdownCtx is a context whose Err flips to Canceled after left calls,
-// so anytime exits are exercised at a fixed amount of work instead of a
-// wall-clock budget.
-type countdownCtx struct {
-	context.Context
-	left atomic.Int64
-}
-
-func newCountdownCtx(calls int) *countdownCtx {
-	c := &countdownCtx{Context: context.Background()}
-	c.left.Store(int64(calls))
-	return c
-}
-
-func (c *countdownCtx) Err() error {
-	if c.left.Add(-1) < 0 {
-		return context.Canceled
-	}
-	return nil
-}
-
 func TestTimeLimitStillValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	g := randomGraph(rng, 60, 0.2)
-	for _, calls := range []int{1, 2, 10} {
-		res, err := FindContext(newCountdownCtx(calls), g, Options{})
+	for _, checks := range []int{1, 2, 10} {
+		res, err := FindContext(faultinject.Budget(checks), g, Options{})
 		if err != nil {
-			t.Fatalf("ctx dies after %d Err calls: %v", calls, err)
+			t.Fatalf("ctx dies after %d checks: %v", checks, err)
 		}
 		if res.Optimal {
-			t.Errorf("ctx dies after %d Err calls: result claims optimality", calls)
+			t.Errorf("ctx dies after %d checks: result claims optimality", checks)
 		}
 		if err := invariant.ResidualBipartite(g, res.OCT, res.Side); err != nil {
-			t.Fatalf("ctx dies after %d Err calls: %v", calls, err)
+			t.Fatalf("ctx dies after %d checks: %v", checks, err)
 		}
 	}
 }

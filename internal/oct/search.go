@@ -13,16 +13,15 @@ import (
 // residual graph (each packed cycle needs its own transversal vertex), and
 // it branches on the first packed cycle — one of its vertices must join the
 // transversal — excluding each tried vertex from the later sibling branches
-// (exclusive branching, Hüffner's graph-bipartization scheme). The deadline
-// is the earlier of ctx's and now+limit; on expiry, or when ctx is
-// cancelled, it returns the best valid OCT found so far with
-// Optimal=false.
-func findBB(ctx context.Context, g *graph.Graph, limit time.Duration) Result {
+// (exclusive branching, Hüffner's graph-bipartization scheme). When ctx is
+// cancelled or past its deadline it returns the best valid OCT found so
+// far with Optimal=false.
+func findBB(ctx context.Context, g *graph.Graph) Result {
 	inc := Heuristic(g)
 	if c := fromCover(g, graph.GreedyVertexCover(g.CartesianK2()), false); len(c.OCT) < len(inc.OCT) {
 		inc = c
 	}
-	s := newSearch(ctx, g, limit)
+	s := newSearch(ctx, g)
 	for v := range inc.OCT {
 		s.best = append(s.best, v)
 	}
@@ -46,11 +45,10 @@ func findBB(ctx context.Context, g *graph.Graph, limit time.Duration) Result {
 // the current bound; forbidden vertices stay in the graph but may not
 // join x in the current subtree.
 type search struct {
-	ctx      context.Context
-	g        *graph.Graph
-	deadline time.Time
-	expired  bool
-	nodes    int
+	ctx     context.Context
+	g       *graph.Graph
+	expired bool
+	nodes   int
 
 	inX, forbid, used []bool
 	x, best           []int
@@ -61,26 +59,22 @@ type search struct {
 	queue, cyc         []int
 }
 
-func newSearch(ctx context.Context, g *graph.Graph, limit time.Duration) *search {
+func newSearch(ctx context.Context, g *graph.Graph) *search {
 	n := g.N()
-	s := &search{
+	return &search{
 		ctx: ctx, g: g,
 		inX: make([]bool, n), forbid: make([]bool, n), used: make([]bool, n),
 		seen: make([]int, n), dist: make([]int, n), parent: make([]int, n),
 	}
-	if limit > 0 {
-		s.deadline = time.Now().Add(limit)
-	}
-	if d, ok := ctx.Deadline(); ok && (s.deadline.IsZero() || d.Before(s.deadline)) {
-		s.deadline = d
-	}
-	return s
 }
 
-// stop reports (and latches) whether the search must end now.
+// stop reports (and latches) whether the search must end now: ctx is
+// cancelled or past its deadline. The clock is read as well because a
+// context's timer closes Done only some time after the deadline passes.
 func (s *search) stop() bool {
-	if !s.expired && (s.ctx.Err() != nil || (!s.deadline.IsZero() && time.Now().After(s.deadline))) {
-		s.expired = true
+	if !s.expired {
+		d, ok := s.ctx.Deadline()
+		s.expired = s.ctx.Err() != nil || (ok && time.Now().After(d))
 	}
 	return s.expired
 }

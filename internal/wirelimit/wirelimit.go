@@ -15,7 +15,10 @@
 // the limit that fired rather than on message prose.
 package wirelimit
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // MaxDim bounds each dimension (rows or columns) of any wire-decoded
 // crossbar-shaped object: designs, defect maps, partition tiles,
@@ -29,6 +32,11 @@ const MaxDim = 1 << 16
 // counts. It bounds the per-element allocation a decoder performs before
 // it has seen the elements themselves.
 const MaxCount = 1 << 20
+
+// defaultMaxCells is CheckCells' default cap: MaxDim*MaxDim, the largest
+// extent CheckDim-bounded sides can span, clamped to the largest int on
+// 32-bit targets.
+const defaultMaxCells = min(MaxDim*MaxDim, math.MaxInt)
 
 // LimitError reports a wire-declared size that exceeds its cap. What names
 // the offending quantity ("defect map rows", "pla .i inputs"), Got is the
@@ -81,9 +89,8 @@ func CheckPerm(what string, perm []int) error {
 
 // CheckCells validates a wire-declared rows x cols dense extent: both
 // dimensions pass CheckDim and the product stays within maxCells (falling
-// back to MaxDim*MaxDim, the largest extent CheckDim-bounded sides can
-// span). The product check runs on the already-bounded sides, so it cannot
-// overflow.
+// back to defaultMaxCells). The product check runs on the already-bounded
+// sides, so it cannot overflow.
 func CheckCells(what string, rows, cols, maxCells int) error {
 	if err := CheckDim(what+" rows", rows); err != nil {
 		return err
@@ -92,7 +99,7 @@ func CheckCells(what string, rows, cols, maxCells int) error {
 		return err
 	}
 	if maxCells <= 0 {
-		maxCells = MaxDim * MaxDim
+		maxCells = defaultMaxCells
 	}
 	if rows > 0 && cols > maxCells/rows {
 		return &LimitError{What: what + " cells", Got: rows * cols, Max: maxCells}

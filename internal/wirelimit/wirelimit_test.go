@@ -2,6 +2,7 @@ package wirelimit
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -11,7 +12,7 @@ func TestCheckDim(t *testing.T) {
 			t.Errorf("CheckDim(%d): unexpected error %v", n, err)
 		}
 	}
-	for _, n := range []int{-1, MaxDim + 1, 1 << 40} {
+	for _, n := range []int{-1, MaxDim + 1, min(1<<40, math.MaxInt)} {
 		err := CheckDim("rows", n)
 		if err == nil {
 			t.Fatalf("CheckDim(%d): want error", n)
@@ -51,15 +52,17 @@ func TestCheckCells(t *testing.T) {
 	}
 	// The historical xbar hole: a huge row count with zero columns passes a
 	// product-only guard but must fail the per-dimension cap.
-	if err := CheckCells("design", 1<<40, 0, 1<<31); err == nil {
+	if err := CheckCells("design", min(1<<40, math.MaxInt), 0, min(1<<31, math.MaxInt)); err == nil {
 		t.Error("2^40 x 0: want per-dimension error")
 	}
 	if err := CheckCells("design", -1, 4, 0); err == nil {
 		t.Error("negative rows: want error")
 	}
-	// Default cap: full MaxDim x MaxDim is allowed.
-	if err := CheckCells("design", MaxDim, MaxDim, 0); err != nil {
-		t.Errorf("MaxDim x MaxDim under default cap: %v", err)
+	// Default cap: full MaxDim x MaxDim is allowed wherever an int can
+	// count its cells (64-bit targets).
+	err := CheckCells("design", MaxDim, MaxDim, 0)
+	if fits := MaxDim*MaxDim <= math.MaxInt; (err == nil) != fits {
+		t.Errorf("MaxDim x MaxDim under default cap (fits an int: %v): %v", fits, err)
 	}
 }
 

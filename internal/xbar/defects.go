@@ -42,20 +42,20 @@ func checkInjective(perm []int, bound, l int) error {
 // Faults on physical wires the placement leaves unused are ignored —
 // unused spares are disconnected.
 func (s Stack) UnderDefects(perms [][]int) ([]Plane, error) {
-	_, perms, err := s.Bind(perms)
+	phys, perms, err := s.Bind(perms)
 	if err != nil {
 		return nil, err
 	}
-	p, err := NewPlacer(s, 0)
-	if err != nil {
-		return nil, err
+	if s.Maps == nil {
+		s.Maps = make([]*defect.Map, len(s.Planes))
 	}
 	planes := make([]Plane, len(s.Planes))
 	for pl := range s.Planes {
 		var stuck []Device
-		if len(p.faults[pl]) > 0 {
-			invRow, invCol := p.invert(pl, perms[pl]), p.invert(pl+1, perms[pl+1])
-			for _, fc := range p.faults[pl] {
+		if faults := s.Maps[pl].Cells(); len(faults) > 0 {
+			invRow := invert(make([]int, phys[pl]), perms[pl])
+			invCol := invert(make([]int, phys[pl+1]), perms[pl+1])
+			for _, fc := range faults {
 				r, c := invRow[fc.Row], invCol[fc.Col]
 				if r < 0 || c < 0 {
 					continue // crossing on an unused (disconnected) physical wire

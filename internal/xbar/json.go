@@ -3,6 +3,7 @@ package xbar
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // The Design wire format (version 1)
@@ -64,8 +65,9 @@ import (
 const designWireVersion = 1
 
 // maxWireCells bounds the crossing count of a wire-decoded plane and of a
-// wire-decoded stack as a whole.
-const maxWireCells = 1 << 31
+// wire-decoded stack as a whole: 1<<31, clamped to the largest int on
+// 32-bit targets.
+const maxWireCells = min(1<<31, math.MaxInt)
 
 // crossbarJSON is the two-layer body.
 type crossbarJSON struct {

@@ -66,9 +66,9 @@ const (
 	// prunes little, and past a few thousand rows and columns its node
 	// count outgrows placeILPBudget.
 	placeModelCap = 4000
-	// placeILPBudget bounds one exact solve (the shared ctx deadline still
-	// applies and wins when earlier). Exhausting it yields a non-proven
-	// Unplaceable, never a fabricated verdict.
+	// placeILPBudget bounds one exact solve: its context times out after
+	// it, or at the caller's deadline when that is earlier. Exhausting it
+	// yields a non-proven Unplaceable, never a fabricated verdict.
 	placeILPBudget = 10 * time.Second
 )
 
@@ -299,10 +299,10 @@ func (p *Placer) colPlane(pl int) *Plane {
 	return &p.cols[pl]
 }
 
-// invert fills layer l's scratch inverse binding from perm (physical ->
-// logical, -1 where unused) and returns it.
-func (p *Placer) invert(l int, perm []int) []int {
-	inv := fill(p.inv[l], -1)
+// invert fills inv with perm's inverse binding (physical -> logical,
+// -1 where unused) and returns it.
+func invert(inv, perm []int) []int {
+	fill(inv, -1)
 	for logical, physical := range perm {
 		inv[physical] = logical
 	}
@@ -391,7 +391,7 @@ func (p *Placer) compatible(perms [][]int) bool {
 		if len(faults) == 0 {
 			continue
 		}
-		invRow, invCol := p.invert(pl, perms[pl]), p.invert(pl+1, perms[pl+1])
+		invRow, invCol := invert(p.inv[pl], perms[pl]), invert(p.inv[pl+1], perms[pl+1])
 		for _, fc := range faults {
 			r, c := invRow[fc.Row], invCol[fc.Col]
 			if r >= 0 && c >= 0 && !compatCell(p.Planes[pl].At(r, c), fc.Kind) {
@@ -406,7 +406,7 @@ func (p *Placer) compatible(perms [][]int) bool {
 // layer-1 binding: the wire with the fewest compatible physical wires,
 // counted off layer 0's compiled relation.
 func (p *Placer) witness() (row, candidates int) {
-	p.compile(0, nil, p.invert(1, identityPerm(p.Widths[1])))
+	p.compile(0, nil, invert(p.inv[1], identityPerm(p.Widths[1])))
 	count := make([]int, p.Widths[0])
 	for w := 0; w < p.phys[0]; w++ {
 		for k, word := range p.m.row(w) {
@@ -655,10 +655,10 @@ func (p *Placer) greedy(ctx context.Context, seed uint64) ([][]int, error) {
 		for l := 0; l < k && matched; l++ {
 			var below, above []int
 			if l > 0 {
-				below = p.invert(l-1, perms[l-1])
+				below = invert(p.inv[l-1], perms[l-1])
 			}
 			if l < k-1 {
-				above = p.invert(l+1, perms[l+1])
+				above = invert(p.inv[l+1], perms[l+1])
 			}
 			p.compile(l, below, above)
 			perm, ok, err := p.m.kuhn(ctx, p.Widths[l], order(p.phys[l]))
@@ -756,9 +756,9 @@ func (p *Placer) ilp(ctx context.Context) ([][]int, error) {
 		}
 	}
 
-	sol, err := ilp.SolveContext(ctx, mod, ilp.Options{
-		TimeLimit: placeILPBudget, Workers: ilp.DefaultWorkers(),
-	})
+	ictx, cancel := context.WithTimeout(ctx, placeILPBudget)
+	defer cancel()
+	sol, err := ilp.SolveContext(ictx, mod, ilp.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("xbar: placement ILP: %w", err)
 	}
@@ -782,9 +782,10 @@ func (p *Placer) ilp(ctx context.Context) ([][]int, error) {
 		return nil, fail(true, "exact assignment model is infeasible (%d faults on %s)", p.nFaults, dimString(p.phys))
 	default:
 		// The search budget ran out before a placement or an infeasibility
-		// proof was found. A cancelled/expired context surfaces as such;
-		// otherwise this is exactly what a non-proven Unplaceable means —
-		// the search came up empty, with no claim about existence.
+		// proof was found. The caller's cancelled/expired ctx surfaces as
+		// such; placeILPBudget running out on ictx alone is exactly what a
+		// non-proven Unplaceable means — the search came up empty, with no
+		// claim about existence.
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("xbar: placement search: %w", err)
 		}

@@ -732,10 +732,10 @@ func compiledMismatch(t *testing.T, s Stack, perms [][]int) string {
 	for l := 0; l < k; l++ {
 		var below, above []int
 		if l > 0 {
-			below = p.invert(l-1, perms[l-1])
+			below = invert(p.inv[l-1], perms[l-1])
 		}
 		if l < k-1 {
-			above = p.invert(l+1, perms[l+1])
+			above = invert(p.inv[l+1], perms[l+1])
 		}
 		p.compile(l, below, above)
 		for w := 0; w < p.phys[l]; w++ {
